@@ -136,11 +136,23 @@ class HomSpace:
 
 @dataclass
 class OperationTable:
-    """Sparse multilinear operation data keyed by (arity, energy, tag)."""
+    """Sparse multilinear operation data keyed by (arity, energy, tag).
+
+    A stored value wins over the fallback of its key.  Fallbacks must be
+    pure functions of ``(spaces, gens)``: each table computes a fallback
+    value once and hands the same ``Element`` to every later lookup, so
+    callers must not mutate the elements that ``lookup`` returns.  The memo
+    belongs to this table alone (a deformed copy starts empty), and it is
+    held per fallback object, so replacing or removing a fallback drops the
+    values it produced.
+    """
 
     values: dict[OpKey, dict[TensorKey, Element]] = field(default_factory=dict)
     fallbacks: dict[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element | None]] = field(
         default_factory=dict
+    )
+    _memo: dict[OpKey, tuple[Callable, dict[TensorKey, Element]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def keys(self) -> list[OpKey]:
@@ -156,11 +168,18 @@ class OperationTable:
             if value is not None:
                 return value
         fallback = self.fallbacks.get(key)
-        if fallback is not None:
+        if fallback is None:
+            return Element.zero()
+        owner, memo = self._memo.get(key, (None, None))
+        if owner is not fallback:
+            memo = {}
+            self._memo[key] = (fallback, memo)
+        value = memo.get((spaces, gens))
+        if value is None:
             value = fallback(spaces, gens)
-            if value is not None:
-                return value.normalized()
-        return Element.zero()
+            value = Element.zero() if value is None else value.normalized()
+            memo[(spaces, gens)] = value
+        return value
 
     def max_arity(self) -> int:
         return max((k for k, _, _ in self.keys()), default=0)
@@ -287,19 +306,25 @@ class FilteredAInfty:
         with Koszul signs and all energy decompositions below the cutoff."""
         cutoff = self.cutoff if cutoff is None else _frac(cutoff)
         k = len(word)
+        keys = self.table.keys()
         total = Element.zero()
-        for inner_key in self.table.keys():
+        for inner_key in keys:
             k_inner, e_inner, _ = inner_key
             if k_inner > k:
                 continue
             k_outer = k + 1 - k_inner
-            for outer_key in self.table.keys_of_arity(k_outer):
-                _, e_outer, _ = outer_key
-                if e_inner + e_outer >= cutoff:
-                    continue
-                energy = NovikovElement.monomial(1, e_inner + e_outer)
-                for j in range(1, k_outer + 1):
-                    sign, new_word = self.coderivation_insert(inner_key, j, word)
+            outer_keys = [
+                key for key in keys if key[0] == k_outer and e_inner + key[1] < cutoff
+            ]
+            if not outer_keys:
+                continue
+            # The inner insertion does not depend on the outer operation.
+            inserted = [
+                self.coderivation_insert(inner_key, j, word) for j in range(1, k_outer + 1)
+            ]
+            for outer_key in outer_keys:
+                energy = NovikovElement.monomial(1, e_inner + outer_key[1])
+                for j, (sign, new_word) in enumerate(inserted, start=1):
                     if new_word[j - 1].is_zero():
                         continue
                     value = self.apply_raw(outer_key, new_word)
@@ -406,6 +431,14 @@ class DGAModel:
     degree_of: Callable[[str], int]
     differential: Callable[[str], dict[str, Fraction]]
     product: Callable[[str, str], dict[str, Fraction]]
+    generator_test: Callable[[str], bool] | None = None
+
+    def has_generator(self, key: str) -> bool:
+        """Whether ``key`` names a generator: a basis key, or a key that
+        ``generator_test`` accepts (monomials beyond the sampled basis)."""
+        if any(g == key for g, _ in self.basis):
+            return True
+        return self.generator_test is not None and self.generator_test(key)
 
 
 def _as_element(space: str, combo: Mapping[str, Fraction]) -> Element:
@@ -503,6 +536,15 @@ def _parse_form_key(sp: geomodel.CubeTorusSpace, key: str) -> geomodel.Form:
     return geomodel.Form(sp, {letters: poly})
 
 
+def _is_form_key(sp: geomodel.CubeTorusSpace, key: str) -> bool:
+    """Whether ``key`` is the canonical key of a monomial form on ``sp``."""
+    try:
+        form = _parse_form_key(sp, key)
+    except ValueError:
+        return False
+    return _form_to_combo(form) == {key: Fraction(1)}
+
+
 def _form_to_combo(form: geomodel.Form) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for wedge_, poly in form.terms.items():
@@ -551,6 +593,7 @@ def cube_torus_dga(
         degree_of=degree_of,
         differential=diff,
         product=prod,
+        generator_test=lambda key: _is_form_key(sp, key),
     )
 
 
@@ -656,7 +699,10 @@ def deform(
         generators = set(A.spectrum.generators)
 
     max_k = A.table.max_arity()
-    table = OperationTable(dict(A.table.values), dict(A.table.fallbacks))
+    table = OperationTable(
+        {key: dict(entry) for key, entry in A.table.values.items()},
+        dict(A.table.fallbacks),
+    )
     if b.is_zero():
         return FilteredAInfty(dict(A.spaces), table, A.spectrum, A.cutoff)
 

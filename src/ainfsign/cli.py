@@ -279,6 +279,13 @@ def cmd_deform_check(args) -> int:
     candidates: list[tuple[str, Element]] = []
     if args.b:
         spec_dict = json.loads(args.b)
+        if not isinstance(spec_dict, dict):
+            raise UsageError("--b must be a JSON object mapping generators to coefficients")
+        for g, c in spec_dict.items():
+            if not dga.has_generator(g):
+                raise UsageError(f"--b: unknown generator {g!r} of space {dga.space_name!r}")
+            if not isinstance(c, str):
+                raise UsageError(f"--b: coefficient of {g!r} must be a string, got {c!r}")
         coeffs = {g: novikov.parse(c) for g, c in spec_dict.items()}
         candidates.append(("explicit", Element(dga.space_name, coeffs).normalized()))
     rng = random.Random(args.seed)

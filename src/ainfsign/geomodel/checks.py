@@ -638,5 +638,10 @@ def verify_pushpull(
             result.failures.append(report.detail)
             break
         i += 1
+    if i < trials and not result.failures:
+        result.failures.append(
+            {"error": "attempt cap reached", "trials_run": i,
+             "trials_requested": trials, "attempts": attempts}
+        )
     result.stats["nontrivial"] = nontrivial
     return result

@@ -294,11 +294,6 @@ class Form:
             raise ValueError(f"form is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, degree: int) -> "Form":
-        return Form(
-            self.space, {w: p for w, p in self.terms.items() if len(w) == degree}
-        )
-
     def __add__(self, other: "Form") -> "Form":
         self._same_space(other)
         out = dict(self.terms)
@@ -314,9 +309,6 @@ class Form:
 
     def scale(self, c: Rational) -> "Form":
         return Form(self.space, {w: p.scale(c) for w, p in self.terms.items()})
-
-    def scale_poly(self, poly: Poly) -> "Form":
-        return Form(self.space, {w: p * poly for w, p in self.terms.items()})
 
     def _same_space(self, other: "Form"):
         if self.space != other.space:
@@ -489,13 +481,6 @@ def smooth_map(
     source: CubeTorusSpace, target: CubeTorusSpace, table: Mapping[str, tuple]
 ) -> SmoothMapModel:
     return SmoothMapModel(source, target, tuple(sorted(table.items())))
-
-
-def identity_map(sp: CubeTorusSpace) -> SmoothMapModel:
-    table: dict[str, tuple] = {}
-    for name, kind in sp.coords:
-        table[name] = ("poly", Poly.var(name)) if kind == INTERVAL else ("circle", name, 1)
-    return smooth_map(sp, sp, table)
 
 
 def constant_map(source: CubeTorusSpace, target: CubeTorusSpace, point: Mapping[str, Rational] | None = None) -> SmoothMapModel:

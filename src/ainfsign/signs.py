@@ -159,16 +159,6 @@ class SignContext:
             "dim_out": self.dim_out,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "SignContext":
-        return SignContext(
-            k=int(data["k"]), j=int(data["j"]),
-            k_outer=int(data["k_outer"]), k_inner=int(data["k_inner"]),
-            degs=tuple(data.get("degs", ())), mus=tuple(data.get("mus", ())),
-            mu_node=data.get("mu_node", 0), mu_out=data.get("mu_out", 0),
-            dim_out=data.get("dim_out", 0),
-        )
-
 
 def boundary_sign(ctx: SignContext) -> Parity:
     """Orientation sign of a codimension-1 boundary stratum relative to the

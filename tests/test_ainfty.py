@@ -263,6 +263,50 @@ def test_deform_produces_curvature_and_keeps_relations():
     assert report.passed, report.witness
 
 
+def test_lookup_memo_matches_direct_fallback():
+    A = interval2_structure()
+    D = deform(A, Element("deRham", {"u|dv": T_coeff()}), 1)
+    assert not D.curvature().is_zero()
+    rng = random.Random(7)
+    gens = D.basis_generators()
+    keys = D.table.keys()
+    for _ in range(60):
+        key = rng.choice(keys)
+        word = [rng.choice(gens) for _ in range(key[0])]
+        spaces, tensor = tuple(s for s, _ in word), tuple(g for _, g in word)
+        direct = D.table.fallbacks[key](spaces, tensor)
+        direct = Element.zero() if direct is None else direct.normalized()
+        assert D.table.lookup(key, spaces, tensor) == direct
+        assert D.table.lookup(key, spaces, tensor) == direct  # served by the memo
+
+
+def test_lookup_honours_replaced_and_cleared_fallbacks():
+    key = (1, Fraction(0), "0")
+    tensor = (("ext",), ("e1",))
+    A = from_dga(exterior_dga(2), cutoff=1)
+    assert A.table.lookup(key, *tensor).is_zero()
+    A.table.fallbacks[key] = lambda spaces, gens: Element.basis("ext", "e1^e2")
+    assert A.table.lookup(key, *tensor) == Element.basis("ext", "e1^e2")
+    A.table.fallbacks[key] = lambda spaces, gens: None
+    assert A.table.lookup(key, *tensor).is_zero()
+    A.table.fallbacks[key] = lambda spaces, gens: Element.basis("ext", "e2")
+    assert A.table.lookup(key, *tensor) == Element.basis("ext", "e2")
+    A.table.fallbacks.clear()
+    assert A.table.lookup(key, *tensor).is_zero()
+
+
+def test_deform_shares_no_mutable_state_with_parent():
+    A = from_dga(ce3(), cutoff=4)
+    key = (1, Fraction(0), "0")
+    A.table.values[key] = {(("ext",), ("e1",)): Element.basis("ext", "e2^e3")}
+    A.table.fallbacks.clear()
+    D = deform(A, Element("ext", {"e1": T_coeff()}), 1)
+    D.table.values[key][(("ext",), ("e2",))] = Element.basis("ext", "e1^e3")
+    D.check_relations(2)
+    assert A.table.values == {key: {(("ext",), ("e1",)): Element.basis("ext", "e2^e3")}}
+    assert D.table._memo and not A.table._memo
+
+
 def test_deform_energy_filtration():
     """Per stored class: the contribution to the output has valuation at
     least the sum of the input valuations plus the class energy."""

@@ -182,6 +182,17 @@ def test_deform_check_explicit_and_random(capsys):
     assert "curved-instance-present" in out
 
 
+@pytest.mark.parametrize("b, message", [
+    ('{"nope": "T"}', "unknown generator 'nope'"),
+    ('{"u|dv^du": "T"}', "unknown generator 'u|dv^du'"),
+    ('["u|dv"]', "must be a JSON object"),
+    ('{"u|dv": 3}', "must be a string"),
+])
+def test_deform_check_rejects_malformed_cochain(b, message, capsys):
+    code, _, err = run(["deform-check", "--preset", "interval2", "--b", b], capsys)
+    assert code == 2 and message in err
+
+
 def test_anf_command(capsys):
     code, out, _ = run(["anf", "--expr", "d1*(d2+1) + d1"], capsys)
     assert code == 0 and out.strip() == "d1*d2"

@@ -268,6 +268,15 @@ def test_pushpull_identity_suite():
     assert result.stats["nontrivial"] >= 20
 
 
+def test_pushpull_fails_when_attempt_cap_cuts_trials_short():
+    result = verify_pushpull(trials=5, seed=1)
+    assert not result.passed
+    assert result.failures[0] == {
+        "error": "attempt cap reached", "trials_run": 4,
+        "trials_requested": 5, "attempts": 250,
+    }
+
+
 def test_pushpull_trivial_mock_case():
     node = space(("n", "interval"))
     ident = projection(node, node, {"n": "n"})
