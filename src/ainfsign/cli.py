@@ -70,11 +70,11 @@ class Report:
         self.timing = timing
         self.checks: list[dict] = []
 
-    def add(self, check_id: str, passed: bool, started: float, **extra):
+    def add(self, check_id: str, passed: bool, runtime_s: float, **extra):
         record: dict = {"id": check_id, "status": "pass" if passed else "fail"}
         record.update(extra)
         if self.timing:
-            record["runtime_s"] = round(time.perf_counter() - started, 3)
+            record["runtime_s"] = round(runtime_s, 3)
         self.checks.append(record)
 
     @property
@@ -92,22 +92,32 @@ class Report:
         }
 
     def finish(self, out: str | None) -> int:
-        failed = [c for c in self.checks if c["status"] == "fail"]
-        for c in self.checks:
-            marker = "ok  " if c["status"] == "pass" else "FAIL"
-            print(f"{marker} {c['id']}")
-        print(f"{self.command}: {len(self.checks) - len(failed)}/{len(self.checks)} checks passed")
         payload = json.dumps(self.to_json(), indent=2, default=str) + "\n"
         target = out
         if target is None and os.environ.get("AINFSIGN_REPORT_DIR"):
             directory = Path(os.environ["AINFSIGN_REPORT_DIR"])
             directory.mkdir(parents=True, exist_ok=True)
             target = str(directory / f"{self.command}.json")
-        if target == "-":
-            sys.stdout.write(payload)
-        elif target:
+        if target and target != "-":
             Path(target).write_text(payload)
-            print(f"report written to {target}")
+        failed = [c for c in self.checks if c["status"] == "fail"]
+        try:
+            for c in self.checks:
+                marker = "ok  " if c["status"] == "pass" else "FAIL"
+                print(f"{marker} {c['id']}")
+            print(f"{self.command}: {len(self.checks) - len(failed)}/{len(self.checks)} checks passed")
+            if target == "-":
+                sys.stdout.write(payload)
+            elif target:
+                print(f"report written to {target}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early (say, `| head -1`).  The report
+            # file is written and the verdict stands; point stdout at devnull
+            # so that the flush at exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0 if self.overall == "pass" else 1
 
 
@@ -136,7 +146,7 @@ def cmd_prove_signs(args) -> int:
     for rep in prover.prove_all(args.k_max, args.truth_table_k_max):
         inst = rep.instance
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
-        report.add(check_id, rep.proved, started, witness=rep.witness)
+        report.add(check_id, rep.proved, time.perf_counter() - started, witness=rep.witness)
         started = time.perf_counter()
     if args.relations_k_max:
         cutoff = _parse_fraction(args.relations_cutoff)
@@ -147,7 +157,7 @@ def cmd_prove_signs(args) -> int:
                 report.add(
                     f"relation-cancellation:k={k}:energy={crep.energy}",
                     crep.cancels,
-                    started,
+                    time.perf_counter() - started,
                     detail={"pairs": len(crep.pairs), "residual": crep.residual},
                 )
                 started = time.perf_counter()
@@ -155,6 +165,14 @@ def cmd_prove_signs(args) -> int:
 
 
 def cmd_verify_geomodel(args) -> int:
+    # --pushpull-trials 0 skips the mock suite; every other count must let
+    # the checkers draw at least one instance.
+    for flag, value, least in (("--trials", args.trials, 1),
+                               ("--pushpull-trials", args.pushpull_trials, 0),
+                               ("--max-coords", args.max_coords, 1),
+                               ("--max-poly-deg", args.max_poly_deg, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}")
     report = Report(
         "verify-geomodel",
         {
@@ -166,18 +184,17 @@ def cmd_verify_geomodel(args) -> int:
         },
         args.timing,
     )
-    started = time.perf_counter()
     for result in run_all_checks(args.trials, args.seed, args.max_coords, args.max_poly_deg):
         report.add(
-            result.name, result.passed, started,
+            result.name, result.passed, result.elapsed_s,
             witness=result.failures[0] if result.failures else None,
             detail=result.stats,
         )
-        started = time.perf_counter()
     if args.pushpull_trials:
+        started = time.perf_counter()
         result = verify_pushpull(args.pushpull_trials, args.seed)
         report.add(
-            result.name, result.passed, started,
+            result.name, result.passed, time.perf_counter() - started,
             witness=result.failures[0] if result.failures else None,
             detail=result.stats,
         )
@@ -216,11 +233,11 @@ def cmd_check_dga(args) -> int:
     )
     started = time.perf_counter()
     rel = A.check_relations(args.k_max, seed=args.seed)
-    report.add("relations", rel.passed, started, witness=rel.witness,
+    report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
                detail={"tuples_checked": rel.checked})
     started = time.perf_counter()
     violations = check_product_sign_convention(A, dga)
-    report.add("product-sign-convention", not violations, started,
+    report.add("product-sign-convention", not violations, time.perf_counter() - started,
                witness=violations[0] if violations else None)
     return report.finish(args.out)
 
@@ -243,11 +260,11 @@ def cmd_check_ainfty(args) -> int:
     cutoff = _parse_fraction(args.cutoff) if args.cutoff else None
     started = time.perf_counter()
     violations = validate_degree_parity(A)
-    report.add("degree-parity", not violations, started,
+    report.add("degree-parity", not violations, time.perf_counter() - started,
                witness=violations[0] if violations else None)
     started = time.perf_counter()
     rel = A.check_relations(args.k_max, cutoff=cutoff, seed=args.seed)
-    report.add("relations", rel.passed, started, witness=rel.witness,
+    report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
                detail={"tuples_checked": rel.checked})
     return report.finish(args.out)
 
@@ -303,12 +320,12 @@ def cmd_deform_check(args) -> int:
         curvature = D.curvature()
         curved += not curvature.is_zero()
         report.add(
-            f"deform:{label}", rel.passed, started, witness=rel.witness,
+            f"deform:{label}", rel.passed, time.perf_counter() - started, witness=rel.witness,
             detail={"b": str(b), "curvature": str(curvature),
                     "tuples_checked": rel.checked},
         )
     started = time.perf_counter()
-    report.add("curved-instance-present", curved > 0, started,
+    report.add("curved-instance-present", curved > 0, time.perf_counter() - started,
                detail={"curved": curved, "total": len(candidates)})
     return report.finish(args.out)
 

@@ -5,12 +5,15 @@ nested-vs-glued push-pull identities with their reorder signs.
 Every checker draws seeded random instances, evaluates both sides of its
 identity with exact rational arithmetic, and requires literal equality; the
 first failing instance is returned as a witness.  Instance generators keep
-interval-coordinate assignments inside [0, 1] by construction.
+interval-coordinate assignments inside [0, 1] by construction.  Each checker,
+and each ``random_mock_instance`` call, numbers its coordinate names from its
+own ``NameSource``, so a witness does not depend on what ran before it.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +53,8 @@ class CheckResult:
     trials: int
     failures: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    # Wall time of the check, set by run_all_checks; not part of the report.
+    elapsed_s: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -67,19 +72,24 @@ class CheckResult:
 
 # --- instance generators -------------------------------------------------------
 
-_COUNTER = 0
+class NameSource:
+    """Fresh coordinate names: the prefix plus a number that counts up from 1
+    per source."""
+
+    def __init__(self):
+        self._count = 0
+
+    def __call__(self, prefix: str) -> str:
+        self._count += 1
+        return f"{prefix}{self._count}"
 
 
-def _fresh(prefix: str) -> str:
-    global _COUNTER
-    _COUNTER += 1
-    return f"{prefix}{_COUNTER}"
-
-
-def random_space(rng: random.Random, max_coords: int, prefix: str = "x") -> CubeTorusSpace:
+def random_space(
+    rng: random.Random, max_coords: int, fresh: NameSource, prefix: str = "x"
+) -> CubeTorusSpace:
     n = rng.randrange(0, max_coords + 1)
     coords = tuple(
-        (_fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE) for _ in range(n)
+        (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE) for _ in range(n)
     )
     return CubeTorusSpace(coords)
 
@@ -155,14 +165,15 @@ def random_smooth_map(
 
 
 def random_bundle(
-    rng: random.Random, max_coords: int, min_fiber: int = 0, prefix: str = "x"
+    rng: random.Random, max_coords: int, fresh: NameSource, min_fiber: int = 0,
+    prefix: str = "x",
 ) -> ProjectionMap:
     """A random projection with shuffled source interleaving and a target
     listed in an order independent of the source's."""
     total = rng.randrange(max(1, min_fiber), max_coords + 1)
     n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
     coords = [
-        (_fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
+        (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
         for _ in range(total)
     ]
     rng.shuffle(coords)
@@ -170,7 +181,7 @@ def random_bundle(
     base = list(coords)
     rng.shuffle(base)
     base = base[: total - n_fiber]
-    target_coords = [(_fresh("b"), kind) for _, kind in base]
+    target_coords = [(fresh("b"), kind) for _, kind in base]
     target = CubeTorusSpace(tuple(target_coords))
     injection = {t[0]: s[0] for t, s in zip(target_coords, base)}
     return projection(source, target, injection)
@@ -183,8 +194,9 @@ def verify_projection_formula(trials: int, seed: int, max_coords: int = 4, max_p
     """p_!((p* theta) ^ beta) == theta ^ p_! beta, exactly."""
     rng = random.Random(seed)
     result = CheckResult("projection-formula", trials)
+    fresh = NameSource()
     for i in range(trials):
-        p = random_bundle(rng, max_coords)
+        p = random_bundle(rng, max_coords, fresh)
         theta = random_form(rng, p.target, max_poly_deg)
         beta = random_form(rng, p.source, max_poly_deg)
         lhs = pushforward(p, wedge(pullback(p.as_smooth(), theta), beta))
@@ -202,14 +214,15 @@ def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_d
     (q o p)_!(p* theta ^ beta) == q_!(theta ^ p_! beta)."""
     rng = random.Random(seed)
     result = CheckResult("functoriality", trials)
+    fresh = NameSource()
     for i in range(trials):
-        p = random_bundle(rng, max_coords)
-        q = random_bundle(rng, max_coords)
+        p = random_bundle(rng, max_coords, fresh)
+        q = random_bundle(rng, max_coords, fresh)
         # rebase q on p's target: make q a projection out of p.target
         names = p.target.names()
         keep = [n for n in names if rng.random() < 0.7]
         rng.shuffle(keep)
-        q_target = CubeTorusSpace(tuple((_fresh("c"), p.target.kind(n)) for n in keep))
+        q_target = CubeTorusSpace(tuple((fresh("c"), p.target.kind(n)) for n in keep))
         q = projection(p.target, q_target, {t[0]: s for t, s in zip(q_target.coords, keep)})
         qp = compose_projection(q, p)
         beta = random_form(rng, p.source, max_poly_deg)
@@ -232,9 +245,10 @@ def verify_base_change(trials: int, seed: int, max_coords: int = 4, max_poly_deg
     """f* (p_! beta) == pulled-p_! (bundle-map* beta) for smooth f."""
     rng = random.Random(seed)
     result = CheckResult("base-change", trials)
+    fresh = NameSource()
     for i in range(trials):
-        p = random_bundle(rng, max_coords)
-        s_space = random_space(rng, max_coords, prefix="s")
+        p = random_bundle(rng, max_coords, fresh)
+        s_space = random_space(rng, max_coords, fresh, prefix="s")
         f = random_smooth_map(rng, s_space, p.target)
         pulled, p_bar, f_tilde = pullback_bundle(p, f)
         beta = random_form(rng, p.source, max_poly_deg)
@@ -252,9 +266,10 @@ def verify_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int
     """d p_! beta == p_! d beta + (-1)^(dim source + deg beta) * boundary term."""
     rng = random.Random(seed)
     result = CheckResult("stokes", trials)
+    fresh = NameSource()
     with_boundary = 0
     for i in range(trials):
-        p = random_bundle(rng, max_coords, min_fiber=1)
+        p = random_bundle(rng, max_coords, fresh, min_fiber=1)
         deg = rng.randrange(0, p.source.dimension + 1)
         beta = random_form(rng, p.source, max_poly_deg, degree=deg)
         if any(p.source.kind(v) == INTERVAL for v in p.fiber):
@@ -275,10 +290,11 @@ def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg
     """d Corr(xi) == Corr(d xi) + (-1)^(dim X + deg xi) * boundary Corr(xi)."""
     rng = random.Random(seed)
     result = CheckResult("correspondence-stokes", trials)
+    fresh = NameSource()
     with_boundary = 0
     for i in range(trials):
-        f1 = random_bundle(rng, max_coords, min_fiber=1)
-        target2 = random_space(rng, 2, prefix="m")
+        f1 = random_bundle(rng, max_coords, fresh, min_fiber=1)
+        target2 = random_space(rng, 2, fresh, prefix="m")
         f2 = random_smooth_map(rng, f1.source, target2)
         corr = CorrespondenceModel(f1.source, f1, f2)
         deg = rng.randrange(0, target2.dimension + 1)
@@ -298,18 +314,18 @@ def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg
 
 
 def _random_composable_pair(
-    rng: random.Random, max_coords: int
+    rng: random.Random, fresh: NameSource
 ) -> tuple[CorrespondenceModel, CorrespondenceModel]:
-    m1 = random_space(rng, 2, prefix="p")
-    m2 = random_space(rng, 2, prefix="q")
-    m3 = random_space(rng, 2, prefix="r")
+    m1 = random_space(rng, 2, fresh, prefix="p")
+    m2 = random_space(rng, 2, fresh, prefix="q")
+    m3 = random_space(rng, 2, fresh, prefix="r")
 
     def build(out_space, in_space, prefix):
-        copies = {n: _fresh(prefix) for n in in_space.names()}
+        copies = {n: fresh(prefix) for n in in_space.names()}
         coords = (
             [(n, k) for n, k in out_space.coords]
             + [(copies[n], k) for n, k in in_space.coords]
-            + [(_fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
+            + [(fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
                for _ in range(rng.randrange(0, 2))]
         )
         rng.shuffle(coords)
@@ -325,9 +341,10 @@ def verify_composition(trials: int, seed: int, max_coords: int = 4, max_poly_deg
     """Corr of the fiber product == Corr after Corr, exactly."""
     rng = random.Random(seed)
     result = CheckResult("composition", trials)
+    fresh = NameSource()
     odd_cases = 0
     for i in range(trials):
-        c12, c23 = _random_composable_pair(rng, max_coords)
+        c12, c23 = _random_composable_pair(rng, fresh)
         c13 = fiber_product(c12, c23)
         m3 = c23.f2.target
         deg = rng.randrange(0, m3.dimension + 1)
@@ -349,8 +366,9 @@ def verify_defining_property(trials: int, seed: int, max_coords: int = 4, max_po
     the bundle-oriented integral over the source of p* theta ^ beta."""
     rng = random.Random(seed)
     result = CheckResult("defining-property", trials)
+    fresh = NameSource()
     for i in range(trials):
-        p = random_bundle(rng, max_coords)
+        p = random_bundle(rng, max_coords, fresh)
         beta = random_form(rng, p.source, max_poly_deg)
         theta = random_form(rng, p.target, max_poly_deg)
         lhs = integrate(wedge(theta, pushforward(p, beta)))
@@ -378,10 +396,14 @@ ALL_CHECKS = (
 
 
 def run_all_checks(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> list[CheckResult]:
-    return [
-        check(trials, seed + offset, max_coords, max_poly_deg)
-        for offset, check in enumerate(ALL_CHECKS)
-    ]
+    """Run every checker, recording each one's wall time in ``elapsed_s``."""
+    results = []
+    for offset, check in enumerate(ALL_CHECKS):
+        started = time.perf_counter()
+        result = check(trials, seed + offset, max_coords, max_poly_deg)
+        result.elapsed_s = time.perf_counter() - started
+        results.append(result)
+    return results
 
 
 # --- mock moduli ----------------------------------------------------------------
@@ -563,11 +585,14 @@ def check_pushpull_identities(
 def random_mock_instance(
     rng: random.Random, max_poly_deg: int = 2
 ) -> tuple[MockModuli, MockModuli, int, tuple[Form, ...], tuple[int, ...]]:
-    """A random composable (outer, inner, j) triple with random inputs."""
+    """A random composable (outer, inner, j) triple with random inputs; its
+    coordinate names are numbered afresh on every call."""
+    fresh = NameSource()
+
     def small_space(prefix, max_n=2):
         return CubeTorusSpace(
             tuple(
-                (_fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
+                (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
                 for _ in range(rng.randrange(0, max_n + 1))
             )
         )
@@ -576,14 +601,14 @@ def random_mock_instance(
     r0 = small_space("o")
 
     def build_mock(k_legs, out_target, node_slot=None):
-        copies_out = {n: _fresh("c") for n in out_target.names()}
+        copies_out = {n: fresh("c") for n in out_target.names()}
         coords = [(copies_out[n], k) for n, k in out_target.coords]
         node_copies = {}
         if node_slot is not None:
-            node_copies = {n: _fresh("c") for n in node.names()}
+            node_copies = {n: fresh("c") for n in node.names()}
             coords += [(node_copies[n], k) for n, k in node.coords]
         coords += [
-            (_fresh("f"), INTERVAL if rng.random() < 0.6 else CIRCLE)
+            (fresh("f"), INTERVAL if rng.random() < 0.6 else CIRCLE)
             for _ in range(rng.randrange(0, 3))
         ]
         rng.shuffle(coords)

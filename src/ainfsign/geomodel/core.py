@@ -14,11 +14,20 @@ drops terms missing any fiber generator, and integrates the coefficient
 over the fiber (unit intervals exactly, circles with total measure 1).
 Composite projections carry the induced fiber order (outer fiber first),
 which is what makes pushforward functorial on the nose.
+
+Construction: the public ``Form(space, terms)`` validates its input (wedge
+letters are coordinates, in coordinate order, without repeats; coefficients
+use interval coordinates only) and ``Poly(terms)`` drops zero coefficients.
+Results this module computes from canonical inputs are built with the
+trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
+check nothing else; they are internal and never see outside input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -32,11 +41,23 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _accumulate(out: dict, key, value) -> None:
+    """``out[key] += value`` with no zero default; the trusted constructors
+    drop the zeros that cancellation leaves."""
+    prev = out.get(key)
+    out[key] = value if prev is None else prev + value
+
+
 @dataclass(frozen=True)
 class CubeTorusSpace:
     """An ordered product of unit intervals and circles."""
 
     coords: tuple[tuple[str, str], ...]  # (name, INTERVAL | CIRCLE)
+    # Derived from coords once, in __post_init__; not part of equality.
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _order: dict[str, int] = field(init=False, repr=False, compare=False)
+    _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
+    _intervals: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.coords]
@@ -45,31 +66,30 @@ class CubeTorusSpace:
         for _, kind in self.coords:
             if kind not in (INTERVAL, CIRCLE):
                 raise ValueError(f"unknown coordinate kind {kind!r}")
+        set_ = object.__setattr__
+        set_(self, "_names", tuple(names))
+        set_(self, "_order", {n: i for i, n in enumerate(names)})
+        set_(self, "_kinds", dict(self.coords))
+        set_(self, "_intervals", tuple(n for n, kind in self.coords if kind == INTERVAL))
 
     @property
     def dimension(self) -> int:
         return len(self.coords)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.coords)
+        return self._names
 
     def kind(self, name: str) -> str:
-        for n, kind in self.coords:
-            if n == name:
-                return kind
-        raise KeyError(f"no coordinate {name!r}")
+        kind = self._kinds.get(name)
+        if kind is None:
+            raise KeyError(f"no coordinate {name!r}")
+        return kind
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.coords)
-
-    def position(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.coords):
-            if n == name:
-                return i
-        raise KeyError(f"no coordinate {name!r}")
+        return name in self._kinds
 
     def interval_names(self) -> tuple[str, ...]:
-        return tuple(n for n, kind in self.coords if kind == INTERVAL)
+        return self._intervals
 
 
 def space(*coords: tuple[str, str]) -> CubeTorusSpace:
@@ -97,6 +117,13 @@ class Poly:
         self.terms = clean
 
     @staticmethod
+    def _of(terms: Mapping[Monomial, Fraction]) -> "Poly":
+        """Trusted constructor for canonical terms this module computed."""
+        poly = object.__new__(Poly)
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
+
+    @staticmethod
     def const(c: Rational) -> "Poly":
         return Poly({(): _frac(c)})
 
@@ -122,11 +149,11 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(out)
+            _accumulate(out, m, c)
+        return Poly._of(out)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -135,52 +162,75 @@ class Poly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                powers: dict[str, int] = dict(m1)
-                for v, p in m2:
-                    powers[v] = powers.get(v, 0) + p
-                key = tuple(sorted(powers.items()))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(out)
+                if not m1:
+                    key = m2
+                elif not m2:
+                    key = m1
+                else:
+                    powers: dict[str, int] = dict(m1)
+                    for v, p in m2:
+                        powers[v] = powers.get(v, 0) + p
+                    key = tuple(sorted(powers.items()))
+                _accumulate(out, key, c1 * c2)
+        return Poly._of(out)
 
     def scale(self, c: Rational) -> "Poly":
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         c = _frac(c)
-        return Poly({m: c * k for m, k in self.terms.items()})
+        return Poly._of({m: c * k for m, k in self.terms.items()})
 
     def partial(self, name: str) -> "Poly":
+        # Lowering the power of one variable maps distinct monomials to
+        # distinct monomials, so no two terms meet.
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            powers = dict(mono)
-            p = powers.get(name, 0)
-            if not p:
-                continue
-            if p == 1:
-                del powers[name]
-            else:
-                powers[name] = p - 1
-            key = tuple(sorted(powers.items()))
-            out[key] = out.get(key, Fraction(0)) + c * p
-        return Poly(out)
+            for i, (v, p) in enumerate(mono):
+                if v == name:
+                    lowered = ((name, p - 1),) if p > 1 else ()
+                    out[mono[:i] + lowered + mono[i + 1:]] = c if p == 1 else c * p
+                    break
+        return Poly._of(out)
 
     def integrate_unit(self, name: str) -> "Poly":
         """Definite integral over [0, 1] in one variable."""
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            powers = dict(mono)
-            p = powers.pop(name, 0)
-            key = tuple(sorted(powers.items()))
-            out[key] = out.get(key, Fraction(0)) + c / (p + 1)
-        return Poly(out)
+            for i, (v, p) in enumerate(mono):
+                if v == name:
+                    _accumulate(out, mono[:i] + mono[i + 1:], c / (p + 1))
+                    break
+            else:
+                _accumulate(out, mono, c)
+        return Poly._of(out)
+
+    def rename(self, names: Mapping[str, str]) -> "Poly":
+        """Relabel variables: equal to ``subst`` with ``Poly.var`` values,
+        without multiplying polynomials."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            powers: dict[str, int] = {}
+            for v, p in mono:
+                w = names.get(v, v)
+                powers[w] = powers.get(w, 0) + p
+            _accumulate(out, tuple(sorted(powers.items())), c)
+        return Poly._of(out)
 
     def subst(self, replacements: Mapping[str, "Poly"]) -> "Poly":
-        out = Poly()
+        out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            piece = Poly.const(c)
+            piece = Poly._of({(): c})
             for v, p in mono:
-                base = replacements.get(v, Poly.var(v))
+                base = replacements.get(v)
+                if base is None:
+                    base = Poly.var(v)
                 for _ in range(p):
                     piece = piece * base
-            out = out + piece
-        return out
+            for m, k in piece.terms.items():
+                _accumulate(out, m, k)
+        return Poly._of(out)
 
     def eval(self, point: Mapping[str, Rational]) -> Fraction:
         total = Fraction(0)
@@ -211,7 +261,6 @@ class Poly:
         return f"<Poly {self}>"
 
 
-ZERO_POLY = Poly()
 ONE_POLY = Poly.const(1)
 
 
@@ -241,13 +290,13 @@ class Form:
     def __init__(self, space: CubeTorusSpace, terms: Mapping[tuple[str, ...], Poly] | None = None):
         self.space = space
         clean: dict[tuple[str, ...], Poly] = {}
-        interval = set(space.interval_names())
-        order = {n: i for i, n in enumerate(space.names())}
+        kinds = space._kinds
+        order = space._order
         for wedge, poly in (terms or {}).items():
             if poly.is_zero():
                 continue
             for v in poly.variables():
-                if v not in interval:
+                if kinds.get(v) != INTERVAL:
                     raise ValueError(
                         f"coefficient uses {v!r}, not an interval coordinate of the space"
                     )
@@ -262,12 +311,20 @@ class Form:
         self.terms = clean
 
     @staticmethod
+    def _of(space: CubeTorusSpace, terms: Mapping[tuple[str, ...], Poly]) -> "Form":
+        """Trusted constructor for canonical terms this module computed."""
+        form = object.__new__(Form)
+        form.space = space
+        form.terms = {w: p for w, p in terms.items() if p.terms}
+        return form
+
+    @staticmethod
     def zero(space: CubeTorusSpace) -> "Form":
-        return Form(space)
+        return Form._of(space, {})
 
     @staticmethod
     def one(space: CubeTorusSpace) -> "Form":
-        return Form(space, {(): ONE_POLY})
+        return Form._of(space, {(): ONE_POLY})
 
     @staticmethod
     def function(space: CubeTorusSpace, poly: Poly) -> "Form":
@@ -278,7 +335,7 @@ class Form:
         """The coordinate 1-form d<name>."""
         if not space.has(name):
             raise KeyError(f"no coordinate {name!r}")
-        return Form(space, {(name,): ONE_POLY})
+        return Form._of(space, {(name,): ONE_POLY})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -298,17 +355,19 @@ class Form:
         self._same_space(other)
         out = dict(self.terms)
         for w, p in other.terms.items():
-            out[w] = out.get(w, ZERO_POLY) + p
-        return Form(self.space, out)
+            _accumulate(out, w, p)
+        return Form._of(self.space, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.space, {w: -p for w, p in self.terms.items()})
+        return Form._of(self.space, {w: -p for w, p in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c: Rational) -> "Form":
-        return Form(self.space, {w: p.scale(c) for w, p in self.terms.items()})
+        if c == 1:
+            return self
+        return Form._of(self.space, {w: p.scale(c) for w, p in self.terms.items()})
 
     def _same_space(self, other: "Form"):
         if self.space != other.space:
@@ -342,16 +401,18 @@ class Form:
 
 def wedge(a: Form, b: Form) -> Form:
     a._same_space(b)
-    order = {n: i for i, n in enumerate(a.space.names())}
+    order = a.space._order
     out: dict[tuple[str, ...], Poly] = {}
     for w1, p1 in a.terms.items():
         for w2, p2 in b.terms.items():
-            sign, merged = _merge_sign(list(w1) + list(w2), order)
-            if sign == 0:
-                continue
-            poly = (p1 * p2).scale(sign)
-            out[merged] = out.get(merged, ZERO_POLY) + poly
-    return Form(a.space, out)
+            if not w1 or not w2:
+                sign, merged = 1, w1 or w2
+            else:
+                sign, merged = _merge_sign(w1 + w2, order)
+                if sign == 0:
+                    continue
+            _accumulate(out, merged, (p1 * p2).scale(sign))
+    return Form._of(a.space, out)
 
 
 def wedge_all(space_: CubeTorusSpace, forms: Iterable[Form]) -> Form:
@@ -363,18 +424,19 @@ def wedge_all(space_: CubeTorusSpace, forms: Iterable[Form]) -> Form:
 
 def exterior_derivative(form: Form) -> Form:
     sp = form.space
-    order = {n: i for i, n in enumerate(sp.names())}
-    out = Form.zero(sp)
+    order = sp._order
+    out: dict[tuple[str, ...], Poly] = {}
     for wedgekey, poly in form.terms.items():
-        for v in sp.interval_names():
+        for v in sp._intervals:
+            if v in wedgekey:
+                continue
             pd = poly.partial(v)
-            if pd.is_zero() or v in wedgekey:
+            if pd.is_zero():
                 continue
-            sign, merged = _merge_sign([v] + list(wedgekey), order)
-            if sign == 0:
-                continue
-            out = out + Form(sp, {merged: pd.scale(sign)})
-    return out
+            # dv moves past the letters of the sorted wedge that precede it.
+            pos = sum(1 for x in wedgekey if order[x] < order[v])
+            _accumulate(out, wedgekey[:pos] + (v,) + wedgekey[pos:], -pd if pos % 2 else pd)
+    return Form._of(sp, out)
 
 
 d = exterior_derivative
@@ -462,16 +524,41 @@ class SmoothMapModel:
 
 
 def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
+    """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars.
+
+    At x = a/2 with a in {0, 1, 2}, poly times D * 2**K is an integer, where
+    D is the lcm of the coefficient denominators and K the largest total
+    degree; so the check runs in integers, and a failure reports the first
+    offending point in the same order and words as a rational evaluation."""
     vars_ = sorted(poly.variables())
     if len(vars_) > 6:
         return  # sampling lattice too large; trust the declaration
-    lattice = [Fraction(0), Fraction(1, 2), Fraction(1)]
-    points = [{}]
-    for v in vars_:
-        points = [dict(pt, **{v: x}) for pt in points for x in lattice]
-    for pt in points:
-        val = poly.eval(pt)
-        if not 0 <= val <= 1:
+    index = {v: i for i, v in enumerate(vars_)}
+    lcm = math.lcm(*(c.denominator for c in poly.terms.values()))
+    top = max((sum(p for _, p in mono) for mono in poly.terms), default=0)
+    # Each term as (c * D * 2**(K - degree), exponents): its scaled value at
+    # a point is that number times 2**(the powers of variables at a = 2), or
+    # 0 when a variable of the term is at a = 0.
+    terms = [
+        (c.numerator * (lcm // c.denominator) << (top - sum(p for _, p in mono)),
+         [(index[v], p) for v, p in mono if p])
+        for mono, c in poly.terms.items()
+    ]
+    bound = lcm << top
+    for point in itertools.product((0, 1, 2), repeat=len(vars_)):
+        total = 0
+        for value, exps in terms:
+            shift = 0
+            for i, p in exps:
+                if point[i] == 0:
+                    break
+                if point[i] == 2:
+                    shift += p
+            else:
+                total += value << shift
+        if not 0 <= total <= bound:
+            pt = {v: Fraction(a, 2) for v, a in zip(vars_, point)}
+            val = Fraction(total, bound)
             raise ValueError(
                 f"assignment for {name!r} leaves [0,1] at {pt} (value {val})"
             )
@@ -606,48 +693,52 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
         for name, assignment in table.items()
         if assignment[0] == "poly"
     }
-    out = Form.zero(f.source)
+    pulled: dict[str, Form] = {}  # pullback of each target 1-form, made once
+    out: dict[tuple[str, ...], Poly] = {}
     for wedgekey, poly in form.terms.items():
-        acc = Form.function(f.source, poly.subst(subs))
-        dead = False
+        acc = Form._of(f.source, {(): poly.subst(subs)})
         for letter in wedgekey:
-            assignment = table[letter]
-            if assignment[0] == "poly":
-                pulled = exterior_derivative(
-                    Form.function(f.source, assignment[1])
-                )
-            elif assignment[0] == "circle":
-                pulled = Form.generator(f.source, assignment[1]).scale(assignment[2])
-            else:  # constant circle
-                pulled = Form.zero(f.source)
-            if pulled.is_zero():
-                dead = True
-                break
-            acc = wedge(acc, pulled)
-        if not dead:
-            out = out + acc
-    return out
+            if letter not in pulled:
+                pulled[letter] = _pull_letter(f.source, table[letter])
+            if pulled[letter].is_zero():
+                break  # the term pulls back to zero
+            acc = wedge(acc, pulled[letter])
+        else:
+            for w, p in acc.terms.items():
+                _accumulate(out, w, p)
+    return Form._of(f.source, out)
+
+
+def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> Form:
+    """Pullback of the target 1-form whose coordinate has this assignment."""
+    if assignment[0] == "poly":
+        return exterior_derivative(Form._of(source, {(): assignment[1]}))
+    if assignment[0] == "circle":
+        return Form._of(source, {(assignment[1],): Poly.const(assignment[2])})
+    return Form.zero(source)  # constant circle
 
 
 def pushforward(p: ProjectionMap, form: Form) -> Form:
     """Integration along the fibers of a coordinate projection."""
     if form.space != p.source:
         raise ValueError("form does not live on the projection's source")
-    fiber_set = set(p.fiber)
     fiber_rank = {name: i for i, name in enumerate(p.fiber)}
-    target_order = {n: i for i, n in enumerate(p.target.names())}
+    target_order = p.target._order
     src_to_target = {s: t for t, s in p.injection}
-    out = Form.zero(p.target)
+    kinds = p.source._kinds
+    # circle fibers: coefficients are constant there; total measure 1
+    interval_fiber = [v for v in p.fiber if kinds[v] == INTERVAL]
+    rename = {s: t for s, t in src_to_target.items() if kinds[s] == INTERVAL}
+    out: dict[tuple[str, ...], Poly] = {}
     for wedgekey, poly in form.terms.items():
-        letters_fiber = [x for x in wedgekey if x in fiber_set]
-        if len(letters_fiber) != len(p.fiber):
+        letters_base = [x for x in wedgekey if x not in fiber_rank]
+        if len(wedgekey) - len(letters_base) != len(p.fiber):
             continue
-        letters_base = [x for x in wedgekey if x not in fiber_set]
         # Koszul sign of reordering (stored order) -> (base in target order,
         # fiber in fiber order); computed as the inversion parity of the
         # combined rank sequence.
         ranks = [
-            (0, target_order[src_to_target[x]]) if x not in fiber_set else (1, fiber_rank[x])
+            (0, target_order[src_to_target[x]]) if x not in fiber_rank else (1, fiber_rank[x])
             for x in wedgekey
         ]
         inversions = sum(
@@ -656,20 +747,15 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
             for m in range(i + 1, len(ranks))
             if ranks[i] > ranks[m]
         )
-        sign = (-1) ** inversions
         coeff = poly
-        for v in p.fiber:
-            if p.source.kind(v) == INTERVAL:
-                coeff = coeff.integrate_unit(v)
-            # circle fibers: coefficients are constant there; total measure 1
-        renamed = coeff.subst(
-            {s: Poly.var(src_to_target[s]) for s in src_to_target if p.source.kind(s) == INTERVAL}
-        )
+        for v in interval_fiber:
+            coeff = coeff.integrate_unit(v)
         target_wedge = tuple(
             sorted((src_to_target[x] for x in letters_base), key=target_order.__getitem__)
         )
-        out = out + Form(p.target, {target_wedge: renamed.scale(sign)})
-    return out
+        renamed = coeff.rename(rename)
+        _accumulate(out, target_wedge, -renamed if inversions % 2 else renamed)
+    return Form._of(p.target, out)
 
 
 def integrate(form: Form) -> Fraction:

@@ -1,5 +1,10 @@
+import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +14,7 @@ import pytest
 from ainfsign import structio
 from ainfsign.ainfty import exterior_dga, from_dga
 from ainfsign.cli import main
+from ainfsign.geomodel import CheckResult, checks
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
 
@@ -81,6 +87,78 @@ def test_verify_geomodel_small(capsys):
     )
     assert code == 0
     assert "composition" in out
+
+
+# SHA-256 of the report as written before the exact kernel's fast paths.
+GEOMODEL_TRIALS40_SEED3_SHA256 = "b5cb24653db770e4fce382cad48a8e39634f43608a1667a13aca76a42d16db4f"
+
+
+def test_verify_geomodel_report_bytes_unchanged(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["verify-geomodel", "--trials", "40", "--seed", "3", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEOMODEL_TRIALS40_SEED3_SHA256
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--trials", "0"], "--trials"),
+    (["--trials", "-3"], "--trials"),
+    (["--pushpull-trials", "-2"], "--pushpull-trials"),
+    (["--max-coords", "0"], "--max-coords"),
+    (["--max-poly-deg", "-1"], "--max-poly-deg"),
+])
+def test_verify_geomodel_rejects_vacuous_counts(argv, flag, capsys):
+    code, out, err = run(["verify-geomodel", *argv], capsys)
+    assert code == 2 and f"{flag} must be >=" in err and "checks passed" not in out
+
+
+def test_verify_geomodel_smallest_counts_accepted(capsys):
+    code, out, _ = run(
+        ["verify-geomodel", "--trials", "1", "--pushpull-trials", "0",
+         "--max-coords", "1", "--max-poly-deg", "0"], capsys
+    )
+    assert code == 0 and "7/7 checks passed" in out
+
+
+def test_verify_geomodel_timing_charges_each_checker(tmp_path, capsys, monkeypatch):
+    clock = [0.0]
+
+    def checker(index):
+        def check(trials, seed, max_coords, max_poly_deg):
+            clock[0] += index + 1  # each checker spends its own span of time
+            return CheckResult(f"check-{index}", trials)
+        return check
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(checks, "ALL_CHECKS", tuple(checker(i) for i in range(7)))
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["verify-geomodel", "--trials", "1", "--pushpull-trials", "0", "--timing",
+         "--out", str(out)], capsys
+    )
+    assert code == 0
+    runtimes = [c["runtime_s"] for c in json.loads(out.read_text())["checks"]]
+    assert runtimes == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+def test_closed_stdout_keeps_report_and_verdict(tmp_path):
+    report = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ainfsign.cli", "check-dga", "--preset", "exterior3-d",
+             "--k-max", "2", "--out", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr and b"Error" not in proc.stderr
+    assert json.loads(report.read_text())["overall"] == "pass"
 
 
 def test_check_dga_interval_circle(capsys):

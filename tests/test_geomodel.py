@@ -35,6 +35,7 @@ from ainfsign.geomodel import (
     verify_stokes,
     wedge,
 )
+from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
 
 I_T = space(("t", "interval"))
 S_TH = space(("th", "circle"))
@@ -130,9 +131,7 @@ def test_pushforward_degree_obstruction():
 def test_pushforward_lowers_degree_by_reldim():
     rng = random.Random(3)
     for _ in range(30):
-        from ainfsign.geomodel.checks import random_bundle
-
-        p = random_bundle(rng, 4)
+        p = random_bundle(rng, 4, NameSource())
         deg = rng.randrange(p.reldim, p.source.dimension + 1)
         beta = random_form(rng, p.source, 2, degree=deg)
         out = pushforward(p, beta)
@@ -298,3 +297,111 @@ def test_reorder_sign_mutation_detected():
             assert not report.nested_vs_glued
             detected += 1
     assert detected == 2
+
+
+def test_mock_instance_names_do_not_depend_on_earlier_draws():
+    first = random_mock_instance(random.Random(3))
+    second = random_mock_instance(random.Random(3))
+    assert first == second
+
+
+# --- kernel regression tests ----------------------------------------------------
+
+
+def _range_oracle(poly, name):
+    """The rational lattice evaluation the integer range check must agree with."""
+    vars_ = sorted(poly.variables())
+    lattice = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    points = [{}]
+    for v in vars_:
+        points = [dict(pt, **{v: x}) for pt in points for x in lattice]
+    for pt in points:
+        val = poly.eval(pt)
+        if not 0 <= val <= 1:
+            return f"assignment for {name!r} leaves [0,1] at {pt} (value {val})"
+    return None
+
+
+def _random_range_candidate(rng, names):
+    """Either an arbitrary polynomial or a convex combination of unit-valued
+    pieces, sometimes nudged by 1/8, so both verdicts occur near the edge."""
+    if rng.random() < 0.5:
+        poly = Poly()
+        for _ in range(rng.randrange(1, 5)):
+            mono = {v: rng.randrange(0, 4) for v in names}
+            mono = tuple(sorted((v, p) for v, p in mono.items() if p))
+            poly = poly + Poly({mono: Fraction(rng.randrange(-4, 5), rng.choice([1, 2, 3, 4, 6]))})
+        return poly
+    v, w = rng.choice(names), rng.choice(names)
+    pieces = [Poly.var(v), Poly.const(1) - Poly.var(v), Poly.var(v) * Poly.var(w),
+              Poly.var(v, 3), Poly.const(Fraction(rng.randrange(0, 5), 4))]
+    weights = [Fraction(rng.randrange(0, 4), 12) for _ in pieces]
+    poly = Poly()
+    for weight, piece in zip(weights, pieces):
+        poly = poly + piece.scale(weight)
+    if rng.random() < 0.5:
+        poly = poly + Poly.const(Fraction(rng.choice([-1, 1]), 8))
+    return poly
+
+
+def test_integer_range_check_agrees_with_rational_oracle():
+    source = space(("a", "interval"), ("b", "interval"), ("c", "interval"), ("th", "circle"))
+    target = space(("t", "interval"))
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        names = tuple(rng.sample(source.interval_names(), rng.randrange(0, 4)))
+        poly = _random_range_candidate(rng, names) if names else Poly.const(
+            Fraction(rng.randrange(-2, 7), 4))
+        expected = _range_oracle(poly, "t")
+        try:
+            smooth_map(source, target, {"t": ("poly", poly)})
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, poly
+        verdicts[expected is None] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
+
+
+def test_rename_equals_subst_with_variables():
+    rng = random.Random(5)
+    names = ("a", "b", "c", "d")
+    for _ in range(300):
+        poly = Poly()
+        for _ in range(rng.randrange(0, 5)):
+            mono = tuple(sorted((v, p) for v in names if (p := rng.randrange(0, 3))))
+            poly = poly + Poly({mono: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))})
+        mapping = {v: rng.choice(names + ("e",)) for v in names if rng.random() < 0.7}
+        assert poly.rename(mapping) == poly.subst({v: Poly.var(w) for v, w in mapping.items()})
+
+
+def _assert_canonical(form):
+    assert Form(form.space, form.terms) == form
+    for poly in form.terms.values():
+        assert poly.terms and all(poly.terms.values())
+
+
+def test_kernel_results_pass_public_validation():
+    rng = random.Random(9)
+    fresh = NameSource()
+    for _ in range(150):
+        p = random_bundle(rng, 4, fresh)
+        beta = random_form(rng, p.source, 3)
+        other = random_form(rng, p.source, 3)
+        theta = random_form(rng, p.target, 3)
+        f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.source)
+        results = [
+            wedge(beta, other),
+            wedge(beta, beta),
+            exterior_derivative(beta),
+            exterior_derivative(exterior_derivative(beta)),
+            pullback(f, beta),
+            pullback(p.as_smooth(), theta),
+            pushforward(p, beta),
+            boundary_pushforward(p, beta),
+            beta + other.scale(-1),
+            beta - beta,
+        ]
+        for form in results:
+            _assert_canonical(form)
