@@ -101,24 +101,31 @@ class Report:
         if target and target != "-":
             Path(target).write_text(payload)
         failed = [c for c in self.checks if c["status"] == "fail"]
-        try:
-            for c in self.checks:
-                marker = "ok  " if c["status"] == "pass" else "FAIL"
-                print(f"{marker} {c['id']}")
-            print(f"{self.command}: {len(self.checks) - len(failed)}/{len(self.checks)} checks passed")
-            if target == "-":
-                sys.stdout.write(payload)
-            elif target:
-                print(f"report written to {target}")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed stdout early (say, `| head -1`).  The report
-            # file is written and the verdict stands; point stdout at devnull
-            # so that the flush at exit cannot fail again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        lines = [
+            f"{'ok  ' if c['status'] == 'pass' else 'FAIL'} {c['id']}\n" for c in self.checks
+        ]
+        lines.append(
+            f"{self.command}: {len(self.checks) - len(failed)}/{len(self.checks)} checks passed\n"
+        )
+        if target == "-":
+            lines.append(payload)
+        elif target:
+            lines.append(f"report written to {target}\n")
+        _emit("".join(lines))
         return 0 if self.overall == "pass" else 1
+
+
+def _emit(text: str) -> None:
+    """Write text to stdout.  If the reader closed it early (say, `| head -1`),
+    whatever was computed or written to a file still stands: point stdout at
+    devnull so that the flush at exit cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -127,6 +134,8 @@ class Report:
 def cmd_prove_signs(args) -> int:
     if args.k_max < 1:
         raise UsageError("--k-max must be >= 1")
+    if not 0 <= args.truth_table_k_max <= prover.TRUTH_TABLE_K_MAX:
+        raise UsageError(f"--truth-table-k-max must be in 0..{prover.TRUTH_TABLE_K_MAX}")
     report = Report(
         "prove-signs",
         {
@@ -142,25 +151,21 @@ def cmd_prove_signs(args) -> int:
         },
         args.timing,
     )
-    started = time.perf_counter()
     for rep in prover.prove_all(args.k_max, args.truth_table_k_max):
         inst = rep.instance
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
-        report.add(check_id, rep.proved, time.perf_counter() - started, witness=rep.witness)
-        started = time.perf_counter()
+        report.add(check_id, rep.proved, rep.elapsed_s, witness=rep.witness)
     if args.relations_k_max:
         cutoff = _parse_fraction(args.relations_cutoff)
         spectrum = _parse_spectrum(args.relations_spectrum, cutoff)
         for k in range(1, args.relations_k_max + 1):
-            started = time.perf_counter()
             for crep in prover.prove_relation_cancellation(k, spectrum):
                 report.add(
                     f"relation-cancellation:k={k}:energy={crep.energy}",
                     crep.cancels,
-                    time.perf_counter() - started,
+                    crep.elapsed_s,
                     detail={"pairs": len(crep.pairs), "residual": crep.residual},
                 )
-                started = time.perf_counter()
     return report.finish(args.out)
 
 
@@ -362,7 +367,7 @@ def cmd_enumerate_strata(args) -> int:
             "unmatched_terms": [list(map(str, t)) for t in match.unmatched_terms],
         }
         payload["parity_consistent"] = all(codim1_parity_consistent(s) for s in strata)
-    print(json.dumps(payload, indent=2, default=str))
+    _emit(json.dumps(payload, indent=2, default=str) + "\n")
     if args.match and not payload["matching"]["perfect"]:
         return 1
     return 0
@@ -370,9 +375,10 @@ def cmd_enumerate_strata(args) -> int:
 
 def cmd_nov_eval(args) -> int:
     try:
-        print(str(novikov.parse(args.expr)))
+        value = novikov.parse(args.expr)
     except novikov.NovikovParseError as exc:
         raise UsageError(str(exc)) from exc
+    _emit(f"{value}\n")
     return 0
 
 
@@ -395,7 +401,7 @@ def cmd_anf(args) -> int:
         poly = f2poly.to_anf(expr, bindings, symbolic=True)
     except f2poly.SignExprError as exc:
         raise UsageError(str(exc)) from exc
-    print(str(poly))
+    _emit(f"{poly}\n")
     return 0
 
 

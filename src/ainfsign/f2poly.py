@@ -31,6 +31,8 @@ from typing import Mapping, Union
 Monomial = frozenset
 ScalarOrPoly = Union[int, "F2Poly"]
 
+_ONE = frozenset([frozenset()])  # the monomial set of the constant 1
+
 
 class F2Poly:
     """Multivariate polynomial over GF(2) in algebraic normal form."""
@@ -46,7 +48,7 @@ class F2Poly:
 
     @staticmethod
     def one() -> "F2Poly":
-        return F2Poly(frozenset([frozenset()]))
+        return F2Poly(_ONE)
 
     @staticmethod
     def const(n: int) -> "F2Poly":
@@ -55,14 +57,6 @@ class F2Poly:
     @staticmethod
     def var(name: str) -> "F2Poly":
         return F2Poly(frozenset([frozenset([name])]))
-
-    @staticmethod
-    def _coerce(x: ScalarOrPoly) -> "F2Poly":
-        if isinstance(x, F2Poly):
-            return x
-        if isinstance(x, int):
-            return F2Poly.const(x)
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -74,8 +68,10 @@ class F2Poly:
         return frozenset(out)
 
     def __add__(self, other: ScalarOrPoly) -> "F2Poly":
-        other = F2Poly._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            # an odd integer toggles the constant monomial
+            return F2Poly(self.monomials ^ _ONE) if other & 1 else self
+        if not isinstance(other, F2Poly):
             return NotImplemented
         return F2Poly(self.monomials ^ other.monomials)
 
@@ -87,8 +83,9 @@ class F2Poly:
         return self
 
     def __mul__(self, other: ScalarOrPoly) -> "F2Poly":
-        other = F2Poly._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            return self if other & 1 else F2Poly()
+        if not isinstance(other, F2Poly):
             return NotImplemented
         acc = set()
         for m1 in self.monomials:

@@ -7,6 +7,15 @@ and slots are concrete integers.  Each proof normalizes a combination of
 sign formulas to algebraic normal form and demands the zero polynomial; a
 failure report carries the minimal witness assignment instead of raising.
 
+The master identity can also be cross-checked by an exhaustive truth table
+over all 2^(2k+3) parity assignments, a route independent of the ANF engine.
+The table is bit-parallel: each input is a column of 2^(2k+3) parities
+packed into one integer, and the sign formulas of :mod:`ainfsign.signs` run
+once on the columns, with XOR for + and - and AND for *.  That is integer
+evaluation reduced mod 2, because reduction mod 2 is a ring homomorphism
+from the integers onto GF(2); the first failing assignment is re-evaluated
+with plain integers before it is reported.
+
 The formal replay of the relations emits one term per route for every
 payload symbol (an interior differential insertion per slot, or a boundary
 stratum) and checks that each pair of routes cancels: two terms with sign
@@ -15,9 +24,10 @@ exponents p and q cancel exactly when p + q + 1 normalizes to zero.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import signs
 from .f2poly import F2Poly, anf_equivalent
@@ -28,21 +38,33 @@ D_PUSH = "differential-after-pushpull"
 PUSH_D = "pushpull-after-differential"
 BDRY = "boundary-stratum"
 
+# Largest arity with a truth table: the columns hold 2^(2k+3) bits each, so
+# their memory grows fourfold per arity (about 50 MB peak at k = 10).
+TRUTH_TABLE_K_MAX = 10
+
+
+def _parity_names(k: int) -> list[str]:
+    """The 2k+3 parity inputs of an arity-k instance, in truth-table order."""
+    return (
+        [f"d{i}" for i in range(1, k + 1)]
+        + [f"m{i}" for i in range(1, k + 1)]
+        + ["ma", "m0", "r0"]
+    )
+
+
+def _context(k: int, j: int, k_inner: int, vals: Sequence) -> SignContext:
+    """SignContext taking its parity inputs from ``vals`` in
+    :func:`_parity_names` order."""
+    return SignContext(
+        k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
+        degs=tuple(vals[:k]), mus=tuple(vals[k : 2 * k]),
+        mu_node=vals[2 * k], mu_out=vals[2 * k + 1], dim_out=vals[2 * k + 2],
+    )
+
 
 def symbolic_context(k: int, j: int, k_inner: int) -> SignContext:
     """SignContext with fresh GF(2) variables for all parity inputs."""
-    var = F2Poly.var
-    return SignContext(
-        k=k,
-        j=j,
-        k_outer=k + 1 - k_inner,
-        k_inner=k_inner,
-        degs=tuple(var(f"d{i}") for i in range(1, k + 1)),
-        mus=tuple(var(f"m{i}") for i in range(1, k + 1)),
-        mu_node=var("ma"),
-        mu_out=var("m0"),
-        dim_out=var("r0"),
-    )
+    return _context(k, j, k_inner, [F2Poly.var(name) for name in _parity_names(k)])
 
 
 @dataclass
@@ -50,6 +72,8 @@ class ProofReport:
     instance: dict
     status: str  # "proved" | "refuted"
     witness: dict | None = None
+    # wall time of the proof, set by prove_all; never part of the report JSON
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def proved(self) -> bool:
@@ -71,7 +95,10 @@ def prove_master_identity(
     k: int, j: int, k_inner: int, truth_table: bool = False
 ) -> ProofReport:
     """Prove boundary + composition + operation + 1 + Stokes == 0 at this
-    instance; optionally cross-check by exhaustive integer truth table."""
+    instance; optionally cross-check by an exhaustive truth table over all
+    2^(2k+3) parity assignments (k <= TRUTH_TABLE_K_MAX)."""
+    if truth_table and k > TRUTH_TABLE_K_MAX:
+        raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
     ctx = symbolic_context(k, j, k_inner)
     report = _prove_zero(
         signs.master_sum(ctx), {"identity": "master", "k": k, "j": j, "k_inner": k_inner}
@@ -83,26 +110,78 @@ def prove_master_identity(
     return report
 
 
+class _Column:
+    """A truth-table column: bit b is the parity of a quantity under
+    assignment b.
+
+    ``+`` and ``-`` are XOR, ``*`` is AND and negation is the identity,
+    which is integer arithmetic reduced mod 2.  An ``int`` operand is the
+    constant column of its parity; any other operand (an ``F2Poly``, a
+    ``Fraction``) is refused, so the table never mixes in another route.
+    """
+
+    __slots__ = ("bits", "mask")
+
+    def __init__(self, bits: int, mask: int):
+        self.bits = bits
+        self.mask = mask
+
+    def _operand_bits(self, other) -> int | None:
+        if isinstance(other, _Column):
+            return other.bits
+        if isinstance(other, int):
+            return self.mask if other & 1 else 0
+        return None
+
+    def __add__(self, other):
+        bits = self._operand_bits(other)
+        if bits is None:
+            return NotImplemented
+        return _Column(self.bits ^ bits, self.mask)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        bits = self._operand_bits(other)
+        if bits is None:
+            return NotImplemented
+        return _Column(self.bits & bits, self.mask)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def _master_column(k: int, j: int, k_inner: int) -> int:
+    """Bits of ``master_sum`` over all 2^(2k+3) assignments: bit b is its
+    parity when input i (in :func:`_parity_names` order) is ``(b >> i) & 1``."""
+    size = 1 << (2 * k + 3)
+    full = (1 << size) - 1
+    columns = []
+    for i in range(2 * k + 3):
+        # period 2h: h zero bits, then h one bits, repeated by doubling (a
+        # division by 2^(2h) - 1 would cost time quadratic in the size)
+        h = 1 << i
+        bits, width = ((1 << h) - 1) << h, 2 * h
+        while width < size:
+            bits |= bits << width
+            width *= 2
+        columns.append(_Column(bits, full))
+    return (_Column(0, full) + signs.master_sum(_context(k, j, k_inner, columns))).bits
+
+
 def _truth_table_master(k: int, j: int, k_inner: int) -> dict | None:
-    """Integer-arithmetic exhaustive check, independent of the ANF engine."""
-    n = 2 * k + 3
-    for bits in range(1 << n):
-        vals = [(bits >> i) & 1 for i in range(n)]
-        degs = tuple(vals[:k])
-        mus = tuple(vals[k : 2 * k])
-        ma, m0, r0 = vals[2 * k], vals[2 * k + 1], vals[2 * k + 2]
-        ctx = SignContext(
-            k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
-            degs=degs, mus=mus, mu_node=ma, mu_out=m0, dim_out=r0,
-        )
-        if signs.master_sum(ctx) != 0:
-            names = (
-                {f"d{i+1}": degs[i] for i in range(k)}
-                | {f"m{i+1}": mus[i] for i in range(k)}
-                | {"ma": ma, "m0": m0, "r0": r0}
-            )
-            return names
-    return None
+    """First assignment (in counting order) at which the master sum is odd,
+    confirmed by integer evaluation; None if there is none."""
+    bad = _master_column(k, j, k_inner)
+    if not bad:
+        return None
+    first = (bad & -bad).bit_length() - 1
+    vals = [(first >> i) & 1 for i in range(2 * k + 3)]
+    if signs.master_sum(_context(k, j, k_inner, vals)) == 0:
+        raise AssertionError(f"truth-table column and integer evaluation disagree at {vals}")
+    return dict(zip(_parity_names(k), vals))
 
 
 def prove_boundary_decomposition(k: int, j: int, k_inner: int) -> ProofReport:
@@ -174,20 +253,28 @@ def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
                 yield k, j, k_inner
 
 
+def _timed(prove, *args, **kwargs) -> ProofReport:
+    started = time.perf_counter()
+    report = prove(*args, **kwargs)
+    report.elapsed_s = time.perf_counter() - started
+    return report
+
+
 def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     """Master identity, both decompositions, the reorder collapse and the
-    differential-insertion congruence for every instance up to k_max."""
+    differential-insertion congruence for every instance up to k_max; each
+    report carries its own proof time in ``elapsed_s``."""
     reports = []
     for k, j, k_inner in instances(k_max):
-        reports.append(
-            prove_master_identity(k, j, k_inner, truth_table=k <= truth_table_k_max)
-        )
-        reports.append(prove_boundary_decomposition(k, j, k_inner))
-        reports.append(prove_composition_decomposition(k, j, k_inner))
-        reports.append(prove_reorder_collapse(k, j, k_inner))
+        reports.append(_timed(
+            prove_master_identity, k, j, k_inner, truth_table=k <= truth_table_k_max
+        ))
+        reports.append(_timed(prove_boundary_decomposition, k, j, k_inner))
+        reports.append(_timed(prove_composition_decomposition, k, j, k_inner))
+        reports.append(_timed(prove_reorder_collapse, k, j, k_inner))
     for k in range(1, k_max + 1):
         for j in range(1, k + 1):
-            reports.append(prove_differential_insertion(k, j))
+            reports.append(_timed(prove_differential_insertion, k, j))
     return reports
 
 
@@ -216,6 +303,9 @@ class CancellationReport:
     energy: Fraction
     pairs: list[tuple] = field(default_factory=list)
     residual: list[dict] = field(default_factory=list)
+    # wall time of this level (the first level also carries the
+    # prerequisite proofs); never part of the report JSON
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def cancels(self) -> bool:
@@ -294,8 +384,10 @@ def prove_relation_cancellation(
 
     ``mutate`` flips the sign of the Stokes-route term with the given
     (kind, payload); used to confirm single-sign corruption is caught and
-    named.  Prerequisite identities are proven first and abort on failure.
+    named.  Prerequisite identities are proven first and abort on failure;
+    their time is charged to the first level's ``elapsed_s``.
     """
+    started = time.perf_counter()
     for k_, j_, ki_ in instances(k):
         pre = prove_master_identity(k_, j_, ki_)
         if not pre.proved:
@@ -304,39 +396,48 @@ def prove_relation_cancellation(
             )
     reports = []
     for energy in spectrum.levels():
-        if k == 1 and energy == 0:
-            # the differential squares to zero; nothing to expand
-            reports.append(CancellationReport(k=k, energy=energy))
-            continue
-        terms = expand_relation(k, energy, spectrum)
-        if mutate is not None:
-            terms = [
-                FormalTerm(t.kind, t.payload, t.sign + 1, t.route)
-                if (t.kind, t.payload) == tuple(mutate) and t.route == "stokes-rewrite"
-                else t
-                for t in terms
-            ]
-        report = CancellationReport(k=k, energy=energy)
-        groups: dict[tuple, list[FormalTerm]] = {}
-        for t in terms:
-            groups.setdefault((t.kind, t.payload), []).append(t)
-        for key in sorted(groups, key=lambda kp: (kp[0], kp[1])):
-            group = groups[key]
-            if len(group) != 2:
-                report.residual.append(
-                    {"term": key, "reason": f"{len(group)} routes, expected 2"}
-                )
-                continue
-            ok, witness = anf_equivalent(group[0].sign + group[1].sign, F2Poly.one())
-            if ok:
-                report.pairs.append(key)
-            else:
-                report.residual.append(
-                    {
-                        "term": key,
-                        "reason": "routes do not cancel",
-                        "witness": witness,
-                    }
-                )
+        report = _cancel_level(k, energy, spectrum, mutate)
+        now = time.perf_counter()
+        report.elapsed_s = now - started
+        started = now
         reports.append(report)
     return reports
+
+
+def _cancel_level(
+    k: int, energy: Fraction, spectrum: GappedSpectrum, mutate: tuple | None
+) -> CancellationReport:
+    report = CancellationReport(k=k, energy=energy)
+    if k == 1 and energy == 0:
+        # the differential squares to zero; nothing to expand
+        return report
+    terms = expand_relation(k, energy, spectrum)
+    if mutate is not None:
+        terms = [
+            FormalTerm(t.kind, t.payload, t.sign + 1, t.route)
+            if (t.kind, t.payload) == tuple(mutate) and t.route == "stokes-rewrite"
+            else t
+            for t in terms
+        ]
+    groups: dict[tuple, list[FormalTerm]] = {}
+    for t in terms:
+        groups.setdefault((t.kind, t.payload), []).append(t)
+    for key in sorted(groups, key=lambda kp: (kp[0], kp[1])):
+        group = groups[key]
+        if len(group) != 2:
+            report.residual.append(
+                {"term": key, "reason": f"{len(group)} routes, expected 2"}
+            )
+            continue
+        ok, witness = anf_equivalent(group[0].sign + group[1].sign, F2Poly.one())
+        if ok:
+            report.pairs.append(key)
+        else:
+            report.residual.append(
+                {
+                    "term": key,
+                    "reason": "routes do not cancel",
+                    "witness": witness,
+                }
+            )
+    return report

@@ -5,8 +5,12 @@ Stokes boundary sign, Koszul prefixes, and moduli dimension parities.
 
 Every function reduces mod 2 internally and accepts arbitrary integers; the
 same formulas also run verbatim on :class:`~ainfsign.f2poly.F2Poly` values,
-which is how the prover obtains symbolic ANF certificates.  For integer
-inputs the return value is 0 or 1.
+which is how the prover obtains symbolic ANF certificates, and on the
+prover's truth-table columns, which hold one parity per assignment and
+evaluate every assignment at once.  The formulas use only ``+``, ``-`` and
+``*``, so reducing their integer value mod 2 (a ring homomorphism) is the
+same as evaluating them over GF(2).  For integer inputs the return value
+is 0 or 1.
 
 Index conventions: a k-ary operation splits at slot ``j`` (1-based) into an
 outer operation of arity ``k_outer`` and an inner one of arity ``k_inner``

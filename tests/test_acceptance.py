@@ -53,15 +53,16 @@ def report(criterion: str, passed: bool, started: float, detail: str = ""):
 
 def test_criterion_1_master_sign_identity():
     """ANF of the master combination is exactly zero for every instance with
-    k <= 7; exhaustive integer truth tables cross-check k <= 4."""
+    k <= 7; exhaustive truth tables over all parity assignments cross-check
+    every one of them."""
     started = time.perf_counter()
     checked = 0
     for k, j, k_inner in prover.instances(7):
-        rep = prover.prove_master_identity(k, j, k_inner, truth_table=(k <= 4))
+        rep = prover.prove_master_identity(k, j, k_inner, truth_table=True)
         assert rep.proved, rep.to_json()
         checked += 1
     report("criterion-1 master sign identity", checked == 119, started,
-           f"{checked} instances, truth tables through k=4")
+           f"{checked} instances, truth tables through k=7")
 
 
 def test_criterion_2_proof_decompositions():

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ainfsign import structio
+from ainfsign import prover, structio
 from ainfsign.ainfty import exterior_dga, from_dga
 from ainfsign.cli import main
 from ainfsign.geomodel import CheckResult, checks
@@ -159,6 +159,68 @@ def test_closed_stdout_keeps_report_and_verdict(tmp_path):
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr and b"Error" not in proc.stderr
     assert json.loads(report.read_text())["overall"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate-strata", "--k", "4", "--energy", "1", "--spectrum", "0,1/2", "--match"],
+    ["nov-eval", "(1+T^(1/2))*(1-T^(1/2))"],
+    ["anf", "--expr", "Sum(p=1..j-1, mu_p)", "--bind", "j=3"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_plain_commands(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ainfsign.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr and b"Error" not in proc.stderr
+
+
+def test_prove_signs_timing_charges_each_obligation(tmp_path, capsys, monkeypatch):
+    # every ANF decision spends one second of a fake clock
+    clock = [0.0]
+
+    def anf_equivalent(p, q):
+        clock[0] += 1
+        return True, None
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(prover, "anf_equivalent", anf_equivalent)
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["prove-signs", "--k-max", "2", "--relations-k-max", "2",
+         "--relations-spectrum", "0,1", "--relations-cutoff", "2", "--timing",
+         "--out", str(out)], capsys
+    )
+    assert code == 0
+    checks = json.loads(out.read_text())["checks"]
+    proofs = [c for c in checks if not c["id"].startswith("relation-cancellation")]
+    relations = {c["id"]: c for c in checks if c["id"].startswith("relation-cancellation")}
+    assert len(proofs) == 39 and all(c["runtime_s"] == 1.0 for c in proofs)
+    # one decision per cancelled pair; the first level of arity k also
+    # carries the master-identity prerequisites of every instance up to k
+    for check_id, prerequisites in (("k=1:energy=0", 3), ("k=1:energy=1", 0),
+                                    ("k=2:energy=0", 9), ("k=2:energy=1", 0)):
+        c = relations[f"relation-cancellation:{check_id}"]
+        assert c["runtime_s"] == c["detail"]["pairs"] + prerequisites, check_id
+    assert sum(c["runtime_s"] for c in checks) == clock[0]
+
+
+@pytest.mark.parametrize("value", ["-1", "11"])
+def test_prove_signs_rejects_truth_table_arity(capsys, value):
+    code, _, err = run(["prove-signs", "--k-max", "1", "--truth-table-k-max", value], capsys)
+    assert code == 2 and err.startswith("error: --truth-table-k-max must be in 0..10")
+
+
+def test_prove_signs_largest_truth_table_arity_accepted(capsys):
+    # --k-max 1 keeps the tables at k=1, well inside the bound
+    code, _, _ = run(["prove-signs", "--k-max", "1", "--truth-table-k-max", "10"], capsys)
+    assert code == 0
 
 
 def test_check_dga_interval_circle(capsys):

@@ -171,3 +171,19 @@ def test_evaluate_constants():
     assert F2Poly.one().evaluate({}) == 1
     assert F2Poly.zero().evaluate({"anything": 1}) == 0
     assert (F2Poly.var("d1") * F2Poly.var("d2")).evaluate({"d1": 1, "d2": 1}) == 1
+
+
+def test_int_operands_act_as_their_parity():
+    rng = random.Random(11)
+    names = ["a", "b", "c"]
+    for _ in range(200):
+        p = F2Poly(frozenset(
+            frozenset(rng.sample(names, rng.randrange(4))) for _ in range(rng.randrange(5))
+        ))
+        n = rng.randrange(-3, 4)
+        const = F2Poly.one() if n % 2 else F2Poly.zero()
+        for got, want in ((p + n, p + const), (n + p, const + p), (p - n, p + const),
+                          (n - p, p + const), (p * n, p * const), (n * p, const * p)):
+            assert isinstance(got, F2Poly) and got.monomials == want.monomials
+    x = F2Poly.var("x")
+    assert (x + True).monomials == (x + 1).monomials and (x * False).is_zero()

@@ -146,3 +146,91 @@ def test_reports_deterministic():
     a = [r.to_json() for r in prove_relation_cancellation(2, spectrum)]
     b = [r.to_json() for r in prove_relation_cancellation(2, spectrum)]
     assert a == b
+
+
+# --- bit-parallel truth tables ------------------------------------------------
+
+
+def integer_oracle(k, j, k_inner):
+    """Per-assignment integer evaluation of master_sum: bit b is set when
+    the sum is odd with input i (d1..dk, m1..mk, ma, m0, r0) = (b >> i) & 1.
+    Also returns the first failing assignment by name, or None."""
+    n = 2 * k + 3
+    names = [f"d{i}" for i in range(1, k + 1)] + [f"m{i}" for i in range(1, k + 1)]
+    names += ["ma", "m0", "r0"]
+    bits, first = 0, None
+    for b in range(1 << n):
+        vals = [(b >> i) & 1 for i in range(n)]
+        ctx = signs.SignContext(
+            k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
+            degs=tuple(vals[:k]), mus=tuple(vals[k:2 * k]),
+            mu_node=vals[2 * k], mu_out=vals[2 * k + 1], dim_out=vals[2 * k + 2],
+        )
+        if signs.master_sum(ctx) != 0:
+            bits |= 1 << b
+            if first is None:
+                first = dict(zip(names, vals))
+    return bits, first
+
+
+_REAL_BOUNDARY_SIGN = signs.boundary_sign
+
+
+def wrong_boundary_sign(ctx):
+    """The boundary sign with a product, a difference and a negation added:
+    nonzero on some assignments of most instances."""
+    return (
+        _REAL_BOUNDARY_SIGN(ctx)
+        - ctx.degs[0] * ctx.mu_out
+        + (ctx.k_outer - ctx.j) * -ctx.dim_out
+    )
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["real", "wrong-boundary-sign"])
+def test_truth_table_columns_equal_integer_oracle(monkeypatch, mutated):
+    if mutated:
+        monkeypatch.setattr(signs, "boundary_sign", wrong_boundary_sign)
+    failing = 0
+    for k, j, k_inner in instances(3):
+        bits, first = integer_oracle(k, j, k_inner)
+        assert prover._master_column(k, j, k_inner) == bits, (k, j, k_inner)
+        assert prover._truth_table_master(k, j, k_inner) == first, (k, j, k_inner)
+        failing += first is not None
+    assert (failing > 0) == mutated
+
+
+def test_truth_table_alone_refutes_mutated_boundary_sign(monkeypatch):
+    monkeypatch.setattr(prover, "anf_equivalent", lambda p, q: (True, None))
+    monkeypatch.setattr(signs, "boundary_sign", wrong_boundary_sign)
+    assert prove_master_identity(3, 1, 1).proved  # the stubbed ANF route proves it
+    rep = prove_master_identity(3, 1, 1, truth_table=True)
+    assert rep.status == "refuted"
+    assert rep.witness == integer_oracle(3, 1, 1)[1]
+
+
+def test_truth_table_column_refuses_other_routes():
+    col = prover._Column(0b0110, 0b1111)
+    assert (col + 3).bits == (3 - col).bits == 0b1001
+    assert (col * -1).bits == 0b0110 and (2 * col).bits == 0
+    assert (-col).bits == 0b0110
+    for other in (F2Poly.var("x"), F2Poly.one(), Fraction(1, 2), Fraction(2)):
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                combine(col, other)
+            with pytest.raises(TypeError):
+                combine(other, col)
+
+
+def test_truth_table_arity_is_bounded():
+    with pytest.raises(ValueError, match="truth tables stop at k=10"):
+        prove_master_identity(prover.TRUTH_TABLE_K_MAX + 1, 1, 0, truth_table=True)
+
+
+def test_symbolic_proofs_build_no_constant_polynomials(monkeypatch):
+    def refuse(n):
+        raise AssertionError("F2Poly.const built for an int operand")
+
+    monkeypatch.setattr(F2Poly, "const", staticmethod(refuse))
+    assert all(r.proved for r in prove_all(3, truth_table_k_max=2))
+    spectrum = spectrum_closure([Fraction(1, 2)], Fraction(3, 2))
+    assert all(r.cancels for r in prove_relation_cancellation(2, spectrum))
