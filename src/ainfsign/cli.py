@@ -74,7 +74,7 @@ class Report:
         record: dict = {"id": check_id, "status": "pass" if passed else "fail"}
         record.update(extra)
         if self.timing:
-            record["runtime_s"] = round(runtime_s, 3)
+            record["runtime_s"] = runtime_s
         self.checks.append(record)
 
     @property

@@ -5,7 +5,8 @@ An :class:`F2Poly` is a canonical XOR-set of monomials; each monomial is a
 set of variable names (the empty monomial is the constant 1, the empty set
 of monomials is 0).  Idempotence ``x*x = x`` is built into the
 representation, which is sound here because every variable denotes an
-integer parity and ``n*n = n mod 2``.
+integer parity and ``n*n = n mod 2``.  Equivalence names a minimal
+counterexample in closed form, for any number of variables.
 
 DSL grammar (also in ``docs/sign_expr.ebnf``)::
 
@@ -24,7 +25,6 @@ printing round-trips.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -133,31 +133,23 @@ class F2Poly:
         return f"<F2Poly {self}>"
 
 
-def anf_equivalent(
-    p: F2Poly, q: F2Poly, max_variables: int = 20
-) -> tuple[bool, dict | None]:
+def anf_equivalent(p: F2Poly, q: F2Poly) -> tuple[bool, dict | None]:
     """Decide p == q over GF(2); on failure return a witness assignment.
 
     The witness sets the fewest possible variables to 1 and, among those,
     is lexicographically smallest in the names that are set; it is the
-    deterministic counterexample contract used throughout the provers.
+    deterministic counterexample contract used throughout the provers.  No
+    assignment is searched: if d is the least monomial degree of p + q, an
+    assignment with fewer than d ones makes every monomial 0, and one with
+    exactly d ones gives 1 exactly when its ones form a monomial.  So the
+    witness sets the lexicographically first degree-d monomial.
     """
     diff = p + q
     if diff.is_zero():
         return True, None
-    names = sorted(diff.variables())
-    if len(names) > max_variables:
-        raise ValueError(
-            f"refusing exhaustive search over {len(names)} > {max_variables} variables"
-        )
-    for weight in range(len(names) + 1):
-        for ones in itertools.combinations(names, weight):
-            assignment = {n: 0 for n in names}
-            for n in ones:
-                assignment[n] = 1
-            if diff.evaluate(assignment):
-                return False, assignment
-    raise AssertionError("nonzero ANF with no satisfying assignment")
+    degree = min(map(len, diff.monomials))
+    ones = min(tuple(sorted(m)) for m in diff.monomials if len(m) == degree)
+    return False, {n: int(n in ones) for n in sorted(diff.variables())}
 
 
 # --- sign-expression DSL -----------------------------------------------------

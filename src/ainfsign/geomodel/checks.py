@@ -21,7 +21,6 @@ from .. import signs
 from .core import (
     CIRCLE,
     INTERVAL,
-    POINT,
     CorrespondenceModel,
     CubeTorusSpace,
     Form,

@@ -642,12 +642,6 @@ class ProjectionMap:
     def reldim(self) -> int:
         return len(self.fiber)
 
-    def base_of(self, source_name: str) -> str | None:
-        for tname, sname in self.injection:
-            if sname == source_name:
-                return tname
-        return None
-
     def as_smooth(self) -> SmoothMapModel:
         table: dict[str, tuple] = {}
         for tname, sname in self.injection:

@@ -19,7 +19,9 @@ with plain integers before it is reported.
 The formal replay of the relations emits one term per route for every
 payload symbol (an interior differential insertion per slot, or a boundary
 stratum) and checks that each pair of routes cancels: two terms with sign
-exponents p and q cancel exactly when p + q + 1 normalizes to zero.
+exponents p and q cancel exactly when p + q + 1 normalizes to zero.  The
+boundary payloads come from :func:`ainfsign.strata.enumerate_strata`; a
+stratum's route signs depend only on (j, k_inner) and are derived once each.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from . import signs
 from .f2poly import F2Poly, anf_equivalent
 from .novikov import GappedSpectrum
 from .signs import SignContext
+from .strata import BClass, ComponentData, ModuliDescriptor, enumerate_strata
 
-D_PUSH = "differential-after-pushpull"
 PUSH_D = "pushpull-after-differential"
 BDRY = "boundary-stratum"
 
@@ -228,20 +230,26 @@ def prove_reorder_collapse(k: int, j: int, k_inner: int) -> ProofReport:
     )
 
 
+def _insertion_routes(k: int, j: int) -> tuple[F2Poly, F2Poly]:
+    """Sign exponents of the differential inserted at slot j of the arity-k
+    operation (the splitting with inner arity 1): the Leibniz route, the
+    operation sign plus the degrees before the slot, and the coderivation
+    route, the Koszul prefix plus the operation sign at the bumped degree."""
+    ctx = symbolic_context(k, j, 1)
+    degs, mus = ctx.degs, ctx.mus
+    bumped = degs[: j - 1] + (degs[j - 1] + 1,) + degs[j:]
+    leibniz = signs.operation_sign(degs, mus) + sum(degs[: j - 1], F2Poly.zero())
+    coderivation = signs.koszul_prefix(degs, mus, j) + signs.operation_sign(bumped, mus)
+    return leibniz, coderivation
+
+
 def prove_differential_insertion(k: int, j: int) -> ProofReport:
     """Inserting the differential at slot j: Koszul prefix plus the operation
     sign at the bumped degree equals the Leibniz prefix plus the operation
     sign plus one."""
-    if not 1 <= j <= k:
-        raise ValueError(f"slot {j} outside 1..{k}")
-    var = F2Poly.var
-    degs = tuple(var(f"d{i}") for i in range(1, k + 1))
-    mus = tuple(var(f"m{i}") for i in range(1, k + 1))
-    bumped = degs[: j - 1] + (degs[j - 1] + 1,) + degs[j:]
-    lhs = signs.koszul_prefix(degs, mus, j) + signs.operation_sign(bumped, mus)
-    rhs = sum(degs[: j - 1], F2Poly.zero()) + signs.operation_sign(degs, mus) + 1
+    leibniz, coderivation = _insertion_routes(k, j)
     return _prove_zero(
-        lhs + rhs, {"identity": "differential-insertion", "k": k, "j": j}
+        leibniz + coderivation + 1, {"identity": "differential-insertion", "k": k, "j": j}
     )
 
 
@@ -321,18 +329,8 @@ class CancellationReport:
         }
 
 
-def _stratum_payloads(
-    k: int, energy: Fraction, spectrum: GappedSpectrum
-) -> list[tuple]:
-    out = []
-    for k_inner in range(0, k + 1):
-        k_outer = k + 1 - k_inner
-        for e_outer, e_inner in spectrum.splits(energy):
-            if (k_outer == 1 and e_outer == 0) or (k_inner == 1 and e_inner == 0):
-                continue
-            for j in range(1, k_outer + 1):
-                out.append((j, k_outer, e_outer, k_inner, e_inner))
-    return out
+# names the replay's strata; neither payloads nor symbolic signs read it
+_REPLAY_COMPONENT = ComponentData("replay", 0, 0)
 
 
 def expand_relation(
@@ -344,34 +342,33 @@ def expand_relation(
     through the fiberwise Stokes formula into per-slot differential
     insertions plus signed boundary strata; the coderivation route produces
     the same insertion symbols with independently computed signs.  Boundary
-    terms: the Stokes route tags each stratum with operation + Stokes +
-    boundary signs, the composition route with its insertion + reorder signs.
+    terms: one per stratum of ``enumerate_strata``, its payload the stratum
+    index without the node name; the Stokes route tags it with operation +
+    Stokes + boundary signs, the composition route with its insertion +
+    reorder signs.
     """
-    var = F2Poly.var
-    degs = tuple(var(f"d{i}") for i in range(1, k + 1))
-    mus = tuple(var(f"m{i}") for i in range(1, k + 1))
-    eps = signs.operation_sign(degs, mus)
-    dim_par = signs.moduli_dim_parity(var("r0"), var("m0"), mus, k)
-    nu = signs.stokes_sign(dim_par, degs)
-
     terms: list[FormalTerm] = []
     for j in range(1, k + 1):
-        leibniz = eps + sum(degs[: j - 1], F2Poly.zero())
+        leibniz, coderivation = _insertion_routes(k, j)
         terms.append(FormalTerm(PUSH_D, (j,), leibniz, "stokes-rewrite"))
-        bumped = degs[: j - 1] + (degs[j - 1] + 1,) + degs[j:]
-        coder = signs.koszul_prefix(degs, mus, j) + signs.operation_sign(bumped, mus)
-        terms.append(FormalTerm(PUSH_D, (j,), coder, "coderivation"))
+        terms.append(FormalTerm(PUSH_D, (j,), coderivation, "coderivation"))
 
-    for payload in _stratum_payloads(k, energy, spectrum):
-        j, k_outer, _, k_inner, _ = payload
-        ctx = SignContext(
-            k=k, j=j, k_outer=k_outer, k_inner=k_inner,
-            degs=degs, mus=mus, mu_node=var("ma"), mu_out=var("m0"), dim_out=var("r0"),
-        )
-        stokes_route = eps + nu + signs.boundary_sign(ctx)
-        terms.append(FormalTerm(BDRY, payload, stokes_route, "stokes-rewrite"))
-        comp_route = signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx)
-        terms.append(FormalTerm(BDRY, payload, comp_route, "composition"))
+    parent = ModuliDescriptor(k, BClass(energy), _REPLAY_COMPONENT, (_REPLAY_COMPONENT,) * k)
+    routes: dict[tuple[int, int], tuple[F2Poly, F2Poly]] = {}
+    for stratum in enumerate_strata(parent, spectrum, [_REPLAY_COMPONENT]):
+        payload = stratum.index()[:-1]
+        j, _, _, k_inner, _ = payload
+        if (j, k_inner) not in routes:
+            ctx = symbolic_context(k, j, k_inner)
+            routes[j, k_inner] = (
+                signs.operation_sign(ctx.degs, ctx.mus)
+                + signs.stokes_sign(signs.parent_dim_parity(ctx), ctx.degs)
+                + signs.boundary_sign(ctx),
+                signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx),
+            )
+        stokes, composition = routes[j, k_inner]
+        terms.append(FormalTerm(BDRY, payload, stokes, "stokes-rewrite"))
+        terms.append(FormalTerm(BDRY, payload, composition, "composition"))
     return terms
 
 
@@ -384,16 +381,18 @@ def prove_relation_cancellation(
 
     ``mutate`` flips the sign of the Stokes-route term with the given
     (kind, payload); used to confirm single-sign corruption is caught and
-    named.  Prerequisite identities are proven first and abort on failure;
-    their time is charged to the first level's ``elapsed_s``.
+    named.  The master identity at every arity-k (j, k_inner) is proven
+    first and aborts on failure; its time is charged to the first level's
+    ``elapsed_s``.
     """
     started = time.perf_counter()
-    for k_, j_, ki_ in instances(k):
-        pre = prove_master_identity(k_, j_, ki_)
-        if not pre.proved:
-            raise RuntimeError(
-                f"prerequisite master identity failed at {pre.instance}: {pre.witness}"
-            )
+    for k_inner in range(k + 1):
+        for j in range(1, k + 2 - k_inner):
+            pre = prove_master_identity(k, j, k_inner)
+            if not pre.proved:
+                raise RuntimeError(
+                    f"prerequisite master identity failed at {pre.instance}: {pre.witness}"
+                )
     reports = []
     for energy in spectrum.levels():
         report = _cancel_level(k, energy, spectrum, mutate)

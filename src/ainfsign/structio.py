@@ -105,20 +105,28 @@ def structure_from_json(data: dict) -> FilteredAInfty:
                     f"operation of arity {key[0]} needs {key[0]} inputs", vpath
                 )
             in_spaces, in_gens = [], []
-            for sp_name, gen in inputs:
+            for n, pair in enumerate(inputs):
+                ipath = f"{vpath}.inputs[{n}]"
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(x, str) for x in pair)):
+                    raise FormatError(f"input {pair!r} is not a [space, generator] pair", ipath)
+                sp_name, gen = pair
                 if sp_name not in spaces:
-                    raise FormatError(f"unknown space {sp_name!r}", vpath)
-                spaces[sp_name].degree_of(gen)  # raises KeyError on unknown gen
+                    raise FormatError(f"unknown space {sp_name!r}", ipath)
+                if not any(g == gen for g, _ in spaces[sp_name].basis):
+                    raise FormatError(f"unknown generator {gen!r} of space {sp_name!r}", ipath)
                 in_spaces.append(sp_name)
                 in_gens.append(gen)
             out = val.get("output", {})
             out_space = out.get("space")
             if out_space not in spaces:
                 raise FormatError(f"unknown output space {out_space!r}", vpath)
-            coeffs = {
-                gen: _novikov(c, f"{vpath}.output.coeffs.{gen}")
-                for gen, c in out.get("coeffs", {}).items()
-            }
+            coeffs = {}
+            for gen, c in out.get("coeffs", {}).items():
+                cpath = f"{vpath}.output.coeffs.{gen}"
+                if not any(g == gen for g, _ in spaces[out_space].basis):
+                    raise FormatError(f"unknown generator {gen!r} of space {out_space!r}", cpath)
+                coeffs[gen] = _novikov(c, cpath)
             entry[(tuple(in_spaces), tuple(in_gens))] = Element(out_space, coeffs).normalized()
     try:
         return FilteredAInfty(spaces=spaces, table=table, spectrum=spectrum, cutoff=cutoff)

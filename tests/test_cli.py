@@ -203,12 +203,47 @@ def test_prove_signs_timing_charges_each_obligation(tmp_path, capsys, monkeypatc
     relations = {c["id"]: c for c in checks if c["id"].startswith("relation-cancellation")}
     assert len(proofs) == 39 and all(c["runtime_s"] == 1.0 for c in proofs)
     # one decision per cancelled pair; the first level of arity k also
-    # carries the master-identity prerequisites of every instance up to k
+    # carries the master-identity prerequisites of the arity-k instances
     for check_id, prerequisites in (("k=1:energy=0", 3), ("k=1:energy=1", 0),
-                                    ("k=2:energy=0", 9), ("k=2:energy=1", 0)):
+                                    ("k=2:energy=0", 6), ("k=2:energy=1", 0)):
         c = relations[f"relation-cancellation:{check_id}"]
         assert c["runtime_s"] == c["detail"]["pairs"] + prerequisites, check_id
     assert sum(c["runtime_s"] for c in checks) == clock[0]
+
+
+def test_prove_signs_timing_is_unrounded(tmp_path, capsys, monkeypatch):
+    # each ANF decision spends 2^-12 s of a fake clock: well under a
+    # millisecond, and binary fractions add up exactly
+    step = 2.0 ** -12
+    clock = [0.0]
+
+    def anf_equivalent(p, q):
+        clock[0] += step
+        return True, None
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(prover, "anf_equivalent", anf_equivalent)
+    out = tmp_path / "report.json"
+    code, _, _ = run(["prove-signs", "--k-max", "2", "--timing", "--out", str(out)], capsys)
+    assert code == 0
+    runtimes = [c["runtime_s"] for c in json.loads(out.read_text())["checks"]]
+    assert len(runtimes) == 39 and all(r == step for r in runtimes)
+    assert sum(runtimes) == clock[0]
+
+
+# SHA-256 of the report as written before the relation replay took its
+# boundary payloads from enumerate_strata and its witnesses in closed form.
+PROVE_SIGNS_K4_SHA256 = "52ce98e6294863cbf2883f6317f11ae07498ad48cf82005bf5f4bdaa1efdd22f"
+
+
+def test_prove_signs_report_bytes_unchanged(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["prove-signs", "--k-max", "4", "--truth-table-k-max", "3", "--relations-k-max", "3",
+         "--relations-spectrum", "0,1/2", "--relations-cutoff", "2", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROVE_SIGNS_K4_SHA256
 
 
 @pytest.mark.parametrize("value", ["-1", "11"])
@@ -263,6 +298,37 @@ def test_check_ainfty_reports_semantic_path(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(["check-ainfty", "--file", str(path)], capsys)
     assert code == 2 and "$.spaces[0]" in err
+
+
+def one_value_structure(value):
+    """A structure file whose only operation value is ``value``."""
+    return {
+        "version": 1,
+        "cutoff": "1",
+        "spectrum_generators": [],
+        "components": [{"name": "R", "dimension": 0, "maslov_parity": 0}],
+        "spaces": [
+            {"name": "H", "component": "R",
+             "basis": [{"gen": "x", "degree": 0}, {"gen": "y", "degree": 1}]}
+        ],
+        "operations": [{"k": 1, "energy": "0", "tag": "0", "values": [value]}],
+    }
+
+
+@pytest.mark.parametrize("value, message, path", [
+    ({"inputs": [["H", "z"]], "output": {"space": "H", "coeffs": {"y": "1"}}},
+     "unknown generator 'z' of space 'H'", "$.operations[0].values[0].inputs[0]"),
+    ({"inputs": [["H", "x"]], "output": {"space": "H", "coeffs": {"z": "1"}}},
+     "unknown generator 'z' of space 'H'", "$.operations[0].values[0].output.coeffs.z"),
+    ({"inputs": [[5]], "output": {"space": "H", "coeffs": {"y": "1"}}},
+     "is not a [space, generator] pair", "$.operations[0].values[0].inputs[0]"),
+], ids=["unknown-input-generator", "unknown-output-generator", "input-not-a-pair"])
+def test_check_ainfty_bad_operation_value_exits_two(value, message, path, tmp_path, capsys):
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(one_value_structure(value)))
+    code, out, err = run(["check-ainfty", "--file", str(file), "--k-max", "1"], capsys)
+    assert code == 2 and message in err and f"(at {path})" in err
+    assert "checks passed" not in out
 
 
 def test_relation_failure_exits_one(tmp_path, capsys):

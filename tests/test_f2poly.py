@@ -91,12 +91,51 @@ def test_equivalence_witness_is_minimal():
     assert witness == {"d1": 1, "d2": 0}
 
 
-def test_equivalence_refuses_huge_search():
-    p = F2Poly.zero()
-    for i in range(25):
-        p = p + F2Poly.var(f"v{i}")
-    with pytest.raises(ValueError):
-        anf_equivalent(p, F2Poly.one(), max_variables=20)
+def search_witness(p, q):
+    """The weight-ordered search that the closed form replaced: the first
+    assignment, by number of ones and then lexicographically in the names
+    set, at which p and q differ.  Kept as the oracle for the closed form."""
+    diff = p + q
+    if diff.is_zero():
+        return True, None
+    names = sorted(diff.variables())
+    for weight in range(len(names) + 1):
+        for ones in itertools.combinations(names, weight):
+            assignment = {n: int(n in ones) for n in names}
+            if diff.evaluate(assignment):
+                return False, assignment
+    raise AssertionError("nonzero ANF with no satisfying assignment")
+
+
+def _random_poly(rng, names, terms, min_degree, max_degree):
+    return F2Poly(frozenset(
+        frozenset(rng.sample(names, rng.randint(min_degree, max_degree)))
+        for _ in range(terms)
+    ))
+
+
+def _items(result):
+    ok, witness = result
+    return ok, None if witness is None else list(witness.items())
+
+
+def test_closed_form_witness_equals_search_oracle():
+    rng = random.Random(31)
+    names = [f"x{i}" for i in range(7)]
+    for _ in range(3000):
+        p = _random_poly(rng, names, rng.randrange(6), 0, 4)
+        q = _random_poly(rng, names, rng.randrange(6), 0, 4)
+        assert _items(anf_equivalent(p, q)) == _items(search_witness(p, q)), (p, q)
+    # past the 20-variable cap the search used to have: 30 variables, every
+    # monomial of degree 3 or more, so the oracle searches up to weight 3
+    wide = [f"v{i:02d}" for i in range(30)]
+    for _ in range(5):
+        p = _random_poly(rng, wide, 12, 3, 6) + F2Poly(frozenset([frozenset(wide)]))
+        q = _random_poly(rng, wide, 4, 3, 6)
+        assert len((p + q).variables()) == 30
+        ok, witness = anf_equivalent(p, q)
+        assert not ok and sum(witness.values()) == 3
+        assert _items((ok, witness)) == _items(search_witness(p, q))
 
 
 def test_print_parse_print_fixed_point():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ainfsign.prover import (
     prove_reorder_collapse,
     symbolic_context,
 )
+from ainfsign.strata import BClass, ComponentData, ModuliDescriptor, composition_terms
 
 
 def test_master_identity_sample_instances():
@@ -122,6 +124,26 @@ def test_expand_relation_routes_come_in_pairs():
         groups.setdefault((t.kind, t.payload), set()).add(t.route)
     for key, routes in groups.items():
         assert len(routes) == 2, key
+
+
+@pytest.mark.parametrize("generators, cutoff", [
+    ([Fraction(1, 2)], 2),
+    ([1, Fraction(1, 3)], 2),
+], ids=["halves", "thirds"])
+def test_boundary_payloads_are_the_composition_terms(generators, cutoff):
+    """One index set, two routes: the replay's boundary payloads (taken from
+    enumerate_strata) are the composition double-sum terms without the node
+    name, as multisets, on both routes of every (arity, energy) relation."""
+    spectrum = spectrum_closure(generators, cutoff)
+    comp = ComponentData("c", 0, 0)
+    for k in range(1, 7):
+        for energy in spectrum.levels():
+            parent = ModuliDescriptor(k, BClass(energy), comp, (comp,) * k)
+            expected = Counter(t[:-1] for t in composition_terms(parent, spectrum, [comp]))
+            terms = [t for t in expand_relation(k, energy, spectrum) if t.kind == BDRY]
+            for route in ("stokes-rewrite", "composition"):
+                got = Counter(t.payload for t in terms if t.route == route)
+                assert got == expected, (k, energy, route)
 
 
 def test_mutation_detected_and_named():
