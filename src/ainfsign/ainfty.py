@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import geomodel
@@ -39,13 +40,20 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Element:
     """A finite Novikov-linear combination of named generators of one hom
-    space.  The distinguished zero has an empty space name."""
+    space, canonical when built: zero coefficients are dropped, ``coeffs``
+    is a read-only mapping, and the zero element has the empty space name."""
 
     space: str
-    coeffs: dict[str, NovikovElement] = field(default_factory=dict)
+    coeffs: Mapping[str, NovikovElement] = field(default_factory=dict)
+
+    def __post_init__(self):
+        coeffs = {g: c for g, c in self.coeffs.items() if c}
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        if not coeffs:
+            object.__setattr__(self, "space", "")
 
     @staticmethod
     def zero() -> "Element":
@@ -56,44 +64,36 @@ class Element:
         return Element(space, {gen: NovikovElement.one()})
 
     def normalized(self) -> "Element":
-        coeffs = {g: c for g, c in self.coeffs.items() if not c.is_zero()}
-        return Element(self.space if coeffs else "", coeffs)
+        """The element itself, since elements are canonical when built; kept
+        because the benchmark's workloads call it."""
+        return self
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
+        return not self.coeffs
 
     def __add__(self, other: "Element") -> "Element":
-        if self.is_zero():
-            return other.normalized()
-        if other.is_zero():
-            return self.normalized()
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         if self.space != other.space:
             raise StructureError(
                 f"cannot add elements of spaces {self.space!r} and {other.space!r}"
             )
         coeffs = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            coeffs[g] = coeffs.get(g, NovikovElement.zero()) + c
-        return Element(self.space, coeffs).normalized()
+            coeffs[g] = coeffs[g] + c if g in coeffs else c
+        return Element(self.space, coeffs)
 
     def scale(self, factor: NovikovElement) -> "Element":
-        return Element(
-            self.space, {g: c * factor for g, c in self.coeffs.items()}
-        ).normalized()
-
-    def scale_rational(self, q: Rational) -> "Element":
-        return self.scale(NovikovElement.monomial(q, 0))
+        return Element(self.space, {g: c * factor for g, c in self.coeffs.items()})
 
     def shift(self, delta: Rational) -> "Element":
         """Multiply every coefficient by T^delta; all exponents must stay >= 0."""
-        return Element(
-            self.space, {g: c.shift(delta) for g, c in self.coeffs.items()}
-        ).normalized()
+        return Element(self.space, {g: c.shift(delta) for g, c in self.coeffs.items()})
 
     def truncate(self, cutoff: Rational) -> "Element":
-        return Element(
-            self.space, {g: c.truncate(cutoff) for g, c in self.coeffs.items()}
-        ).normalized()
+        return Element(self.space, {g: c.truncate(cutoff) for g, c in self.coeffs.items()})
 
     def valuation(self):
         return min(
@@ -134,32 +134,38 @@ class HomSpace:
         return shifted_degree(self.degree_of(gen), self.component.maslov_parity) % 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperationTable:
     """Sparse multilinear operation data keyed by (arity, energy, tag).
 
-    A stored value wins over the fallback of its key.  Fallbacks must be
-    pure functions of ``(spaces, gens)``: each table computes a fallback
-    value once and hands the same ``Element`` to every later lookup, so
-    callers must not mutate the elements that ``lookup`` returns.  The memo
-    belongs to this table alone (a deformed copy starts empty), and it is
-    held per fallback object, so replacing or removing a fallback drops the
-    values it produced.
+    Frozen when built: ``values``, each ``values[key]`` and ``fallbacks``
+    are read-only copies of what was passed in, and the sorted keys are
+    derived once.  A stored value wins over the fallback of its key.
+    Fallbacks must be pure functions of ``(spaces, gens)``: each table
+    computes a fallback value once, in a memo of its own, and hands the
+    same ``Element`` to every later lookup.
     """
 
-    values: dict[OpKey, dict[TensorKey, Element]] = field(default_factory=dict)
-    fallbacks: dict[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element | None]] = field(
+    values: Mapping[OpKey, Mapping[TensorKey, Element]] = field(default_factory=dict)
+    fallbacks: Mapping[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element | None]] = field(
         default_factory=dict
     )
-    _memo: dict[OpKey, tuple[Callable, dict[TensorKey, Element]]] = field(
+    _keys: tuple[OpKey, ...] = field(init=False, repr=False, compare=False)
+    _memo: dict[tuple[OpKey, tuple[str, ...], tuple[str, ...]], Element] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def keys(self) -> list[OpKey]:
-        return sorted(set(self.values) | set(self.fallbacks), key=lambda k: (k[0], k[1], k[2]))
+    def __post_init__(self):
+        values = {key: MappingProxyType(dict(entry)) for key, entry in self.values.items()}
+        object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "fallbacks", MappingProxyType(dict(self.fallbacks)))
+        object.__setattr__(self, "_keys", tuple(sorted(values.keys() | self.fallbacks.keys())))
+
+    def keys(self) -> tuple[OpKey, ...]:
+        return self._keys
 
     def keys_of_arity(self, k: int) -> list[OpKey]:
-        return [key for key in self.keys() if key[0] == k]
+        return [key for key in self._keys if key[0] == k]
 
     def lookup(self, key: OpKey, spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
         entry = self.values.get(key)
@@ -170,40 +176,38 @@ class OperationTable:
         fallback = self.fallbacks.get(key)
         if fallback is None:
             return Element.zero()
-        owner, memo = self._memo.get(key, (None, None))
-        if owner is not fallback:
-            memo = {}
-            self._memo[key] = (fallback, memo)
-        value = memo.get((spaces, gens))
+        memo_key = (key, spaces, gens)
+        value = self._memo.get(memo_key)
         if value is None:
             value = fallback(spaces, gens)
-            value = Element.zero() if value is None else value.normalized()
-            memo[(spaces, gens)] = value
+            if value is None:
+                value = Element.zero()
+            self._memo[memo_key] = value
         return value
 
     def max_arity(self) -> int:
-        return max((k for k, _, _ in self.keys()), default=0)
+        return max((k for k, _, _ in self._keys), default=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilteredAInfty:
-    """Spaces, an operation table, an energy spectrum and a cutoff."""
+    """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
+    with ``spaces`` held as a read-only copy."""
 
-    spaces: dict[str, HomSpace]
+    spaces: Mapping[str, HomSpace]
     table: OperationTable
     spectrum: GappedSpectrum
     cutoff: Fraction
 
     def __post_init__(self):
-        self.cutoff = _frac(self.cutoff)
+        object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
+        object.__setattr__(self, "cutoff", _frac(self.cutoff))
         for key in self.table.keys():
             k, energy, tag = key
-            if k == 0 and energy == 0 and self.table.values.get(key):
-                for tk, value in self.table.values[key].items():
-                    if not value.is_zero():
-                        raise StructureError(
-                            "the zero-energy curvature operation must vanish"
-                        )
+            if k == 0 and energy == 0 and any(
+                not value.is_zero() for value in self.table.values.get(key, {}).values()
+            ):
+                raise StructureError("the zero-energy curvature operation must vanish")
             if energy not in self.spectrum:
                 raise StructureError(
                     f"operation energy {energy} is outside the spectrum closure"
@@ -323,14 +327,14 @@ class FilteredAInfty:
                 self.coderivation_insert(inner_key, j, word) for j in range(1, k_outer + 1)
             ]
             for outer_key in outer_keys:
-                energy = NovikovElement.monomial(1, e_inner + outer_key[1])
+                energy = e_inner + outer_key[1]
                 for j, (sign, new_word) in enumerate(inserted, start=1):
                     if new_word[j - 1].is_zero():
                         continue
                     value = self.apply_raw(outer_key, new_word)
                     if value.is_zero():
                         continue
-                    total = total + value.scale(energy).scale_rational((-1) ** sign)
+                    total = total + value.scale(NovikovElement.monomial((-1) ** sign, energy))
         return total.truncate(cutoff)
 
     def check_relations(
@@ -347,6 +351,7 @@ class FilteredAInfty:
         a seeded random sample.  Stops at the first nonzero defect.
         """
         gens = self.basis_generators()
+        basis = {(s, g): Element.basis(s, g) for s, g in gens}
         rng = random.Random(seed)
         checked = 0
         for k in range(0, k_max + 1):
@@ -361,8 +366,7 @@ class FilteredAInfty:
                     for _ in range(sample_size)
                 )
             for word in words:
-                elements = [Element.basis(s, g) for s, g in word]
-                defect = self.relation_defect(elements, cutoff)
+                defect = self.relation_defect([basis[sg] for sg in word], cutoff)
                 checked += 1
                 if not defect.is_zero():
                     return RelationReport(
@@ -442,10 +446,7 @@ class DGAModel:
 
 
 def _as_element(space: str, combo: Mapping[str, Fraction]) -> Element:
-    return Element(
-        space,
-        {g: NovikovElement.monomial(c, 0) for g, c in combo.items() if c},
-    ).normalized()
+    return Element(space, {g: NovikovElement.monomial(c, 0) for g, c in combo.items()})
 
 
 def exterior_dga(
@@ -660,7 +661,7 @@ def check_product_sign_convention(
     ]
     for g1, g2 in pair_list:
         d1, d2 = dga.degree_of(g1), dga.degree_of(g2)
-        stored = A.table.lookup(key, (space.name, space.name), (g1, g2)).normalized()
+        stored = A.table.lookup(key, (space.name, space.name), (g1, g2))
         sign = (-1) ** operation_sign([d1, d2], [mu, mu])
         expected = _as_element(
             space.name, {g: sign * c for g, c in dga.product(g1, g2).items()}
@@ -681,30 +682,21 @@ def deform(
     Requires every coefficient of b to have valuation at least lam_min > 0;
     the n-insertion piece of each arity is stored at energy n*lam_min with
     its value shifted down correspondingly, keeping all stored coefficients
-    inside the ring and the zero-energy curvature zero.
+    inside the ring and the zero-energy curvature zero.  The deformed
+    structure keeps the parent's spaces and stored values; a zero b returns
+    the parent itself.
     """
     lam = _frac(lam_min)
     if lam <= 0:
         raise StructureError("lam_min must be positive")
-    b = b.normalized()
-    if not b.is_zero():
-        if A.shifted_parity(b) != 0:
-            raise StructureError("the deforming element must have even shifted degree")
-        if b.valuation() < lam:
-            raise StructureError(
-                f"every coefficient of b needs valuation >= {lam}, got {b.valuation()}"
-            )
-        generators = set(A.spectrum.generators) | {lam}
-    else:
-        generators = set(A.spectrum.generators)
-
-    max_k = A.table.max_arity()
-    table = OperationTable(
-        {key: dict(entry) for key, entry in A.table.values.items()},
-        dict(A.table.fallbacks),
-    )
     if b.is_zero():
-        return FilteredAInfty(dict(A.spaces), table, A.spectrum, A.cutoff)
+        return A
+    if A.shifted_parity(b) != 0:
+        raise StructureError("the deforming element must have even shifted degree")
+    if b.valuation() < lam:
+        raise StructureError(
+            f"every coefficient of b needs valuation >= {lam}, got {b.valuation()}"
+        )
 
     def piece(k: int, n: int) -> Callable[[tuple[str, ...], tuple[str, ...]], Element]:
         def op(spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
@@ -721,14 +713,16 @@ def deform(
 
         return op
 
+    max_k = A.table.max_arity()
+    fallbacks = dict(A.table.fallbacks)
     for k in range(0, max_k + 1):
         for n in range(1, max_k - k + 1):
             if n * lam < A.cutoff:
-                table.fallbacks[(k, n * lam, f"b^{n}")] = piece(k, n)
+                fallbacks[(k, n * lam, f"b^{n}")] = piece(k, n)
     return FilteredAInfty(
-        spaces=dict(A.spaces),
-        table=table,
-        spectrum=spectrum_closure(generators, A.cutoff),
+        spaces=A.spaces,
+        table=OperationTable(A.table.values, fallbacks),
+        spectrum=spectrum_closure(set(A.spectrum.generators) | {lam}, A.cutoff),
         cutoff=A.cutoff,
     )
 

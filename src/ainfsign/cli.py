@@ -206,7 +206,7 @@ def cmd_verify_geomodel(args) -> int:
     return report.finish(args.out)
 
 
-def _preset_structure(preset: str, cutoff: Fraction, sample_poly_degree: int = 2):
+def _preset_structure(preset: str, cutoff: Fraction):
     if preset == "exterior4":
         return exterior_dga(4), from_dga(exterior_dga(4), cutoff)
     if preset == "exterior3-d":
@@ -216,14 +216,10 @@ def _preset_structure(preset: str, cutoff: Fraction, sample_poly_degree: int = 2
         )
         return dga, from_dga(dga, cutoff)
     if preset == "interval-circle":
-        dga = cube_torus_dga(
-            space(("t", "interval"), ("c", "circle")), sample_poly_degree
-        )
+        dga = cube_torus_dga(space(("t", "interval"), ("c", "circle")))
         return dga, from_dga(dga, cutoff)
     if preset == "interval2":
-        dga = cube_torus_dga(
-            space(("u", "interval"), ("v", "interval")), sample_poly_degree
-        )
+        dga = cube_torus_dga(space(("u", "interval"), ("v", "interval")))
         return dga, from_dga(dga, cutoff)
     raise UsageError(f"unknown preset {preset!r}")
 
@@ -285,7 +281,7 @@ def _random_even_element(A, dga, rng, lam_min: Fraction) -> Element:
     for g in chosen:
         q = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
         coeffs[g] = NovikovElement.monomial(q, lam_min * rng.choice([1, 1, 2]))
-    return Element(space_name, coeffs).normalized()
+    return Element(space_name, coeffs)
 
 
 def cmd_deform_check(args) -> int:
@@ -309,7 +305,7 @@ def cmd_deform_check(args) -> int:
             if not isinstance(c, str):
                 raise UsageError(f"--b: coefficient of {g!r} must be a string, got {c!r}")
         coeffs = {g: novikov.parse(c) for g, c in spec_dict.items()}
-        candidates.append(("explicit", Element(dga.space_name, coeffs).normalized()))
+        candidates.append(("explicit", Element(dga.space_name, coeffs)))
     rng = random.Random(args.seed)
     for i in range(args.random):
         candidates.append((f"random-{i}", _random_even_element(A, dga, rng, lam_min)))

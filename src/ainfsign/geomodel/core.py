@@ -570,17 +570,6 @@ def smooth_map(
     return SmoothMapModel(source, target, tuple(sorted(table.items())))
 
 
-def constant_map(source: CubeTorusSpace, target: CubeTorusSpace, point: Mapping[str, Rational] | None = None) -> SmoothMapModel:
-    point = point or {}
-    table: dict[str, tuple] = {}
-    for name, kind in target.coords:
-        if kind == INTERVAL:
-            table[name] = ("poly", Poly.const(point.get(name, 0)))
-        else:
-            table[name] = ("const-circle",)
-    return smooth_map(source, target, table)
-
-
 def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapModel:
     """outer after inner (inner.source -> outer.target)."""
     if inner.target != outer.source:

@@ -185,8 +185,6 @@ def _format_monomial(coefficient: Fraction, exponent: Fraction) -> str:
 
 
 T = NovikovElement.monomial(1, 1)
-ZERO = NovikovElement.zero()
-ONE = NovikovElement.one()
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,7 @@ def _parse_factor(sc: _Scanner) -> NovikovElement:
 def random_element(
     rng, max_terms: int = 4, max_num: int = 6, max_den: int = 4
 ) -> NovikovElement:
-    """Seeded random element; used by property tests and the CLI self-checks."""
+    """Seeded random element; used by property tests."""
     pairs = []
     for _ in range(rng.randrange(max_terms + 1)):
         exponent = Fraction(rng.randrange(0, max_num), rng.randrange(1, max_den))

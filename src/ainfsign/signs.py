@@ -138,13 +138,11 @@ class SignContext:
     def suffix_mus(self) -> tuple:
         return self.mus[self.j - 1 + self.k_inner :]
 
-    def inner_degs(self, degs=None) -> tuple:
-        degs = self.degs if degs is None else tuple(degs)
-        return degs[self.j - 1 : self.j - 1 + self.k_inner]
+    def inner_degs(self) -> tuple:
+        return self.degs[self.j - 1 : self.j - 1 + self.k_inner]
 
-    def suffix_degs(self, degs=None) -> tuple:
-        degs = self.degs if degs is None else tuple(degs)
-        return degs[self.j - 1 + self.k_inner :]
+    def suffix_degs(self) -> tuple:
+        return self.degs[self.j - 1 + self.k_inner :]
 
     def outer_mus(self) -> tuple:
         return self.prefix_mus() + (self.mu_node,) + self.suffix_mus()
@@ -181,14 +179,13 @@ def boundary_sign(ctx: SignContext) -> Parity:
     return _par(acc)
 
 
-def composition_sign(ctx: SignContext, degs: Sequence[Parity] | None = None) -> Parity:
+def composition_sign(ctx: SignContext) -> Parity:
     """Closed-form sign relating the outer-after-inner composite at slot j to
     the push-pull over the glued correspondence."""
-    degs = tuple(ctx.degs if degs is None else degs)
     nd = ctx.node_defect()
     acc = (
-        operation_sign(degs, ctx.mus)
-        + _total(degs)
+        operation_sign(ctx.degs, ctx.mus)
+        + _total(ctx.degs)
         - ctx.k
         - 1
         + ctx.j
@@ -233,48 +230,39 @@ def outer_moduli_dim_parity(ctx: SignContext) -> Parity:
 # --- proof decomposition of the composition sign ------------------------------
 
 
-def coderivation_sign(ctx: SignContext, degs: Sequence[Parity] | None = None) -> Parity:
+def coderivation_sign(ctx: SignContext) -> Parity:
     """Koszul prefix of the insertion slot plus the operation signs of the
     outer tuple (with the inner output at slot j) and of the inner tuple."""
-    degs = tuple(ctx.degs if degs is None else degs)
-    inner_degs = ctx.inner_degs(degs)
+    inner_degs = ctx.inner_degs()
     inner_mus = ctx.inner_mus()
     node_deg = output_degree_parity(inner_degs, inner_mus, ctx.mu_node)
-    outer_degs = degs[: ctx.j - 1] + (node_deg,) + ctx.suffix_degs(degs)
+    outer_degs = ctx.degs[: ctx.j - 1] + (node_deg,) + ctx.suffix_degs()
     return _par(
-        koszul_prefix(degs, ctx.mus, ctx.j)
+        koszul_prefix(ctx.degs, ctx.mus, ctx.j)
         + operation_sign(outer_degs, ctx.outer_mus())
         + operation_sign(inner_degs, inner_mus)
     )
 
 
-def nested_move_sign(ctx: SignContext, degs: Sequence[Parity] | None = None) -> Parity:
+def nested_move_sign(ctx: SignContext) -> Parity:
     """Sign of moving the inner push-pull output past the tail inputs
     (its degree is the inner total degree minus the relative dimension)."""
-    degs = tuple(ctx.degs if degs is None else degs)
-    inner_total = _total(ctx.inner_degs(degs))
+    inner_total = _total(ctx.inner_degs())
     return _par(
-        (inner_total + ctx.node_defect() + ctx.k_inner - 2)
-        * _total(ctx.suffix_degs(degs))
+        (inner_total + ctx.node_defect() + ctx.k_inner - 2) * _total(ctx.suffix_degs())
     )
 
 
-def block_swap_sign(ctx: SignContext, degs: Sequence[Parity] | None = None) -> Parity:
+def block_swap_sign(ctx: SignContext) -> Parity:
     """Koszul sign of swapping the inner input block past the tail block."""
-    degs = tuple(ctx.degs if degs is None else degs)
-    return _par(_total(ctx.inner_degs(degs)) * _total(ctx.suffix_degs(degs)))
+    return _par(_total(ctx.inner_degs()) * _total(ctx.suffix_degs()))
 
 
-def pushpull_reorder_sign(
-    ctx: SignContext, degs: Sequence[Parity] | None = None
-) -> Parity:
+def pushpull_reorder_sign(ctx: SignContext) -> Parity:
     """Net reorder sign in the nested-vs-glued push-pull comparison; the two
     moves share a common factor that cancels mod 2, leaving
     ``(mu_node - inner mus + k_inner - 2) * (tail degree)``."""
-    degs = tuple(ctx.degs if degs is None else degs)
-    return _par(
-        (ctx.node_defect() + ctx.k_inner - 2) * _total(ctx.suffix_degs(degs))
-    )
+    return _par((ctx.node_defect() + ctx.k_inner - 2) * _total(ctx.suffix_degs()))
 
 
 def parent_dim_parity(ctx: SignContext) -> Parity:

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Any
 
 from . import novikov
-from .ainfty import Element, FilteredAInfty, HomSpace, OperationTable, StructureError
+from .ainfty import (Element, FilteredAInfty, HomSpace, OperationTable, OpKey, StructureError,
+                     TensorKey)
 from .novikov import spectrum_closure
 from .strata import ComponentData
 
@@ -30,11 +31,41 @@ class FormatError(ValueError):
         self.path = path
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value: Any, kind: type, path: str) -> Any:
+    """``value`` itself when it is of the JSON kind ``kind``."""
+    if not isinstance(value, kind):
+        raise FormatError(f"expected {_KINDS[kind]}, got {value!r:.40}", path)
+    return value
+
+
+def _integer(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad integer {value!r}: {exc}", path) from exc
+
+
 def _fraction(value: Any, path: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {value!r}: {exc}", path) from exc
+
+
+def _positive(value: Any, what: str, path: str) -> Fraction:
+    q = _fraction(value, path)
+    if q <= 0:
+        raise FormatError(f"{what} must be positive, got {q}", path)
+    return q
+
+
+def _named(names: dict, name: Any, what: str, path: str):
+    if not isinstance(name, str) or name not in names:
+        raise FormatError(f"unknown {what} {name!r}", path)
+    return names[name]
 
 
 def _novikov(value: Any, path: str) -> novikov.NovikovElement:
@@ -50,60 +81,62 @@ def load_structure(source: str | Path) -> FilteredAInfty:
     return structure_from_json(data)
 
 
-def structure_from_json(data: dict) -> FilteredAInfty:
+def structure_from_json(data: Any) -> FilteredAInfty:
+    """Build a structure from parsed JSON; every problem with the data
+    raises :class:`FormatError` with the JSON path where it was found."""
+    data = _expect(data, dict, "$")
     if data.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported version {data.get('version')!r}", "$.version")
     components: dict[str, ComponentData] = {}
-    for i, c in enumerate(data.get("components", [])):
+    for i, c in enumerate(_expect(data.get("components", []), list, "$.components")):
         path = f"$.components[{i}]"
-        try:
-            comp = ComponentData(
-                name=c["name"],
-                dimension=int(c["dimension"]),
-                maslov_parity=int(c["maslov_parity"]),
-                twist_trivialized=bool(c.get("twist_trivialized", True)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad component: {exc}", path) from exc
+        c = _expect(c, dict, path)
+        comp = ComponentData(
+            name=_expect(c.get("name"), str, f"{path}.name"),
+            dimension=_integer(c.get("dimension"), f"{path}.dimension"),
+            maslov_parity=_integer(c.get("maslov_parity"), f"{path}.maslov_parity"),
+            twist_trivialized=bool(c.get("twist_trivialized", True)),
+        )
         components[comp.name] = comp
 
     spaces: dict[str, HomSpace] = {}
-    for i, s in enumerate(data.get("spaces", [])):
+    for i, s in enumerate(_expect(data.get("spaces", []), list, "$.spaces")):
         path = f"$.spaces[{i}]"
-        name = s.get("name")
-        comp_name = s.get("component")
-        if comp_name not in components:
-            raise FormatError(f"unknown component {comp_name!r}", path)
+        s = _expect(s, dict, path)
+        name = _expect(s.get("name"), str, f"{path}.name")
+        component = _named(components, s.get("component"), "component", path)
         basis = []
-        for m, entry in enumerate(s.get("basis", [])):
-            try:
-                basis.append((entry["gen"], int(entry["degree"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"bad basis entry: {exc}", f"{path}.basis[{m}]") from exc
-        spaces[name] = HomSpace(name, components[comp_name], tuple(basis))
+        for m, entry in enumerate(_expect(s.get("basis", []), list, f"{path}.basis")):
+            epath = f"{path}.basis[{m}]"
+            entry = _expect(entry, dict, epath)
+            basis.append((_expect(entry.get("gen"), str, f"{epath}.gen"),
+                          _integer(entry.get("degree"), f"{epath}.degree")))
+        spaces[name] = HomSpace(name, component, tuple(basis))
 
-    cutoff = _fraction(data.get("cutoff", "1"), "$.cutoff")
+    cutoff = _positive(data.get("cutoff", "1"), "cutoff", "$.cutoff")
     generators = [
-        _fraction(g, f"$.spectrum_generators[{i}]")
-        for i, g in enumerate(data.get("spectrum_generators", []))
+        _positive(g, "spectrum generator", f"$.spectrum_generators[{i}]")
+        for i, g in enumerate(
+            _expect(data.get("spectrum_generators", []), list, "$.spectrum_generators")
+        )
     ]
     spectrum = spectrum_closure(generators, cutoff)
 
-    table = OperationTable()
-    for i, op in enumerate(data.get("operations", [])):
+    values: dict[OpKey, dict[TensorKey, Element]] = {}
+    for i, op in enumerate(_expect(data.get("operations", []), list, "$.operations")):
         path = f"$.operations[{i}]"
-        try:
-            key = (int(op["k"]), _fraction(op["energy"], f"{path}.energy"), str(op.get("tag", "")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad operation header: {exc}", path) from exc
-        entry = table.values.setdefault(key, {})
-        for m, val in enumerate(op.get("values", [])):
+        op = _expect(op, dict, path)
+        k = _integer(op.get("k"), f"{path}.k")
+        if k < 0:
+            raise FormatError(f"arity must be nonnegative, got {k}", f"{path}.k")
+        key = (k, _fraction(op.get("energy"), f"{path}.energy"), str(op.get("tag", "")))
+        entry = values.setdefault(key, {})
+        for m, val in enumerate(_expect(op.get("values", []), list, f"{path}.values")):
             vpath = f"{path}.values[{m}]"
+            val = _expect(val, dict, vpath)
             inputs = val.get("inputs")
-            if not isinstance(inputs, list) or len(inputs) != key[0]:
-                raise FormatError(
-                    f"operation of arity {key[0]} needs {key[0]} inputs", vpath
-                )
+            if not isinstance(inputs, list) or len(inputs) != k:
+                raise FormatError(f"operation of arity {k} needs {k} inputs", vpath)
             in_spaces, in_gens = [], []
             for n, pair in enumerate(inputs):
                 ipath = f"{vpath}.inputs[{n}]"
@@ -111,25 +144,23 @@ def structure_from_json(data: dict) -> FilteredAInfty:
                         and all(isinstance(x, str) for x in pair)):
                     raise FormatError(f"input {pair!r} is not a [space, generator] pair", ipath)
                 sp_name, gen = pair
-                if sp_name not in spaces:
-                    raise FormatError(f"unknown space {sp_name!r}", ipath)
-                if not any(g == gen for g, _ in spaces[sp_name].basis):
+                if not any(g == gen for g, _ in _named(spaces, sp_name, "space", ipath).basis):
                     raise FormatError(f"unknown generator {gen!r} of space {sp_name!r}", ipath)
                 in_spaces.append(sp_name)
                 in_gens.append(gen)
-            out = val.get("output", {})
+            out = _expect(val.get("output", {}), dict, f"{vpath}.output")
             out_space = out.get("space")
-            if out_space not in spaces:
-                raise FormatError(f"unknown output space {out_space!r}", vpath)
+            out_basis = _named(spaces, out_space, "output space", vpath).basis
             coeffs = {}
-            for gen, c in out.get("coeffs", {}).items():
+            for gen, c in _expect(out.get("coeffs", {}), dict, f"{vpath}.output.coeffs").items():
                 cpath = f"{vpath}.output.coeffs.{gen}"
-                if not any(g == gen for g, _ in spaces[out_space].basis):
+                if not any(g == gen for g, _ in out_basis):
                     raise FormatError(f"unknown generator {gen!r} of space {out_space!r}", cpath)
                 coeffs[gen] = _novikov(c, cpath)
-            entry[(tuple(in_spaces), tuple(in_gens))] = Element(out_space, coeffs).normalized()
+            entry[(tuple(in_spaces), tuple(in_gens))] = Element(out_space, coeffs)
     try:
-        return FilteredAInfty(spaces=spaces, table=table, spectrum=spectrum, cutoff=cutoff)
+        return FilteredAInfty(spaces=spaces, table=OperationTable(values=values),
+                              spectrum=spectrum, cutoff=cutoff)
     except StructureError as exc:
         raise FormatError(str(exc), "$") from exc
 

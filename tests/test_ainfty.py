@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -280,30 +281,48 @@ def test_lookup_memo_matches_direct_fallback():
         assert D.table.lookup(key, spaces, tensor) == direct  # served by the memo
 
 
-def test_lookup_honours_replaced_and_cleared_fallbacks():
+def test_relation_values_are_frozen():
     key = (1, Fraction(0), "0")
-    tensor = (("ext",), ("e1",))
+    el = Element.basis("ext", "e1")
+    entry = {(("ext",), ("e1",)): el}
+    values = {key: entry}
+    table = OperationTable(values=values)
     A = from_dga(exterior_dga(2), cutoff=1)
-    assert A.table.lookup(key, *tensor).is_zero()
-    A.table.fallbacks[key] = lambda spaces, gens: Element.basis("ext", "e1^e2")
-    assert A.table.lookup(key, *tensor) == Element.basis("ext", "e1^e2")
-    A.table.fallbacks[key] = lambda spaces, gens: None
-    assert A.table.lookup(key, *tensor).is_zero()
-    A.table.fallbacks[key] = lambda spaces, gens: Element.basis("ext", "e2")
-    assert A.table.lookup(key, *tensor) == Element.basis("ext", "e2")
-    A.table.fallbacks.clear()
-    assert A.table.lookup(key, *tensor).is_zero()
+    for obj, attr in ((el, "space"), (el, "coeffs"), (table, "values"), (table, "fallbacks"),
+                      (A, "table"), (A, "spaces"), (A, "cutoff")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
+    for mapping, item in ((el.coeffs, "e2"), (table.values, key),
+                          (table.values[key], (("ext",), ("e2",))),
+                          (A.table.fallbacks, key), (A.spaces, "other")):
+        with pytest.raises(TypeError):
+            mapping[item] = None
+    # the table holds copies: editing what was passed in changes nothing
+    entry[(("ext",), ("e1",))] = Element.basis("ext", "e2")
+    values.clear()
+    assert table.keys() == (key,)
+    assert table.lookup(key, ("ext",), ("e1",)) == el
 
 
-def test_deform_shares_no_mutable_state_with_parent():
-    A = from_dga(ce3(), cutoff=4)
+def test_element_is_canonical_when_built():
+    assert Element("ext", {"e1": NovikovElement.zero()}) == Element.zero()
+    assert Element("ext", {"e1": NovikovElement.zero()}).space == ""
+    mixed = Element("ext", {"e1": T_coeff(), "e2": NovikovElement.zero()})
+    assert mixed.coeffs == {"e1": T_coeff()}
+    x = Element.basis("ext", "e1")
+    assert x + x.scale(NovikovElement.monomial(-1, 0)) == Element.zero()
+    assert x.normalized() is x
+
+
+def test_deform_leaves_the_parent_untouched():
     key = (1, Fraction(0), "0")
-    A.table.values[key] = {(("ext",), ("e1",)): Element.basis("ext", "e2^e3")}
-    A.table.fallbacks.clear()
+    stored = {key: {(("ext",), ("e1",)): Element.basis("ext", "e2^e3")}}
+    base = from_dga(ce3(), cutoff=4)
+    A = FilteredAInfty(base.spaces, OperationTable(values=stored), base.spectrum, base.cutoff)
+    assert deform(A, Element.zero(), 1) is A
     D = deform(A, Element("ext", {"e1": T_coeff()}), 1)
-    D.table.values[key][(("ext",), ("e2",))] = Element.basis("ext", "e1^e3")
     D.check_relations(2)
-    assert A.table.values == {key: {(("ext",), ("e1",)): Element.basis("ext", "e2^e3")}}
+    assert D.table.values == A.table.values == stored
     assert D.table._memo and not A.table._memo
 
 

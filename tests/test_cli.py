@@ -1,18 +1,22 @@
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfsign import prover, structio
-from ainfsign.ainfty import exterior_dga, from_dga
+from ainfsign.ainfty import FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import main
 from ainfsign.geomodel import CheckResult, checks
 
@@ -25,19 +29,27 @@ def run(argv, capsys):
     return code, out, err
 
 
-def materialized_ext2(tmp_path):
+@functools.cache
+def ext2_text():
+    """The exterior2 embedding with its operations stored on the basis, as
+    structure-file text."""
     A = from_dga(exterior_dga(2), cutoff=1)
     gens = [g for g, _ in A.spaces["ext"].basis]
-    for key in [(1, Fraction(0), "0"), (2, Fraction(0), "0")]:
-        entry = A.table.values.setdefault(key, {})
+    values = {}
+    for key in A.table.keys():
+        spaces = ("ext",) * key[0]
+        values[key] = {}
         for combo in itertools.product(gens, repeat=key[0]):
-            spaces = tuple(["ext"] * key[0])
             value = A.table.lookup(key, spaces, combo)
             if not value.is_zero():
-                entry[(spaces, tuple(combo))] = value
-    A.table.fallbacks.clear()
+                values[key][(spaces, combo)] = value
+    stored = FilteredAInfty(A.spaces, OperationTable(values=values), A.spectrum, A.cutoff)
+    return json.dumps(structio.structure_to_json(stored))
+
+
+def materialized_ext2(tmp_path):
     path = tmp_path / "ext2.json"
-    path.write_text(json.dumps(structio.structure_to_json(A)))
+    path.write_text(ext2_text())
     return path
 
 
@@ -265,6 +277,30 @@ def test_check_dga_interval_circle(capsys):
     assert code == 0
 
 
+# SHA-256 of each relation report as written before the relation values
+# (Element, OperationTable, FilteredAInfty) were frozen.
+RELATION_REPORTS_SHA256 = {
+    "check-dga": "0ddc4dc1cc972bb373ba5bed5b6016c80da7fffad5e41e71bf4921274eef7b27",
+    "deform-check": "e70cf10b411dae8bb2c9eb2ff3b68c1fcfd2b186445eeb0a980cf33540bb3f90",
+    "check-ainfty": "ace4985cec95860b2969a663508d7d8fccb486d759416f8bb32d084637bd6a6c",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-dga", "--preset", "exterior3-d", "--k-max", "3"],
+    ["deform-check", "--preset", "interval2", "--b", '{"u|dv": "-3/2*T"}', "--lam-min", "1",
+     "--k-max", "2", "--seed", "1"],
+    ["check-ainfty", "--file", "ext2.json", "--k-max", "3"],
+], ids=lambda argv: argv[0])
+def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the check-ainfty report records the relative file name
+    materialized_ext2(tmp_path)
+    code, _, _ = run(argv + ["--out", "report.json"], capsys)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == RELATION_REPORTS_SHA256[argv[0]]
+
+
 def test_check_ainfty_roundtrip(tmp_path, capsys):
     path = materialized_ext2(tmp_path)
     schema = json.loads((SCHEMAS / "structure.schema.json").read_text())
@@ -329,6 +365,79 @@ def test_check_ainfty_bad_operation_value_exits_two(value, message, path, tmp_pa
     code, out, err = run(["check-ainfty", "--file", str(file), "--k-max", "1"], capsys)
     assert code == 2 and message in err and f"(at {path})" in err
     assert "checks passed" not in out
+
+
+def ext2_with(path, value):
+    """The materialized exterior2 structure with the node at ``path`` (a
+    tuple of keys and indices; empty for the whole document) replaced."""
+    doc = json.loads(ext2_text())
+    if not path:
+        return value
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message, at", [
+    ((), [], "expected an object", "$"),
+    (("spaces",), {}, "expected a list", "$.spaces"),
+    (("spaces", 0, "basis"), "x", "expected a list", "$.spaces[0].basis"),
+    (("operations", 0, "values"), {}, "expected a list", "$.operations[0].values"),
+    (("spectrum_generators",), "1/2", "expected a list", "$.spectrum_generators"),
+    (("spaces", 0), 5, "expected an object", "$.spaces[0]"),
+    (("operations", 1, "values", 0), 5, "expected an object", "$.operations[1].values[0]"),
+    (("operations", 1, "values", 0, "output"), [], "expected an object",
+     "$.operations[1].values[0].output"),
+    (("operations", 1, "values", 0, "output", "coeffs"), "1", "expected an object",
+     "$.operations[1].values[0].output.coeffs"),
+    (("cutoff",), "0", "cutoff must be positive", "$.cutoff"),
+    (("spectrum_generators",), ["1", "-1"], "spectrum generator must be positive",
+     "$.spectrum_generators[1]"),
+    (("operations", 0, "k"), -1, "arity must be nonnegative", "$.operations[0].k"),
+], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
+        "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity"])
+def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(ext2_with(path, value)))
+    code, out, err = run(["check-ainfty", "--file", str(file), "--k-max", "1"], capsys)
+    assert code == 2 and message in err and f"(at {at})" in err, err
+    assert "checks passed" not in out
+
+
+def json_paths(node, path=()):
+    """Every node's path in a JSON document, the root's included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for step, child in children:
+        yield from json_paths(child, path + (step,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_check_ainfty_any_one_node_replaced_exits_cleanly(data):
+    path = data.draw(st.sampled_from(list(json_paths(json.loads(ext2_text())))))
+    doc = ext2_with(path, data.draw(JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "fuzzed.json"
+        file.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check-ainfty", "--file", str(file), "--k-max", "1",
+                         "--out", str(Path(tmp) / "report.json")])
+    assert code in (0, 1, 2)
 
 
 def test_relation_failure_exits_one(tmp_path, capsys):
