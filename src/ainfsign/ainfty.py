@@ -383,13 +383,6 @@ class RelationReport:
     checked: int
     witness: dict | None
 
-    def to_json(self) -> dict:
-        return {
-            "status": "pass" if self.passed else "fail",
-            "tuples_checked": self.checked,
-            "witness": self.witness,
-        }
-
 
 def validate_degree_parity(
     A: FilteredAInfty, sample: Iterable[tuple[OpKey, TensorKey]] | None = None

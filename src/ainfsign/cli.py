@@ -63,6 +63,14 @@ def _parse_spectrum(text: str, cutoff: Fraction):
     return spectrum
 
 
+def _require_at_least(*bounds: tuple[str, int, int]) -> None:
+    """Reject a count below the least value at which the command checks
+    something, naming its flag."""
+    for flag, value, least in bounds:
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+
+
 class Report:
     def __init__(self, command: str, parameters: dict, timing: bool):
         self.command = command
@@ -132,8 +140,7 @@ def _emit(text: str) -> None:
 
 
 def cmd_prove_signs(args) -> int:
-    if args.k_max < 1:
-        raise UsageError("--k-max must be >= 1")
+    _require_at_least(("--k-max", args.k_max, 1), ("--relations-k-max", args.relations_k_max, 0))
     if not 0 <= args.truth_table_k_max <= prover.TRUTH_TABLE_K_MAX:
         raise UsageError(f"--truth-table-k-max must be in 0..{prover.TRUTH_TABLE_K_MAX}")
     report = Report(
@@ -172,12 +179,10 @@ def cmd_prove_signs(args) -> int:
 def cmd_verify_geomodel(args) -> int:
     # --pushpull-trials 0 skips the mock suite; every other count must let
     # the checkers draw at least one instance.
-    for flag, value, least in (("--trials", args.trials, 1),
-                               ("--pushpull-trials", args.pushpull_trials, 0),
-                               ("--max-coords", args.max_coords, 1),
-                               ("--max-poly-deg", args.max_poly_deg, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}")
+    _require_at_least(("--trials", args.trials, 1),
+                      ("--pushpull-trials", args.pushpull_trials, 0),
+                      ("--max-coords", args.max_coords, 1),
+                      ("--max-poly-deg", args.max_poly_deg, 0))
     report = Report(
         "verify-geomodel",
         {
@@ -225,6 +230,7 @@ def _preset_structure(preset: str, cutoff: Fraction):
 
 
 def cmd_check_dga(args) -> int:
+    _require_at_least(("--k-max", args.k_max, 0))
     cutoff = _parse_fraction(args.cutoff)
     dga, A = _preset_structure(args.preset, cutoff)
     report = Report(
@@ -244,9 +250,10 @@ def cmd_check_dga(args) -> int:
 
 
 def cmd_check_ainfty(args) -> int:
+    _require_at_least(("--k-max", args.k_max, 0))
     try:
         A = structio.load_structure(args.file)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise UsageError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.file}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
@@ -285,6 +292,9 @@ def _random_even_element(A, dga, rng, lam_min: Fraction) -> Element:
 
 
 def cmd_deform_check(args) -> int:
+    _require_at_least(("--k-max", args.k_max, 0), ("--random", args.random, 0),
+                      ("--exhaustive-threshold", args.exhaustive_threshold, 0),
+                      ("--sample-size", args.sample_size, 1))
     lam_min = _parse_fraction(args.lam_min)
     cutoff = 4 * lam_min
     dga, A = _preset_structure(args.preset, cutoff)
@@ -332,6 +342,7 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_enumerate_strata(args) -> int:
+    _require_at_least(("--k", args.k, 1))
     cutoff = _parse_fraction(args.cutoff) if args.cutoff else None
     energy = _parse_fraction(args.energy)
     if cutoff is None:
@@ -383,7 +394,10 @@ def cmd_anf(args) -> int:
         raise UsageError("give --expr or --file, not both")
     text = args.expr
     if args.file:
-        text = Path(args.file).read_text().strip()
+        try:
+            text = Path(args.file).read_text().strip()
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     if not text:
         raise UsageError("provide --expr or --file")
     bindings = {}

@@ -4,10 +4,13 @@ nested-vs-glued push-pull identities with their reorder signs.
 
 Every checker draws seeded random instances, evaluates both sides of its
 identity with exact rational arithmetic, and requires literal equality; the
-first failing instance is returned as a witness.  Instance generators keep
-interval-coordinate assignments inside [0, 1] by construction.  Each checker,
-and each ``random_mock_instance`` call, numbers its coordinate names from its
-own ``NameSource``, so a witness does not depend on what ran before it.
+first failing instance is returned as a witness.  One loop, ``_trial_loop``,
+runs every calculus checker: it owns the seeded stream, the trial count and
+the stop at the first failure, and each checker supplies only the draw and
+comparison of one trial.  Instance generators keep interval-coordinate
+assignments inside [0, 1] by construction.  Each checker, and each
+``random_mock_instance`` call, numbers its coordinate names from its own
+``NameSource``, so a witness does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -59,15 +62,6 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "status": "pass" if self.passed else "fail",
-            "stats": self.stats,
-            "witness": self.failures[0] if self.failures else None,
-        }
-
 
 # --- instance generators -------------------------------------------------------
 
@@ -83,14 +77,18 @@ class NameSource:
         return f"{prefix}{self._count}"
 
 
+def _random_coords(
+    rng: random.Random, fresh: NameSource, prefix: str, n: int
+) -> list[tuple[str, str]]:
+    """n fresh coordinates, each an interval with probability 0.6, else a circle."""
+    return [(fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE) for _ in range(n)]
+
+
 def random_space(
     rng: random.Random, max_coords: int, fresh: NameSource, prefix: str = "x"
 ) -> CubeTorusSpace:
     n = rng.randrange(0, max_coords + 1)
-    coords = tuple(
-        (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE) for _ in range(n)
-    )
-    return CubeTorusSpace(coords)
+    return CubeTorusSpace(tuple(_random_coords(rng, fresh, prefix, n)))
 
 
 def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Poly:
@@ -171,10 +169,7 @@ def random_bundle(
     listed in an order independent of the source's."""
     total = rng.randrange(max(1, min_fiber), max_coords + 1)
     n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
-    coords = [
-        (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
-        for _ in range(total)
-    ]
+    coords = _random_coords(rng, fresh, prefix, total)
     rng.shuffle(coords)
     source = CubeTorusSpace(tuple(coords))
     base = list(coords)
@@ -189,35 +184,50 @@ def random_bundle(
 # --- identity checkers ---------------------------------------------------------
 
 
+def _trial_loop(name: str, trials: int, seed: int, trial, **stats) -> CheckResult:
+    """Run ``trial(rng, fresh, stats)`` up to ``trials`` times on one seeded
+    stream and one ``NameSource``.  A trial returns ``None`` when its identity
+    holds and its witness otherwise; the first witness, numbered by its
+    trial, fails the check.  ``stats`` holds the counts a trial keeps, each
+    present from the start."""
+    rng = random.Random(seed)
+    fresh = NameSource()
+    result = CheckResult(name, trials, stats=stats)
+    for i in range(trials):
+        witness = trial(rng, fresh, result.stats)
+        if witness is not None:
+            result.failures.append({"trial": i, **witness})
+            break
+    return result
+
+
+def _mismatch(lhs, rhs, **inputs) -> dict | None:
+    """``None`` when the two sides agree, else the inputs and both sides."""
+    if lhs == rhs:
+        return None
+    return {**{key: str(value) for key, value in inputs.items()}, "lhs": str(lhs), "rhs": str(rhs)}
+
+
 def verify_projection_formula(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """p_!((p* theta) ^ beta) == theta ^ p_! beta, exactly."""
-    rng = random.Random(seed)
-    result = CheckResult("projection-formula", trials)
-    fresh = NameSource()
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh)
         theta = random_form(rng, p.target, max_poly_deg)
         beta = random_form(rng, p.source, max_poly_deg)
         lhs = pushforward(p, wedge(pullback(p.as_smooth(), theta), beta))
         rhs = wedge(theta, pushforward(p, beta))
-        if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "theta": str(theta), "beta": str(beta), "lhs": str(lhs), "rhs": str(rhs)}
-            )
-            break
-    return result
+        return _mismatch(lhs, rhs, theta=theta, beta=beta)
+    return _trial_loop("projection-formula", trials, seed, trial)
 
 
 def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """(q o p)_! beta == q_!(p_! beta), and the iterated-fiber identity
     (q o p)_!(p* theta ^ beta) == q_!(theta ^ p_! beta)."""
-    rng = random.Random(seed)
-    result = CheckResult("functoriality", trials)
-    fresh = NameSource()
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh)
-        q = random_bundle(rng, max_coords, fresh)
-        # rebase q on p's target: make q a projection out of p.target
+        # A draw kept only for the seeded stream that the reports pin; q is
+        # built below as a projection out of p.target.
+        random_bundle(rng, max_coords, fresh)
         names = p.target.names()
         keep = [n for n in names if rng.random() < 0.7]
         rng.shuffle(keep)
@@ -231,21 +241,16 @@ def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_d
         lhs2 = pushforward(qp, wedge(pullback(p.as_smooth(), theta), beta))
         rhs2 = pushforward(q, wedge(theta, pushforward(p, beta)))
         if lhs1 != rhs1 or lhs2 != rhs2:
-            result.failures.append(
-                {"trial": i, "beta": str(beta), "theta": str(theta),
-                 "composite": str(lhs1), "staged": str(rhs1),
-                 "iterated_lhs": str(lhs2), "iterated_rhs": str(rhs2)}
-            )
-            break
-    return result
+            return {"beta": str(beta), "theta": str(theta),
+                    "composite": str(lhs1), "staged": str(rhs1),
+                    "iterated_lhs": str(lhs2), "iterated_rhs": str(rhs2)}
+        return None
+    return _trial_loop("functoriality", trials, seed, trial)
 
 
 def verify_base_change(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """f* (p_! beta) == pulled-p_! (bundle-map* beta) for smooth f."""
-    rng = random.Random(seed)
-    result = CheckResult("base-change", trials)
-    fresh = NameSource()
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh)
         s_space = random_space(rng, max_coords, fresh, prefix="s")
         f = random_smooth_map(rng, s_space, p.target)
@@ -253,45 +258,28 @@ def verify_base_change(trials: int, seed: int, max_coords: int = 4, max_poly_deg
         beta = random_form(rng, p.source, max_poly_deg)
         lhs = pullback(f, pushforward(p, beta))
         rhs = pushforward(p_bar, pullback(f_tilde, beta))
-        if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "beta": str(beta), "lhs": str(lhs), "rhs": str(rhs)}
-            )
-            break
-    return result
+        return _mismatch(lhs, rhs, beta=beta)
+    return _trial_loop("base-change", trials, seed, trial)
 
 
 def verify_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """d p_! beta == p_! d beta + (-1)^(dim source + deg beta) * boundary term."""
-    rng = random.Random(seed)
-    result = CheckResult("stokes", trials)
-    fresh = NameSource()
-    with_boundary = 0
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh, min_fiber=1)
         deg = rng.randrange(0, p.source.dimension + 1)
         beta = random_form(rng, p.source, max_poly_deg, degree=deg)
         if any(p.source.kind(v) == INTERVAL for v in p.fiber):
-            with_boundary += 1
+            stats["with_boundary"] += 1
         lhs = exterior_derivative(pushforward(p, beta))
         sign = (-1) ** ((p.source.dimension + deg) % 2)
         rhs = pushforward(p, exterior_derivative(beta)) + boundary_pushforward(p, beta).scale(sign)
-        if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "beta": str(beta), "lhs": str(lhs), "rhs": str(rhs)}
-            )
-            break
-    result.stats["with_boundary"] = with_boundary
-    return result
+        return _mismatch(lhs, rhs, beta=beta)
+    return _trial_loop("stokes", trials, seed, trial, with_boundary=0)
 
 
 def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """d Corr(xi) == Corr(d xi) + (-1)^(dim X + deg xi) * boundary Corr(xi)."""
-    rng = random.Random(seed)
-    result = CheckResult("correspondence-stokes", trials)
-    fresh = NameSource()
-    with_boundary = 0
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         f1 = random_bundle(rng, max_coords, fresh, min_fiber=1)
         target2 = random_space(rng, 2, fresh, prefix="m")
         f2 = random_smooth_map(rng, f1.source, target2)
@@ -299,17 +287,12 @@ def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg
         deg = rng.randrange(0, target2.dimension + 1)
         xi = random_form(rng, target2, max_poly_deg, degree=deg)
         if any(corr.space.kind(v) == INTERVAL for v in f1.fiber):
-            with_boundary += 1
+            stats["with_boundary"] += 1
         lhs = exterior_derivative(apply_correspondence(corr, xi))
         sign = (-1) ** ((corr.space.dimension + deg) % 2)
         rhs = apply_correspondence(corr, exterior_derivative(xi)) + boundary_correspondence_apply(corr, xi).scale(sign)
-        if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "xi": str(xi), "lhs": str(lhs), "rhs": str(rhs)}
-            )
-            break
-    result.stats["with_boundary"] = with_boundary
-    return result
+        return _mismatch(lhs, rhs, xi=xi)
+    return _trial_loop("correspondence-stokes", trials, seed, trial, with_boundary=0)
 
 
 def _random_composable_pair(
@@ -324,8 +307,7 @@ def _random_composable_pair(
         coords = (
             [(n, k) for n, k in out_space.coords]
             + [(copies[n], k) for n, k in in_space.coords]
-            + [(fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
-               for _ in range(rng.randrange(0, 2))]
+            + _random_coords(rng, fresh, prefix, rng.randrange(0, 2))
         )
         rng.shuffle(coords)
         sp = CubeTorusSpace(tuple(coords))
@@ -338,35 +320,23 @@ def _random_composable_pair(
 
 def verify_composition(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """Corr of the fiber product == Corr after Corr, exactly."""
-    rng = random.Random(seed)
-    result = CheckResult("composition", trials)
-    fresh = NameSource()
-    odd_cases = 0
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         c12, c23 = _random_composable_pair(rng, fresh)
         c13 = fiber_product(c12, c23)
         m3 = c23.f2.target
         deg = rng.randrange(0, m3.dimension + 1)
-        odd_cases += deg % 2
+        stats["odd_degree_inputs"] += deg % 2
         xi = random_form(rng, m3, max_poly_deg, degree=deg)
         lhs = apply_correspondence(c13, xi)
         rhs = apply_correspondence(c12, apply_correspondence(c23, xi))
-        if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "xi": str(xi), "lhs": str(lhs), "rhs": str(rhs)}
-            )
-            break
-    result.stats["odd_degree_inputs"] = odd_cases
-    return result
+        return _mismatch(lhs, rhs, xi=xi)
+    return _trial_loop("composition", trials, seed, trial, odd_degree_inputs=0)
 
 
 def verify_defining_property(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """Top-degree pairing: integral over the base of theta ^ p_! beta equals
     the bundle-oriented integral over the source of p* theta ^ beta."""
-    rng = random.Random(seed)
-    result = CheckResult("defining-property", trials)
-    fresh = NameSource()
-    for i in range(trials):
+    def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh)
         beta = random_form(rng, p.source, max_poly_deg)
         theta = random_form(rng, p.target, max_poly_deg)
@@ -375,12 +345,10 @@ def verify_defining_property(trials: int, seed: int, max_coords: int = 4, max_po
             wedge(pullback(p.as_smooth(), theta), beta)
         )
         if lhs != rhs:
-            result.failures.append(
-                {"trial": i, "theta": str(theta), "beta": str(beta),
-                 "base_integral": str(lhs), "total_integral": str(rhs)}
-            )
-            break
-    return result
+            return {"theta": str(theta), "beta": str(beta),
+                    "base_integral": str(lhs), "total_integral": str(rhs)}
+        return None
+    return _trial_loop("defining-property", trials, seed, trial)
 
 
 ALL_CHECKS = (
@@ -587,17 +555,8 @@ def random_mock_instance(
     """A random composable (outer, inner, j) triple with random inputs; its
     coordinate names are numbered afresh on every call."""
     fresh = NameSource()
-
-    def small_space(prefix, max_n=2):
-        return CubeTorusSpace(
-            tuple(
-                (fresh(prefix), INTERVAL if rng.random() < 0.6 else CIRCLE)
-                for _ in range(rng.randrange(0, max_n + 1))
-            )
-        )
-
-    node = small_space("n")
-    r0 = small_space("o")
+    node = random_space(rng, 2, fresh, "n")
+    r0 = random_space(rng, 2, fresh, "o")
 
     def build_mock(k_legs, out_target, node_slot=None):
         copies_out = {n: fresh("c") for n in out_target.names()}
@@ -606,10 +565,7 @@ def random_mock_instance(
         if node_slot is not None:
             node_copies = {n: fresh("c") for n in node.names()}
             coords += [(node_copies[n], k) for n, k in node.coords]
-        coords += [
-            (fresh("f"), INTERVAL if rng.random() < 0.6 else CIRCLE)
-            for _ in range(rng.randrange(0, 3))
-        ]
+        coords += _random_coords(rng, fresh, "f", rng.randrange(0, 3))
         rng.shuffle(coords)
         sp = CubeTorusSpace(tuple(coords))
         ev_out = projection(sp, out_target, copies_out)
@@ -620,7 +576,7 @@ def random_mock_instance(
                 legs.append(projection(sp, node, node_copies).as_smooth())
                 targets.append(node)
             else:
-                tgt = small_space("i")
+                tgt = random_space(rng, 2, fresh, "i")
                 legs.append(random_smooth_map(rng, sp, tgt))
                 targets.append(tgt)
         return MockModuli(sp, ev_out, tuple(legs)), targets
@@ -641,9 +597,12 @@ def random_mock_instance(
     return outer, inner, j, tuple(xis), mus
 
 
-def verify_pushpull(
-    trials: int, seed: int, max_poly_deg: int = 2, require_nontrivial: int = 25
-) -> CheckResult:
+# verify_pushpull resamples instances whose nested form is zero until this
+# many nontrivial ones have been drawn.
+_NONTRIVIAL_QUOTA = 25
+
+
+def verify_pushpull(trials: int, seed: int, max_poly_deg: int = 2) -> CheckResult:
     """Run the nested-vs-glued identity suite on random mock instances."""
     rng = random.Random(seed)
     result = CheckResult("mock-pushpull", trials)
@@ -656,7 +615,7 @@ def verify_pushpull(
         report = check_pushpull_identities(outer, inner, j, xis, mus)
         if report.nontrivial:
             nontrivial += 1
-        elif nontrivial < require_nontrivial:
+        elif nontrivial < _NONTRIVIAL_QUOTA:
             continue  # resample until enough instances carry nonzero forms
         if not report.passed:
             result.failures.append(report.detail)

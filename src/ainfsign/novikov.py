@@ -132,9 +132,9 @@ class NovikovElement:
         d = _frac(delta)
         return NovikovElement(tuple((e + d, c) for e, c in self.terms))
 
-    def truncate(self, cutoff: Union[Rational, "EnergyCutoff"]) -> "NovikovElement":
+    def truncate(self, cutoff: Rational) -> "NovikovElement":
         """Drop every term whose exponent is >= cutoff (strict-below kept)."""
-        e_max = cutoff.value if isinstance(cutoff, EnergyCutoff) else _frac(cutoff)
+        e_max = _frac(cutoff)
         return NovikovElement(tuple((e, c) for e, c in self.terms if e < e_max))
 
     def valuation(self):
@@ -188,18 +188,6 @@ T = NovikovElement.monomial(1, 1)
 
 
 @dataclass(frozen=True)
-class EnergyCutoff:
-    """A positive rational energy bound; truncation keeps exponents < value."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _frac(self.value))
-        if self.value <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.value}")
-
-
-@dataclass(frozen=True)
 class GappedSpectrum:
     """A finite additively closed set of energies below a cutoff.
 
@@ -225,10 +213,10 @@ class GappedSpectrum:
 
 
 def spectrum_closure(
-    generators: Iterable[Rational], cutoff: Union[Rational, EnergyCutoff]
+    generators: Iterable[Rational], cutoff: Rational
 ) -> GappedSpectrum:
     """Close a finite set of positive energies under addition below cutoff."""
-    e_max = cutoff.value if isinstance(cutoff, EnergyCutoff) else _frac(cutoff)
+    e_max = _frac(cutoff)
     if e_max <= 0:
         raise ValueError("cutoff must be positive")
     gens = sorted({_frac(g) for g in generators})

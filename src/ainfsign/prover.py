@@ -81,12 +81,6 @@ class ProofReport:
     def proved(self) -> bool:
         return self.status == "proved"
 
-    def to_json(self) -> dict:
-        out = {"instance": self.instance, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = dict(sorted(self.witness.items()))
-        return out
-
 
 def _prove_zero(poly: F2Poly, instance: dict) -> ProofReport:
     ok, witness = anf_equivalent(poly, F2Poly.zero())
@@ -318,15 +312,6 @@ class CancellationReport:
     @property
     def cancels(self) -> bool:
         return not self.residual
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "energy": str(self.energy),
-            "pairs": [list(map(str, p)) for p in self.pairs],
-            "residual": self.residual,
-            "status": "proved" if self.cancels else "refuted",
-        }
 
 
 # names the replay's strata; neither payloads nor symbolic signs read it

@@ -151,16 +151,6 @@ class SignContext:
         """mu_node minus the inner Maslov parities; recurs in every formula."""
         return self.mu_node - _total(self.inner_mus())
 
-    def to_json(self) -> dict:
-        """Integer contexts only; the instance shape shared with proof reports."""
-        return {
-            "k": self.k, "j": self.j,
-            "k_outer": self.k_outer, "k_inner": self.k_inner,
-            "degs": list(self.degs), "mus": list(self.mus),
-            "mu_node": self.mu_node, "mu_out": self.mu_out,
-            "dim_out": self.dim_out,
-        }
-
 
 def boundary_sign(ctx: SignContext) -> Parity:
     """Orientation sign of a codimension-1 boundary stratum relative to the

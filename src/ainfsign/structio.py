@@ -150,14 +150,18 @@ def structure_from_json(data: Any) -> FilteredAInfty:
                 in_gens.append(gen)
             out = _expect(val.get("output", {}), dict, f"{vpath}.output")
             out_space = out.get("space")
-            out_basis = _named(spaces, out_space, "output space", vpath).basis
+            out_hom = _named(spaces, out_space, "output space", vpath)
             coeffs = {}
             for gen, c in _expect(out.get("coeffs", {}), dict, f"{vpath}.output.coeffs").items():
                 cpath = f"{vpath}.output.coeffs.{gen}"
-                if not any(g == gen for g, _ in out_basis):
+                if not any(g == gen for g, _ in out_hom.basis):
                     raise FormatError(f"unknown generator {gen!r} of space {out_space!r}", cpath)
                 coeffs[gen] = _novikov(c, cpath)
-            entry[(tuple(in_spaces), tuple(in_gens))] = Element(out_space, coeffs)
+            output = Element(out_space, coeffs)
+            if len({out_hom.shifted_parity(g) for g in output.coeffs}) > 1:
+                raise FormatError(f"output is not shifted-homogeneous: {output}",
+                                  f"{vpath}.output.coeffs")
+            entry[(tuple(in_spaces), tuple(in_gens))] = output
     try:
         return FilteredAInfty(spaces=spaces, table=OperationTable(values=values),
                               spectrum=spectrum, cutoff=cutoff)

@@ -59,7 +59,7 @@ def test_criterion_1_master_sign_identity():
     checked = 0
     for k, j, k_inner in prover.instances(7):
         rep = prover.prove_master_identity(k, j, k_inner, truth_table=True)
-        assert rep.proved, rep.to_json()
+        assert rep.proved, rep
         checked += 1
     report("criterion-1 master sign identity", checked == 119, started,
            f"{checked} instances, truth tables through k=7")
@@ -94,7 +94,7 @@ def test_criterion_4_formal_theorem_replay():
     pairs = 0
     for k in range(1, 6):
         for rep in prover.prove_relation_cancellation(k, spectrum):
-            assert rep.cancels, rep.to_json()
+            assert rep.cancels, rep
             pairs += len(rep.pairs)
     # a single injected sign flip is caught and named
     payload = (1, 3, Fraction(0), 1, Fraction(1, 2))
@@ -135,13 +135,13 @@ def test_criterion_6_dga_embeddings():
     started = time.perf_counter()
     ext4 = from_dga(exterior_dga(4), cutoff=1)
     rep4 = ext4.check_relations(4, seed=601)
-    assert rep4.passed, rep4.to_json()
+    assert rep4.passed, rep4
 
     sp = geomodel.space(("t", "interval"), ("c", "circle"))
     dga = cube_torus_dga(sp, sample_poly_degree=2)
     model = from_dga(dga, cutoff=1)
     rep_model = model.check_relations(4, seed=602)
-    assert rep_model.passed, rep_model.to_json()
+    assert rep_model.passed, rep_model
 
     flipped = from_dga(dga, cutoff=1, sign_rule=lambda d1, d2: (d1 + 1) % 2)
     detected = bool(check_product_sign_convention(flipped, dga))
@@ -175,7 +175,7 @@ def test_criterion_7_curved_deformations():
         deformed = deform(base, b, lam)
         assert base.shifted_parity(b) == 0 and b.valuation() >= lam
         rep = deformed.check_relations(3, seed=700 + i)
-        assert rep.passed, (str(b), rep.to_json())
+        assert rep.passed, (str(b), rep)
         curved += not deformed.curvature().is_zero()
     report("criterion-7 curved deformations", curved >= 1, started,
            f"5 admissible deformations, {curved} with nonzero curvature")
@@ -183,7 +183,7 @@ def test_criterion_7_curved_deformations():
 
 def test_criterion_8_nested_vs_glued_pushpull():
     started = time.perf_counter()
-    result = verify_pushpull(trials=100, seed=800, require_nontrivial=25)
+    result = verify_pushpull(trials=100, seed=800)
     assert result.passed, result.failures
     assert result.trials == 100
     rng = random.Random(801)

@@ -358,7 +358,10 @@ def one_value_structure(value):
      "unknown generator 'z' of space 'H'", "$.operations[0].values[0].output.coeffs.z"),
     ({"inputs": [[5]], "output": {"space": "H", "coeffs": {"y": "1"}}},
      "is not a [space, generator] pair", "$.operations[0].values[0].inputs[0]"),
-], ids=["unknown-input-generator", "unknown-output-generator", "input-not-a-pair"])
+    ({"inputs": [["H", "x"]], "output": {"space": "H", "coeffs": {"x": "1", "y": "1"}}},
+     "output is not shifted-homogeneous", "$.operations[0].values[0].output.coeffs"),
+], ids=["unknown-input-generator", "unknown-output-generator", "input-not-a-pair",
+        "non-homogeneous-output"])
 def test_check_ainfty_bad_operation_value_exits_two(value, message, path, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(one_value_structure(value)))
@@ -534,3 +537,85 @@ def test_structure_dump_load_identity(tmp_path):
     A = structio.load_structure(path)
     again = structio.structure_to_json(A)
     assert json.loads(path.read_text()) == again
+
+
+def test_unreadable_input_files_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    for argv, name in [(["anf", "--file", str(missing)], missing),
+                       (["anf", "--file", str(tmp_path)], tmp_path),
+                       (["check-ainfty", "--file", str(tmp_path)], tmp_path)]:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: ") and str(name) in err, (argv, err)
+        assert "checks passed" not in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check-dga", "--k-max", "-1"], "--k-max must be >= 0"),
+    (["check-ainfty", "--file", "ext2.json", "--k-max", "-1"], "--k-max must be >= 0"),
+    (["deform-check", "--random", "1", "--k-max", "-2"], "--k-max must be >= 0"),
+    (["deform-check", "--random", "-1", "--b", '{"u|dv": "T"}'], "--random must be >= 0"),
+    (["deform-check", "--random", "1", "--sample-size", "0"], "--sample-size must be >= 1"),
+    (["deform-check", "--random", "1", "--exhaustive-threshold", "-1"],
+     "--exhaustive-threshold must be >= 0"),
+    (["prove-signs", "--k-max", "1", "--relations-k-max", "-1"],
+     "--relations-k-max must be >= 0"),
+    (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
+    (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
+], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
+        "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
+        "strata-k-negative"])
+def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
+    materialized_ext2(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and f"error: {flag}" in err, err
+    assert "checks passed" not in out
+
+
+_MISSING, _DIRECTORY = "<missing file>", "<directory>"
+ARGV_TOKENS = (
+    st.integers(-2, 2).map(str)
+    | st.sampled_from(["1/2", "-1/3", "0/1", "1/0", "3/2"])
+    | st.sampled_from(["", "x", "T^(", "{", "[]", '{"u|dv": "T"}', "j=3", "=1", "0,1/2",
+                       "d1*(d2+1)", "exterior4", "interval2", _MISSING, _DIRECTORY])
+)
+ARGV_GRAMMAR = {
+    "nov-eval": ([], ["expr"]),
+    "anf": (["--expr", "--file", "--bind"], []),
+    "enumerate-strata": (["--k", "--energy", "--spectrum", "--cutoff", "--tag", "--dim-out",
+                          "--mu-out", "--mus", "--node-dim", "--node-mu", "--match"], []),
+    "prove-signs": (["--k-max", "--truth-table-k-max", "--relations-k-max",
+                     "--relations-spectrum", "--relations-cutoff"], []),
+    "check-dga": (["--preset", "--k-max", "--cutoff"], []),
+    "deform-check": (["--preset", "--b", "--random", "--lam-min", "--k-max",
+                      "--exhaustive-threshold", "--sample-size"], []),
+}
+
+
+@st.composite
+def drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_GRAMMAR)))
+    flags, positional = ARGV_GRAMMAR[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)) if flags else ():
+        argv.append(flag)
+        if flag != "--match":
+            argv.append(draw(ARGV_TOKENS))
+    argv += [draw(ARGV_TOKENS) for _ in positional]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=drawn_argv())
+def test_any_drawn_argv_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        substitute = {_MISSING: str(Path(tmp) / "missing"), _DIRECTORY: tmp}
+        argv = [substitute.get(token, token) for token in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ainfsign.geomodel import (
     POINT,
     Poly,
     apply_correspondence,
+    boundary_correspondence_apply,
     boundary_faces,
     boundary_pushforward,
     bundle_orientation_sign,
@@ -35,6 +37,7 @@ from ainfsign.geomodel import (
     verify_stokes,
     wedge,
 )
+from ainfsign.geomodel import checks
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
 
 I_T = space(("t", "interval"))
@@ -303,6 +306,75 @@ def test_mock_instance_names_do_not_depend_on_earlier_draws():
     first = random_mock_instance(random.Random(3))
     second = random_mock_instance(random.Random(3))
     assert first == second
+
+
+# --- failure path of the calculus checkers -------------------------------------
+
+
+def _odd_source_pullback(f, form):
+    """Pullback with its sign flipped when the map's source has odd dimension."""
+    out = pullback(f, form)
+    return out.scale(-1) if f.source.dimension % 2 else out
+
+
+def _negated(kernel):
+    return lambda *args: kernel(*args).scale(-1)
+
+
+# Each checker with one kernel corrupted as ``geomodel.checks`` sees it, run
+# at trials=30, seed=1, max_coords=3, max_poly_deg=2: the witness of the first
+# failing trial and the stats counted up to it, dict key order included.
+CORRUPTED_CHECKERS = {
+    "verify_projection_formula": (
+        "pullback", _odd_source_pullback,
+        [{"trial": 0, "theta": "(3*b2 + -3/2*b2^2) + -1*db2", "beta": "2*x1^2",
+          "lhs": "(-6*b2^3 + 3*b2^4) + 2*b2^2*db2", "rhs": "(6*b2^3 + -3*b2^4) + -2*b2^2*db2"}],
+        {},
+    ),
+    "verify_functoriality": (
+        "pullback", _odd_source_pullback,
+        [{"trial": 0, "beta": "1 + (3*x1 + -3/2*x1^2)*dx1", "theta": "(1/2 + -1*b2^2)*db2",
+          "composite": "1 + (3*c6 + -3/2*c6^2)*dc6", "staged": "1 + (3*c6 + -3/2*c6^2)*dc6",
+          "iterated_lhs": "(-1/2 + c6^2)*dc6", "iterated_rhs": "(1/2 + -1*c6^2)*dc6"}],
+        {},
+    ),
+    "verify_base_change": (
+        "pullback", _odd_source_pullback,
+        [{"trial": 2, "beta": "2*dx11", "lhs": "2", "rhs": "-2"}],
+        {},
+    ),
+    "verify_stokes": (
+        "boundary_pushforward", _negated(boundary_pushforward),
+        [{"trial": 0, "beta": "(-1 + 1/2*x1)", "lhs": "0", "rhs": "1"}],
+        {"with_boundary": 1},
+    ),
+    "verify_corr_stokes": (
+        "boundary_correspondence_apply", _negated(boundary_correspondence_apply),
+        [{"trial": 18, "xi": "(-2 + 3*m79^2)*dm78 + -1/2*dm79", "lhs": "0", "rhs": "6"}],
+        {"with_boundary": 13},
+    ),
+    "verify_composition": (
+        "apply_correspondence", _negated(apply_correspondence),
+        [{"trial": 10, "xi": "-1/2", "lhs": "1/2", "rhs": "-1/2"}],
+        {"odd_degree_inputs": 5},
+    ),
+    "verify_defining_property": (
+        "pullback", _odd_source_pullback,
+        [{"trial": 0, "theta": "2*b2^2", "beta": "(3*x1 + -3/2*x1^2) + -1*dx1",
+          "base_integral": "-2/3", "total_integral": "2/3"}],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("checker", list(CORRUPTED_CHECKERS))
+def test_checker_reports_first_failure_of_corrupted_kernel(checker, monkeypatch):
+    kernel, corrupted, failures, stats = CORRUPTED_CHECKERS[checker]
+    monkeypatch.setattr(checks, kernel, corrupted)
+    result = getattr(checks, checker)(30, 1, 3, 2)
+    assert not result.passed
+    assert json.dumps(result.failures) == json.dumps(failures)
+    assert json.dumps(result.stats) == json.dumps(stats)
 
 
 # --- kernel regression tests ----------------------------------------------------

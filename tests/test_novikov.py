@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ainfsign import novikov
 from ainfsign.novikov import (
-    EnergyCutoff,
     NovikovElement,
     NovikovParseError,
     T,
@@ -57,7 +56,7 @@ def test_truncate_below_cutoff_keeps():
 def test_truncate_drops_boundary_exponent():
     x = NovikovElement.one() - T
     assert x.truncate(1) == NovikovElement.one()
-    assert x.truncate(EnergyCutoff(Fraction(1))) == NovikovElement.one()
+    assert x.truncate(Fraction(1)) == NovikovElement.one()
 
 
 def test_truncate_zero():
