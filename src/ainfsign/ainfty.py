@@ -55,9 +55,12 @@ class Element:
         if not coeffs:
             object.__setattr__(self, "space", "")
 
+    def __hash__(self) -> int:
+        return hash((self.space, frozenset(self.coeffs.items())))
+
     @staticmethod
     def zero() -> "Element":
-        return Element("", {})
+        return _ZERO_ELEMENT
 
     @staticmethod
     def basis(space: str, gen: str) -> "Element":
@@ -86,6 +89,8 @@ class Element:
         return Element(self.space, coeffs)
 
     def scale(self, factor: NovikovElement) -> "Element":
+        if factor is NovikovElement.one():
+            return self
         return Element(self.space, {g: c * factor for g, c in self.coeffs.items()})
 
     def shift(self, delta: Rational) -> "Element":
@@ -108,6 +113,9 @@ class Element:
         return " + ".join(parts)
 
 
+_ZERO_ELEMENT = Element("", {})
+
+
 @dataclass(frozen=True)
 class HomSpace:
     """A hom-space summand attached to one intersection component.
@@ -121,11 +129,16 @@ class HomSpace:
     component: ComponentData
     basis: tuple[tuple[str, int], ...]
     degree_fn: Callable[[str], int] | None = None
+    _degrees: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # reversed, so that the first listing of a generator wins
+        object.__setattr__(self, "_degrees", dict(reversed(self.basis)))
 
     def degree_of(self, gen: str) -> int:
-        for g, d in self.basis:
-            if g == gen:
-                return d
+        degree = self._degrees.get(gen)
+        if degree is not None:
+            return degree
         if self.degree_fn is not None:
             return self.degree_fn(gen)
         raise KeyError(f"unknown generator {gen!r} of space {self.name!r}")
@@ -140,10 +153,10 @@ class OperationTable:
 
     Frozen when built: ``values``, each ``values[key]`` and ``fallbacks``
     are read-only copies of what was passed in, and the sorted keys are
-    derived once.  A stored value wins over the fallback of its key.
-    Fallbacks must be pure functions of ``(spaces, gens)``: each table
-    computes a fallback value once, in a memo of its own, and hands the
-    same ``Element`` to every later lookup.
+    derived once, together with their index by arity.  A stored value
+    wins over the fallback of its key.  Fallbacks must be pure functions
+    of ``(spaces, gens)``: each table computes a fallback value once, in a
+    memo of its own, and hands the same ``Element`` to every later lookup.
     """
 
     values: Mapping[OpKey, Mapping[TensorKey, Element]] = field(default_factory=dict)
@@ -151,6 +164,7 @@ class OperationTable:
         default_factory=dict
     )
     _keys: tuple[OpKey, ...] = field(init=False, repr=False, compare=False)
+    _by_arity: dict[int, tuple[OpKey, ...]] = field(init=False, repr=False, compare=False)
     _memo: dict[tuple[OpKey, tuple[str, ...], tuple[str, ...]], Element] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -159,13 +173,16 @@ class OperationTable:
         values = {key: MappingProxyType(dict(entry)) for key, entry in self.values.items()}
         object.__setattr__(self, "values", MappingProxyType(values))
         object.__setattr__(self, "fallbacks", MappingProxyType(dict(self.fallbacks)))
-        object.__setattr__(self, "_keys", tuple(sorted(values.keys() | self.fallbacks.keys())))
+        keys = tuple(sorted(values.keys() | self.fallbacks.keys()))
+        object.__setattr__(self, "_keys", keys)
+        by_arity = itertools.groupby(keys, key=lambda key: key[0])
+        object.__setattr__(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
 
     def keys(self) -> tuple[OpKey, ...]:
         return self._keys
 
-    def keys_of_arity(self, k: int) -> list[OpKey]:
-        return [key for key in self._keys if key[0] == k]
+    def keys_of_arity(self, k: int) -> tuple[OpKey, ...]:
+        return self._by_arity.get(k, ())
 
     def lookup(self, key: OpKey, spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
         entry = self.values.get(key)
@@ -192,12 +209,16 @@ class OperationTable:
 @dataclass(frozen=True)
 class FilteredAInfty:
     """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
-    with ``spaces`` held as a read-only copy."""
+    with ``spaces`` held as a read-only copy.  The splittings of each
+    relation arity are planned once per structure and cutoff."""
 
     spaces: Mapping[str, HomSpace]
     table: OperationTable
     spectrum: GappedSpectrum
     cutoff: Fraction
+    _plans: dict[tuple[int, Fraction], list] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
@@ -290,51 +311,80 @@ class FilteredAInfty:
         k = len(word)
         if not 1 <= j <= k - k_inner + 1:
             raise StructureError(f"slot {j} out of range for arity {k_inner} in {k} inputs")
-        degs = [0] * k
-        mus = [0] * k
+        return self._insert(key, j, word, *self._word_degrees(word))
+
+    def _word_degrees(self, word: Sequence[Element]) -> tuple[list[int], list[int]]:
+        """Degrees and Maslov parities of the inputs (0 for a zero input),
+        after checking that each input is shifted-homogeneous."""
+        degs = [0] * len(word)
+        mus = [0] * len(word)
         for i, el in enumerate(word):
             if el.is_zero():
                 continue
             space = self.spaces[el.space]
-            gen = next(iter(el.coeffs))
-            degs[i] = space.degree_of(gen)
+            degs[i] = space.degree_of(next(iter(el.coeffs)))
             mus[i] = space.component.maslov_parity
             self.shifted_parity(el)  # homogeneity check
+        return degs, mus
+
+    def _insert(
+        self, key: OpKey, j: int, word: Sequence[Element], degs: list[int], mus: list[int]
+    ) -> tuple[int, list[Element]]:
+        """:meth:`coderivation_insert` for an in-range slot, given the
+        word's degrees and Maslov parities."""
+        k_inner = key[0]
         sign = koszul_prefix(degs, mus, j)
         inner = self.apply_raw(key, word[j - 1 : j - 1 + k_inner])
-        new_word = list(word[: j - 1]) + [inner] + list(word[j - 1 + k_inner :])
-        return sign, new_word
+        return sign, list(word[: j - 1]) + [inner] + list(word[j - 1 + k_inner :])
+
+    def _splittings(
+        self, k: int, cutoff: Fraction
+    ) -> list[tuple[OpKey, list[tuple[OpKey, tuple[NovikovElement, NovikovElement]]]]]:
+        """The splittings of the arity-k relation below the cutoff: each
+        inner key that has outer keys, with those outer keys and the factors
+        ``T^energy`` and ``-T^energy`` of their summed energy."""
+        plan = self._plans.get((k, cutoff))
+        if plan is None:
+            plan = []
+            for inner_key in self.table.keys():
+                k_inner, e_inner, _ = inner_key
+                if k_inner > k:
+                    break  # keys are sorted by arity
+                outer = []
+                for outer_key in self.table.keys_of_arity(k + 1 - k_inner):
+                    energy = e_inner + outer_key[1]
+                    if energy < cutoff:
+                        factors = (NovikovElement.monomial(1, energy),
+                                   NovikovElement.monomial(-1, energy))
+                        outer.append((outer_key, factors))
+                if outer:
+                    plan.append((inner_key, outer))
+            self._plans[(k, cutoff)] = plan
+        return plan
 
     def relation_defect(self, word: Sequence[Element], cutoff: Rational | None = None) -> Element:
         """The double sum over splittings of outer-after-inner applications,
         with Koszul signs and all energy decompositions below the cutoff."""
         cutoff = self.cutoff if cutoff is None else _frac(cutoff)
         k = len(word)
-        keys = self.table.keys()
+        plan = self._splittings(k, cutoff)
+        if plan:
+            degs, mus = self._word_degrees(word)
         total = Element.zero()
-        for inner_key in keys:
-            k_inner, e_inner, _ = inner_key
-            if k_inner > k:
-                continue
-            k_outer = k + 1 - k_inner
-            outer_keys = [
-                key for key in keys if key[0] == k_outer and e_inner + key[1] < cutoff
-            ]
-            if not outer_keys:
-                continue
+        for inner_key, outer in plan:
             # The inner insertion does not depend on the outer operation.
             inserted = [
-                self.coderivation_insert(inner_key, j, word) for j in range(1, k_outer + 1)
+                self._insert(inner_key, j, word, degs, mus)
+                for j in range(1, k + 2 - inner_key[0])
             ]
-            for outer_key in outer_keys:
-                energy = e_inner + outer_key[1]
+            for outer_key, factors in outer:
                 for j, (sign, new_word) in enumerate(inserted, start=1):
                     if new_word[j - 1].is_zero():
                         continue
                     value = self.apply_raw(outer_key, new_word)
                     if value.is_zero():
                         continue
-                    total = total + value.scale(NovikovElement.monomial((-1) ** sign, energy))
+                    total = total + value.scale(factors[sign])
         return total.truncate(cutoff)
 
     def check_relations(

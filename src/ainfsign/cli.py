@@ -255,6 +255,8 @@ def cmd_check_ainfty(args) -> int:
         A = structio.load_structure(args.file)
     except OSError as exc:
         raise UsageError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--file {args.file}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.file}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except structio.FormatError as exc:
@@ -296,6 +298,8 @@ def cmd_deform_check(args) -> int:
                       ("--exhaustive-threshold", args.exhaustive_threshold, 0),
                       ("--sample-size", args.sample_size, 1))
     lam_min = _parse_fraction(args.lam_min)
+    if lam_min <= 0:
+        raise UsageError("--lam-min must be > 0")
     cutoff = 4 * lam_min
     dga, A = _preset_structure(args.preset, cutoff)
     report = Report(
@@ -398,6 +402,8 @@ def cmd_anf(args) -> int:
             text = Path(args.file).read_text().strip()
         except OSError as exc:
             raise UsageError(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"--file {args.file}: not UTF-8 text: {exc}") from exc
     if not text:
         raise UsageError("provide --expr or --file")
     bindings = {}

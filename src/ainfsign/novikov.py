@@ -5,6 +5,14 @@ coefficients and non-negative rational exponents, kept in canonical form
 (strictly increasing exponents, no zero coefficients, empty sum = 0).  All
 arithmetic is exact; truncation below an energy cutoff is a ring quotient.
 
+Elements are frozen.  The public constructor validates canonical form;
+ring results are built by a trusted constructor that skips the check,
+because the operations produce canonical terms from canonical operands:
+addition merges the two sorted term tuples, and multiplication by zero,
+by the shared unit ``one()`` or by a monomial needs no re-sorting.
+``zero()`` and ``one()`` return shared instances, and ``monomial`` returns
+them for a zero coefficient and for ``1*T^0``.
+
 Textual element grammar, accepted by :func:`parse` and emitted canonically
 by ``str``::
 
@@ -23,9 +31,8 @@ exponent 1 (``T`` rather than ``1*T^1``), writes integer exponents as
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -51,7 +58,9 @@ class NovikovElement:
     """A finite sum of monomials ``coeff * T^exponent`` in canonical form.
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
-    increasing non-negative exponents and nonzero coefficients.
+    increasing non-negative exponents and nonzero coefficients.  The public
+    constructor validates them; results the class computes itself from
+    canonical operands are built by the trusted :meth:`_of`.
     """
 
     terms: tuple[tuple[Fraction, Fraction], ...]
@@ -68,18 +77,27 @@ class NovikovElement:
             last = exponent
 
     @staticmethod
+    def _of(terms: tuple[tuple[Fraction, Fraction], ...]) -> "NovikovElement":
+        """Trusted constructor for canonical terms this class computed."""
+        element = object.__new__(NovikovElement)
+        object.__setattr__(element, "terms", terms)
+        return element
+
+    @staticmethod
     def zero() -> "NovikovElement":
-        return NovikovElement(())
+        return _ZERO
 
     @staticmethod
     def one() -> "NovikovElement":
-        return NovikovElement.monomial(1, 0)
+        return _ONE
 
     @staticmethod
     def monomial(coefficient: Rational, exponent: Rational) -> "NovikovElement":
         c, e = _frac(coefficient), _frac(exponent)
         if c == 0:
-            return NovikovElement(())
+            return _ZERO
+        if c == 1 and e == 0:
+            return _ONE
         return NovikovElement(((e, c),))
 
     @staticmethod
@@ -102,12 +120,32 @@ class NovikovElement:
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
         if not isinstance(other, NovikovElement):
             return NotImplemented
-        return NovikovElement.from_terms(
-            itertools.chain(self.terms, other.terms)
-        )
+        a, b = self.terms, other.terms
+        if not a:
+            return other
+        if not b:
+            return self
+        # Merge the two sorted term tuples, dropping sums that cancel.
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][0], b[j][0]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        return NovikovElement._of(tuple(out) + a[i:] + b[j:])
 
     def __neg__(self) -> "NovikovElement":
-        return NovikovElement(tuple((e, -c) for e, c in self.terms))
+        return NovikovElement._of(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "NovikovElement") -> "NovikovElement":
         return self + (-other)
@@ -115,27 +153,40 @@ class NovikovElement:
     def __mul__(self, other: "NovikovElement") -> "NovikovElement":
         if not isinstance(other, NovikovElement):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _ZERO
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial shifts and scales the other factor
+            ((ea, ca),) = a
+            return NovikovElement._of(tuple((ea + e, ca * c) for e, c in b))
         return NovikovElement.from_terms(
-            (e1 + e2, c1 * c2)
-            for e1, c1 in self.terms
-            for e2, c2 in other.terms
+            (e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b
         )
 
     def scale(self, coefficient: Rational) -> "NovikovElement":
         c = _frac(coefficient)
         if c == 0:
-            return NovikovElement.zero()
-        return NovikovElement(tuple((e, k * c) for e, k in self.terms))
+            return _ZERO
+        return NovikovElement._of(tuple((e, k * c) for e, k in self.terms))
 
     def shift(self, delta: Rational) -> "NovikovElement":
         """Multiply by T^delta; delta may be negative if all exponents stay >= 0."""
         d = _frac(delta)
-        return NovikovElement(tuple((e + d, c) for e, c in self.terms))
+        terms = tuple((e + d, c) for e, c in self.terms)
+        return NovikovElement(terms) if d < 0 else NovikovElement._of(terms)
 
     def truncate(self, cutoff: Rational) -> "NovikovElement":
         """Drop every term whose exponent is >= cutoff (strict-below kept)."""
         e_max = _frac(cutoff)
-        return NovikovElement(tuple((e, c) for e, c in self.terms if e < e_max))
+        if not self.terms or self.terms[-1][0] < e_max:
+            return self
+        return NovikovElement._of(tuple((e, c) for e, c in self.terms if e < e_max))
 
     def valuation(self):
         """Smallest exponent, or +inf for the zero element."""
@@ -184,6 +235,8 @@ def _format_monomial(coefficient: Fraction, exponent: Fraction) -> str:
     return f"{_format_rational(coefficient)}*{t}"
 
 
+_ZERO = NovikovElement(())
+_ONE = NovikovElement(((Fraction(0), Fraction(1)),))  # before any monomial()
 T = NovikovElement.monomial(1, 1)
 
 
@@ -198,9 +251,13 @@ class GappedSpectrum:
     generators: tuple[Fraction, ...]
     cutoff: Fraction
     closure: tuple[Fraction, ...]
+    _members: frozenset[Fraction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.closure))
 
     def __contains__(self, energy: Rational) -> bool:
-        return _frac(energy) in set(self.closure)
+        return _frac(energy) in self._members
 
     def levels(self) -> Iterator[Fraction]:
         return iter(self.closure)
@@ -208,8 +265,7 @@ class GappedSpectrum:
     def splits(self, energy: Rational) -> list[tuple[Fraction, Fraction]]:
         """All ordered pairs (e1, e2) in the closure with e1 + e2 == energy."""
         e = _frac(energy)
-        members = set(self.closure)
-        return [(a, e - a) for a in self.closure if (e - a) in members and a <= e]
+        return [(a, e - a) for a in self.closure if (e - a) in self._members and a <= e]
 
 
 def spectrum_closure(

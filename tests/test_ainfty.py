@@ -403,3 +403,37 @@ def test_multiple_random_admissible_deformations():
         curved += not D.curvature().is_zero()
         assert D.check_relations(2, exhaustive_threshold=300, sample_size=100).passed
     assert curved >= 1
+
+
+def test_equal_elements_hash_equal():
+    x = Element("ext", {"e1": T_coeff(), "e2": T_coeff(-1, 0)})
+    y = Element("ext", {"e2": T_coeff(-1, 0), "e1": T_coeff()})
+    assert x == y and hash(x) == hash(y)
+    assert hash(Element.basis("x", "y")) == hash(Element("x", {"y": NovikovElement.one()}))
+    memo = {x: "x", Element.zero(): "0"}
+    assert memo[y] == "x"
+    assert memo[Element("ext", {"e1": NovikovElement.zero()})] == "0"
+    assert Element.zero() is Element.zero()
+
+
+def test_degree_of_reads_basis_then_degree_fn():
+    dga = cube_torus_dga(geomodel.space(("u", "interval"), ("v", "interval")))
+    comp = ComponentData("deRham", 2, 0)
+    with_fn = HomSpace("deRham", comp, dga.basis, dga.degree_of)
+    bare = HomSpace("deRham", comp, dga.basis)
+    for gen, degree in dga.basis:
+        assert with_fn.degree_of(gen) == bare.degree_of(gen) == degree
+    assert with_fn.degree_of("u^5*v^3|du^dv") == 2  # beyond the sampled basis
+    with pytest.raises(KeyError):
+        bare.degree_of("u^5*v^3|du^dv")
+    # the first listing of a generator wins, as in a scan of the basis
+    assert HomSpace("s", comp, (("g", 1), ("g", 2))).degree_of("g") == 1
+
+
+def test_keys_of_arity_indexes_sorted_keys():
+    D = deform(interval2_structure(), Element("deRham", {"u|dv": T_coeff()}), 1)
+    keys = D.table.keys()
+    assert list(keys) == sorted(keys)
+    for k in range(D.table.max_arity() + 2):
+        assert D.table.keys_of_arity(k) == tuple(key for key in sorted(keys) if key[0] == k)
+    assert D.table.keys_of_arity(1) and not D.table.keys_of_arity(D.table.max_arity() + 1)

@@ -541,9 +541,13 @@ def test_structure_dump_load_identity(tmp_path):
 
 def test_unreadable_input_files_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
+    not_utf8 = tmp_path / "not-utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
     for argv, name in [(["anf", "--file", str(missing)], missing),
                        (["anf", "--file", str(tmp_path)], tmp_path),
-                       (["check-ainfty", "--file", str(tmp_path)], tmp_path)]:
+                       (["check-ainfty", "--file", str(tmp_path)], tmp_path),
+                       (["anf", "--file", str(not_utf8)], not_utf8),
+                       (["check-ainfty", "--file", str(not_utf8)], not_utf8)]:
         code, out, err = run(argv, capsys)
         assert code == 2 and err.startswith("error: ") and str(name) in err, (argv, err)
         assert "checks passed" not in out
@@ -561,9 +565,11 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--relations-k-max must be >= 0"),
     (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
     (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
+    (["deform-check", "--random", "1", "--lam-min", "0"], "--lam-min must be > 0"),
+    (["deform-check", "--random", "1", "--lam-min", "-1"], "--lam-min must be > 0"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
         "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
-        "strata-k-negative"])
+        "strata-k-negative", "lam-min-zero", "lam-min-negative"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)
     monkeypatch.chdir(tmp_path)

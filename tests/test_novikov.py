@@ -224,3 +224,78 @@ def test_valuation_multiplicative(a, b):
         assert (a * b).valuation() == math.inf
     else:
         assert (a * b).valuation() == a.valuation() + b.valuation()
+
+
+# --- fast paths against the reference formulas (hypothesis) ---
+#
+# Sums, products and the unary operations build canonical results directly
+# (a sorted merge, the unit and monomial shortcuts).  The references below
+# are the plain formulas, normalized by ``from_terms``.
+
+
+def _ref_add(a, b):
+    return NovikovElement.from_terms(itertools.chain(a.terms, b.terms))
+
+
+def _ref_mul(a, b):
+    return NovikovElement.from_terms(
+        (e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms
+    )
+
+
+def _operands():
+    """Every shape a fast path keys on: zero, the shared unit, a fresh unit,
+    single terms and general elements."""
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    expo = st.fractions(min_value=0, max_value=4, max_denominator=4)
+    return st.one_of(
+        st.just(NovikovElement.zero()),
+        st.just(NovikovElement.one()),
+        st.builds(lambda: NovikovElement(((Fraction(0), Fraction(1)),))),
+        st.builds(NovikovElement.monomial, coeff, expo),
+        _elements(),
+    )
+
+
+def _revalidated(r):
+    assert NovikovElement(r.terms) == r  # the public constructor accepts it
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _operands(),
+    _operands(),
+    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1)])
+    | st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+    st.fractions(min_value=0, max_value=5, max_denominator=4),
+)
+def test_fast_paths_match_reference(a, b, q, delta, cutoff):
+    assert _revalidated(a + b) == _ref_add(a, b)
+    assert _revalidated(a - b) == _ref_add(a, NovikovElement.from_terms(
+        (e, -c) for e, c in b.terms))
+    assert _revalidated(a * b) == _ref_mul(a, b)
+    assert _revalidated(-a) == NovikovElement.from_terms((e, -c) for e, c in a.terms)
+    assert _revalidated(a.scale(q)) == NovikovElement.from_terms(
+        (e, c * q) for e, c in a.terms)
+    assert _revalidated(a.shift(delta)) == NovikovElement.from_terms(
+        (e + delta, c) for e, c in a.terms)
+    assert _revalidated(a.truncate(cutoff)) == NovikovElement.from_terms(
+        (e, c) for e, c in a.terms if e < cutoff)
+
+
+def test_zero_and_one_are_shared():
+    assert NovikovElement.zero() is NovikovElement.zero()
+    assert NovikovElement.one() is NovikovElement.one()
+    assert NovikovElement.monomial(1, 0) is NovikovElement.one()
+    assert NovikovElement.monomial(Fraction(1), Fraction(0)) is NovikovElement.one()
+    x = mono(3, Fraction(1, 2))
+    assert x * NovikovElement.one() is x and NovikovElement.one() * x is x
+    assert x + NovikovElement.zero() is x
+
+
+def test_shift_below_zero_is_rejected():
+    assert mono(2, 1).shift(-1) == mono(2, 0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        (mono(2, 1) + mono(1, 3)).shift(Fraction(-3, 2))
