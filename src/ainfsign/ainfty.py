@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -155,19 +156,17 @@ class OperationTable:
     are read-only copies of what was passed in, and the sorted keys are
     derived once, together with their index by arity.  A stored value
     wins over the fallback of its key.  Fallbacks must be pure functions
-    of ``(spaces, gens)``: each table computes a fallback value once, in a
-    memo of its own, and hands the same ``Element`` to every later lookup.
+    of ``(spaces, gens)`` returning an ``Element``; the table holds no
+    cache, so a fallback that is costly caches itself (``from_dga`` and
+    ``deform`` wrap theirs in ``functools.cache``).
     """
 
     values: Mapping[OpKey, Mapping[TensorKey, Element]] = field(default_factory=dict)
-    fallbacks: Mapping[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element | None]] = field(
+    fallbacks: Mapping[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element]] = field(
         default_factory=dict
     )
     _keys: tuple[OpKey, ...] = field(init=False, repr=False, compare=False)
     _by_arity: dict[int, tuple[OpKey, ...]] = field(init=False, repr=False, compare=False)
-    _memo: dict[tuple[OpKey, tuple[str, ...], tuple[str, ...]], Element] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         values = {key: MappingProxyType(dict(entry)) for key, entry in self.values.items()}
@@ -191,16 +190,7 @@ class OperationTable:
             if value is not None:
                 return value
         fallback = self.fallbacks.get(key)
-        if fallback is None:
-            return Element.zero()
-        memo_key = (key, spaces, gens)
-        value = self._memo.get(memo_key)
-        if value is None:
-            value = fallback(spaces, gens)
-            if value is None:
-                value = Element.zero()
-            self._memo[memo_key] = value
-        return value
+        return Element.zero() if fallback is None else fallback(spaces, gens)
 
     def max_arity(self) -> int:
         return max((k for k, _, _ in self._keys), default=0)
@@ -315,7 +305,8 @@ class FilteredAInfty:
 
     def _word_degrees(self, word: Sequence[Element]) -> tuple[list[int], list[int]]:
         """Degrees and Maslov parities of the inputs (0 for a zero input),
-        after checking that each input is shifted-homogeneous."""
+        after checking that each input of several generators is
+        shifted-homogeneous."""
         degs = [0] * len(word)
         mus = [0] * len(word)
         for i, el in enumerate(word):
@@ -324,7 +315,8 @@ class FilteredAInfty:
             space = self.spaces[el.space]
             degs[i] = space.degree_of(next(iter(el.coeffs)))
             mus[i] = space.component.maslov_parity
-            self.shifted_parity(el)  # homogeneity check
+            if len(el.coeffs) > 1:
+                self.shifted_parity(el)  # homogeneity check
         return degs, mus
 
     def _insert(
@@ -434,33 +426,23 @@ class RelationReport:
     witness: dict | None
 
 
-def validate_degree_parity(
-    A: FilteredAInfty, sample: Iterable[tuple[OpKey, TensorKey]] | None = None
-) -> list[dict]:
+def validate_degree_parity(A: FilteredAInfty) -> list[dict]:
     """Check that every stored value raises total shifted degree by one;
     returns the violations (empty when the parity contract holds)."""
     violations = []
-    items: Iterable[tuple[OpKey, TensorKey, Element]]
-    if sample is None:
-        items = (
-            (key, tkey, value)
-            for key, entry in A.table.values.items()
-            for tkey, value in entry.items()
-        )
-    else:
-        items = ((key, tkey, A.table.lookup(key, *tkey)) for key, tkey in sample)
-    for key, (spaces, gens), value in items:
-        if value.is_zero():
-            continue
-        in_parity = sum(
-            A.spaces[s].shifted_parity(g) for s, g in zip(spaces, gens)
-        ) % 2
-        out_parity = A.shifted_parity(value)
-        if out_parity != (in_parity + 1) % 2:
-            violations.append(
-                {"key": [key[0], str(key[1]), key[2]], "inputs": list(gens),
-                 "in_parity": in_parity, "out_parity": out_parity}
-            )
+    for key, entry in A.table.values.items():
+        for (spaces, gens), value in entry.items():
+            if value.is_zero():
+                continue
+            in_parity = sum(
+                A.spaces[s].shifted_parity(g) for s, g in zip(spaces, gens)
+            ) % 2
+            out_parity = A.shifted_parity(value)
+            if out_parity != (in_parity + 1) % 2:
+                violations.append(
+                    {"key": [key[0], str(key[1]), key[2]], "inputs": list(gens),
+                     "in_parity": in_parity, "out_parity": out_parity}
+                )
     return violations
 
 
@@ -493,8 +475,7 @@ def _as_element(space: str, combo: Mapping[str, Fraction]) -> Element:
 
 
 def exterior_dga(
-    n: int, differential: Mapping[str, Mapping[str, Fraction]] | None = None,
-    name: str = "ext",
+    n: int, differential: Mapping[str, Mapping[str, Fraction]] | None = None
 ) -> DGAModel:
     """Exterior algebra on n degree-1 generators ``e1..en``; basis keys are
     sorted wedges like ``e1^e3``.  An optional differential on the single
@@ -550,8 +531,8 @@ def exterior_dga(
         return {k: c for k, c in out.items() if c}
 
     return DGAModel(
-        space_name=name,
-        component=ComponentData(name, 0, 0),
+        space_name="ext",
+        component=ComponentData("ext", 0, 0),
         basis=basis,
         degree_of=lambda key: 0 if key == "1" else len(parse(key)),
         differential=diff,
@@ -568,7 +549,9 @@ def _form_key(mono: tuple[tuple[str, int], ...], wedge_: tuple[str, ...]) -> str
     return f"{poly}|{'^'.join('d' + x for x in wedge_)}"
 
 
+@functools.cache
 def _parse_form_key(sp: geomodel.CubeTorusSpace, key: str) -> geomodel.Form:
+    """The monomial form a key names; cached, since forms are never mutated."""
     poly_part, _, wedge_part = key.partition("|")
     mono: dict[str, int] = {}
     if poly_part != "1":
@@ -598,9 +581,7 @@ def _form_to_combo(form: geomodel.Form) -> dict[str, Fraction]:
     return {k: c for k, c in out.items() if c}
 
 
-def cube_torus_dga(
-    sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2, name: str = "deRham",
-) -> DGAModel:
+def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> DGAModel:
     """Polynomial-coefficient forms on an interval-circle product, with the
     exact exterior derivative and wedge; the listed basis samples monomial
     forms up to the given polynomial degree, and operations stay exact on
@@ -618,10 +599,6 @@ def cube_torus_dga(
             for mono in monos:
                 basis.append((_form_key(mono, wedge_), r))
 
-    def degree_of(key: str) -> int:
-        _, _, wedge_part = key.partition("|")
-        return len([x for x in wedge_part.split("^") if x])
-
     def diff(key: str) -> dict[str, Fraction]:
         return _form_to_combo(geomodel.exterior_derivative(_parse_form_key(sp, key)))
 
@@ -631,10 +608,10 @@ def cube_torus_dga(
         )
 
     return DGAModel(
-        space_name=name,
-        component=ComponentData(name, sp.dimension, 0),
+        space_name="deRham",
+        component=ComponentData("deRham", sp.dimension, 0),
         basis=tuple(basis),
-        degree_of=degree_of,
+        degree_of=lambda key: _parse_form_key(sp, key).degree(),
         differential=diff,
         product=prod,
         generator_test=lambda key: _is_form_key(sp, key),
@@ -660,9 +637,11 @@ def from_dga(
     rule = sign_rule or (lambda d1, d2: d1 % 2)
     space = HomSpace(dga.space_name, dga.component, dga.basis, dga.degree_of)
 
+    @functools.cache
     def diff_op(spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
         return _as_element(dga.space_name, dga.differential(gens[0]))
 
+    @functools.cache
     def prod_op(spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
         d1, d2 = dga.degree_of(gens[0]), dga.degree_of(gens[1])
         sign = (-1) ** (rule(d1, d2) % 2)
@@ -726,7 +705,9 @@ def deform(
     the n-insertion piece of each arity is stored at energy n*lam_min with
     its value shifted down correspondingly, keeping all stored coefficients
     inside the ring and the zero-energy curvature zero.  The deformed
-    structure keeps the parent's spaces and stored values; a zero b returns
+    structure keeps the parent's spaces, stored values and fallbacks, so
+    an inherited value is computed once for the parent and all of its
+    deformations; each new piece caches its own values.  A zero b returns
     the parent itself.
     """
     lam = _frac(lam_min)
@@ -742,6 +723,7 @@ def deform(
         )
 
     def piece(k: int, n: int) -> Callable[[tuple[str, ...], tuple[str, ...]], Element]:
+        @functools.cache
         def op(spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
             word = [Element.basis(s, g) for s, g in zip(spaces, gens)]
             total = Element.zero()

@@ -53,6 +53,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _parse_positive(flag: str, text: str) -> Fraction:
+    value = _parse_fraction(text)
+    if value <= 0:
+        raise UsageError(f"{flag} must be > 0")
+    return value
+
+
 def _parse_spectrum(text: str, cutoff: Fraction):
     levels = [_parse_fraction(part) for part in text.split(",") if part.strip() != ""]
     generators = [e for e in levels if e > 0]
@@ -163,7 +170,7 @@ def cmd_prove_signs(args) -> int:
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
         report.add(check_id, rep.proved, rep.elapsed_s, witness=rep.witness)
     if args.relations_k_max:
-        cutoff = _parse_fraction(args.relations_cutoff)
+        cutoff = _parse_positive("--relations-cutoff", args.relations_cutoff)
         spectrum = _parse_spectrum(args.relations_spectrum, cutoff)
         for k in range(1, args.relations_k_max + 1):
             for crep in prover.prove_relation_cancellation(k, spectrum):
@@ -231,7 +238,7 @@ def _preset_structure(preset: str, cutoff: Fraction):
 
 def cmd_check_dga(args) -> int:
     _require_at_least(("--k-max", args.k_max, 0))
-    cutoff = _parse_fraction(args.cutoff)
+    cutoff = _parse_positive("--cutoff", args.cutoff)
     dga, A = _preset_structure(args.preset, cutoff)
     report = Report(
         "check-dga",
@@ -267,7 +274,7 @@ def cmd_check_ainfty(args) -> int:
          "cutoff": args.cutoff or str(A.cutoff), "seed": args.seed},
         args.timing,
     )
-    cutoff = _parse_fraction(args.cutoff) if args.cutoff else None
+    cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
     started = time.perf_counter()
     violations = validate_degree_parity(A)
     report.add("degree-parity", not violations, time.perf_counter() - started,
@@ -297,9 +304,7 @@ def cmd_deform_check(args) -> int:
     _require_at_least(("--k-max", args.k_max, 0), ("--random", args.random, 0),
                       ("--exhaustive-threshold", args.exhaustive_threshold, 0),
                       ("--sample-size", args.sample_size, 1))
-    lam_min = _parse_fraction(args.lam_min)
-    if lam_min <= 0:
-        raise UsageError("--lam-min must be > 0")
+    lam_min = _parse_positive("--lam-min", args.lam_min)
     cutoff = 4 * lam_min
     dga, A = _preset_structure(args.preset, cutoff)
     report = Report(
@@ -346,9 +351,12 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_enumerate_strata(args) -> int:
-    _require_at_least(("--k", args.k, 1))
-    cutoff = _parse_fraction(args.cutoff) if args.cutoff else None
+    _require_at_least(("--k", args.k, 1), ("--dim-out", args.dim_out, 0),
+                      ("--node-dim", args.node_dim, 0))
+    cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
     energy = _parse_fraction(args.energy)
+    if energy < 0:
+        raise UsageError("--energy must be >= 0")
     if cutoff is None:
         cutoff = max(energy, Fraction(1)) + 1
     spectrum = _parse_spectrum(args.spectrum, cutoff)
@@ -357,6 +365,8 @@ def cmd_enumerate_strata(args) -> int:
     mus = [int(m) for m in args.mus.split(",")] if args.mus else [0] * args.k
     if len(mus) != args.k:
         raise UsageError(f"--mus needs {args.k} entries")
+    if not set(mus) <= {0, 1}:
+        raise UsageError("--mus entries must be 0 or 1")
     inputs = tuple(
         ComponentData(f"in{i}", 0, mu) for i, mu in enumerate(mus, start=1)
     )

@@ -550,10 +550,11 @@ def check_pushpull_identities(
 
 
 def random_mock_instance(
-    rng: random.Random, max_poly_deg: int = 2
+    rng: random.Random,
 ) -> tuple[MockModuli, MockModuli, int, tuple[Form, ...], tuple[int, ...]]:
-    """A random composable (outer, inner, j) triple with random inputs; its
-    coordinate names are numbered afresh on every call."""
+    """A random composable (outer, inner, j) triple with random inputs of
+    polynomial degree at most 2; its coordinate names are numbered afresh
+    on every call."""
     fresh = NameSource()
     node = random_space(rng, 2, fresh, "n")
     r0 = random_space(rng, 2, fresh, "o")
@@ -591,7 +592,7 @@ def random_mock_instance(
     xis = []
     for tgt in xi_targets:
         deg = rng.randrange(0, tgt.dimension + 1)
-        xis.append(random_form(rng, tgt, max_poly_deg, degree=deg))
+        xis.append(random_form(rng, tgt, 2, degree=deg))
     k = k_outer + k_inner - 1
     mus = tuple(rng.randrange(0, 2) for _ in range(k))
     return outer, inner, j, tuple(xis), mus
@@ -602,7 +603,7 @@ def random_mock_instance(
 _NONTRIVIAL_QUOTA = 25
 
 
-def verify_pushpull(trials: int, seed: int, max_poly_deg: int = 2) -> CheckResult:
+def verify_pushpull(trials: int, seed: int) -> CheckResult:
     """Run the nested-vs-glued identity suite on random mock instances."""
     rng = random.Random(seed)
     result = CheckResult("mock-pushpull", trials)
@@ -611,7 +612,7 @@ def verify_pushpull(trials: int, seed: int, max_poly_deg: int = 2) -> CheckResul
     i = 0
     while i < trials and attempts < 50 * trials:
         attempts += 1
-        outer, inner, j, xis, mus = random_mock_instance(rng, max_poly_deg)
+        outer, inner, j, xis, mus = random_mock_instance(rng)
         report = check_pushpull_identities(outer, inner, j, xis, mus)
         if report.nontrivial:
             nontrivial += 1

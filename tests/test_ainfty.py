@@ -12,6 +12,7 @@ from ainfsign.ainfty import (
     HomSpace,
     OperationTable,
     StructureError,
+    _parse_form_key,
     check_product_sign_convention,
     cube_torus_dga,
     deform,
@@ -212,6 +213,8 @@ def test_flip_is_invisible_to_relations():
 
 
 def test_degree_parity_of_stored_operations():
+    """The 84 lookups below, stored in a table: every nonzero value raises
+    the shifted degree by one, and a value of the wrong parity is caught."""
     sp = geomodel.space(("u", "interval"), ("v", "interval"))
     dga = cube_torus_dga(sp)
     A = from_dga(dga)
@@ -221,7 +224,18 @@ def test_degree_parity_of_stored_operations():
         for g1 in gens[:8]
         for g2 in gens[:8]
     ] + [((1, Fraction(0), "0"), (("deRham",), (g,))) for g in gens]
-    assert validate_degree_parity(A, sample) == []
+    values: dict = {}
+    for key, tkey in sample:
+        values.setdefault(key, {})[tkey] = A.table.lookup(key, *tkey)
+    assert sum(len(entry) for entry in values.values()) == 84
+
+    def stored(values):
+        return FilteredAInfty(A.spaces, OperationTable(values=values), A.spectrum, A.cutoff)
+
+    assert validate_degree_parity(stored(values)) == []
+    d_key = (1, Fraction(0), "0")
+    values[d_key][(("deRham",), ("u|",))] = Element.basis("deRham", "u|")
+    assert len(validate_degree_parity(stored(values))) == 1
 
 
 # --- deformation ------------------------------------------------------------
@@ -278,7 +292,7 @@ def test_lookup_memo_matches_direct_fallback():
         direct = D.table.fallbacks[key](spaces, tensor)
         direct = Element.zero() if direct is None else direct.normalized()
         assert D.table.lookup(key, spaces, tensor) == direct
-        assert D.table.lookup(key, spaces, tensor) == direct  # served by the memo
+        assert D.table.lookup(key, spaces, tensor) == direct  # served by the fallback's cache
 
 
 def test_relation_values_are_frozen():
@@ -323,7 +337,40 @@ def test_deform_leaves_the_parent_untouched():
     D = deform(A, Element("ext", {"e1": T_coeff()}), 1)
     D.check_relations(2)
     assert D.table.values == A.table.values == stored
-    assert D.table._memo and not A.table._memo
+    assert A.table.fallbacks == {} and D.table.fallbacks
+
+
+def test_deformations_share_their_parent_values():
+    """An inherited fallback value is computed once, for the parent and its
+    deformation together, and both tables hand out the same object."""
+    sp = geomodel.space(("u", "interval"), ("v", "interval"))
+    dga = cube_torus_dga(sp, sample_poly_degree=1)
+    calls = []
+
+    def product(k1, k2):
+        calls.append((k1, k2))
+        return dga.product(k1, k2)
+
+    A = from_dga(dataclasses.replace(dga, product=product), cutoff=4)
+    D = deform(A, Element("deRham", {"u|dv": T_coeff()}), 1)
+    assert D.check_relations(2).passed
+    assert A.check_relations(2).passed
+    key = (2, Fraction(0), "0")
+    for pair in set(calls):
+        assert A.table.lookup(key, ("deRham",) * 2, pair) is D.table.lookup(
+            key, ("deRham",) * 2, pair)
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_homogeneity_is_checked_for_inputs_of_several_generators():
+    A = from_dga(ce3())
+    mixed = Element("ext", {"e1": T_coeff(e=0), "e1^e2": T_coeff(e=0)})
+    with pytest.raises(StructureError, match="not shifted-homogeneous"):
+        A.relation_defect([mixed])
+    with pytest.raises(StructureError, match="not shifted-homogeneous"):
+        A.coderivation_insert((1, Fraction(0), "0"), 1, [mixed])
+    sum_ = Element("ext", {"e1": T_coeff(e=0), "e2": T_coeff(e=0)})
+    assert A.coderivation_insert((1, Fraction(0), "0"), 1, [sum_])[0] == 0
 
 
 def test_deform_energy_filtration():
@@ -426,6 +473,11 @@ def test_degree_of_reads_basis_then_degree_fn():
     assert with_fn.degree_of("u^5*v^3|du^dv") == 2  # beyond the sampled basis
     with pytest.raises(KeyError):
         bare.degree_of("u^5*v^3|du^dv")
+    # the degree comes from the one parser of form keys, which parses each key once
+    sp = geomodel.space(("u", "interval"), ("v", "interval"))
+    assert _parse_form_key(sp, "u^5*v^3|du^dv") is _parse_form_key(sp, "u^5*v^3|du^dv")
+    with pytest.raises(ValueError):
+        dga.degree_of("w|dw")
     # the first listing of a generator wins, as in a scan of the basis
     assert HomSpace("s", comp, (("g", 1), ("g", 2))).degree_of("g") == 1
 

@@ -567,9 +567,26 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
     (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
     (["deform-check", "--random", "1", "--lam-min", "0"], "--lam-min must be > 0"),
     (["deform-check", "--random", "1", "--lam-min", "-1"], "--lam-min must be > 0"),
+    (["check-ainfty", "--file", "ext2.json", "--cutoff", "0"], "--cutoff must be > 0"),
+    (["check-ainfty", "--file", "ext2.json", "--cutoff", "-1"], "--cutoff must be > 0"),
+    (["check-dga", "--cutoff", "0"], "--cutoff must be > 0"),
+    (["prove-signs", "--k-max", "1", "--relations-k-max", "1", "--relations-cutoff", "0"],
+     "--relations-cutoff must be > 0"),
+    (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--cutoff", "0"],
+     "--cutoff must be > 0"),
+    (["enumerate-strata", "--k", "1", "--energy", "-1", "--spectrum", "0"],
+     "--energy must be >= 0"),
+    (["enumerate-strata", "--k", "2", "--energy", "0", "--spectrum", "0", "--mus", "0,2"],
+     "--mus entries must be 0 or 1"),
+    (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--dim-out", "-1"],
+     "--dim-out must be >= 0"),
+    (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--node-dim", "-1"],
+     "--node-dim must be >= 0"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
         "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
-        "strata-k-negative", "lam-min-zero", "lam-min-negative"])
+        "strata-k-negative", "lam-min-zero", "lam-min-negative", "check-ainfty-cutoff-zero",
+        "check-ainfty-cutoff-negative", "check-dga-cutoff", "relations-cutoff",
+        "strata-cutoff", "strata-energy", "strata-mus", "strata-dim-out", "strata-node-dim"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)
     monkeypatch.chdir(tmp_path)
