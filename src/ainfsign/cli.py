@@ -46,27 +46,27 @@ class UsageError(Exception):
     pass
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(flag: str, text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from exc
+        raise UsageError(f"{flag}: bad rational {text!r}: {exc}") from exc
 
 
 def _parse_positive(flag: str, text: str) -> Fraction:
-    value = _parse_fraction(text)
+    value = _parse_fraction(flag, text)
     if value <= 0:
         raise UsageError(f"{flag} must be > 0")
     return value
 
 
-def _parse_spectrum(text: str, cutoff: Fraction):
-    levels = [_parse_fraction(part) for part in text.split(",") if part.strip() != ""]
+def _parse_spectrum(flag: str, text: str, cutoff: Fraction):
+    levels = [_parse_fraction(flag, part) for part in text.split(",") if part.strip() != ""]
     generators = [e for e in levels if e > 0]
     spectrum = spectrum_closure(generators, cutoff)
     for e in levels:
         if e not in spectrum:
-            raise UsageError(f"energy {e} is not reachable below cutoff {cutoff}")
+            raise UsageError(f"{flag}: energy {e} is not reachable below cutoff {cutoff}")
     return spectrum
 
 
@@ -171,7 +171,7 @@ def cmd_prove_signs(args) -> int:
         report.add(check_id, rep.proved, rep.elapsed_s, witness=rep.witness)
     if args.relations_k_max:
         cutoff = _parse_positive("--relations-cutoff", args.relations_cutoff)
-        spectrum = _parse_spectrum(args.relations_spectrum, cutoff)
+        spectrum = _parse_spectrum("--relations-spectrum", args.relations_spectrum, cutoff)
         for k in range(1, args.relations_k_max + 1):
             for crep in prover.prove_relation_cancellation(k, spectrum):
                 report.add(
@@ -275,6 +275,10 @@ def cmd_check_ainfty(args) -> int:
         args.timing,
     )
     cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
+    if cutoff is not None and cutoff > A.cutoff:
+        # apply_operation truncates at the structure's cutoff, so relations
+        # above it would be checked against truncated operations.
+        raise UsageError(f"--cutoff {cutoff} exceeds the structure's cutoff {A.cutoff}")
     started = time.perf_counter()
     violations = validate_degree_parity(A)
     report.add("degree-parity", not violations, time.perf_counter() - started,
@@ -354,15 +358,18 @@ def cmd_enumerate_strata(args) -> int:
     _require_at_least(("--k", args.k, 1), ("--dim-out", args.dim_out, 0),
                       ("--node-dim", args.node_dim, 0))
     cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
-    energy = _parse_fraction(args.energy)
+    energy = _parse_fraction("--energy", args.energy)
     if energy < 0:
         raise UsageError("--energy must be >= 0")
     if cutoff is None:
         cutoff = max(energy, Fraction(1)) + 1
-    spectrum = _parse_spectrum(args.spectrum, cutoff)
+    spectrum = _parse_spectrum("--spectrum", args.spectrum, cutoff)
     node = ComponentData("node", args.node_dim, args.node_mu)
     out_comp = ComponentData("out", args.dim_out, args.mu_out)
-    mus = [int(m) for m in args.mus.split(",")] if args.mus else [0] * args.k
+    try:
+        mus = [int(m) for m in args.mus.split(",")] if args.mus else [0] * args.k
+    except ValueError as exc:
+        raise UsageError(f"--mus: {exc}") from exc
     if len(mus) != args.k:
         raise UsageError(f"--mus needs {args.k} entries")
     if not set(mus) <= {0, 1}:

@@ -92,7 +92,7 @@ def random_space(
 
 
 def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Poly:
-    out = Poly()
+    terms: dict[tuple, Fraction] = {}
     for _ in range(rng.randrange(1, 3)):
         mono: dict[str, int] = {}
         for v in names:
@@ -100,8 +100,9 @@ def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Pol
             if p:
                 mono[v] = p
         c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-        out = out + Poly({tuple(sorted(mono.items())): c})
-    return out
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms[key] + c if key in terms else c
+    return Poly(terms)
 
 
 def random_form(
@@ -112,7 +113,7 @@ def random_form(
 ) -> Form:
     """Random form; homogeneous of the given exterior degree when requested."""
     names = sp.names()
-    out = Form.zero(sp)
+    terms: dict[tuple[str, ...], Poly] = {}
     for _ in range(rng.randrange(1, 3)):
         if degree is None:
             size = rng.randrange(0, sp.dimension + 1)
@@ -123,8 +124,8 @@ def random_form(
         wedge_key = tuple(sorted(rng.sample(range(sp.dimension), size)))
         letters = tuple(names[i] for i in wedge_key)
         poly = random_poly(rng, sp.interval_names(), max_deg)
-        out = out + Form(sp, {letters: poly})
-    return out
+        terms[letters] = terms[letters] + poly if letters in terms else poly
+    return Form(sp, terms)
 
 
 def _unit_valued_poly(rng: random.Random, names: tuple[str, ...]) -> Poly:

@@ -20,7 +20,15 @@ letters are coordinates, in coordinate order, without repeats; coefficients
 use interval coordinates only) and ``Poly(terms)`` drops zero coefficients.
 Results this module computes from canonical inputs are built with the
 trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
-check nothing else; they are internal and never see outside input.
+check nothing else; they are internal and never see outside input.  Maps
+work the same way: ``smooth_map``, ``projection`` and the public
+``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
+assignment, including the unit-range check, while the maps this module
+derives from valid maps (``as_smooth``, ``compose_smooth``,
+``compose_projection``, ``interval_face``, the restricted projections of
+``boundary_pushforward`` and both maps of ``pullback_bundle``) are built
+with the trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
+set the fields and check nothing.
 """
 
 from __future__ import annotations
@@ -219,15 +227,41 @@ class Poly:
         return Poly._of(out)
 
     def subst(self, replacements: Mapping[str, "Poly"]) -> "Poly":
+        """Substitute polynomials for variables.  A replacement of one term
+        (a variable, a constant or a scaled monomial) sends a monomial to one
+        monomial, so it is folded into the coefficient and exponents; only
+        replacements of several terms are multiplied out, each power of one
+        once per call."""
+        powers: dict[tuple[str, int], Poly] = {}
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
-            piece = Poly._of({(): c})
+            exps: dict[str, int] = {}
+            spread: list[Poly] = []  # powers of several-term replacements
             for v, p in mono:
                 base = replacements.get(v)
                 if base is None:
-                    base = Poly.var(v)
-                for _ in range(p):
-                    piece = piece * base
+                    exps[v] = exps.get(v, 0) + p
+                elif len(base.terms) == 1:
+                    (m, k), = base.terms.items()
+                    if k != 1:
+                        c = c * k ** p
+                    for w, q in m:
+                        exps[w] = exps.get(w, 0) + q * p
+                elif p:
+                    power = powers.get((v, p))
+                    if power is None:
+                        power = base
+                        for _ in range(p - 1):
+                            power = power * base
+                        powers[v, p] = power
+                    spread.append(power)
+            key = tuple(sorted((w, q) for w, q in exps.items() if q))
+            if not spread:
+                _accumulate(out, key, c)
+                continue
+            piece = Poly._of({key: c})
+            for power in spread:
+                piece = piece * power
             for m, k in piece.terms.items():
                 _accumulate(out, m, k)
         return Poly._of(out)
@@ -486,6 +520,18 @@ class SmoothMapModel:
             elif assignment[0] != "const-circle":
                 raise ValueError(f"bad assignment for circle coordinate {name!r}")
 
+    @staticmethod
+    def _of(
+        source: CubeTorusSpace, target: CubeTorusSpace, table: Mapping[str, tuple]
+    ) -> "SmoothMapModel":
+        """Trusted constructor for maps this module derives from valid maps."""
+        smap = object.__new__(SmoothMapModel)
+        set_ = object.__setattr__
+        set_(smap, "source", source)
+        set_(smap, "target", target)
+        set_(smap, "assignments", tuple(sorted(table.items())))
+        return smap
+
     def table(self) -> dict[str, tuple]:
         return dict(self.assignments)
 
@@ -593,7 +639,7 @@ def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapMod
                 table[name] = ("const-circle",)
         else:
             table[name] = ("const-circle",)
-    return SmoothMapModel(inner.source, outer.target, tuple(sorted(table.items())))
+    return SmoothMapModel._of(inner.source, outer.target, table)
 
 
 @dataclass(frozen=True)
@@ -627,6 +673,23 @@ class ProjectionMap:
         if set(self.fiber) != expected_fiber or len(self.fiber) != len(expected_fiber):
             raise ValueError("fiber must list exactly the non-base source coordinates")
 
+    @staticmethod
+    def _of(
+        source: CubeTorusSpace,
+        target: CubeTorusSpace,
+        injection: Mapping[str, str],
+        fiber: tuple[str, ...],
+    ) -> "ProjectionMap":
+        """Trusted constructor for projections this module derives from valid
+        maps."""
+        proj = object.__new__(ProjectionMap)
+        set_ = object.__setattr__
+        set_(proj, "source", source)
+        set_(proj, "target", target)
+        set_(proj, "injection", tuple(sorted(injection.items())))
+        set_(proj, "fiber", fiber)
+        return proj
+
     @property
     def reldim(self) -> int:
         return len(self.fiber)
@@ -638,7 +701,7 @@ class ProjectionMap:
                 table[tname] = ("poly", Poly.var(sname))
             else:
                 table[tname] = ("circle", sname, 1)
-        return smooth_map(self.source, self.target, table)
+        return SmoothMapModel._of(self.source, self.target, table)
 
 
 def projection(
@@ -662,9 +725,7 @@ def compose_projection(outer: ProjectionMap, inner: ProjectionMap) -> Projection
     inner_table = dict(inner.injection)
     injection = {t: inner_table[s] for t, s in outer.injection}
     fiber = tuple(inner_table[c] for c in outer.fiber) + inner.fiber
-    return ProjectionMap(
-        inner.source, outer.target, tuple(sorted(injection.items())), fiber
-    )
+    return ProjectionMap._of(inner.source, outer.target, injection, fiber)
 
 
 def pullback(f: SmoothMapModel, form: Form) -> Form:
@@ -782,6 +843,8 @@ def interval_face(
     inclusion into the space."""
     if sp.kind(name) != INTERVAL:
         raise ValueError(f"{name!r} is not an interval coordinate")
+    if value not in (0, 1):
+        raise ValueError(f"{value} is not an endpoint of the unit interval")
     face_space = CubeTorusSpace(tuple(c for c in sp.coords if c[0] != name))
     table: dict[str, tuple] = {}
     for n, k in sp.coords:
@@ -791,7 +854,7 @@ def interval_face(
             table[n] = ("poly", Poly.var(n))
         else:
             table[n] = ("circle", n, 1)
-    return face_space, smooth_map(face_space, sp, table)
+    return face_space, SmoothMapModel._of(face_space, sp, table)
 
 
 def boundary_faces(sp: CubeTorusSpace) -> list[tuple[CubeTorusSpace, SmoothMapModel, int]]:
@@ -830,8 +893,8 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
         restricted_fiber = tuple(x for x in p.fiber if x != v)
         for value, orient in ((Fraction(1), top), (Fraction(0), -top)):
             face_space, inclusion = interval_face(p.source, v, value)
-            restricted = projection(
-                face_space, p.target, dict(p.injection), fiber=restricted_fiber
+            restricted = ProjectionMap._of(
+                face_space, p.target, dict(p.injection), restricted_fiber
             )
             out = out + pushforward(restricted, pullback(inclusion, form)).scale(orient)
     return out
@@ -932,11 +995,11 @@ def pullback_bundle(
         (fiber_names[n], p.source.kind(n)) for n in p.fiber
     )
     pulled = CubeTorusSpace(pulled_coords)
-    p_bar = projection(
+    p_bar = ProjectionMap._of(
         pulled,
         f.source,
         {n: n for n in f.source.names()},
-        fiber=tuple(fiber_names[n] for n in p.fiber),
+        tuple(fiber_names[n] for n in p.fiber),
     )
     f_table = f.table()
     table: dict[str, tuple] = {}
@@ -949,5 +1012,5 @@ def pullback_bundle(
             table[name] = ("poly", Poly.var(fresh))
         else:
             table[name] = ("circle", fresh, 1)
-    f_tilde = smooth_map(pulled, p.source, table)
+    f_tilde = SmoothMapModel._of(pulled, p.source, table)
     return pulled, p_bar, f_tilde

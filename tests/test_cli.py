@@ -103,6 +103,9 @@ def test_verify_geomodel_small(capsys):
 
 # SHA-256 of the report as written before the exact kernel's fast paths.
 GEOMODEL_TRIALS40_SEED3_SHA256 = "b5cb24653db770e4fce382cad48a8e39634f43608a1667a13aca76a42d16db4f"
+# The calculus benchmark's coordinate and polynomial-degree sizes, so the
+# seeded stream of random forms and polynomials is pinned at those sizes.
+GEOMODEL_TRIALS200_SEED5_SHA256 = "90e79ae1ab95d62a97468e2552fdd7aaae15b6d028bdd16196e7e36e933a662e"
 
 
 def test_verify_geomodel_report_bytes_unchanged(tmp_path, capsys):
@@ -112,6 +115,16 @@ def test_verify_geomodel_report_bytes_unchanged(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEOMODEL_TRIALS40_SEED3_SHA256
+
+
+def test_verify_geomodel_report_bytes_unchanged_at_benchmark_sizes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["verify-geomodel", "--trials", "200", "--max-coords", "4", "--max-poly-deg", "3",
+         "--pushpull-trials", "30", "--seed", "5", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEOMODEL_TRIALS200_SEED5_SHA256
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -582,17 +595,39 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--dim-out must be >= 0"),
     (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--node-dim", "-1"],
      "--node-dim must be >= 0"),
+    (["check-dga", "--cutoff", "abc"], "--cutoff: bad rational 'abc'"),
+    (["enumerate-strata", "--k", "3", "--mus", "0,0,0", "--energy", "1/0",
+      "--spectrum", "0,1/2"], "--energy: bad rational '1/0'"),
+    (["enumerate-strata", "--k", "3", "--mus", "0,x", "--energy", "1", "--spectrum", "0,1/2"],
+     "--mus: invalid literal"),
+    (["enumerate-strata", "--k", "1", "--energy", "1", "--spectrum", "0,x"],
+     "--spectrum: bad rational 'x'"),
+    (["prove-signs", "--k-max", "1", "--relations-k-max", "1", "--relations-spectrum", "0,y"],
+     "--relations-spectrum: bad rational 'y'"),
+    (["check-ainfty", "--file", "ext2.json", "--cutoff", "5"],
+     "--cutoff 5 exceeds the structure's cutoff 1"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
         "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
         "strata-k-negative", "lam-min-zero", "lam-min-negative", "check-ainfty-cutoff-zero",
         "check-ainfty-cutoff-negative", "check-dga-cutoff", "relations-cutoff",
-        "strata-cutoff", "strata-energy", "strata-mus", "strata-dim-out", "strata-node-dim"])
+        "strata-cutoff", "strata-energy", "strata-mus", "strata-dim-out", "strata-node-dim",
+        "check-dga-cutoff-unparsed", "strata-energy-unparsed", "strata-mus-unparsed",
+        "strata-spectrum-unparsed", "relations-spectrum-unparsed",
+        "check-ainfty-cutoff-above-structure"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)
     assert code == 2 and f"error: {flag}" in err, err
     assert "checks passed" not in out
+
+
+def test_check_ainfty_cutoff_up_to_the_structure_cutoff_accepted(tmp_path, capsys):
+    path = materialized_ext2(tmp_path)
+    out = tmp_path / "report.json"
+    code, _, _ = run(["check-ainfty", "--file", str(path), "--k-max", "2", "--cutoff", "1",
+                      "--out", str(out)], capsys)
+    assert code == 0 and json.loads(out.read_text())["parameters"]["cutoff"] == "1"
 
 
 _MISSING, _DIRECTORY = "<missing file>", "<directory>"

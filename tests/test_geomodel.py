@@ -12,6 +12,8 @@ from ainfsign.geomodel import (
     MockModuli,
     POINT,
     Poly,
+    ProjectionMap,
+    SmoothMapModel,
     apply_correspondence,
     boundary_correspondence_apply,
     boundary_faces,
@@ -19,13 +21,16 @@ from ainfsign.geomodel import (
     bundle_orientation_sign,
     check_pushpull_identities,
     compose_projection,
+    compose_smooth,
     derived_node_parity,
     exterior_derivative,
     fiber_product,
+    glue_mocks,
     integrate,
     mock_operation,
     projection,
     pullback,
+    pullback_bundle,
     pushforward,
     random_form,
     random_mock_instance,
@@ -39,6 +44,7 @@ from ainfsign.geomodel import (
 )
 from ainfsign.geomodel import checks
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
+from ainfsign.geomodel.core import interval_face
 
 I_T = space(("t", "interval"))
 S_TH = space(("th", "circle"))
@@ -436,6 +442,62 @@ def test_integer_range_check_agrees_with_rational_oracle():
     assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
 
 
+def _subst_multiplied_out(poly, replacements):
+    """Substitution by multiplying in every factor of every monomial, one at
+    a time: the oracle for the kernel's ``Poly.subst``."""
+    out = Poly()
+    for mono, c in poly.terms.items():
+        piece = Poly.const(c)
+        for v, p in mono:
+            base = replacements.get(v, Poly.var(v))
+            for _ in range(p):
+                piece = piece * base
+        out = out + piece
+    return out
+
+
+def _random_replacement(rng, names):
+    """A variable, a constant (0, 1/2 and 1 among them), a scaled monomial
+    or a sum of two or three terms, over variables that may be replaced
+    themselves."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Poly.var(rng.choice(names))
+    if kind == 1:
+        return Poly.const(rng.choice([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-2, 3), 3]))
+    if kind == 2:
+        mono = tuple(sorted((v, p) for v in rng.sample(names, 2) if (p := rng.randrange(0, 3))))
+        return Poly({mono: Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))})
+    if rng.random() < 0.5:
+        v, w = rng.choice(names), rng.choice(names)
+        return rng.choice([Poly.const(1) - Poly.var(v), (Poly.var(v) + Poly.var(w)).scale(Fraction(1, 2))])
+    poly = Poly()
+    for _ in range(rng.randrange(2, 4)):
+        mono = tuple(sorted((v, p) for v in rng.sample(names, 2) if (p := rng.randrange(0, 3))))
+        poly = poly + Poly({mono: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))})
+    return poly
+
+
+def test_subst_equals_multiplied_out():
+    rng = random.Random(11)
+    names = ("a", "b", "c", "d")
+    sizes = {"one term": 0, "several terms": 0, "zero": 0}
+    for _ in range(2500):
+        poly = Poly()
+        for _ in range(rng.randrange(0, 5)):
+            mono = tuple(sorted((v, p) for v in names if (p := rng.randrange(0, 4))))
+            poly = poly + Poly({mono: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))})
+        replacements = {
+            v: _random_replacement(rng, names + ("e",)) for v in names if rng.random() < 0.7
+        }
+        for r in replacements.values():
+            sizes["zero" if not r.terms else "one term" if len(r.terms) == 1 else "several terms"] += 1
+        got = poly.subst(replacements)
+        assert got == _subst_multiplied_out(poly, replacements), (poly, replacements)
+        assert all(got.terms.values())
+    assert min(sizes.values()) >= 100, sizes
+
+
 def test_rename_equals_subst_with_variables():
     rng = random.Random(5)
     names = ("a", "b", "c", "d")
@@ -477,3 +539,123 @@ def test_kernel_results_pass_public_validation():
         ]
         for form in results:
             _assert_canonical(form)
+
+
+# --- maps the kernel derives without validating them -----------------------------
+
+
+def _public_copy(m):
+    """The map rebuilt through its public constructor, which validates it."""
+    if isinstance(m, ProjectionMap):
+        return ProjectionMap(m.source, m.target, m.injection, m.fiber)
+    return SmoothMapModel(m.source, m.target, m.assignments)
+
+
+def _expected_as_smooth(p):
+    return smooth_map(p.source, p.target, {
+        t: ("poly", Poly.var(s)) if p.source.kind(s) == "interval" else ("circle", s, 1)
+        for t, s in p.injection
+    })
+
+
+def _expected_composite_projection(outer, inner):
+    """outer after inner, with the outer fiber (lifted) first."""
+    lift = dict(inner.injection)
+    return projection(
+        inner.source, outer.target, {t: lift[s] for t, s in outer.injection},
+        fiber=tuple(lift[c] for c in outer.fiber) + inner.fiber,
+    )
+
+
+def _expected_composite_map(outer, inner):
+    inner_table = inner.table()
+    polys = {n: a[1] for n, a in inner_table.items() if a[0] == "poly"}
+    table = {}
+    for name, a in outer.assignments:
+        if a[0] == "poly":
+            table[name] = ("poly", _subst_multiplied_out(a[1], polys))
+        elif a[0] == "circle" and inner_table[a[1]][0] == "circle":
+            _, src, sign = inner_table[a[1]]
+            table[name] = ("circle", src, a[2] * sign)
+        else:
+            table[name] = ("const-circle",)
+    return smooth_map(inner.source, outer.target, table)
+
+
+def _expected_pullback_bundle(p, f, pulled):
+    """The projection of the pulled space, ordered (f's source, then p's
+    fiber in fiber order), and its bundle map to p's source."""
+    fresh = pulled.names()[f.source.dimension:]
+    assert pulled.coords[:f.source.dimension] == f.source.coords
+    assert [pulled.kind(n) for n in fresh] == [p.source.kind(n) for n in p.fiber]
+    p_bar = projection(pulled, f.source, {n: n for n in f.source.names()}, fiber=fresh)
+    table = {s: f.table()[t] for t, s in p.injection}
+    for old, new in zip(p.fiber, fresh):
+        table[old] = ("poly", Poly.var(new)) if pulled.kind(new) == "interval" else ("circle", new, 1)
+    return p_bar, smooth_map(pulled, p.source, table)
+
+
+def _assert_derived(got, expected):
+    assert _public_copy(got) == got
+    assert got == expected
+
+
+def test_derived_maps_pass_public_validation():
+    rng = random.Random(31)
+    fresh = NameSource()
+    for _ in range(150):
+        p = random_bundle(rng, 4, fresh)
+        _assert_derived(p.as_smooth(), _expected_as_smooth(p))
+
+        keep = [n for n in p.target.names() if rng.random() < 0.7]
+        rng.shuffle(keep)
+        q_target = CubeTorusSpace(tuple((fresh("c"), p.target.kind(n)) for n in keep))
+        q = projection(p.target, q_target, {t[0]: s for t, s in zip(q_target.coords, keep)})
+        _assert_derived(compose_projection(q, p), _expected_composite_projection(q, p))
+
+        middle = random_space(rng, 3, fresh, prefix="m")
+        inner = random_smooth_map(rng, p.source, middle)
+        outer = random_smooth_map(rng, middle, random_space(rng, 3, fresh, prefix="t"))
+        _assert_derived(compose_smooth(outer, inner), _expected_composite_map(outer, inner))
+
+        for name in p.source.interval_names():
+            for value in (0, 1):
+                face_space, inclusion = interval_face(p.source, name, value)
+                assert face_space.coords == tuple(c for c in p.source.coords if c[0] != name)
+                _assert_derived(inclusion, smooth_map(face_space, p.source, {
+                    n: ("poly", Poly.const(value)) if n == name
+                    else ("poly", Poly.var(n)) if k == "interval" else ("circle", n, 1)
+                    for n, k in p.source.coords
+                }))
+
+        f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.target)
+        pulled, p_bar, f_tilde = pullback_bundle(p, f)
+        expected_bar, expected_tilde = _expected_pullback_bundle(p, f, pulled)
+        _assert_derived(p_bar, expected_bar)
+        _assert_derived(f_tilde, expected_tilde)
+
+        c12, c23 = checks._random_composable_pair(rng, fresh)
+        c13 = fiber_product(c12, c23)
+        left_shared = {s: t for t, s in c12.f2.to_projection().injection}
+        right_shared = {s: t for t, s in c23.f1.injection}
+        to_x12 = projection(c13.space, c12.space, {n: left_shared.get(n, n) for n in c12.space.names()})
+        to_x23 = projection(c13.space, c23.space, {n: right_shared.get(n, n) for n in c23.space.names()})
+        _assert_derived(c13.f1, _expected_composite_projection(c12.f1, to_x12))
+        _assert_derived(c13.f2, _expected_composite_map(c23.f2, _expected_as_smooth(to_x23)))
+
+        outer_mock, inner_mock, j, _, _ = random_mock_instance(rng)
+        glued, to_outer, to_inner = glue_mocks(outer_mock, inner_mock, j)
+        expected_outer, expected_inner = _expected_pullback_bundle(
+            inner_mock.ev_out, outer_mock.ev_in[j - 1], glued.space)
+        _assert_derived(to_outer, expected_outer)
+        _assert_derived(to_inner, expected_inner)
+        _assert_derived(glued.ev_out, _expected_composite_projection(outer_mock.ev_out, to_outer))
+        via_outer = _expected_as_smooth(to_outer)
+        expected_legs = (
+            [_expected_composite_map(leg, via_outer) for leg in outer_mock.ev_in[: j - 1]]
+            + [_expected_composite_map(leg, to_inner) for leg in inner_mock.ev_in]
+            + [_expected_composite_map(leg, via_outer) for leg in outer_mock.ev_in[j:]]
+        )
+        assert len(glued.ev_in) == len(expected_legs)
+        for leg, expected in zip(glued.ev_in, expected_legs):
+            _assert_derived(leg, expected)
