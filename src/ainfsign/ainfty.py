@@ -45,16 +45,25 @@ class StructureError(ValueError):
 class Element:
     """A finite Novikov-linear combination of named generators of one hom
     space, canonical when built: zero coefficients are dropped, ``coeffs``
-    is a read-only mapping, and the zero element has the empty space name."""
+    is a read-only mapping, and the zero element has the empty space name.
+    ``_gen`` is the generator of a basis element (one generator with the
+    shared unit coefficient ``NovikovElement.one()``), else None."""
 
     space: str
     coeffs: Mapping[str, NovikovElement] = field(default_factory=dict)
+    _gen: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {g: c for g, c in self.coeffs.items() if c}
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        if not coeffs:
+        gen = None
+        if len(coeffs) == 1:
+            ((g, c),) = coeffs.items()
+            if c is NovikovElement.one():
+                gen = g
+        elif not coeffs:
             object.__setattr__(self, "space", "")
+        object.__setattr__(self, "_gen", gen)
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self.coeffs.items())))
@@ -148,17 +157,22 @@ class HomSpace:
         return shifted_degree(self.degree_of(gen), self.component.maslov_parity) % 2
 
 
+_NO_SLOT = (None, None)
+
+
 @dataclass(frozen=True)
 class OperationTable:
     """Sparse multilinear operation data keyed by (arity, energy, tag).
 
     Frozen when built: ``values``, each ``values[key]`` and ``fallbacks``
     are read-only copies of what was passed in, and the sorted keys are
-    derived once, together with their index by arity.  A stored value
-    wins over the fallback of its key.  Fallbacks must be pure functions
-    of ``(spaces, gens)`` returning an ``Element``; the table holds no
-    cache, so a fallback that is costly caches itself (``from_dga`` and
-    ``deform`` wrap theirs in ``functools.cache``).
+    derived once, together with their index by arity and the slot index
+    ``key -> (stored entry or None, fallback or None)``, so a lookup
+    hashes its key once.  A stored value wins over the fallback of its
+    key.  Fallbacks must be pure functions of ``(spaces, gens)`` returning
+    an ``Element``; the table holds no cache, so a fallback that is costly
+    caches itself (``from_dga`` and ``deform`` wrap theirs in
+    ``functools.cache``).
     """
 
     values: Mapping[OpKey, Mapping[TensorKey, Element]] = field(default_factory=dict)
@@ -167,6 +181,7 @@ class OperationTable:
     )
     _keys: tuple[OpKey, ...] = field(init=False, repr=False, compare=False)
     _by_arity: dict[int, tuple[OpKey, ...]] = field(init=False, repr=False, compare=False)
+    _slots: dict[OpKey, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = {key: MappingProxyType(dict(entry)) for key, entry in self.values.items()}
@@ -176,6 +191,8 @@ class OperationTable:
         object.__setattr__(self, "_keys", keys)
         by_arity = itertools.groupby(keys, key=lambda key: key[0])
         object.__setattr__(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
+        slots = {key: (values.get(key), self.fallbacks.get(key)) for key in keys}
+        object.__setattr__(self, "_slots", slots)
 
     def keys(self) -> tuple[OpKey, ...]:
         return self._keys
@@ -184,12 +201,11 @@ class OperationTable:
         return self._by_arity.get(k, ())
 
     def lookup(self, key: OpKey, spaces: tuple[str, ...], gens: tuple[str, ...]) -> Element:
-        entry = self.values.get(key)
+        entry, fallback = self._slots.get(key, _NO_SLOT)
         if entry is not None:
             value = entry.get((spaces, gens))
             if value is not None:
                 return value
-        fallback = self.fallbacks.get(key)
         return Element.zero() if fallback is None else fallback(spaces, gens)
 
     def max_arity(self) -> int:
@@ -200,13 +216,18 @@ class OperationTable:
 class FilteredAInfty:
     """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
     with ``spaces`` held as a read-only copy.  The splittings of each
-    relation arity are planned once per structure and cutoff."""
+    relation arity are planned once per structure and cutoff.
+
+    Every application goes through ``apply_raw`` and every value through
+    ``OperationTable.lookup``.  A basis word, whose inputs are all basis
+    elements (see ``Element``), is one lookup: it is not expanded into
+    Novikov products and its value is not scaled."""
 
     spaces: Mapping[str, HomSpace]
     table: OperationTable
     spectrum: GappedSpectrum
     cutoff: Fraction
-    _plans: dict[tuple[int, Fraction], list] = field(
+    _plans: dict[tuple[int, int, int], list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -261,6 +282,9 @@ class FilteredAInfty:
         energy factor."""
         if key[0] != len(word):
             raise StructureError(f"operation {key} expects {key[0]} inputs, got {len(word)}")
+        gens = tuple([el._gen for el in word])
+        if None not in gens:  # a basis word
+            return self.table.lookup(key, tuple([el.space for el in word]), gens)
         total = Element.zero()
         for spaces, gens, coeff in self._expand(word):
             if coeff.is_zero():
@@ -301,33 +325,29 @@ class FilteredAInfty:
         k = len(word)
         if not 1 <= j <= k - k_inner + 1:
             raise StructureError(f"slot {j} out of range for arity {k_inner} in {k} inputs")
-        return self._insert(key, j, word, *self._word_degrees(word))
+        sign = koszul_prefix(*self._word_degrees(word), j)
+        inner = self.apply_raw(key, word[j - 1 : j - 1 + k_inner])
+        return sign, [*word[: j - 1], inner, *word[j - 1 + k_inner :]]
 
     def _word_degrees(self, word: Sequence[Element]) -> tuple[list[int], list[int]]:
         """Degrees and Maslov parities of the inputs (0 for a zero input),
         after checking that each input of several generators is
         shifted-homogeneous."""
-        degs = [0] * len(word)
-        mus = [0] * len(word)
-        for i, el in enumerate(word):
-            if el.is_zero():
-                continue
+        degs, mus = [], []
+        for el in word:
+            gen = el._gen
+            if gen is None:
+                if not el.coeffs:
+                    degs.append(0)
+                    mus.append(0)
+                    continue
+                if len(el.coeffs) > 1:
+                    self.shifted_parity(el)  # homogeneity check
+                gen = next(iter(el.coeffs))
             space = self.spaces[el.space]
-            degs[i] = space.degree_of(next(iter(el.coeffs)))
-            mus[i] = space.component.maslov_parity
-            if len(el.coeffs) > 1:
-                self.shifted_parity(el)  # homogeneity check
+            degs.append(space.degree_of(gen))
+            mus.append(space.component.maslov_parity)
         return degs, mus
-
-    def _insert(
-        self, key: OpKey, j: int, word: Sequence[Element], degs: list[int], mus: list[int]
-    ) -> tuple[int, list[Element]]:
-        """:meth:`coderivation_insert` for an in-range slot, given the
-        word's degrees and Maslov parities."""
-        k_inner = key[0]
-        sign = koszul_prefix(degs, mus, j)
-        inner = self.apply_raw(key, word[j - 1 : j - 1 + k_inner])
-        return sign, list(word[: j - 1]) + [inner] + list(word[j - 1 + k_inner :])
 
     def _splittings(
         self, k: int, cutoff: Fraction
@@ -335,7 +355,9 @@ class FilteredAInfty:
         """The splittings of the arity-k relation below the cutoff: each
         inner key that has outer keys, with those outer keys and the factors
         ``T^energy`` and ``-T^energy`` of their summed energy."""
-        plan = self._plans.get((k, cutoff))
+        # keyed by ints, which hash in C; a Fraction hashes in Python
+        plan_key = (k, cutoff.numerator, cutoff.denominator)
+        plan = self._plans.get(plan_key)
         if plan is None:
             plan = []
             for inner_key in self.table.keys():
@@ -351,7 +373,7 @@ class FilteredAInfty:
                         outer.append((outer_key, factors))
                 if outer:
                     plan.append((inner_key, outer))
-            self._plans[(k, cutoff)] = plan
+            self._plans[plan_key] = plan
         return plan
 
     def relation_defect(self, word: Sequence[Element], cutoff: Rational | None = None) -> Element:
@@ -360,24 +382,27 @@ class FilteredAInfty:
         cutoff = self.cutoff if cutoff is None else _frac(cutoff)
         k = len(word)
         plan = self._splittings(k, cutoff)
-        if plan:
-            degs, mus = self._word_degrees(word)
+        if not plan:
+            return Element.zero()
+        degs, mus = self._word_degrees(word)
         total = Element.zero()
         for inner_key, outer in plan:
-            # The inner insertion does not depend on the outer operation.
-            inserted = [
-                self._insert(inner_key, j, word, degs, mus)
-                for j in range(1, k + 2 - inner_key[0])
-            ]
+            # The inner insertion does not depend on the outer operation;
+            # only the slots where it does not vanish are kept, with their
+            # Koszul signs.
+            k_inner = inner_key[0]
+            inserted = []
+            for j in range(1, k + 2 - k_inner):
+                inner = self.apply_raw(inner_key, word[j - 1 : j - 1 + k_inner])
+                if inner.coeffs:
+                    inserted.append((koszul_prefix(degs, mus, j),
+                                     [*word[: j - 1], inner, *word[j - 1 + k_inner :]]))
             for outer_key, factors in outer:
-                for j, (sign, new_word) in enumerate(inserted, start=1):
-                    if new_word[j - 1].is_zero():
-                        continue
+                for sign, new_word in inserted:
                     value = self.apply_raw(outer_key, new_word)
-                    if value.is_zero():
-                        continue
-                    total = total + value.scale(factors[sign])
-        return total.truncate(cutoff)
+                    if value.coeffs:
+                        total = total + value.scale(factors[sign])
+        return total.truncate(cutoff) if total.coeffs else total
 
     def check_relations(
         self,
@@ -392,29 +417,29 @@ class FilteredAInfty:
         Exhaustive when the tuple count is at most the threshold, otherwise
         a seeded random sample.  Stops at the first nonzero defect.
         """
-        gens = self.basis_generators()
-        basis = {(s, g): Element.basis(s, g) for s, g in gens}
+        basis = [Element.basis(s, g) for s, g in self.basis_generators()]
         rng = random.Random(seed)
         checked = 0
         for k in range(0, k_max + 1):
-            count = len(gens) ** k if gens else (1 if k == 0 else 0)
+            count = len(basis) ** k if basis else (1 if k == 0 else 0)
             if count == 0 and k > 0:
                 continue
             if count <= exhaustive_threshold:
-                words = itertools.product(gens, repeat=k)
+                words = itertools.product(basis, repeat=k)
             else:
                 words = (
-                    tuple(rng.choice(gens) for _ in range(k))
+                    tuple(rng.choice(basis) for _ in range(k))
                     for _ in range(sample_size)
                 )
             for word in words:
-                defect = self.relation_defect([basis[sg] for sg in word], cutoff)
+                defect = self.relation_defect(word, cutoff)
                 checked += 1
-                if not defect.is_zero():
+                if defect.coeffs:
+                    inputs = [(el.space, el._gen) for el in word]
                     return RelationReport(
                         passed=False,
                         checked=checked,
-                        witness={"k": k, "inputs": list(word), "defect": str(defect)},
+                        witness={"k": k, "inputs": inputs, "defect": str(defect)},
                     )
         return RelationReport(passed=True, checked=checked, witness=None)
 

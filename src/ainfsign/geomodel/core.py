@@ -25,9 +25,10 @@ work the same way: ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
 assignment, including the unit-range check, while the maps this module
 derives from valid maps (``as_smooth``, ``compose_smooth``,
-``compose_projection``, ``interval_face``, the restricted projections of
-``boundary_pushforward`` and both maps of ``pullback_bundle``) are built
-with the trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
+``compose_projection``, ``to_projection``, ``interval_face``, the
+restricted projections of ``boundary_pushforward``, the two projections of
+``fiber_product`` and both maps of ``pullback_bundle``) are built with the
+trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
 set the fields and check nothing.
 """
 
@@ -566,7 +567,7 @@ class SmoothMapModel:
                 injection[name] = assignment[1]
             else:
                 injection[name] = next(iter(assignment[1].terms))[0][0]
-        return projection(self.source, self.target, injection)
+        return _projection_of(self.source, self.target, injection)
 
 
 def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
@@ -716,6 +717,16 @@ def projection(
     return ProjectionMap(source, target, tuple(sorted(injection.items())), tuple(fiber))
 
 
+def _projection_of(
+    source: CubeTorusSpace, target: CubeTorusSpace, injection: Mapping[str, str]
+) -> ProjectionMap:
+    """``projection`` with the source-order fiber, for a projection derived
+    from valid maps: built with the trusted ``ProjectionMap._of``."""
+    used = set(injection.values())
+    fiber = tuple(n for n in source.names() if n not in used)
+    return ProjectionMap._of(source, target, injection, fiber)
+
+
 def compose_projection(outer: ProjectionMap, inner: ProjectionMap) -> ProjectionMap:
     """outer after inner (inner.source -> outer.target), with the induced
     fiber orientation: outer fiber (lifted through inner) first, then inner
@@ -845,16 +856,28 @@ def interval_face(
         raise ValueError(f"{name!r} is not an interval coordinate")
     if value not in (0, 1):
         raise ValueError(f"{value} is not an endpoint of the unit interval")
+    face_space, at_one, at_zero = _interval_faces(sp, name)
+    return face_space, at_one if value == 1 else at_zero
+
+
+def _interval_faces(
+    sp: CubeTorusSpace, name: str
+) -> tuple[CubeTorusSpace, SmoothMapModel, SmoothMapModel]:
+    """The face space of an interval coordinate, built once, with its
+    inclusions at the value-1 and the value-0 endpoint."""
     face_space = CubeTorusSpace(tuple(c for c in sp.coords if c[0] != name))
-    table: dict[str, tuple] = {}
-    for n, k in sp.coords:
-        if n == name:
-            table[n] = ("poly", Poly.const(value))
-        elif k == INTERVAL:
-            table[n] = ("poly", Poly.var(n))
-        else:
-            table[n] = ("circle", n, 1)
-    return face_space, SmoothMapModel._of(face_space, sp, table)
+    inclusions = []
+    for value in (Fraction(1), Fraction(0)):
+        table: dict[str, tuple] = {}
+        for n, k in sp.coords:
+            if n == name:
+                table[n] = ("poly", Poly.const(value))
+            elif k == INTERVAL:
+                table[n] = ("poly", Poly.var(n))
+            else:
+                table[n] = ("circle", n, 1)
+        inclusions.append(SmoothMapModel._of(face_space, sp, table))
+    return face_space, *inclusions
 
 
 def boundary_faces(sp: CubeTorusSpace) -> list[tuple[CubeTorusSpace, SmoothMapModel, int]]:
@@ -869,9 +892,9 @@ def boundary_faces(sp: CubeTorusSpace) -> list[tuple[CubeTorusSpace, SmoothMapMo
     for idx, (name, kind) in enumerate(sp.coords):
         if kind != INTERVAL:
             continue
-        for value, orient in ((Fraction(1), 1), (Fraction(0), -1)):
-            face_space, inclusion = interval_face(sp, name, value)
-            faces.append((face_space, inclusion, orient * (-1) ** idx))
+        face_space, at_one, at_zero = _interval_faces(sp, name)
+        sign = (-1) ** idx
+        faces += [(face_space, at_one, sign), (face_space, at_zero, -sign)]
     return faces
 
 
@@ -890,12 +913,11 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
         if p.source.kind(v) != INTERVAL:
             continue
         top = (-1) ** ((p.source.dimension + p.reldim + i) % 2)
-        restricted_fiber = tuple(x for x in p.fiber if x != v)
-        for value, orient in ((Fraction(1), top), (Fraction(0), -top)):
-            face_space, inclusion = interval_face(p.source, v, value)
-            restricted = ProjectionMap._of(
-                face_space, p.target, dict(p.injection), restricted_fiber
-            )
+        face_space, at_one, at_zero = _interval_faces(p.source, v)
+        restricted = ProjectionMap._of(
+            face_space, p.target, dict(p.injection), tuple(x for x in p.fiber if x != v)
+        )
+        for inclusion, orient in ((at_one, top), (at_zero, -top)):
             out = out + pushforward(restricted, pullback(inclusion, form)).scale(orient)
     return out
 
@@ -957,15 +979,11 @@ def fiber_product(
         raise ValueError("coordinate name collision in fiber product")
     glued = CubeTorusSpace(tuple(x12_only + shared + x23_only))
 
-    to_x12 = projection(
-        glued,
-        c12.space,
-        {n: left_shared.get(n, n) for n in c12.space.names()},
+    to_x12 = _projection_of(
+        glued, c12.space, {n: left_shared.get(n, n) for n in c12.space.names()}
     )
-    to_x23 = projection(
-        glued,
-        c23.space,
-        {n: right_shared.get(n, n) for n in c23.space.names()},
+    to_x23 = _projection_of(
+        glued, c23.space, {n: right_shared.get(n, n) for n in c23.space.names()}
     )
     out_leg = compose_projection(c12.f1, to_x12)
     in_leg = compose_smooth(c23.f2, to_x23.as_smooth())

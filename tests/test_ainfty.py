@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -489,3 +490,46 @@ def test_keys_of_arity_indexes_sorted_keys():
     for k in range(D.table.max_arity() + 2):
         assert D.table.keys_of_arity(k) == tuple(key for key in sorted(keys) if key[0] == k)
     assert D.table.keys_of_arity(1) and not D.table.keys_of_arity(D.table.max_arity() + 1)
+
+
+def _deformed_interval2():
+    sp = geomodel.space(("u", "interval"), ("v", "interval"))
+    return deform(from_dga(cube_torus_dga(sp), cutoff=4), Element("deRham", {"u|dv": T_coeff()}), 1)
+
+
+def _wrong_rule_exterior3_d():
+    return from_dga(ce3(), sign_rule=lambda d1, d2: d2 % 2)
+
+
+@pytest.mark.parametrize("make", [lambda: from_dga(exterior_dga(4)), _deformed_interval2,
+                                  _wrong_rule_exterior3_d],
+                         ids=["exterior4", "interval2-deformed", "exterior3-d-wrong-rule"])
+def test_basis_words_agree_with_the_expanded_path(make):
+    """A basis word is one lookup; scaling its inputs by rationals forces the
+    general path through Novikov products, and by multilinearity both the
+    operations and the relation defect scale by the product of the scalars."""
+    A = make()
+    rng = random.Random(11)
+    gens = A.basis_generators()
+    nonzero_values = nonzero_defects = 0
+    for k in range(4):
+        for _ in range(25):
+            chosen = [rng.choice(gens) for _ in range(k)]
+            scalars = [Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.choice([1, 5, 7]))
+                       for _ in chosen]
+            word = [Element.basis(s, g) for s, g in chosen]
+            scaled = [Element(s, {g: NovikovElement.monomial(q, 0)})
+                      for (s, g), q in zip(chosen, scalars)]
+            assert all(el._gen is not None for el in word)
+            assert all(el._gen is None for el in scaled)
+            factor = NovikovElement.monomial(math.prod(scalars), 0)
+            for key in A.table.keys_of_arity(k):
+                value = A.apply_raw(key, word)
+                assert A.apply_raw(key, scaled) == value.scale(factor)
+                nonzero_values += not value.is_zero()
+            defect = A.relation_defect(word)
+            assert A.relation_defect(scaled) == defect.scale(factor)
+            nonzero_defects += not defect.is_zero()
+    assert nonzero_values > 0
+    # the corrupted structure compares nonzero defects, the others zero ones
+    assert (nonzero_defects > 0) == (make is _wrong_rule_exterior3_d)

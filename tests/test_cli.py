@@ -314,6 +314,34 @@ def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
     assert digest == RELATION_REPORTS_SHA256[argv[0]]
 
 
+# Calls of each entry point of the relation sweep during
+# `check-dga --preset exterior3-d --k-max 3`, as made before the sweep's
+# constant-factor work; a change in the work done shows here.
+SWEEP_CALLS = {"relation_defect": 585, "apply_raw": 1734, "lookup": 1798}
+
+
+def test_relation_sweep_work_is_pinned(tmp_path, capsys, monkeypatch):
+    calls = dict.fromkeys(SWEEP_CALLS, 0)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(FilteredAInfty, "relation_defect")
+    counting(FilteredAInfty, "apply_raw")
+    counting(OperationTable, "lookup")
+    argv = ["check-dga", "--preset", "exterior3-d", "--k-max", "3"]
+    code, _, _ = run(argv + ["--out", str(tmp_path / "report.json")], capsys)
+    assert code == 0
+    assert calls == SWEEP_CALLS
+
+
 def test_check_ainfty_roundtrip(tmp_path, capsys):
     path = materialized_ext2(tmp_path)
     schema = json.loads((SCHEMAS / "structure.schema.json").read_text())

@@ -635,6 +635,10 @@ def test_derived_maps_pass_public_validation():
         _assert_derived(f_tilde, expected_tilde)
 
         c12, c23 = checks._random_composable_pair(rng, fresh)
+        _assert_derived(c12.f2.to_projection(), projection(c12.f2.source, c12.f2.target, {
+            t: a[1] if a[0] == "circle" else next(iter(a[1].variables()))
+            for t, a in c12.f2.assignments
+        }))
         c13 = fiber_product(c12, c23)
         left_shared = {s: t for t, s in c12.f2.to_projection().injection}
         right_shared = {s: t for t, s in c23.f1.injection}
