@@ -1,6 +1,7 @@
 """Concrete filtered A-infinity structures over the truncated Novikov ring:
 the data model (components, hom spaces, sparse operation tables), the
-coderivation insertion, the relation-defect checker, and two certified
+relation-defect checker (which inserts each inner operation as a
+coderivation, with its Koszul prefix sign), and two certified
 constructions -- the differential-graded-algebra embedding and the
 bounding-cochain deformation.
 
@@ -312,22 +313,6 @@ class FilteredAInfty:
         return self.apply_operation(0, ())
 
     # --- relations ---
-
-    def coderivation_insert(
-        self, key: OpKey, j: int, word: Sequence[Element]
-    ) -> tuple[int, list[Element]]:
-        """Insert the operation at slot j with the Koszul prefix sign.
-
-        Returns (sign parity, new word) where the new word carries the
-        operation's output (without its energy factor) at slot j.
-        """
-        k_inner = key[0]
-        k = len(word)
-        if not 1 <= j <= k - k_inner + 1:
-            raise StructureError(f"slot {j} out of range for arity {k_inner} in {k} inputs")
-        sign = koszul_prefix(*self._word_degrees(word), j)
-        inner = self.apply_raw(key, word[j - 1 : j - 1 + k_inner])
-        return sign, [*word[: j - 1], inner, *word[j - 1 + k_inner :]]
 
     def _word_degrees(self, word: Sequence[Element]) -> tuple[list[int], list[int]]:
         """Degrees and Maslov parities of the inputs (0 for a zero input),

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__, f2poly, novikov, prover, structio
 from .ainfty import (
     Element,
+    StructureError,
     check_product_sign_convention,
     cube_torus_dga,
     deform,
@@ -319,15 +320,22 @@ def cmd_deform_check(args) -> int:
     )
     candidates: list[tuple[str, Element]] = []
     if args.b:
-        spec_dict = json.loads(args.b)
+        try:
+            spec_dict = json.loads(args.b)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--b: not JSON: {exc}") from exc
         if not isinstance(spec_dict, dict):
             raise UsageError("--b must be a JSON object mapping generators to coefficients")
+        coeffs = {}
         for g, c in spec_dict.items():
             if not dga.has_generator(g):
                 raise UsageError(f"--b: unknown generator {g!r} of space {dga.space_name!r}")
             if not isinstance(c, str):
                 raise UsageError(f"--b: coefficient of {g!r} must be a string, got {c!r}")
-        coeffs = {g: novikov.parse(c) for g, c in spec_dict.items()}
+            try:
+                coeffs[g] = novikov.parse(c)
+            except novikov.NovikovParseError as exc:
+                raise UsageError(f"--b: coefficient of {g!r}: {exc}") from exc
         candidates.append(("explicit", Element(dga.space_name, coeffs)))
     rng = random.Random(args.seed)
     for i in range(args.random):
@@ -337,7 +345,10 @@ def cmd_deform_check(args) -> int:
     curved = 0
     for label, b in candidates:
         started = time.perf_counter()
-        D = deform(A, b, lam_min)
+        try:
+            D = deform(A, b, lam_min)
+        except StructureError as exc:  # random elements are even, of valuation >= lam_min
+            raise UsageError(f"--b: {exc}") from exc
         rel = D.check_relations(args.k_max, seed=args.seed,
                                 exhaustive_threshold=args.exhaustive_threshold,
                                 sample_size=args.sample_size)
@@ -380,8 +391,8 @@ def cmd_enumerate_strata(args) -> int:
     parent = ModuliDescriptor(args.k, BClass(energy, args.tag), out_comp, inputs)
     try:
         strata = enumerate_strata(parent, spectrum, [node])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # the parent energy is outside the spectrum closure
+        raise UsageError(f"--energy: {exc}") from exc
     payload = {
         "parent": parent.to_json(),
         "strata": [s.to_json() for s in strata],
@@ -431,7 +442,7 @@ def cmd_anf(args) -> int:
         bindings[name] = int(value)
     try:
         expr = f2poly.parse_sign_expr(text)
-        poly = f2poly.to_anf(expr, bindings, symbolic=True)
+        poly = f2poly.to_anf(expr, bindings)
     except f2poly.SignExprError as exc:
         raise UsageError(str(exc)) from exc
     _emit(f"{poly}\n")
@@ -529,10 +540,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

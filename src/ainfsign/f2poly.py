@@ -330,23 +330,20 @@ def _resolve_name(name: str, env: Mapping[str, int]) -> str:
 def to_anf(
     expr: SignExpr,
     bindings: Mapping[str, ScalarOrPoly] | None = None,
-    symbolic: bool = False,
 ) -> F2Poly:
     """Elaborate an expression to canonical ANF.
 
-    ``bindings`` maps names to integers (reduced mod 2) or F2Poly values.
-    Unbound names raise unless ``symbolic`` is set, in which case they become
-    variables of the result.
+    ``bindings`` maps names to integers (reduced mod 2) or F2Poly values;
+    unbound names become variables of the result.
     """
     bindings = bindings or {}
-    return _elaborate(expr, bindings, {}, symbolic)
+    return _elaborate(expr, bindings, {})
 
 
 def _elaborate(
     expr: SignExpr,
     bindings: Mapping[str, ScalarOrPoly],
     env: dict[str, int],
-    symbolic: bool,
 ) -> F2Poly:
     if isinstance(expr, IntLit):
         return F2Poly.const(expr.value)
@@ -357,14 +354,12 @@ def _elaborate(
         if name in bindings:
             value = bindings[name]
             return value if isinstance(value, F2Poly) else F2Poly.const(value)
-        if symbolic:
-            return F2Poly.var(name)
-        raise SignExprError(f"unbound variable {name!r}")
+        return F2Poly.var(name)
     if isinstance(expr, Neg):
-        return _elaborate(expr.operand, bindings, env, symbolic)
+        return _elaborate(expr.operand, bindings, env)
     if isinstance(expr, BinOp):
-        left = _elaborate(expr.left, bindings, env, symbolic)
-        right = _elaborate(expr.right, bindings, env, symbolic)
+        left = _elaborate(expr.left, bindings, env)
+        right = _elaborate(expr.right, bindings, env)
         return left * right if expr.op == "*" else left + right
     if isinstance(expr, IndexedSum):
         lo = _int_bound(expr.lower, bindings, env)
@@ -373,7 +368,7 @@ def _elaborate(
         for value in range(lo, hi + 1):
             inner = dict(env)
             inner[expr.var] = value
-            total = total + _elaborate(expr.body, bindings, inner, symbolic)
+            total = total + _elaborate(expr.body, bindings, inner)
         return total
     raise TypeError(f"not a sign expression: {expr!r}")
 

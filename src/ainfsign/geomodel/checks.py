@@ -5,12 +5,13 @@ nested-vs-glued push-pull identities with their reorder signs.
 Every checker draws seeded random instances, evaluates both sides of its
 identity with exact rational arithmetic, and requires literal equality; the
 first failing instance is returned as a witness.  One loop, ``_trial_loop``,
-runs every calculus checker: it owns the seeded stream, the trial count and
-the stop at the first failure, and each checker supplies only the draw and
-comparison of one trial.  Instance generators keep interval-coordinate
-assignments inside [0, 1] by construction.  Each checker, and each
-``random_mock_instance`` call, numbers its coordinate names from its own
-``NameSource``, so a witness does not depend on what ran before it.
+runs all eight checkers, the seven calculus checkers and mock push-pull: it
+owns the seeded stream, the trial count and the stop at the first failure,
+and each checker supplies only the draw and comparison of one trial.
+Instance generators keep interval-coordinate assignments inside [0, 1] by
+construction.  Each checker, and each ``random_mock_instance`` call, numbers
+its coordinate names from its own ``NameSource``, so a witness does not
+depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -163,14 +164,13 @@ def random_smooth_map(
 
 
 def random_bundle(
-    rng: random.Random, max_coords: int, fresh: NameSource, min_fiber: int = 0,
-    prefix: str = "x",
+    rng: random.Random, max_coords: int, fresh: NameSource, min_fiber: int = 0
 ) -> ProjectionMap:
     """A random projection with shuffled source interleaving and a target
     listed in an order independent of the source's."""
     total = rng.randrange(max(1, min_fiber), max_coords + 1)
     n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
-    coords = _random_coords(rng, fresh, prefix, total)
+    coords = _random_coords(rng, fresh, "x", total)
     rng.shuffle(coords)
     source = CubeTorusSpace(tuple(coords))
     base = list(coords)
@@ -605,28 +605,21 @@ _NONTRIVIAL_QUOTA = 25
 
 
 def verify_pushpull(trials: int, seed: int) -> CheckResult:
-    """Run the nested-vs-glued identity suite on random mock instances."""
-    rng = random.Random(seed)
-    result = CheckResult("mock-pushpull", trials)
-    nontrivial = 0
+    """Run the nested-vs-glued identity suite on random mock instances.  A
+    trial draws until an instance counts (a trivial one only once the quota
+    is met); a trial that finds the cap of 50 draws per trial reached fails."""
+    cap = 50 * trials
     attempts = 0
-    i = 0
-    while i < trials and attempts < 50 * trials:
-        attempts += 1
-        outer, inner, j, xis, mus = random_mock_instance(rng)
-        report = check_pushpull_identities(outer, inner, j, xis, mus)
-        if report.nontrivial:
-            nontrivial += 1
-        elif nontrivial < _NONTRIVIAL_QUOTA:
-            continue  # resample until enough instances carry nonzero forms
-        if not report.passed:
-            result.failures.append(report.detail)
-            break
-        i += 1
-    if i < trials and not result.failures:
-        result.failures.append(
-            {"error": "attempt cap reached", "trials_run": i,
-             "trials_requested": trials, "attempts": attempts}
-        )
-    result.stats["nontrivial"] = nontrivial
-    return result
+
+    def trial(rng, fresh, stats):
+        nonlocal attempts
+        while attempts < cap:
+            attempts += 1
+            report = check_pushpull_identities(*random_mock_instance(rng))
+            if report.nontrivial:
+                stats["nontrivial"] += 1
+            elif stats["nontrivial"] < _NONTRIVIAL_QUOTA:
+                continue  # resample until enough instances carry nonzero forms
+            return None if report.passed else report.detail
+        return {"error": "attempt cap reached", "trials_requested": trials, "attempts": attempts}
+    return _trial_loop("mock-pushpull", trials, seed, trial, nontrivial=0)

@@ -25,7 +25,7 @@ work the same way: ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
 assignment, including the unit-range check, while the maps this module
 derives from valid maps (``as_smooth``, ``compose_smooth``,
-``compose_projection``, ``to_projection``, ``interval_face``, the
+``compose_projection``, ``to_projection``, the face inclusions and the
 restricted projections of ``boundary_pushforward``, the two projections of
 ``fiber_product`` and both maps of ``pullback_bundle``) are built with the
 trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
@@ -266,15 +266,6 @@ class Poly:
             for m, k in piece.terms.items():
                 _accumulate(out, m, k)
         return Poly._of(out)
-
-    def eval(self, point: Mapping[str, Rational]) -> Fraction:
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            val = c
-            for v, p in mono:
-                val *= _frac(point[v]) ** p
-            total += val
-        return total
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -847,19 +838,6 @@ def bundle_orientation_sign(p: ProjectionMap) -> int:
     return (-1) ** inversions
 
 
-def interval_face(
-    sp: CubeTorusSpace, name: str, value: Rational
-) -> tuple[CubeTorusSpace, SmoothMapModel]:
-    """The codimension-1 face at an interval coordinate's endpoint, with its
-    inclusion into the space."""
-    if sp.kind(name) != INTERVAL:
-        raise ValueError(f"{name!r} is not an interval coordinate")
-    if value not in (0, 1):
-        raise ValueError(f"{value} is not an endpoint of the unit interval")
-    face_space, at_one, at_zero = _interval_faces(sp, name)
-    return face_space, at_one if value == 1 else at_zero
-
-
 def _interval_faces(
     sp: CubeTorusSpace, name: str
 ) -> tuple[CubeTorusSpace, SmoothMapModel, SmoothMapModel]:
@@ -878,24 +856,6 @@ def _interval_faces(
                 table[n] = ("circle", n, 1)
         inclusions.append(SmoothMapModel._of(face_space, sp, table))
     return face_space, *inclusions
-
-
-def boundary_faces(sp: CubeTorusSpace) -> list[tuple[CubeTorusSpace, SmoothMapModel, int]]:
-    """Codimension-1 faces with outward-normal-first orientation signs
-    relative to the listed orientation.
-
-    Each interval coordinate contributes its value-1 face with sign
-    (-1)^position and its value-0 face with the opposite sign; circles
-    contribute nothing.
-    """
-    faces = []
-    for idx, (name, kind) in enumerate(sp.coords):
-        if kind != INTERVAL:
-            continue
-        face_space, at_one, at_zero = _interval_faces(sp, name)
-        sign = (-1) ** idx
-        faces += [(face_space, at_one, sign), (face_space, at_zero, -sign)]
-    return faces
 
 
 def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:

@@ -22,13 +22,12 @@ from .novikov import GappedSpectrum, _frac
 
 @dataclass(frozen=True)
 class ComponentData:
-    """A clean-intersection component: its dimension, Maslov parity and a
-    flag recording that its orientation twist is trivialized in examples."""
+    """A clean-intersection component: its dimension and Maslov parity.  Its
+    orientation twist is taken to be trivialized; the sign formulas assume it."""
 
     name: str
     dimension: int
     maslov_parity: int
-    twist_trivialized: bool = True
 
     def __post_init__(self):
         if self.dimension < 0:
@@ -287,16 +286,9 @@ def match_composition_terms(
     parent: ModuliDescriptor,
     spectrum: GappedSpectrum,
     node_components: Sequence[ComponentData],
-    drop_strata: int = 0,
 ) -> MatchReport:
-    """Match stratum indices against composition-term indices as multisets.
-
-    ``drop_strata`` removes that many strata before matching; used by
-    falsification tests to confirm mismatches are detected.
-    """
+    """Match stratum indices against composition-term indices as multisets."""
     strata = enumerate_strata(parent, spectrum, node_components)
-    if drop_strata:
-        strata = strata[drop_strata:]
     stratum_index = Counter(s.index() for s in strata)
     term_index = Counter(composition_terms(parent, spectrum, node_components))
     matched = sorted((stratum_index & term_index).elements())

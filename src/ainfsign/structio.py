@@ -91,11 +91,13 @@ def structure_from_json(data: Any) -> FilteredAInfty:
     for i, c in enumerate(_expect(data.get("components", []), list, "$.components")):
         path = f"$.components[{i}]"
         c = _expect(c, dict, path)
+        if c.get("twist_trivialized", True) is not True:
+            raise FormatError("only a trivialized orientation twist is supported, got "
+                              f"{json.dumps(c['twist_trivialized'])}", f"{path}.twist_trivialized")
         comp = ComponentData(
             name=_expect(c.get("name"), str, f"{path}.name"),
             dimension=_integer(c.get("dimension"), f"{path}.dimension"),
             maslov_parity=_integer(c.get("maslov_parity"), f"{path}.maslov_parity"),
-            twist_trivialized=bool(c.get("twist_trivialized", True)),
         )
         components[comp.name] = comp
 
@@ -182,7 +184,6 @@ def structure_to_json(A: FilteredAInfty) -> dict:
                 "name": c.name,
                 "dimension": c.dimension,
                 "maslov_parity": c.maslov_parity,
-                "twist_trivialized": c.twist_trivialized,
             }
             for c in sorted(components.values(), key=lambda c: c.name)
         ],

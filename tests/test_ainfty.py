@@ -22,6 +22,7 @@ from ainfsign.ainfty import (
     validate_degree_parity,
 )
 from ainfsign.novikov import NovikovElement, spectrum_closure
+from ainfsign.signs import koszul_prefix
 from ainfsign.strata import ComponentData
 
 CE_DIFFERENTIAL = {"e1": {"e2^e3": 1}, "e2": {"e1^e3": -1}, "e3": {"e1^e2": 1}}
@@ -91,17 +92,13 @@ def test_zero_energy_curvature_must_vanish():
 
 
 def test_coderivation_insert_signs():
-    dga = exterior_dga(2)
-    A = from_dga(dga)
+    """The Koszul prefix sign that ``relation_defect`` gives the inner
+    operation inserted at slot j."""
+    A = from_dga(exterior_dga(2))
     x1 = Element.basis("ext", "e1")  # degree 1, shifted parity 0
     x2 = Element.basis("ext", "e1^e2")  # degree 2, shifted parity 1
-    key = (1, Fraction(0), "0")
-    sign, word = A.coderivation_insert(key, 1, [x1, x2])
-    assert sign == 0 and len(word) == 2
-    sign, _ = A.coderivation_insert(key, 2, [x2, x1])
-    assert sign == 1  # moving past shifted degree 1
-    with pytest.raises(StructureError):
-        A.coderivation_insert(key, 3, [x1, x2])
+    assert koszul_prefix(*A._word_degrees([x1, x2]), 1) == 0
+    assert koszul_prefix(*A._word_degrees([x2, x1]), 2) == 1  # moving past shifted degree 1
 
 
 def test_differential_insertion_sign_matches_shifted_prefix():
@@ -109,17 +106,15 @@ def test_differential_insertion_sign_matches_shifted_prefix():
     the shifted degrees before the slot, computed here by hand."""
     dga = ce3()
     A = from_dga(dga)
-    key = (1, Fraction(0), "0")
     rng = random.Random(17)
     gens = [g for g, _ in dga.basis]
     for _ in range(50):
         word = [Element.basis("ext", rng.choice(gens)) for _ in range(rng.randrange(1, 4))]
         for j in range(1, len(word) + 1):
-            sign, _ = A.coderivation_insert(key, j, word)
             by_hand = sum(
                 dga.degree_of(next(iter(el.coeffs))) - 1 for el in word[: j - 1]
             ) % 2
-            assert sign == by_hand
+            assert koszul_prefix(*A._word_degrees(word), j) == by_hand
 
 
 def test_dga_embedding_relations_exterior():
@@ -368,10 +363,8 @@ def test_homogeneity_is_checked_for_inputs_of_several_generators():
     mixed = Element("ext", {"e1": T_coeff(e=0), "e1^e2": T_coeff(e=0)})
     with pytest.raises(StructureError, match="not shifted-homogeneous"):
         A.relation_defect([mixed])
-    with pytest.raises(StructureError, match="not shifted-homogeneous"):
-        A.coderivation_insert((1, Fraction(0), "0"), 1, [mixed])
     sum_ = Element("ext", {"e1": T_coeff(e=0), "e2": T_coeff(e=0)})
-    assert A.coderivation_insert((1, Fraction(0), "0"), 1, [sum_])[0] == 0
+    assert A.relation_defect([sum_]).is_zero()
 
 
 def test_deform_energy_filtration():

@@ -440,8 +440,12 @@ def ext2_with(path, value):
     (("spectrum_generators",), ["1", "-1"], "spectrum generator must be positive",
      "$.spectrum_generators[1]"),
     (("operations", 0, "k"), -1, "arity must be nonnegative", "$.operations[0].k"),
+    (("components", 0, "twist_trivialized"), False,
+     "only a trivialized orientation twist is supported, got false",
+     "$.components[0].twist_trivialized"),
 ], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
-        "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity"])
+        "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity",
+        "twist-not-trivialized"])
 def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(ext2_with(path, value)))
@@ -634,6 +638,13 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--relations-spectrum: bad rational 'y'"),
     (["check-ainfty", "--file", "ext2.json", "--cutoff", "5"],
      "--cutoff 5 exceeds the structure's cutoff 1"),
+    (["deform-check", "--b", "notjson"], "--b: not JSON"),
+    (["deform-check", "--b", '{"u|dv": "T+1/0"}'],
+     "--b: coefficient of 'u|dv': denominator must be positive"),
+    (["deform-check", "--b", '{"1|": "T"}'], "--b: the deforming element must have even"),
+    (["deform-check", "--b", '{"u|dv": "1"}'], "--b: every coefficient of b needs valuation"),
+    (["enumerate-strata", "--k", "2", "--energy", "1/2", "--spectrum", "0,1"],
+     "--energy: parent energy 1/2 is not in the spectrum closure"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
         "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
         "strata-k-negative", "lam-min-zero", "lam-min-negative", "check-ainfty-cutoff-zero",
@@ -641,7 +652,8 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
         "strata-cutoff", "strata-energy", "strata-mus", "strata-dim-out", "strata-node-dim",
         "check-dga-cutoff-unparsed", "strata-energy-unparsed", "strata-mus-unparsed",
         "strata-spectrum-unparsed", "relations-spectrum-unparsed",
-        "check-ainfty-cutoff-above-structure"])
+        "check-ainfty-cutoff-above-structure", "b-not-json", "b-coefficient-unparsed",
+        "b-odd", "b-valuation", "strata-energy-outside-spectrum"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -43,12 +43,12 @@ def test_parse_trailing_garbage():
 
 
 def test_anf_cancellation():
-    poly = to_anf(parse_sign_expr("d1*(d2+1) + d1"), symbolic=True)
+    poly = to_anf(parse_sign_expr("d1*(d2+1) + d1"))
     assert poly == F2Poly.var("d1") * F2Poly.var("d2")
 
 
 def test_anf_idempotence():
-    assert to_anf(parse_sign_expr("x*x + x"), symbolic=True) == F2Poly.zero()
+    assert to_anf(parse_sign_expr("x*x + x")) == F2Poly.zero()
 
 
 def test_anf_mod2_literal():
@@ -56,31 +56,24 @@ def test_anf_mod2_literal():
 
 
 def test_anf_subtraction_is_addition():
-    assert to_anf(parse_sign_expr("x - y"), symbolic=True) == to_anf(
-        parse_sign_expr("x + y"), symbolic=True
-    )
+    assert to_anf(parse_sign_expr("x - y")) == to_anf(parse_sign_expr("x + y"))
 
 
 def test_sum_elaboration_with_bound_names():
     expr = parse_sign_expr("Sum(p=1..j-1, mu_p)")
-    poly = to_anf(expr, {"j": 3}, symbolic=True)
+    poly = to_anf(expr, {"j": 3})
     assert poly == F2Poly.var("mu_1") + F2Poly.var("mu_2")
-    assert to_anf(expr, {"j": 1}, symbolic=True) == F2Poly.zero()
+    assert to_anf(expr, {"j": 1}) == F2Poly.zero()
 
 
 def test_sum_bound_must_be_concrete():
     with pytest.raises(SignExprError):
-        to_anf(parse_sign_expr("Sum(p=1..j, p)"), {}, symbolic=True)
-
-
-def test_unbound_variable_error():
-    with pytest.raises(SignExprError):
-        to_anf(parse_sign_expr("x + y"), {"x": 1})
+        to_anf(parse_sign_expr("Sum(p=1..j, p)"), {})
 
 
 def test_equivalence_trivial():
     p = F2Poly.var("d1") * F2Poly.var("d2")
-    q = to_anf(parse_sign_expr("d1*d2 + 0"), symbolic=True)
+    q = to_anf(parse_sign_expr("d1*d2 + 0"))
     ok, witness = anf_equivalent(p, q)
     assert ok and witness is None
 
@@ -169,7 +162,7 @@ def test_elaboration_sound_against_integer_evaluation():
     names = ["a", "b", "c"]
     for _ in range(300):
         expr = _random_expr(rng, names)
-        poly = to_anf(expr, symbolic=True)
+        poly = to_anf(expr)
         env = {n: rng.randrange(-6, 7) for n in names}
         assert poly.evaluate({n: v % 2 for n, v in env.items()}) == eval_int(expr, env) % 2
 
@@ -193,7 +186,7 @@ def test_anf_canonicity_via_moebius_reconstruction():
     names = ("a", "b", "c", "d")
     for _ in range(100):
         expr = _random_expr(rng, list(names), depth=4)
-        poly = to_anf(expr, symbolic=True)
+        poly = to_anf(expr)
         table = {
             point: eval_int(expr, dict(zip(names, point))) % 2
             for point in itertools.product((0, 1), repeat=len(names))

@@ -16,7 +16,6 @@ from ainfsign.geomodel import (
     SmoothMapModel,
     apply_correspondence,
     boundary_correspondence_apply,
-    boundary_faces,
     boundary_pushforward,
     bundle_orientation_sign,
     check_pushpull_identities,
@@ -44,7 +43,7 @@ from ainfsign.geomodel import (
 )
 from ainfsign.geomodel import checks
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
-from ainfsign.geomodel.core import interval_face
+from ainfsign.geomodel.core import _interval_faces
 
 I_T = space(("t", "interval"))
 S_TH = space(("th", "circle"))
@@ -146,14 +145,6 @@ def test_pushforward_lowers_degree_by_reldim():
         out = pushforward(p, beta)
         if not out.is_zero():
             assert out.degree() == deg - p.reldim
-
-
-def test_boundary_of_interval_and_circle():
-    faces = boundary_faces(I_T)
-    assert [(f[1].table()["t"][1].constant_value(), f[2]) for f in faces] == [
-        (Fraction(1), 1), (Fraction(0), -1),
-    ]
-    assert boundary_faces(S_TH) == []
 
 
 def test_stokes_worked_example():
@@ -279,10 +270,23 @@ def test_pushpull_identity_suite():
 def test_pushpull_fails_when_attempt_cap_cuts_trials_short():
     result = verify_pushpull(trials=5, seed=1)
     assert not result.passed
-    assert result.failures[0] == {
-        "error": "attempt cap reached", "trials_run": 4,
-        "trials_requested": 5, "attempts": 250,
-    }
+    assert json.dumps(result.failures) == json.dumps([{
+        "trial": 4, "error": "attempt cap reached", "trials_requested": 5, "attempts": 250,
+    }])
+
+
+def test_pushpull_reports_first_failure_of_flipped_reorder_sign(monkeypatch):
+    """With the reorder sign flipped as ``geomodel.checks`` sees it, the
+    first nontrivial instance fails, and its witness is numbered by its
+    trial like every other checker's."""
+    reorder = signs.pushpull_reorder_sign
+    monkeypatch.setattr(signs, "pushpull_reorder_sign", lambda ctx: (reorder(ctx) + 1) % 2)
+    result = verify_pushpull(30, 1)
+    assert json.dumps(result.failures) == json.dumps([{
+        "trial": 0, "j": 1, "k": 2, "k_inner": 2, "mu_node": 1, "reorder_sign": 1,
+        "nested": "-35/18",
+    }])
+    assert result.stats == {"nontrivial": 1}
 
 
 def test_pushpull_trivial_mock_case():
@@ -394,7 +398,7 @@ def _range_oracle(poly, name):
     for v in vars_:
         points = [dict(pt, **{v: x}) for pt in points for x in lattice]
     for pt in points:
-        val = poly.eval(pt)
+        val = poly.subst({v: Poly.const(x) for v, x in pt.items()}).constant_value()
         if not 0 <= val <= 1:
             return f"assignment for {name!r} leaves [0,1] at {pt} (value {val})"
     return None
@@ -619,9 +623,9 @@ def test_derived_maps_pass_public_validation():
         _assert_derived(compose_smooth(outer, inner), _expected_composite_map(outer, inner))
 
         for name in p.source.interval_names():
-            for value in (0, 1):
-                face_space, inclusion = interval_face(p.source, name, value)
-                assert face_space.coords == tuple(c for c in p.source.coords if c[0] != name)
+            face_space, at_one, at_zero = _interval_faces(p.source, name)
+            assert face_space.coords == tuple(c for c in p.source.coords if c[0] != name)
+            for value, inclusion in ((1, at_one), (0, at_zero)):
                 _assert_derived(inclusion, smooth_map(face_space, p.source, {
                     n: ("poly", Poly.const(value)) if n == name
                     else ("poly", Poly.var(n)) if k == "interval" else ("circle", n, 1)

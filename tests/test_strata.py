@@ -162,9 +162,11 @@ def test_matching_perfect_small():
     assert report.perfect and len(report.matched) > 0
 
 
-def test_matching_detects_dropped_stratum():
+def test_matching_detects_dropped_stratum(monkeypatch):
     spectrum = spectrum_closure([Fraction(1, 2)], 2)
-    report = match_composition_terms(parent_of(3, 1), spectrum, [R], drop_strata=1)
+    monkeypatch.setattr("ainfsign.strata.enumerate_strata",
+                        lambda *args: enumerate_strata(*args)[1:])
+    report = match_composition_terms(parent_of(3, 1), spectrum, [R])
     assert not report.perfect
     assert len(report.unmatched_terms) == 1
 
