@@ -9,9 +9,14 @@ runs all eight checkers, the seven calculus checkers and mock push-pull: it
 owns the seeded stream, the trial count and the stop at the first failure,
 and each checker supplies only the draw and comparison of one trial.
 Instance generators keep interval-coordinate assignments inside [0, 1] by
-construction.  Each checker, and each ``random_mock_instance`` call, numbers
-its coordinate names from its own ``NameSource``, so a witness does not
-depend on what ran before it.
+construction.  ``random_space``, ``random_bundle``, ``random_form`` and
+``random_poly`` take each draw straight from ``rng._randbelow(n)``, which
+is what ``randrange``, ``choice`` and ``sample`` call, in the same order
+(``random_form`` replays ``sample``'s pool algorithm), so the seeded stream
+and the instances are those of the public calls; ``random_poly`` reads its
+coefficient from a table of the 18 fractions it can draw.  Each checker,
+and each ``random_mock_instance`` call, numbers its coordinate names from
+its own ``NameSource``, so a witness does not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -88,20 +93,24 @@ def _random_coords(
 def random_space(
     rng: random.Random, max_coords: int, fresh: NameSource, prefix: str = "x"
 ) -> CubeTorusSpace:
-    n = rng.randrange(0, max_coords + 1)
+    if max_coords < 0:
+        raise ValueError("max_coords must be at least 0")
+    n = rng._randbelow(max_coords + 1)
     return CubeTorusSpace(tuple(_random_coords(rng, fresh, prefix, n)))
 
 
+# The coefficients random_poly draws: a numerator in (-3, -2, -1, 1, 2, 3)
+# over a denominator in (1, 2, 3), each drawn uniformly.
+_COEFFS = tuple(tuple(Fraction(a, b) for b in (1, 2, 3)) for a in (-3, -2, -1, 1, 2, 3))
+
+
 def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Poly:
+    below = rng._randbelow
+    powers = max_deg + 1
     terms: dict[tuple, Fraction] = {}
-    for _ in range(rng.randrange(1, 3)):
-        mono: dict[str, int] = {}
-        for v in names:
-            p = rng.randrange(0, max_deg + 1)
-            if p:
-                mono[v] = p
-        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-        key = tuple(sorted(mono.items()))
+    for _ in range(1 + below(2)):
+        key = tuple(sorted((v, p) for v in names if (p := below(powers))))
+        c = _COEFFS[below(6)][below(3)]
         terms[key] = terms[key] + c if key in terms else c
     return Poly(terms)
 
@@ -114,17 +123,25 @@ def random_form(
 ) -> Form:
     """Random form; homogeneous of the given exterior degree when requested."""
     names = sp.names()
+    n = sp.dimension
+    intervals = sp.interval_names()
+    below = rng._randbelow
     terms: dict[tuple[str, ...], Poly] = {}
-    for _ in range(rng.randrange(1, 3)):
-        if degree is None:
-            size = rng.randrange(0, sp.dimension + 1)
-        else:
-            size = degree
-        if size > sp.dimension:
+    for _ in range(1 + below(2)):
+        size = below(n + 1) if degree is None else degree
+        if size > n:
             continue
-        wedge_key = tuple(sorted(rng.sample(range(sp.dimension), size)))
-        letters = tuple(names[i] for i in wedge_key)
-        poly = random_poly(rng, sp.interval_names(), max_deg)
+        if n > 21:
+            picked = rng.sample(range(n), size)
+        else:  # rng.sample(range(n), size) draws from a pool this small
+            pool = list(range(n))
+            picked = []
+            for i in range(size):
+                j = below(n - i)
+                picked.append(pool[j])
+                pool[j] = pool[n - i - 1]
+        letters = tuple(names[i] for i in sorted(picked))
+        poly = random_poly(rng, intervals, max_deg)
         terms[letters] = terms[letters] + poly if letters in terms else poly
     return Form(sp, terms)
 
@@ -168,8 +185,12 @@ def random_bundle(
 ) -> ProjectionMap:
     """A random projection with shuffled source interleaving and a target
     listed in an order independent of the source's."""
-    total = rng.randrange(max(1, min_fiber), max_coords + 1)
-    n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
+    least = max(1, min_fiber)
+    if max_coords < least:
+        raise ValueError(f"max_coords must be at least {least}")
+    below = rng._randbelow
+    total = least + below(max_coords + 1 - least)
+    n_fiber = min_fiber + below(total + 1 - min_fiber) if total > min_fiber else total
     coords = _random_coords(rng, fresh, "x", total)
     rng.shuffle(coords)
     source = CubeTorusSpace(tuple(coords))

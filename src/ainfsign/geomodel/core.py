@@ -30,6 +30,15 @@ restricted projections of ``boundary_pushforward``, the two projections of
 ``fiber_product`` and both maps of ``pullback_bundle``) are built with the
 trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
 set the fields and check nothing.
+
+Pullback: each target 1-form pulls back to (source letter, coefficient)
+pairs.  Along a coordinate map -- every assignment a unit variable, a
+constant, a circle with sign +1 or -1, or a constant circle -- a letter has
+one pair with coefficient +1 or -1, or none, so a term pulls back by
+relabelling its letters, one Koszul merge (0 on a repeated letter, as on a
+diagonal) and one ``subst`` of its coefficient, without building a form or
+multiplying polynomials.  The unit-range check of an interval assignment
+covers the full lattice {0, 1/2, 1}^vars over the variables it uses.
 """
 
 from __future__ import annotations
@@ -562,15 +571,14 @@ class SmoothMapModel:
 
 
 def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
-    """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars.
+    """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars, over
+    the variables the polynomial uses (3**len(vars) points).
 
     At x = a/2 with a in {0, 1, 2}, poly times D * 2**K is an integer, where
     D is the lcm of the coefficient denominators and K the largest total
     degree; so the check runs in integers, and a failure reports the first
     offending point in the same order and words as a rational evaluation."""
     vars_ = sorted(poly.variables())
-    if len(vars_) > 6:
-        return  # sampling lattice too large; trust the declaration
     index = {v: i for i, v in enumerate(vars_)}
     lcm = math.lcm(*(c.denominator for c in poly.terms.values()))
     top = max((sum(p for _, p in mono) for mono in poly.terms), default=0)
@@ -731,6 +739,15 @@ def compose_projection(outer: ProjectionMap, inner: ProjectionMap) -> Projection
 
 
 def pullback(f: SmoothMapModel, form: Form) -> Form:
+    """Pull a form back along a smooth map.
+
+    Each target 1-form pulls back to a sum of (source letter, coefficient)
+    pairs.  A term expands into one product per choice of a pair for each of
+    its letters: the substituted coefficient times the pairs' coefficients,
+    on the chosen letters sorted by one ``_merge_sign`` (0 for a repeated
+    letter, as on a diagonal).  Along a coordinate map every letter has at
+    most one pair, with coefficient +1 or -1, so a term costs one ``subst``
+    and one merge, and no polynomial product."""
     if form.space != f.target:
         raise ValueError("form does not live on the map's target")
     table = f.table()
@@ -739,29 +756,52 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
         for name, assignment in table.items()
         if assignment[0] == "poly"
     }
-    pulled: dict[str, Form] = {}  # pullback of each target 1-form, made once
+    order = f.source._order
+    pulled: dict[str, list] = {}  # pairs of each target 1-form, made once
     out: dict[tuple[str, ...], Poly] = {}
     for wedgekey, poly in form.terms.items():
-        acc = Form._of(f.source, {(): poly.subst(subs)})
+        factors = []
         for letter in wedgekey:
-            if letter not in pulled:
-                pulled[letter] = _pull_letter(f.source, table[letter])
-            if pulled[letter].is_zero():
+            pairs = pulled.get(letter)
+            if pairs is None:
+                pairs = pulled[letter] = _pull_letter(f.source, table[letter])
+            if not pairs:
                 break  # the term pulls back to zero
-            acc = wedge(acc, pulled[letter])
+            factors.append(pairs)
         else:
-            for w, p in acc.terms.items():
-                _accumulate(out, w, p)
+            coeff = poly.subst(subs)
+            for choice in itertools.product(*factors):
+                if len(choice) < 2:
+                    sign, merged = 1, tuple(x for x, _ in choice)
+                else:
+                    sign, merged = _merge_sign([x for x, _ in choice], order)
+                    if not sign:
+                        continue
+                piece = coeff
+                for _, c in choice:
+                    if c.__class__ is Poly:
+                        piece = piece * c
+                    else:
+                        sign *= c
+                _accumulate(out, merged, piece if sign == 1 else -piece)
     return Form._of(f.source, out)
 
 
-def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> Form:
-    """Pullback of the target 1-form whose coordinate has this assignment."""
+def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> list[tuple[str, int | Poly]]:
+    """Pullback of the target 1-form whose coordinate has this assignment, as
+    (source letter, coefficient) pairs: one pair with coefficient +1 or -1
+    for a unit variable or a circle, none for a constant, and the nonzero
+    partial derivatives of any other polynomial."""
     if assignment[0] == "poly":
-        return exterior_derivative(Form._of(source, {(): assignment[1]}))
+        poly = assignment[1]
+        if len(poly.terms) == 1:
+            (mono, c), = poly.terms.items()
+            if len(mono) == 1 and mono[0][1] == 1 and c == 1:
+                return [(mono[0][0], 1)]
+        return [(v, pd) for v in source._intervals if (pd := poly.partial(v)).terms]
     if assignment[0] == "circle":
-        return Form._of(source, {(assignment[1],): Poly.const(assignment[2])})
-    return Form.zero(source)  # constant circle
+        return [(assignment[1], assignment[2])]
+    return []  # constant circle
 
 
 def pushforward(p: ProjectionMap, form: Form) -> Form:

@@ -114,6 +114,21 @@ def test_interval_assignment_range_checked():
         smooth_map(I_T, I_T, {"t": ("poly", Poly.var("t") - Poly.const(1))})
 
 
+def test_unit_range_checked_above_six_variables():
+    seven = space(*((f"x{i}", "interval") for i in range(7)))
+    target = space(("y", "interval"))
+    total = Poly()
+    product = Poly.const(1)
+    for i in range(7):
+        total = total + Poly.var(f"x{i}")
+        product = product * Poly.var(f"x{i}")
+    with pytest.raises(ValueError, match="leaves"):
+        smooth_map(seven, target, {"y": ("poly", total)})
+    with pytest.raises(ValueError, match="leaves"):
+        smooth_map(seven, target, {"y": ("poly", total - Poly.var("x6"))})
+    smooth_map(seven, target, {"y": ("poly", product)})
+
+
 def test_pullback_diagonal():
     diag = smooth_map(I_T, I_2, {"t1": ("poly", Poly.var("t")), "t2": ("poly", Poly.var("t"))})
     form = Form(I_2, {("t2",): Poly.var("t1")})
@@ -512,6 +527,166 @@ def test_rename_equals_subst_with_variables():
             poly = poly + Poly({mono: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))})
         mapping = {v: rng.choice(names + ("e",)) for v in names if rng.random() < 0.7}
         assert poly.rename(mapping) == poly.subst({v: Poly.var(w) for v, w in mapping.items()})
+
+
+def _random_coordinate_map(rng, fresh):
+    """A map whose every assignment is a unit variable, the constant 0, 1/2
+    or 1, a circle with sign +1 or -1, or a constant circle; target
+    coordinates often share a source variable."""
+    source = CubeTorusSpace(tuple(checks._random_coords(rng, fresh, "s", rng.randrange(3, 7))))
+    target = CubeTorusSpace(tuple(checks._random_coords(rng, fresh, "t", rng.randrange(2, 5))))
+    intervals = source.interval_names()
+    circles = tuple(n for n, k in source.coords if k == "circle")
+    table = {}
+    for name, kind in target.coords:
+        if kind == "interval":
+            if intervals and rng.random() < 0.75:
+                table[name] = ("poly", Poly.var(rng.choice(intervals)))
+            else:
+                table[name] = ("poly", Poly.const(rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])))
+        elif circles and rng.random() < 0.8:
+            table[name] = ("circle", rng.choice(circles), rng.choice([1, -1]))
+        else:
+            table[name] = ("const-circle",)
+    return smooth_map(source, target, table)
+
+
+def _pullback_by_wedges(f, form):
+    """Pullback term by term: the substituted coefficient wedged with the
+    pulled 1-form of each letter in turn."""
+    table = f.table()
+    subs = {n: a[1] for n, a in table.items() if a[0] == "poly"}
+    out = Form(f.source)
+    for letters, poly in form.terms.items():
+        acc = Form(f.source, {(): poly.subst(subs)})
+        for letter in letters:
+            a = table[letter]
+            if a[0] == "poly":
+                one_form = exterior_derivative(Form(f.source, {(): a[1]}))
+            elif a[0] == "circle":
+                one_form = Form(f.source, {(a[1],): Poly.const(a[2])})
+            else:
+                one_form = Form(f.source)
+            acc = wedge(acc, one_form)
+        out = out + acc
+    return out
+
+
+def test_coordinate_pullback_agrees_with_wedge_route():
+    rng = random.Random(13)
+    fresh = NameSource()
+    seen = {"nonzero": 0, "shared source": 0, "negative circle": 0, "odd merge": 0}
+    for _ in range(1500):
+        f = _random_coordinate_map(rng, fresh)
+        form = random_form(rng, f.target, 2, degree=rng.randrange(0, f.target.dimension + 1))
+        got = pullback(f, form)
+        assert got == _pullback_by_wedges(f, form), (f, form)
+        _assert_canonical(got)
+        seen["nonzero"] += not got.is_zero()
+        sources = [a[1] for _, a in f.assignments if a[0] == "circle"]
+        sources += [next(iter(a[1].variables())) for _, a in f.assignments
+                    if a[0] == "poly" and a[1].variables()]
+        seen["shared source"] += len(set(sources)) < len(sources)
+        seen["negative circle"] += any(a[0] == "circle" and a[2] == -1 for _, a in f.assignments)
+        order = f.source._order
+        for letters in form.terms:
+            pulled = [a[1] if a[0] == "circle" else next(iter(a[1].variables()), None)
+                      for a in (f.table()[x] for x in letters) if a[0] != "const-circle"]
+            if len(pulled) == len(letters) and None not in pulled and len(set(pulled)) == len(pulled):
+                keys = [order[x] for x in pulled]
+                seen["odd merge"] += sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:]) % 2
+    assert min(seen.values()) >= 80, seen
+
+
+# --- the random draws against the public RNG calls ----------------------------
+
+
+def _space_by_public_calls(rng, max_coords, fresh, prefix="x"):
+    n = rng.randrange(0, max_coords + 1)
+    return CubeTorusSpace(tuple(checks._random_coords(rng, fresh, prefix, n)))
+
+
+def _poly_by_public_calls(rng, names, max_deg):
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        mono = {}
+        for v in names:
+            p = rng.randrange(0, max_deg + 1)
+            if p:
+                mono[v] = p
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms[key] + c if key in terms else c
+    return Poly(terms)
+
+
+def _form_by_public_calls(rng, sp, max_deg, degree=None):
+    names = sp.names()
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        size = rng.randrange(0, sp.dimension + 1) if degree is None else degree
+        if size > sp.dimension:
+            continue
+        wedge_key = tuple(sorted(rng.sample(range(sp.dimension), size)))
+        letters = tuple(names[i] for i in wedge_key)
+        poly = _poly_by_public_calls(rng, sp.interval_names(), max_deg)
+        terms[letters] = terms[letters] + poly if letters in terms else poly
+    return Form(sp, terms)
+
+
+def _bundle_by_public_calls(rng, max_coords, fresh, min_fiber=0):
+    total = rng.randrange(max(1, min_fiber), max_coords + 1)
+    n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
+    coords = checks._random_coords(rng, fresh, "x", total)
+    rng.shuffle(coords)
+    source = CubeTorusSpace(tuple(coords))
+    base = list(coords)
+    rng.shuffle(base)
+    base = base[: total - n_fiber]
+    target_coords = [(fresh("b"), kind) for _, kind in base]
+    target = CubeTorusSpace(tuple(target_coords))
+    return projection(source, target, {t[0]: s[0] for t, s in zip(target_coords, base)})
+
+
+# rng.sample picks from a pool of the population when it has at most 21 items
+# (more for samples above 5), and otherwise redraws against a set of picks.
+WIDE = tuple(space(*((f"w{i}", "interval") for i in range(n))) for n in (21, 22))
+
+
+def test_draws_match_public_rng_calls():
+    """The generators draw straight from ``rng._randbelow``; they must give
+    the objects and leave the stream where ``randrange``, ``choice`` and
+    ``sample`` would."""
+    params = random.Random(17)
+    seen = {"any degree": 0, "fixed degree": 0, "degree above dimension": 0, "max_deg 0": 0,
+            "min_fiber 0": 0, "min_fiber 1": 0}
+    for seed in range(500):
+        max_coords = params.randrange(1, 6)
+        max_deg = params.choice([0, 1, 3])
+        min_fiber = params.randrange(0, 2)
+        degree = params.choice([None, None, 0, 1, 2, 3, 6])
+        draws = []
+        for draw in ((checks.random_space, checks.random_bundle, checks.random_form, checks.random_poly),
+                     (_space_by_public_calls, _bundle_by_public_calls, _form_by_public_calls,
+                      _poly_by_public_calls)):
+            random_space_, random_bundle_, random_form_, random_poly_ = draw
+            rng = random.Random(seed)
+            fresh = NameSource()
+            sp = random_space_(rng, max_coords, fresh)
+            p = random_bundle_(rng, max_coords, fresh, min_fiber=min_fiber)
+            objects = [sp, p,
+                       random_form_(rng, sp, max_deg, degree),
+                       random_form_(rng, p.source, max_deg),
+                       random_form_(rng, WIDE[seed % 2], 1, degree),
+                       random_poly_(rng, p.source.interval_names(), max_deg)]
+            draws.append((objects, rng.getstate()))
+        assert draws[0] == draws[1], seed
+        sp = draws[0][0][0]
+        seen["any degree" if degree is None else "degree above dimension"
+             if degree > sp.dimension else "fixed degree"] += 1
+        seen["max_deg 0"] += max_deg == 0
+        seen[f"min_fiber {min_fiber}"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def _assert_canonical(form):
