@@ -1,7 +1,8 @@
 """Exact de Rham model on interval-circle products: forms with rational
 polynomial coefficients, integration along fibers of coordinate
-projections, smooth-map pullback, correspondences and their composition,
-plus randomized exact verifiers and mock moduli correspondences."""
+projections, smooth-map pullback, correspondences (spans with one output
+projection and k input legs) and their slot-j gluing, plus randomized exact
+verifiers and mock moduli spans."""
 
 from .core import (
     CIRCLE,
@@ -35,11 +36,9 @@ from .core import (
 from .checks import (
     ALL_CHECKS,
     CheckResult,
-    MockModuli,
     PushPullReport,
     check_pushpull_identities,
     derived_node_parity,
-    glue_mocks,
     mock_operation,
     random_form,
     random_mock_instance,

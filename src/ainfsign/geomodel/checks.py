@@ -1,5 +1,5 @@
 """Randomized exact verification of the push-pull calculus, plus mock
-moduli correspondences that instantiate the operation definition and the
+moduli spans that instantiate the operation definition and the
 nested-vs-glued push-pull identities with their reorder signs.
 
 Every checker draws seeded random instances, evaluates both sides of its
@@ -41,7 +41,6 @@ from .core import (
     boundary_pushforward,
     bundle_orientation_sign,
     compose_projection,
-    compose_smooth,
     exterior_derivative,
     fiber_product,
     integrate,
@@ -305,14 +304,14 @@ def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg
         f1 = random_bundle(rng, max_coords, fresh, min_fiber=1)
         target2 = random_space(rng, 2, fresh, prefix="m")
         f2 = random_smooth_map(rng, f1.source, target2)
-        corr = CorrespondenceModel(f1.source, f1, f2)
+        corr = CorrespondenceModel(f1.source, f1, (f2,))
         deg = rng.randrange(0, target2.dimension + 1)
         xi = random_form(rng, target2, max_poly_deg, degree=deg)
         if any(corr.space.kind(v) == INTERVAL for v in f1.fiber):
             stats["with_boundary"] += 1
-        lhs = exterior_derivative(apply_correspondence(corr, xi))
+        lhs = exterior_derivative(apply_correspondence(corr, (xi,)))
         sign = (-1) ** ((corr.space.dimension + deg) % 2)
-        rhs = apply_correspondence(corr, exterior_derivative(xi)) + boundary_correspondence_apply(corr, xi).scale(sign)
+        rhs = apply_correspondence(corr, (exterior_derivative(xi),)) + boundary_correspondence_apply(corr, (xi,)).scale(sign)
         return _mismatch(lhs, rhs, xi=xi)
     return _trial_loop("correspondence-stokes", trials, seed, trial, with_boundary=0)
 
@@ -333,24 +332,24 @@ def _random_composable_pair(
         )
         rng.shuffle(coords)
         sp = CubeTorusSpace(tuple(coords))
-        f1 = projection(sp, out_space, {n: n for n in out_space.names()})
-        f2 = projection(sp, in_space, copies).as_smooth()
-        return CorrespondenceModel(sp, f1, f2)
+        ev_out = projection(sp, out_space, {n: n for n in out_space.names()})
+        ev_in = projection(sp, in_space, copies).as_smooth()
+        return CorrespondenceModel(sp, ev_out, (ev_in,))
 
     return build(m1, m2, "w"), build(m2, m3, "z")
 
 
 def verify_composition(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
-    """Corr of the fiber product == Corr after Corr, exactly."""
+    """Corr of the slot-1 fiber product == Corr after Corr, exactly."""
     def trial(rng, fresh, stats):
         c12, c23 = _random_composable_pair(rng, fresh)
-        c13 = fiber_product(c12, c23)
-        m3 = c23.f2.target
+        c13 = fiber_product(c12, c23, 1)
+        m3 = c23.ev_in[0].target
         deg = rng.randrange(0, m3.dimension + 1)
         stats["odd_degree_inputs"] += deg % 2
         xi = random_form(rng, m3, max_poly_deg, degree=deg)
-        lhs = apply_correspondence(c13, xi)
-        rhs = apply_correspondence(c12, apply_correspondence(c23, xi))
+        lhs = apply_correspondence(c13, (xi,))
+        rhs = apply_correspondence(c12, (apply_correspondence(c23, (xi,)),))
         return _mismatch(lhs, rhs, xi=xi)
     return _trial_loop("composition", trials, seed, trial, odd_degree_inputs=0)
 
@@ -398,71 +397,20 @@ def run_all_checks(trials: int, seed: int, max_coords: int = 4, max_poly_deg: in
 # --- mock moduli ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MockModuli:
-    """A correspondence with one output leg (a projection) and k input legs,
-    standing in for a k-input moduli space."""
-
-    space: CubeTorusSpace
-    ev_out: ProjectionMap
-    ev_in: tuple[SmoothMapModel, ...]
-
-    def __post_init__(self):
-        if self.ev_out.source != self.space:
-            raise ValueError("output leg must start on the mock space")
-        for leg in self.ev_in:
-            if leg.source != self.space:
-                raise ValueError("input legs must start on the mock space")
-
-    @property
-    def k(self) -> int:
-        return len(self.ev_in)
-
-
-def mock_operation(mock: MockModuli, mus: tuple[int, ...], xis: tuple[Form, ...]) -> Form:
-    """The signed operation of the mock: (-1)^(operation sign) times the
-    push-pull of the wedge of pulled-back inputs.  Inputs must be
-    homogeneous; the sign uses their actual degrees."""
+def mock_operation(
+    mock: CorrespondenceModel, mus: tuple[int, ...], xis: tuple[Form, ...]
+) -> Form:
+    """The signed operation of a mock moduli span: (-1)^(operation sign)
+    times its pull-push.  Inputs must be homogeneous; the sign uses their
+    actual degrees."""
     if len(xis) != mock.k or len(mus) != mock.k:
         raise ValueError(f"expected {mock.k} inputs and parities")
     degs = tuple(x.degree() for x in xis)
     sign = signs.operation_sign(degs, mus)
-    raw = pushforward(
-        mock.ev_out,
-        wedge_all(mock.space, (pullback(leg, xi) for leg, xi in zip(mock.ev_in, xis))),
-    )
-    return raw.scale((-1) ** sign)
+    return apply_correspondence(mock, xis).scale((-1) ** sign)
 
 
-def glue_mocks(
-    outer: MockModuli, inner: MockModuli, j: int
-) -> tuple[MockModuli, ProjectionMap, SmoothMapModel]:
-    """Fiber product of outer and inner mocks at slot j over the node space.
-
-    Returns the glued mock (with the composite output leg and the k input
-    legs in parent order) plus the two projections of the glued space.
-    """
-    if not 1 <= j <= outer.k:
-        raise ValueError(f"slot {j} outside 1..{outer.k}")
-    node_leg = outer.ev_in[j - 1]
-    if node_leg.target != inner.ev_out.target:
-        raise ValueError("outer slot-j leg and inner output leg must share the node")
-    if not node_leg.is_projection():
-        raise ValueError("outer slot-j leg must be a coordinate projection")
-    glued, to_outer, to_inner = pullback_bundle(inner.ev_out, node_leg, rename_prefix="g")
-    ev_out = compose_projection(outer.ev_out, to_outer)
-    to_outer_smooth = to_outer.as_smooth()
-    legs: list[SmoothMapModel] = []
-    for leg in outer.ev_in[: j - 1]:
-        legs.append(compose_smooth(leg, to_outer_smooth))
-    for leg in inner.ev_in:
-        legs.append(compose_smooth(leg, to_inner))
-    for leg in outer.ev_in[j:]:
-        legs.append(compose_smooth(leg, to_outer_smooth))
-    return MockModuli(glued, ev_out, tuple(legs)), to_outer, to_inner
-
-
-def derived_node_parity(inner: MockModuli, inner_mus: tuple[int, ...]) -> int:
+def derived_node_parity(inner: CorrespondenceModel, inner_mus: tuple[int, ...]) -> int:
     """Maslov parity of the node that makes the dimension-parity relation
     hold for the inner mock: reldim + arity + sum of input parities, mod 2."""
     return (inner.ev_out.reldim + inner.k + sum(inner_mus)) % 2
@@ -486,8 +434,8 @@ class PushPullReport:
 
 
 def check_pushpull_identities(
-    outer: MockModuli,
-    inner: MockModuli,
+    outer: CorrespondenceModel,
+    inner: CorrespondenceModel,
     j: int,
     xis: tuple[Form, ...],
     mus: tuple[int, ...],
@@ -516,26 +464,11 @@ def check_pushpull_identities(
     )
 
     # nested route: inner push-pull fed through the outer slot-j leg
-    inner_raw = pushforward(
-        inner.ev_out,
-        wedge_all(
-            inner.space,
-            (pullback(leg, xi) for leg, xi in zip(inner.ev_in, xis[j - 1 : j - 1 + k_inner])),
-        ),
-    )
-    outer_factors = [
-        pullback(leg, xi) for leg, xi in zip(outer.ev_in[: j - 1], xis[: j - 1])
-    ]
-    outer_factors.append(pullback(outer.ev_in[j - 1], inner_raw))
-    outer_factors += [
-        pullback(leg, xi)
-        for leg, xi in zip(outer.ev_in[j:], xis[j - 1 + k_inner :])
-    ]
-    nested = pushforward(outer.ev_out, wedge_all(outer.space, outer_factors))
+    inner_raw = apply_correspondence(inner, xis[j - 1 : j - 1 + k_inner])
+    nested = apply_correspondence(outer, xis[: j - 1] + (inner_raw,) + xis[j - 1 + k_inner :])
 
-    glued_mock, _, _ = glue_mocks(outer, inner, j)
-    pulled = [pullback(leg, xi) for leg, xi in zip(glued_mock.ev_in, xis)]
-    glued = pushforward(glued_mock.ev_out, wedge_all(glued_mock.space, pulled))
+    glued_mock = fiber_product(outer, inner, j)
+    glued = apply_correspondence(glued_mock, xis)
 
     reorder = (signs.pushpull_reorder_sign(ctx) + mutate_reorder_sign) % 2
     ok_glued = nested == glued.scale((-1) ** reorder)
@@ -552,6 +485,7 @@ def check_pushpull_identities(
     ok_insert = composite == nested.scale((-1) ** insertion)
 
     # block-reorder route: inputs regrouped (prefix, suffix, inner block)
+    pulled = [pullback(leg, xi) for leg, xi in zip(glued_mock.ev_in, xis)]
     reordered_factors = (
         pulled[: j - 1] + pulled[j - 1 + k_inner :] + pulled[j - 1 : j - 1 + k_inner]
     )
@@ -573,7 +507,7 @@ def check_pushpull_identities(
 
 def random_mock_instance(
     rng: random.Random,
-) -> tuple[MockModuli, MockModuli, int, tuple[Form, ...], tuple[int, ...]]:
+) -> tuple[CorrespondenceModel, CorrespondenceModel, int, tuple[Form, ...], tuple[int, ...]]:
     """A random composable (outer, inner, j) triple with random inputs of
     polynomial degree at most 2; its coordinate names are numbered afresh
     on every call."""
@@ -602,7 +536,7 @@ def random_mock_instance(
                 tgt = random_space(rng, 2, fresh, "i")
                 legs.append(random_smooth_map(rng, sp, tgt))
                 targets.append(tgt)
-        return MockModuli(sp, ev_out, tuple(legs)), targets
+        return CorrespondenceModel(sp, ev_out, tuple(legs)), targets
 
     k_inner = rng.randrange(1, 3)
     k_outer = rng.randrange(1, 3)

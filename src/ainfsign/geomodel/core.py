@@ -25,11 +25,16 @@ work the same way: ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
 assignment, including the unit-range check, while the maps this module
 derives from valid maps (``as_smooth``, ``compose_smooth``,
-``compose_projection``, ``to_projection``, the face inclusions and the
-restricted projections of ``boundary_pushforward``, the two projections of
-``fiber_product`` and both maps of ``pullback_bundle``) are built with the
-trusted ``SmoothMapModel._of`` and ``ProjectionMap._of``, which
-set the fields and check nothing.
+``compose_projection``, the face inclusions and the restricted projections
+of ``boundary_pushforward``, and both maps of ``pullback_bundle``, which
+``fiber_product`` glues with) are built with the trusted
+``SmoothMapModel._of`` and ``ProjectionMap._of``, which set the fields and
+check nothing.
+
+Correspondences: a ``CorrespondenceModel`` is a span with one output
+projection and k input legs; ``apply_correspondence`` is its pull-push, and
+``fiber_product`` glues one span's output into another's slot j by base
+change along that slot's leg.
 
 Pullback: each target 1-form pulls back to (source letter, coefficient)
 pairs.  Along a coordinate map -- every assignment a unit variable, a
@@ -451,10 +456,12 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def wedge_all(space_: CubeTorusSpace, forms: Iterable[Form]) -> Form:
-    acc = Form.one(space_)
+    """The wedge of the forms in order, starting from the first; the unit
+    form of ``space_`` when there are none."""
+    acc = None
     for f in forms:
-        acc = wedge(acc, f)
-    return acc
+        acc = f if acc is None else wedge(acc, f)
+    return Form.one(space_) if acc is None else acc
 
 
 def exterior_derivative(form: Form) -> Form:
@@ -557,17 +564,6 @@ class SmoothMapModel:
                 return False
             seen.add(src)
         return True
-
-    def to_projection(self) -> "ProjectionMap":
-        if not self.is_projection():
-            raise ValueError("map is not a coordinate projection")
-        injection = {}
-        for name, assignment in self.assignments:
-            if assignment[0] == "circle":
-                injection[name] = assignment[1]
-            else:
-                injection[name] = next(iter(assignment[1].terms))[0][0]
-        return _projection_of(self.source, self.target, injection)
 
 
 def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
@@ -714,16 +710,6 @@ def projection(
         used = set(injection.values())
         fiber = tuple(n for n in source.names() if n not in used)
     return ProjectionMap(source, target, tuple(sorted(injection.items())), tuple(fiber))
-
-
-def _projection_of(
-    source: CubeTorusSpace, target: CubeTorusSpace, injection: Mapping[str, str]
-) -> ProjectionMap:
-    """``projection`` with the source-order fiber, for a projection derived
-    from valid maps: built with the trusted ``ProjectionMap._of``."""
-    used = set(injection.values())
-    fiber = tuple(n for n in source.names() if n not in used)
-    return ProjectionMap._of(source, target, injection, fiber)
 
 
 def compose_projection(outer: ProjectionMap, inner: ProjectionMap) -> ProjectionMap:
@@ -927,67 +913,76 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
 
 @dataclass(frozen=True)
 class CorrespondenceModel:
-    """A span acting on forms by pull-push: pull back along ``f2``, integrate
-    along the fibers of ``f1``."""
+    """A span with one output projection and k input legs, acting on k forms
+    by pull-push: pull each input back along its leg, wedge them in leg
+    order, integrate along the fibers of ``ev_out``.  A correspondence of
+    forms is the case k = 1; a mock moduli space with k inputs is the
+    general case."""
 
     space: CubeTorusSpace
-    f1: ProjectionMap
-    f2: SmoothMapModel
+    ev_out: ProjectionMap
+    ev_in: tuple[SmoothMapModel, ...]
 
     def __post_init__(self):
-        if self.f1.source != self.space or self.f2.source != self.space:
-            raise ValueError("both legs must start on the correspondence space")
+        object.__setattr__(self, "ev_in", tuple(self.ev_in))
+        if self.ev_out.source != self.space:
+            raise ValueError("output leg must start on the correspondence space")
+        for leg in self.ev_in:
+            if leg.source != self.space:
+                raise ValueError("input legs must start on the correspondence space")
+
+    @property
+    def k(self) -> int:
+        return len(self.ev_in)
 
     @property
     def reldim(self) -> int:
-        return self.f1.reldim
+        return self.ev_out.reldim
 
 
-def apply_correspondence(corr: CorrespondenceModel, form: Form) -> Form:
-    return pushforward(corr.f1, pullback(corr.f2, form))
+def _pulled_wedge(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
+    if len(xis) != corr.k:
+        raise ValueError(f"expected {corr.k} inputs")
+    return wedge_all(corr.space, [pullback(leg, xi) for leg, xi in zip(corr.ev_in, xis)])
 
 
-def boundary_correspondence_apply(corr: CorrespondenceModel, form: Form) -> Form:
+def apply_correspondence(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
+    """Pull-push of the inputs, one per input leg."""
+    return pushforward(corr.ev_out, _pulled_wedge(corr, xis))
+
+
+def boundary_correspondence_apply(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
     """Pull-push restricted to the fiber boundary of the output leg."""
-    return boundary_pushforward(corr.f1, pullback(corr.f2, form))
+    return boundary_pushforward(corr.ev_out, _pulled_wedge(corr, xis))
 
 
 def fiber_product(
-    c12: CorrespondenceModel, c23: CorrespondenceModel
+    outer: CorrespondenceModel, inner: CorrespondenceModel, j: int
 ) -> CorrespondenceModel:
-    """Compose two correspondences over the shared middle space.
+    """Glue ``inner``'s output into slot j of ``outer`` over the node space.
 
-    Requires c12's input leg to be a coordinate projection (c23's output leg
-    is one by type).  The glued space is ordered (c12-only, shared middle in
-    middle order, c23-only), and the legs are composed through the two
-    projections of the glued space.
-    """
-    if c12.f2.target != c23.f1.target:
-        raise ValueError("middle spaces do not match")
-    middle = c12.f2.target
-    left_inj = c12.f2.to_projection()  # middle coord -> X12 coord
-    right_inj = dict(c23.f1.injection)  # middle coord -> X23 coord
-
-    left_shared = {s: t for t, s in left_inj.injection}  # X12 coord -> middle coord
-    right_shared = {s: t for t, s in right_inj.items()}  # X23 coord -> middle coord
-
-    x12_only = [c for c in c12.space.coords if c[0] not in left_shared]
-    shared = [(m, middle.kind(m)) for m in middle.names()]
-    x23_only = [c for c in c23.space.coords if c[0] not in right_shared]
-    names = [n for n, _ in x12_only + shared + x23_only]
-    if len(set(names)) != len(names):
-        raise ValueError("coordinate name collision in fiber product")
-    glued = CubeTorusSpace(tuple(x12_only + shared + x23_only))
-
-    to_x12 = _projection_of(
-        glued, c12.space, {n: left_shared.get(n, n) for n in c12.space.names()}
+    The glued space is the base change of ``inner.ev_out`` along the outer
+    slot-j leg, which must be a coordinate projection: the outer space, then
+    the inner fiber in fiber order, renamed where a name is taken.  The
+    output leg is ``outer.ev_out`` after the pulled projection; the input
+    legs, in parent order, are outer's legs before slot j, inner's legs and
+    outer's legs after slot j, each composed with its map out of the glued
+    space."""
+    if not 1 <= j <= outer.k:
+        raise ValueError(f"slot {j} outside 1..{outer.k}")
+    node_leg = outer.ev_in[j - 1]
+    if node_leg.target != inner.ev_out.target:
+        raise ValueError("outer slot-j leg and inner output leg must share the node")
+    if not node_leg.is_projection():
+        raise ValueError("outer slot-j leg must be a coordinate projection")
+    glued, to_outer, to_inner = pullback_bundle(inner.ev_out, node_leg, rename_prefix="g")
+    via_outer = to_outer.as_smooth()
+    legs = (
+        [compose_smooth(leg, via_outer) for leg in outer.ev_in[: j - 1]]
+        + [compose_smooth(leg, to_inner) for leg in inner.ev_in]
+        + [compose_smooth(leg, via_outer) for leg in outer.ev_in[j:]]
     )
-    to_x23 = _projection_of(
-        glued, c23.space, {n: right_shared.get(n, n) for n in c23.space.names()}
-    )
-    out_leg = compose_projection(c12.f1, to_x12)
-    in_leg = compose_smooth(c23.f2, to_x23.as_smooth())
-    return CorrespondenceModel(glued, out_leg, in_leg)
+    return CorrespondenceModel(glued, compose_projection(outer.ev_out, to_outer), tuple(legs))
 
 
 def pullback_bundle(

@@ -176,7 +176,7 @@ def test_flip_against_mock_route():
     sp = geomodel.space(("t", "interval"), ("c", "circle"))
     dga = cube_torus_dga(sp)
     ident = geomodel.projection(sp, sp, {"t": "t", "c": "c"})
-    mock = geomodel.MockModuli(sp, ident, (ident.as_smooth(), ident.as_smooth()))
+    mock = geomodel.CorrespondenceModel(sp, ident, (ident.as_smooth(), ident.as_smooth()))
     pairs = [("t|", "1|dt"), ("1|dt", "1|dc"), ("t|dt", "1|dc"), ("1|dc", "t|dt")]
 
     def mock_value(g1, g2):

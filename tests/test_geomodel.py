@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,6 @@ from ainfsign.geomodel import (
     CorrespondenceModel,
     CubeTorusSpace,
     Form,
-    MockModuli,
     POINT,
     Poly,
     ProjectionMap,
@@ -24,7 +24,6 @@ from ainfsign.geomodel import (
     derived_node_parity,
     exterior_derivative,
     fiber_product,
-    glue_mocks,
     integrate,
     mock_operation,
     projection,
@@ -49,6 +48,7 @@ I_T = space(("t", "interval"))
 S_TH = space(("th", "circle"))
 M_TT = space(("t", "interval"), ("th", "circle"))
 I_2 = space(("t1", "interval"), ("t2", "interval"))
+I2_C = space(("t1", "interval"), ("t2", "interval"), ("c", "circle"))
 
 
 def test_wedge_nilpotence():
@@ -176,28 +176,120 @@ def test_stokes_worked_example():
 
 def test_identity_correspondence():
     ident = projection(M_TT, M_TT, {"t": "t", "th": "th"})
-    corr = CorrespondenceModel(M_TT, ident, ident.as_smooth())
+    corr = CorrespondenceModel(M_TT, ident, (ident.as_smooth(),))
     rng = random.Random(4)
     for _ in range(10):
         xi = random_form(rng, M_TT, 2)
-        assert apply_correspondence(corr, xi) == xi
+        assert apply_correspondence(corr, (xi,)) == xi
 
 
 def test_correspondence_collapse_example():
     f1 = projection(M_TT, S_TH, {"th": "th"})
     f2 = smooth_map(M_TT, I_T, {"t": ("poly", Poly.var("t"))})
-    corr = CorrespondenceModel(M_TT, f1, f2)
-    assert apply_correspondence(corr, Form.generator(I_T, "t")) == Form.one(S_TH)
+    corr = CorrespondenceModel(M_TT, f1, (f2,))
+    assert apply_correspondence(corr, (Form.generator(I_T, "t"),)) == Form.one(S_TH)
+
+
+def test_correspondence_model_is_frozen_and_validates_legs():
+    ident = projection(M_TT, M_TT, {"t": "t", "th": "th"})
+    legs = [ident.as_smooth(), ident.as_smooth()]
+    corr = CorrespondenceModel(M_TT, ident, legs)
+    legs.clear()
+    assert corr.ev_in == (ident.as_smooth(), ident.as_smooth()) and corr.k == 2
+    assert corr.reldim == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        corr.ev_in = ()
+    with pytest.raises(ValueError, match="output leg"):
+        CorrespondenceModel(I_T, ident, ())
+    with pytest.raises(ValueError, match="input legs"):
+        CorrespondenceModel(M_TT, ident, (projection(I_T, I_T, {"t": "t"}).as_smooth(),))
+    with pytest.raises(ValueError, match="expected 2 inputs"):
+        apply_correspondence(corr, (Form.one(M_TT),))
 
 
 def test_fiber_product_identity_factors():
     ident = projection(M_TT, M_TT, {"t": "t", "th": "th"})
-    c = CorrespondenceModel(M_TT, ident, ident.as_smooth())
-    glued = fiber_product(c, c)
+    c = CorrespondenceModel(M_TT, ident, (ident.as_smooth(),))
+    glued = fiber_product(c, c, 1)
     rng = random.Random(5)
     for _ in range(10):
         xi = random_form(rng, M_TT, 2)
-        assert apply_correspondence(glued, xi) == xi
+        assert apply_correspondence(glued, (xi,)) == xi
+
+
+def test_fiber_product_orders_glued_fiber_by_composite_output_leg():
+    """Corr13 == Corr12 after Corr23 when the right-hand output leg is a
+    composite projection whose fiber order, (b, a, rr), is not the order of
+    its source's coordinates: the glued fiber must follow the leg's fiber."""
+    x23 = space(("a", "interval"), ("b", "interval"), ("mm", "interval"), ("rr", "interval"))
+    y = space(("yb", "interval"), ("ym", "interval"))
+    m1 = space(("p", "interval"))
+    m2 = space(("m", "interval"))
+    m3 = space(*((f"r{i}", "interval") for i in range(1, 5)))
+    out23 = compose_projection(
+        projection(y, m2, {"m": "ym"}), projection(x23, y, {"yb": "b", "ym": "mm"})
+    )
+    assert out23.fiber == ("b", "a", "rr")
+    in23 = projection(x23, m3, {"r1": "a", "r2": "b", "r3": "rr", "r4": "mm"}).as_smooth()
+    c23 = CorrespondenceModel(x23, out23, (in23,))
+    x12 = space(("pp", "interval"), ("mq", "interval"))
+    c12 = CorrespondenceModel(
+        x12, projection(x12, m1, {"p": "pp"}), (projection(x12, m2, {"m": "mq"}).as_smooth(),)
+    )
+    c13 = fiber_product(c12, c23, 1)
+    rng = random.Random(1)
+    nonzero = 0
+    for _ in range(200):
+        xi = random_form(rng, m3, 2, degree=4)
+        nested = apply_correspondence(c12, (apply_correspondence(c23, (xi,)),))
+        assert apply_correspondence(c13, (xi,)) == nested, xi
+        nonzero += not nested.is_zero()
+    assert nonzero >= 190
+
+
+def _overlapping_spans():
+    """An outer span with two inputs and an inner span on the same space
+    (x, y, th), so the inner fiber's names are all taken in the outer space."""
+    sp = space(("x", "interval"), ("y", "interval"), ("th", "circle"))
+    node = space(("n", "interval"))
+    inner = CorrespondenceModel(
+        sp, projection(sp, node, {"n": "x"}), (smooth_map(sp, I2_C, {
+            "t1": ("poly", Poly.var("y")), "t2": ("poly", Poly.var("x") * Poly.var("y")),
+            "c": ("circle", "th", -1)}),)
+    )
+    outer = CorrespondenceModel(
+        sp, projection(sp, I_T, {"t": "y"}),
+        (projection(sp, S_TH, {"th": "th"}).as_smooth(), projection(sp, node, {"n": "x"}).as_smooth()),
+    )
+    return outer, inner
+
+
+def test_fiber_product_renames_overlapping_names_and_matches_nested():
+    outer, inner = _overlapping_spans()
+    glued = fiber_product(outer, inner, 2)
+    assert glued.space.names() == ("x", "y", "th", "gy_", "gth_")
+    assert glued.ev_out.fiber == ("x", "th", "gy_", "gth_")
+    rng = random.Random(12)
+    nonzero = 0
+    for _ in range(60):
+        xi1 = random_form(rng, S_TH, 2, degree=1)
+        xi2 = random_form(rng, I2_C, 2, degree=3)
+        nested = apply_correspondence(outer, (xi1, apply_correspondence(inner, (xi2,))))
+        assert apply_correspondence(glued, (xi1, xi2)) == nested, (xi1, xi2)
+        nonzero += not nested.is_zero()
+    assert nonzero >= 50
+
+
+def test_fiber_product_rejects_bad_slots():
+    outer, inner = _overlapping_spans()
+    with pytest.raises(ValueError, match="outside 1..2"):
+        fiber_product(outer, inner, 3)
+    with pytest.raises(ValueError, match="share the node"):
+        fiber_product(outer, inner, 1)
+    flipped = smooth_map(outer.space, inner.ev_out.target, {"n": ("poly", Poly.const(1) - Poly.var("x"))})
+    bent = CorrespondenceModel(outer.space, outer.ev_out, (outer.ev_in[0], flipped))
+    with pytest.raises(ValueError, match="coordinate projection"):
+        fiber_product(bent, inner, 2)
 
 
 def test_composition_formula_randomized():
@@ -238,7 +330,7 @@ def test_bundle_orientation_sign():
 
 def test_constant_map_mock_is_signed_wedge():
     ident = projection(M_TT, M_TT, {"t": "t", "th": "th"})
-    mock = MockModuli(M_TT, ident, (ident.as_smooth(), ident.as_smooth()))
+    mock = CorrespondenceModel(M_TT, ident, (ident.as_smooth(), ident.as_smooth()))
     rng = random.Random(6)
     for _ in range(20):
         d1 = rng.randrange(0, 3)
@@ -250,7 +342,7 @@ def test_constant_map_mock_is_signed_wedge():
 
 def test_unary_identity_mock():
     ident = projection(I_2, I_2, {"t1": "t1", "t2": "t2"})
-    mock = MockModuli(I_2, ident, (ident.as_smooth(),))
+    mock = CorrespondenceModel(I_2, ident, (ident.as_smooth(),))
     rng = random.Random(7)
     for _ in range(10):
         deg = rng.randrange(0, 3)
@@ -307,8 +399,8 @@ def test_pushpull_reports_first_failure_of_flipped_reorder_sign(monkeypatch):
 def test_pushpull_trivial_mock_case():
     node = space(("n", "interval"))
     ident = projection(node, node, {"n": "n"})
-    inner = MockModuli(node, ident, (ident.as_smooth(),))
-    outer = MockModuli(node, ident, (ident.as_smooth(),))
+    inner = CorrespondenceModel(node, ident, (ident.as_smooth(),))
+    outer = CorrespondenceModel(node, ident, (ident.as_smooth(),))
     xi = Form.generator(node, "n")
     report = check_pushpull_identities(outer, inner, 1, (xi,), (0,))
     assert report.passed
@@ -779,6 +871,24 @@ def _assert_derived(got, expected):
     assert got == expected
 
 
+def _assert_glued(outer, inner, j):
+    """The slot-j gluing against maps built with the public constructors:
+    the base change of inner's output leg along outer's slot-j leg, then the
+    output leg and the input legs composed through it."""
+    glued = fiber_product(outer, inner, j)
+    to_outer, to_inner = _expected_pullback_bundle(inner.ev_out, outer.ev_in[j - 1], glued.space)
+    _assert_derived(glued.ev_out, _expected_composite_projection(outer.ev_out, to_outer))
+    via_outer = _expected_as_smooth(to_outer)
+    expected_legs = (
+        [_expected_composite_map(leg, via_outer) for leg in outer.ev_in[: j - 1]]
+        + [_expected_composite_map(leg, to_inner) for leg in inner.ev_in]
+        + [_expected_composite_map(leg, via_outer) for leg in outer.ev_in[j:]]
+    )
+    assert len(glued.ev_in) == len(expected_legs)
+    for leg, expected in zip(glued.ev_in, expected_legs):
+        _assert_derived(leg, expected)
+
+
 def test_derived_maps_pass_public_validation():
     rng = random.Random(31)
     fresh = NameSource()
@@ -814,31 +924,7 @@ def test_derived_maps_pass_public_validation():
         _assert_derived(f_tilde, expected_tilde)
 
         c12, c23 = checks._random_composable_pair(rng, fresh)
-        _assert_derived(c12.f2.to_projection(), projection(c12.f2.source, c12.f2.target, {
-            t: a[1] if a[0] == "circle" else next(iter(a[1].variables()))
-            for t, a in c12.f2.assignments
-        }))
-        c13 = fiber_product(c12, c23)
-        left_shared = {s: t for t, s in c12.f2.to_projection().injection}
-        right_shared = {s: t for t, s in c23.f1.injection}
-        to_x12 = projection(c13.space, c12.space, {n: left_shared.get(n, n) for n in c12.space.names()})
-        to_x23 = projection(c13.space, c23.space, {n: right_shared.get(n, n) for n in c23.space.names()})
-        _assert_derived(c13.f1, _expected_composite_projection(c12.f1, to_x12))
-        _assert_derived(c13.f2, _expected_composite_map(c23.f2, _expected_as_smooth(to_x23)))
+        _assert_glued(c12, c23, 1)
 
         outer_mock, inner_mock, j, _, _ = random_mock_instance(rng)
-        glued, to_outer, to_inner = glue_mocks(outer_mock, inner_mock, j)
-        expected_outer, expected_inner = _expected_pullback_bundle(
-            inner_mock.ev_out, outer_mock.ev_in[j - 1], glued.space)
-        _assert_derived(to_outer, expected_outer)
-        _assert_derived(to_inner, expected_inner)
-        _assert_derived(glued.ev_out, _expected_composite_projection(outer_mock.ev_out, to_outer))
-        via_outer = _expected_as_smooth(to_outer)
-        expected_legs = (
-            [_expected_composite_map(leg, via_outer) for leg in outer_mock.ev_in[: j - 1]]
-            + [_expected_composite_map(leg, to_inner) for leg in inner_mock.ev_in]
-            + [_expected_composite_map(leg, via_outer) for leg in outer_mock.ev_in[j:]]
-        )
-        assert len(glued.ev_in) == len(expected_legs)
-        for leg, expected in zip(glued.ev_in, expected_legs):
-            _assert_derived(leg, expected)
+        _assert_glued(outer_mock, inner_mock, j)
