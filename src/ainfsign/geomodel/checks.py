@@ -9,12 +9,18 @@ runs all eight checkers, the seven calculus checkers and mock push-pull: it
 owns the seeded stream, the trial count and the stop at the first failure,
 and each checker supplies only the draw and comparison of one trial.
 Instance generators keep interval-coordinate assignments inside [0, 1] by
-construction.  ``random_space``, ``random_bundle``, ``random_form`` and
-``random_poly`` take each draw straight from ``rng._randbelow(n)``, which
-is what ``randrange``, ``choice`` and ``sample`` call, in the same order
-(``random_form`` replays ``sample``'s pool algorithm), so the seeded stream
-and the instances are those of the public calls; ``random_poly`` reads its
-coefficient from a table of the 18 fractions it can draw.  Each checker,
+construction and build with the public, validating constructors.
+The generators make the draws of ``randrange``, ``choice``, ``sample`` and
+``shuffle`` in the same order, so the seeded stream and the instances are
+those of the public calls.  ``random_space`` and ``random_bundle`` count
+with ``rng._randbelow(n)``; ``random_poly``, ``random_form`` and
+``_shuffle`` (``rng.shuffle``'s swaps, for ``random_bundle``) inline its
+CPython 3.11 rejection loop, ``rng.getrandbits(n.bit_length())`` until the
+value is below n, so even a draw below 1 consumes bits.  ``random_form``
+replays ``sample``'s pool algorithm, and ``random_poly`` reads its
+coefficient from a table of the 18 values it can draw, the 10 integral ones
+as ints.  ``_draw_bundle`` makes every draw of ``random_bundle`` and builds
+nothing, for a checker that needs a bundle's draws only.  Each checker,
 and each ``random_mock_instance`` call, numbers its coordinate names from
 its own ``NameSource``, so a witness does not depend on what ran before it.
 """
@@ -99,17 +105,33 @@ def random_space(
 
 
 # The coefficients random_poly draws: a numerator in (-3, -2, -1, 1, 2, 3)
-# over a denominator in (1, 2, 3), each drawn uniformly.
-_COEFFS = tuple(tuple(Fraction(a, b) for b in (1, 2, 3)) for a in (-3, -2, -1, 1, 2, 3))
+# over a denominator in (1, 2, 3), each drawn uniformly; an integral one is
+# an int.
+_COEFFS = tuple(
+    tuple(Fraction(a, b) if a % b else a // b for b in (1, 2, 3)) for a in (-3, -2, -1, 1, 2, 3)
+)
 
 
 def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Poly:
-    below = rng._randbelow
+    bits = rng.getrandbits
     powers = max_deg + 1
-    terms: dict[tuple, Fraction] = {}
-    for _ in range(1 + below(2)):
-        key = tuple(sorted((v, p) for v in names if (p := below(powers))))
-        c = _COEFFS[below(6)][below(3)]
+    width = powers.bit_length()
+    terms: dict[tuple, int | Fraction] = {}
+    while (count := bits(2)) >= 2:
+        pass
+    for _ in range(1 + count):
+        key = []
+        for v in names:
+            while (p := bits(width)) >= powers:
+                pass
+            if p:
+                key.append((v, p))
+        key = tuple(sorted(key))
+        while (a := bits(3)) >= 6:
+            pass
+        while (b := bits(2)) >= 3:
+            pass
+        c = _COEFFS[a][b]
         terms[key] = terms[key] + c if key in terms else c
     return Poly(terms)
 
@@ -124,10 +146,17 @@ def random_form(
     names = sp.names()
     n = sp.dimension
     intervals = sp.interval_names()
-    below = rng._randbelow
+    bits = rng.getrandbits
+    width = (n + 1).bit_length()
     terms: dict[tuple[str, ...], Poly] = {}
-    for _ in range(1 + below(2)):
-        size = below(n + 1) if degree is None else degree
+    while (count := bits(2)) >= 2:
+        pass
+    for _ in range(1 + count):
+        if degree is None:
+            while (size := bits(width)) > n:
+                pass
+        else:
+            size = degree
         if size > n:
             continue
         if n > 21:
@@ -136,9 +165,12 @@ def random_form(
             pool = list(range(n))
             picked = []
             for i in range(size):
-                j = below(n - i)
+                m = n - i
+                k = m.bit_length()
+                while (j := bits(k)) >= m:
+                    pass
                 picked.append(pool[j])
-                pool[j] = pool[n - i - 1]
+                pool[j] = pool[m - 1]
         letters = tuple(names[i] for i in sorted(picked))
         poly = random_poly(rng, intervals, max_deg)
         terms[letters] = terms[letters] + poly if letters in terms else poly
@@ -179,11 +211,23 @@ def random_smooth_map(
     return smooth_map(source, target, table)
 
 
-def random_bundle(
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)``: the same swaps from the same draws."""
+    bits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        m = i + 1
+        k = m.bit_length()
+        while (j := bits(k)) >= m:
+            pass
+        x[i], x[j] = x[j], x[i]
+
+
+def _draw_bundle(
     rng: random.Random, max_coords: int, fresh: NameSource, min_fiber: int = 0
-) -> ProjectionMap:
-    """A random projection with shuffled source interleaving and a target
-    listed in an order independent of the source's."""
+) -> tuple[list, list, list]:
+    """Every draw and name of ``random_bundle``: the source coordinates, the
+    base coordinates among them, and the target coordinates, one per base
+    coordinate."""
     least = max(1, min_fiber)
     if max_coords < least:
         raise ValueError(f"max_coords must be at least {least}")
@@ -191,12 +235,20 @@ def random_bundle(
     total = least + below(max_coords + 1 - least)
     n_fiber = min_fiber + below(total + 1 - min_fiber) if total > min_fiber else total
     coords = _random_coords(rng, fresh, "x", total)
-    rng.shuffle(coords)
-    source = CubeTorusSpace(tuple(coords))
+    _shuffle(rng, coords)
     base = list(coords)
-    rng.shuffle(base)
+    _shuffle(rng, base)
     base = base[: total - n_fiber]
-    target_coords = [(fresh("b"), kind) for _, kind in base]
+    return coords, base, [(fresh("b"), kind) for _, kind in base]
+
+
+def random_bundle(
+    rng: random.Random, max_coords: int, fresh: NameSource, min_fiber: int = 0
+) -> ProjectionMap:
+    """A random projection with shuffled source interleaving and a target
+    listed in an order independent of the source's."""
+    coords, base, target_coords = _draw_bundle(rng, max_coords, fresh, min_fiber)
+    source = CubeTorusSpace(tuple(coords))
     target = CubeTorusSpace(tuple(target_coords))
     injection = {t[0]: s[0] for t, s in zip(target_coords, base)}
     return projection(source, target, injection)
@@ -246,9 +298,9 @@ def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_d
     (q o p)_!(p* theta ^ beta) == q_!(theta ^ p_! beta)."""
     def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh)
-        # A draw kept only for the seeded stream that the reports pin; q is
+        # Draws kept only for the seeded stream that the reports pin; q is
         # built below as a projection out of p.target.
-        random_bundle(rng, max_coords, fresh)
+        _draw_bundle(rng, max_coords, fresh)
         names = p.target.names()
         keep = [n for n in names if rng.random() < 0.7]
         rng.shuffle(keep)
@@ -257,10 +309,11 @@ def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_d
         qp = compose_projection(q, p)
         beta = random_form(rng, p.source, max_poly_deg)
         theta = random_form(rng, p.target, max_poly_deg)
+        p_beta = pushforward(p, beta)
         lhs1 = pushforward(qp, beta)
-        rhs1 = pushforward(q, pushforward(p, beta))
+        rhs1 = pushforward(q, p_beta)
         lhs2 = pushforward(qp, wedge(pullback(p.as_smooth(), theta), beta))
-        rhs2 = pushforward(q, wedge(theta, pushforward(p, beta)))
+        rhs2 = pushforward(q, wedge(theta, p_beta))
         if lhs1 != rhs1 or lhs2 != rhs2:
             return {"beta": str(beta), "theta": str(theta),
                     "composite": str(lhs1), "staged": str(rhs1),

@@ -4,24 +4,35 @@ Forms have polynomial coefficients (rational, in the interval coordinates
 only; circle coordinates carry constants) and are stored canonically, so
 every operation -- wedge, exterior derivative, pullback along the admitted
 smooth maps, and integration along the fibers of coordinate projections --
-is exact and equality is literal.
+is exact and equality is literal.  Each coefficient is an ``int`` or a
+``Fraction``, never a float: integral values stay ``int``, and a
+``Fraction`` is made only where a division needs one, when integrating
+over a unit interval.  An int and the equal ``Fraction`` compare, hash and
+print alike, so which of the two holds a value never shows.
 
 Orientation bookkeeping: a space is oriented by the wedge of its coordinate
 1-forms in listed order.  A projection is oriented base-first fiber-last;
 its pushforward reorders each monomial to (base generators in target order,
 fiber generators in the projection's fiber order), keeps the Koszul sign,
 drops terms missing any fiber generator, and integrates the coefficient
-over the fiber (unit intervals exactly, circles with total measure 1).
+over the fiber (unit intervals exactly, circles with total measure 1), in
+one pass over each monomial of the coefficient (see ``pushforward``).
 Composite projections carry the induced fiber order (outer fiber first),
 which is what makes pushforward functorial on the nose.
 
 Construction: the public ``Form(space, terms)`` validates its input (wedge
 letters are coordinates, in coordinate order, without repeats; coefficients
-use interval coordinates only) and ``Poly(terms)`` drops zero coefficients.
+use interval coordinates only) and ``Poly(terms)`` rejects a coefficient
+that is not an ``int`` or a ``Fraction`` and drops zero coefficients.
 Results this module computes from canonical inputs are built with the
 trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
-check nothing else; they are internal and never see outside input.  Maps
-work the same way: ``smooth_map``, ``projection`` and the public
+check nothing else; they are internal and never see outside input.  Spaces
+too: the public ``CubeTorusSpace(coords)`` rejects repeated names and
+unknown kinds, while the face spaces of ``boundary_pushforward`` and the
+pulled space of ``pullback_bundle``, derived from valid spaces, are built
+with the trusted ``CubeTorusSpace._of``, which derives the name, order,
+kind and interval tables and checks nothing.
+Maps work the same way: ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
 assignment, including the unit-range check, while the maps this module
 derives from valid maps (``as_smooth``, ``compose_smooth``,
@@ -60,8 +71,15 @@ INTERVAL = "interval"
 CIRCLE = "circle"
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: Rational) -> Rational:
+    """An exact coefficient: an ``int`` or ``Fraction`` as it is, anything
+    else (a float, a numeric string) converted to ``Fraction``."""
+    return x if x.__class__ is int or x.__class__ is Fraction else Fraction(x)
+
+
+def _divide(c: Rational, n: int) -> Rational:
+    """c / n exactly: a ``Fraction`` even for an ``int`` c, never a float."""
+    return Fraction(c, n) if c.__class__ is int else c / n
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -89,11 +107,23 @@ class CubeTorusSpace:
         for _, kind in self.coords:
             if kind not in (INTERVAL, CIRCLE):
                 raise ValueError(f"unknown coordinate kind {kind!r}")
+        self._derive(tuple(names))
+
+    def _derive(self, names: tuple[str, ...]) -> None:
         set_ = object.__setattr__
-        set_(self, "_names", tuple(names))
+        set_(self, "_names", names)
         set_(self, "_order", {n: i for i, n in enumerate(names)})
         set_(self, "_kinds", dict(self.coords))
         set_(self, "_intervals", tuple(n for n, kind in self.coords if kind == INTERVAL))
+
+    @staticmethod
+    def _of(coords: tuple[tuple[str, str], ...]) -> "CubeTorusSpace":
+        """Trusted constructor for spaces this module derives from valid
+        spaces: it derives the tables and checks nothing."""
+        sp = object.__new__(CubeTorusSpace)
+        object.__setattr__(sp, "coords", coords)
+        sp._derive(tuple(n for n, _ in coords))
+        return sp
 
     @property
     def dimension(self) -> int:
@@ -128,19 +158,24 @@ Monomial = tuple[tuple[str, int], ...]  # sorted variable/power pairs
 
 
 class Poly:
-    """Polynomial with rational coefficients in named variables."""
+    """Polynomial with rational coefficients in named variables; each
+    coefficient is an ``int`` or a ``Fraction``."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
+        clean: dict[Monomial, Rational] = {}
         for mono, c in (terms or {}).items():
+            if c.__class__ is not int and c.__class__ is not Fraction:
+                raise ValueError(
+                    f"coefficient {c!r} of monomial {mono} is not an int or a Fraction"
+                )
             if c:
                 clean[mono] = c
         self.terms = clean
 
     @staticmethod
-    def _of(terms: Mapping[Monomial, Fraction]) -> "Poly":
+    def _of(terms: Mapping[Monomial, Rational]) -> "Poly":
         """Trusted constructor for canonical terms this module computed."""
         poly = object.__new__(Poly)
         poly.terms = {m: c for m, c in terms.items() if c}
@@ -156,15 +191,15 @@ class Poly:
             raise ValueError("negative power")
         if power == 0:
             return Poly.const(1)
-        return Poly({((name, power),): Fraction(1)})
+        return Poly({((name, power),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         if any(m for m in self.terms):
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m in self.terms for v, _ in m)
@@ -182,7 +217,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 if not m1:
@@ -208,7 +243,7 @@ class Poly:
     def partial(self, name: str) -> "Poly":
         # Lowering the power of one variable maps distinct monomials to
         # distinct monomials, so no two terms meet.
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, c in self.terms.items():
             for i, (v, p) in enumerate(mono):
                 if v == name:
@@ -219,26 +254,14 @@ class Poly:
 
     def integrate_unit(self, name: str) -> "Poly":
         """Definite integral over [0, 1] in one variable."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, c in self.terms.items():
             for i, (v, p) in enumerate(mono):
                 if v == name:
-                    _accumulate(out, mono[:i] + mono[i + 1:], c / (p + 1))
+                    _accumulate(out, mono[:i] + mono[i + 1:], _divide(c, p + 1))
                     break
             else:
                 _accumulate(out, mono, c)
-        return Poly._of(out)
-
-    def rename(self, names: Mapping[str, str]) -> "Poly":
-        """Relabel variables: equal to ``subst`` with ``Poly.var`` values,
-        without multiplying polynomials."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            powers: dict[str, int] = {}
-            for v, p in mono:
-                w = names.get(v, v)
-                powers[w] = powers.get(w, 0) + p
-            _accumulate(out, tuple(sorted(powers.items())), c)
         return Poly._of(out)
 
     def subst(self, replacements: Mapping[str, "Poly"]) -> "Poly":
@@ -248,7 +271,7 @@ class Poly:
         replacements of several terms are multiplied out, each power of one
         once per call."""
         powers: dict[tuple[str, int], Poly] = {}
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, c in self.terms.items():
             exps: dict[str, int] = {}
             spread: list[Poly] = []  # powers of several-term replacements
@@ -791,43 +814,58 @@ def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> list[tuple[str, i
 
 
 def pushforward(p: ProjectionMap, form: Form) -> Form:
-    """Integration along the fibers of a coordinate projection."""
+    """Integration along the fibers of a coordinate projection.
+
+    Each source letter has one bundle rank: a base letter its target
+    coordinate's position, a fiber letter the base dimension plus its
+    position in the fiber order.  A term survives when its wedge holds every
+    fiber letter; its Koszul sign is the inversion parity of its ranks, and
+    one pass over each monomial of its coefficient divides out the powers of
+    the interval fiber variables (the integral over [0, 1]; a circle fiber
+    has measure 1 and never occurs in a coefficient) and renames the base
+    variables to their target coordinates."""
     if form.space != p.source:
         raise ValueError("form does not live on the projection's source")
-    fiber_rank = {name: i for i, name in enumerate(p.fiber)}
+    target_names = p.target._names
+    n_base = len(target_names)
+    n_fiber = len(p.fiber)
     target_order = p.target._order
-    src_to_target = {s: t for t, s in p.injection}
-    kinds = p.source._kinds
-    # circle fibers: coefficients are constant there; total measure 1
-    interval_fiber = [v for v in p.fiber if kinds[v] == INTERVAL]
-    rename = {s: t for s, t in src_to_target.items() if kinds[s] == INTERVAL}
-    out: dict[tuple[str, ...], Poly] = {}
+    to_target = {s: t for t, s in p.injection}
+    rank = {s: target_order[t] for s, t in to_target.items()}
+    for i, v in enumerate(p.fiber):
+        rank[v] = n_base + i
+    out: dict[tuple[str, ...], dict[Monomial, Rational]] = {}
     for wedgekey, poly in form.terms.items():
-        letters_base = [x for x in wedgekey if x not in fiber_rank]
-        if len(wedgekey) - len(letters_base) != len(p.fiber):
+        n = len(wedgekey)
+        if n < n_fiber:
             continue
-        # Koszul sign of reordering (stored order) -> (base in target order,
-        # fiber in fiber order); computed as the inversion parity of the
-        # combined rank sequence.
-        ranks = [
-            (0, target_order[src_to_target[x]]) if x not in fiber_rank else (1, fiber_rank[x])
-            for x in wedgekey
-        ]
-        inversions = sum(
-            1
-            for i in range(len(ranks))
-            for m in range(i + 1, len(ranks))
-            if ranks[i] > ranks[m]
-        )
-        coeff = poly
-        for v in interval_fiber:
-            coeff = coeff.integrate_unit(v)
-        target_wedge = tuple(
-            sorted((src_to_target[x] for x in letters_base), key=target_order.__getitem__)
-        )
-        renamed = coeff.rename(rename)
-        _accumulate(out, target_wedge, -renamed if inversions % 2 else renamed)
-    return Form._of(p.target, out)
+        ranks = [rank[x] for x in wedgekey]
+        ordered = sorted(ranks)
+        # The top n_fiber ranks are the fiber's exactly when the wedge holds
+        # every fiber letter.
+        if n_fiber and ordered[n - n_fiber] != n_base:
+            continue
+        odd = 0
+        for i, r in enumerate(ranks):
+            for later in ranks[i + 1:]:
+                odd ^= r > later
+        target_wedge = tuple([target_names[r] for r in ordered[: n - n_fiber]])
+        coeffs = out.setdefault(target_wedge, {})
+        for mono, c in poly.terms.items():
+            key = []
+            den = 1
+            for v, e in mono:
+                t = to_target.get(v)
+                if t is None:
+                    den *= e + 1
+                else:
+                    key.append((t, e))
+            if den != 1:
+                c = _divide(c, den)
+            if len(key) > 1:
+                key.sort()
+            _accumulate(coeffs, tuple(key), -c if odd else c)
+    return Form._of(p.target, {w: Poly._of(coeffs) for w, coeffs in out.items()})
 
 
 def integrate(form: Form) -> Fraction:
@@ -869,9 +907,9 @@ def _interval_faces(
 ) -> tuple[CubeTorusSpace, SmoothMapModel, SmoothMapModel]:
     """The face space of an interval coordinate, built once, with its
     inclusions at the value-1 and the value-0 endpoint."""
-    face_space = CubeTorusSpace(tuple(c for c in sp.coords if c[0] != name))
+    face_space = CubeTorusSpace._of(tuple(c for c in sp.coords if c[0] != name))
     inclusions = []
-    for value in (Fraction(1), Fraction(0)):
+    for value in (1, 0):
         table: dict[str, tuple] = {}
         for n, k in sp.coords:
             if n == name:
@@ -1007,7 +1045,7 @@ def pullback_bundle(
     pulled_coords = tuple(f.source.coords) + tuple(
         (fiber_names[n], p.source.kind(n)) for n in p.fiber
     )
-    pulled = CubeTorusSpace(pulled_coords)
+    pulled = CubeTorusSpace._of(pulled_coords)
     p_bar = ProjectionMap._of(
         pulled,
         f.source,

@@ -114,6 +114,13 @@ def test_interval_assignment_range_checked():
         smooth_map(I_T, I_T, {"t": ("poly", Poly.var("t") - Poly.const(1))})
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.0, "3", True, False])
+def test_poly_rejects_coefficients_that_are_not_exact(bad):
+    with pytest.raises(ValueError, match=r"monomial \(\('t', 2\),\) is not an int or a Fraction"):
+        Poly({(("t", 2),): bad})
+    assert Poly({(("t", 2),): 3}) == Poly({(("t", 2),): Fraction(3)})
+
+
 def test_unit_range_checked_above_six_variables():
     seven = space(*((f"x{i}", "interval") for i in range(7)))
     target = space(("y", "interval"))
@@ -609,16 +616,56 @@ def test_subst_equals_multiplied_out():
     assert min(sizes.values()) >= 100, sizes
 
 
-def test_rename_equals_subst_with_variables():
+def _pushforward_staged(p, form):
+    """Pushforward term by term: the sign of the adjacent swaps that move the
+    letters into (base in target order, fiber in fiber order), the
+    coefficient integrated over one interval fiber variable at a time, then
+    its base variables substituted by their target coordinates."""
+    lift = {s: t for t, s in p.injection}
+    place = {s: (0, p.target.names().index(t)) for s, t in lift.items()}
+    place.update({v: (1, i) for i, v in enumerate(p.fiber)})
+    to_target = {s: Poly.var(t) for s, t in lift.items() if p.source.kind(s) == "interval"}
+    out = Form(p.target)
+    for letters, poly in form.terms.items():
+        if not set(p.fiber) <= set(letters):
+            continue
+        seq, sign = list(letters), 1
+        for end in range(len(seq) - 1, 0, -1):
+            for m in range(end):
+                if place[seq[m]] > place[seq[m + 1]]:
+                    seq[m], seq[m + 1] = seq[m + 1], seq[m]
+                    sign = -sign
+        coeff = poly
+        for v in p.fiber:
+            if p.source.kind(v) == "interval":
+                coeff = coeff.integrate_unit(v)
+        base = tuple(lift[x] for x in seq[: len(seq) - p.reldim])
+        out = out + Form(p.target, {base: coeff.subst(to_target).scale(sign)})
+    return out
+
+
+def test_pushforward_equals_staged_integration():
     rng = random.Random(5)
-    names = ("a", "b", "c", "d")
-    for _ in range(300):
-        poly = Poly()
-        for _ in range(rng.randrange(0, 5)):
-            mono = tuple(sorted((v, p) for v in names if (p := rng.randrange(0, 3))))
-            poly = poly + Poly({mono: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))})
-        mapping = {v: rng.choice(names + ("e",)) for v in names if rng.random() < 0.7}
-        assert poly.rename(mapping) == poly.subst({v: Poly.var(w) for v, w in mapping.items()})
+    fresh = NameSource()
+    seen = {"nonzero": 0, "composite": 0, "negative": 0, "divided": 0}
+    for i in range(400):
+        p = random_bundle(rng, 5, fresh)
+        if i % 2:  # a composite, whose fiber order is not the source's
+            keep = [n for n in p.target.names() if rng.random() < 0.6]
+            q_target = CubeTorusSpace(tuple((fresh("c"), p.target.kind(n)) for n in keep))
+            q = projection(p.target, q_target, {t[0]: s for t, s in zip(q_target.coords, keep)})
+            p = compose_projection(q, p)
+            seen["composite"] += p.fiber != tuple(n for n in p.source.names() if n in p.fiber)
+        beta = random_form(rng, p.source, 3)
+        got = pushforward(p, beta)
+        assert got == _pushforward_staged(p, beta), (p, beta)
+        _assert_canonical(got)
+        seen["nonzero"] += not got.is_zero()
+        seen["negative"] += any(c < 0 for poly in got.terms.values() for c in poly.terms.values())
+        seen["divided"] += any(c.__class__ is Fraction for poly in got.terms.values()
+                               for c in poly.terms.values())
+    assert seen["composite"] >= 30, seen
+    assert min(seen["nonzero"], seen["negative"], seen["divided"]) >= 100, seen
 
 
 def _random_coordinate_map(rng, fresh):
@@ -781,13 +828,34 @@ def test_draws_match_public_rng_calls():
     assert min(seen.values()) >= 50, seen
 
 
+def test_bundle_draws_leave_stream_where_random_bundle_does():
+    """``verify_functoriality`` draws a bundle it never builds; the draws
+    alone must advance the stream and the names as a full bundle does."""
+    for seed in range(500):
+        for min_fiber in (0, 1):
+            ends = []
+            for draw in (checks._draw_bundle, random_bundle):
+                rng = random.Random(seed)
+                fresh = NameSource()
+                draw(rng, 1 + seed % 5, fresh, min_fiber=min_fiber)
+                ends.append((rng.getstate(), fresh._count))
+            assert ends[0] == ends[1], (seed, min_fiber)
+
+
+def _assert_exact(poly):
+    """Every coefficient is an int or a Fraction: never a float, and never a
+    bool or another number type."""
+    assert all(c.__class__ in (int, Fraction) for c in poly.terms.values()), poly.terms
+
+
 def _assert_canonical(form):
     assert Form(form.space, form.terms) == form
     for poly in form.terms.values():
         assert poly.terms and all(poly.terms.values())
+        _assert_exact(poly)
 
 
-def test_kernel_results_pass_public_validation():
+def test_kernel_results_pass_public_validation(monkeypatch):
     rng = random.Random(9)
     fresh = NameSource()
     for _ in range(150):
@@ -810,6 +878,23 @@ def test_kernel_results_pass_public_validation():
         ]
         for form in results:
             _assert_canonical(form)
+
+    # Every polynomial the kernel builds in a run of all checkers.
+    made = []
+    trusted = Poly._of
+
+    def recording(terms):
+        poly = trusted(terms)
+        made.append(poly)
+        return poly
+
+    monkeypatch.setattr(Poly, "_of", staticmethod(recording))
+    assert all(result.passed for result in run_all_checks(50, 3, 4, 3))
+    assert len(made) > 1_000
+    for poly in made:
+        _assert_exact(poly)
+    classes = {c.__class__ for poly in made for c in poly.terms.values()}
+    assert classes == {int, Fraction}, classes
 
 
 # --- maps the kernel derives without validating them -----------------------------
@@ -866,6 +951,15 @@ def _expected_pullback_bundle(p, f, pulled):
     return p_bar, smooth_map(pulled, p.source, table)
 
 
+def _assert_space_tables(sp):
+    """A space the kernel derived without validating it holds the tables the
+    public constructor derives."""
+    public = CubeTorusSpace(sp.coords)
+    assert sp == public
+    for name in ("_names", "_order", "_kinds", "_intervals"):
+        assert getattr(sp, name) == getattr(public, name), name
+
+
 def _assert_derived(got, expected):
     assert _public_copy(got) == got
     assert got == expected
@@ -910,6 +1004,7 @@ def test_derived_maps_pass_public_validation():
         for name in p.source.interval_names():
             face_space, at_one, at_zero = _interval_faces(p.source, name)
             assert face_space.coords == tuple(c for c in p.source.coords if c[0] != name)
+            _assert_space_tables(face_space)
             for value, inclusion in ((1, at_one), (0, at_zero)):
                 _assert_derived(inclusion, smooth_map(face_space, p.source, {
                     n: ("poly", Poly.const(value)) if n == name
@@ -919,6 +1014,7 @@ def test_derived_maps_pass_public_validation():
 
         f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.target)
         pulled, p_bar, f_tilde = pullback_bundle(p, f)
+        _assert_space_tables(pulled)
         expected_bar, expected_tilde = _expected_pullback_bundle(p, f, pulled)
         _assert_derived(p_bar, expected_bar)
         _assert_derived(f_tilde, expected_tilde)
