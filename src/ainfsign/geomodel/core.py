@@ -22,8 +22,9 @@ which is what makes pushforward functorial on the nose.
 
 Construction: the public ``Form(space, terms)`` validates its input (wedge
 letters are coordinates, in coordinate order, without repeats; coefficients
-use interval coordinates only) and ``Poly(terms)`` rejects a coefficient
-that is not an ``int`` or a ``Fraction`` and drops zero coefficients.
+use interval coordinates only) and ``Poly(terms)`` drops zero coefficients
+and, like ``Poly.const``, ``Poly.scale`` and ``Form.scale``, rejects one
+that is not an ``int`` or a ``Fraction`` (``novikov.exact_rational``).
 Results this module computes from canonical inputs are built with the
 trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
 check nothing else; they are internal and never see outside input.  Spaces
@@ -65,16 +66,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from ..novikov import exact_rational
+
 Rational = Union[int, Fraction]
 
 INTERVAL = "interval"
 CIRCLE = "circle"
-
-
-def _frac(x: Rational) -> Rational:
-    """An exact coefficient: an ``int`` or ``Fraction`` as it is, anything
-    else (a float, a numeric string) converted to ``Fraction``."""
-    return x if x.__class__ is int or x.__class__ is Fraction else Fraction(x)
 
 
 def _divide(c: Rational, n: int) -> Rational:
@@ -166,10 +163,12 @@ class Poly:
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         clean: dict[Monomial, Rational] = {}
         for mono, c in (terms or {}).items():
-            if c.__class__ is not int and c.__class__ is not Fraction:
+            try:
+                exact_rational(c)
+            except ValueError:
                 raise ValueError(
                     f"coefficient {c!r} of monomial {mono} is not an int or a Fraction"
-                )
+                ) from None
             if c:
                 clean[mono] = c
         self.terms = clean
@@ -183,7 +182,7 @@ class Poly:
 
     @staticmethod
     def const(c: Rational) -> "Poly":
-        return Poly({(): _frac(c)})
+        return Poly({(): c})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
@@ -233,11 +232,11 @@ class Poly:
         return Poly._of(out)
 
     def scale(self, c: Rational) -> "Poly":
+        c = exact_rational(c)
         if c == 1:
             return self
         if c == -1:
             return -self
-        c = _frac(c)
         return Poly._of({m: c * k for m, k in self.terms.items()})
 
     def partial(self, name: str) -> "Poly":
@@ -428,6 +427,7 @@ class Form:
         return self + (-other)
 
     def scale(self, c: Rational) -> "Form":
+        c = exact_rational(c)
         if c == 1:
             return self
         return Form._of(self.space, {w: p.scale(c) for w, p in self.terms.items()})

@@ -49,8 +49,16 @@ class NovikovParseError(ValueError):
         self.position = position
 
 
+def exact_rational(x: Rational) -> Rational:
+    """``x`` itself if it is an ``int`` or a ``Fraction``, the one rule for
+    numbers given to ``novikov`` and ``geomodel``; else ``ValueError``."""
+    if x.__class__ is int or x.__class__ is Fraction:
+        return x
+    raise ValueError(f"{x!r} is not an int or a Fraction")
+
+
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if x.__class__ is Fraction else Fraction(exact_rational(x))
 
 
 @dataclass(frozen=True)

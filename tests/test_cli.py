@@ -101,11 +101,13 @@ def test_verify_geomodel_small(capsys):
     assert "composition" in out
 
 
-# SHA-256 of the report as written before the exact kernel's fast paths.
-GEOMODEL_TRIALS40_SEED3_SHA256 = "b5cb24653db770e4fce382cad48a8e39634f43608a1667a13aca76a42d16db4f"
+# SHA-256 of the report as written since push-pull draws one instance per
+# trial, nontrivial by construction, and every checker counts its trials and
+# nontrivial trials.
+GEOMODEL_TRIALS40_SEED3_SHA256 = "e47c607321d16320962c868f5cb3e13e4b0801e07b71ba9e452c96560958c08f"
 # The calculus benchmark's coordinate and polynomial-degree sizes, so the
 # seeded stream of random forms and polynomials is pinned at those sizes.
-GEOMODEL_TRIALS200_SEED5_SHA256 = "90e79ae1ab95d62a97468e2552fdd7aaae15b6d028bdd16196e7e36e933a662e"
+GEOMODEL_TRIALS200_SEED5_SHA256 = "f6ba3e253f209a74cec75e0550ec69f0c244dfe2f89724ea973ae0b7456d4b5e"
 
 
 def test_verify_geomodel_report_bytes_unchanged(tmp_path, capsys):
@@ -125,6 +127,21 @@ def test_verify_geomodel_report_bytes_unchanged_at_benchmark_sizes(tmp_path, cap
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEOMODEL_TRIALS200_SEED5_SHA256
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_geomodel_few_pushpull_trials_pass(seed, tmp_path, capsys):
+    """Each push-pull trial draws one instance, nontrivial by construction,
+    so a short run neither stops early nor fails."""
+    out = tmp_path / "report.json"
+    code, _, _ = run(
+        ["verify-geomodel", "--trials", "1", "--pushpull-trials", "5", "--seed", str(seed),
+         "--out", str(out)], capsys
+    )
+    assert code == 0
+    checks_ = json.loads(out.read_text())["checks"]
+    assert checks_[-1]["detail"] == {"trials": 5, "nontrivial": 5}
+    assert all(c["detail"]["trials"] == 1 for c in checks_[:-1])
 
 
 @pytest.mark.parametrize("argv, flag", [

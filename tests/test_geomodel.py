@@ -40,7 +40,7 @@ from ainfsign.geomodel import (
     verify_stokes,
     wedge,
 )
-from ainfsign.geomodel import checks
+from ainfsign.geomodel import checks, core
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
 from ainfsign.geomodel.core import _interval_faces
 
@@ -119,6 +119,20 @@ def test_poly_rejects_coefficients_that_are_not_exact(bad):
     with pytest.raises(ValueError, match=r"monomial \(\('t', 2\),\) is not an int or a Fraction"):
         Poly({(("t", 2),): bad})
     assert Poly({(("t", 2),): 3}) == Poly({(("t", 2),): Fraction(3)})
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, "1/2", True])
+def test_scaling_and_constants_reject_numbers_that_are_not_exact(bad):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        Poly.const(bad)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        Poly.var("t").scale(bad)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        Form.generator(I_T, "t").scale(bad)
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        Form.zero(I_T).scale(bad)
+    assert Poly.const(3).terms == {(): 3} and Poly.var("t").scale(Fraction(1, 2)) == Poly(
+        {(("t", 1),): Fraction(1, 2)})
 
 
 def test_unit_range_checked_above_six_variables():
@@ -303,11 +317,16 @@ def test_composition_formula_randomized():
     result = verify_composition(trials=150, seed=21)
     assert result.passed, result.failures
     assert result.stats["odd_degree_inputs"] > 20
+    assert result.stats["nontrivial"] >= 135, result.stats
 
 
 def test_all_identities_randomized():
     for result in run_all_checks(trials=120, seed=17):
         assert result.passed, (result.name, result.failures)
+        # Every checker counts the trials it ran and the nontrivial ones first.
+        trials, nontrivial = list(result.stats.items())[:2]
+        assert trials == ("trials", 120), result.stats
+        assert nontrivial[0] == "nontrivial" and 0 <= nontrivial[1] <= 120, result.stats
 
 
 def test_stokes_boundary_coverage():
@@ -378,15 +397,7 @@ def test_mock_output_degree_matches_parity_contract():
 def test_pushpull_identity_suite():
     result = verify_pushpull(trials=60, seed=13)
     assert result.passed, result.failures
-    assert result.stats["nontrivial"] >= 20
-
-
-def test_pushpull_fails_when_attempt_cap_cuts_trials_short():
-    result = verify_pushpull(trials=5, seed=1)
-    assert not result.passed
-    assert json.dumps(result.failures) == json.dumps([{
-        "trial": 4, "error": "attempt cap reached", "trials_requested": 5, "attempts": 250,
-    }])
+    assert result.stats == {"trials": 60, "nontrivial": 60}
 
 
 def test_pushpull_reports_first_failure_of_flipped_reorder_sign(monkeypatch):
@@ -397,10 +408,10 @@ def test_pushpull_reports_first_failure_of_flipped_reorder_sign(monkeypatch):
     monkeypatch.setattr(signs, "pushpull_reorder_sign", lambda ctx: (reorder(ctx) + 1) % 2)
     result = verify_pushpull(30, 1)
     assert json.dumps(result.failures) == json.dumps([{
-        "trial": 0, "j": 1, "k": 2, "k_inner": 2, "mu_node": 1, "reorder_sign": 1,
-        "nested": "-35/18",
+        "trial": 0, "j": 1, "k": 3, "k_inner": 3, "mu_node": 1, "reorder_sign": 1,
+        "nested": "29/9",
     }])
-    assert result.stats == {"nontrivial": 1}
+    assert result.stats == {"trials": 1, "nontrivial": 1}
 
 
 def test_pushpull_trivial_mock_case():
@@ -415,21 +426,76 @@ def test_pushpull_trivial_mock_case():
 
 def test_reorder_sign_mutation_detected():
     rng = random.Random(14)
-    detected = attempts = 0
-    while detected < 2 and attempts < 400:
-        attempts += 1
+    for _ in range(50):
         outer, inner, j, xis, mus = random_mock_instance(rng)
         report = check_pushpull_identities(outer, inner, j, xis, mus, mutate_reorder_sign=1)
-        if report.nontrivial:
-            assert not report.nested_vs_glued
-            detected += 1
-    assert detected == 2
+        assert report.nontrivial and not report.nested_vs_glued
 
 
 def test_mock_instance_names_do_not_depend_on_earlier_draws():
     first = random_mock_instance(random.Random(3))
     second = random_mock_instance(random.Random(3))
     assert first == second
+
+
+def test_mock_instances_are_nontrivial_at_every_arity():
+    """Every drawn instance has a nonzero nested form and passes; the draws
+    cover total arity 1..5, inner arity 0..3 and output legs whose fiber
+    order is not their source's coordinate order."""
+    rng = random.Random(23)
+    arities, inner_arities, shuffled = set(), set(), 0
+    for _ in range(300):
+        outer, inner, j, xis, mus = random_mock_instance(rng)
+        report = check_pushpull_identities(outer, inner, j, xis, mus)
+        assert report.nontrivial and report.passed, report.detail
+        arities.add(len(xis))
+        inner_arities.add(inner.k)
+        shuffled += any(
+            leg.fiber != tuple(n for n in leg.source.names() if n in leg.fiber)
+            for leg in (outer.ev_out, inner.ev_out)
+        )
+    assert arities == {1, 2, 3, 4, 5}
+    assert inner_arities == {0, 1, 2, 3}
+    assert shuffled >= 50
+
+
+def test_pushpull_identities_hold_at_inner_arity_zero():
+    """A splitting with no inner inputs: the inner span has no fiber, so the
+    node carries the unit 0-form, the derived node parity is 0, and all
+    three identities hold on nonzero forms, with the reorder sign that the
+    boundary-sign formula gives verbatim at k_inner = 0."""
+    rng = random.Random(29)
+    seen = 0
+    while seen < 40:
+        outer, inner, j, xis, mus = random_mock_instance(rng)
+        if inner.k:
+            continue
+        seen += 1
+        assert inner.reldim == 0 and outer.k >= 2
+        report = check_pushpull_identities(outer, inner, j, xis, mus)
+        assert report.passed and report.nontrivial, report.detail
+        assert report.detail["mu_node"] == 0 and report.detail["k_inner"] == 0
+        flipped = check_pushpull_identities(outer, inner, j, xis, mus, mutate_reorder_sign=1)
+        assert not flipped.nested_vs_glued
+
+
+def _source_order_gluing(pullback_bundle_):
+    """``pullback_bundle`` with the bundle's fiber listed in its source's
+    coordinate order instead of its own fiber order: the gluing bug that a
+    composite or shuffled output leg exposes."""
+    def glue(p, f, rename_prefix=""):
+        fiber = tuple(n for n in p.source.names() if n in p.fiber)
+        return pullback_bundle_(
+            ProjectionMap(p.source, p.target, p.injection, fiber), f, rename_prefix
+        )
+    return glue
+
+
+def test_randomized_checkers_catch_source_order_gluing(monkeypatch):
+    assert verify_pushpull(100, 0).passed and verify_composition(500, 0).passed
+    monkeypatch.setattr(core, "pullback_bundle", _source_order_gluing(core.pullback_bundle))
+    assert not verify_pushpull(100, 0).passed
+    assert not verify_composition(500, 0).passed
 
 
 # --- failure path of the calculus checkers -------------------------------------
@@ -447,46 +513,47 @@ def _negated(kernel):
 
 # Each checker with one kernel corrupted as ``geomodel.checks`` sees it, run
 # at trials=30, seed=1, max_coords=3, max_poly_deg=2: the witness of the first
-# failing trial and the stats counted up to it, dict key order included.
+# failing trial and the stats counted up to it (the trials run, the nontrivial
+# ones, then the checker's own counts), dict key order included.
 CORRUPTED_CHECKERS = {
     "verify_projection_formula": (
         "pullback", _odd_source_pullback,
         [{"trial": 0, "theta": "(3*b2 + -3/2*b2^2) + -1*db2", "beta": "2*x1^2",
           "lhs": "(-6*b2^3 + 3*b2^4) + 2*b2^2*db2", "rhs": "(6*b2^3 + -3*b2^4) + -2*b2^2*db2"}],
-        {},
+        {"trials": 1, "nontrivial": 1},
     ),
     "verify_functoriality": (
         "pullback", _odd_source_pullback,
-        [{"trial": 0, "beta": "1 + (3*x1 + -3/2*x1^2)*dx1", "theta": "(1/2 + -1*b2^2)*db2",
-          "composite": "1 + (3*c6 + -3/2*c6^2)*dc6", "staged": "1 + (3*c6 + -3/2*c6^2)*dc6",
-          "iterated_lhs": "(-1/2 + c6^2)*dc6", "iterated_rhs": "(1/2 + -1*c6^2)*dc6"}],
-        {},
+        [{"trial": 0, "beta": "(1 + 1/2*x1^2)*dx1", "theta": "(-3 + 2*b2^2)",
+          "composite": "(1 + 1/2*c3^2)*dc3", "staged": "(1 + 1/2*c3^2)*dc3",
+          "iterated_lhs": "(3 + -1/2*c3^2 + -1*c3^4)*dc3", "iterated_rhs": "(-3 + 1/2*c3^2 + c3^4)*dc3"}],
+        {"trials": 1, "nontrivial": 1},
     ),
     "verify_base_change": (
         "pullback", _odd_source_pullback,
         [{"trial": 2, "beta": "2*dx11", "lhs": "2", "rhs": "-2"}],
-        {},
+        {"trials": 3, "nontrivial": 3},
     ),
     "verify_stokes": (
         "boundary_pushforward", _negated(boundary_pushforward),
         [{"trial": 0, "beta": "(-1 + 1/2*x1)", "lhs": "0", "rhs": "1"}],
-        {"with_boundary": 1},
+        {"trials": 1, "nontrivial": 1, "with_boundary": 1},
     ),
     "verify_corr_stokes": (
         "boundary_correspondence_apply", _negated(boundary_correspondence_apply),
         [{"trial": 18, "xi": "(-2 + 3*m79^2)*dm78 + -1/2*dm79", "lhs": "0", "rhs": "6"}],
-        {"with_boundary": 13},
+        {"trials": 19, "nontrivial": 1, "with_boundary": 13},
     ),
     "verify_composition": (
         "apply_correspondence", _negated(apply_correspondence),
-        [{"trial": 10, "xi": "-1/2", "lhs": "1/2", "rhs": "-1/2"}],
-        {"odd_degree_inputs": 5},
+        [{"trial": 0, "xi": "6*di8^di9^di10", "lhs": "-6", "rhs": "6"}],
+        {"trials": 1, "nontrivial": 1, "odd_degree_inputs": 1},
     ),
     "verify_defining_property": (
         "pullback", _odd_source_pullback,
         [{"trial": 0, "theta": "2*b2^2", "beta": "(3*x1 + -3/2*x1^2) + -1*dx1",
           "base_integral": "-2/3", "total_integral": "2/3"}],
-        {},
+        {"trials": 1, "nontrivial": 1},
     ),
 }
 
@@ -737,111 +804,6 @@ def test_coordinate_pullback_agrees_with_wedge_route():
     assert min(seen.values()) >= 80, seen
 
 
-# --- the random draws against the public RNG calls ----------------------------
-
-
-def _space_by_public_calls(rng, max_coords, fresh, prefix="x"):
-    n = rng.randrange(0, max_coords + 1)
-    return CubeTorusSpace(tuple(checks._random_coords(rng, fresh, prefix, n)))
-
-
-def _poly_by_public_calls(rng, names, max_deg):
-    terms = {}
-    for _ in range(rng.randrange(1, 3)):
-        mono = {}
-        for v in names:
-            p = rng.randrange(0, max_deg + 1)
-            if p:
-                mono[v] = p
-        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-        key = tuple(sorted(mono.items()))
-        terms[key] = terms[key] + c if key in terms else c
-    return Poly(terms)
-
-
-def _form_by_public_calls(rng, sp, max_deg, degree=None):
-    names = sp.names()
-    terms = {}
-    for _ in range(rng.randrange(1, 3)):
-        size = rng.randrange(0, sp.dimension + 1) if degree is None else degree
-        if size > sp.dimension:
-            continue
-        wedge_key = tuple(sorted(rng.sample(range(sp.dimension), size)))
-        letters = tuple(names[i] for i in wedge_key)
-        poly = _poly_by_public_calls(rng, sp.interval_names(), max_deg)
-        terms[letters] = terms[letters] + poly if letters in terms else poly
-    return Form(sp, terms)
-
-
-def _bundle_by_public_calls(rng, max_coords, fresh, min_fiber=0):
-    total = rng.randrange(max(1, min_fiber), max_coords + 1)
-    n_fiber = rng.randrange(min_fiber, total + 1) if total > min_fiber else total
-    coords = checks._random_coords(rng, fresh, "x", total)
-    rng.shuffle(coords)
-    source = CubeTorusSpace(tuple(coords))
-    base = list(coords)
-    rng.shuffle(base)
-    base = base[: total - n_fiber]
-    target_coords = [(fresh("b"), kind) for _, kind in base]
-    target = CubeTorusSpace(tuple(target_coords))
-    return projection(source, target, {t[0]: s[0] for t, s in zip(target_coords, base)})
-
-
-# rng.sample picks from a pool of the population when it has at most 21 items
-# (more for samples above 5), and otherwise redraws against a set of picks.
-WIDE = tuple(space(*((f"w{i}", "interval") for i in range(n))) for n in (21, 22))
-
-
-def test_draws_match_public_rng_calls():
-    """The generators draw straight from ``rng._randbelow``; they must give
-    the objects and leave the stream where ``randrange``, ``choice`` and
-    ``sample`` would."""
-    params = random.Random(17)
-    seen = {"any degree": 0, "fixed degree": 0, "degree above dimension": 0, "max_deg 0": 0,
-            "min_fiber 0": 0, "min_fiber 1": 0}
-    for seed in range(500):
-        max_coords = params.randrange(1, 6)
-        max_deg = params.choice([0, 1, 3])
-        min_fiber = params.randrange(0, 2)
-        degree = params.choice([None, None, 0, 1, 2, 3, 6])
-        draws = []
-        for draw in ((checks.random_space, checks.random_bundle, checks.random_form, checks.random_poly),
-                     (_space_by_public_calls, _bundle_by_public_calls, _form_by_public_calls,
-                      _poly_by_public_calls)):
-            random_space_, random_bundle_, random_form_, random_poly_ = draw
-            rng = random.Random(seed)
-            fresh = NameSource()
-            sp = random_space_(rng, max_coords, fresh)
-            p = random_bundle_(rng, max_coords, fresh, min_fiber=min_fiber)
-            objects = [sp, p,
-                       random_form_(rng, sp, max_deg, degree),
-                       random_form_(rng, p.source, max_deg),
-                       random_form_(rng, WIDE[seed % 2], 1, degree),
-                       random_poly_(rng, p.source.interval_names(), max_deg)]
-            draws.append((objects, rng.getstate()))
-        assert draws[0] == draws[1], seed
-        sp = draws[0][0][0]
-        seen["any degree" if degree is None else "degree above dimension"
-             if degree > sp.dimension else "fixed degree"] += 1
-        seen["max_deg 0"] += max_deg == 0
-        seen[f"min_fiber {min_fiber}"] += 1
-    assert min(seen.values()) >= 50, seen
-
-
-def test_bundle_draws_leave_stream_where_random_bundle_does():
-    """``verify_functoriality`` draws a bundle it never builds; the draws
-    alone must advance the stream and the names as a full bundle does."""
-    for seed in range(500):
-        for min_fiber in (0, 1):
-            ends = []
-            for draw in (checks._draw_bundle, random_bundle):
-                rng = random.Random(seed)
-                fresh = NameSource()
-                draw(rng, 1 + seed % 5, fresh, min_fiber=min_fiber)
-                ends.append((rng.getstate(), fresh._count))
-            assert ends[0] == ends[1], (seed, min_fiber)
-
-
 def _assert_exact(poly):
     """Every coefficient is an int or a Fraction: never a float, and never a
     bool or another number type."""
@@ -1019,8 +981,9 @@ def test_derived_maps_pass_public_validation():
         _assert_derived(p_bar, expected_bar)
         _assert_derived(f_tilde, expected_tilde)
 
-        c12, c23 = checks._random_composable_pair(rng, fresh)
-        _assert_glued(c12, c23, 1)
+        m2 = random_space(rng, 2, fresh, prefix="q")
+        c12 = checks._random_span(rng, fresh, 1, random_space(rng, 2, fresh, prefix="p"), node=m2)
+        _assert_glued(c12, checks._random_span(rng, fresh, 1, m2), 1)
 
         outer_mock, inner_mock, j, _, _ = random_mock_instance(rng)
         _assert_glued(outer_mock, inner_mock, j)

@@ -80,6 +80,24 @@ def test_canonical_invariants_rejected():
         NovikovElement(((Fraction(-1), Fraction(1)),))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", True])
+def test_numbers_that_are_not_exact_rejected(bad):
+    """Novikov input follows ``exact_rational``: an int or a Fraction, never
+    a float, a bool or a string (text goes through ``parse``)."""
+    for call in (
+        lambda: NovikovElement.monomial(bad, 0),
+        lambda: NovikovElement.monomial(1, bad),
+        lambda: NovikovElement.from_terms([(0, bad)]),
+        lambda: T.scale(bad),
+        lambda: T.truncate(bad),
+        lambda: spectrum_closure([bad], 2),
+    ):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            call()
+    assert NovikovElement.monomial(2, 1) == NovikovElement.monomial(Fraction(2), Fraction(1))
+    assert NovikovElement.monomial(2, 1).terms[0][0].__class__ is Fraction
+
+
 def _closure_oracle(generators, cutoff):
     """Independent enumeration: bounded multiset counts per generator."""
     gens = sorted(generators)
