@@ -673,7 +673,7 @@ def from_dga(
 
 
 def check_product_sign_convention(
-    A: FilteredAInfty, dga: DGAModel, pairs: Sequence[tuple[str, str]] | None = None
+    A: FilteredAInfty, dga: DGAModel
 ) -> list[dict]:
     """Conformance of the arity-2 values against the operation-sign
     convention, with the algebra product as the independent reference.
@@ -688,10 +688,7 @@ def check_product_sign_convention(
     space = A.spaces[dga.space_name]
     mu = space.component.maslov_parity
     gens = [g for g, _ in space.basis]
-    pair_list = list(pairs) if pairs is not None else [
-        (g1, g2) for g1 in gens for g2 in gens
-    ]
-    for g1, g2 in pair_list:
+    for g1, g2 in itertools.product(gens, repeat=2):
         d1, d2 = dga.degree_of(g1), dga.degree_of(g2)
         stored = A.table.lookup(key, (space.name, space.name), (g1, g2))
         sign = (-1) ** operation_sign([d1, d2], [mu, mu])

@@ -31,7 +31,7 @@ from .ainfty import (
     from_dga,
     validate_degree_parity,
 )
-from .geomodel import run_all_checks, space, verify_pushpull
+from .geomodel import run_all_checks, space
 from .novikov import NovikovElement, spectrum_closure
 from .strata import (
     BClass,
@@ -151,6 +151,9 @@ def cmd_prove_signs(args) -> int:
     _require_at_least(("--k-max", args.k_max, 1), ("--relations-k-max", args.relations_k_max, 0))
     if not 0 <= args.truth_table_k_max <= prover.TRUTH_TABLE_K_MAX:
         raise UsageError(f"--truth-table-k-max must be in 0..{prover.TRUTH_TABLE_K_MAX}")
+    if args.relations_k_max > args.k_max:
+        # each replayed arity's master identity is proved in the same report
+        raise UsageError(f"--relations-k-max must be <= --k-max ({args.k_max})")
     report = Report(
         "prove-signs",
         {
@@ -202,39 +205,31 @@ def cmd_verify_geomodel(args) -> int:
         },
         args.timing,
     )
-    for result in run_all_checks(args.trials, args.seed, args.max_coords, args.max_poly_deg):
+    for result in run_all_checks(args.trials, args.seed, args.max_coords, args.max_poly_deg,
+                                 args.pushpull_trials):
         report.add(
             result.name, result.passed, result.elapsed_s,
-            witness=result.failures[0] if result.failures else None,
-            detail=result.stats,
-        )
-    if args.pushpull_trials:
-        started = time.perf_counter()
-        result = verify_pushpull(args.pushpull_trials, args.seed)
-        report.add(
-            result.name, result.passed, time.perf_counter() - started,
             witness=result.failures[0] if result.failures else None,
             detail=result.stats,
         )
     return report.finish(args.out)
 
 
+# The built-in algebras of --preset, by name; check-dga defaults to the
+# first and deform-check to the last.
+PRESETS = {
+    "exterior4": lambda: exterior_dga(4),
+    "exterior3-d": lambda: exterior_dga(
+        3, differential={"e1": {"e2^e3": 1}, "e2": {"e1^e3": -1}, "e3": {"e1^e2": 1}}
+    ),
+    "interval-circle": lambda: cube_torus_dga(space(("t", "interval"), ("c", "circle"))),
+    "interval2": lambda: cube_torus_dga(space(("u", "interval"), ("v", "interval"))),
+}
+
+
 def _preset_structure(preset: str, cutoff: Fraction):
-    if preset == "exterior4":
-        return exterior_dga(4), from_dga(exterior_dga(4), cutoff)
-    if preset == "exterior3-d":
-        dga = exterior_dga(
-            3,
-            differential={"e1": {"e2^e3": 1}, "e2": {"e1^e3": -1}, "e3": {"e1^e2": 1}},
-        )
-        return dga, from_dga(dga, cutoff)
-    if preset == "interval-circle":
-        dga = cube_torus_dga(space(("t", "interval"), ("c", "circle")))
-        return dga, from_dga(dga, cutoff)
-    if preset == "interval2":
-        dga = cube_torus_dga(space(("u", "interval"), ("v", "interval")))
-        return dga, from_dga(dga, cutoff)
-    raise UsageError(f"unknown preset {preset!r}")
+    dga = PRESETS[preset]()
+    return dga, from_dga(dga, cutoff)
 
 
 def cmd_check_dga(args) -> int:
@@ -481,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_geomodel)
 
     p = sub.add_parser("check-dga", help="relations of a built-in algebra embedding")
-    p.add_argument("--preset", default="exterior4",
-                   choices=["exterior4", "exterior3-d", "interval-circle", "interval2"])
+    p.add_argument("--preset", default=list(PRESETS)[0], choices=list(PRESETS))
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--cutoff", default="1")
     common(p)
@@ -496,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_ainfty)
 
     p = sub.add_parser("deform-check", help="bounding-cochain deformations keep the relations")
-    p.add_argument("--preset", default="interval2",
-                   choices=["exterior4", "exterior3-d", "interval-circle", "interval2"])
+    p.add_argument("--preset", default=list(PRESETS)[-1], choices=list(PRESETS))
     p.add_argument("--b", help='explicit element as JSON {"gen": "novikov expr", ...}')
     p.add_argument("--random", type=int, default=0, help="number of random admissible elements")
     p.add_argument("--lam-min", default="1")

@@ -19,8 +19,8 @@ DSL grammar (also in ``docs/sign_expr.ebnf``)::
 Sum bounds must elaborate to concrete integers.  Inside ``Sum(p=a..b, body)``
 a bare ``p`` evaluates to the running index and a name of the form
 ``base_p`` elaborates to ``base_<value>``; an empty range (a > b) is 0.
-Subtraction coincides with addition mod 2 but is kept distinct in the AST so
-printing round-trips.
+Subtraction coincides with addition mod 2 but is kept distinct in the AST,
+because ``eval_int`` subtracts.
 """
 
 from __future__ import annotations
@@ -298,24 +298,6 @@ def _parse_atom(toks: _Tokens) -> SignExpr:
     raise SignExprError(
         f"expected integer, name or '(', found {value or 'end of input'!r}", pos
     )
-
-
-def print_sign_expr(expr: SignExpr) -> str:
-    """Fully parenthesized rendering; print(parse(print(e))) == print(e)."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Name):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{print_sign_expr(expr.operand)})"
-    if isinstance(expr, BinOp):
-        return f"({print_sign_expr(expr.left)} {expr.op} {print_sign_expr(expr.right)})"
-    if isinstance(expr, IndexedSum):
-        return (
-            f"Sum({expr.var} = {print_sign_expr(expr.lower)}"
-            f" .. {print_sign_expr(expr.upper)}, {print_sign_expr(expr.body)})"
-        )
-    raise TypeError(f"not a sign expression: {expr!r}")
 
 
 def _resolve_name(name: str, env: Mapping[str, int]) -> str:

@@ -7,7 +7,6 @@ verifiers and mock moduli spans."""
 from .core import (
     CIRCLE,
     INTERVAL,
-    POINT,
     CorrespondenceModel,
     CubeTorusSpace,
     Form,
@@ -15,12 +14,10 @@ from .core import (
     ProjectionMap,
     SmoothMapModel,
     apply_correspondence,
-    boundary_correspondence_apply,
     boundary_pushforward,
     bundle_orientation_sign,
     compose_projection,
     compose_smooth,
-    d,
     exterior_derivative,
     fiber_product,
     integrate,

@@ -37,7 +37,6 @@ from .core import (
     ProjectionMap,
     SmoothMapModel,
     apply_correspondence,
-    boundary_correspondence_apply,
     boundary_pushforward,
     bundle_orientation_sign,
     compose_projection,
@@ -389,36 +388,40 @@ def verify_base_change(trials: int, seed: int, max_coords: int = 4, max_poly_deg
     return _trial_loop("base-change", trials, seed, trial)
 
 
+def _stokes_trial(p: ProjectionMap, form: Form, d_form: Form, deg: int, stats: dict, /, **inputs):
+    """Compare d p_! form with p_! d_form + (-1)^(dim source + deg) times the
+    boundary term, where ``d_form`` is the exterior derivative of ``form``
+    and ``deg`` its degree; ``inputs`` name the witness."""
+    if any(p.source.kind(v) == INTERVAL for v in p.fiber):
+        stats["with_boundary"] += 1
+    lhs = exterior_derivative(pushforward(p, form))
+    sign = (-1) ** ((p.source.dimension + deg) % 2)
+    rhs = pushforward(p, d_form) + boundary_pushforward(p, form).scale(sign)
+    return _compare(lhs, rhs, **inputs)
+
+
 def verify_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
     """d p_! beta == p_! d beta + (-1)^(dim source + deg beta) * boundary term."""
     def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh, min_fiber=1)
         deg = rng.randrange(0, p.source.dimension + 1)
         beta = random_form(rng, p.source, max_poly_deg, degree=deg)
-        if any(p.source.kind(v) == INTERVAL for v in p.fiber):
-            stats["with_boundary"] += 1
-        lhs = exterior_derivative(pushforward(p, beta))
-        sign = (-1) ** ((p.source.dimension + deg) % 2)
-        rhs = pushforward(p, exterior_derivative(beta)) + boundary_pushforward(p, beta).scale(sign)
-        return _compare(lhs, rhs, beta=beta)
+        return _stokes_trial(p, beta, exterior_derivative(beta), deg, stats, beta=beta)
     return _trial_loop("stokes", trials, seed, trial, with_boundary=0)
 
 
 def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> CheckResult:
-    """d Corr(xi) == Corr(d xi) + (-1)^(dim X + deg xi) * boundary Corr(xi)."""
+    """d Corr(xi) == Corr(d xi) + (-1)^(dim X + deg xi) * boundary Corr(xi):
+    Stokes for the pulled-back form f2* xi, whose exterior derivative is
+    f2*(d xi)."""
     def trial(rng, fresh, stats):
         f1 = random_bundle(rng, max_coords, fresh, min_fiber=1)
         target2 = random_space(rng, 2, fresh, prefix="m")
         f2 = random_smooth_map(rng, f1.source, target2)
-        corr = CorrespondenceModel(f1.source, f1, (f2,))
         deg = rng.randrange(0, target2.dimension + 1)
         xi = random_form(rng, target2, max_poly_deg, degree=deg)
-        if any(corr.space.kind(v) == INTERVAL for v in f1.fiber):
-            stats["with_boundary"] += 1
-        lhs = exterior_derivative(apply_correspondence(corr, (xi,)))
-        sign = (-1) ** ((corr.space.dimension + deg) % 2)
-        rhs = apply_correspondence(corr, (exterior_derivative(xi),)) + boundary_correspondence_apply(corr, (xi,)).scale(sign)
-        return _compare(lhs, rhs, xi=xi)
+        pulled, d_pulled = pullback(f2, xi), pullback(f2, exterior_derivative(xi))
+        return _stokes_trial(f1, pulled, d_pulled, deg, stats, xi=xi)
     return _trial_loop("correspondence-stokes", trials, seed, trial, with_boundary=0)
 
 
@@ -473,12 +476,19 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3) -> list[CheckResult]:
-    """Run every checker, recording each one's wall time in ``elapsed_s``."""
+def run_all_checks(
+    trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3, pushpull_trials: int = 0
+) -> list[CheckResult]:
+    """Run every checker, then ``verify_pushpull`` on ``pushpull_trials``
+    trials unless that is 0, recording each one's wall time in ``elapsed_s``."""
+    runs = [(check, (trials, seed + offset, max_coords, max_poly_deg))
+            for offset, check in enumerate(ALL_CHECKS)]
+    if pushpull_trials:
+        runs.append((verify_pushpull, (pushpull_trials, seed)))
     results = []
-    for offset, check in enumerate(ALL_CHECKS):
+    for check, args in runs:
         started = time.perf_counter()
-        result = check(trials, seed + offset, max_coords, max_poly_deg)
+        result = check(*args)
         result.elapsed_s = time.perf_counter() - started
         results.append(result)
     return results

@@ -146,9 +146,6 @@ def space(*coords: tuple[str, str]) -> CubeTorusSpace:
     return CubeTorusSpace(tuple(coords))
 
 
-POINT = CubeTorusSpace(())
-
-
 # --- polynomials --------------------------------------------------------------
 
 Monomial = tuple[tuple[str, int], ...]  # sorted variable/power pairs
@@ -388,17 +385,6 @@ class Form:
     def one(space: CubeTorusSpace) -> "Form":
         return Form._of(space, {(): ONE_POLY})
 
-    @staticmethod
-    def function(space: CubeTorusSpace, poly: Poly) -> "Form":
-        return Form(space, {(): poly})
-
-    @staticmethod
-    def generator(space: CubeTorusSpace, name: str) -> "Form":
-        """The coordinate 1-form d<name>."""
-        if not space.has(name):
-            raise KeyError(f"no coordinate {name!r}")
-        return Form._of(space, {(name,): ONE_POLY})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -502,9 +488,6 @@ def exterior_derivative(form: Form) -> Form:
             pos = sum(1 for x in wedgekey if order[x] < order[v])
             _accumulate(out, wedgekey[:pos] + (v,) + wedgekey[pos:], -pd if pos % 2 else pd)
     return Form._of(sp, out)
-
-
-d = exterior_derivative
 
 
 # --- maps ---------------------------------------------------------------------
@@ -978,20 +961,12 @@ class CorrespondenceModel:
         return self.ev_out.reldim
 
 
-def _pulled_wedge(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
-    if len(xis) != corr.k:
-        raise ValueError(f"expected {corr.k} inputs")
-    return wedge_all(corr.space, [pullback(leg, xi) for leg, xi in zip(corr.ev_in, xis)])
-
-
 def apply_correspondence(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
     """Pull-push of the inputs, one per input leg."""
-    return pushforward(corr.ev_out, _pulled_wedge(corr, xis))
-
-
-def boundary_correspondence_apply(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
-    """Pull-push restricted to the fiber boundary of the output leg."""
-    return boundary_pushforward(corr.ev_out, _pulled_wedge(corr, xis))
+    if len(xis) != corr.k:
+        raise ValueError(f"expected {corr.k} inputs")
+    pulled = [pullback(leg, xi) for leg, xi in zip(corr.ev_in, xis)]
+    return pushforward(corr.ev_out, wedge_all(corr.space, pulled))
 
 
 def fiber_product(

@@ -202,13 +202,6 @@ class NovikovElement:
             return INFINITY
         return self.terms[0][0]
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        e = _frac(exponent)
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return Fraction(0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -402,18 +395,3 @@ def _parse_factor(sc: _Scanner) -> NovikovElement:
     if ch.isdigit() or ch == "-":
         return NovikovElement.monomial(sc.rational(), 0)
     raise NovikovParseError("expected rational, 'T' or '('", sc.pos)
-
-
-def random_element(
-    rng, max_terms: int = 4, max_num: int = 6, max_den: int = 4
-) -> NovikovElement:
-    """Seeded random element; used by property tests."""
-    pairs = []
-    for _ in range(rng.randrange(max_terms + 1)):
-        exponent = Fraction(rng.randrange(0, max_num), rng.randrange(1, max_den))
-        coefficient = Fraction(
-            rng.choice([c for c in range(-max_num, max_num + 1) if c]),
-            rng.randrange(1, max_den),
-        )
-        pairs.append((exponent, coefficient))
-    return NovikovElement.from_terms(pairs)

@@ -6,6 +6,8 @@ Degrees and Maslov parities are GF(2) variables (``d1..dk``, ``m1..mk``,
 and slots are concrete integers.  Each proof normalizes a combination of
 sign formulas to algebraic normal form and demands the zero polynomial; a
 failure report carries the minimal witness assignment instead of raising.
+The identities of each (k, j, k_inner) instance are one table,
+``IDENTITIES``, which ``prove_all`` runs in order through ``prove_identity``.
 
 The master identity can also be cross-checked by an exhaustive truth table
 over all 2^(2k+3) parity assignments, a route independent of the ANF engine.
@@ -87,25 +89,6 @@ def _prove_zero(poly: F2Poly, instance: dict) -> ProofReport:
     return ProofReport(instance, "proved" if ok else "refuted", witness)
 
 
-def prove_master_identity(
-    k: int, j: int, k_inner: int, truth_table: bool = False
-) -> ProofReport:
-    """Prove boundary + composition + operation + 1 + Stokes == 0 at this
-    instance; optionally cross-check by an exhaustive truth table over all
-    2^(2k+3) parity assignments (k <= TRUTH_TABLE_K_MAX)."""
-    if truth_table and k > TRUTH_TABLE_K_MAX:
-        raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
-    ctx = symbolic_context(k, j, k_inner)
-    report = _prove_zero(
-        signs.master_sum(ctx), {"identity": "master", "k": k, "j": j, "k_inner": k_inner}
-    )
-    if truth_table and report.proved:
-        bad = _truth_table_master(k, j, k_inner)
-        if bad is not None:
-            return ProofReport(report.instance, "refuted", bad)
-    return report
-
-
 class _Column:
     """A truth-table column: bit b is the parity of a quantity under
     assignment b.
@@ -180,48 +163,56 @@ def _truth_table_master(k: int, j: int, k_inner: int) -> dict | None:
     return dict(zip(_parity_names(k), vals))
 
 
-def prove_boundary_decomposition(k: int, j: int, k_inner: int) -> ProofReport:
-    """Boundary sign equals the sum of its three proof pieces, with a
-    symbolic node dimension that must cancel."""
-    ctx = symbolic_context(k, j, k_inner)
-    dim_node = F2Poly.var("ra")
-    total = (
+_NODE_DIM = F2Poly.var("ra")
+
+# Each identity as the sum of sign formulas that must vanish, in report order.
+IDENTITIES = {
+    # boundary + composition + operation + 1 + Stokes
+    "master": lambda ctx: signs.master_sum(ctx),
+    # the boundary sign is the sum of its three proof pieces; the symbolic
+    # node dimension ra must cancel
+    "boundary-decomposition": lambda ctx: (
         signs.boundary_sign(ctx)
-        + signs.local_system_swap_sign(ctx, dim_node)
-        + signs.marked_point_shuffle_sign(ctx, dim_node)
+        + signs.local_system_swap_sign(ctx, _NODE_DIM)
+        + signs.marked_point_shuffle_sign(ctx, _NODE_DIM)
         + signs.outer_moduli_dim_parity(ctx)
-    )
-    return _prove_zero(
-        total, {"identity": "boundary-decomposition", "k": k, "j": j, "k_inner": k_inner}
-    )
-
-
-def prove_composition_decomposition(k: int, j: int, k_inner: int) -> ProofReport:
-    """Composition sign equals Koszul-insertion piece plus reorder piece."""
-    ctx = symbolic_context(k, j, k_inner)
-    total = (
+    ),
+    # the composition sign is the Koszul-insertion piece plus the reorder piece
+    "composition-decomposition": lambda ctx: (
         signs.composition_sign(ctx)
         + signs.coderivation_sign(ctx)
         + signs.pushpull_reorder_sign(ctx)
-    )
-    return _prove_zero(
-        total,
-        {"identity": "composition-decomposition", "k": k, "j": j, "k_inner": k_inner},
-    )
-
-
-def prove_reorder_collapse(k: int, j: int, k_inner: int) -> ProofReport:
-    """The two reorder moves collapse: nested-move + block-swap equals the
-    net reorder sign (their common factor cancels mod 2)."""
-    ctx = symbolic_context(k, j, k_inner)
-    total = (
+    ),
+    # nested-move + block-swap is the net reorder sign (their common factor
+    # cancels mod 2)
+    "reorder-collapse": lambda ctx: (
         signs.nested_move_sign(ctx)
         + signs.block_swap_sign(ctx)
         + signs.pushpull_reorder_sign(ctx)
+    ),
+}
+
+
+def prove_identity(
+    identity: str, k: int, j: int, k_inner: int, truth_table: bool = False
+) -> ProofReport:
+    """Prove that the sum ``IDENTITIES[identity]`` vanishes at this instance.
+    The master identity can also be cross-checked by an exhaustive truth
+    table over all 2^(2k+3) parity assignments (k <= TRUTH_TABLE_K_MAX); a
+    column cannot hold another identity's symbolic node dimension."""
+    if truth_table and identity != "master":
+        raise ValueError(f"only the master identity has a truth table, not {identity!r}")
+    if truth_table and k > TRUTH_TABLE_K_MAX:
+        raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
+    report = _prove_zero(
+        IDENTITIES[identity](symbolic_context(k, j, k_inner)),
+        {"identity": identity, "k": k, "j": j, "k_inner": k_inner},
     )
-    return _prove_zero(
-        total, {"identity": "reorder-collapse", "k": k, "j": j, "k_inner": k_inner}
-    )
+    if truth_table and report.proved:
+        bad = _truth_table_master(k, j, k_inner)
+        if bad is not None:
+            return ProofReport(report.instance, "refuted", bad)
+    return report
 
 
 def _insertion_routes(k: int, j: int) -> tuple[F2Poly, F2Poly]:
@@ -255,7 +246,7 @@ def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
                 yield k, j, k_inner
 
 
-def _timed(prove, *args, **kwargs) -> ProofReport:
+def _timed(prove, *args, **kwargs):
     started = time.perf_counter()
     report = prove(*args, **kwargs)
     report.elapsed_s = time.perf_counter() - started
@@ -263,17 +254,17 @@ def _timed(prove, *args, **kwargs) -> ProofReport:
 
 
 def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
-    """Master identity, both decompositions, the reorder collapse and the
-    differential-insertion congruence for every instance up to k_max; each
-    report carries its own proof time in ``elapsed_s``."""
+    """Every identity of ``IDENTITIES`` for every instance up to k_max, the
+    master identity with a truth table for k <= truth_table_k_max, then the
+    differential-insertion congruence; each report carries its own proof
+    time in ``elapsed_s``."""
     reports = []
     for k, j, k_inner in instances(k_max):
-        reports.append(_timed(
-            prove_master_identity, k, j, k_inner, truth_table=k <= truth_table_k_max
-        ))
-        reports.append(_timed(prove_boundary_decomposition, k, j, k_inner))
-        reports.append(_timed(prove_composition_decomposition, k, j, k_inner))
-        reports.append(_timed(prove_reorder_collapse, k, j, k_inner))
+        for identity in IDENTITIES:
+            reports.append(_timed(
+                prove_identity, identity, k, j, k_inner,
+                truth_table=identity == "master" and k <= truth_table_k_max,
+            ))
     for k in range(1, k_max + 1):
         for j in range(1, k + 1):
             reports.append(_timed(prove_differential_insertion, k, j))
@@ -305,8 +296,7 @@ class CancellationReport:
     energy: Fraction
     pairs: list[tuple] = field(default_factory=list)
     residual: list[dict] = field(default_factory=list)
-    # wall time of this level (the first level also carries the
-    # prerequisite proofs); never part of the report JSON
+    # wall time of this level; never part of the report JSON
     elapsed_s: float = field(default=0.0, compare=False)
 
     @property
@@ -366,26 +356,9 @@ def prove_relation_cancellation(
 
     ``mutate`` flips the sign of the Stokes-route term with the given
     (kind, payload); used to confirm single-sign corruption is caught and
-    named.  The master identity at every arity-k (j, k_inner) is proven
-    first and aborts on failure; its time is charged to the first level's
-    ``elapsed_s``.
+    named.  Each level carries its own time in ``elapsed_s``.
     """
-    started = time.perf_counter()
-    for k_inner in range(k + 1):
-        for j in range(1, k + 2 - k_inner):
-            pre = prove_master_identity(k, j, k_inner)
-            if not pre.proved:
-                raise RuntimeError(
-                    f"prerequisite master identity failed at {pre.instance}: {pre.witness}"
-                )
-    reports = []
-    for energy in spectrum.levels():
-        report = _cancel_level(k, energy, spectrum, mutate)
-        now = time.perf_counter()
-        report.elapsed_s = now - started
-        started = now
-        reports.append(report)
-    return reports
+    return [_timed(_cancel_level, k, energy, spectrum, mutate) for energy in spectrum.levels()]
 
 
 def _cancel_level(

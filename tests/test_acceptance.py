@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfsign import geomodel, novikov, prover, signs
+from ainfsign import geomodel, prover, signs
 from ainfsign.ainfty import (
     Element,
     check_product_sign_convention,
@@ -43,6 +43,8 @@ from ainfsign.strata import (
     match_composition_terms,
 )
 
+from test_novikov import random_element
+
 
 def report(criterion: str, passed: bool, started: float, detail: str = ""):
     status = "PASS" if passed else "FAIL"
@@ -58,7 +60,7 @@ def test_criterion_1_master_sign_identity():
     started = time.perf_counter()
     checked = 0
     for k, j, k_inner in prover.instances(7):
-        rep = prover.prove_master_identity(k, j, k_inner, truth_table=True)
+        rep = prover.prove_identity("master", k, j, k_inner, truth_table=True)
         assert rep.proved, rep
         checked += 1
     report("criterion-1 master sign identity", checked == 119, started,
@@ -69,8 +71,8 @@ def test_criterion_2_proof_decompositions():
     started = time.perf_counter()
     checked = 0
     for k, j, k_inner in prover.instances(6):
-        assert prover.prove_boundary_decomposition(k, j, k_inner).proved
-        assert prover.prove_composition_decomposition(k, j, k_inner).proved
+        assert prover.prove_identity("boundary-decomposition", k, j, k_inner).proved
+        assert prover.prove_identity("composition-decomposition", k, j, k_inner).proved
         checked += 1
     report("criterion-2 proof decompositions", checked == 83, started,
            f"{checked} instances, both decompositions")
@@ -206,9 +208,9 @@ def test_criterion_9_novikov_ring_properties():
     rng = random.Random(900)
     cutoff = Fraction(3, 2)
     for _ in range(1000):
-        a = novikov.random_element(rng)
-        b = novikov.random_element(rng)
-        c = novikov.random_element(rng)
+        a = random_element(rng)
+        b = random_element(rng)
+        c = random_element(rng)
         assert a + b == b + a and a * b == b * a
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
@@ -218,15 +220,15 @@ def test_criterion_9_novikov_ring_properties():
             a.truncate(cutoff) * b.truncate(cutoff)
         ).truncate(cutoff)
     for _ in range(1000):
-        a = novikov.random_element(rng)
-        b = novikov.random_element(rng)
+        a = random_element(rng)
+        b = random_element(rng)
         va, vb, vs = a.valuation(), b.valuation(), (a + b).valuation()
         assert vs >= min(va, vb)
         if va != vb:
             assert vs == min(va, vb)
     for _ in range(1000):
-        a = novikov.random_element(rng)
-        b = novikov.random_element(rng)
+        a = random_element(rng)
+        b = random_element(rng)
         if a.is_zero() or b.is_zero():
             assert (a * b).valuation() == math.inf
         else:

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfsign import prover, structio
+from ainfsign import prover, signs, structio
 from ainfsign.ainfty import FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import main
 from ainfsign.geomodel import CheckResult, checks
@@ -168,21 +168,22 @@ def test_verify_geomodel_timing_charges_each_checker(tmp_path, capsys, monkeypat
     clock = [0.0]
 
     def checker(index):
-        def check(trials, seed, max_coords, max_poly_deg):
+        def check(trials, seed, *sizes):
             clock[0] += index + 1  # each checker spends its own span of time
             return CheckResult(f"check-{index}", trials)
         return check
 
     monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
     monkeypatch.setattr(checks, "ALL_CHECKS", tuple(checker(i) for i in range(7)))
+    monkeypatch.setattr(checks, "verify_pushpull", checker(7))
     out = tmp_path / "report.json"
     code, _, _ = run(
-        ["verify-geomodel", "--trials", "1", "--pushpull-trials", "0", "--timing",
+        ["verify-geomodel", "--trials", "1", "--pushpull-trials", "1", "--timing",
          "--out", str(out)], capsys
     )
     assert code == 0
     runtimes = [c["runtime_s"] for c in json.loads(out.read_text())["checks"]]
-    assert runtimes == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    assert runtimes == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 def test_closed_stdout_keeps_report_and_verdict(tmp_path):
@@ -244,13 +245,32 @@ def test_prove_signs_timing_charges_each_obligation(tmp_path, capsys, monkeypatc
     proofs = [c for c in checks if not c["id"].startswith("relation-cancellation")]
     relations = {c["id"]: c for c in checks if c["id"].startswith("relation-cancellation")}
     assert len(proofs) == 39 and all(c["runtime_s"] == 1.0 for c in proofs)
-    # one decision per cancelled pair; the first level of arity k also
-    # carries the master-identity prerequisites of the arity-k instances
-    for check_id, prerequisites in (("k=1:energy=0", 3), ("k=1:energy=1", 0),
-                                    ("k=2:energy=0", 6), ("k=2:energy=1", 0)):
-        c = relations[f"relation-cancellation:{check_id}"]
-        assert c["runtime_s"] == c["detail"]["pairs"] + prerequisites, check_id
+    # one decision per cancelled pair, and nothing else
+    assert len(relations) == 4
+    for check_id, c in relations.items():
+        assert c["runtime_s"] == c["detail"]["pairs"], check_id
     assert sum(c["runtime_s"] for c in checks) == clock[0]
+
+
+def test_prove_signs_reports_a_wrong_sign_formula(tmp_path, capsys, monkeypatch):
+    """A boundary sign flipped at inner arity 2 refutes the master identity
+    and the boundary decomposition there, and every relation with such a
+    stratum; the run still writes its report and exits 1."""
+    real = signs.boundary_sign
+    monkeypatch.setattr(signs, "boundary_sign",
+                        lambda ctx: real(ctx) + 1 if ctx.k_inner == 2 else real(ctx))
+    out = tmp_path / "report.json"
+    code, stdout, _ = run(
+        ["prove-signs", "--k-max", "3", "--relations-k-max", "3",
+         "--relations-spectrum", "0,1/2", "--relations-cutoff", "2", "--out", str(out)], capsys
+    )
+    assert code == 1 and "FAIL" in stdout
+    failed = [c["id"] for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    assert len(failed) == 13
+    assert [i for i in failed if i.startswith("identity=master")] == [
+        "identity=master:j=1:k=2:k_inner=2", "identity=master:j=1:k=3:k_inner=2",
+        "identity=master:j=2:k=3:k_inner=2",
+    ]
 
 
 def test_prove_signs_timing_is_unrounded(tmp_path, capsys, monkeypatch):
@@ -625,6 +645,8 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--exhaustive-threshold must be >= 0"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "-1"],
      "--relations-k-max must be >= 0"),
+    (["prove-signs", "--k-max", "2", "--relations-k-max", "3"],
+     "--relations-k-max must be <= --k-max (2)"),
     (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
     (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
     (["deform-check", "--random", "1", "--lam-min", "0"], "--lam-min must be > 0"),
@@ -663,7 +685,8 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
     (["enumerate-strata", "--k", "2", "--energy", "1/2", "--spectrum", "0,1"],
      "--energy: parent energy 1/2 is not in the spectrum closure"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
-        "sample-size", "exhaustive-threshold", "relations-k-max", "strata-k-zero",
+        "sample-size", "exhaustive-threshold", "relations-k-max",
+        "relations-k-max-above-k-max", "strata-k-zero",
         "strata-k-negative", "lam-min-zero", "lam-min-negative", "check-ainfty-cutoff-zero",
         "check-ainfty-cutoff-negative", "check-dga-cutoff", "relations-cutoff",
         "strata-cutoff", "strata-energy", "strata-mus", "strata-dim-out", "strata-node-dim",

@@ -13,7 +13,6 @@ from ainfsign.f2poly import (
     anf_equivalent,
     eval_int,
     parse_sign_expr,
-    print_sign_expr,
     to_anf,
 )
 
@@ -129,18 +128,6 @@ def test_closed_form_witness_equals_search_oracle():
         ok, witness = anf_equivalent(p, q)
         assert not ok and sum(witness.values()) == 3
         assert _items((ok, witness)) == _items(search_witness(p, q))
-
-
-def test_print_parse_print_fixed_point():
-    samples = [
-        "(k2-1)*(k1-j)",
-        "Sum(p=1..3, mu_p) + 2*x",
-        "-x*(y+z) - 4",
-        "Sum(p=1..k, Sum(q=1..p, d_q))",
-    ]
-    for text in samples:
-        printed = print_sign_expr(parse_sign_expr(text))
-        assert print_sign_expr(parse_sign_expr(printed)) == printed
 
 
 def _random_expr(rng, names, depth=3):

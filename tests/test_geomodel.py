@@ -10,12 +10,10 @@ from ainfsign.geomodel import (
     CorrespondenceModel,
     CubeTorusSpace,
     Form,
-    POINT,
     Poly,
     ProjectionMap,
     SmoothMapModel,
     apply_correspondence,
-    boundary_correspondence_apply,
     boundary_pushforward,
     bundle_orientation_sign,
     check_pushpull_identities,
@@ -49,15 +47,16 @@ S_TH = space(("th", "circle"))
 M_TT = space(("t", "interval"), ("th", "circle"))
 I_2 = space(("t1", "interval"), ("t2", "interval"))
 I2_C = space(("t1", "interval"), ("t2", "interval"), ("c", "circle"))
+POINT = CubeTorusSpace(())
 
 
 def test_wedge_nilpotence():
-    dt = Form.generator(I_T, "t")
+    dt = Form(I_T, {("t",): Poly.const(1)})
     assert wedge(dt, dt).is_zero()
 
 
 def test_exterior_derivative_of_polynomial():
-    f = Form.function(I_T, Poly.var("t", 2))
+    f = Form(I_T, {(): Poly.var("t", 2)})
     assert exterior_derivative(f) == Form(I_T, {("t",): Poly.var("t").scale(2)})
 
 
@@ -128,7 +127,7 @@ def test_scaling_and_constants_reject_numbers_that_are_not_exact(bad):
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         Poly.var("t").scale(bad)
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        Form.generator(I_T, "t").scale(bad)
+        Form(I_T, {("t",): Poly.const(1)}).scale(bad)
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         Form.zero(I_T).scale(bad)
     assert Poly.const(3).terms == {(): 3} and Poly.var("t").scale(Fraction(1, 2)) == Poly(
@@ -158,7 +157,7 @@ def test_pullback_diagonal():
 
 def test_pushforward_unit_fiber_volume():
     p = projection(I_T, POINT, {})
-    assert pushforward(p, Form.generator(I_T, "t")) == Form.one(POINT)
+    assert pushforward(p, Form(I_T, {("t",): Poly.const(1)})) == Form.one(POINT)
 
 
 def test_pushforward_reorder_sign():
@@ -169,7 +168,7 @@ def test_pushforward_reorder_sign():
 
 def test_pushforward_degree_obstruction():
     p = projection(I_T, POINT, {})
-    assert pushforward(p, Form.function(I_T, Poly.var("t"))).is_zero()
+    assert pushforward(p, Form(I_T, {(): Poly.var("t")})).is_zero()
 
 
 def test_pushforward_lowers_degree_by_reldim():
@@ -187,7 +186,7 @@ def test_stokes_worked_example():
     # projection of the interval to the point applied to the coordinate
     # function: interior and boundary contributions cancel
     p = projection(I_T, POINT, {})
-    beta = Form.function(I_T, Poly.var("t"))
+    beta = Form(I_T, {(): Poly.var("t")})
     lhs = exterior_derivative(pushforward(p, beta))
     boundary = boundary_pushforward(p, beta)
     assert integrate(boundary) == 1  # value at 1 minus value at 0
@@ -208,7 +207,7 @@ def test_correspondence_collapse_example():
     f1 = projection(M_TT, S_TH, {"th": "th"})
     f2 = smooth_map(M_TT, I_T, {"t": ("poly", Poly.var("t"))})
     corr = CorrespondenceModel(M_TT, f1, (f2,))
-    assert apply_correspondence(corr, (Form.generator(I_T, "t"),)) == Form.one(S_TH)
+    assert apply_correspondence(corr, (Form(I_T, {("t",): Poly.const(1)}),)) == Form.one(S_TH)
 
 
 def test_correspondence_model_is_frozen_and_validates_legs():
@@ -320,6 +319,23 @@ def test_composition_formula_randomized():
     assert result.stats["nontrivial"] >= 135, result.stats
 
 
+def test_run_all_checks_runs_pushpull_last_on_request(monkeypatch):
+    """Without push-pull trials the seven checkers run; with them
+    mock-pushpull runs last, on the run's own seed."""
+    assert [r.name for r in run_all_checks(2, 4, 3, 2)] == [
+        "projection-formula", "functoriality", "base-change", "stokes",
+        "correspondence-stokes", "composition", "defining-property",
+    ]
+    reorder = signs.pushpull_reorder_sign
+    monkeypatch.setattr(signs, "pushpull_reorder_sign", lambda ctx: (reorder(ctx) + 1) % 2)
+    results = run_all_checks(2, 4, 3, 2, pushpull_trials=3)
+    assert len(results) == 8 and results[-1].name == "mock-pushpull"
+    alone = verify_pushpull(3, 4)
+    assert results[-1].failures == alone.failures and results[-1].failures
+    assert results[-1].stats == alone.stats
+    assert results[-1].failures != verify_pushpull(3, 11).failures
+
+
 def test_all_identities_randomized():
     for result in run_all_checks(trials=120, seed=17):
         assert result.passed, (result.name, result.failures)
@@ -419,7 +435,7 @@ def test_pushpull_trivial_mock_case():
     ident = projection(node, node, {"n": "n"})
     inner = CorrespondenceModel(node, ident, (ident.as_smooth(),))
     outer = CorrespondenceModel(node, ident, (ident.as_smooth(),))
-    xi = Form.generator(node, "n")
+    xi = Form(node, {("n",): Poly.const(1)})
     report = check_pushpull_identities(outer, inner, 1, (xi,), (0,))
     assert report.passed
 
@@ -540,7 +556,7 @@ CORRUPTED_CHECKERS = {
         {"trials": 1, "nontrivial": 1, "with_boundary": 1},
     ),
     "verify_corr_stokes": (
-        "boundary_correspondence_apply", _negated(boundary_correspondence_apply),
+        "boundary_pushforward", _negated(boundary_pushforward),
         [{"trial": 18, "xi": "(-2 + 3*m79^2)*dm78 + -1/2*dm79", "lhs": "0", "rhs": "6"}],
         {"trials": 19, "nontrivial": 1, "with_boundary": 13},
     ),

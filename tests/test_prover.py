@@ -11,13 +11,11 @@ from ainfsign.prover import (
     PUSH_D,
     expand_relation,
     instances,
+    IDENTITIES,
     prove_all,
-    prove_boundary_decomposition,
-    prove_composition_decomposition,
     prove_differential_insertion,
-    prove_master_identity,
+    prove_identity,
     prove_relation_cancellation,
-    prove_reorder_collapse,
     symbolic_context,
 )
 from ainfsign.strata import BClass, ComponentData, ModuliDescriptor, composition_terms
@@ -25,7 +23,7 @@ from ainfsign.strata import BClass, ComponentData, ModuliDescriptor, composition
 
 def test_master_identity_sample_instances():
     for k, j, k_inner in [(1, 1, 1), (2, 1, 2), (3, 2, 0), (4, 2, 3), (5, 5, 1)]:
-        rep = prove_master_identity(k, j, k_inner, truth_table=(k <= 3))
+        rep = prove_identity("master", k, j, k_inner, truth_table=(k <= 3))
         assert rep.proved, rep.witness
 
 
@@ -53,9 +51,8 @@ def test_mutated_boundary_sign_refuted_with_witness():
 
 def test_decompositions_sample_instances():
     for k, j, k_inner in [(3, 2, 2), (4, 1, 0), (5, 3, 2)]:
-        assert prove_boundary_decomposition(k, j, k_inner).proved
-        assert prove_composition_decomposition(k, j, k_inner).proved
-        assert prove_reorder_collapse(k, j, k_inner).proved
+        for identity in ("boundary-decomposition", "composition-decomposition", "reorder-collapse"):
+            assert prove_identity(identity, k, j, k_inner).proved, identity
 
 
 def test_perturbed_shuffle_piece_refuted():
@@ -91,11 +88,11 @@ def test_instance_enumeration_counts():
 def test_prove_all_green():
     reports = prove_all(3, truth_table_k_max=2)
     assert all(r.proved for r in reports)
-    kinds = {r.instance["identity"] for r in reports}
-    assert kinds == {
-        "master", "boundary-decomposition", "composition-decomposition",
-        "reorder-collapse", "differential-insertion",
-    }
+    kinds = [r.instance["identity"] for r in reports]
+    assert list(dict.fromkeys(kinds)) == [*IDENTITIES, "differential-insertion"]
+    assert list(IDENTITIES) == [
+        "master", "boundary-decomposition", "composition-decomposition", "reorder-collapse",
+    ]
 
 
 def test_relation_cancellation_small():
@@ -224,8 +221,8 @@ def test_truth_table_columns_equal_integer_oracle(monkeypatch, mutated):
 def test_truth_table_alone_refutes_mutated_boundary_sign(monkeypatch):
     monkeypatch.setattr(prover, "anf_equivalent", lambda p, q: (True, None))
     monkeypatch.setattr(signs, "boundary_sign", wrong_boundary_sign)
-    assert prove_master_identity(3, 1, 1).proved  # the stubbed ANF route proves it
-    rep = prove_master_identity(3, 1, 1, truth_table=True)
+    assert prove_identity("master", 3, 1, 1).proved  # the stubbed ANF route proves it
+    rep = prove_identity("master", 3, 1, 1, truth_table=True)
     assert rep.status == "refuted"
     assert rep.witness == integer_oracle(3, 1, 1)[1]
 
@@ -245,7 +242,9 @@ def test_truth_table_column_refuses_other_routes():
 
 def test_truth_table_arity_is_bounded():
     with pytest.raises(ValueError, match="truth tables stop at k=10"):
-        prove_master_identity(prover.TRUTH_TABLE_K_MAX + 1, 1, 0, truth_table=True)
+        prove_identity("master", prover.TRUTH_TABLE_K_MAX + 1, 1, 0, truth_table=True)
+    with pytest.raises(ValueError, match="only the master identity"):
+        prove_identity("boundary-decomposition", 2, 1, 1, truth_table=True)
 
 
 def test_symbolic_proofs_build_no_constant_polynomials(monkeypatch):
