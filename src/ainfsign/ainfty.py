@@ -288,8 +288,6 @@ class FilteredAInfty:
             return self.table.lookup(key, tuple([el.space for el in word]), gens)
         total = Element.zero()
         for spaces, gens, coeff in self._expand(word):
-            if coeff.is_zero():
-                continue
             value = self.table.lookup(key, spaces, gens)
             if not value.is_zero():
                 total = total + value.scale(coeff)
@@ -406,10 +404,7 @@ class FilteredAInfty:
         rng = random.Random(seed)
         checked = 0
         for k in range(0, k_max + 1):
-            count = len(basis) ** k if basis else (1 if k == 0 else 0)
-            if count == 0 and k > 0:
-                continue
-            if count <= exhaustive_threshold:
+            if len(basis) ** k <= exhaustive_threshold:
                 words = itertools.product(basis, repeat=k)
             else:
                 words = (
@@ -506,16 +501,8 @@ def exterior_dga(
     )
 
     def prod(k1: str, k2: str) -> dict[str, Fraction]:
-        letters = parse(k1) + parse(k2)
-        if len(set(letters)) != len(letters):
-            return {}
-        ranked = [order[x] for x in letters]
-        inversions = sum(
-            1 for i in range(len(ranked)) for m in range(i + 1, len(ranked))
-            if ranked[i] > ranked[m]
-        )
-        merged = tuple(sorted(letters, key=order.__getitem__))
-        return {key_of(merged): Fraction((-1) ** inversions)}
+        sign, merged = geomodel.core._merge_sign(parse(k1) + parse(k2), order)
+        return {key_of(merged): Fraction(sign)} if sign else {}
 
     gen_diff = {
         g: {k: _frac(c) for k, c in (differential or {}).get(g, {}).items()}

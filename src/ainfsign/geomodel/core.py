@@ -46,7 +46,8 @@ check nothing.
 Correspondences: a ``CorrespondenceModel`` is a span with one output
 projection and k input legs; ``apply_correspondence`` is its pull-push, and
 ``fiber_product`` glues one span's output into another's slot j by base
-change along that slot's leg.
+change along that slot's leg, which may be any smooth map: only the output
+leg that is pulled back (the node's ev_0) must be a projection.
 
 Pullback: each target 1-form pulls back to (source letter, coefficient)
 pairs.  Along a coordinate map -- every assignment a unit variable, a
@@ -549,28 +550,6 @@ class SmoothMapModel:
     def table(self) -> dict[str, tuple]:
         return dict(self.assignments)
 
-    def is_projection(self) -> bool:
-        seen = set()
-        for name, assignment in self.assignments:
-            if assignment[0] == "circle":
-                if assignment[2] != 1:
-                    return False
-                src = assignment[1]
-            elif assignment[0] == "poly":
-                mono = list(assignment[1].terms.items())
-                if len(mono) != 1:
-                    return False
-                (key, c), = mono
-                if c != 1 or len(key) != 1 or key[0][1] != 1:
-                    return False
-                src = key[0][0]
-            else:
-                return False
-            if src in seen:
-                return False
-            seen.add(src)
-        return True
-
 
 def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
     """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars, over
@@ -956,10 +935,6 @@ class CorrespondenceModel:
     def k(self) -> int:
         return len(self.ev_in)
 
-    @property
-    def reldim(self) -> int:
-        return self.ev_out.reldim
-
 
 def apply_correspondence(corr: CorrespondenceModel, xis: Sequence[Form]) -> Form:
     """Pull-push of the inputs, one per input leg."""
@@ -975,20 +950,18 @@ def fiber_product(
     """Glue ``inner``'s output into slot j of ``outer`` over the node space.
 
     The glued space is the base change of ``inner.ev_out`` along the outer
-    slot-j leg, which must be a coordinate projection: the outer space, then
-    the inner fiber in fiber order, renamed where a name is taken.  The
-    output leg is ``outer.ev_out`` after the pulled projection; the input
-    legs, in parent order, are outer's legs before slot j, inner's legs and
-    outer's legs after slot j, each composed with its map out of the glued
-    space."""
+    slot-j leg, which may be any smooth map (only the inner output leg, the
+    node's ev_0, must be a projection): the outer space, then the inner
+    fiber in fiber order, renamed where a name is taken.  The output leg is
+    ``outer.ev_out`` after the pulled projection; the input legs, in parent
+    order, are outer's legs before slot j, inner's legs and outer's legs
+    after slot j, each composed with its map out of the glued space."""
     if not 1 <= j <= outer.k:
         raise ValueError(f"slot {j} outside 1..{outer.k}")
     node_leg = outer.ev_in[j - 1]
     if node_leg.target != inner.ev_out.target:
         raise ValueError("outer slot-j leg and inner output leg must share the node")
-    if not node_leg.is_projection():
-        raise ValueError("outer slot-j leg must be a coordinate projection")
-    glued, to_outer, to_inner = pullback_bundle(inner.ev_out, node_leg, rename_prefix="g")
+    glued, to_outer, to_inner = pullback_bundle(inner.ev_out, node_leg)
     via_outer = to_outer.as_smooth()
     legs = (
         [compose_smooth(leg, via_outer) for leg in outer.ev_in[: j - 1]]
@@ -999,13 +972,15 @@ def fiber_product(
 
 
 def pullback_bundle(
-    p: ProjectionMap, f: SmoothMapModel, rename_prefix: str = ""
+    p: ProjectionMap, f: SmoothMapModel
 ) -> tuple[CubeTorusSpace, ProjectionMap, SmoothMapModel]:
-    """Base change: pull the bundle p back along f.
+    """Base change: pull the bundle p back along any smooth map f.
 
     Returns (pulled space, pulled projection to f's source, bundle map to
     p's source).  The pulled space is ordered (f's source, then p's fiber in
-    fiber order); fiber coordinates are renamed when they would collide.
+    fiber order); a fiber coordinate whose name is taken becomes ``g<name>_``,
+    again until the name is free.  The bundle map sends p's base coordinates
+    through f's assignments and its fiber coordinates to their copies.
     """
     if f.target != p.target:
         raise ValueError("base-change legs must share the base space")
@@ -1014,7 +989,7 @@ def pullback_bundle(
     for name in p.fiber:
         fresh = name
         while fresh in taken:
-            fresh = f"{rename_prefix}{fresh}_"
+            fresh = f"g{fresh}_"
         fiber_names[name] = fresh
         taken.add(fresh)
     pulled_coords = tuple(f.source.coords) + tuple(
@@ -1028,10 +1003,7 @@ def pullback_bundle(
         tuple(fiber_names[n] for n in p.fiber),
     )
     f_table = f.table()
-    table: dict[str, tuple] = {}
-    for tname, sname in p.injection:
-        assignment = f_table[tname]
-        table[sname] = assignment
+    table = {sname: f_table[tname] for tname, sname in p.injection}
     for name in p.fiber:
         fresh = fiber_names[name]
         if p.source.kind(name) == INTERVAL:

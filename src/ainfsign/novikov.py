@@ -119,9 +119,6 @@ class NovikovElement:
             tuple((e, c) for e, c in sorted(acc.items()) if c != 0)
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -176,12 +173,6 @@ class NovikovElement:
         return NovikovElement.from_terms(
             (e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b
         )
-
-    def scale(self, coefficient: Rational) -> "NovikovElement":
-        c = _frac(coefficient)
-        if c == 0:
-            return _ZERO
-        return NovikovElement._of(tuple((e, k * c) for e, k in self.terms))
 
     def shift(self, delta: Rational) -> "NovikovElement":
         """Multiply by T^delta; delta may be negative if all exponents stay >= 0."""

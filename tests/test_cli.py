@@ -351,6 +351,44 @@ def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
     assert digest == RELATION_REPORTS_SHA256[argv[0]]
 
 
+# The report commands of the README's "Command line" section, each with the
+# SHA-256 of its report as written since mock push-pull draws one nontrivial
+# instance per trial; a change to any report byte shows here.
+README_REPORTS = {
+    "prove-signs": (
+        ["prove-signs", "--k-max", "7", "--truth-table-k-max", "7", "--relations-k-max", "5",
+         "--relations-spectrum", "0,1/2", "--relations-cutoff", "2"],
+        "8ece4a51005761ca2949e0bf855f97950ac791aee1c550d8598a945e7082235a",
+    ),
+    "verify-geomodel": (
+        ["verify-geomodel", "--trials", "500", "--seed", "1", "--max-coords", "4",
+         "--max-poly-deg", "3"],
+        "fb3cd82e6ff78c235dd4d09f61449b48857407c25ed3dd9fbc2364b6ede24abf",
+    ),
+    "check-dga-exterior4": (
+        ["check-dga", "--preset", "exterior4", "--k-max", "4"],
+        "1838e436ac59bfd3c9361e30de9c62d918640ad8ac38550bc258a78b53a2b4a4",
+    ),
+    "check-dga-interval-circle": (
+        ["check-dga", "--preset", "interval-circle", "--k-max", "4"],
+        "6f55d6abbd5b12cc15febefcace4e6ed05eb66554a6697c27f05b955be6308bc",
+    ),
+    "deform-check": (
+        ["deform-check", "--preset", "interval2", "--random", "5", "--lam-min", "1"],
+        "784652601378c2187ae8d9729f9a070881e060b7a5528491e114f9ffc67dca05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", README_REPORTS)
+def test_readme_report_bytes_unchanged(name, tmp_path, capsys):
+    argv, sha256 = README_REPORTS[name]
+    out = tmp_path / "report.json"
+    code, _, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 # Calls of each entry point of the relation sweep during
 # `check-dga --preset exterior3-d --k-max 3`, as made before the sweep's
 # constant-factor work; a change in the work done shows here.

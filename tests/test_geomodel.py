@@ -216,7 +216,7 @@ def test_correspondence_model_is_frozen_and_validates_legs():
     corr = CorrespondenceModel(M_TT, ident, legs)
     legs.clear()
     assert corr.ev_in == (ident.as_smooth(), ident.as_smooth()) and corr.k == 2
-    assert corr.reldim == 0
+    assert corr.ev_out.reldim == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         corr.ev_in = ()
     with pytest.raises(ValueError, match="output leg"):
@@ -284,12 +284,12 @@ def _overlapping_spans():
     return outer, inner
 
 
-def test_fiber_product_renames_overlapping_names_and_matches_nested():
-    outer, inner = _overlapping_spans()
+def _glued_at_slot_two_matches_nested(outer, inner, seed):
+    """The slot-2 fiber product of ``_overlapping_spans``-shaped spans acts
+    on 60 seeded input pairs as the inner span's output fed to slot 2,
+    nonzero on at least 50 of them; returns the glued span."""
     glued = fiber_product(outer, inner, 2)
-    assert glued.space.names() == ("x", "y", "th", "gy_", "gth_")
-    assert glued.ev_out.fiber == ("x", "th", "gy_", "gth_")
-    rng = random.Random(12)
+    rng = random.Random(seed)
     nonzero = 0
     for _ in range(60):
         xi1 = random_form(rng, S_TH, 2, degree=1)
@@ -298,9 +298,19 @@ def test_fiber_product_renames_overlapping_names_and_matches_nested():
         assert apply_correspondence(glued, (xi1, xi2)) == nested, (xi1, xi2)
         nonzero += not nested.is_zero()
     assert nonzero >= 50
+    return glued
+
+
+def test_fiber_product_renames_overlapping_names_and_matches_nested():
+    outer, inner = _overlapping_spans()
+    glued = _glued_at_slot_two_matches_nested(outer, inner, 12)
+    assert glued.space.names() == ("x", "y", "th", "gy_", "gth_")
+    assert glued.ev_out.fiber == ("x", "th", "gy_", "gth_")
 
 
 def test_fiber_product_rejects_bad_slots():
+    """A slot outside the span or a leg off the node is rejected; a slot-j
+    leg that is not a projection (here 1 - x) is base change all the same."""
     outer, inner = _overlapping_spans()
     with pytest.raises(ValueError, match="outside 1..2"):
         fiber_product(outer, inner, 3)
@@ -308,8 +318,7 @@ def test_fiber_product_rejects_bad_slots():
         fiber_product(outer, inner, 1)
     flipped = smooth_map(outer.space, inner.ev_out.target, {"n": ("poly", Poly.const(1) - Poly.var("x"))})
     bent = CorrespondenceModel(outer.space, outer.ev_out, (outer.ev_in[0], flipped))
-    with pytest.raises(ValueError, match="coordinate projection"):
-        fiber_product(bent, inner, 2)
+    _glued_at_slot_two_matches_nested(bent, inner, 13)
 
 
 def test_composition_formula_randomized():
@@ -448,6 +457,44 @@ def test_reorder_sign_mutation_detected():
         assert report.nontrivial and not report.nested_vs_glued
 
 
+def _bent_leg(rng, leg):
+    """``leg`` with each target coordinate sent through a map that is not a
+    projection: v^2 or 1 - v for an interval, the reversed circle for a
+    circle."""
+    table = {}
+    for name, assignment in leg.assignments:
+        if assignment[0] == "poly":
+            v = assignment[1]
+            table[name] = ("poly", rng.choice([v * v, Poly.const(1) - v]))
+        else:
+            table[name] = ("circle", assignment[1], -assignment[2])
+    return smooth_map(leg.source, leg.target, table)
+
+
+def test_pushpull_glues_along_any_node_leg():
+    """Gluing is base change along any smooth slot-j leg, as in the paper's
+    fiber product, where only ev_0 must be a submersion: with the node leg
+    of drawn mocks bent to v^2, 1 - v or a reversed circle, all three
+    identities hold on nonzero forms, and a flipped reorder sign is caught
+    on every bent instance."""
+    rng = random.Random(5)
+    bent_instances, node_kinds = 0, set()
+    for _ in range(300):
+        outer, inner, j, xis, mus = random_mock_instance(rng)
+        leg = outer.ev_in[j - 1]
+        if not leg.target.dimension:
+            continue  # a point node: every leg to it is the same map
+        bent_instances += 1
+        node_kinds.update(kind for _, kind in leg.target.coords)
+        legs = outer.ev_in[: j - 1] + (_bent_leg(rng, leg),) + outer.ev_in[j:]
+        outer = CorrespondenceModel(outer.space, outer.ev_out, legs)
+        report = check_pushpull_identities(outer, inner, j, xis, mus)
+        assert report.passed and report.nontrivial, report.detail
+        flipped = check_pushpull_identities(outer, inner, j, xis, mus, mutate_reorder_sign=1)
+        assert not flipped.nested_vs_glued, flipped.detail
+    assert bent_instances >= 150 and node_kinds == {"interval", "circle"}
+
+
 def test_mock_instance_names_do_not_depend_on_earlier_draws():
     first = random_mock_instance(random.Random(3))
     second = random_mock_instance(random.Random(3))
@@ -487,7 +534,7 @@ def test_pushpull_identities_hold_at_inner_arity_zero():
         if inner.k:
             continue
         seen += 1
-        assert inner.reldim == 0 and outer.k >= 2
+        assert inner.ev_out.reldim == 0 and outer.k >= 2
         report = check_pushpull_identities(outer, inner, j, xis, mus)
         assert report.passed and report.nontrivial, report.detail
         assert report.detail["mu_node"] == 0 and report.detail["k_inner"] == 0
@@ -499,11 +546,9 @@ def _source_order_gluing(pullback_bundle_):
     """``pullback_bundle`` with the bundle's fiber listed in its source's
     coordinate order instead of its own fiber order: the gluing bug that a
     composite or shuffled output leg exposes."""
-    def glue(p, f, rename_prefix=""):
+    def glue(p, f):
         fiber = tuple(n for n in p.source.names() if n in p.fiber)
-        return pullback_bundle_(
-            ProjectionMap(p.source, p.target, p.injection, fiber), f, rename_prefix
-        )
+        return pullback_bundle_(ProjectionMap(p.source, p.target, p.injection, fiber), f)
     return glue
 
 

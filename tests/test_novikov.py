@@ -101,7 +101,6 @@ def test_numbers_that_are_not_exact_rejected(bad):
         lambda: NovikovElement.monomial(bad, 0),
         lambda: NovikovElement.monomial(1, bad),
         lambda: NovikovElement.from_terms([(0, bad)]),
-        lambda: T.scale(bad),
         lambda: T.truncate(bad),
         lambda: spectrum_closure([bad], 2),
     ):
@@ -251,7 +250,7 @@ def test_ultrametric_valuation(a, b):
 @settings(max_examples=200, deadline=None)
 @given(_elements(), _elements())
 def test_valuation_multiplicative(a, b):
-    if a.is_zero() or b.is_zero():
+    if not a or not b:
         assert (a * b).valuation() == math.inf
     else:
         assert (a * b).valuation() == a.valuation() + b.valuation()
@@ -297,19 +296,15 @@ def _revalidated(r):
 @given(
     _operands(),
     _operands(),
-    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1)])
-    | st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.fractions(min_value=0, max_value=3, max_denominator=4),
     st.fractions(min_value=0, max_value=5, max_denominator=4),
 )
-def test_fast_paths_match_reference(a, b, q, delta, cutoff):
+def test_fast_paths_match_reference(a, b, delta, cutoff):
     assert _revalidated(a + b) == _ref_add(a, b)
     assert _revalidated(a - b) == _ref_add(a, NovikovElement.from_terms(
         (e, -c) for e, c in b.terms))
     assert _revalidated(a * b) == _ref_mul(a, b)
     assert _revalidated(-a) == NovikovElement.from_terms((e, -c) for e, c in a.terms)
-    assert _revalidated(a.scale(q)) == NovikovElement.from_terms(
-        (e, c * q) for e, c in a.terms)
     assert _revalidated(a.shift(delta)) == NovikovElement.from_terms(
         (e + delta, c) for e, c in a.terms)
     assert _revalidated(a.truncate(cutoff)) == NovikovElement.from_terms(

@@ -1,18 +1,30 @@
-"""Dead-code guard: every module-level function and class of ``src/ainfsign``,
-and every method that is not a dunder, is used by the program itself or by
-the benchmark in ``perfbench/``.
+"""Dead-code guards: every module-level function and class of
+``src/ainfsign``, and every method that is not a dunder, is used by the
+program itself or by the benchmark in ``perfbench/``.
 
-A use is a name, an attribute, an imported name or a dotted string (the
-benchmark's tracer names what it wraps by string) anywhere in ``src/`` or
-in the benchmark's non-test files.  Two kinds of mention do not count: one
-inside the definition's own body (recursion) and a re-export in a package
-``__init__``, which only makes a name reachable.  Code that only tests call
-belongs in the tests; what stays for a test's sake is listed below with the
-reason.
+The static guard counts a use as a name, an attribute, an imported name or a
+dotted string (the benchmark's tracer names what it wraps by string)
+anywhere in ``src/`` or in the benchmark's non-test files.  Two kinds of
+mention do not count: one inside the definition's own body (recursion) and
+a re-export in a package ``__init__``, which only makes a name reachable.
+Code that only tests call belongs in the tests; what stays for a test's
+sake is listed below with the reason.
+
+A bare name cannot tell one owner's method from another's: ``Element.scale``
+is a use of every ``scale``.  So the call-trace guard runs the command lines
+of ``TRACED_ARGV`` in-process under ``sys.setprofile`` and requires every
+function and method of ``src/`` to be entered, or to be listed, with the
+reason, in ``ALLOWED`` or ``NOT_TRACED``.
 """
 
 import ast
+import contextlib
+import io
+import json
+import sys
 from pathlib import Path
+
+from ainfsign import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ainfsign"
@@ -34,19 +46,18 @@ def _sources():
 
 
 def _definitions():
-    """(qualified name, file, first line, last line) of every module-level def
-    and class, and of every method that is not a dunder."""
+    """(qualified name, file, AST node) of every module-level def and class,
+    and of every method that is not a dunder."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, defs):
                 continue
-            yield node.name, path, node.lineno, node.end_lineno
+            yield node.name, path, node
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, defs) and not member.name.startswith("__"):
-                        yield (f"{node.name}.{member.name}", path,
-                               member.lineno, member.end_lineno)
+                        yield f"{node.name}.{member.name}", path, member
 
 
 def _uses():
@@ -74,13 +85,13 @@ def _uses():
 def unused_names() -> list[str]:
     uses = _uses()
     unused = []
-    for name, path, first, last in _definitions():
+    for name, path, node in _definitions():
         outside = [
             (p, line) for p, line in uses.get(name.split(".")[-1], [])
-            if not (p == path and first <= line <= last)
+            if not (p == path and node.lineno <= line <= node.end_lineno)
         ]
         if not outside:
-            unused.append(f"{path.relative_to(ROOT)}:{first} {name}")
+            unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     return unused
 
 
@@ -92,3 +103,94 @@ def test_every_src_definition_has_a_caller():
 def test_allowlist_names_only_uncalled_definitions():
     unused = {entry.split()[-1] for entry in unused_names()}
     assert set(ALLOWED) <= unused, set(ALLOWED) - unused
+
+
+# The command lines the call trace runs: each README command at a small
+# size, an explicit deformation (``--b``) by a form beyond the preset's
+# sampled basis, and a structure file with stored values, so that the
+# structure reader parses coefficients.  ``{structure}`` and ``{report}``
+# stand for files in the test's temporary directory.
+TRACED_ARGV = [
+    ["prove-signs", "--k-max", "3", "--truth-table-k-max", "3", "--relations-k-max", "2",
+     "--relations-spectrum", "0,1/2", "--relations-cutoff", "2", "--out", "{report}"],
+    ["verify-geomodel", "--trials", "20", "--pushpull-trials", "5", "--seed", "1",
+     "--out", "{report}"],
+    ["check-dga", "--preset", "exterior4", "--k-max", "2", "--out", "{report}"],
+    ["check-dga", "--preset", "interval-circle", "--k-max", "2", "--out", "{report}"],
+    ["deform-check", "--preset", "interval2", "--random", "1", "--k-max", "2",
+     "--out", "{report}"],
+    ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2",
+     "--out", "{report}"],
+    ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--out", "{report}"],
+    ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--match"],
+    ["nov-eval", "(1+T^(1/2))*(1-T^(1/2))"],
+    ["anf", "--expr", "Sum(p=1..j-1, mu_p) + 1", "--bind", "j=3"],
+]
+
+# The exterior algebra on one generator with its product stored on the basis.
+STRUCTURE = {
+    "version": 1, "cutoff": "1", "spectrum_generators": [],
+    "components": [{"name": "ext", "dimension": 0, "maslov_parity": 0}],
+    "spaces": [{"name": "ext", "component": "ext",
+                "basis": [{"gen": "1", "degree": 0}, {"gen": "e1", "degree": 1}]}],
+    "operations": [{"k": 2, "energy": "0", "tag": "0", "values": [
+        {"inputs": [["ext", "1"], ["ext", "1"]], "output": {"space": "ext", "coeffs": {"1": "1"}}},
+        {"inputs": [["ext", "1"], ["ext", "e1"]], "output": {"space": "ext", "coeffs": {"e1": "1"}}},
+        {"inputs": [["ext", "e1"], ["ext", "1"]], "output": {"space": "ext", "coeffs": {"e1": "-1"}}},
+    ]}],
+}
+
+# name -> why no traced command enters it although the program calls it
+NOT_TRACED = {
+    "Element.normalized": "kept only because the benchmark's curved-workload control calls it",
+    "structure_to_json": "writes a structure file; only the benchmark's relations-flat "
+                         "setup writes one",
+    "F2Poly.variables": "read only when an equivalence fails, to name the witness's variables",
+}
+
+
+def entered_functions(tmp_path) -> set[tuple[str, int, str]]:
+    """(resolved file, first line, name) of every code object entered while
+    the command lines of ``TRACED_ARGV`` run; each must exit 0.  The first
+    line of a decorated function is its first decorator's."""
+    files = {"{structure}": tmp_path / "structure.json", "{report}": tmp_path / "report.json"}
+    files["{structure}"].write_text(json.dumps(STRUCTURE))
+    # A module-level cache filled by an earlier test would answer without
+    # entering its function, so every such cache starts empty.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ainfsign"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    for argv in TRACED_ARGV:
+        argv = [str(files.get(a, a)) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            sys.setprofile(hook)
+            try:
+                code = cli.main(argv)
+            finally:
+                sys.setprofile(previous)
+        assert code == 0, argv
+    resolved = {c.co_filename: str(Path(c.co_filename).resolve()) for c in codes}
+    return {(resolved[c.co_filename], c.co_firstlineno, c.co_name) for c in codes}
+
+
+def test_every_src_function_is_entered_by_the_commands(tmp_path, monkeypatch):
+    monkeypatch.delenv("AINFSIGN_REPORT_DIR", raising=False)
+    entered = entered_functions(tmp_path)
+    untraced = {
+        name for name, path, node in _definitions()
+        if not isinstance(node, ast.ClassDef)
+        and (str(path), min([node.lineno] + [d.lineno for d in node.decorator_list]),
+             node.name) not in entered
+    }
+    missing = untraced - set(ALLOWED) - set(NOT_TRACED)
+    assert not missing, "no traced command enters these: " + ", ".join(sorted(missing))
+    assert set(NOT_TRACED) <= untraced, set(NOT_TRACED) - untraced
