@@ -10,7 +10,9 @@ a table entry may instead carry a fallback callable, which is how the
 exact de Rham presets stay closed under products that leave any finite
 basis sample.  Applying the structure multiplies in ``T^energy`` and
 truncates below the cutoff, so the energy filtration is enforced by
-construction.
+construction.  A hom space lists each generator once, and each algebra
+preset alone decides what its generators are; a de Rham preset parses each
+key into its ``Form`` once and keeps no parse beyond itself.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ _ZERO_ELEMENT = Element("", {})
 class HomSpace:
     """A hom-space summand attached to one intersection component.
 
-    ``basis`` lists the sampled generators with their degrees; a
+    ``basis`` lists the sampled generators with their degrees, each once; a
     ``degree_fn`` extends degree lookup to generators created on the fly by
     fallback operations (exact-model monomials).
     """
@@ -143,8 +145,10 @@ class HomSpace:
     _degrees: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # reversed, so that the first listing of a generator wins
-        object.__setattr__(self, "_degrees", dict(reversed(self.basis)))
+        degrees = dict(self.basis)
+        if len(degrees) != len(self.basis):
+            raise StructureError(f"space {self.name!r} lists a generator twice")
+        object.__setattr__(self, "_degrees", degrees)
 
     def degree_of(self, gen: str) -> int:
         degree = self._degrees.get(gen)
@@ -457,7 +461,9 @@ def validate_degree_parity(A: FilteredAInfty) -> list[dict]:
 @dataclass(frozen=True)
 class DGAModel:
     """A graded-commutative differential algebra with exact arithmetic,
-    presented on string-keyed monomial generators."""
+    presented on string-keyed monomial generators.  ``degree_of`` decides
+    what a generator is: it raises ``KeyError`` or ``ValueError`` on any
+    other key."""
 
     space_name: str
     component: ComponentData
@@ -465,14 +471,6 @@ class DGAModel:
     degree_of: Callable[[str], int]
     differential: Callable[[str], dict[str, Fraction]]
     product: Callable[[str, str], dict[str, Fraction]]
-    generator_test: Callable[[str], bool] | None = None
-
-    def has_generator(self, key: str) -> bool:
-        """Whether ``key`` names a generator: a basis key, or a key that
-        ``generator_test`` accepts (monomials beyond the sampled basis)."""
-        if any(g == key for g, _ in self.basis):
-            return True
-        return self.generator_test is not None and self.generator_test(key)
 
 
 def _as_element(space: str, combo: Mapping[str, Fraction]) -> Element:
@@ -512,26 +510,21 @@ def exterior_dga(
         letters = parse(key)
         out: dict[str, Fraction] = {}
         for i, letter in enumerate(letters):
-            head = letters[:i]
-            tail = letters[i + 1 :]
             for dk, dc in gen_diff[letter].items():
-                coeff = dc * (-1) ** i  # derivation sign past i degree-1 letters
-                acc = {key_of(head): coeff}
-                for part in (dk, key_of(tail)):
-                    nxt: dict[str, Fraction] = {}
-                    for k1, c1 in acc.items():
-                        for k2, c2 in prod(k1, part).items():
-                            nxt[k2] = nxt.get(k2, Fraction(0)) + c1 * c2
-                    acc = nxt
-                for k2, c2 in acc.items():
-                    out[k2] = out.get(k2, Fraction(0)) + c2
+                # one Koszul merge of head, d(letter) and tail, and the
+                # derivation sign past i degree-1 letters
+                sign, merged = geomodel.core._merge_sign(
+                    letters[:i] + parse(dk) + letters[i + 1 :], order)
+                if sign:
+                    key = key_of(merged)
+                    out[key] = out.get(key, Fraction(0)) + dc * sign * (-1) ** i
         return {k: c for k, c in out.items() if c}
 
     return DGAModel(
         space_name="ext",
         component=ComponentData("ext", 0, 0),
         basis=basis,
-        degree_of=lambda key: 0 if key == "1" else len(parse(key)),
+        degree_of=dict(basis).__getitem__,
         differential=diff,
         product=prod,
     )
@@ -546,27 +539,20 @@ def _form_key(mono: tuple[tuple[str, int], ...], wedge_: tuple[str, ...]) -> str
     return f"{poly}|{'^'.join('d' + x for x in wedge_)}"
 
 
-@functools.cache
 def _parse_form_key(sp: geomodel.CubeTorusSpace, key: str) -> geomodel.Form:
-    """The monomial form a key names; cached, since forms are never mutated."""
+    """The monomial form that ``key`` names on ``sp``; ``ValueError`` unless
+    ``key`` is that form's canonical key."""
     poly_part, _, wedge_part = key.partition("|")
     mono: dict[str, int] = {}
     if poly_part != "1":
         for piece in poly_part.split("*"):
             v, _, p = piece.partition("^")
             mono[v] = int(p) if p else 1
+    monomial = tuple(sorted(mono.items()))
     letters = tuple(x[1:] for x in wedge_part.split("^") if x)
-    poly = geomodel.Poly({tuple(sorted(mono.items())): Fraction(1)})
-    return geomodel.Form(sp, {letters: poly})
-
-
-def _is_form_key(sp: geomodel.CubeTorusSpace, key: str) -> bool:
-    """Whether ``key`` is the canonical key of a monomial form on ``sp``."""
-    try:
-        form = _parse_form_key(sp, key)
-    except ValueError:
-        return False
-    return _form_to_combo(form) == {key: Fraction(1)}
+    if _form_key(monomial, letters) != key:
+        raise ValueError(f"{key!r} is not a canonical monomial form key")
+    return geomodel.Form(sp, {letters: geomodel.Poly({monomial: Fraction(1)})})
 
 
 def _form_to_combo(form: geomodel.Form) -> dict[str, Fraction]:
@@ -582,7 +568,9 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
     """Polynomial-coefficient forms on an interval-circle product, with the
     exact exterior derivative and wedge; the listed basis samples monomial
     forms up to the given polynomial degree, and operations stay exact on
-    the monomials they generate beyond the sample."""
+    the monomials they generate beyond the sample.  Each key is parsed into
+    its ``Form`` once per preset, and a key that does not parse is no
+    generator."""
     interval = sp.interval_names()
     monos: list[tuple[tuple[str, int], ...]] = [()]
     for v in interval:
@@ -596,22 +584,27 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
             for mono in monos:
                 basis.append((_form_key(mono, wedge_), r))
 
+    forms: dict[str, geomodel.Form] = {}
+
+    def form(key: str) -> geomodel.Form:
+        found = forms.get(key)
+        if found is None:
+            found = forms[key] = _parse_form_key(sp, key)
+        return found
+
     def diff(key: str) -> dict[str, Fraction]:
-        return _form_to_combo(geomodel.exterior_derivative(_parse_form_key(sp, key)))
+        return _form_to_combo(geomodel.exterior_derivative(form(key)))
 
     def prod(k1: str, k2: str) -> dict[str, Fraction]:
-        return _form_to_combo(
-            geomodel.wedge(_parse_form_key(sp, k1), _parse_form_key(sp, k2))
-        )
+        return _form_to_combo(geomodel.wedge(form(k1), form(k2)))
 
     return DGAModel(
         space_name="deRham",
         component=ComponentData("deRham", sp.dimension, 0),
         basis=tuple(basis),
-        degree_of=lambda key: _parse_form_key(sp, key).degree(),
+        degree_of=lambda key: form(key).degree(),
         differential=diff,
         product=prod,
-        generator_test=lambda key: _is_form_key(sp, key),
     )
 
 

@@ -323,8 +323,11 @@ def cmd_deform_check(args) -> int:
             raise UsageError("--b must be a JSON object mapping generators to coefficients")
         coeffs = {}
         for g, c in spec_dict.items():
-            if not dga.has_generator(g):
-                raise UsageError(f"--b: unknown generator {g!r} of space {dga.space_name!r}")
+            try:
+                dga.degree_of(g)
+            except (KeyError, ValueError):
+                raise UsageError(
+                    f"--b: unknown generator {g!r} of space {dga.space_name!r}") from None
             if not isinstance(c, str):
                 raise UsageError(f"--b: coefficient of {g!r} must be a string, got {c!r}")
             try:
@@ -363,13 +366,11 @@ def cmd_deform_check(args) -> int:
 def cmd_enumerate_strata(args) -> int:
     _require_at_least(("--k", args.k, 1), ("--dim-out", args.dim_out, 0),
                       ("--node-dim", args.node_dim, 0))
-    cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
     energy = _parse_fraction("--energy", args.energy)
     if energy < 0:
         raise UsageError("--energy must be >= 0")
-    if cutoff is None:
-        cutoff = max(energy, Fraction(1)) + 1
-    spectrum = _parse_spectrum("--spectrum", args.spectrum, cutoff)
+    # any cutoff above the energy gives the same strata
+    spectrum = _parse_spectrum("--spectrum", args.spectrum, max(energy, Fraction(1)) + 1)
     node = ComponentData("node", args.node_dim, args.node_mu)
     out_comp = ComponentData("out", args.dim_out, args.mu_out)
     try:
@@ -504,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--energy", required=True)
     p.add_argument("--spectrum", required=True, help="comma-separated energies, e.g. 0,1/2,1")
-    p.add_argument("--cutoff", default=None)
     p.add_argument("--tag", default="B")
     p.add_argument("--dim-out", type=int, default=0)
     p.add_argument("--mu-out", type=int, default=0, choices=[0, 1])

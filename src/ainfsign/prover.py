@@ -18,12 +18,13 @@ evaluation reduced mod 2, because reduction mod 2 is a ring homomorphism
 from the integers onto GF(2); the first failing assignment is re-evaluated
 with plain integers before it is reported.
 
-The formal replay of the relations emits one term per route for every
-payload symbol (an interior differential insertion per slot, or a boundary
-stratum) and checks that each pair of routes cancels: two terms with sign
-exponents p and q cancel exactly when p + q + 1 normalizes to zero.  The
-boundary payloads come from :func:`ainfsign.strata.enumerate_strata`; a
-stratum's route signs depend only on (j, k_inner) and are derived once each.
+The formal replay of the relations makes one record per payload symbol (an
+interior differential insertion per slot, or a boundary stratum) holding
+the sign exponents of the two routes that reach it, and checks that they
+cancel: two terms with sign exponents p and q cancel exactly when p + q + 1
+normalizes to zero.  The boundary payloads come from
+:func:`ainfsign.strata.enumerate_strata`; a symbol's route signs depend
+only on its splitting, so each pair is derived once per arity.
 """
 
 from __future__ import annotations
@@ -274,22 +275,6 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
 # --- formal replay of the relation cancellation -------------------------------
 
 
-@dataclass(frozen=True)
-class FormalTerm:
-    """A signed symbol in the formal expansion of the relations.
-
-    ``kind`` says how the symbol arose, ``payload`` identifies it (slot for
-    differential insertions; (j, k_outer, e_outer, k_inner, e_inner) for
-    boundary strata), ``sign`` is the exponent polynomial and ``route``
-    names which side of the expansion produced the term.
-    """
-
-    kind: str
-    payload: tuple
-    sign: F2Poly
-    route: str
-
-
 @dataclass
 class CancellationReport:
     k: int
@@ -309,27 +294,30 @@ _REPLAY_COMPONENT = ComponentData("replay", 0, 0)
 
 
 def expand_relation(
-    k: int, energy: Fraction, spectrum: GappedSpectrum
-) -> list[FormalTerm]:
-    """Emit the full signed term multiset for one (arity, energy) relation.
+    k: int, energy: Fraction, spectrum: GappedSpectrum, routes: dict | None = None
+) -> list[tuple[tuple, F2Poly, F2Poly]]:
+    """One record ``(symbol, stokes, other)`` per payload symbol of one
+    (arity, energy) relation: the symbol is (kind, payload), and the two
+    exponents are the signs of the two routes that reach it.
 
-    Interior terms: the differential applied after the push-pull is rewritten
-    through the fiberwise Stokes formula into per-slot differential
-    insertions plus signed boundary strata; the coderivation route produces
-    the same insertion symbols with independently computed signs.  Boundary
-    terms: one per stratum of ``enumerate_strata``, its payload the stratum
-    index without the node name; the Stokes route tags it with operation +
-    Stokes + boundary signs, the composition route with its insertion +
-    reorder signs.
+    Interior symbols ``(PUSH_D, (j,))``: the differential applied after the
+    push-pull is rewritten through the fiberwise Stokes formula into a
+    differential insertion at slot j (the Leibniz route), which the
+    coderivation route reaches too.  Boundary symbols ``(BDRY, payload)``:
+    one per stratum of ``enumerate_strata``, its payload the stratum index
+    without the node name; the Stokes route carries operation + Stokes +
+    boundary signs, the composition route insertion + reorder signs.  A
+    route pair depends only on the splitting, so ``routes`` (of this arity)
+    keeps each pair once across calls.
     """
-    terms: list[FormalTerm] = []
+    routes = {} if routes is None else routes
+    records = []
     for j in range(1, k + 1):
-        leibniz, coderivation = _insertion_routes(k, j)
-        terms.append(FormalTerm(PUSH_D, (j,), leibniz, "stokes-rewrite"))
-        terms.append(FormalTerm(PUSH_D, (j,), coderivation, "coderivation"))
+        if (PUSH_D, j) not in routes:
+            routes[PUSH_D, j] = _insertion_routes(k, j)
+        records.append(((PUSH_D, (j,)), *routes[PUSH_D, j]))
 
     parent = ModuliDescriptor(k, BClass(energy), _REPLAY_COMPONENT, (_REPLAY_COMPONENT,) * k)
-    routes: dict[tuple[int, int], tuple[F2Poly, F2Poly]] = {}
     for stratum in enumerate_strata(parent, spectrum, [_REPLAY_COMPONENT]):
         payload = stratum.index()[:-1]
         j, _, _, k_inner, _ = payload
@@ -341,60 +329,42 @@ def expand_relation(
                 + signs.boundary_sign(ctx),
                 signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx),
             )
-        stokes, composition = routes[j, k_inner]
-        terms.append(FormalTerm(BDRY, payload, stokes, "stokes-rewrite"))
-        terms.append(FormalTerm(BDRY, payload, composition, "composition"))
-    return terms
+        records.append(((BDRY, payload), *routes[j, k_inner]))
+    return records
 
 
 def prove_relation_cancellation(
-    k: int,
-    spectrum: GappedSpectrum,
-    mutate: tuple | None = None,
+    k: int, spectrum: GappedSpectrum, mutate: tuple | None = None
 ) -> list[CancellationReport]:
-    """Check that the formal multiset cancels pairwise for every energy level.
+    """Check that the two routes of every symbol cancel, for every energy
+    level; each route pair is derived once for the arity.
 
-    ``mutate`` flips the sign of the Stokes-route term with the given
-    (kind, payload); used to confirm single-sign corruption is caught and
-    named.  Each level carries its own time in ``elapsed_s``.
+    ``mutate`` flips the Stokes-route sign of the given (kind, payload)
+    symbol; used to confirm single-sign corruption is caught and named.
+    Each level carries its own time in ``elapsed_s``.
     """
-    return [_timed(_cancel_level, k, energy, spectrum, mutate) for energy in spectrum.levels()]
+    routes: dict = {}  # this arity's route pairs, shared by its levels
+    return [_timed(_cancel_level, k, energy, spectrum, mutate, routes)
+            for energy in spectrum.levels()]
 
 
 def _cancel_level(
-    k: int, energy: Fraction, spectrum: GappedSpectrum, mutate: tuple | None
+    k: int, energy: Fraction, spectrum: GappedSpectrum, mutate: tuple | None, routes: dict
 ) -> CancellationReport:
     report = CancellationReport(k=k, energy=energy)
     if k == 1 and energy == 0:
         # the differential squares to zero; nothing to expand
         return report
-    terms = expand_relation(k, energy, spectrum)
-    if mutate is not None:
-        terms = [
-            FormalTerm(t.kind, t.payload, t.sign + 1, t.route)
-            if (t.kind, t.payload) == tuple(mutate) and t.route == "stokes-rewrite"
-            else t
-            for t in terms
-        ]
-    groups: dict[tuple, list[FormalTerm]] = {}
-    for t in terms:
-        groups.setdefault((t.kind, t.payload), []).append(t)
-    for key in sorted(groups, key=lambda kp: (kp[0], kp[1])):
-        group = groups[key]
-        if len(group) != 2:
-            report.residual.append(
-                {"term": key, "reason": f"{len(group)} routes, expected 2"}
-            )
-            continue
-        ok, witness = anf_equivalent(group[0].sign + group[1].sign, F2Poly.one())
+    records = expand_relation(k, energy, spectrum, routes)
+    for symbol, stokes, other in sorted(records, key=lambda record: record[0]):
+        if symbol == mutate:
+            stokes = stokes + 1
+        # two terms with sign exponents p and q cancel when p + q = 1
+        ok, witness = anf_equivalent(stokes + other, F2Poly.one())
         if ok:
-            report.pairs.append(key)
+            report.pairs.append(symbol)
         else:
             report.residual.append(
-                {
-                    "term": key,
-                    "reason": "routes do not cancel",
-                    "witness": witness,
-                }
+                {"term": symbol, "reason": "routes do not cancel", "witness": witness}
             )
     return report

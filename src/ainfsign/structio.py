@@ -68,6 +68,21 @@ def _named(names: dict, name: Any, what: str, path: str):
     return names[name]
 
 
+def _unique(names: dict, value: Any, what: str, path: str) -> str:
+    """``value`` itself when it is a string that ``names`` does not hold yet."""
+    name = _expect(value, str, path)
+    if name in names:
+        raise FormatError(f"repeated {what} {name!r}", path)
+    return name
+
+
+def _generator(space: HomSpace, gen: str, path: str) -> None:
+    try:
+        space.degree_of(gen)
+    except KeyError:
+        raise FormatError(f"unknown generator {gen!r} of space {space.name!r}", path) from None
+
+
 def _novikov(value: Any, path: str) -> novikov.NovikovElement:
     try:
         return novikov.parse(str(value))
@@ -95,7 +110,7 @@ def structure_from_json(data: Any) -> FilteredAInfty:
             raise FormatError("only a trivialized orientation twist is supported, got "
                               f"{json.dumps(c['twist_trivialized'])}", f"{path}.twist_trivialized")
         comp = ComponentData(
-            name=_expect(c.get("name"), str, f"{path}.name"),
+            name=_unique(components, c.get("name"), "component", f"{path}.name"),
             dimension=_integer(c.get("dimension"), f"{path}.dimension"),
             maslov_parity=_integer(c.get("maslov_parity"), f"{path}.maslov_parity"),
         )
@@ -105,15 +120,15 @@ def structure_from_json(data: Any) -> FilteredAInfty:
     for i, s in enumerate(_expect(data.get("spaces", []), list, "$.spaces")):
         path = f"$.spaces[{i}]"
         s = _expect(s, dict, path)
-        name = _expect(s.get("name"), str, f"{path}.name")
+        name = _unique(spaces, s.get("name"), "space", f"{path}.name")
         component = _named(components, s.get("component"), "component", path)
-        basis = []
+        basis: dict[str, int] = {}
         for m, entry in enumerate(_expect(s.get("basis", []), list, f"{path}.basis")):
             epath = f"{path}.basis[{m}]"
             entry = _expect(entry, dict, epath)
-            basis.append((_expect(entry.get("gen"), str, f"{epath}.gen"),
-                          _integer(entry.get("degree"), f"{epath}.degree")))
-        spaces[name] = HomSpace(name, component, tuple(basis))
+            basis[_unique(basis, entry.get("gen"), "generator", f"{epath}.gen")] = (
+                _integer(entry.get("degree"), f"{epath}.degree"))
+        spaces[name] = HomSpace(name, component, tuple(basis.items()))
 
     cutoff = _positive(data.get("cutoff", "1"), "cutoff", "$.cutoff")
     generators = [
@@ -146,8 +161,7 @@ def structure_from_json(data: Any) -> FilteredAInfty:
                         and all(isinstance(x, str) for x in pair)):
                     raise FormatError(f"input {pair!r} is not a [space, generator] pair", ipath)
                 sp_name, gen = pair
-                if not any(g == gen for g, _ in _named(spaces, sp_name, "space", ipath).basis):
-                    raise FormatError(f"unknown generator {gen!r} of space {sp_name!r}", ipath)
+                _generator(_named(spaces, sp_name, "space", ipath), gen, ipath)
                 in_spaces.append(sp_name)
                 in_gens.append(gen)
             out = _expect(val.get("output", {}), dict, f"{vpath}.output")
@@ -156,14 +170,17 @@ def structure_from_json(data: Any) -> FilteredAInfty:
             coeffs = {}
             for gen, c in _expect(out.get("coeffs", {}), dict, f"{vpath}.output.coeffs").items():
                 cpath = f"{vpath}.output.coeffs.{gen}"
-                if not any(g == gen for g, _ in out_hom.basis):
-                    raise FormatError(f"unknown generator {gen!r} of space {out_space!r}", cpath)
+                _generator(out_hom, gen, cpath)
                 coeffs[gen] = _novikov(c, cpath)
             output = Element(out_space, coeffs)
             if len({out_hom.shifted_parity(g) for g in output.coeffs}) > 1:
                 raise FormatError(f"output is not shifted-homogeneous: {output}",
                                   f"{vpath}.output.coeffs")
-            entry[(tuple(in_spaces), tuple(in_gens))] = output
+            tkey = (tuple(in_spaces), tuple(in_gens))
+            if tkey in entry:
+                raise FormatError(f"repeated inputs {json.dumps(inputs)} of operation "
+                                  f"(k={k}, energy={key[1]}, tag={key[2]!r})", f"{vpath}.inputs")
+            entry[tkey] = output
     try:
         return FilteredAInfty(spaces=spaces, table=OperationTable(values=values),
                               spectrum=spectrum, cutoff=cutoff)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfsign import geomodel
+from ainfsign import ainfty, geomodel
 from ainfsign.ainfty import (
     Element,
     FilteredAInfty,
@@ -457,7 +457,14 @@ def test_equal_elements_hash_equal():
     assert Element.zero() is Element.zero()
 
 
-def test_degree_of_reads_basis_then_degree_fn():
+def test_degree_of_reads_basis_then_degree_fn(monkeypatch):
+    parsed = []
+
+    def counting(sp, key):
+        parsed.append(key)
+        return _parse_form_key(sp, key)
+
+    monkeypatch.setattr(ainfty, "_parse_form_key", counting)
     dga = cube_torus_dga(geomodel.space(("u", "interval"), ("v", "interval")))
     comp = ComponentData("deRham", 2, 0)
     with_fn = HomSpace("deRham", comp, dga.basis, dga.degree_of)
@@ -467,13 +474,15 @@ def test_degree_of_reads_basis_then_degree_fn():
     assert with_fn.degree_of("u^5*v^3|du^dv") == 2  # beyond the sampled basis
     with pytest.raises(KeyError):
         bare.degree_of("u^5*v^3|du^dv")
-    # the degree comes from the one parser of form keys, which parses each key once
-    sp = geomodel.space(("u", "interval"), ("v", "interval"))
-    assert _parse_form_key(sp, "u^5*v^3|du^dv") is _parse_form_key(sp, "u^5*v^3|du^dv")
+    # the preset parses each key once, whatever reads its form
+    dga.differential("u^5*v^3|du^dv")
+    dga.product("u^5*v^3|du^dv", "1|")
+    assert parsed.count("u^5*v^3|du^dv") == 1 and parsed.count("1|") == 1
     with pytest.raises(ValueError):
         dga.degree_of("w|dw")
-    # the first listing of a generator wins, as in a scan of the basis
-    assert HomSpace("s", comp, (("g", 1), ("g", 2))).degree_of("g") == 1
+    # a hom space lists each generator once
+    with pytest.raises(StructureError, match="lists a generator twice"):
+        HomSpace("s", comp, (("g", 1), ("g", 2)))
 
 
 def test_keys_of_arity_indexes_sorted_keys():

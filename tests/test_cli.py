@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfsign import prover, signs, structio
+from ainfsign import ainfty, prover, signs, structio
 from ainfsign.ainfty import FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import main
 from ainfsign.geomodel import CheckResult, checks
@@ -24,7 +25,10 @@ SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
 
 
 def run(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -518,9 +522,19 @@ def ext2_with(path, value):
     (("components", 0, "twist_trivialized"), False,
      "only a trivialized orientation twist is supported, got false",
      "$.components[0].twist_trivialized"),
+    (("components",), [{"name": "ext", "dimension": 0, "maslov_parity": 0},
+                       {"name": "ext", "dimension": 3, "maslov_parity": 0}],
+     "repeated component 'ext'", "$.components[1].name"),
+    (("spaces",), [{"name": "ext", "component": "ext", "basis": []}] * 2,
+     "repeated space 'ext'", "$.spaces[1].name"),
+    (("spaces", 0, "basis", 2), {"gen": "e1", "degree": 2},
+     "repeated generator 'e1'", "$.spaces[0].basis[2].gen"),
+    (("operations", 1, "values", 1, "inputs"), [["ext", "1"], ["ext", "1"]],
+     'repeated inputs [["ext", "1"], ["ext", "1"]]', "$.operations[1].values[1].inputs"),
 ], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
         "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity",
-        "twist-not-trivialized"])
+        "twist-not-trivialized", "repeated-component", "repeated-space", "repeated-generator",
+        "repeated-inputs"])
 def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(ext2_with(path, value)))
@@ -623,12 +637,38 @@ def test_deform_check_explicit_and_random(capsys):
 @pytest.mark.parametrize("b, message", [
     ('{"nope": "T"}', "unknown generator 'nope'"),
     ('{"u|dv^du": "T"}', "unknown generator 'u|dv^du'"),
+    ('{"u^0|dv": "T"}', "unknown generator 'u^0|dv'"),
     ('["u|dv"]', "must be a JSON object"),
     ('{"u|dv": 3}', "must be a string"),
 ])
 def test_deform_check_rejects_malformed_cochain(b, message, capsys):
     code, _, err = run(["deform-check", "--preset", "interval2", "--b", b], capsys)
     assert code == 2 and message in err
+
+
+def test_repeated_command_parses_the_same_form_keys(capsys, monkeypatch):
+    """A form key is parsed once per preset, not once per process: a
+    command run twice in one process enters the parser as often each time."""
+    monkeypatch.delenv("AINFSIGN_REPORT_DIR", raising=False)
+    parser = inspect.unwrap(ainfty._parse_form_key).__code__
+    argv = ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2"]
+    entries = []
+    for _ in range(2):
+        entered = [0]
+
+        def hook(frame, event, arg):
+            entered[0] += frame.f_code is parser
+            return None  # no line tracing
+
+        previous = sys.gettrace()
+        sys.settrace(hook)
+        try:
+            code, _, _ = run(argv, capsys)
+        finally:
+            sys.settrace(previous)
+        assert code == 0
+        entries.append(entered[0])
+    assert entries[0] > 0 and entries[1] == entries[0], entries
 
 
 def test_anf_command(capsys):
@@ -694,8 +734,9 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
     (["check-dga", "--cutoff", "0"], "--cutoff must be > 0"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "1", "--relations-cutoff", "0"],
      "--relations-cutoff must be > 0"),
+    # any cutoff above the energy gives the same strata, so there is no flag
     (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--cutoff", "0"],
-     "--cutoff must be > 0"),
+     "unrecognized arguments: --cutoff 0"),
     (["enumerate-strata", "--k", "1", "--energy", "-1", "--spectrum", "0"],
      "--energy must be >= 0"),
     (["enumerate-strata", "--k", "2", "--energy", "0", "--spectrum", "0", "--mus", "0,2"],
@@ -758,7 +799,7 @@ ARGV_TOKENS = (
 ARGV_GRAMMAR = {
     "nov-eval": ([], ["expr"]),
     "anf": (["--expr", "--file", "--bind"], []),
-    "enumerate-strata": (["--k", "--energy", "--spectrum", "--cutoff", "--tag", "--dim-out",
+    "enumerate-strata": (["--k", "--energy", "--spectrum", "--tag", "--dim-out",
                           "--mu-out", "--mus", "--node-dim", "--node-mu", "--match"], []),
     "prove-signs": (["--k-max", "--truth-table-k-max", "--relations-k-max",
                      "--relations-spectrum", "--relations-cutoff"], []),

@@ -113,34 +113,45 @@ def test_relation_cancellation_pairs_structure():
         assert sorted(slots) == [(1,), (2,)]
 
 
-def test_expand_relation_routes_come_in_pairs():
-    spectrum = spectrum_closure([1], 2)
-    terms = expand_relation(3, Fraction(1), spectrum)
-    groups = {}
-    for t in terms:
-        groups.setdefault((t.kind, t.payload), set()).add(t.route)
-    for key, routes in groups.items():
-        assert len(routes) == 2, key
-
-
 @pytest.mark.parametrize("generators, cutoff", [
     ([Fraction(1, 2)], 2),
     ([1, Fraction(1, 3)], 2),
 ], ids=["halves", "thirds"])
 def test_boundary_payloads_are_the_composition_terms(generators, cutoff):
-    """One index set, two routes: the replay's boundary payloads (taken from
-    enumerate_strata) are the composition double-sum terms without the node
-    name, as multisets, on both routes of every (arity, energy) relation."""
+    """One index set: the replay's boundary payloads (taken from
+    enumerate_strata), each one record with both routes, are the composition
+    double-sum terms without the node name, as multisets, for every
+    (arity, energy) relation."""
     spectrum = spectrum_closure(generators, cutoff)
     comp = ComponentData("c", 0, 0)
     for k in range(1, 7):
         for energy in spectrum.levels():
             parent = ModuliDescriptor(k, BClass(energy), comp, (comp,) * k)
             expected = Counter(t[:-1] for t in composition_terms(parent, spectrum, [comp]))
-            terms = [t for t in expand_relation(k, energy, spectrum) if t.kind == BDRY]
-            for route in ("stokes-rewrite", "composition"):
-                got = Counter(t.payload for t in terms if t.route == route)
-                assert got == expected, (k, energy, route)
+            records = expand_relation(k, energy, spectrum)
+            got = Counter(payload for (kind, payload), _, _ in records if kind == BDRY)
+            assert got == expected, (k, energy)
+
+
+def test_each_route_pair_is_derived_once_per_arity(monkeypatch):
+    """The boundary route pair of a splitting (j, k_inner) is the same at
+    every energy level, so one arity's sweep derives it once."""
+    derived = []
+    coderivation_sign = signs.coderivation_sign
+
+    def counting(ctx):
+        derived.append((ctx.j, ctx.k_inner))
+        return coderivation_sign(ctx)
+
+    monkeypatch.setattr(prover.signs, "coderivation_sign", counting)
+    spectrum = spectrum_closure([Fraction(1, 2)], 2)
+    for k in (2, 3, 4):
+        derived.clear()
+        reports = prove_relation_cancellation(k, spectrum)
+        splittings = {(payload[0], payload[3]) for r in reports
+                      for kind, payload in r.pairs if kind == BDRY}
+        assert len(reports) > 1 and splittings
+        assert sorted(derived) == sorted(splittings), k
 
 
 def test_mutation_detected_and_named():

@@ -155,13 +155,6 @@ def entered_functions(tmp_path) -> set[tuple[str, int, str]]:
     line of a decorated function is its first decorator's."""
     files = {"{structure}": tmp_path / "structure.json", "{report}": tmp_path / "report.json"}
     files["{structure}"].write_text(json.dumps(STRUCTURE))
-    # A module-level cache filled by an earlier test would answer without
-    # entering its function, so every such cache starts empty.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ainfsign"):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
     codes = set()
 
     def hook(frame, event, arg):
