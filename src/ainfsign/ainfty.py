@@ -568,9 +568,12 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
     """Polynomial-coefficient forms on an interval-circle product, with the
     exact exterior derivative and wedge; the listed basis samples monomial
     forms up to the given polynomial degree, and operations stay exact on
-    the monomials they generate beyond the sample.  Each key is parsed into
-    its ``Form`` once per preset, and a key that does not parse is no
-    generator."""
+    the monomials they generate beyond the sample.  Each key is parsed once
+    per preset, and a key that does not parse is no generator.  A preset
+    keeps, per key, its ``Form``, which d differentiates, and its sorted
+    wedge letters and exponents, which give the degree and the product: one
+    Koszul merge of the letters and the sum of the exponents, as in
+    ``exterior_dga``."""
     interval = sp.interval_names()
     monos: list[tuple[tuple[str, int], ...]] = [()]
     for v in interval:
@@ -584,25 +587,36 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
             for mono in monos:
                 basis.append((_form_key(mono, wedge_), r))
 
-    forms: dict[str, geomodel.Form] = {}
+    parsed: dict[str, tuple] = {}
 
-    def form(key: str) -> geomodel.Form:
-        found = forms.get(key)
+    def parts(key: str) -> tuple[geomodel.Form, tuple[str, ...], geomodel.core.Monomial]:
+        found = parsed.get(key)
         if found is None:
-            found = forms[key] = _parse_form_key(sp, key)
+            form = _parse_form_key(sp, key)
+            ((letters, poly),) = form.terms.items()
+            (mono,) = poly.terms
+            found = parsed[key] = (form, letters, mono)
         return found
 
     def diff(key: str) -> dict[str, Fraction]:
-        return _form_to_combo(geomodel.exterior_derivative(form(key)))
+        return _form_to_combo(geomodel.exterior_derivative(parts(key)[0]))
 
     def prod(k1: str, k2: str) -> dict[str, Fraction]:
-        return _form_to_combo(geomodel.wedge(form(k1), form(k2)))
+        _, l1, m1 = parts(k1)
+        _, l2, m2 = parts(k2)
+        sign, letters = geomodel.core._merge_sign(l1 + l2, sp._order)
+        if not sign:
+            return {}
+        powers = dict(m1)
+        for v, p in m2:
+            powers[v] = powers.get(v, 0) + p
+        return {_form_key(tuple(sorted(powers.items())), letters): Fraction(sign)}
 
     return DGAModel(
         space_name="deRham",
         component=ComponentData("deRham", sp.dimension, 0),
         basis=tuple(basis),
-        degree_of=lambda key: form(key).degree(),
+        degree_of=lambda key: len(parts(key)[1]),
         differential=diff,
         product=prod,
     )

@@ -479,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-dga", help="relations of a built-in algebra embedding")
     p.add_argument("--preset", default=list(PRESETS)[0], choices=list(PRESETS))
     p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--cutoff", default="1")
+    p.add_argument("--cutoff", default="1", help="recorded in the report; every preset "
+                   "embeds at energy zero, so it does not change what is checked")
     common(p)
     p.set_defaults(func=cmd_check_dga)
 

@@ -167,17 +167,34 @@ def test_wrong_sign_rule_fails_relations_with_witness():
     assert report.witness and report.witness["k"] in (2, 3)
 
 
-def test_flip_against_mock_route():
-    """Cross-module conformance: the arity-2 operation of the embedding must
-    match the signed wedge computed by the constant-map mock; the flipped
-    rule is caught even though it still satisfies the relations."""
-    from ainfsign.ainfty import _parse_form_key
+@pytest.mark.parametrize("coords, beyond", [
+    ((("t", "interval"), ("c", "circle")), ("t^3|dc",)),
+    ((("u", "interval"), ("v", "interval")), ("u^3|dv", "u*v|du")),
+], ids=["interval-circle", "interval2"])
+def test_preset_product_is_the_wedge(coords, beyond):
+    """The preset multiplies keys by one Koszul merge of their letters and a
+    sum of their exponents; on every ordered pair of basis keys, and of keys
+    beyond the basis, that is the wedge of the parsed forms."""
+    sp = geomodel.space(*coords)
+    dga = cube_torus_dga(sp)
+    keys = [g for g, _ in dga.basis] + list(beyond)
+    forms = {k: _parse_form_key(sp, k) for k in keys}
+    for k, form in forms.items():
+        assert dga.degree_of(k) == form.degree()
+    for k1, k2 in itertools.product(keys, repeat=2):
+        assert dga.product(k1, k2) == _to_combo(geomodel.wedge(forms[k1], forms[k2])), (k1, k2)
 
+
+def test_flip_against_mock_route():
+    """Cross-module conformance: on every ordered pair of basis keys, the
+    arity-2 operation of the embedding must match the signed wedge computed
+    by the constant-map mock; the flipped rule is caught even though it
+    still satisfies the relations."""
     sp = geomodel.space(("t", "interval"), ("c", "circle"))
     dga = cube_torus_dga(sp)
     ident = geomodel.projection(sp, sp, {"t": "t", "c": "c"})
     mock = geomodel.CorrespondenceModel(sp, ident, (ident.as_smooth(), ident.as_smooth()))
-    pairs = [("t|", "1|dt"), ("1|dt", "1|dc"), ("t|dt", "1|dc"), ("1|dc", "t|dt")]
+    pairs = list(itertools.product([g for g, _ in dga.basis], repeat=2))
 
     def mock_value(g1, g2):
         forms = (_parse_form_key(sp, g1), _parse_form_key(sp, g2))
