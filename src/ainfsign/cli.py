@@ -110,12 +110,16 @@ class Report:
     def finish(self, out: str | None) -> int:
         payload = json.dumps(self.to_json(), indent=2, default=str) + "\n"
         target = out
-        if target is None and os.environ.get("AINFSIGN_REPORT_DIR"):
-            directory = Path(os.environ["AINFSIGN_REPORT_DIR"])
-            directory.mkdir(parents=True, exist_ok=True)
-            target = str(directory / f"{self.command}.json")
-        if target and target != "-":
-            Path(target).write_text(payload)
+        try:
+            if target is None and os.environ.get("AINFSIGN_REPORT_DIR"):
+                directory = Path(os.environ["AINFSIGN_REPORT_DIR"])
+                directory.mkdir(parents=True, exist_ok=True)
+                target = str(directory / f"{self.command}.json")
+            if target and target != "-":
+                Path(target).write_text(payload)
+        except OSError as exc:
+            source = "--out" if out is not None else "AINFSIGN_REPORT_DIR"
+            raise UsageError(f"{source}: cannot write the report: {exc}") from exc
         failed = [c for c in self.checks if c["status"] == "fail"]
         lines = [
             f"{'ok  ' if c['status'] == 'pass' else 'FAIL'} {c['id']}\n" for c in self.checks

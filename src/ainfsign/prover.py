@@ -18,13 +18,14 @@ evaluation reduced mod 2, because reduction mod 2 is a ring homomorphism
 from the integers onto GF(2); the first failing assignment is re-evaluated
 with plain integers before it is reported.
 
-The formal replay of the relations makes one record per payload symbol (an
-interior differential insertion per slot, or a boundary stratum) holding
-the sign exponents of the two routes that reach it, and checks that they
-cancel: two terms with sign exponents p and q cancel exactly when p + q + 1
-normalizes to zero.  The boundary payloads come from
-:func:`ainfsign.strata.enumerate_strata`; a symbol's route signs depend
-only on its splitting, so each pair is derived once per arity.
+The formal replay of the relations checks that the two routes reaching
+each payload symbol (an interior differential insertion per slot, or a
+boundary stratum) cancel: terms with sign exponents p and q cancel exactly
+when the cancellation sum p + q + 1 normalizes to zero.  A symbol's sum
+depends only on its splitting, so each splitting's sum is decided once per
+arity and an energy level only picks which symbols occur; an interior sum is
+the one ``prove_differential_insertion`` proves.  The boundary payloads come
+from :func:`ainfsign.strata.enumerate_strata`.
 """
 
 from __future__ import annotations
@@ -216,27 +217,38 @@ def prove_identity(
     return report
 
 
-def _insertion_routes(k: int, j: int) -> tuple[F2Poly, F2Poly]:
-    """Sign exponents of the differential inserted at slot j of the arity-k
-    operation (the splitting with inner arity 1): the Leibniz route, the
-    operation sign plus the degrees before the slot, and the coderivation
-    route, the Koszul prefix plus the operation sign at the bumped degree."""
+def _insertion_sum(k: int, j: int) -> F2Poly:
+    """Cancellation sum of the differential inserted at slot j of the
+    arity-k operation (the splitting with inner arity 1): the Leibniz route,
+    the operation sign plus the degrees before the slot, plus the
+    coderivation route, the Koszul prefix plus the operation sign at the
+    bumped degree, plus one."""
     ctx = symbolic_context(k, j, 1)
     degs, mus = ctx.degs, ctx.mus
     bumped = degs[: j - 1] + (degs[j - 1] + 1,) + degs[j:]
     leibniz = signs.operation_sign(degs, mus) + sum(degs[: j - 1], F2Poly.zero())
     coderivation = signs.koszul_prefix(degs, mus, j) + signs.operation_sign(bumped, mus)
-    return leibniz, coderivation
+    return leibniz + coderivation + 1
+
+
+def _boundary_sum(k: int, j: int, k_inner: int) -> F2Poly:
+    """Cancellation sum of a boundary stratum of splitting (j, k_inner): the
+    Stokes route, operation + Stokes + boundary signs, plus the composition
+    route, coderivation + reorder signs, plus one."""
+    ctx = symbolic_context(k, j, k_inner)
+    stokes = (
+        signs.operation_sign(ctx.degs, ctx.mus)
+        + signs.stokes_sign(signs.parent_dim_parity(ctx), ctx.degs)
+        + signs.boundary_sign(ctx)
+    )
+    return stokes + signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx) + 1
 
 
 def prove_differential_insertion(k: int, j: int) -> ProofReport:
     """Inserting the differential at slot j: Koszul prefix plus the operation
     sign at the bumped degree equals the Leibniz prefix plus the operation
     sign plus one."""
-    leibniz, coderivation = _insertion_routes(k, j)
-    return _prove_zero(
-        leibniz + coderivation + 1, {"identity": "differential-insertion", "k": k, "j": j}
-    )
+    return _prove_zero(_insertion_sum(k, j), {"identity": "differential-insertion", "k": k, "j": j})
 
 
 def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
@@ -293,78 +305,56 @@ class CancellationReport:
 _REPLAY_COMPONENT = ComponentData("replay", 0, 0)
 
 
-def expand_relation(
-    k: int, energy: Fraction, spectrum: GappedSpectrum, routes: dict | None = None
-) -> list[tuple[tuple, F2Poly, F2Poly]]:
-    """One record ``(symbol, stokes, other)`` per payload symbol of one
-    (arity, energy) relation: the symbol is (kind, payload), and the two
-    exponents are the signs of the two routes that reach it.
+def expand_relation(k: int, energy: Fraction, spectrum: GappedSpectrum) -> list[tuple]:
+    """The sorted payload symbols ``(kind, payload)`` of one (arity, energy)
+    relation.
 
     Interior symbols ``(PUSH_D, (j,))``: the differential applied after the
     push-pull is rewritten through the fiberwise Stokes formula into a
     differential insertion at slot j (the Leibniz route), which the
     coderivation route reaches too.  Boundary symbols ``(BDRY, payload)``:
     one per stratum of ``enumerate_strata``, its payload the stratum index
-    without the node name; the Stokes route carries operation + Stokes +
-    boundary signs, the composition route insertion + reorder signs.  A
-    route pair depends only on the splitting, so ``routes`` (of this arity)
-    keeps each pair once across calls.
+    without the node name, reached by the Stokes and composition routes.
     """
-    routes = {} if routes is None else routes
-    records = []
-    for j in range(1, k + 1):
-        if (PUSH_D, j) not in routes:
-            routes[PUSH_D, j] = _insertion_routes(k, j)
-        records.append(((PUSH_D, (j,)), *routes[PUSH_D, j]))
-
     parent = ModuliDescriptor(k, BClass(energy), _REPLAY_COMPONENT, (_REPLAY_COMPONENT,) * k)
-    for stratum in enumerate_strata(parent, spectrum, [_REPLAY_COMPONENT]):
-        payload = stratum.index()[:-1]
-        j, _, _, k_inner, _ = payload
-        if (j, k_inner) not in routes:
-            ctx = symbolic_context(k, j, k_inner)
-            routes[j, k_inner] = (
-                signs.operation_sign(ctx.degs, ctx.mus)
-                + signs.stokes_sign(signs.parent_dim_parity(ctx), ctx.degs)
-                + signs.boundary_sign(ctx),
-                signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx),
-            )
-        records.append(((BDRY, payload), *routes[j, k_inner]))
-    return records
+    strata = enumerate_strata(parent, spectrum, [_REPLAY_COMPONENT])
+    return sorted([(PUSH_D, (j,)) for j in range(1, k + 1)]
+                  + [(BDRY, stratum.index()[:-1]) for stratum in strata])
 
 
 def prove_relation_cancellation(
     k: int, spectrum: GappedSpectrum, mutate: tuple | None = None
 ) -> list[CancellationReport]:
     """Check that the two routes of every symbol cancel, for every energy
-    level; each route pair is derived once for the arity.
+    level; each splitting's cancellation sum is decided once for the arity.
 
-    ``mutate`` flips the Stokes-route sign of the given (kind, payload)
-    symbol; used to confirm single-sign corruption is caught and named.
-    Each level carries its own time in ``elapsed_s``.
+    ``mutate`` flips the sign of one route of the given (kind, payload)
+    symbol, which is then decided on its own; used to confirm single-sign
+    corruption is caught and named.  Each level carries its own time in
+    ``elapsed_s``, which includes the splittings first decided there.
     """
-    routes: dict = {}  # this arity's route pairs, shared by its levels
-    return [_timed(_cancel_level, k, energy, spectrum, mutate, routes)
-            for energy in spectrum.levels()]
-
-
-def _cancel_level(
-    k: int, energy: Fraction, spectrum: GappedSpectrum, mutate: tuple | None, routes: dict
-) -> CancellationReport:
-    report = CancellationReport(k=k, energy=energy)
-    if k == 1 and energy == 0:
-        # the differential squares to zero; nothing to expand
-        return report
-    records = expand_relation(k, energy, spectrum, routes)
-    for symbol, stokes, other in sorted(records, key=lambda record: record[0]):
-        if symbol == mutate:
-            stokes = stokes + 1
-        # two terms with sign exponents p and q cancel when p + q = 1
-        ok, witness = anf_equivalent(stokes + other, F2Poly.one())
-        if ok:
-            report.pairs.append(symbol)
-        else:
-            report.residual.append(
-                {"term": symbol, "reason": "routes do not cancel", "witness": witness}
-            )
-    return report
+    # splitting -> (sum, ok, witness): the slot j of an interior symbol, or
+    # (j, k_inner) of a boundary one
+    decided: dict = {}
+    reports = []
+    for energy in spectrum.levels():
+        started = time.perf_counter()
+        report = CancellationReport(k=k, energy=energy)
+        # at k = 1 and energy 0 the differential squares to zero
+        for symbol in expand_relation(k, energy, spectrum) if k > 1 or energy else ():
+            kind, payload = symbol
+            key = payload[0] if kind == PUSH_D else (payload[0], payload[3])
+            if key not in decided:
+                total = _insertion_sum(k, key) if kind == PUSH_D else _boundary_sum(k, *key)
+                decided[key] = (total, *anf_equivalent(total, F2Poly.zero()))
+            total, ok, witness = decided[key]
+            if symbol == mutate:
+                ok, witness = anf_equivalent(total + 1, F2Poly.zero())
+            if ok:
+                report.pairs.append(symbol)
+            else:
+                report.residual.append({"term": symbol, "reason": "routes do not cancel",
+                                        "witness": witness})
+        report.elapsed_s = time.perf_counter() - started
+        reports.append(report)
+    return reports

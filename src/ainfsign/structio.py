@@ -42,10 +42,10 @@ def _expect(value: Any, kind: type, path: str) -> Any:
 
 
 def _integer(value: Any, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad integer {value!r}: {exc}", path) from exc
+    """``value`` itself when it is a JSON integer; true and false are not."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, got {value!r:.40}", path)
+    return value
 
 
 def _fraction(value: Any, path: str) -> Fraction:
@@ -109,12 +109,13 @@ def structure_from_json(data: Any) -> FilteredAInfty:
         if c.get("twist_trivialized", True) is not True:
             raise FormatError("only a trivialized orientation twist is supported, got "
                               f"{json.dumps(c['twist_trivialized'])}", f"{path}.twist_trivialized")
-        comp = ComponentData(
-            name=_unique(components, c.get("name"), "component", f"{path}.name"),
-            dimension=_integer(c.get("dimension"), f"{path}.dimension"),
-            maslov_parity=_integer(c.get("maslov_parity"), f"{path}.maslov_parity"),
-        )
-        components[comp.name] = comp
+        name = _unique(components, c.get("name"), "component", f"{path}.name")
+        dimension = _integer(c.get("dimension"), f"{path}.dimension")
+        maslov_parity = _integer(c.get("maslov_parity"), f"{path}.maslov_parity")
+        try:
+            components[name] = ComponentData(name, dimension, maslov_parity)
+        except ValueError as exc:
+            raise FormatError(str(exc), path) from exc
 
     spaces: dict[str, HomSpace] = {}
     for i, s in enumerate(_expect(data.get("spaces", []), list, "$.spaces")):

@@ -20,6 +20,7 @@ from ainfsign import ainfty, prover, signs, structio
 from ainfsign.ainfty import FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import main
 from ainfsign.geomodel import CheckResult, checks
+from ainfsign.novikov import spectrum_closure
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
 
@@ -95,6 +96,26 @@ def test_report_dir_environment_variable(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["check-dga", "--preset", "exterior4", "--k-max", "2"], capsys)
     assert code == 0
     assert (tmp_path / "reports" / "check-dga.json").exists()
+
+
+@pytest.mark.parametrize("out, report_dir, source", [
+    ("missing/r.json", None, "--out"),
+    (".", None, "--out"),
+    (None, "file/sub", "AINFSIGN_REPORT_DIR"),
+    (None, "file", "AINFSIGN_REPORT_DIR"),
+], ids=["out-missing-dir", "out-is-dir", "dir-under-file", "dir-is-file"])
+def test_unwritable_report_exits_two(out, report_dir, source, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    argv = ["check-dga", "--k-max", "1"]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    if report_dir is None:
+        monkeypatch.delenv("AINFSIGN_REPORT_DIR", raising=False)
+    else:
+        monkeypatch.setenv("AINFSIGN_REPORT_DIR", str(tmp_path / report_dir))
+    code, _, err = run(argv, capsys)
+    assert code == 2 and err.startswith(f"error: {source}: cannot write the report: "), err
+    assert err.count("\n") == 1
 
 
 def test_verify_geomodel_small(capsys):
@@ -249,10 +270,17 @@ def test_prove_signs_timing_charges_each_obligation(tmp_path, capsys, monkeypatc
     proofs = [c for c in checks if not c["id"].startswith("relation-cancellation")]
     relations = {c["id"]: c for c in checks if c["id"].startswith("relation-cancellation")}
     assert len(proofs) == 39 and all(c["runtime_s"] == 1.0 for c in proofs)
-    # one decision per cancelled pair, and nothing else
+    # one decision per distinct splitting of an arity, charged to the level
+    # that first reaches it, and nothing else
     assert len(relations) == 4
-    for check_id, c in relations.items():
-        assert c["runtime_s"] == c["detail"]["pairs"], check_id
+    spectrum = spectrum_closure([1], 2)
+    for k in (1, 2):
+        splittings = {payload[0] if kind == prover.PUSH_D else (payload[0], payload[3])
+                      for energy in spectrum.levels() if k > 1 or energy
+                      for kind, payload in prover.expand_relation(k, energy, spectrum)}
+        charged = [c["runtime_s"] for check_id, c in relations.items()
+                   if check_id.startswith(f"relation-cancellation:k={k}:")]
+        assert len(charged) == 2 and sum(charged) == len(splittings), k
     assert sum(c["runtime_s"] for c in checks) == clock[0]
 
 
@@ -531,15 +559,29 @@ def ext2_with(path, value):
      "repeated generator 'e1'", "$.spaces[0].basis[2].gen"),
     (("operations", 1, "values", 1, "inputs"), [["ext", "1"], ["ext", "1"]],
      'repeated inputs [["ext", "1"], ["ext", "1"]]', "$.operations[1].values[1].inputs"),
+    (("spaces", 0, "basis", 1, "degree"), 1.5, "expected an integer, got 1.5",
+     "$.spaces[0].basis[1].degree"),
+    (("spaces", 0, "basis", 1, "degree"), "1", "expected an integer, got '1'",
+     "$.spaces[0].basis[1].degree"),
+    (("operations", 1, "k"), 2.5, "expected an integer, got 2.5", "$.operations[1].k"),
+    (("components", 0, "dimension"), 2.9, "expected an integer, got 2.9",
+     "$.components[0].dimension"),
+    (("components", 0, "maslov_parity"), True, "expected an integer, got True",
+     "$.components[0].maslov_parity"),
+    (("components", 0, "maslov_parity"), 2, "maslov_parity must be 0 or 1, got 2",
+     "$.components[0]"),
+    (("components", 0, "dimension"), -1, "dimension must be >= 0, got -1", "$.components[0]"),
 ], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
         "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity",
         "twist-not-trivialized", "repeated-component", "repeated-space", "repeated-generator",
-        "repeated-inputs"])
+        "repeated-inputs", "float-degree", "string-degree", "float-arity", "float-dimension",
+        "bool-maslov-parity", "maslov-parity-two", "negative-dimension"])
 def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(ext2_with(path, value)))
     code, out, err = run(["check-ainfty", "--file", str(file), "--k-max", "1"], capsys)
-    assert code == 2 and message in err and f"(at {at})" in err, err
+    assert code == 2 and err.startswith(f"error: {file}: ") and err.count("\n") == 1, err
+    assert message in err and f"(at {at})" in err, err
     assert "checks passed" not in out
 
 

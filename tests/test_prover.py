@@ -119,17 +119,16 @@ def test_relation_cancellation_pairs_structure():
 ], ids=["halves", "thirds"])
 def test_boundary_payloads_are_the_composition_terms(generators, cutoff):
     """One index set: the replay's boundary payloads (taken from
-    enumerate_strata), each one record with both routes, are the composition
-    double-sum terms without the node name, as multisets, for every
-    (arity, energy) relation."""
+    enumerate_strata) are the composition double-sum terms without the node
+    name, as multisets, for every (arity, energy) relation."""
     spectrum = spectrum_closure(generators, cutoff)
     comp = ComponentData("c", 0, 0)
     for k in range(1, 7):
         for energy in spectrum.levels():
             parent = ModuliDescriptor(k, BClass(energy), comp, (comp,) * k)
             expected = Counter(t[:-1] for t in composition_terms(parent, spectrum, [comp]))
-            records = expand_relation(k, energy, spectrum)
-            got = Counter(payload for (kind, payload), _, _ in records if kind == BDRY)
+            symbols = expand_relation(k, energy, spectrum)
+            got = Counter(payload for kind, payload in symbols if kind == BDRY)
             assert got == expected, (k, energy)
 
 
@@ -163,6 +162,59 @@ def test_mutation_detected_and_named():
     assert any(
         entry["term"] == (BDRY, payload) for r in bad for entry in r.residual
     )
+
+
+def test_each_splitting_is_decided_once_per_arity(monkeypatch):
+    """An ANF check decides a splitting's cancellation sum, not a symbol:
+    k = 1..5 on {0, 1/2} below 2 has 528 symbols but 70 splittings, 15 of
+    them interior (one per (k, j))."""
+    decided, interior_sums = [], []
+    anf_equivalent, insertion_sum = prover.anf_equivalent, prover._insertion_sum
+
+    def counting_anf(p, q):
+        decided.append(p)
+        return anf_equivalent(p, q)
+
+    def recording_sum(k, j):
+        interior_sums.append(insertion_sum(k, j))
+        return interior_sums[-1]
+
+    monkeypatch.setattr(prover, "anf_equivalent", counting_anf)
+    monkeypatch.setattr(prover, "_insertion_sum", recording_sum)
+    spectrum = spectrum_closure([Fraction(1, 2)], 2)
+    symbols = 0
+    for k in range(1, 6):
+        for report in prove_relation_cancellation(k, spectrum):
+            assert report.cancels, report.residual
+            symbols += len(report.pairs)
+    assert symbols == 528
+    assert len(decided) == 70
+    assert sum(any(p is q for q in interior_sums) for p in decided) == len(interior_sums) == 15
+
+
+def test_mutated_boundary_symbol_is_named_at_its_level_only():
+    """A boundary payload carries its energies, so it occurs at one level;
+    its splitting recurs at others, which still cancel."""
+    spectrum = spectrum_closure([Fraction(1, 2)], 2)
+    payload = (1, 3, Fraction(1, 2), 1, Fraction(1, 2))
+    reports = prove_relation_cancellation(3, spectrum, mutate=(BDRY, payload))
+    splitting_levels = [r.energy for r in reports for kind, p in r.pairs
+                        if kind == BDRY and (p[0], p[3]) == (1, 1)]
+    assert len(set(splitting_levels)) > 1
+    assert [(r.energy, [e["term"] for e in r.residual]) for r in reports if r.residual] == [
+        (Fraction(1), [(BDRY, payload)])
+    ]
+
+
+def test_mutated_interior_symbol_is_named_at_every_level():
+    spectrum = spectrum_closure([Fraction(1, 2)], 2)
+    reports = prove_relation_cancellation(3, spectrum, mutate=(PUSH_D, (2,)))
+    assert len(reports) == 4
+    for r in reports:
+        assert [e["term"] for e in r.residual] == [(PUSH_D, (2,))], r.energy
+        assert (PUSH_D, (1,)) in r.pairs and (PUSH_D, (3,)) in r.pairs
+    # the flipped sum is the constant 1, so its witness sets no variable
+    assert reports[0].residual[0]["witness"] == {}
 
 
 def test_k1_zero_energy_is_trivially_clean():
