@@ -18,13 +18,17 @@ drops terms missing any fiber generator, and integrates the coefficient
 over the fiber (unit intervals exactly, circles with total measure 1), in
 one pass over each monomial of the coefficient (see ``pushforward``).
 Composite projections carry the induced fiber order (outer fiber first),
-which is what makes pushforward functorial on the nose.
+which is what makes pushforward functorial on the nose.  The boundary term
+of fiberwise Stokes is endpoint evaluation, with no face map: one face form
+per interval fiber coordinate, pushed forward once (``boundary_pushforward``).
 
 Construction: the public ``Form(space, terms)`` validates its input (wedge
 letters are coordinates, in coordinate order, without repeats; coefficients
-use interval coordinates only) and ``Poly(terms)`` drops zero coefficients
-and, like ``Poly.const``, ``Poly.scale`` and ``Form.scale``, rejects one
-that is not an ``int`` or a ``Fraction`` (``novikov.exact_rational``).
+use interval coordinates only) and ``Poly(terms)`` rejects a monomial that
+is not a tuple of (name, power >= 1) pairs strictly increasing by name,
+drops zero coefficients and, like ``Poly.const``, ``Poly.scale`` and
+``Form.scale``, rejects a coefficient that is not an ``int`` or a
+``Fraction`` (``novikov.exact_rational``).
 Results this module computes from canonical inputs are built with the
 trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
 check nothing else; they are internal and never see outside input.  Spaces
@@ -37,8 +41,8 @@ Maps work the same way: ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
 assignment, including the unit-range check, while the maps this module
 derives from valid maps (``as_smooth``, ``compose_smooth``,
-``compose_projection``, the face inclusions and the restricted projections
-of ``boundary_pushforward``, and both maps of ``pullback_bundle``, which
+``compose_projection``, the restricted projections of
+``boundary_pushforward``, and both maps of ``pullback_bundle``, which
 ``fiber_product`` glues with) are built with the trusted
 ``SmoothMapModel._of`` and ``ProjectionMap._of``, which set the fields and
 check nothing.
@@ -152,6 +156,23 @@ def space(*coords: tuple[str, str]) -> CubeTorusSpace:
 Monomial = tuple[tuple[str, int], ...]  # sorted variable/power pairs
 
 
+def _is_monomial(mono) -> bool:
+    """Whether ``mono`` is a tuple of (str, int >= 1) pairs strictly
+    increasing by name."""
+    if mono.__class__ is not tuple:
+        return False
+    prev = None
+    for pair in mono:
+        if pair.__class__ is not tuple or len(pair) != 2:
+            return False
+        name, power = pair
+        if not (name.__class__ is str and power.__class__ is int and power >= 1
+                and (prev is None or prev < name)):
+            return False
+        prev = name
+    return True
+
+
 class Poly:
     """Polynomial with rational coefficients in named variables; each
     coefficient is an ``int`` or a ``Fraction``."""
@@ -161,6 +182,8 @@ class Poly:
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         clean: dict[Monomial, Rational] = {}
         for mono, c in (terms or {}).items():
+            if not _is_monomial(mono):
+                raise ValueError(f"monomial {mono!r} is not (name, power >= 1) pairs sorted by name")
             try:
                 exact_rational(c)
             except ValueError:
@@ -377,10 +400,6 @@ class Form:
         form.space = space
         form.terms = {w: p for w, p in terms.items() if p.terms}
         return form
-
-    @staticmethod
-    def zero(space: CubeTorusSpace) -> "Form":
-        return Form._of(space, {})
 
     @staticmethod
     def one(space: CubeTorusSpace) -> "Form":
@@ -864,48 +883,45 @@ def bundle_orientation_sign(p: ProjectionMap) -> int:
     return (-1) ** inversions
 
 
-def _interval_faces(
-    sp: CubeTorusSpace, name: str
-) -> tuple[CubeTorusSpace, SmoothMapModel, SmoothMapModel]:
-    """The face space of an interval coordinate, built once, with its
-    inclusions at the value-1 and the value-0 endpoint."""
-    face_space = CubeTorusSpace._of(tuple(c for c in sp.coords if c[0] != name))
-    inclusions = []
-    for value in (1, 0):
-        table: dict[str, tuple] = {}
-        for n, k in sp.coords:
-            if n == name:
-                table[n] = ("poly", Poly.const(value))
-            elif k == INTERVAL:
-                table[n] = ("poly", Poly.var(n))
-            else:
-                table[n] = ("circle", n, 1)
-        inclusions.append(SmoothMapModel._of(face_space, sp, table))
-    return face_space, *inclusions
-
-
 def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
     """Pushforward along the restriction of p to the fiber boundary.
 
     Only faces of fiber interval coordinates enter the fiberwise Stokes
     formula; base-type faces contribute nothing over interior base points.
-    The face sign is taken relative to the bundle orientation (base first,
-    fiber last): the value-1 face of the fiber coordinate at fiber-order
-    index i carries (-1)^(dim source + reldim + i), the value-0 face the
-    opposite.
+    Relative to the bundle orientation (base first, fiber last), the value-1
+    face of the fiber coordinate v at fiber-order index i carries
+    (-1)^(dim source + reldim + i), the value-0 face the opposite.  A face
+    kills dv and evaluates v at its endpoint, so the two faces together keep
+    the monomials that hold v, with v dropped (at 0 they vanish), while a
+    monomial without v cancels.  That face form is pushed forward once,
+    along the projection restricted to the face space.
     """
-    out = Form.zero(p.target)
+    out: dict[tuple[str, ...], Poly] = {}
     for i, v in enumerate(p.fiber):
         if p.source.kind(v) != INTERVAL:
             continue
-        top = (-1) ** ((p.source.dimension + p.reldim + i) % 2)
-        face_space, at_one, at_zero = _interval_faces(p.source, v)
+        face: dict[tuple[str, ...], Poly] = {}
+        for wedgekey, poly in form.terms.items():
+            if v in wedgekey:
+                continue
+            coeffs: dict[Monomial, Rational] = {}
+            for mono, c in poly.terms.items():
+                for n, (w, _) in enumerate(mono):
+                    if w == v:
+                        _accumulate(coeffs, mono[:n] + mono[n + 1:], c)
+                        break
+            if coeffs:
+                face[wedgekey] = Poly._of(coeffs)
+        if not face:
+            continue
+        face_space = CubeTorusSpace._of(tuple(c for c in p.source.coords if c[0] != v))
         restricted = ProjectionMap._of(
             face_space, p.target, dict(p.injection), tuple(x for x in p.fiber if x != v)
         )
-        for inclusion, orient in ((at_one, top), (at_zero, -top)):
-            out = out + pushforward(restricted, pullback(inclusion, form)).scale(orient)
-    return out
+        odd = (p.source.dimension + p.reldim + i) % 2
+        for w, pushed in pushforward(restricted, Form._of(face_space, face)).terms.items():
+            _accumulate(out, w, -pushed if odd else pushed)
+    return Form._of(p.target, out)
 
 
 # --- correspondences ----------------------------------------------------------

@@ -49,8 +49,11 @@ def _integer(value: Any, path: str) -> int:
 
 
 def _fraction(value: Any, path: str) -> Fraction:
+    """The rational a JSON string spells; a JSON number is refused, so that
+    no float is read."""
+    text = _expect(value, str, path)
     try:
-        return Fraction(str(value))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {value!r}: {exc}", path) from exc
 
@@ -84,8 +87,9 @@ def _generator(space: HomSpace, gen: str, path: str) -> None:
 
 
 def _novikov(value: Any, path: str) -> novikov.NovikovElement:
+    text = _expect(value, str, path)
     try:
-        return novikov.parse(str(value))
+        return novikov.parse(text)
     except novikov.NovikovParseError as exc:
         raise FormatError(f"bad coefficient {value!r}: {exc}", path) from exc
 
@@ -147,7 +151,7 @@ def structure_from_json(data: Any) -> FilteredAInfty:
         k = _integer(op.get("k"), f"{path}.k")
         if k < 0:
             raise FormatError(f"arity must be nonnegative, got {k}", f"{path}.k")
-        key = (k, _fraction(op.get("energy"), f"{path}.energy"), str(op.get("tag", "")))
+        key = (k, _fraction(op.get("energy"), f"{path}.energy"), _expect(op.get("tag", ""), str, f"{path}.tag"))
         entry = values.setdefault(key, {})
         for m, val in enumerate(_expect(op.get("values", []), list, f"{path}.values")):
             vpath = f"{path}.values[{m}]"

@@ -571,11 +571,22 @@ def ext2_with(path, value):
     (("components", 0, "maslov_parity"), 2, "maslov_parity must be 0 or 1, got 2",
      "$.components[0]"),
     (("components", 0, "dimension"), -1, "dimension must be >= 0, got -1", "$.components[0]"),
+    (("cutoff",), 1e-7, "expected a string, got 1e-07", "$.cutoff"),
+    (("spectrum_generators",), ["1", 0.5], "expected a string, got 0.5",
+     "$.spectrum_generators[1]"),
+    (("operations", 1, "energy"), 0.5, "expected a string, got 0.5", "$.operations[1].energy"),
+    (("operations", 1, "energy"), 0, "expected a string, got 0", "$.operations[1].energy"),
+    (("operations", 1, "values", 0, "output", "coeffs", "1"), 2, "expected a string, got 2",
+     "$.operations[1].values[0].output.coeffs.1"),
+    (("operations", 1, "tag"), 0, "expected a string, got 0", "$.operations[1].tag"),
+    (("operations", 1, "tag"), ["0"], "expected a string, got ['0']", "$.operations[1].tag"),
 ], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
         "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity",
         "twist-not-trivialized", "repeated-component", "repeated-space", "repeated-generator",
         "repeated-inputs", "float-degree", "string-degree", "float-arity", "float-dimension",
-        "bool-maslov-parity", "maslov-parity-two", "negative-dimension"])
+        "bool-maslov-parity", "maslov-parity-two", "negative-dimension", "number-cutoff",
+        "number-generator", "float-energy", "int-energy", "number-coefficient", "number-tag",
+        "list-tag"])
 def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(ext2_with(path, value)))

@@ -40,7 +40,6 @@ from ainfsign.geomodel import (
 )
 from ainfsign.geomodel import checks, core
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
-from ainfsign.geomodel.core import _interval_faces
 
 I_T = space(("t", "interval"))
 S_TH = space(("th", "circle"))
@@ -120,6 +119,21 @@ def test_poly_rejects_coefficients_that_are_not_exact(bad):
     assert Poly({(("t", 2),): 3}) == Poly({(("t", 2),): Fraction(3)})
 
 
+@pytest.mark.parametrize("mono", [
+    (("t", 0),),  # would differ from the constant 1
+    (("t", -1),),  # would print as t
+    (("u", 1), ("t", 1)),  # would differ from its sorted twin
+    (("t", 1), ("t", 1)),  # would differ from t^2
+    (("t", True),),
+    ("t", 1),
+    "t",
+])
+def test_poly_rejects_monomials_that_are_not_canonical(mono):
+    with pytest.raises(ValueError, match=r"monomial .* is not \(name, power >= 1\) pairs sorted by name"):
+        Poly({mono: 1})
+    assert Poly({(("t", 1), ("u", 2)): 1, (): 1}) == Poly.var("t") * Poly.var("u", 2) + Poly.const(1)
+
+
 @pytest.mark.parametrize("bad", [0.5, 0.1, "1/2", True])
 def test_scaling_and_constants_reject_numbers_that_are_not_exact(bad):
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
@@ -129,7 +143,7 @@ def test_scaling_and_constants_reject_numbers_that_are_not_exact(bad):
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
         Form(I_T, {("t",): Poly.const(1)}).scale(bad)
     with pytest.raises(ValueError, match="is not an int or a Fraction"):
-        Form.zero(I_T).scale(bad)
+        Form(I_T).scale(bad)
     assert Poly.const(3).terms == {(): 3} and Poly.var("t").scale(Fraction(1, 2)) == Poly(
         {(("t", 1),): Fraction(1, 2)})
 
@@ -1006,6 +1020,59 @@ def _assert_glued(outer, inner, j):
         _assert_derived(leg, expected)
 
 
+def _boundary_by_face_maps(p, beta):
+    """The boundary term as the face maps give it: for each interval fiber
+    coordinate v at fiber-order index i, with top = (-1)^(dim source +
+    reldim + i), top times the pushforward along the restricted projection
+    of beta pulled back to the value-1 face of v, minus the same for the
+    value-0 face; every map built by the public constructors."""
+    total = Form(p.target)
+    for i, v in enumerate(p.fiber):
+        if p.source.kind(v) != "interval":
+            continue
+        face = CubeTorusSpace(tuple(c for c in p.source.coords if c[0] != v))
+        restricted = projection(face, p.target, dict(p.injection),
+                                fiber=[x for x in p.fiber if x != v])
+        top = (-1) ** (p.source.dimension + p.reldim + i)
+        for value, sign in ((1, top), (0, -top)):
+            inclusion = smooth_map(face, p.source, {
+                n: ("poly", Poly.const(value)) if n == v
+                else ("poly", Poly.var(n)) if k == "interval" else ("circle", n, 1)
+                for n, k in p.source.coords
+            })
+            total = total + pushforward(restricted, pullback(inclusion, beta)).scale(sign)
+    return total
+
+
+def test_boundary_term_equals_pushforward_of_face_restrictions():
+    # Plain bundles list their fiber in source order; a composite lists the
+    # outer fiber first, which reorders it when an outer fiber coordinate
+    # comes after an inner one in the source.
+    rng = random.Random(37)
+    fresh = NameSource()
+    nonzero = {"plain": 0, "composite": 0, "reordered": 0, "circle-fiber": 0}
+    for _ in range(1000):
+        p = random_bundle(rng, 4, fresh, min_fiber=1)
+        keep = [n for n in p.target.names() if rng.random() < 0.5]
+        q_target = CubeTorusSpace(tuple((fresh("c"), p.target.kind(n)) for n in keep))
+        q = projection(p.target, q_target, {t[0]: s for t, s in zip(q_target.coords, keep)})
+        for bundle in (p, compose_projection(q, p)):
+            # Half the forms have the degree that leaves one fiber letter out.
+            degree = bundle.reldim - 1 if rng.random() < 0.5 else None
+            beta = random_form(rng, bundle.source, 3, degree=degree)
+            got = boundary_pushforward(bundle, beta)
+            assert got == _boundary_by_face_maps(bundle, beta), (bundle, beta)
+            _assert_canonical(got)
+            if got.is_zero():
+                continue
+            nonzero["plain" if bundle is p else "composite"] += 1
+            nonzero["reordered"] += bundle.fiber != tuple(
+                n for n in bundle.source.names() if n in bundle.fiber)
+            nonzero["circle-fiber"] += any(bundle.source.kind(x) == "circle" for x in bundle.fiber)
+    assert nonzero["plain"] >= 300 and nonzero["composite"] >= 300, nonzero
+    assert nonzero["reordered"] >= 50 and nonzero["circle-fiber"] >= 150, nonzero
+
+
 def test_derived_maps_pass_public_validation():
     rng = random.Random(31)
     fresh = NameSource()
@@ -1023,17 +1090,6 @@ def test_derived_maps_pass_public_validation():
         inner = random_smooth_map(rng, p.source, middle)
         outer = random_smooth_map(rng, middle, random_space(rng, 3, fresh, prefix="t"))
         _assert_derived(compose_smooth(outer, inner), _expected_composite_map(outer, inner))
-
-        for name in p.source.interval_names():
-            face_space, at_one, at_zero = _interval_faces(p.source, name)
-            assert face_space.coords == tuple(c for c in p.source.coords if c[0] != name)
-            _assert_space_tables(face_space)
-            for value, inclusion in ((1, at_one), (0, at_zero)):
-                _assert_derived(inclusion, smooth_map(face_space, p.source, {
-                    n: ("poly", Poly.const(value)) if n == name
-                    else ("poly", Poly.var(n)) if k == "interval" else ("circle", n, 1)
-                    for n, k in p.source.coords
-                }))
 
         f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.target)
         pulled, p_bar, f_tilde = pullback_bundle(p, f)
