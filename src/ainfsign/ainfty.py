@@ -13,6 +13,12 @@ truncates below the cutoff, so the energy filtration is enforced by
 construction.  A hom space lists each generator once, and each algebra
 preset alone decides what its generators are; a de Rham preset parses each
 key into its ``Form`` once and keeps no parse beyond itself.
+
+Energies, cutoffs and coefficients follow ``novikov``'s rule: an ``int``
+when integral, a ``Fraction`` when not.  ``OperationTable`` stores each
+key's energy in that form, so ``(1, Fraction(0), "t")`` and ``(1, 0, "t")``
+name one operation, and the algebra presets emit int coefficients; a sweep
+over integral data does no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -30,13 +35,13 @@ from .novikov import (
     GappedSpectrum,
     NovikovElement,
     Rational,
-    _frac,
+    _rational,
     spectrum_closure,
 )
 from .signs import koszul_prefix, operation_sign, shifted_degree
 from .strata import ComponentData
 
-OpKey = tuple[int, Fraction, str]  # (arity, energy, tag)
+OpKey = tuple[int, Rational, str]  # (arity, energy, tag)
 TensorKey = tuple[tuple[str, ...], tuple[str, ...]]  # (space names, generator names)
 
 
@@ -165,12 +170,18 @@ class HomSpace:
 _NO_SLOT = (None, None)
 
 
+def _normal_key(key: OpKey) -> OpKey:
+    k, energy, tag = key
+    return k, _rational(energy), tag
+
+
 @dataclass(frozen=True)
 class OperationTable:
     """Sparse multilinear operation data keyed by (arity, energy, tag).
 
     Frozen when built: ``values``, each ``values[key]`` and ``fallbacks``
-    are read-only copies of what was passed in, and the sorted keys are
+    are read-only copies of what was passed in, with each key's energy in
+    normal form (an ``int`` when integral), and the sorted keys are
     derived once, together with their index by arity and the slot index
     ``key -> (stored entry or None, fallback or None)``, so a lookup
     hashes its key once.  A stored value wins over the fallback of its
@@ -189,14 +200,16 @@ class OperationTable:
     _slots: dict[OpKey, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = {key: MappingProxyType(dict(entry)) for key, entry in self.values.items()}
+        values = {_normal_key(key): MappingProxyType(dict(entry))
+                  for key, entry in self.values.items()}
+        fallbacks = {_normal_key(key): fallback for key, fallback in self.fallbacks.items()}
         object.__setattr__(self, "values", MappingProxyType(values))
-        object.__setattr__(self, "fallbacks", MappingProxyType(dict(self.fallbacks)))
-        keys = tuple(sorted(values.keys() | self.fallbacks.keys()))
+        object.__setattr__(self, "fallbacks", MappingProxyType(fallbacks))
+        keys = tuple(sorted(values.keys() | fallbacks.keys()))
         object.__setattr__(self, "_keys", keys)
         by_arity = itertools.groupby(keys, key=lambda key: key[0])
         object.__setattr__(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
-        slots = {key: (values.get(key), self.fallbacks.get(key)) for key in keys}
+        slots = {key: (values.get(key), fallbacks.get(key)) for key in keys}
         object.__setattr__(self, "_slots", slots)
 
     def keys(self) -> tuple[OpKey, ...]:
@@ -231,14 +244,14 @@ class FilteredAInfty:
     spaces: Mapping[str, HomSpace]
     table: OperationTable
     spectrum: GappedSpectrum
-    cutoff: Fraction
+    cutoff: Rational
     _plans: dict[tuple[int, int, int], list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
-        object.__setattr__(self, "cutoff", _frac(self.cutoff))
+        object.__setattr__(self, "cutoff", _rational(self.cutoff))
         for key in self.table.keys():
             k, energy, tag = key
             if k == 0 and energy == 0 and any(
@@ -337,7 +350,7 @@ class FilteredAInfty:
         return degs, mus
 
     def _splittings(
-        self, k: int, cutoff: Fraction
+        self, k: int, cutoff: Rational
     ) -> list[tuple[OpKey, list[tuple[OpKey, tuple[NovikovElement, NovikovElement]]]]]:
         """The splittings of the arity-k relation below the cutoff: each
         inner key that has outer keys, with those outer keys and the factors
@@ -366,7 +379,7 @@ class FilteredAInfty:
     def relation_defect(self, word: Sequence[Element], cutoff: Rational | None = None) -> Element:
         """The double sum over splittings of outer-after-inner applications,
         with Koszul signs and all energy decompositions below the cutoff."""
-        cutoff = self.cutoff if cutoff is None else _frac(cutoff)
+        cutoff = self.cutoff if cutoff is None else _rational(cutoff)
         k = len(word)
         plan = self._splittings(k, cutoff)
         if not plan:
@@ -469,16 +482,16 @@ class DGAModel:
     component: ComponentData
     basis: tuple[tuple[str, int], ...]
     degree_of: Callable[[str], int]
-    differential: Callable[[str], dict[str, Fraction]]
-    product: Callable[[str, str], dict[str, Fraction]]
+    differential: Callable[[str], dict[str, Rational]]
+    product: Callable[[str, str], dict[str, Rational]]
 
 
-def _as_element(space: str, combo: Mapping[str, Fraction]) -> Element:
+def _as_element(space: str, combo: Mapping[str, Rational]) -> Element:
     return Element(space, {g: NovikovElement.monomial(c, 0) for g, c in combo.items()})
 
 
 def exterior_dga(
-    n: int, differential: Mapping[str, Mapping[str, Fraction]] | None = None
+    n: int, differential: Mapping[str, Mapping[str, Rational]] | None = None
 ) -> DGAModel:
     """Exterior algebra on n degree-1 generators ``e1..en``; basis keys are
     sorted wedges like ``e1^e3``.  An optional differential on the single
@@ -498,17 +511,17 @@ def exterior_dga(
         for sub in itertools.combinations(gens, r)
     )
 
-    def prod(k1: str, k2: str) -> dict[str, Fraction]:
+    def prod(k1: str, k2: str) -> dict[str, Rational]:
         sign, merged = geomodel.core._merge_sign(parse(k1) + parse(k2), order)
-        return {key_of(merged): Fraction(sign)} if sign else {}
+        return {key_of(merged): sign} if sign else {}
 
     gen_diff = {
-        g: {k: _frac(c) for k, c in (differential or {}).get(g, {}).items()}
+        g: {k: _rational(c) for k, c in (differential or {}).get(g, {}).items()}
     for g in gens}
 
-    def diff(key: str) -> dict[str, Fraction]:
+    def diff(key: str) -> dict[str, Rational]:
         letters = parse(key)
-        out: dict[str, Fraction] = {}
+        out: dict[str, Rational] = {}
         for i, letter in enumerate(letters):
             for dk, dc in gen_diff[letter].items():
                 # one Koszul merge of head, d(letter) and tail, and the
@@ -517,7 +530,7 @@ def exterior_dga(
                     letters[:i] + parse(dk) + letters[i + 1 :], order)
                 if sign:
                     key = key_of(merged)
-                    out[key] = out.get(key, Fraction(0)) + dc * sign * (-1) ** i
+                    out[key] = out.get(key, 0) + dc * sign * (-1) ** i
         return {k: c for k, c in out.items() if c}
 
     return DGAModel(
@@ -535,8 +548,8 @@ def exterior_dga(
 
 
 def _form_key(mono: tuple[tuple[str, int], ...], wedge_: tuple[str, ...]) -> str:
-    poly = "*".join(f"{v}^{p}" if p > 1 else v for v, p in mono) or "1"
-    return f"{poly}|{'^'.join('d' + x for x in wedge_)}"
+    poly = "*".join([f"{v}^{p}" if p > 1 else v for v, p in mono]) if mono else "1"
+    return f"{poly}|d{'^d'.join(wedge_)}" if wedge_ else poly + "|"
 
 
 def _parse_form_key(sp: geomodel.CubeTorusSpace, key: str) -> geomodel.Form:
@@ -552,15 +565,15 @@ def _parse_form_key(sp: geomodel.CubeTorusSpace, key: str) -> geomodel.Form:
     letters = tuple(x[1:] for x in wedge_part.split("^") if x)
     if _form_key(monomial, letters) != key:
         raise ValueError(f"{key!r} is not a canonical monomial form key")
-    return geomodel.Form(sp, {letters: geomodel.Poly({monomial: Fraction(1)})})
+    return geomodel.Form(sp, {letters: geomodel.Poly({monomial: 1})})
 
 
-def _form_to_combo(form: geomodel.Form) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
+def _form_to_combo(form: geomodel.Form) -> dict[str, Rational]:
+    out: dict[str, Rational] = {}
     for wedge_, poly in form.terms.items():
         for mono, c in poly.terms.items():
             key = _form_key(mono, wedge_)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -598,10 +611,10 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
             found = parsed[key] = (form, letters, mono)
         return found
 
-    def diff(key: str) -> dict[str, Fraction]:
+    def diff(key: str) -> dict[str, Rational]:
         return _form_to_combo(geomodel.exterior_derivative(parts(key)[0]))
 
-    def prod(k1: str, k2: str) -> dict[str, Fraction]:
+    def prod(k1: str, k2: str) -> dict[str, Rational]:
         _, l1, m1 = parts(k1)
         _, l2, m2 = parts(k2)
         sign, letters = geomodel.core._merge_sign(l1 + l2, sp._order)
@@ -610,7 +623,7 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
         powers = dict(m1)
         for v, p in m2:
             powers[v] = powers.get(v, 0) + p
-        return {_form_key(tuple(sorted(powers.items())), letters): Fraction(sign)}
+        return {_form_key(tuple(sorted(powers.items())), letters): sign}
 
     return DGAModel(
         space_name="deRham",
@@ -624,7 +637,7 @@ def cube_torus_dga(sp: geomodel.CubeTorusSpace, sample_poly_degree: int = 2) -> 
 
 def from_dga(
     dga: DGAModel,
-    cutoff: Rational = Fraction(1),
+    cutoff: Rational = 1,
     sign_rule: Callable[[int, int], int] | None = None,
 ) -> FilteredAInfty:
     """Embed a differential graded algebra as an energy-zero structure:
@@ -654,15 +667,15 @@ def from_dga(
 
     table = OperationTable(
         fallbacks={
-            (1, Fraction(0), "0"): diff_op,
-            (2, Fraction(0), "0"): prod_op,
+            (1, 0, "0"): diff_op,
+            (2, 0, "0"): prod_op,
         }
     )
     return FilteredAInfty(
         spaces={space.name: space},
         table=table,
         spectrum=spectrum_closure([], cutoff),
-        cutoff=_frac(cutoff),
+        cutoff=cutoff,
     )
 
 
@@ -678,7 +691,7 @@ def check_product_sign_convention(
     convention; it returns the violating pairs.
     """
     violations = []
-    key = (2, Fraction(0), "0")
+    key = (2, 0, "0")
     space = A.spaces[dga.space_name]
     mu = space.component.maslov_parity
     gens = [g for g, _ in space.basis]
@@ -711,7 +724,7 @@ def deform(
     deformations; each new piece caches its own values.  A zero b returns
     the parent itself.
     """
-    lam = _frac(lam_min)
+    lam = _rational(lam_min)
     if lam <= 0:
         raise StructureError("lam_min must be positive")
     if b.is_zero():

@@ -349,18 +349,27 @@ ONE_POLY = Poly.const(1)
 
 def _merge_sign(letters: Sequence[str], order: Mapping[str, int]) -> tuple[int, tuple[str, ...]]:
     """Sort 1-form letters by the given total order, returning the Koszul
-    sign (inversion parity) and the sorted tuple; sign 0 on repeats."""
+    sign (inversion parity) and the sorted tuple; sign 0 on repeats.  An
+    unknown letter raises ``KeyError``."""
+    n = len(letters)
+    if n < 2:
+        if n:
+            order[letters[0]]  # KeyError on an unknown letter
+        return 1, tuple(letters)
+    if n == 2:
+        a, b = letters
+        oa, ob = order[a], order[b]
+        return (1, (a, b)) if oa < ob else (-1, (b, a)) if ob < oa else (0, ())
     keyed = [order[x] for x in letters]
-    if len(set(keyed)) != len(keyed):
+    if len(set(keyed)) != n:
         return 0, ()
-    inversions = sum(
-        1
-        for i in range(len(keyed))
-        for m in range(i + 1, len(keyed))
-        if keyed[i] > keyed[m]
-    )
-    sorted_letters = tuple(x for _, x in sorted(zip(keyed, letters)))
-    return (-1) ** inversions, sorted_letters
+    inversions = 0
+    for i in range(1, n):
+        k = keyed[i]
+        for m in keyed[:i]:
+            if m > k:
+                inversions += 1
+    return -1 if inversions & 1 else 1, tuple(sorted(letters, key=order.__getitem__))
 
 
 class Form:

@@ -5,6 +5,17 @@ coefficients and non-negative rational exponents, kept in canonical form
 (strictly increasing exponents, no zero coefficients, empty sum = 0).  All
 arithmetic is exact; truncation below an energy cutoff is a ring quotient.
 
+Each exponent, coefficient and energy is an ``int`` when it is integral and
+a ``Fraction`` when it is not, never a float or a bool: every number a
+public constructor, ``monomial``, ``from_terms``, ``shift``, ``truncate``,
+``parse`` or a spectrum takes in is validated by ``exact_rational`` and
+stored in that normal form (``_rational``), and ring arithmetic on ints
+gives ints, so integral data never meets ``Fraction``.  A sum or product
+of ``Fraction`` values that lands on an integer may stay an integral
+``Fraction``; an int and the equal ``Fraction`` compare, hash and print
+alike, so which of the two holds a value never shows.  No value is ever
+divided here.
+
 Elements are frozen.  The public constructor validates canonical form;
 ring results are built by a trusted constructor that skips the check,
 because the operations produce canonical terms from canonical operands:
@@ -57,8 +68,13 @@ def exact_rational(x: Rational) -> Rational:
     raise ValueError(f"{x!r} is not an int or a Fraction")
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if x.__class__ is Fraction else Fraction(exact_rational(x))
+def _rational(x: Rational) -> Rational:
+    """``x`` in its normal form: the ``int`` when it is integral, else the
+    ``Fraction``; ``ValueError`` (from ``exact_rational``) for anything else."""
+    if x.__class__ is int:
+        return x
+    exact_rational(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -67,15 +83,18 @@ class NovikovElement:
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     increasing non-negative exponents and nonzero coefficients.  The public
-    constructor validates them; results the class computes itself from
-    canonical operands are built by the trusted :meth:`_of`.
+    constructor validates them and stores each number in normal form;
+    results the class computes itself from canonical operands are built by
+    the trusted :meth:`_of`.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    terms: tuple[tuple[Rational, Rational], ...]
 
     def __post_init__(self):
+        terms = tuple((_rational(e), _rational(c)) for e, c in self.terms)
+        object.__setattr__(self, "terms", terms)
         last = None
-        for exponent, coefficient in self.terms:
+        for exponent, coefficient in terms:
             if exponent < 0:
                 raise ValueError(f"negative exponent {exponent}")
             if coefficient == 0:
@@ -85,7 +104,7 @@ class NovikovElement:
             last = exponent
 
     @staticmethod
-    def _of(terms: tuple[tuple[Fraction, Fraction], ...]) -> "NovikovElement":
+    def _of(terms: tuple[tuple[Rational, Rational], ...]) -> "NovikovElement":
         """Trusted constructor for canonical terms this class computed."""
         element = object.__new__(NovikovElement)
         object.__setattr__(element, "terms", terms)
@@ -101,7 +120,7 @@ class NovikovElement:
 
     @staticmethod
     def monomial(coefficient: Rational, exponent: Rational) -> "NovikovElement":
-        c, e = _frac(coefficient), _frac(exponent)
+        c, e = _rational(coefficient), _rational(exponent)
         if c == 0:
             return _ZERO
         if c == 1 and e == 0:
@@ -111,10 +130,10 @@ class NovikovElement:
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Rational, Rational]]) -> "NovikovElement":
         """Build from (exponent, coefficient) pairs, merging and normalizing."""
-        acc: dict[Fraction, Fraction] = {}
+        acc: dict[Rational, Rational] = {}
         for exponent, coefficient in pairs:
-            e, c = _frac(exponent), _frac(coefficient)
-            acc[e] = acc.get(e, Fraction(0)) + c
+            e, c = _rational(exponent), _rational(coefficient)
+            acc[e] = acc.get(e, 0) + c
         return NovikovElement(
             tuple((e, c) for e, c in sorted(acc.items()) if c != 0)
         )
@@ -176,13 +195,13 @@ class NovikovElement:
 
     def shift(self, delta: Rational) -> "NovikovElement":
         """Multiply by T^delta; delta may be negative if all exponents stay >= 0."""
-        d = _frac(delta)
+        d = _rational(delta)
         terms = tuple((e + d, c) for e, c in self.terms)
         return NovikovElement(terms) if d < 0 else NovikovElement._of(terms)
 
     def truncate(self, cutoff: Rational) -> "NovikovElement":
         """Drop every term whose exponent is >= cutoff (strict-below kept)."""
-        e_max = _frac(cutoff)
+        e_max = _rational(cutoff)
         if not self.terms or self.terms[-1][0] < e_max:
             return self
         return NovikovElement._of(tuple((e, c) for e, c in self.terms if e < e_max))
@@ -209,11 +228,11 @@ class NovikovElement:
         return f"NovikovElement.parse({str(self)!r})"
 
 
-def _format_rational(x: Fraction) -> str:
+def _format_rational(x: Rational) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _format_monomial(coefficient: Fraction, exponent: Fraction) -> str:
+def _format_monomial(coefficient: Rational, exponent: Rational) -> str:
     if exponent == 0:
         return _format_rational(coefficient)
     if exponent == 1:
@@ -228,7 +247,7 @@ def _format_monomial(coefficient: Fraction, exponent: Fraction) -> str:
 
 
 _ZERO = NovikovElement(())
-_ONE = NovikovElement(((Fraction(0), Fraction(1)),))  # before any monomial()
+_ONE = NovikovElement(((0, 1),))  # before any monomial()
 T = NovikovElement.monomial(1, 1)
 
 
@@ -240,23 +259,27 @@ class GappedSpectrum:
     strictly below ``cutoff``, always including 0, in increasing order.
     """
 
-    generators: tuple[Fraction, ...]
-    cutoff: Fraction
-    closure: tuple[Fraction, ...]
-    _members: frozenset[Fraction] = field(init=False, repr=False, compare=False)
+    generators: tuple[Rational, ...]
+    cutoff: Rational
+    closure: tuple[Rational, ...]
+    _members: frozenset[Rational] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.closure))
+        set_ = object.__setattr__
+        set_(self, "generators", tuple(map(_rational, self.generators)))
+        set_(self, "cutoff", _rational(self.cutoff))
+        set_(self, "closure", tuple(map(_rational, self.closure)))
+        set_(self, "_members", frozenset(self.closure))
 
     def __contains__(self, energy: Rational) -> bool:
-        return _frac(energy) in self._members
+        return _rational(energy) in self._members
 
-    def levels(self) -> Iterator[Fraction]:
+    def levels(self) -> Iterator[Rational]:
         return iter(self.closure)
 
-    def splits(self, energy: Rational) -> list[tuple[Fraction, Fraction]]:
+    def splits(self, energy: Rational) -> list[tuple[Rational, Rational]]:
         """All ordered pairs (e1, e2) in the closure with e1 + e2 == energy."""
-        e = _frac(energy)
+        e = _rational(energy)
         return [(a, e - a) for a in self.closure if (e - a) in self._members and a <= e]
 
 
@@ -264,15 +287,15 @@ def spectrum_closure(
     generators: Iterable[Rational], cutoff: Rational
 ) -> GappedSpectrum:
     """Close a finite set of positive energies under addition below cutoff."""
-    e_max = _frac(cutoff)
+    e_max = _rational(cutoff)
     if e_max <= 0:
         raise ValueError("cutoff must be positive")
-    gens = sorted({_frac(g) for g in generators})
+    gens = sorted({_rational(g) for g in generators})
     for g in gens:
         if g <= 0:
             raise ValueError(f"generators must be positive, got {g}")
-    reached = {Fraction(0)}
-    frontier = [Fraction(0)]
+    reached = {0}
+    frontier = [0]
     while frontier:
         base = frontier.pop()
         for g in gens:
@@ -317,7 +340,7 @@ class _Scanner:
             raise NovikovParseError("expected integer", start)
         return int(self.text[start:self.pos])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Rational:
         num = self.integer()
         if self.peek() == "/":
             self.pos += 1
@@ -325,7 +348,7 @@ class _Scanner:
             if den <= 0:
                 raise NovikovParseError("denominator must be positive", self.pos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
 
 def parse(text: str) -> NovikovElement:
@@ -378,7 +401,7 @@ def _parse_factor(sc: _Scanner) -> NovikovElement:
                 exponent = sc.rational()
                 sc.expect(")")
             else:
-                exponent = Fraction(sc.integer())
+                exponent = sc.integer()
             if exponent < 0:
                 raise NovikovParseError("negative exponent", sc.pos)
             return NovikovElement.monomial(1, exponent)

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import signs
-from .novikov import GappedSpectrum, _frac
+from .novikov import GappedSpectrum, Rational, _rational
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,11 @@ class BClass:
     """A curve class surrogate: an energy plus an opaque tag, so distinct
     classes of equal energy can coexist."""
 
-    energy: Fraction
+    energy: Rational
     tag: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "energy", _frac(self.energy))
+        object.__setattr__(self, "energy", _rational(self.energy))
         if self.energy < 0:
             raise ValueError(f"energy must be >= 0, got {self.energy}")
 

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from ainfsign import ainfty, geomodel
+from ainfsign import ainfty, geomodel, novikov, structio
 from ainfsign.ainfty import (
     Element,
     FilteredAInfty,
@@ -552,3 +553,64 @@ def test_basis_words_agree_with_the_expanded_path(make):
     assert nonzero_values > 0
     # the corrupted structure compares nonzero defects, the others zero ones
     assert (nonzero_defects > 0) == (make is _wrong_rule_exterior3_d)
+
+
+# --- int arithmetic -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, threshold", [
+    (lambda: from_dga(exterior_dga(4)), 10_000),
+    (lambda: deform(interval2_structure(),
+                    Element("deRham", {"u|dv": novikov.parse("2*T")}), 1), 600),
+], ids=["exterior4", "interval2-deformed"])
+def test_relation_sweep_stays_on_ints(monkeypatch, make, threshold):
+    """On integral data every energy and every Novikov term that the sweep
+    looks up is an int, so no Fraction arithmetic runs."""
+    A = make()
+    lookup = OperationTable.lookup
+    nonzero = 0
+
+    def checked(self, key, spaces, gens):
+        nonlocal nonzero
+        value = lookup(self, key, spaces, gens)
+        assert key[1].__class__ is int, key
+        for c in value.coeffs.values():
+            assert {n.__class__ for term in c.terms for n in term} <= {int}, (key, gens, value)
+        nonzero += bool(value.coeffs)
+        return value
+
+    monkeypatch.setattr(OperationTable, "lookup", checked)
+    report = A.check_relations(3, exhaustive_threshold=threshold, sample_size=150)
+    assert report.passed and nonzero > 0
+
+
+def test_operation_keys_store_energies_in_normal_form():
+    x = Element.basis("Z", "x")
+    table = OperationTable(
+        values={(1, Fraction(0), "t"): {(("Z",), ("x",)): x},
+                (1, Fraction(1, 2), "h"): {(("Z",), ("x",)): x}},
+        fallbacks={(2, Fraction(2, 2), "f"): lambda spaces, gens: x},
+    )
+    assert [key[1].__class__ for key in table.keys()] == [int, Fraction, int]
+    assert table.lookup((1, Fraction(0), "t"), ("Z",), ("x",)) == x
+    assert table.lookup((1, 0, "t"), ("Z",), ("x",)) == x
+    assert table.lookup((2, Fraction(1), "f"), ("Z", "Z"), ("x", "x")) == x
+
+
+def test_structure_file_with_fractional_energies_round_trips(tmp_path):
+    def op(energy, tag, coeff):
+        return {"k": 1, "energy": energy, "tag": tag, "values": [
+            {"inputs": [["ext", "e1"]], "output": {"space": "ext", "coeffs": {"e1": coeff}}}]}
+
+    data = {
+        "version": 1, "cutoff": "2", "spectrum_generators": ["1/2"],
+        "components": [{"name": "ext", "dimension": 0, "maslov_parity": 0}],
+        "spaces": [{"name": "ext", "component": "ext",
+                    "basis": [{"gen": "1", "degree": 0}, {"gen": "e1", "degree": 1}]}],
+        "operations": [op("0", "d", "2"), op("1/2", "h", "1/3*T"), op("1", "one", "-1")],
+    }
+    path = tmp_path / "structure.json"
+    text = json.dumps(data, indent=1)
+    path.write_text(text)
+    A = structio.load_structure(path)
+    assert json.dumps(structio.structure_to_json(A), indent=1) == text

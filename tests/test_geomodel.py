@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -47,6 +48,24 @@ M_TT = space(("t", "interval"), ("th", "circle"))
 I_2 = space(("t1", "interval"), ("t2", "interval"))
 I2_C = space(("t1", "interval"), ("t2", "interval"), ("c", "circle"))
 POINT = CubeTorusSpace(())
+
+
+def test_merge_sign_matches_an_inversion_count():
+    """Every sequence of up to 5 letters over 6 names, repeats included."""
+    names = ["f", "b", "e", "a", "d", "c"]
+    order = {x: i for i, x in enumerate(names)}
+    for n in range(6):
+        for letters in itertools.product(names, repeat=n):
+            ranks = [order[x] for x in letters]
+            if len(set(ranks)) < n:
+                expected = (0, ())
+            else:
+                inversions = sum(ranks[i] > ranks[m] for i in range(n) for m in range(i + 1, n))
+                expected = ((-1) ** inversions, tuple(names[r] for r in sorted(ranks)))
+            assert core._merge_sign(letters, order) == expected, letters
+            assert core._merge_sign(list(letters), order) == expected, letters
+    with pytest.raises(KeyError):
+        core._merge_sign(("z",), order)
 
 
 def test_wedge_nilpotence():

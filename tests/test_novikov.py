@@ -107,7 +107,50 @@ def test_numbers_that_are_not_exact_rejected(bad):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
     assert NovikovElement.monomial(2, 1) == NovikovElement.monomial(Fraction(2), Fraction(1))
-    assert NovikovElement.monomial(2, 1).terms[0][0].__class__ is Fraction
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NovikovElement(((0.5, 1),)),
+    lambda: NovikovElement(((Fraction(1), 1.5),)),
+    lambda: NovikovElement(((True, 1),)),
+    lambda: novikov.GappedSpectrum((0.5,), 2.0, (0.0, 0.5, 1.0, 1.5)),
+], ids=["float-exponent", "float-coefficient", "bool-exponent", "float-spectrum"])
+def test_public_constructors_reject_numbers_that_are_not_exact(build):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        build()
+
+
+def _number_types(x: NovikovElement) -> set[type]:
+    return {number.__class__ for term in x.terms for number in term}
+
+
+def test_integral_numbers_are_stored_as_int():
+    """An exponent or coefficient is an ``int`` when it is integral and a
+    ``Fraction`` when it is not; ring results on ints hold only ints."""
+    assert _number_types(NovikovElement.monomial(2, 1)) == {int}
+    assert _number_types(NovikovElement.monomial(Fraction(2, 1), Fraction(4, 2))) == {int}
+    assert _number_types(NovikovElement.one()) == {int}
+    assert _number_types(NovikovElement.monomial(Fraction(1, 2), Fraction(3, 2))) == {Fraction}
+    x = NovikovElement.from_terms([(0, 1), (1, -2), (3, 5)])
+    y = NovikovElement.from_terms([(2, 3), (1, 2)])
+    results = [
+        x + y, x - y, x * y, x * T, (x * y) * (x + y), x.shift(2), (x * T).shift(-1),
+        x.truncate(2), x.truncate(Fraction(3)),
+        NovikovElement.from_terms([(1, 1), (1, 1), (Fraction(2), Fraction(4, 2))]),
+        novikov.parse("2 - 3*T^2 + (T + 1)*(T - 4)"), novikov.parse("(6/3)*T^(4/2)"),
+    ]
+    for result in results:
+        assert result and _number_types(result) == {int}, result
+    spectrum = spectrum_closure([Fraction(1)], Fraction(3))
+    assert {e.__class__ for e in (*spectrum.generators, spectrum.cutoff, *spectrum.closure)} == {int}
+
+
+def test_fraction_and_int_terms_are_the_same_element():
+    as_fraction = NovikovElement(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(-3))))
+    as_int = NovikovElement(((0, 1), (2, -3)))
+    assert as_fraction == as_int and hash(as_fraction) == hash(as_int)
+    assert str(as_fraction) == str(as_int) == "1 - 3*T^2"
+    assert _number_types(as_fraction) == {int}
 
 
 def _closure_oracle(generators, cutoff):
