@@ -10,9 +10,11 @@ owns the seeded stream, the stop at the first failure and the counts of
 trials run and of trials whose compared sides were nonzero, and each checker
 supplies only the draw and comparison of one trial.
 Instance generators keep interval-coordinate assignments inside [0, 1] by
-construction and build with the public, validating constructors; they
-count with ``rng._randbelow(n)``, whose rejection loop over
-``rng.getrandbits`` ``random_poly`` and ``random_form`` inline.  Each
+construction and build canonical terms, which they pass to the public,
+validating constructors.  They count with ``rng._randbelow(n)``, whose
+rejection loop over ``rng.getrandbits`` ``random_form``,
+``_draw_coefficients`` and ``_shuffle`` inline (``_shuffle`` makes the
+swaps of ``rng.shuffle``).  Each
 checker, and each ``random_mock_instance`` call, numbers its coordinate
 names from its own ``NameSource``, so a witness does not depend on what ran
 before it.
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import signs
+from ..novikov import _rational
 from .core import (
     CIRCLE,
     INTERVAL,
@@ -97,7 +100,7 @@ def random_space(
     return CubeTorusSpace(tuple(_random_coords(rng, fresh, prefix, n)))
 
 
-# The coefficients random_poly draws: a numerator in (-3, -2, -1, 1, 2, 3)
+# The coefficients the generators draw: a numerator in (-3, -2, -1, 1, 2, 3)
 # over a denominator in (1, 2, 3), each drawn uniformly; an integral one is
 # an int.
 _COEFFS = tuple(
@@ -105,11 +108,22 @@ _COEFFS = tuple(
 )
 
 
-def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Poly:
-    bits = rng.getrandbits
+def _shuffle(bits, x: list) -> None:
+    """``rng.shuffle(x)`` with ``bits = rng.getrandbits``: the same swaps
+    from the same draws."""
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        while (j := bits(k)) >= m:
+            pass
+        x[i], x[j] = x[j], x[i]
+
+
+def _draw_coefficients(bits, names: tuple[str, ...], max_deg: int, coeffs: dict) -> None:
+    """Add one or two random monomials in ``names``, each power at most
+    ``max_deg``, with ``_COEFFS`` coefficients to ``coeffs``."""
     powers = max_deg + 1
     width = powers.bit_length()
-    terms: dict[tuple, int | Fraction] = {}
     while (count := bits(2)) >= 2:
         pass
     for _ in range(1 + count):
@@ -119,14 +133,15 @@ def random_poly(rng: random.Random, names: tuple[str, ...], max_deg: int) -> Pol
                 pass
             if p:
                 key.append((v, p))
-        key = tuple(sorted(key))
+        key.sort()
+        key = tuple(key)
         while (a := bits(3)) >= 6:
             pass
         while (b := bits(2)) >= 3:
             pass
         c = _COEFFS[a][b]
-        terms[key] = terms[key] + c if key in terms else c
-    return Poly(terms)
+        prev = coeffs.get(key)
+        coeffs[key] = c if prev is None else _rational(prev + c)
 
 
 def random_form(
@@ -137,11 +152,11 @@ def random_form(
 ) -> Form:
     """Random form; homogeneous of the given exterior degree when requested."""
     names = sp.names()
-    n = sp.dimension
+    n = len(names)
     intervals = sp.interval_names()
     bits = rng.getrandbits
     width = (n + 1).bit_length()
-    terms: dict[tuple[str, ...], Poly] = {}
+    terms: dict[tuple[str, ...], dict] = {}
     while (count := bits(2)) >= 2:
         pass
     for _ in range(1 + count):
@@ -161,41 +176,53 @@ def random_form(
                 pass
             picked.append(pool[j])
             pool[j] = pool[m - 1]
-        letters = tuple(names[i] for i in sorted(picked))
-        poly = random_poly(rng, intervals, max_deg)
-        terms[letters] = terms[letters] + poly if letters in terms else poly
-    return Form(sp, terms)
+        picked.sort()
+        letters = tuple([names[i] for i in picked])
+        coeffs = terms.get(letters)
+        if coeffs is None:
+            coeffs = terms[letters] = {}
+        _draw_coefficients(bits, intervals, max_deg, coeffs)
+    return Form(sp, {letters: Poly(coeffs) for letters, coeffs in terms.items()})
+
+
+_HALF = Fraction(1, 2)
 
 
 def _unit_valued_poly(rng: random.Random, names: tuple[str, ...]) -> Poly:
-    """A polynomial with image inside [0, 1] on the unit cube."""
+    """A polynomial with image inside [0, 1] on the unit cube: a constant
+    0, 1/2 or 1 without variables, else v, 1 - v, v^2, v w or (v + w)/2."""
+    below = rng._randbelow
     if not names:
-        return Poly.const(Fraction(rng.randrange(0, 3), 2))
-    choice = rng.randrange(5)
-    v = rng.choice(names)
+        return Poly.const((0, _HALF, 1)[below(3)])
+    choice = below(5)
+    v = names[below(len(names))]
     if choice == 0:
         return Poly.var(v)
     if choice == 1:
-        return Poly.const(1) - Poly.var(v)
+        return Poly({(): 1, ((v, 1),): -1})
     if choice == 2:
         return Poly.var(v, 2)
+    w = names[below(len(names))]
+    if v == w:
+        return Poly.var(v, 2) if choice == 3 else Poly.var(v)
+    pair = ((v, 1), (w, 1)) if v < w else ((w, 1), (v, 1))
     if choice == 3:
-        w = rng.choice(names)
-        return Poly.var(v) * Poly.var(w)
-    w = rng.choice(names)
-    return (Poly.var(v) + Poly.var(w)).scale(Fraction(1, 2))
+        return Poly({pair: 1})
+    return Poly({pair[:1]: _HALF, pair[1:]: _HALF})
 
 
 def random_smooth_map(
     rng: random.Random, source: CubeTorusSpace, target: CubeTorusSpace
 ) -> SmoothMapModel:
-    src_circles = tuple(n for n, k in source.coords if k == CIRCLE)
+    below = rng._randbelow
+    src_circles = tuple([n for n, k in source.coords if k == CIRCLE])
+    intervals = source.interval_names()
     table: dict[str, tuple] = {}
     for name, kind in target.coords:
         if kind == INTERVAL:
-            table[name] = ("poly", _unit_valued_poly(rng, source.interval_names()))
+            table[name] = ("poly", _unit_valued_poly(rng, intervals))
         elif src_circles and rng.random() < 0.8:
-            table[name] = ("circle", rng.choice(src_circles), rng.choice([1, -1]))
+            table[name] = ("circle", src_circles[below(len(src_circles))], (1, -1)[below(2)])
         else:
             table[name] = ("const-circle",)
     return smooth_map(source, target, table)
@@ -213,15 +240,16 @@ def random_bundle(
     total = least + below(max_coords + 1 - least)
     n_fiber = min_fiber + below(total + 1 - min_fiber) if total > min_fiber else total
     coords = _random_coords(rng, fresh, "x", total)
-    rng.shuffle(coords)
+    _shuffle(rng.getrandbits, coords)
     base = list(coords)
-    rng.shuffle(base)
-    base = base[: total - n_fiber]
-    target_coords = [(fresh("b"), kind) for _, kind in base]
+    _shuffle(rng.getrandbits, base)
+    del base[total - n_fiber:]
     source = CubeTorusSpace(tuple(coords))
-    target = CubeTorusSpace(tuple(target_coords))
-    injection = {t[0]: s[0] for t, s in zip(target_coords, base)}
-    return projection(source, target, injection)
+    target = CubeTorusSpace(tuple([(fresh("b"), kind) for _, kind in base]))
+    base_names = [name for name, _ in base]
+    injection = tuple(sorted(zip(target.names(), base_names)))
+    fiber = tuple([name for name in source.names() if name not in base_names])
+    return ProjectionMap(source, target, injection, fiber)
 
 
 def _coordinate_leg(
@@ -232,7 +260,7 @@ def _coordinate_leg(
     sign +1; if ``reversing``, through v or 1 - v, or a circle with sign +1
     or -1."""
     below = rng._randbelow
-    rng.shuffle(coords)
+    _shuffle(rng.getrandbits, coords)
     target = CubeTorusSpace(tuple((fresh("i"), kind) for _, kind in coords))
     table = {}
     for (name, kind), (src, _) in zip(target.coords, coords):
@@ -252,7 +280,7 @@ def _top_form(rng: random.Random, sp: CubeTorusSpace) -> Form:
     terms = {(): _COEFFS[3 + below(3)][below(3)]}  # rows 3..5: numerators 1, 2, 3
     for _ in range(below(3)):
         key = tuple(sorted((v, p) for v in sp.interval_names() if (p := below(3))))
-        terms[key] = terms.get(key, 0) + _COEFFS[3 + below(3)][below(3)]
+        terms[key] = _rational(terms.get(key, 0) + _COEFFS[3 + below(3)][below(3)])
     poly = Poly(terms)
     return Form(sp, {sp.names(): poly if below(2) else -poly})
 
@@ -291,10 +319,10 @@ def _random_span(
     if free:
         spread += base if node is None else [c for c in base if below(2)]
     coords = base + fiber
-    rng.shuffle(coords)
+    _shuffle(rng.getrandbits, coords)
     sp = CubeTorusSpace(tuple(coords))
     fiber_names = [n for n, _ in fiber]
-    rng.shuffle(fiber_names)
+    _shuffle(rng.getrandbits, fiber_names)
     ev_out = projection(sp, out_target, copies_out, fiber_names)
     assigned = [[] for _ in range(free)]
     for c in spread:
@@ -567,8 +595,11 @@ def check_pushpull_identities(
     inner_raw = apply_correspondence(inner, xis[j - 1 : j - 1 + k_inner])
     nested = apply_correspondence(outer, xis[: j - 1] + (inner_raw,) + xis[j - 1 + k_inner :])
 
+    # glued route: the inputs pulled back once along the glued legs, wedged
+    # in leg order here and regrouped for the block-reorder route below
     glued_mock = fiber_product(outer, inner, j)
-    glued = apply_correspondence(glued_mock, xis)
+    pulled = [pullback(leg, xi) for leg, xi in zip(glued_mock.ev_in, xis)]
+    glued = pushforward(glued_mock.ev_out, wedge_all(glued_mock.space, pulled))
 
     reorder = (signs.pushpull_reorder_sign(ctx) + mutate_reorder_sign) % 2
     ok_glued = nested == glued.scale((-1) ** reorder)
@@ -583,7 +614,6 @@ def check_pushpull_identities(
     ok_insert = composite == nested.scale((-1) ** insertion)
 
     # block-reorder route: inputs regrouped (prefix, suffix, inner block)
-    pulled = [pullback(leg, xi) for leg, xi in zip(glued_mock.ev_in, xis)]
     reordered_factors = (
         pulled[: j - 1] + pulled[j - 1 + k_inner :] + pulled[j - 1 : j - 1 + k_inner]
     )

@@ -5,10 +5,11 @@ only; circle coordinates carry constants) and are stored canonically, so
 every operation -- wedge, exterior derivative, pullback along the admitted
 smooth maps, and integration along the fibers of coordinate projections --
 is exact and equality is literal.  Each coefficient is an ``int`` or a
-``Fraction``, never a float: integral values stay ``int``, and a
-``Fraction`` is made only where a division needs one, when integrating
-over a unit interval.  An int and the equal ``Fraction`` compare, hash and
-print alike, so which of the two holds a value never shows.
+``Fraction``, never a float.  Every number this module computes follows
+``novikov._rational``: an ``int`` when it is integral, else a ``Fraction``
+(a product, a sum or a division over a unit interval that comes out whole
+is stored as the ``int``).  An int and the equal ``Fraction`` compare, hash
+and print alike, so which of the two holds a value never shows.
 
 Orientation bookkeeping: a space is oriented by the wedge of its coordinate
 1-forms in listed order.  A projection is oriented base-first fiber-last;
@@ -22,30 +23,37 @@ which is what makes pushforward functorial on the nose.  The boundary term
 of fiberwise Stokes is endpoint evaluation, with no face map: one face form
 per interval fiber coordinate, pushed forward once (``boundary_pushforward``).
 
-Construction: the public ``Form(space, terms)`` validates its input (wedge
-letters are coordinates, in coordinate order, without repeats; coefficients
-use interval coordinates only) and ``Poly(terms)`` rejects a monomial that
+Construction: the public ``Form(space, terms)`` validates its input in one
+pass over each term (coefficients use interval coordinates only; wedge
+letters are coordinates, in coordinate order, without repeats) and
+``Poly(terms)`` rejects a monomial that
 is not a tuple of (name, power >= 1) pairs strictly increasing by name,
 drops zero coefficients and, like ``Poly.const``, ``Poly.scale`` and
 ``Form.scale``, rejects a coefficient that is not an ``int`` or a
 ``Fraction`` (``novikov.exact_rational``).
 Results this module computes from canonical inputs are built with the
 trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
-check nothing else; they are internal and never see outside input.  Spaces
-too: the public ``CubeTorusSpace(coords)`` rejects repeated names and
-unknown kinds, while the face spaces of ``boundary_pushforward`` and the
-pulled space of ``pullback_bundle``, derived from valid spaces, are built
-with the trusted ``CubeTorusSpace._of``, which derives the name, order,
-kind and interval tables and checks nothing.
-Maps work the same way: ``smooth_map``, ``projection`` and the public
+check nothing else; they are internal and never see outside input.
+
+Models: ``CubeTorusSpace``, ``ProjectionMap``, ``SmoothMapModel`` and
+``CorrespondenceModel`` are slotted frozen dataclasses, and each of the
+first three derives its tables once, when it is built: a space its names,
+coordinate order, kinds and interval names; a projection the target
+coordinate of each base coordinate and the bundle rank of each source
+coordinate; a smooth map its assignment table and the polynomial of each
+interval coordinate.  The kernels read those tables and rebuild nothing per
+call.  The public constructors validate in one pass over the tables they
+derive: ``CubeTorusSpace(coords)`` rejects repeated names and unknown
+kinds, and ``smooth_map``, ``projection`` and the public
 ``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
-assignment, including the unit-range check, while the maps this module
-derives from valid maps (``as_smooth``, ``compose_smooth``,
-``compose_projection``, the restricted projections of
-``boundary_pushforward``, and both maps of ``pullback_bundle``, which
-``fiber_product`` glues with) are built with the trusted
-``SmoothMapModel._of`` and ``ProjectionMap._of``, which set the fields and
-check nothing.
+assignment, including the unit-range check.  What this module derives from
+valid models -- the face spaces of ``boundary_pushforward``; the maps of
+``as_smooth``, ``compose_smooth`` and ``compose_projection``; the
+restricted projections of ``boundary_pushforward``; and the space and both
+maps of ``pullback_bundle``, which ``fiber_product`` glues with -- is built
+with the trusted ``CubeTorusSpace._of``, ``SmoothMapModel._of`` and
+``ProjectionMap._of``, which set the fields, derive the tables and check
+nothing.
 
 Correspondences: a ``CorrespondenceModel`` is a span with one output
 projection and k input legs; ``apply_correspondence`` is its pull-push, and
@@ -71,7 +79,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from ..novikov import exact_rational
+from ..novikov import _rational, exact_rational
 
 Rational = Union[int, Fraction]
 
@@ -80,23 +88,30 @@ CIRCLE = "circle"
 
 
 def _divide(c: Rational, n: int) -> Rational:
-    """c / n exactly: a ``Fraction`` even for an ``int`` c, never a float."""
-    return Fraction(c, n) if c.__class__ is int else c / n
+    """c / n exactly: an ``int`` when it is integral, else a ``Fraction``."""
+    if c.__class__ is int:
+        return c // n if c % n == 0 else Fraction(c, n)
+    return _rational(c / n)
 
 
 def _accumulate(out: dict, key, value) -> None:
-    """``out[key] += value`` with no zero default; the trusted constructors
-    drop the zeros that cancellation leaves."""
+    """``out[key] += value`` with no zero default, and an integral sum of
+    numbers stored as an ``int``; the trusted constructors drop the zeros
+    that cancellation leaves."""
     prev = out.get(key)
-    out[key] = value if prev is None else prev + value
+    if prev is not None:
+        value = prev + value
+        if value.__class__ is Fraction:
+            value = _rational(value)
+    out[key] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeTorusSpace:
     """An ordered product of unit intervals and circles."""
 
     coords: tuple[tuple[str, str], ...]  # (name, INTERVAL | CIRCLE)
-    # Derived from coords once, in __post_init__; not part of equality.
+    # Derived from coords once, when the space is built; not part of equality.
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _order: dict[str, int] = field(init=False, repr=False, compare=False)
     _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
@@ -104,19 +119,19 @@ class CubeTorusSpace:
 
     def __post_init__(self):
         names = [n for n, _ in self.coords]
-        if len(set(names)) != len(names):
+        self._derive(names)
+        if len(self._order) != len(names):
             raise ValueError(f"duplicate coordinate names in {names}")
-        for _, kind in self.coords:
-            if kind not in (INTERVAL, CIRCLE):
+        for kind in self._kinds.values():
+            if kind != INTERVAL and kind != CIRCLE:
                 raise ValueError(f"unknown coordinate kind {kind!r}")
-        self._derive(tuple(names))
 
-    def _derive(self, names: tuple[str, ...]) -> None:
+    def _derive(self, names: list[str]) -> None:
         set_ = object.__setattr__
-        set_(self, "_names", names)
+        set_(self, "_names", tuple(names))
         set_(self, "_order", {n: i for i, n in enumerate(names)})
         set_(self, "_kinds", dict(self.coords))
-        set_(self, "_intervals", tuple(n for n, kind in self.coords if kind == INTERVAL))
+        set_(self, "_intervals", tuple([n for n, kind in self.coords if kind == INTERVAL]))
 
     @staticmethod
     def _of(coords: tuple[tuple[str, str], ...]) -> "CubeTorusSpace":
@@ -124,7 +139,7 @@ class CubeTorusSpace:
         spaces: it derives the tables and checks nothing."""
         sp = object.__new__(CubeTorusSpace)
         object.__setattr__(sp, "coords", coords)
-        sp._derive(tuple(n for n, _ in coords))
+        sp._derive([n for n, _ in coords])
         return sp
 
     @property
@@ -139,9 +154,6 @@ class CubeTorusSpace:
         if kind is None:
             raise KeyError(f"no coordinate {name!r}")
         return kind
-
-    def has(self, name: str) -> bool:
-        return name in self._kinds
 
     def interval_names(self) -> tuple[str, ...]:
         return self._intervals
@@ -249,7 +261,7 @@ class Poly:
                     for v, p in m2:
                         powers[v] = powers.get(v, 0) + p
                     key = tuple(sorted(powers.items()))
-                _accumulate(out, key, c1 * c2)
+                _accumulate(out, key, _rational(c1 * c2))
         return Poly._of(out)
 
     def scale(self, c: Rational) -> "Poly":
@@ -258,7 +270,7 @@ class Poly:
             return self
         if c == -1:
             return -self
-        return Poly._of({m: c * k for m, k in self.terms.items()})
+        return Poly._of({m: _rational(c * k) for m, k in self.terms.items()})
 
     def partial(self, name: str) -> "Poly":
         # Lowering the power of one variable maps distinct monomials to
@@ -268,7 +280,7 @@ class Poly:
             for i, (v, p) in enumerate(mono):
                 if v == name:
                     lowered = ((name, p - 1),) if p > 1 else ()
-                    out[mono[:i] + lowered + mono[i + 1:]] = c if p == 1 else c * p
+                    out[mono[:i] + lowered + mono[i + 1:]] = c if p == 1 else _rational(c * p)
                     break
         return Poly._of(out)
 
@@ -302,7 +314,7 @@ class Poly:
                 elif len(base.terms) == 1:
                     (m, k), = base.terms.items()
                     if k != 1:
-                        c = c * k ** p
+                        c = _rational(c * k ** p)
                     for w, q in m:
                         exps[w] = exps.get(w, 0) + q * p
                 elif p:
@@ -313,7 +325,7 @@ class Poly:
                             power = power * base
                         powers[v, p] = power
                     spread.append(power)
-            key = tuple(sorted((w, q) for w, q in exps.items() if q))
+            key = tuple(sorted(exps.items()))
             if not spread:
                 _accumulate(out, key, c)
                 continue
@@ -387,17 +399,29 @@ class Form:
         for wedge, poly in (terms or {}).items():
             if poly.is_zero():
                 continue
-            for v in poly.variables():
-                if kinds.get(v) != INTERVAL:
-                    raise ValueError(
-                        f"coefficient uses {v!r}, not an interval coordinate of the space"
-                    )
+            for mono in poly.terms:
+                for v, _ in mono:
+                    if kinds.get(v) != INTERVAL:
+                        v = next(v for v in poly.variables() if kinds.get(v) != INTERVAL)
+                        raise ValueError(
+                            f"coefficient uses {v!r}, not an interval coordinate of the space"
+                        )
+            # One pass over the letters: each must be a coordinate, then the
+            # ranks must increase (a fall is out of order, a tie a repeat).
+            prev = -1
+            unordered = repeated = False
             for x in wedge:
-                if x not in order:
+                rank = order.get(x)
+                if rank is None:
                     raise ValueError(f"wedge letter {x!r} not a coordinate")
-            if tuple(sorted(wedge, key=order.__getitem__)) != tuple(wedge):
+                if rank < prev:
+                    unordered = True
+                elif rank == prev:
+                    repeated = True
+                prev = rank
+            if unordered:
                 raise ValueError(f"wedge {wedge} not in coordinate order")
-            if len(set(wedge)) != len(wedge):
+            if repeated:
                 raise ValueError(f"repeated letter in wedge {wedge}")
             clean[tuple(wedge)] = poly
         self.terms = clean
@@ -489,7 +513,8 @@ def wedge(a: Form, b: Form) -> Form:
                 sign, merged = _merge_sign(w1 + w2, order)
                 if sign == 0:
                     continue
-            _accumulate(out, merged, (p1 * p2).scale(sign))
+            product = p1 * p2
+            _accumulate(out, merged, product if sign == 1 else -product)
     return Form._of(a.space, out)
 
 
@@ -526,7 +551,7 @@ CircleAssignment = tuple[str, str, int]  # ("circle", source name, +1/-1)
 ConstCircle = tuple[str]  # ("const-circle",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmoothMapModel:
     """A map between cube-torus spaces given coordinatewise.
 
@@ -539,47 +564,60 @@ class SmoothMapModel:
     source: CubeTorusSpace
     target: CubeTorusSpace
     assignments: tuple[tuple[str, tuple], ...]  # (target coord, assignment)
+    # Derived from the assignments once, when the map is built: the
+    # assignment of each target coordinate, and the polynomial of each
+    # interval one (what pullback and composition substitute).
+    _table: dict[str, tuple] = field(init=False, repr=False, compare=False)
+    _subs: dict[str, Poly] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = dict(self.assignments)
-        if set(table) != set(self.target.names()):
+        kinds = self.target._kinds
+        if table.keys() != kinds.keys():
             raise ValueError("assignments must cover exactly the target coordinates")
+        source_kinds = self.source._kinds
         for name, assignment in table.items():
-            kind = self.target.kind(name)
-            if kind == INTERVAL:
+            if kinds[name] == INTERVAL:
                 if assignment[0] != "poly":
                     raise ValueError(f"interval coordinate {name!r} needs a polynomial")
                 poly: Poly = assignment[1]
-                unknown = poly.variables() - set(self.source.interval_names())
-                if unknown:
-                    raise ValueError(f"assignment for {name!r} uses {sorted(unknown)}")
-                _check_unit_range(poly, self.source, name)
+                for mono in poly.terms:
+                    for v, _ in mono:
+                        if source_kinds.get(v) != INTERVAL:
+                            unknown = poly.variables() - set(self.source._intervals)
+                            raise ValueError(f"assignment for {name!r} uses {sorted(unknown)}")
+                _check_unit_range(poly, name)
             elif assignment[0] == "circle":
                 _, src, sign = assignment
-                if not self.source.has(src) or self.source.kind(src) != CIRCLE:
+                if source_kinds.get(src) != CIRCLE:
                     raise ValueError(f"{src!r} is not a source circle coordinate")
                 if sign not in (1, -1):
                     raise ValueError("circle orientation sign must be +1 or -1")
             elif assignment[0] != "const-circle":
                 raise ValueError(f"bad assignment for circle coordinate {name!r}")
+        self._derive(table)
+
+    def _derive(self, table: dict[str, tuple]) -> None:
+        set_ = object.__setattr__
+        set_(self, "_table", table)
+        set_(self, "_subs", {n: a[1] for n, a in table.items() if a[0] == "poly"})
 
     @staticmethod
     def _of(
-        source: CubeTorusSpace, target: CubeTorusSpace, table: Mapping[str, tuple]
+        source: CubeTorusSpace, target: CubeTorusSpace, table: dict[str, tuple]
     ) -> "SmoothMapModel":
-        """Trusted constructor for maps this module derives from valid maps."""
+        """Trusted constructor for maps this module derives from valid maps:
+        it sets the fields, derives the tables and checks nothing."""
         smap = object.__new__(SmoothMapModel)
         set_ = object.__setattr__
         set_(smap, "source", source)
         set_(smap, "target", target)
         set_(smap, "assignments", tuple(sorted(table.items())))
+        smap._derive(table)
         return smap
 
-    def table(self) -> dict[str, tuple]:
-        return dict(self.assignments)
 
-
-def _check_unit_range(poly: Poly, source: CubeTorusSpace, name: str):
+def _check_unit_range(poly: Poly, name: str):
     """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars, over
     the variables the polynomial uses (3**len(vars) points).
 
@@ -629,12 +667,8 @@ def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapMod
     """outer after inner (inner.source -> outer.target)."""
     if inner.target != outer.source:
         raise ValueError("maps do not compose")
-    inner_table = inner.table()
-    subs = {
-        name: assignment[1]
-        for name, assignment in inner_table.items()
-        if assignment[0] == "poly"
-    }
+    inner_table = inner._table
+    subs = inner._subs
     table: dict[str, tuple] = {}
     for name, assignment in outer.assignments:
         if assignment[0] == "poly":
@@ -651,7 +685,7 @@ def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapMod
     return SmoothMapModel._of(inner.source, outer.target, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionMap:
     """A coordinate projection, oriented base-first fiber-last.
 
@@ -665,22 +699,43 @@ class ProjectionMap:
     target: CubeTorusSpace
     injection: tuple[tuple[str, str], ...]  # (target coord, source coord)
     fiber: tuple[str, ...]
+    # Derived once, when the projection is built: the target coordinate of
+    # each base coordinate, and the bundle rank of each source coordinate
+    # (a base coordinate its target's position, a fiber coordinate the base
+    # dimension plus its position in the fiber order).
+    _to_target: dict[str, str] = field(init=False, repr=False, compare=False)
+    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = dict(self.injection)
-        if set(table) != set(self.target.names()):
+        target_kinds = self.target._kinds
+        if table.keys() != target_kinds.keys():
             raise ValueError("injection must cover exactly the target coordinates")
-        used = list(table.values())
-        if len(set(used)) != len(used):
+        to_target = {s: t for t, s in table.items()}
+        if len(to_target) != len(table):
             raise ValueError("injection is not injective")
+        source_kinds = self.source._kinds
         for tname, sname in table.items():
-            if not self.source.has(sname):
+            kind = source_kinds.get(sname)
+            if kind is None:
                 raise KeyError(f"no source coordinate {sname!r}")
-            if self.source.kind(sname) != self.target.kind(tname):
+            if kind != target_kinds[tname]:
                 raise ValueError(f"injection {tname!r}->{sname!r} changes coordinate kind")
-        expected_fiber = set(self.source.names()) - set(used)
-        if set(self.fiber) != expected_fiber or len(self.fiber) != len(expected_fiber):
+        rank = self._derive(to_target)
+        # The ranks cover the source exactly when the fiber repeats no name,
+        # lists no base coordinate and misses none.
+        if len(rank) != len(table) + len(self.fiber) or rank.keys() != source_kinds.keys():
             raise ValueError("fiber must list exactly the non-base source coordinates")
+
+    def _derive(self, to_target: dict[str, str]) -> dict[str, int]:
+        target_order = self.target._order
+        rank = {s: target_order[t] for s, t in to_target.items()}
+        for i, v in enumerate(self.fiber, len(rank)):
+            rank[v] = i
+        set_ = object.__setattr__
+        set_(self, "_to_target", to_target)
+        set_(self, "_rank", rank)
+        return rank
 
     @staticmethod
     def _of(
@@ -690,13 +745,14 @@ class ProjectionMap:
         fiber: tuple[str, ...],
     ) -> "ProjectionMap":
         """Trusted constructor for projections this module derives from valid
-        maps."""
+        maps: it sets the fields, derives the tables and checks nothing."""
         proj = object.__new__(ProjectionMap)
         set_ = object.__setattr__
         set_(proj, "source", source)
         set_(proj, "target", target)
         set_(proj, "injection", tuple(sorted(injection.items())))
         set_(proj, "fiber", fiber)
+        proj._derive({s: t for t, s in injection.items()})
         return proj
 
     @property
@@ -704,12 +760,11 @@ class ProjectionMap:
         return len(self.fiber)
 
     def as_smooth(self) -> SmoothMapModel:
-        table: dict[str, tuple] = {}
-        for tname, sname in self.injection:
-            if self.target.kind(tname) == INTERVAL:
-                table[tname] = ("poly", Poly.var(sname))
-            else:
-                table[tname] = ("circle", sname, 1)
+        kinds = self.target._kinds
+        table = {
+            tname: ("poly", Poly.var(sname)) if kinds[tname] == INTERVAL else ("circle", sname, 1)
+            for tname, sname in self.injection
+        }
         return SmoothMapModel._of(self.source, self.target, table)
 
 
@@ -721,7 +776,7 @@ def projection(
 ) -> ProjectionMap:
     if fiber is None:
         used = set(injection.values())
-        fiber = tuple(n for n in source.names() if n not in used)
+        fiber = [n for n in source.names() if n not in used]
     return ProjectionMap(source, target, tuple(sorted(injection.items())), tuple(fiber))
 
 
@@ -749,12 +804,8 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
     and one merge, and no polynomial product."""
     if form.space != f.target:
         raise ValueError("form does not live on the map's target")
-    table = f.table()
-    subs = {
-        name: assignment[1]
-        for name, assignment in table.items()
-        if assignment[0] == "poly"
-    }
+    table = f._table
+    subs = f._subs
     order = f.source._order
     pulled: dict[str, list] = {}  # pairs of each target 1-form, made once
     out: dict[tuple[str, ...], Poly] = {}
@@ -771,7 +822,7 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
             coeff = poly.subst(subs)
             for choice in itertools.product(*factors):
                 if len(choice) < 2:
-                    sign, merged = 1, tuple(x for x, _ in choice)
+                    sign, merged = 1, (choice[0][0],) if choice else ()
                 else:
                     sign, merged = _merge_sign([x for x, _ in choice], order)
                     if not sign:
@@ -806,9 +857,10 @@ def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> list[tuple[str, i
 def pushforward(p: ProjectionMap, form: Form) -> Form:
     """Integration along the fibers of a coordinate projection.
 
-    Each source letter has one bundle rank: a base letter its target
-    coordinate's position, a fiber letter the base dimension plus its
-    position in the fiber order.  A term survives when its wedge holds every
+    Each source letter has one bundle rank, which the projection derived
+    when it was built: a base letter its target coordinate's position, a
+    fiber letter the base dimension plus its position in the fiber order.
+    A term survives when its wedge holds every
     fiber letter; its Koszul sign is the inversion parity of its ranks, and
     one pass over each monomial of its coefficient divides out the powers of
     the interval fiber variables (the integral over [0, 1]; a circle fiber
@@ -819,11 +871,8 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
     target_names = p.target._names
     n_base = len(target_names)
     n_fiber = len(p.fiber)
-    target_order = p.target._order
-    to_target = {s: t for t, s in p.injection}
-    rank = {s: target_order[t] for s, t in to_target.items()}
-    for i, v in enumerate(p.fiber):
-        rank[v] = n_base + i
+    to_target = p._to_target
+    rank = p._rank
     out: dict[tuple[str, ...], dict[Monomial, Rational]] = {}
     for wedgekey, poly in form.terms.items():
         n = len(wedgekey)
@@ -858,11 +907,11 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
     return Form._of(p.target, {w: Poly._of(coeffs) for w, coeffs in out.items()})
 
 
-def integrate(form: Form) -> Fraction:
+def integrate(form: Form) -> Rational:
     """Integral of the top-degree part over the listed orientation."""
     sp = form.space
     full = sp.names()
-    total = Fraction(0)
+    total = 0
     for wedgekey, poly in form.terms.items():
         if tuple(wedgekey) != full:
             continue
@@ -870,19 +919,13 @@ def integrate(form: Form) -> Fraction:
         for v in sp.interval_names():
             acc = acc.integrate_unit(v)
         total += acc.constant_value()
-    return total
+    return _rational(total)
 
 
 def bundle_orientation_sign(p: ProjectionMap) -> int:
     """Sign between the source's listed orientation and the bundle
     orientation (base in target order, then fiber in fiber order)."""
-    target_order = {n: i for i, n in enumerate(p.target.names())}
-    fiber_rank = {name: i for i, name in enumerate(p.fiber)}
-    src_to_target = {s: t for t, s in p.injection}
-    ranks = [
-        (0, target_order[src_to_target[x]]) if x in src_to_target else (1, fiber_rank[x])
-        for x in p.source.names()
-    ]
+    ranks = [p._rank[x] for x in p.source.names()]
     inversions = sum(
         1
         for i in range(len(ranks))
@@ -936,7 +979,7 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
 # --- correspondences ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrespondenceModel:
     """A span with one output projection and k input legs, acting on k forms
     by pull-push: pull each input back along its leg, wedge them in leg
@@ -1027,7 +1070,7 @@ def pullback_bundle(
         {n: n for n in f.source.names()},
         tuple(fiber_names[n] for n in p.fiber),
     )
-    f_table = f.table()
+    f_table = f._table
     table = {sname: f_table[tname] for tname, sname in p.injection}
     for name in p.fiber:
         fresh = fiber_names[name]

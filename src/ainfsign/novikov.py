@@ -256,7 +256,9 @@ class GappedSpectrum:
     """A finite additively closed set of energies below a cutoff.
 
     ``closure`` holds every sum of generators (with repetition) that stays
-    strictly below ``cutoff``, always including 0, in increasing order.
+    strictly below ``cutoff``, always including 0, in increasing order; the
+    constructor rejects any other closure, and a cutoff or generator that is
+    not positive.
     """
 
     generators: tuple[Rational, ...]
@@ -269,6 +271,12 @@ class GappedSpectrum:
         set_(self, "generators", tuple(map(_rational, self.generators)))
         set_(self, "cutoff", _rational(self.cutoff))
         set_(self, "closure", tuple(map(_rational, self.closure)))
+        expected = _closure_below(self.generators, self.cutoff)
+        if self.closure != expected:
+            got, want, gens = (", ".join(map(str, xs)) for xs in (self.closure, expected, self.generators))
+            raise ValueError(
+                f"closure ({got}) is not ({want}), the additive closure of ({gens}) below {self.cutoff}"
+            )
         set_(self, "_members", frozenset(self.closure))
 
     def __contains__(self, energy: Rational) -> bool:
@@ -290,20 +298,29 @@ def spectrum_closure(
     e_max = _rational(cutoff)
     if e_max <= 0:
         raise ValueError("cutoff must be positive")
-    gens = sorted({_rational(g) for g in generators})
-    for g in gens:
+    gens = tuple(sorted({_rational(g) for g in generators}))
+    return GappedSpectrum(gens, e_max, _closure_below(gens, e_max))
+
+
+def _closure_below(generators: tuple[Rational, ...], cutoff: Rational) -> tuple[Rational, ...]:
+    """Every sum of generators (with repetition) strictly below ``cutoff``,
+    0 included, in increasing order; ``ValueError`` unless the cutoff and
+    every generator are positive."""
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    for g in generators:
         if g <= 0:
             raise ValueError(f"generators must be positive, got {g}")
     reached = {0}
     frontier = [0]
     while frontier:
         base = frontier.pop()
-        for g in gens:
+        for g in generators:
             e = base + g
-            if e < e_max and e not in reached:
+            if e < cutoff and e not in reached:
                 reached.add(e)
                 frontier.append(e)
-    return GappedSpectrum(tuple(gens), e_max, tuple(sorted(reached)))
+    return tuple(sorted(reached))
 
 
 # --- parser -----------------------------------------------------------------

@@ -854,7 +854,7 @@ def _random_coordinate_map(rng, fresh):
 def _pullback_by_wedges(f, form):
     """Pullback term by term: the substituted coefficient wedged with the
     pulled 1-form of each letter in turn."""
-    table = f.table()
+    table = dict(f.assignments)
     subs = {n: a[1] for n, a in table.items() if a[0] == "poly"}
     out = Form(f.source)
     for letters, poly in form.terms.items():
@@ -891,7 +891,7 @@ def test_coordinate_pullback_agrees_with_wedge_route():
         order = f.source._order
         for letters in form.terms:
             pulled = [a[1] if a[0] == "circle" else next(iter(a[1].variables()), None)
-                      for a in (f.table()[x] for x in letters) if a[0] != "const-circle"]
+                      for a in (dict(f.assignments)[x] for x in letters) if a[0] != "const-circle"]
             if len(pulled) == len(letters) and None not in pulled and len(set(pulled)) == len(pulled):
                 keys = [order[x] for x in pulled]
                 seen["odd merge"] += sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:]) % 2
@@ -899,9 +899,10 @@ def test_coordinate_pullback_agrees_with_wedge_route():
 
 
 def _assert_exact(poly):
-    """Every coefficient is an int or a Fraction: never a float, and never a
-    bool or another number type."""
-    assert all(c.__class__ in (int, Fraction) for c in poly.terms.values()), poly.terms
+    """Every coefficient is an int or a Fraction: never a float, never a
+    bool or another number type, and an int whenever it is integral."""
+    assert all(c.__class__ is int or c.__class__ is Fraction and c.denominator != 1
+               for c in poly.terms.values()), poly.terms
 
 
 def _assert_canonical(form):
@@ -980,7 +981,7 @@ def _expected_composite_projection(outer, inner):
 
 
 def _expected_composite_map(outer, inner):
-    inner_table = inner.table()
+    inner_table = dict(inner.assignments)
     polys = {n: a[1] for n, a in inner_table.items() if a[0] == "poly"}
     table = {}
     for name, a in outer.assignments:
@@ -1001,7 +1002,7 @@ def _expected_pullback_bundle(p, f, pulled):
     assert pulled.coords[:f.source.dimension] == f.source.coords
     assert [pulled.kind(n) for n in fresh] == [p.source.kind(n) for n in p.fiber]
     p_bar = projection(pulled, f.source, {n: n for n in f.source.names()}, fiber=fresh)
-    table = {s: f.table()[t] for t, s in p.injection}
+    table = {s: dict(f.assignments)[t] for t, s in p.injection}
     for old, new in zip(p.fiber, fresh):
         table[old] = ("poly", Poly.var(new)) if pulled.kind(new) == "interval" else ("circle", new, 1)
     return p_bar, smooth_map(pulled, p.source, table)
@@ -1017,8 +1018,14 @@ def _assert_space_tables(sp):
 
 
 def _assert_derived(got, expected):
-    assert _public_copy(got) == got
+    """A map the kernel derived without validating it passes the public
+    constructor, which derives the same tables from it."""
+    public = _public_copy(got)
+    assert public == got
     assert got == expected
+    tables = ("_to_target", "_rank") if isinstance(got, ProjectionMap) else ("_table", "_subs")
+    for name in tables:
+        assert getattr(got, name) == getattr(public, name), name
 
 
 def _assert_glued(outer, inner, j):

@@ -183,6 +183,25 @@ def test_spectrum_closure_two_generators():
     ]
 
 
+@pytest.mark.parametrize("generators, cutoff, closure, message", [
+    ((Fraction(1, 2),), 1, (0,), r"closure \(0\) is not \(0, 1/2\), the additive closure of \(1/2\) below 1"),
+    ((1,), 2, (0, 5, 3), r"closure \(0, 5, 3\) is not \(0, 1\), the additive closure of \(1\) below 2"),
+    ((1,), 3, (0, 2, 1), r"closure \(0, 2, 1\) is not \(0, 1, 2\)"),
+    ((-1,), 2, (0,), "generators must be positive, got -1"),
+    ((1,), 0, (0,), "cutoff must be positive"),
+], ids=["missing-member", "above-cutoff", "unsorted", "negative-generator", "zero-cutoff"])
+def test_spectrum_rejects_a_closure_that_is_not_its_own(generators, cutoff, closure, message):
+    with pytest.raises(ValueError, match=message):
+        novikov.GappedSpectrum(generators, cutoff, closure)
+
+
+def test_spectrum_accepts_the_closure_spectrum_closure_builds():
+    for gens, cutoff in (([], 1), ([Fraction(1, 2)], 2), ([1, Fraction(3, 2)], 3), ([Fraction(2, 3), 1], 5)):
+        spec = spectrum_closure(gens, cutoff)
+        assert novikov.GappedSpectrum(spec.generators, spec.cutoff, spec.closure) == spec
+    assert Fraction(1, 2) in spectrum_closure([Fraction(1, 2)], 1)
+
+
 def test_spectrum_closure_matches_oracle():
     rng = random.Random(42)
     for _ in range(25):
