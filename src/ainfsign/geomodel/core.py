@@ -23,37 +23,32 @@ which is what makes pushforward functorial on the nose.  The boundary term
 of fiberwise Stokes is endpoint evaluation, with no face map: one face form
 per interval fiber coordinate, pushed forward once (``boundary_pushforward``).
 
-Construction: the public ``Form(space, terms)`` validates its input in one
-pass over each term (coefficients use interval coordinates only; wedge
-letters are coordinates, in coordinate order, without repeats) and
-``Poly(terms)`` rejects a monomial that
-is not a tuple of (name, power >= 1) pairs strictly increasing by name,
-drops zero coefficients and, like ``Poly.const``, ``Poly.scale`` and
-``Form.scale``, rejects a coefficient that is not an ``int`` or a
-``Fraction`` (``novikov.exact_rational``).
-Results this module computes from canonical inputs are built with the
-trusted ``Form._of`` and ``Poly._of``, which only drop zero coefficients and
-check nothing else; they are internal and never see outside input.
+Construction: the public ``Form(space, terms)`` validates every term, a
+zero one included (coefficients use interval coordinates only, naming the
+smallest other variable; wedge letters are coordinates, in coordinate
+order, without repeats), and ``Poly(terms)`` rejects a monomial that is not
+a tuple of (name, power >= 1) pairs strictly increasing by name, drops zero
+coefficients, stores each as ``novikov._rational`` does and, like
+``Poly.const``, ``Poly.scale`` and ``Form.scale``, rejects a coefficient
+that is not an ``int`` or a ``Fraction`` (``novikov.exact_rational``).
+Results computed here use the trusted ``Form._of`` and ``Poly._of``, which
+adopt the dict they are handed (copying it only to drop a zero) and check
+nothing; no kernel hands them a dict an input holds.  ``wedge``,
+``pullback``, ``Poly.__mul__`` and ``Poly.subst`` accumulate into one
+monomial dict per output wedge (``_mul_into``, ``_subst_into``), so each
+result coefficient is built once.
 
 Models: ``CubeTorusSpace``, ``ProjectionMap``, ``SmoothMapModel`` and
-``CorrespondenceModel`` are slotted frozen dataclasses, and each of the
-first three derives its tables once, when it is built: a space its names,
-coordinate order, kinds and interval names; a projection the target
-coordinate of each base coordinate and the bundle rank of each source
-coordinate; a smooth map its assignment table and the polynomial of each
-interval coordinate.  The kernels read those tables and rebuild nothing per
-call.  The public constructors validate in one pass over the tables they
-derive: ``CubeTorusSpace(coords)`` rejects repeated names and unknown
-kinds, and ``smooth_map``, ``projection`` and the public
-``SmoothMapModel(...)`` and ``ProjectionMap(...)`` validate every
-assignment, including the unit-range check.  What this module derives from
-valid models -- the face spaces of ``boundary_pushforward``; the maps of
-``as_smooth``, ``compose_smooth`` and ``compose_projection``; the
-restricted projections of ``boundary_pushforward``; and the space and both
-maps of ``pullback_bundle``, which ``fiber_product`` glues with -- is built
-with the trusted ``CubeTorusSpace._of``, ``SmoothMapModel._of`` and
-``ProjectionMap._of``, which set the fields, derive the tables and check
-nothing.
+``CorrespondenceModel`` are slotted frozen dataclasses; each of the first
+three is built in one ``__init__`` that validates and derives its tables
+(a space its names, order, kinds and intervals; a projection each base
+coordinate's target and each source coordinate's bundle rank; a smooth map
+its assignment table and interval polynomials), which the kernels read.
+``smooth_map``, ``projection`` and the public constructors validate every
+assignment, including the unit-range check.  Derived spaces and
+projections use the public constructors too; derived smooth maps
+(``as_smooth``, ``compose_smooth``, ``pullback_bundle``) use the trusted
+``SmoothMapModel._of``, which derives the tables and checks nothing.
 
 Correspondences: a ``CorrespondenceModel`` is a span with one output
 projection and k input legs; ``apply_correspondence`` is its pull-push, and
@@ -106,9 +101,75 @@ def _accumulate(out: dict, key, value) -> None:
     out[key] = value
 
 
-@dataclass(frozen=True, slots=True)
+def _mul_into(out: dict, a: Mapping, b: Mapping, sign: int = 1) -> dict:
+    """Accumulate ``sign`` (+1 or -1) times the product of the polynomials
+    with terms ``a`` and ``b`` into ``out``; return ``out``."""
+    for m1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in b.items():
+            if not m1:
+                key = m2
+            elif not m2:
+                key = m1
+            else:
+                powers: dict[str, int] = dict(m1)
+                for v, p in m2:
+                    powers[v] = powers.get(v, 0) + p
+                key = tuple(sorted(powers.items()))
+            prev = out.get(key)
+            c = c1 * c2 if prev is None else prev + c1 * c2
+            out[key] = c if c.__class__ is int else _rational(c)
+    return out
+
+
+def _subst_into(out: dict, terms: Mapping, replacements: Mapping[str, "Poly"], sign: int = 1) -> dict:
+    """Accumulate ``sign`` (+1 or -1) times the polynomial with ``terms``,
+    the replacements substituted, into ``out``; return ``out``.  A one-term
+    replacement is folded into coefficient and exponents; only replacements
+    of several terms are multiplied out, each power once per call."""
+    powers: dict[tuple[str, int], Mapping] = {}
+    for mono, c in terms.items():
+        if sign < 0:
+            c = -c
+        exps: dict[str, int] = {}
+        spread = []  # powers of several-term replacements
+        for v, p in mono:
+            base = replacements.get(v)
+            if base is None:
+                exps[v] = exps.get(v, 0) + p
+            elif len(base.terms) == 1:
+                (m, k), = base.terms.items()
+                if k != 1:
+                    c *= k ** p
+                for w, q in m:
+                    exps[w] = exps.get(w, 0) + q * p
+            else:
+                power = powers.get((v, p))
+                if power is None:
+                    power = base.terms
+                    for _ in range(p - 1):
+                        power = _mul_into({}, power, base.terms)
+                    powers[v, p] = power
+                spread.append(power)
+        key = tuple(sorted(exps.items()))
+        if spread:
+            piece = {key: c}
+            for power in spread[:-1]:
+                piece = _mul_into({}, piece, power)
+            _mul_into(out, piece, spread[-1])
+        else:
+            prev = out.get(key)
+            if prev is not None:
+                c += prev
+            out[key] = c if c.__class__ is int else _rational(c)
+    return out
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CubeTorusSpace:
-    """An ordered product of unit intervals and circles."""
+    """An ordered product of unit intervals and circles; equality and hash
+    are those of ``coords``, checked after identity."""
 
     coords: tuple[tuple[str, str], ...]  # (name, INTERVAL | CIRCLE)
     # Derived from coords once, when the space is built; not part of equality.
@@ -117,30 +178,24 @@ class CubeTorusSpace:
     _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
     _intervals: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        names = [n for n, _ in self.coords]
-        self._derive(names)
-        if len(self._order) != len(names):
+    def __init__(self, coords: tuple[tuple[str, str], ...]):
+        names = [n for n, _ in coords]
+        order = {n: i for i, n in enumerate(names)}
+        if len(order) != len(names):
             raise ValueError(f"duplicate coordinate names in {names}")
-        for kind in self._kinds.values():
+        kinds = dict(coords)
+        for kind in kinds.values():
             if kind != INTERVAL and kind != CIRCLE:
                 raise ValueError(f"unknown coordinate kind {kind!r}")
-
-    def _derive(self, names: list[str]) -> None:
         set_ = object.__setattr__
+        set_(self, "coords", coords)
         set_(self, "_names", tuple(names))
-        set_(self, "_order", {n: i for i, n in enumerate(names)})
-        set_(self, "_kinds", dict(self.coords))
-        set_(self, "_intervals", tuple([n for n, kind in self.coords if kind == INTERVAL]))
+        set_(self, "_order", order)
+        set_(self, "_kinds", kinds)
+        set_(self, "_intervals", tuple([n for n, kind in coords if kind == INTERVAL]))
 
-    @staticmethod
-    def _of(coords: tuple[tuple[str, str], ...]) -> "CubeTorusSpace":
-        """Trusted constructor for spaces this module derives from valid
-        spaces: it derives the tables and checks nothing."""
-        sp = object.__new__(CubeTorusSpace)
-        object.__setattr__(sp, "coords", coords)
-        sp._derive([n for n, _ in coords])
-        return sp
+    def __eq__(self, other) -> bool:
+        return self is other or other.__class__ is CubeTorusSpace and self.coords == other.coords
 
     @property
     def dimension(self) -> int:
@@ -197,7 +252,7 @@ class Poly:
             if not _is_monomial(mono):
                 raise ValueError(f"monomial {mono!r} is not (name, power >= 1) pairs sorted by name")
             try:
-                exact_rational(c)
+                c = _rational(c)
             except ValueError:
                 raise ValueError(
                     f"coefficient {c!r} of monomial {mono} is not an int or a Fraction"
@@ -207,10 +262,11 @@ class Poly:
         self.terms = clean
 
     @staticmethod
-    def _of(terms: Mapping[Monomial, Rational]) -> "Poly":
-        """Trusted constructor for canonical terms this module computed."""
+    def _of(terms: dict[Monomial, Rational]) -> "Poly":
+        """Trusted constructor for canonical terms this module computed; it
+        adopts the dict (see the module docstring)."""
         poly = object.__new__(Poly)
-        poly.terms = {m: c for m, c in terms.items() if c}
+        poly.terms = terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
         return poly
 
     @staticmethod
@@ -223,15 +279,9 @@ class Poly:
             raise ValueError("negative power")
         if power == 0:
             return Poly.const(1)
-        return Poly({((name, power),): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_value(self) -> Rational:
-        if any(m for m in self.terms):
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
+        if name.__class__ is str and power.__class__ is int:
+            return Poly._of({((name, power),): 1})
+        return Poly({((name, power),): 1})  # which rejects the monomial
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m in self.terms for v, _ in m)
@@ -249,20 +299,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Rational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if not m1:
-                    key = m2
-                elif not m2:
-                    key = m1
-                else:
-                    powers: dict[str, int] = dict(m1)
-                    for v, p in m2:
-                        powers[v] = powers.get(v, 0) + p
-                    key = tuple(sorted(powers.items()))
-                _accumulate(out, key, _rational(c1 * c2))
-        return Poly._of(out)
+        return Poly._of(_mul_into({}, self.terms, other.terms))
 
     def scale(self, c: Rational) -> "Poly":
         c = exact_rational(c)
@@ -284,57 +321,9 @@ class Poly:
                     break
         return Poly._of(out)
 
-    def integrate_unit(self, name: str) -> "Poly":
-        """Definite integral over [0, 1] in one variable."""
-        out: dict[Monomial, Rational] = {}
-        for mono, c in self.terms.items():
-            for i, (v, p) in enumerate(mono):
-                if v == name:
-                    _accumulate(out, mono[:i] + mono[i + 1:], _divide(c, p + 1))
-                    break
-            else:
-                _accumulate(out, mono, c)
-        return Poly._of(out)
-
     def subst(self, replacements: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables.  A replacement of one term
-        (a variable, a constant or a scaled monomial) sends a monomial to one
-        monomial, so it is folded into the coefficient and exponents; only
-        replacements of several terms are multiplied out, each power of one
-        once per call."""
-        powers: dict[tuple[str, int], Poly] = {}
-        out: dict[Monomial, Rational] = {}
-        for mono, c in self.terms.items():
-            exps: dict[str, int] = {}
-            spread: list[Poly] = []  # powers of several-term replacements
-            for v, p in mono:
-                base = replacements.get(v)
-                if base is None:
-                    exps[v] = exps.get(v, 0) + p
-                elif len(base.terms) == 1:
-                    (m, k), = base.terms.items()
-                    if k != 1:
-                        c = _rational(c * k ** p)
-                    for w, q in m:
-                        exps[w] = exps.get(w, 0) + q * p
-                elif p:
-                    power = powers.get((v, p))
-                    if power is None:
-                        power = base
-                        for _ in range(p - 1):
-                            power = power * base
-                        powers[v, p] = power
-                    spread.append(power)
-            key = tuple(sorted(exps.items()))
-            if not spread:
-                _accumulate(out, key, c)
-                continue
-            piece = Poly._of({key: c})
-            for power in spread:
-                piece = piece * power
-            for m, k in piece.terms.items():
-                _accumulate(out, m, k)
-        return Poly._of(out)
+        """Substitute polynomials for variables (see ``_subst_into``)."""
+        return Poly._of(_subst_into({}, self.terms, replacements))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -397,12 +386,10 @@ class Form:
         kinds = space._kinds
         order = space._order
         for wedge, poly in (terms or {}).items():
-            if poly.is_zero():
-                continue
             for mono in poly.terms:
                 for v, _ in mono:
                     if kinds.get(v) != INTERVAL:
-                        v = next(v for v in poly.variables() if kinds.get(v) != INTERVAL)
+                        v = min(v for v in poly.variables() if kinds.get(v) != INTERVAL)
                         raise ValueError(
                             f"coefficient uses {v!r}, not an interval coordinate of the space"
                         )
@@ -423,15 +410,21 @@ class Form:
                 raise ValueError(f"wedge {wedge} not in coordinate order")
             if repeated:
                 raise ValueError(f"repeated letter in wedge {wedge}")
-            clean[tuple(wedge)] = poly
+            if poly.terms:  # a zero coefficient drops its term once it is checked
+                clean[tuple(wedge)] = poly
         self.terms = clean
 
     @staticmethod
-    def _of(space: CubeTorusSpace, terms: Mapping[tuple[str, ...], Poly]) -> "Form":
-        """Trusted constructor for canonical terms this module computed."""
+    def _of(space: CubeTorusSpace, terms: dict[tuple[str, ...], Poly]) -> "Form":
+        """Trusted constructor for canonical terms this module computed; it
+        adopts the dict (see the module docstring)."""
         form = object.__new__(Form)
         form.space = space
-        form.terms = {w: p for w, p in terms.items() if p.terms}
+        for p in terms.values():
+            if not p.terms:
+                terms = {w: p for w, p in terms.items() if p.terms}
+                break
+        form.terms = terms
         return form
 
     @staticmethod
@@ -504,7 +497,7 @@ class Form:
 def wedge(a: Form, b: Form) -> Form:
     a._same_space(b)
     order = a.space._order
-    out: dict[tuple[str, ...], Poly] = {}
+    out: dict[tuple[str, ...], dict[Monomial, Rational]] = {}
     for w1, p1 in a.terms.items():
         for w2, p2 in b.terms.items():
             if not w1 or not w2:
@@ -513,9 +506,11 @@ def wedge(a: Form, b: Form) -> Form:
                 sign, merged = _merge_sign(w1 + w2, order)
                 if sign == 0:
                     continue
-            product = p1 * p2
-            _accumulate(out, merged, product if sign == 1 else -product)
-    return Form._of(a.space, out)
+            coeffs = out.get(merged)
+            if coeffs is None:
+                coeffs = out[merged] = {}
+            _mul_into(coeffs, p1.terms, p2.terms, sign)
+    return Form._of(a.space, {w: Poly._of(coeffs) for w, coeffs in out.items()})
 
 
 def wedge_all(space_: CubeTorusSpace, forms: Iterable[Form]) -> Form:
@@ -529,18 +524,14 @@ def wedge_all(space_: CubeTorusSpace, forms: Iterable[Form]) -> Form:
 
 def exterior_derivative(form: Form) -> Form:
     sp = form.space
-    order = sp._order
     out: dict[tuple[str, ...], Poly] = {}
     for wedgekey, poly in form.terms.items():
         for v in sp._intervals:
-            if v in wedgekey:
-                continue
-            pd = poly.partial(v)
-            if pd.is_zero():
-                continue
-            # dv moves past the letters of the sorted wedge that precede it.
-            pos = sum(1 for x in wedgekey if order[x] < order[v])
-            _accumulate(out, wedgekey[:pos] + (v,) + wedgekey[pos:], -pd if pos % 2 else pd)
+            # dv moves past the letters of the sorted wedge that precede it
+            # (sign 0 when the wedge holds dv).
+            sign, merged = _merge_sign((v,) + wedgekey, sp._order)
+            if sign and (pd := poly.partial(v)).terms:
+                _accumulate(out, merged, pd if sign == 1 else -pd)
     return Form._of(sp, out)
 
 
@@ -551,7 +542,7 @@ CircleAssignment = tuple[str, str, int]  # ("circle", source name, +1/-1)
 ConstCircle = tuple[str]  # ("const-circle",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SmoothMapModel:
     """A map between cube-torus spaces given coordinatewise.
 
@@ -570,12 +561,14 @@ class SmoothMapModel:
     _table: dict[str, tuple] = field(init=False, repr=False, compare=False)
     _subs: dict[str, Poly] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        table = dict(self.assignments)
-        kinds = self.target._kinds
+    def __init__(self, source: CubeTorusSpace, target: CubeTorusSpace,
+                 assignments: tuple[tuple[str, tuple], ...]):
+        table = dict(assignments)
+        kinds = target._kinds
         if table.keys() != kinds.keys():
             raise ValueError("assignments must cover exactly the target coordinates")
-        source_kinds = self.source._kinds
+        source_kinds = source._kinds
+        subs = {}
         for name, assignment in table.items():
             if kinds[name] == INTERVAL:
                 if assignment[0] != "poly":
@@ -584,9 +577,10 @@ class SmoothMapModel:
                 for mono in poly.terms:
                     for v, _ in mono:
                         if source_kinds.get(v) != INTERVAL:
-                            unknown = poly.variables() - set(self.source._intervals)
+                            unknown = poly.variables() - set(source._intervals)
                             raise ValueError(f"assignment for {name!r} uses {sorted(unknown)}")
                 _check_unit_range(poly, name)
+                subs[name] = poly
             elif assignment[0] == "circle":
                 _, src, sign = assignment
                 if source_kinds.get(src) != CIRCLE:
@@ -595,12 +589,12 @@ class SmoothMapModel:
                     raise ValueError("circle orientation sign must be +1 or -1")
             elif assignment[0] != "const-circle":
                 raise ValueError(f"bad assignment for circle coordinate {name!r}")
-        self._derive(table)
-
-    def _derive(self, table: dict[str, tuple]) -> None:
         set_ = object.__setattr__
+        set_(self, "source", source)
+        set_(self, "target", target)
+        set_(self, "assignments", assignments)
         set_(self, "_table", table)
-        set_(self, "_subs", {n: a[1] for n, a in table.items() if a[0] == "poly"})
+        set_(self, "_subs", subs)
 
     @staticmethod
     def _of(
@@ -613,7 +607,8 @@ class SmoothMapModel:
         set_(smap, "source", source)
         set_(smap, "target", target)
         set_(smap, "assignments", tuple(sorted(table.items())))
-        smap._derive(table)
+        set_(smap, "_table", table)
+        set_(smap, "_subs", {n: a[1] for n, a in table.items() if a[0] == "poly"})
         return smap
 
 
@@ -625,28 +620,36 @@ def _check_unit_range(poly: Poly, name: str):
     D is the lcm of the coefficient denominators and K the largest total
     degree; so the check runs in integers, and a failure reports the first
     offending point in the same order and words as a rational evaluation."""
-    vars_ = sorted(poly.variables())
+    used: set[str] = set()
+    lcm = 1
+    top = 0
+    for mono, c in poly.terms.items():  # one pass for the variables, D and K
+        lcm = math.lcm(lcm, c.denominator)
+        degree = 0
+        for v, p in mono:
+            used.add(v)
+            degree += p
+        if degree > top:
+            top = degree
+    vars_ = sorted(used)
     index = {v: i for i, v in enumerate(vars_)}
-    lcm = math.lcm(*(c.denominator for c in poly.terms.values()))
-    top = max((sum(p for _, p in mono) for mono in poly.terms), default=0)
-    # Each term as (c * D * 2**(K - degree), exponents): its scaled value at
-    # a point is that number times 2**(the powers of variables at a = 2), or
-    # 0 when a variable of the term is at a = 0.
+    # Each term as (c * D, exponents): its scaled value at a point is that
+    # number times 2**(K - the powers of variables at a = 1), or 0 when a
+    # variable of the term is at a = 0.
     terms = [
-        (c.numerator * (lcm // c.denominator) << (top - sum(p for _, p in mono)),
-         [(index[v], p) for v, p in mono if p])
+        (c.numerator * (lcm // c.denominator), [(index[v], p) for v, p in mono])
         for mono, c in poly.terms.items()
     ]
     bound = lcm << top
     for point in itertools.product((0, 1, 2), repeat=len(vars_)):
         total = 0
         for value, exps in terms:
-            shift = 0
+            shift = top
             for i, p in exps:
                 if point[i] == 0:
                     break
-                if point[i] == 2:
-                    shift += p
+                if point[i] == 1:
+                    shift -= p
             else:
                 total += value << shift
         if not 0 <= total <= bound:
@@ -668,24 +671,18 @@ def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapMod
     if inner.target != outer.source:
         raise ValueError("maps do not compose")
     inner_table = inner._table
-    subs = inner._subs
     table: dict[str, tuple] = {}
     for name, assignment in outer.assignments:
         if assignment[0] == "poly":
-            table[name] = ("poly", assignment[1].subst(subs))
-        elif assignment[0] == "circle":
-            _, src, sign = assignment
-            via = inner_table[src]
-            if via[0] == "circle":
-                table[name] = ("circle", via[1], sign * via[2])
-            else:
-                table[name] = ("const-circle",)
+            table[name] = ("poly", assignment[1].subst(inner._subs))
+        elif assignment[0] == "circle" and (via := inner_table[assignment[1]])[0] == "circle":
+            table[name] = ("circle", via[1], assignment[2] * via[2])
         else:
             table[name] = ("const-circle",)
     return SmoothMapModel._of(inner.source, outer.target, table)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProjectionMap:
     """A coordinate projection, oriented base-first fiber-last.
 
@@ -706,54 +703,37 @@ class ProjectionMap:
     _to_target: dict[str, str] = field(init=False, repr=False, compare=False)
     _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        table = dict(self.injection)
-        target_kinds = self.target._kinds
+    def __init__(self, source: CubeTorusSpace, target: CubeTorusSpace,
+                 injection: tuple[tuple[str, str], ...], fiber: tuple[str, ...]):
+        table = dict(injection)
+        target_kinds = target._kinds
         if table.keys() != target_kinds.keys():
             raise ValueError("injection must cover exactly the target coordinates")
         to_target = {s: t for t, s in table.items()}
         if len(to_target) != len(table):
             raise ValueError("injection is not injective")
-        source_kinds = self.source._kinds
+        source_kinds = source._kinds
         for tname, sname in table.items():
             kind = source_kinds.get(sname)
             if kind is None:
                 raise KeyError(f"no source coordinate {sname!r}")
             if kind != target_kinds[tname]:
                 raise ValueError(f"injection {tname!r}->{sname!r} changes coordinate kind")
-        rank = self._derive(to_target)
+        target_order = target._order
+        rank = {s: target_order[t] for s, t in to_target.items()}
+        for i, v in enumerate(fiber, len(rank)):
+            rank[v] = i
         # The ranks cover the source exactly when the fiber repeats no name,
         # lists no base coordinate and misses none.
-        if len(rank) != len(table) + len(self.fiber) or rank.keys() != source_kinds.keys():
+        if len(rank) != len(table) + len(fiber) or rank.keys() != source_kinds.keys():
             raise ValueError("fiber must list exactly the non-base source coordinates")
-
-    def _derive(self, to_target: dict[str, str]) -> dict[str, int]:
-        target_order = self.target._order
-        rank = {s: target_order[t] for s, t in to_target.items()}
-        for i, v in enumerate(self.fiber, len(rank)):
-            rank[v] = i
         set_ = object.__setattr__
+        set_(self, "source", source)
+        set_(self, "target", target)
+        set_(self, "injection", injection)
+        set_(self, "fiber", fiber)
         set_(self, "_to_target", to_target)
         set_(self, "_rank", rank)
-        return rank
-
-    @staticmethod
-    def _of(
-        source: CubeTorusSpace,
-        target: CubeTorusSpace,
-        injection: Mapping[str, str],
-        fiber: tuple[str, ...],
-    ) -> "ProjectionMap":
-        """Trusted constructor for projections this module derives from valid
-        maps: it sets the fields, derives the tables and checks nothing."""
-        proj = object.__new__(ProjectionMap)
-        set_ = object.__setattr__
-        set_(proj, "source", source)
-        set_(proj, "target", target)
-        set_(proj, "injection", tuple(sorted(injection.items())))
-        set_(proj, "fiber", fiber)
-        proj._derive({s: t for t, s in injection.items()})
-        return proj
 
     @property
     def reldim(self) -> int:
@@ -789,7 +769,7 @@ def compose_projection(outer: ProjectionMap, inner: ProjectionMap) -> Projection
     inner_table = dict(inner.injection)
     injection = {t: inner_table[s] for t, s in outer.injection}
     fiber = tuple(inner_table[c] for c in outer.fiber) + inner.fiber
-    return ProjectionMap._of(inner.source, outer.target, injection, fiber)
+    return projection(inner.source, outer.target, injection, fiber)
 
 
 def pullback(f: SmoothMapModel, form: Form) -> Form:
@@ -808,7 +788,7 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
     subs = f._subs
     order = f.source._order
     pulled: dict[str, list] = {}  # pairs of each target 1-form, made once
-    out: dict[tuple[str, ...], Poly] = {}
+    out: dict[tuple[str, ...], dict[Monomial, Rational]] = {}
     for wedgekey, poly in form.terms.items():
         factors = []
         for letter in wedgekey:
@@ -819,7 +799,7 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
                 break  # the term pulls back to zero
             factors.append(pairs)
         else:
-            coeff = poly.subst(subs)
+            coeff = None  # the substituted coefficient, once a choice needs it
             for choice in itertools.product(*factors):
                 if len(choice) < 2:
                     sign, merged = 1, (choice[0][0],) if choice else ()
@@ -827,14 +807,25 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
                     sign, merged = _merge_sign([x for x, _ in choice], order)
                     if not sign:
                         continue
-                piece = coeff
+                polys = []
                 for _, c in choice:
-                    if c.__class__ is Poly:
-                        piece = piece * c
-                    else:
+                    if c.__class__ is int:
                         sign *= c
-                _accumulate(out, merged, piece if sign == 1 else -piece)
-    return Form._of(f.source, out)
+                    else:
+                        polys.append(c.terms)
+                coeffs = out.get(merged)
+                if coeffs is None:
+                    coeffs = out[merged] = {}
+                if not polys:
+                    _subst_into(coeffs, poly.terms, subs, sign)
+                    continue
+                if coeff is None:
+                    coeff = _subst_into({}, poly.terms, subs)
+                piece = coeff
+                for terms in polys[:-1]:
+                    piece = _mul_into({}, piece, terms)
+                _mul_into(coeffs, piece, polys[-1], sign)
+    return Form._of(f.source, {w: Poly._of(coeffs) for w, coeffs in out.items()})
 
 
 def _pull_letter(source: CubeTorusSpace, assignment: tuple) -> list[tuple[str, int | Poly]]:
@@ -903,36 +894,31 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
                 c = _divide(c, den)
             if len(key) > 1:
                 key.sort()
-            _accumulate(coeffs, tuple(key), -c if odd else c)
+            key = tuple(key)
+            prev = coeffs.get(key)
+            if odd:
+                c = -c
+            coeffs[key] = c if prev is None else _rational(prev + c)
     return Form._of(p.target, {w: Poly._of(coeffs) for w, coeffs in out.items()})
 
 
 def integrate(form: Form) -> Rational:
-    """Integral of the top-degree part over the listed orientation."""
-    sp = form.space
-    full = sp.names()
+    """Integral of the top-degree part over the listed orientation: a
+    monomial integrates to its coefficient over the product of (power + 1)."""
     total = 0
-    for wedgekey, poly in form.terms.items():
-        if tuple(wedgekey) != full:
-            continue
-        acc = poly
-        for v in sp.interval_names():
-            acc = acc.integrate_unit(v)
-        total += acc.constant_value()
+    top = form.terms.get(form.space._names)
+    for mono, c in top.terms.items() if top else ():
+        den = 1
+        for _, p in mono:
+            den *= p + 1
+        total += _divide(c, den)
     return _rational(total)
 
 
 def bundle_orientation_sign(p: ProjectionMap) -> int:
     """Sign between the source's listed orientation and the bundle
     orientation (base in target order, then fiber in fiber order)."""
-    ranks = [p._rank[x] for x in p.source.names()]
-    inversions = sum(
-        1
-        for i in range(len(ranks))
-        for m in range(i + 1, len(ranks))
-        if ranks[i] > ranks[m]
-    )
-    return (-1) ** inversions
+    return _merge_sign(p.source._names, p._rank)[0]
 
 
 def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
@@ -966,9 +952,9 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
                 face[wedgekey] = Poly._of(coeffs)
         if not face:
             continue
-        face_space = CubeTorusSpace._of(tuple(c for c in p.source.coords if c[0] != v))
-        restricted = ProjectionMap._of(
-            face_space, p.target, dict(p.injection), tuple(x for x in p.fiber if x != v)
+        face_space = CubeTorusSpace(tuple(c for c in p.source.coords if c[0] != v))
+        restricted = ProjectionMap(
+            face_space, p.target, p.injection, tuple([x for x in p.fiber if x != v])
         )
         odd = (p.source.dimension + p.reldim + i) % 2
         for w, pushed in pushforward(restricted, Form._of(face_space, face)).terms.items():
@@ -1052,31 +1038,17 @@ def pullback_bundle(
     """
     if f.target != p.target:
         raise ValueError("base-change legs must share the base space")
-    taken = set(f.source.names())
-    fiber_names = {}
+    taken = set(f.source._names)
+    fresh_coords = []
+    table = {sname: f._table[tname] for tname, sname in p.injection}
     for name in p.fiber:
         fresh = name
         while fresh in taken:
             fresh = f"g{fresh}_"
-        fiber_names[name] = fresh
         taken.add(fresh)
-    pulled_coords = tuple(f.source.coords) + tuple(
-        (fiber_names[n], p.source.kind(n)) for n in p.fiber
-    )
-    pulled = CubeTorusSpace._of(pulled_coords)
-    p_bar = ProjectionMap._of(
-        pulled,
-        f.source,
-        {n: n for n in f.source.names()},
-        tuple(fiber_names[n] for n in p.fiber),
-    )
-    f_table = f._table
-    table = {sname: f_table[tname] for tname, sname in p.injection}
-    for name in p.fiber:
-        fresh = fiber_names[name]
-        if p.source.kind(name) == INTERVAL:
-            table[name] = ("poly", Poly.var(fresh))
-        else:
-            table[name] = ("circle", fresh, 1)
-    f_tilde = SmoothMapModel._of(pulled, p.source, table)
-    return pulled, p_bar, f_tilde
+        kind = p.source._kinds[name]
+        fresh_coords.append((fresh, kind))
+        table[name] = ("poly", Poly.var(fresh)) if kind == INTERVAL else ("circle", fresh, 1)
+    pulled = CubeTorusSpace(tuple(f.source.coords) + tuple(fresh_coords))
+    p_bar = projection(pulled, f.source, {n: n for n in f.source._names}, [n for n, _ in fresh_coords])
+    return pulled, p_bar, SmoothMapModel._of(pulled, p.source, table)

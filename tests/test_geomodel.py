@@ -673,7 +673,9 @@ def _range_oracle(poly, name):
     for v in vars_:
         points = [dict(pt, **{v: x}) for pt in points for x in lattice]
     for pt in points:
-        val = poly.subst({v: Poly.const(x) for v, x in pt.items()}).constant_value()
+        value = poly.subst({v: Poly.const(x) for v, x in pt.items()})
+        assert value.variables() == frozenset()
+        val = value.terms.get((), 0)
         if not 0 <= val <= 1:
             return f"assignment for {name!r} leaves [0,1] at {pt} (value {val})"
     return None
@@ -777,6 +779,16 @@ def test_subst_equals_multiplied_out():
     assert min(sizes.values()) >= 100, sizes
 
 
+def _integrate_unit(poly, name):
+    """The definite integral over [0, 1] in one variable, term by term."""
+    total = Poly()
+    for mono, c in poly.terms.items():
+        power = dict(mono).get(name, 0)
+        rest = tuple(pair for pair in mono if pair[0] != name)
+        total = total + Poly({rest: Fraction(c, power + 1)})
+    return total
+
+
 def _pushforward_staged(p, form):
     """Pushforward term by term: the sign of the adjacent swaps that move the
     letters into (base in target order, fiber in fiber order), the
@@ -799,7 +811,7 @@ def _pushforward_staged(p, form):
         coeff = poly
         for v in p.fiber:
             if p.source.kind(v) == "interval":
-                coeff = coeff.integrate_unit(v)
+                coeff = _integrate_unit(coeff, v)
         base = tuple(lift[x] for x in seq[: len(seq) - p.reldim])
         out = out + Form(p.target, {base: coeff.subst(to_target).scale(sign)})
     return out
@@ -1097,6 +1109,60 @@ def test_boundary_term_equals_pushforward_of_face_restrictions():
             nonzero["circle-fiber"] += any(bundle.source.kind(x) == "circle" for x in bundle.fiber)
     assert nonzero["plain"] >= 300 and nonzero["composite"] >= 300, nonzero
     assert nonzero["reordered"] >= 50 and nonzero["circle-fiber"] >= 150, nonzero
+
+
+def _composite_stokes_family():
+    """Every composite q o p of coordinate projections out of (a, b, c, e),
+    with c a circle, whose middle space lists the base of p in source order
+    or reversed, and whose composite base holds an interval, kept when its
+    fiber order (outer fiber first) is not the source order."""
+    src = space(("a", "interval"), ("b", "interval"), ("c", "circle"), ("e", "interval"))
+    for size in (2, 3):
+        for base in itertools.combinations(src.names(), size):
+            for listed in (base, base[::-1]):
+                mid = CubeTorusSpace(tuple(("m" + n, src.kind(n)) for n in listed))
+                p = projection(src, mid, {"m" + n: n for n in listed})
+                for kept in range(1, size):
+                    for keep in itertools.combinations(base, kept):
+                        target = CubeTorusSpace(tuple(("t" + n, src.kind(n)) for n in keep))
+                        q = projection(mid, target, {"t" + n: "m" + n for n in keep})
+                        qp = compose_projection(q, p)
+                        in_source_order = tuple(n for n in src.names() if n in qp.fiber)
+                        if qp.fiber != in_source_order and set(keep) & {"a", "b", "e"}:
+                            yield qp
+
+
+def test_stokes_trial_on_composite_fiber_orders():
+    """Stokes through the checker's own comparison on composites, with forms
+    that make both sides nonzero and give each interval fiber coordinate v a
+    boundary face: f dF plus v db d(F without v), where dF wedges the fiber,
+    f = 1 + w depends on a base interval w and b is a base letter.  Only here
+    is the face sign read at a fiber index that is not the source index."""
+    stats = {"with_boundary": 0}
+    nontrivial = 0
+    bundles = list(_composite_stokes_family())
+    assert len(bundles) >= 20
+    for qp in bundles:
+        order = qp.source.names().index
+
+        def wedge_of(letters):
+            return tuple(sorted(letters, key=order))
+
+        w = next(n for n in qp.source.names() if n not in qp.fiber and qp.source.kind(n) == "interval")
+        for v in qp.fiber:
+            if qp.source.kind(v) != "interval":
+                continue
+            for b in (n for n in qp.source.names() if n not in qp.fiber):
+                beta = Form(qp.source, {
+                    wedge_of(qp.fiber): Poly.const(1) + Poly.var(w),
+                    wedge_of([b] + [x for x in qp.fiber if x != v]): Poly.var(v),
+                })
+                found, witness = checks._stokes_trial(
+                    qp, beta, exterior_derivative(beta), qp.reldim, stats, beta=beta)
+                assert witness is None, (qp, witness)
+                assert not boundary_pushforward(qp, beta).is_zero()
+                nontrivial += found
+    assert stats["with_boundary"] == nontrivial == 90, (stats, nontrivial)
 
 
 def test_derived_maps_pass_public_validation():

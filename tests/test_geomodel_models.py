@@ -4,8 +4,12 @@ constructors, and the immutability the README promises."""
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +20,16 @@ from ainfsign.geomodel import (
     Poly,
     ProjectionMap,
     SmoothMapModel,
+    boundary_pushforward,
+    exterior_derivative,
     integrate,
     projection,
+    pullback,
     pushforward,
     random_form,
     random_mock_instance,
     space,
+    wedge,
 )
 from ainfsign.geomodel import checks
 from ainfsign.geomodel.checks import NameSource, random_bundle, random_smooth_map, random_space
@@ -206,6 +214,9 @@ REJECTIONS = [
     ("form-repeated",
      lambda: Form(I2C, {("a", "a", "c"): Poly.const(1)}),
      ValueError, "repeated letter in wedge ('a', 'a', 'c')"),
+    ("form-zero-term-checked",
+     lambda: Form(I2C, {("z", "z"): Poly()}),
+     ValueError, "wedge letter 'z' not a coordinate"),
     ("form-first-bad-term-wins",
      lambda: Form(I2C, {("b", "a"): Poly.const(1), ("z",): Poly.const(1)}),
      ValueError, "wedge ('b', 'a') not in coordinate order"),
@@ -228,9 +239,25 @@ def test_public_constructors_accept_what_they_check():
     assert half.assignments[1] == ("q", ("const-circle",))
     flip = _smooth({"p": ("poly", Poly.const(1) - Poly.var("b")), "q": ("circle", "c", -1)})
     assert flip.assignments[1] == ("q", ("circle", "c", -1))
-    # A zero coefficient drops its term before the term is checked.
-    assert Form(I2C, {("z", "z"): Poly()}).is_zero()
-    assert Poly({(): 0}).is_zero()
+    assert Form(I2C, {("a", "b"): Poly()}).is_zero()
+    assert Poly({(): 0}).terms == {}
+
+
+def test_form_message_names_the_same_variable_under_every_hash_seed():
+    """Two variables that are not interval coordinates: the message names the
+    smallest, whatever order the string hashes give a set of them."""
+    code = ("from ainfsign.geomodel import Form, Poly, space\n"
+            "try:\n"
+            "    Form(space(('a', 'interval'), ('c', 'circle')), {(): Poly.var('c') * Poly.var('z')})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    messages = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    }
+    assert messages == {"coefficient uses 'c', not an interval coordinate of the space\n"}
 
 
 def test_models_are_slotted_and_frozen():
@@ -243,6 +270,13 @@ def test_models_are_slotted_and_frozen():
         assert not hasattr(model, "__dict__"), type(model)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, field, ())
+    # replace() rebuilds through the validating constructor, tables and all.
+    for model in (sp, proj, leg):
+        rebuilt = dataclasses.replace(model)
+        assert rebuilt == model and rebuilt is not model
+    assert dataclasses.replace(proj, fiber=("t",))._rank == proj._rank
+    with pytest.raises(ValueError, match="unknown coordinate kind 'disk'"):
+        dataclasses.replace(sp, coords=(("t", "disk"),))
 
 
 # --- integral values are ints ----------------------------------------------------
@@ -280,3 +314,85 @@ def test_integral_values_are_ints():
     pushed = pushforward(projection(t, CubeTorusSpace(()), {}), Form(t, {("t",): Poly.var("t").scale(4)}))
     assert pushed.terms[()].terms[()].__class__ is int
     assert integrate(Form(t, {("t",): Poly.var("t").scale(2)})).__class__ is int
+    # The public constructors store an integral Fraction as its int.
+    assert Poly({(): Fraction(2, 1)}).terms[()].__class__ is int
+    assert Poly.const(Fraction(4, 2)).terms == {(): 2}
+    assert Poly.const(Fraction(4, 2)).terms[()].__class__ is int
+    assert Poly({(("t", 1),): Fraction(-6, 3), (): Fraction(1, 2)}).terms == {(("t", 1),): -2, (): Fraction(1, 2)}
+    assert not _integral_fractions(Poly({(("t", 1),): Fraction(-6, 3)}).terms.values())
+
+
+# --- no result shares an input's dict --------------------------------------------
+
+
+def _polys_of(value):
+    """The polynomials an input or a result holds: itself, a form's
+    coefficients, a map's assignment polynomials."""
+    if isinstance(value, Poly):
+        return [value]
+    if isinstance(value, Form):
+        return list(value.terms.values())
+    if isinstance(value, dict):
+        return list(value.values())
+    return [a[1] for _, a in value.assignments if a[0] == "poly"]
+
+
+def _snapshot(value):
+    dicts = [value.terms] if isinstance(value, Form) else []
+    return [(id(d), dict(d)) for d in dicts + [p.terms for p in _polys_of(value)]]
+
+
+def _call_shares_nothing(call, *inputs):
+    """Run ``call(*inputs)``: every input keeps its terms, and the result
+    neither is held in an input's dict nor gives a new coefficient one."""
+    before = [_snapshot(x) for x in inputs]
+    held = {key for snap in before for key, _ in snap}
+    input_polys = {id(p) for x in inputs for p in _polys_of(x)}
+    result = call(*inputs)
+    assert [_snapshot(x) for x in inputs] == before, call
+    if any(result is x for x in inputs):
+        return  # an input returned as it is
+    assert id(result.terms) not in held, call
+    for poly in _polys_of(result):
+        assert id(poly) in input_polys or id(poly.terms) not in held, call
+
+
+def test_kernels_share_no_dict_with_their_inputs():
+    rng = random.Random(11)
+    fresh = NameSource()
+    for _ in range(150):
+        p = random_bundle(rng, 4, fresh)
+        beta = random_form(rng, p.source, 3)
+        other = random_form(rng, p.source, 3)
+        f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.source)
+        for call, inputs in (
+            (wedge, (beta, other)),
+            (wedge, (beta, Form.one(p.source))),
+            (lambda form, _f: pullback(_f, form), (beta, f)),
+            (lambda form: pullback(p.as_smooth(), form), (random_form(rng, p.target, 3),)),
+            (lambda form: pushforward(p, form), (beta,)),
+            (lambda form: boundary_pushforward(p, form), (beta,)),
+            (exterior_derivative, (beta,)),
+            (Form.__add__, (beta, other)),
+            (Form.__neg__, (beta,)),
+            (lambda form: form.scale(Fraction(-2, 3)), (beta,)),
+            (lambda form: form.scale(1), (beta,)),
+        ):
+            _call_shares_nothing(call, *inputs)
+        polys = [q for form in (beta, other) for q in form.terms.values()] or [Poly.const(1)]
+        a, b = rng.choice(polys), rng.choice(polys)
+        names = sorted(a.variables() | b.variables())
+        replacements = {v: rng.choice(polys + [Poly.var(v), Poly.const(0)]) for v in names}
+        for call, inputs in (
+            (Poly.__mul__, (a, b)),
+            (Poly.__mul__, (a, Poly.const(1))),
+            (Poly.__add__, (a, b)),
+            (Poly.__add__, (a, Poly())),
+            (Poly.__neg__, (a,)),
+            (Poly.subst, (a, replacements)),
+            (Poly.subst, (a, {})),
+            (lambda x: x.scale(3), (a,)),
+            (lambda x: x.scale(-1), (a,)),
+            (lambda x: x.partial(names[0] if names else "t"), (a,)),
+        ):
+            _call_shares_nothing(call, *inputs)

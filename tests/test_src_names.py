@@ -146,6 +146,8 @@ NOT_TRACED = {
     "structure_to_json": "writes a structure file; only the benchmark's relations-flat "
                          "setup writes one",
     "F2Poly.variables": "read only when an equivalence fails, to name the witness's variables",
+    "Poly.variables": "read only when Form or SmoothMapModel rejects a coefficient, to name "
+                      "the variables that are not interval coordinates",
 }
 
 
