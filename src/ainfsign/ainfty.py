@@ -415,15 +415,18 @@ class FilteredAInfty:
         """Defect of every relation up to arity k_max over basis tuples.
 
         Exhaustive when the tuple count is at most the threshold, otherwise
-        a seeded random sample.  Stops at the first nonzero defect.
+        a seeded random sample; the report lists the sampled arities.  Stops
+        at the first nonzero defect.
         """
         basis = [Element.basis(s, g) for s, g in self.basis_generators()]
         rng = random.Random(seed)
         checked = 0
+        sampled: list[int] = []
         for k in range(0, k_max + 1):
             if len(basis) ** k <= exhaustive_threshold:
                 words = itertools.product(basis, repeat=k)
             else:
+                sampled.append(k)
                 words = (
                     tuple(rng.choice(basis) for _ in range(k))
                     for _ in range(sample_size)
@@ -437,8 +440,9 @@ class FilteredAInfty:
                         passed=False,
                         checked=checked,
                         witness={"k": k, "inputs": inputs, "defect": str(defect)},
+                        sampled_arities=sampled,
                     )
-        return RelationReport(passed=True, checked=checked, witness=None)
+        return RelationReport(passed=True, checked=checked, witness=None, sampled_arities=sampled)
 
 
 @dataclass
@@ -446,6 +450,7 @@ class RelationReport:
     passed: bool
     checked: int
     witness: dict | None
+    sampled_arities: list[int]
 
 
 def validate_degree_parity(A: FilteredAInfty) -> list[dict]:

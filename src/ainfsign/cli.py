@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -248,7 +247,7 @@ def cmd_check_dga(args) -> int:
     started = time.perf_counter()
     rel = A.check_relations(args.k_max, seed=args.seed)
     report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
-               detail={"tuples_checked": rel.checked})
+               detail={"tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities})
     started = time.perf_counter()
     violations = check_product_sign_convention(A, dga)
     report.add("product-sign-convention", not violations, time.perf_counter() - started,
@@ -286,26 +285,12 @@ def cmd_check_ainfty(args) -> int:
     started = time.perf_counter()
     rel = A.check_relations(args.k_max, cutoff=cutoff, seed=args.seed)
     report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
-               detail={"tuples_checked": rel.checked})
+               detail={"tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities})
     return report.finish(args.out)
 
 
-def _random_even_element(A, dga, rng, lam_min: Fraction) -> Element:
-    """A random deformation candidate: odd-degree generators (even shifted
-    degree on a parity-0 component) with coefficients of valuation lam_min."""
-    space_name = dga.space_name
-    hom = A.spaces[space_name]
-    odd_gens = [g for g, d in hom.basis if d % 2 == 1]
-    chosen = rng.sample(odd_gens, k=min(len(odd_gens), rng.randrange(1, 3)))
-    coeffs = {}
-    for g in chosen:
-        q = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
-        coeffs[g] = NovikovElement.monomial(q, lam_min * rng.choice([1, 1, 2]))
-    return Element(space_name, coeffs)
-
-
 def cmd_deform_check(args) -> int:
-    _require_at_least(("--k-max", args.k_max, 0), ("--random", args.random, 0),
+    _require_at_least(("--k-max", args.k_max, 0),
                       ("--exhaustive-threshold", args.exhaustive_threshold, 0),
                       ("--sample-size", args.sample_size, 1))
     lam_min = _parse_positive("--lam-min", args.lam_min)
@@ -314,10 +299,9 @@ def cmd_deform_check(args) -> int:
     report = Report(
         "deform-check",
         {"preset": args.preset, "lam_min": str(lam_min), "b": args.b,
-         "random": args.random, "k_max": args.k_max, "seed": args.seed},
+         "k_max": args.k_max, "seed": args.seed},
         args.timing,
     )
-    candidates: list[tuple[str, Element]] = []
     if args.b:
         try:
             spec_dict = json.loads(args.b)
@@ -338,18 +322,19 @@ def cmd_deform_check(args) -> int:
                 coeffs[g] = novikov.parse(c)
             except novikov.NovikovParseError as exc:
                 raise UsageError(f"--b: coefficient of {g!r}: {exc}") from exc
-        candidates.append(("explicit", Element(dga.space_name, coeffs)))
-    rng = random.Random(args.seed)
-    for i in range(args.random):
-        candidates.append((f"random-{i}", _random_even_element(A, dga, rng, lam_min)))
-    if not candidates:
-        raise UsageError("provide --b and/or --random N")
+        candidates = [("explicit", Element(dga.space_name, coeffs))]
+    else:
+        # T^lam_min * g for each odd-degree generator g: even shifted degree
+        # on the parity-0 component, valuation lam_min
+        unit = NovikovElement.monomial(1, lam_min)
+        candidates = [(g, Element(dga.space_name, {g: unit}))
+                      for g, d in A.spaces[dga.space_name].basis if d % 2 == 1]
     curved = 0
     for label, b in candidates:
         started = time.perf_counter()
         try:
             D = deform(A, b, lam_min)
-        except StructureError as exc:  # random elements are even, of valuation >= lam_min
+        except StructureError as exc:  # only --b can be odd or of valuation below lam_min
             raise UsageError(f"--b: {exc}") from exc
         rel = D.check_relations(args.k_max, seed=args.seed,
                                 exhaustive_threshold=args.exhaustive_threshold,
@@ -359,7 +344,7 @@ def cmd_deform_check(args) -> int:
         report.add(
             f"deform:{label}", rel.passed, time.perf_counter() - started, witness=rel.witness,
             detail={"b": str(b), "curvature": str(curvature),
-                    "tuples_checked": rel.checked},
+                    "tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities},
         )
     started = time.perf_counter()
     report.add("curved-instance-present", curved > 0, time.perf_counter() - started,
@@ -449,6 +434,10 @@ def cmd_anf(args) -> int:
     return 0
 
 
+SAMPLE_SEED_HELP = ("picks the relation words sampled at each arity with more basis words "
+                    "than the exhaustive threshold")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ainfsign",
@@ -457,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ainfsign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+    def common(p, seed_help="seed recorded in the report"):
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--out", help="report file ('-' for stdout)")
         p.add_argument("--timing", action="store_true", help="record per-check runtimes")
 
@@ -485,25 +474,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--cutoff", default="1", help="recorded in the report; every preset "
                    "embeds at energy zero, so it does not change what is checked")
-    common(p)
+    common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_check_dga)
 
     p = sub.add_parser("check-ainfty", help="relations of a structure file")
     p.add_argument("--file", required=True)
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--cutoff", default=None)
-    common(p)
+    common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_check_ainfty)
 
     p = sub.add_parser("deform-check", help="bounding-cochain deformations keep the relations")
     p.add_argument("--preset", default=list(PRESETS)[-1], choices=list(PRESETS))
-    p.add_argument("--b", help='explicit element as JSON {"gen": "novikov expr", ...}')
-    p.add_argument("--random", type=int, default=0, help="number of random admissible elements")
+    p.add_argument("--b", help='explicit element as JSON {"gen": "novikov expr", ...}; '
+                   "checked in place of T^lam_min * g for each odd-degree generator g")
     p.add_argument("--lam-min", default="1")
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--exhaustive-threshold", type=int, default=500)
     p.add_argument("--sample-size", type=int, default=200)
-    common(p)
+    common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_deform_check)
 
     p = sub.add_parser("enumerate-strata", help="codimension-1 boundary strata with signs")

@@ -106,8 +106,15 @@ class BoundaryStratum:
         if self.inner.b.is_differential_slot(self.inner.k):
             raise ValueError("inner factor is the reserved differential pair")
 
-    def parent_k(self) -> int:
-        return self.outer.k + self.inner.k - 1
+    def parent(self) -> ModuliDescriptor:
+        """The unsplit descriptor, rebuilt from the stratum's own data."""
+        return ModuliDescriptor(
+            k=self.outer.k + self.inner.k - 1,
+            b=BClass(self.outer.b.energy + self.inner.b.energy, "parent"),
+            output=self.outer.output,
+            inputs=(self.outer.inputs[: self.j - 1] + self.inner.inputs
+                    + self.outer.inputs[self.j :]),
+        )
 
     @property
     def vanishes(self) -> bool:
@@ -153,18 +160,7 @@ def stratum_context(
 
 def stratum_sign(stratum: BoundaryStratum) -> int:
     """Orientation parity of a stratum, recomputed from its own data."""
-    parent_inputs = (
-        stratum.outer.inputs[: stratum.j - 1]
-        + stratum.inner.inputs
-        + stratum.outer.inputs[stratum.j :]
-    )
-    parent = ModuliDescriptor(
-        k=stratum.parent_k(),
-        b=BClass(stratum.outer.b.energy + stratum.inner.b.energy, "parent"),
-        output=stratum.outer.output,
-        inputs=parent_inputs,
-    )
-    ctx = stratum_context(parent, stratum.j, stratum.inner.k, stratum.node)
+    ctx = stratum_context(stratum.parent(), stratum.j, stratum.inner.k, stratum.node)
     return signs.boundary_sign(ctx)
 
 
@@ -232,18 +228,7 @@ def codim1_parity_consistent(stratum: BoundaryStratum) -> bool:
         + stratum.inner.dim_parity()
         - stratum.node.dimension
     ) % 2
-    parent_inputs = (
-        stratum.outer.inputs[: stratum.j - 1]
-        + stratum.inner.inputs
-        + stratum.outer.inputs[stratum.j :]
-    )
-    parent_parity = signs.moduli_dim_parity(
-        stratum.outer.output.dimension,
-        stratum.outer.output.maslov_parity,
-        [c.maslov_parity for c in parent_inputs],
-        stratum.parent_k(),
-    )
-    return fiber_product_parity == (parent_parity - 1) % 2
+    return fiber_product_parity == (stratum.parent().dim_parity() - 1) % 2
 
 
 @dataclass

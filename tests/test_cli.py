@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfsign import ainfty, prover, signs, structio
-from ainfsign.ainfty import FilteredAInfty, OperationTable, exterior_dga, from_dga
-from ainfsign.cli import main
+from ainfsign.ainfty import Element, FilteredAInfty, OperationTable, exterior_dga, from_dga
+from ainfsign.cli import PRESETS, main
 from ainfsign.geomodel import CheckResult, checks
-from ainfsign.novikov import spectrum_closure
+from ainfsign.novikov import NovikovElement, spectrum_closure
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
 
@@ -359,12 +360,12 @@ def test_check_dga_interval_circle(capsys):
     assert code == 0
 
 
-# SHA-256 of each relation report as written before the relation values
-# (Element, OperationTable, FilteredAInfty) were frozen.
+# SHA-256 of each relation report as written since each relation check
+# reports its sampled arities.
 RELATION_REPORTS_SHA256 = {
-    "check-dga": "0ddc4dc1cc972bb373ba5bed5b6016c80da7fffad5e41e71bf4921274eef7b27",
-    "deform-check": "e70cf10b411dae8bb2c9eb2ff3b68c1fcfd2b186445eeb0a980cf33540bb3f90",
-    "check-ainfty": "ace4985cec95860b2969a663508d7d8fccb486d759416f8bb32d084637bd6a6c",
+    "check-dga": "822080afbcf6495fcd1f885abc93e832fb5fe1e525e4de281a67f7df682273b3",
+    "deform-check": "c7c807fd70b506e322d0236c7b92c5f988f78f41e49880cfa539148dd565b933",
+    "check-ainfty": "4321aca89c829e8a2c4c94d7007ec590f2a10a94f6e6e7ad85ab3eb68c697cba",
 }
 
 
@@ -384,8 +385,9 @@ def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
 
 
 # The report commands of the README's "Command line" section, each with the
-# SHA-256 of its report as written since mock push-pull draws one nontrivial
-# instance per trial; a change to any report byte shows here.
+# SHA-256 of its report as written since each relation check reports its
+# sampled arities and deform-check enumerates its cochains; a change to any
+# report byte shows here.
 README_REPORTS = {
     "prove-signs": (
         ["prove-signs", "--k-max", "7", "--truth-table-k-max", "7", "--relations-k-max", "5",
@@ -399,15 +401,15 @@ README_REPORTS = {
     ),
     "check-dga-exterior4": (
         ["check-dga", "--preset", "exterior4", "--k-max", "4"],
-        "1838e436ac59bfd3c9361e30de9c62d918640ad8ac38550bc258a78b53a2b4a4",
+        "db032c4ea2b003a991ec2334b8791dcc435b470b6029a5b9501f15d164b03f06",
     ),
     "check-dga-interval-circle": (
         ["check-dga", "--preset", "interval-circle", "--k-max", "4"],
-        "6f55d6abbd5b12cc15febefcace4e6ed05eb66554a6697c27f05b955be6308bc",
+        "1a5d2251f9e2d2fc90405715a761f56ae5cf5089629e75789e84a02db3290027",
     ),
     "deform-check": (
-        ["deform-check", "--preset", "interval2", "--random", "5", "--lam-min", "1"],
-        "784652601378c2187ae8d9729f9a070881e060b7a5528491e114f9ffc67dca05",
+        ["deform-check", "--preset", "interval2", "--lam-min", "1"],
+        "64a395a6379bafea911c523031357ec40e26eb660a4b43d21281757444831749",
     ),
 }
 
@@ -677,14 +679,50 @@ def test_enumerate_strata_bad_energy(capsys):
     assert code == 2
 
 
-def test_deform_check_explicit_and_random(capsys):
-    code, out, _ = run(
-        ["deform-check", "--preset", "interval2", "--b", '{"u|dv": "T"}',
-         "--random", "2", "--k-max", "2"],
-        capsys,
-    )
+def deform_report(argv, capsys) -> tuple[int, dict]:
+    code, out, _ = run(["deform-check", *argv, "--out", "-"], capsys)
+    return code, json.loads(out[out.index("{"):])
+
+
+def test_deform_check_explicit_cochain_is_the_only_candidate(capsys):
+    code, report = deform_report(
+        ["--preset", "interval2", "--b", '{"u|dv": "T"}', "--k-max", "2"], capsys)
     assert code == 0
-    assert "curved-instance-present" in out
+    assert [c["id"] for c in report["checks"]] == ["deform:explicit", "curved-instance-present"]
+    assert report["checks"][-1]["detail"] == {"curved": 1, "total": 1}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_readme_deform_check_passes_at_every_seed(seed, capsys):
+    code, report = deform_report(
+        ["--preset", "interval2", "--lam-min", "1", "--seed", str(seed)], capsys)
+    assert code == 0
+    deforms = [c for c in report["checks"] if c["id"].startswith("deform:")]
+    assert len(deforms) == 10
+    assert all(c["detail"]["sampled_arities"] == [3] for c in deforms)
+    assert report["checks"][-1] == {"id": "curved-instance-present", "status": "pass",
+                                    "detail": {"curved": 4, "total": 10}}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("lam_min", ["1", "1/2"])
+def test_deform_check_candidates_are_the_odd_generators_times_t_lam(preset, lam_min, capsys):
+    dga = PRESETS[preset]()
+    A = from_dga(dga, 4 * Fraction(lam_min))
+    odd = [g for g, d in A.spaces[dga.space_name].basis if d % 2 == 1]
+    assert odd  # every preset has a cochain to deform by
+    _, report = deform_report(["--preset", preset, "--lam-min", lam_min, "--k-max", "0"], capsys)
+    coefficient = NovikovElement.monomial(1, Fraction(lam_min))
+    assert [(c["id"], c["detail"]["b"]) for c in report["checks"][:-1]] == [
+        (f"deform:{g}", str(Element(dga.space_name, {g: coefficient}))) for g in odd]
+
+
+def test_deform_check_exterior4_has_no_curved_candidate(capsys):
+    # d = 0 on the exterior algebra, so no deformation is curved
+    code, report = deform_report(["--preset", "exterior4", "--k-max", "1"], capsys)
+    assert code == 1
+    assert all(c["status"] == "pass" for c in report["checks"][:-1])
+    assert report["checks"][-1]["detail"] == {"curved": 0, "total": 8}
 
 
 @pytest.mark.parametrize("b, message", [
@@ -769,10 +807,11 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["check-dga", "--k-max", "-1"], "--k-max must be >= 0"),
     (["check-ainfty", "--file", "ext2.json", "--k-max", "-1"], "--k-max must be >= 0"),
-    (["deform-check", "--random", "1", "--k-max", "-2"], "--k-max must be >= 0"),
-    (["deform-check", "--random", "-1", "--b", '{"u|dv": "T"}'], "--random must be >= 0"),
-    (["deform-check", "--random", "1", "--sample-size", "0"], "--sample-size must be >= 1"),
-    (["deform-check", "--random", "1", "--exhaustive-threshold", "-1"],
+    (["deform-check", "--k-max", "-2"], "--k-max must be >= 0"),
+    # the candidates are enumerated, so there is no count of random ones
+    (["deform-check", "--random", "1"], "unrecognized arguments: --random 1"),
+    (["deform-check", "--sample-size", "0"], "--sample-size must be >= 1"),
+    (["deform-check", "--exhaustive-threshold", "-1"],
      "--exhaustive-threshold must be >= 0"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "-1"],
      "--relations-k-max must be >= 0"),
@@ -780,8 +819,8 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--relations-k-max must be <= --k-max (2)"),
     (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
     (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
-    (["deform-check", "--random", "1", "--lam-min", "0"], "--lam-min must be > 0"),
-    (["deform-check", "--random", "1", "--lam-min", "-1"], "--lam-min must be > 0"),
+    (["deform-check", "--lam-min", "0"], "--lam-min must be > 0"),
+    (["deform-check", "--lam-min", "-1"], "--lam-min must be > 0"),
     (["check-ainfty", "--file", "ext2.json", "--cutoff", "0"], "--cutoff must be > 0"),
     (["check-ainfty", "--file", "ext2.json", "--cutoff", "-1"], "--cutoff must be > 0"),
     (["check-dga", "--cutoff", "0"], "--cutoff must be > 0"),
@@ -857,7 +896,7 @@ ARGV_GRAMMAR = {
     "prove-signs": (["--k-max", "--truth-table-k-max", "--relations-k-max",
                      "--relations-spectrum", "--relations-cutoff"], []),
     "check-dga": (["--preset", "--k-max", "--cutoff"], []),
-    "deform-check": (["--preset", "--b", "--random", "--lam-min", "--k-max",
+    "deform-check": (["--preset", "--b", "--lam-min", "--k-max",
                       "--exhaustive-threshold", "--sample-size"], []),
 }
 

@@ -117,8 +117,7 @@ TRACED_ARGV = [
      "--out", "{report}"],
     ["check-dga", "--preset", "exterior4", "--k-max", "2", "--out", "{report}"],
     ["check-dga", "--preset", "interval-circle", "--k-max", "2", "--out", "{report}"],
-    ["deform-check", "--preset", "interval2", "--random", "1", "--k-max", "2",
-     "--out", "{report}"],
+    ["deform-check", "--preset", "interval2", "--k-max", "2", "--out", "{report}"],
     ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2",
      "--out", "{report}"],
     ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--out", "{report}"],

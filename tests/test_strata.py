@@ -186,7 +186,7 @@ def test_stratum_invariant_validation():
     inner = ModuliDescriptor(1, BClass(1, "i"), NODE, (R,))
     outer = ModuliDescriptor(2, BClass(0, "o"), R, (NODE, R))
     s = BoundaryStratum(j=1, outer=outer, inner=inner, node=NODE, sign=0)
-    assert s.parent_k() == 2
+    assert s.parent() == ModuliDescriptor(2, BClass(1, "parent"), R, (R, R))
     with pytest.raises(ValueError):
         BoundaryStratum(j=2, outer=outer, inner=inner, node=NODE, sign=0)
     with pytest.raises(ValueError):
