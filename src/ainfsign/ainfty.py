@@ -415,14 +415,19 @@ class FilteredAInfty:
         """Defect of every relation up to arity k_max over basis tuples.
 
         Exhaustive when the tuple count is at most the threshold, otherwise
-        a seeded random sample; the report lists the sampled arities.  Stops
-        at the first nonzero defect.
+        a seeded random sample; the report lists the sampled arities.  An
+        arity that no splitting reaches has zero defect: its words are
+        counted, not visited.  Stops at the first nonzero defect.
         """
+        cutoff = self.cutoff if cutoff is None else _rational(cutoff)
         basis = [Element.basis(s, g) for s, g in self.basis_generators()]
         rng = random.Random(seed)
         checked = 0
         sampled: list[int] = []
         for k in range(0, k_max + 1):
+            if not self._splittings(k, cutoff):
+                checked += len(basis) ** k
+                continue
             if len(basis) ** k <= exhaustive_threshold:
                 words = itertools.product(basis, repeat=k)
             else:
@@ -432,7 +437,11 @@ class FilteredAInfty:
                     for _ in range(sample_size)
                 )
             for word in words:
-                defect = self.relation_defect(word, cutoff)
+                try:
+                    defect = self.relation_defect(word, cutoff)
+                except StructureError as exc:
+                    inputs = [(el.space, el._gen) for el in word]
+                    raise StructureError(f"relation at the word {inputs}: {exc}") from exc
                 checked += 1
                 if defect.coeffs:
                     inputs = [(el.space, el._gen) for el in word]

@@ -46,36 +46,72 @@ class UsageError(Exception):
     pass
 
 
-def _parse_fraction(flag: str, text: str) -> Fraction:
+class _Parser(argparse.ArgumentParser):
+    """Rejections raise :class:`UsageError`, which ``main`` reports."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# --- argparse types: each checks one flag's value on its own -------------------
+
+
+def _checked(parse, ok, requirement: str):
+    """The value that ``parse`` reads from a flag's text, rejected with
+    ``requirement`` unless ``ok``."""
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+    convert.__name__ = parse.__name__  # argparse says "invalid int value: 'x'"
+    return convert
+
+
+def _count(least: int):
+    """A count of at least ``least``; below it the command checks nothing."""
+    return _checked(int, lambda n: n >= least, f"must be >= {least}")
+
+
+def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag}: bad rational {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _parse_positive(flag: str, text: str) -> Fraction:
-    value = _parse_fraction(flag, text)
-    if value <= 0:
-        raise UsageError(f"{flag} must be > 0")
-    return value
+_positive = _checked(_rational, lambda q: q > 0, "must be > 0")
+_nonnegative = _checked(_rational, lambda q: q >= 0, "must be >= 0")
 
 
-def _parse_spectrum(flag: str, text: str, cutoff: Fraction):
-    levels = [_parse_fraction(flag, part) for part in text.split(",") if part.strip() != ""]
-    generators = [e for e in levels if e > 0]
-    spectrum = spectrum_closure(generators, cutoff)
+def _rationals(text: str) -> list[Fraction]:
+    """Comma-separated rationals; empty entries are skipped."""
+    return [_rational(part) for part in text.split(",") if part.strip()]
+
+
+def _parities(text: str) -> list[int]:
+    """Comma-separated entries, each 0 or 1."""
+    if not set(text.replace(" ", "").split(",")) <= {"0", "1"}:
+        raise argparse.ArgumentTypeError(f"entries must be 0 or 1, got {text!r}")
+    return [int(e) for e in text.split(",")]
+
+
+def _binding(text: str) -> tuple[str, int]:
+    name, _, value = text.partition("=")
+    try:
+        return name, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected name=integer, got {text!r}") from None
+
+
+def _spectrum(flag: str, levels: list[Fraction], cutoff: Fraction):
+    """The spectrum that the positive ``levels`` generate below ``cutoff``;
+    it must reach every level."""
+    spectrum = spectrum_closure([e for e in levels if e > 0], cutoff)
     for e in levels:
         if e not in spectrum:
             raise UsageError(f"{flag}: energy {e} is not reachable below cutoff {cutoff}")
     return spectrum
-
-
-def _require_at_least(*bounds: tuple[str, int, int]) -> None:
-    """Reject a count below the least value at which the command checks
-    something, naming its flag."""
-    for flag, value, least in bounds:
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}")
 
 
 class Report:
@@ -151,9 +187,6 @@ def _emit(text: str) -> None:
 
 
 def cmd_prove_signs(args) -> int:
-    _require_at_least(("--k-max", args.k_max, 1), ("--relations-k-max", args.relations_k_max, 0))
-    if not 0 <= args.truth_table_k_max <= prover.TRUTH_TABLE_K_MAX:
-        raise UsageError(f"--truth-table-k-max must be in 0..{prover.TRUTH_TABLE_K_MAX}")
     if args.relations_k_max > args.k_max:
         # each replayed arity's master identity is proved in the same report
         raise UsageError(f"--relations-k-max must be <= --k-max ({args.k_max})")
@@ -163,7 +196,7 @@ def cmd_prove_signs(args) -> int:
             "k_max": args.k_max,
             "truth_table_k_max": args.truth_table_k_max,
             "relations_k_max": args.relations_k_max,
-            "relations_spectrum": args.relations_spectrum,
+            "relations_spectrum": ",".join(map(str, args.relations_spectrum)),
             "seed": args.seed,
             "assumptions": [
                 "boundary-sign formula applied verbatim to inner arity 0 "
@@ -177,8 +210,7 @@ def cmd_prove_signs(args) -> int:
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
         report.add(check_id, rep.proved, rep.elapsed_s, witness=rep.witness)
     if args.relations_k_max:
-        cutoff = _parse_positive("--relations-cutoff", args.relations_cutoff)
-        spectrum = _parse_spectrum("--relations-spectrum", args.relations_spectrum, cutoff)
+        spectrum = _spectrum("--relations-spectrum", args.relations_spectrum, args.relations_cutoff)
         for k in range(1, args.relations_k_max + 1):
             for crep in prover.prove_relation_cancellation(k, spectrum):
                 report.add(
@@ -191,12 +223,6 @@ def cmd_prove_signs(args) -> int:
 
 
 def cmd_verify_geomodel(args) -> int:
-    # --pushpull-trials 0 skips the mock suite; every other count must let
-    # the checkers draw at least one instance.
-    _require_at_least(("--trials", args.trials, 1),
-                      ("--pushpull-trials", args.pushpull_trials, 0),
-                      ("--max-coords", args.max_coords, 1),
-                      ("--max-poly-deg", args.max_poly_deg, 0))
     report = Report(
         "verify-geomodel",
         {
@@ -236,12 +262,11 @@ def _preset_structure(preset: str, cutoff: Fraction):
 
 
 def cmd_check_dga(args) -> int:
-    _require_at_least(("--k-max", args.k_max, 0))
-    cutoff = _parse_positive("--cutoff", args.cutoff)
-    dga, A = _preset_structure(args.preset, cutoff)
+    dga, A = _preset_structure(args.preset, args.cutoff)
     report = Report(
         "check-dga",
-        {"preset": args.preset, "k_max": args.k_max, "cutoff": str(cutoff), "seed": args.seed},
+        {"preset": args.preset, "k_max": args.k_max, "cutoff": str(args.cutoff),
+         "seed": args.seed},
         args.timing,
     )
     started = time.perf_counter()
@@ -251,89 +276,71 @@ def cmd_check_dga(args) -> int:
     started = time.perf_counter()
     violations = check_product_sign_convention(A, dga)
     report.add("product-sign-convention", not violations, time.perf_counter() - started,
-               witness=violations[0] if violations else None)
+               witness=violations[0] if violations else None,
+               detail={"pairs_checked": len(A.spaces[dga.space_name].basis) ** 2})
     return report.finish(args.out)
 
 
 def cmd_check_ainfty(args) -> int:
-    _require_at_least(("--k-max", args.k_max, 0))
     try:
         A = structio.load_structure(args.file)
-    except OSError as exc:
-        raise UsageError(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"--file {args.file}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.file}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except structio.FormatError as exc:
+    except ValueError as exc:  # not UTF-8 text, not JSON, or not a structure
         raise UsageError(f"{args.file}: {exc}") from exc
-    report = Report(
-        "check-ainfty",
-        {"file": str(args.file), "k_max": args.k_max,
-         "cutoff": args.cutoff or str(A.cutoff), "seed": args.seed},
-        args.timing,
-    )
-    cutoff = _parse_positive("--cutoff", args.cutoff) if args.cutoff else None
-    if cutoff is not None and cutoff > A.cutoff:
+    if args.cutoff is not None and args.cutoff > A.cutoff:
         # apply_operation truncates at the structure's cutoff, so relations
         # above it would be checked against truncated operations.
-        raise UsageError(f"--cutoff {cutoff} exceeds the structure's cutoff {A.cutoff}")
+        raise UsageError(f"--cutoff {args.cutoff} exceeds the structure's cutoff {A.cutoff}")
+    report = Report(
+        "check-ainfty",
+        {"file": str(args.file), "k_max": args.k_max, "cutoff": str(args.cutoff or A.cutoff),
+         "seed": args.seed},
+        args.timing,
+    )
     started = time.perf_counter()
     violations = validate_degree_parity(A)
+    stored = sum(not v.is_zero() for entry in A.table.values.values() for v in entry.values())
     report.add("degree-parity", not violations, time.perf_counter() - started,
-               witness=violations[0] if violations else None)
+               witness=violations[0] if violations else None,
+               detail={"values_checked": stored})
     started = time.perf_counter()
-    rel = A.check_relations(args.k_max, cutoff=cutoff, seed=args.seed)
+    try:
+        rel = A.check_relations(args.k_max, cutoff=args.cutoff, seed=args.seed)
+    except StructureError as exc:  # say, relation terms in different hom spaces
+        raise UsageError(f"{args.file}: {exc}") from exc
     report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
                detail={"tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities})
     return report.finish(args.out)
 
 
 def cmd_deform_check(args) -> int:
-    _require_at_least(("--k-max", args.k_max, 0),
-                      ("--exhaustive-threshold", args.exhaustive_threshold, 0),
-                      ("--sample-size", args.sample_size, 1))
-    lam_min = _parse_positive("--lam-min", args.lam_min)
-    cutoff = 4 * lam_min
-    dga, A = _preset_structure(args.preset, cutoff)
+    dga, A = _preset_structure(args.preset, 4 * args.lam_min)
     report = Report(
         "deform-check",
-        {"preset": args.preset, "lam_min": str(lam_min), "b": args.b,
+        {"preset": args.preset, "lam_min": str(args.lam_min), "b": args.b,
          "k_max": args.k_max, "seed": args.seed},
         args.timing,
     )
-    if args.b:
+    if args.b is not None:
         try:
-            spec_dict = json.loads(args.b)
+            b = structio.element_from_json(A.spaces[dga.space_name], json.loads(args.b), "--b")
         except json.JSONDecodeError as exc:
             raise UsageError(f"--b: not JSON: {exc}") from exc
-        if not isinstance(spec_dict, dict):
-            raise UsageError("--b must be a JSON object mapping generators to coefficients")
-        coeffs = {}
-        for g, c in spec_dict.items():
-            try:
-                dga.degree_of(g)
-            except (KeyError, ValueError):
-                raise UsageError(
-                    f"--b: unknown generator {g!r} of space {dga.space_name!r}") from None
-            if not isinstance(c, str):
-                raise UsageError(f"--b: coefficient of {g!r} must be a string, got {c!r}")
-            try:
-                coeffs[g] = novikov.parse(c)
-            except novikov.NovikovParseError as exc:
-                raise UsageError(f"--b: coefficient of {g!r}: {exc}") from exc
-        candidates = [("explicit", Element(dga.space_name, coeffs))]
+        except structio.FormatError as exc:
+            raise UsageError(str(exc)) from exc
+        if b.is_zero():
+            raise UsageError("--b: the deforming element is zero, so nothing is deformed")
+        candidates = [("explicit", b)]
     else:
         # T^lam_min * g for each odd-degree generator g: even shifted degree
         # on the parity-0 component, valuation lam_min
-        unit = NovikovElement.monomial(1, lam_min)
+        unit = NovikovElement.monomial(1, args.lam_min)
         candidates = [(g, Element(dga.space_name, {g: unit}))
                       for g, d in A.spaces[dga.space_name].basis if d % 2 == 1]
     curved = 0
     for label, b in candidates:
         started = time.perf_counter()
         try:
-            D = deform(A, b, lam_min)
+            D = deform(A, b, args.lam_min)
         except StructureError as exc:  # only --b can be odd or of valuation below lam_min
             raise UsageError(f"--b: {exc}") from exc
         rel = D.check_relations(args.k_max, seed=args.seed,
@@ -353,27 +360,15 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_enumerate_strata(args) -> int:
-    _require_at_least(("--k", args.k, 1), ("--dim-out", args.dim_out, 0),
-                      ("--node-dim", args.node_dim, 0))
-    energy = _parse_fraction("--energy", args.energy)
-    if energy < 0:
-        raise UsageError("--energy must be >= 0")
     # any cutoff above the energy gives the same strata
-    spectrum = _parse_spectrum("--spectrum", args.spectrum, max(energy, Fraction(1)) + 1)
+    spectrum = _spectrum("--spectrum", args.spectrum, max(args.energy, Fraction(1)) + 1)
     node = ComponentData("node", args.node_dim, args.node_mu)
     out_comp = ComponentData("out", args.dim_out, args.mu_out)
-    try:
-        mus = [int(m) for m in args.mus.split(",")] if args.mus else [0] * args.k
-    except ValueError as exc:
-        raise UsageError(f"--mus: {exc}") from exc
+    mus = args.mus or [0] * args.k
     if len(mus) != args.k:
         raise UsageError(f"--mus needs {args.k} entries")
-    if not set(mus) <= {0, 1}:
-        raise UsageError("--mus entries must be 0 or 1")
-    inputs = tuple(
-        ComponentData(f"in{i}", 0, mu) for i, mu in enumerate(mus, start=1)
-    )
-    parent = ModuliDescriptor(args.k, BClass(energy, args.tag), out_comp, inputs)
+    inputs = tuple(ComponentData(f"in{i}", 0, mu) for i, mu in enumerate(mus, start=1))
+    parent = ModuliDescriptor(args.k, BClass(args.energy, args.tag), out_comp, inputs)
     try:
         strata = enumerate_strata(parent, spectrum, [node])
     except ValueError as exc:  # the parent energy is outside the spectrum closure
@@ -401,35 +396,17 @@ def cmd_nov_eval(args) -> int:
     try:
         value = novikov.parse(args.expr)
     except novikov.NovikovParseError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{args.expr!r}: {exc}") from exc
     _emit(f"{value}\n")
     return 0
 
 
 def cmd_anf(args) -> int:
-    if args.expr and args.file:
-        raise UsageError("give --expr or --file, not both")
-    text = args.expr
-    if args.file:
-        try:
-            text = Path(args.file).read_text().strip()
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"--file {args.file}: not UTF-8 text: {exc}") from exc
-    if not text:
-        raise UsageError("provide --expr or --file")
-    bindings = {}
-    for item in args.bind or []:
-        name, _, value = item.partition("=")
-        if not value.lstrip("-").isdigit():
-            raise UsageError(f"--bind expects name=integer, got {item!r}")
-        bindings[name] = int(value)
     try:
-        expr = f2poly.parse_sign_expr(text)
-        poly = f2poly.to_anf(expr, bindings)
-    except f2poly.SignExprError as exc:
-        raise UsageError(str(exc)) from exc
+        text = args.expr if args.file is None else Path(args.file).read_text().strip()
+        poly = f2poly.to_anf(f2poly.parse_sign_expr(text), dict(args.bind or []))
+    except ValueError as exc:  # not UTF-8 text, or not a sign expression
+        raise UsageError(f"{args.file or '--expr'}: {exc}") from exc
     _emit(f"{poly}\n")
     return 0
 
@@ -439,7 +416,7 @@ SAMPLE_SEED_HELP = ("picks the relation words sampled at each arity with more ba
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ainfsign",
         description="exact verification toolkit for filtered A-infinity sign conventions",
     )
@@ -452,35 +429,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true", help="record per-check runtimes")
 
     p = sub.add_parser("prove-signs", help="prove the sign identities symbolically")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--truth-table-k-max", type=int, default=0)
-    p.add_argument("--relations-k-max", type=int, default=0,
+    p.add_argument("--k-max", type=_count(1), required=True)
+    most = prover.TRUTH_TABLE_K_MAX
+    p.add_argument("--truth-table-k-max", default=0,
+                   type=_checked(int, range(most + 1).__contains__, f"must be in 0..{most}"))
+    p.add_argument("--relations-k-max", type=_count(0), default=0,
                    help="also replay the relation cancellation up to this arity")
-    p.add_argument("--relations-spectrum", default="0,1")
-    p.add_argument("--relations-cutoff", default="4")
+    p.add_argument("--relations-spectrum", type=_rationals, default="0,1")
+    p.add_argument("--relations-cutoff", type=_positive, default="4")
     common(p)
     p.set_defaults(func=cmd_prove_signs)
 
     p = sub.add_parser("verify-geomodel", help="randomized exact push-pull calculus checks")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--max-coords", type=int, default=4)
-    p.add_argument("--max-poly-deg", type=int, default=3)
-    p.add_argument("--pushpull-trials", type=int, default=100)
+    # --pushpull-trials 0 skips the mock suite; every other count must let
+    # the checkers draw at least one instance.
+    p.add_argument("--trials", type=_count(1), default=500)
+    p.add_argument("--max-coords", type=_count(1), default=4)
+    p.add_argument("--max-poly-deg", type=_count(0), default=3)
+    p.add_argument("--pushpull-trials", type=_count(0), default=100)
     common(p)
     p.set_defaults(func=cmd_verify_geomodel)
 
     p = sub.add_parser("check-dga", help="relations of a built-in algebra embedding")
     p.add_argument("--preset", default=list(PRESETS)[0], choices=list(PRESETS))
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--cutoff", default="1", help="recorded in the report; every preset "
-                   "embeds at energy zero, so it does not change what is checked")
+    p.add_argument("--k-max", type=_count(0), default=4)
+    p.add_argument("--cutoff", type=_positive, default="1",
+                   help="recorded in the report; every preset embeds at energy zero, so it "
+                   "does not change what is checked")
     common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_check_dga)
 
     p = sub.add_parser("check-ainfty", help="relations of a structure file")
     p.add_argument("--file", required=True)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--cutoff", default=None)
+    p.add_argument("--k-max", type=_count(0), default=3)
+    p.add_argument("--cutoff", type=_positive)
     common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_check_ainfty)
 
@@ -488,22 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=list(PRESETS)[-1], choices=list(PRESETS))
     p.add_argument("--b", help='explicit element as JSON {"gen": "novikov expr", ...}; '
                    "checked in place of T^lam_min * g for each odd-degree generator g")
-    p.add_argument("--lam-min", default="1")
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--exhaustive-threshold", type=int, default=500)
-    p.add_argument("--sample-size", type=int, default=200)
+    p.add_argument("--lam-min", type=_positive, default="1")
+    p.add_argument("--k-max", type=_count(0), default=3)
+    p.add_argument("--exhaustive-threshold", type=_count(0), default=500)
+    p.add_argument("--sample-size", type=_count(1), default=200)
     common(p, SAMPLE_SEED_HELP)
     p.set_defaults(func=cmd_deform_check)
 
     p = sub.add_parser("enumerate-strata", help="codimension-1 boundary strata with signs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--energy", required=True)
-    p.add_argument("--spectrum", required=True, help="comma-separated energies, e.g. 0,1/2,1")
+    p.add_argument("--k", type=_count(1), required=True)
+    p.add_argument("--energy", type=_nonnegative, required=True)
+    p.add_argument("--spectrum", type=_rationals, required=True,
+                   help="comma-separated energies, e.g. 0,1/2,1")
     p.add_argument("--tag", default="B")
-    p.add_argument("--dim-out", type=int, default=0)
+    p.add_argument("--dim-out", type=_count(0), default=0)
     p.add_argument("--mu-out", type=int, default=0, choices=[0, 1])
-    p.add_argument("--mus", default=None, help="comma-separated input parities")
-    p.add_argument("--node-dim", type=int, default=0)
+    p.add_argument("--mus", type=_parities, help="comma-separated input parities")
+    p.add_argument("--node-dim", type=_count(0), default=0)
     p.add_argument("--node-mu", type=int, default=0, choices=[0, 1])
     p.add_argument("--match", action="store_true",
                    help="also match strata against composition terms")
@@ -514,21 +497,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nov_eval)
 
     p = sub.add_parser("anf", help="normalize a sign expression over GF(2)")
-    p.add_argument("--expr")
-    p.add_argument("--file")
-    p.add_argument("--bind", action="append", help="name=integer binding, repeatable")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--expr")
+    source.add_argument("--file")
+    p.add_argument("--bind", type=_binding, action="append",
+                   help="name=integer binding, repeatable")
     p.set_defaults(func=cmd_anf)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError) as exc:  # OSError: an unreadable input file
+        message = str(exc).replace("\n", "\\n")  # argparse echoes argv tokens as given
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

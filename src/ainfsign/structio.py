@@ -82,7 +82,7 @@ def _unique(names: dict, value: Any, what: str, path: str) -> str:
 def _generator(space: HomSpace, gen: str, path: str) -> None:
     try:
         space.degree_of(gen)
-    except KeyError:
+    except (KeyError, ValueError):  # a de Rham preset raises ValueError
         raise FormatError(f"unknown generator {gen!r} of space {space.name!r}", path) from None
 
 
@@ -92,6 +92,16 @@ def _novikov(value: Any, path: str) -> novikov.NovikovElement:
         return novikov.parse(text)
     except novikov.NovikovParseError as exc:
         raise FormatError(f"bad coefficient {value!r}: {exc}", path) from exc
+
+
+def element_from_json(space: HomSpace, data: Any, path: str) -> Element:
+    """The element of ``space`` whose coefficient of each generator ``data`` maps to."""
+    coeffs = {}
+    for gen, c in _expect(data, dict, path).items():
+        cpath = f"{path}.{gen}"
+        _generator(space, gen, cpath)
+        coeffs[gen] = _novikov(c, cpath)
+    return Element(space.name, coeffs)
 
 
 def load_structure(source: str | Path) -> FilteredAInfty:
@@ -170,14 +180,8 @@ def structure_from_json(data: Any) -> FilteredAInfty:
                 in_spaces.append(sp_name)
                 in_gens.append(gen)
             out = _expect(val.get("output", {}), dict, f"{vpath}.output")
-            out_space = out.get("space")
-            out_hom = _named(spaces, out_space, "output space", vpath)
-            coeffs = {}
-            for gen, c in _expect(out.get("coeffs", {}), dict, f"{vpath}.output.coeffs").items():
-                cpath = f"{vpath}.output.coeffs.{gen}"
-                _generator(out_hom, gen, cpath)
-                coeffs[gen] = _novikov(c, cpath)
-            output = Element(out_space, coeffs)
+            out_hom = _named(spaces, out.get("space"), "output space", vpath)
+            output = element_from_json(out_hom, out.get("coeffs", {}), f"{vpath}.output.coeffs")
             if len({out_hom.shifted_parity(g) for g in output.coeffs}) > 1:
                 raise FormatError(f"output is not shifted-homogeneous: {output}",
                                   f"{vpath}.output.coeffs")

@@ -27,10 +27,7 @@ SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
 
 
 def run(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the argv
-        code = exc.code
+    code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -66,7 +63,7 @@ def test_nov_eval(capsys):
 
 def test_nov_eval_bad_input(capsys):
     code, _, err = run(["nov-eval", "1 + * T"], capsys)
-    assert code == 2 and "offset" in err
+    assert code == 2 and err.startswith("error: '1 + * T': ") and "offset" in err
 
 
 def test_prove_signs_exit_codes(capsys):
@@ -179,7 +176,8 @@ def test_verify_geomodel_few_pushpull_trials_pass(seed, tmp_path, capsys):
 ])
 def test_verify_geomodel_rejects_vacuous_counts(argv, flag, capsys):
     code, out, err = run(["verify-geomodel", *argv], capsys)
-    assert code == 2 and f"{flag} must be >=" in err and "checks passed" not in out
+    assert code == 2 and f"error: argument {flag}: must be >=" in err
+    assert "checks passed" not in out
 
 
 def test_verify_geomodel_smallest_counts_accepted(capsys):
@@ -344,7 +342,7 @@ def test_prove_signs_report_bytes_unchanged(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["-1", "11"])
 def test_prove_signs_rejects_truth_table_arity(capsys, value):
     code, _, err = run(["prove-signs", "--k-max", "1", "--truth-table-k-max", value], capsys)
-    assert code == 2 and err.startswith("error: --truth-table-k-max must be in 0..10")
+    assert code == 2 and err.startswith("error: argument --truth-table-k-max: must be in 0..10")
 
 
 def test_prove_signs_largest_truth_table_arity_accepted(capsys):
@@ -360,12 +358,12 @@ def test_check_dga_interval_circle(capsys):
     assert code == 0
 
 
-# SHA-256 of each relation report as written since each relation check
-# reports its sampled arities.
+# SHA-256 of each relation report as written since product-sign-convention
+# and degree-parity report how much they checked.
 RELATION_REPORTS_SHA256 = {
-    "check-dga": "822080afbcf6495fcd1f885abc93e832fb5fe1e525e4de281a67f7df682273b3",
+    "check-dga": "654b594eb6c21c0dbabf40fa5eb55da5049dc3faef5ac559a95c30c2e7ac2bb0",
     "deform-check": "c7c807fd70b506e322d0236c7b92c5f988f78f41e49880cfa539148dd565b933",
-    "check-ainfty": "4321aca89c829e8a2c4c94d7007ec590f2a10a94f6e6e7ad85ab3eb68c697cba",
+    "check-ainfty": "2084d8e7fa31444444c0445decec7a6577bcfaa43e856690d73a7fea9f2856de",
 }
 
 
@@ -385,9 +383,10 @@ def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
 
 
 # The report commands of the README's "Command line" section, each with the
-# SHA-256 of its report as written since each relation check reports its
-# sampled arities and deform-check enumerates its cochains; a change to any
-# report byte shows here.
+# SHA-256 of its report as written since deform-check enumerates its
+# cochains, and since check-dga counts the words of an arity that no
+# splitting reaches without sampling them and reports how many products it
+# compared; a change to any report byte shows here.
 README_REPORTS = {
     "prove-signs": (
         ["prove-signs", "--k-max", "7", "--truth-table-k-max", "7", "--relations-k-max", "5",
@@ -401,11 +400,11 @@ README_REPORTS = {
     ),
     "check-dga-exterior4": (
         ["check-dga", "--preset", "exterior4", "--k-max", "4"],
-        "db032c4ea2b003a991ec2334b8791dcc435b470b6029a5b9501f15d164b03f06",
+        "949aa06351f204e570bdb2c1b4902c40cfe63d602fd17de311c1677cdca23685",
     ),
     "check-dga-interval-circle": (
         ["check-dga", "--preset", "interval-circle", "--k-max", "4"],
-        "1a5d2251f9e2d2fc90405715a761f56ae5cf5089629e75789e84a02db3290027",
+        "3ba0d3760385f6f28fa93d79dee150c7ca2af78fd7f294bba9e117c107b2bc3a",
     ),
     "deform-check": (
         ["deform-check", "--preset", "interval2", "--lam-min", "1"],
@@ -425,8 +424,9 @@ def test_readme_report_bytes_unchanged(name, tmp_path, capsys):
 
 # Calls of each entry point of the relation sweep during
 # `check-dga --preset exterior3-d --k-max 3`, as made before the sweep's
-# constant-factor work; a change in the work done shows here.
-SWEEP_CALLS = {"relation_defect": 585, "apply_raw": 1734, "lookup": 1798}
+# constant-factor work, less the empty word, which no splitting reaches; a
+# change in the work done shows here.
+SWEEP_CALLS = {"relation_defect": 584, "apply_raw": 1734, "lookup": 1798}
 
 
 def test_relation_sweep_work_is_pinned(tmp_path, capsys, monkeypatch):
@@ -656,6 +656,47 @@ def test_relation_failure_exits_one(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_relation_terms_in_different_spaces_exit_two(tmp_path, capsys):
+    """m1 sends x and y into X, and m2 sends (x, x) and (x2, x) into Y, so the
+    arity-2 relation at (x, x) adds m1(m2(x, x)) in X to m2(m1(x), x) in Y:
+    the file is at fault, and the message names it and the word."""
+    data = {
+        "version": 1, "cutoff": "1", "spectrum_generators": [],
+        "components": [{"name": "R", "dimension": 0, "maslov_parity": 0}],
+        "spaces": [
+            {"name": "X", "component": "R",
+             "basis": [{"gen": "x", "degree": 1}, {"gen": "x2", "degree": 2}]},
+            {"name": "Y", "component": "R", "basis": [{"gen": "y", "degree": 3}]},
+        ],
+        "operations": [
+            {"k": 1, "energy": "0", "tag": "0", "values": [
+                {"inputs": [["X", "x"]], "output": {"space": "X", "coeffs": {"x2": "1"}}},
+                {"inputs": [["Y", "y"]], "output": {"space": "X", "coeffs": {"x2": "1"}}},
+            ]},
+            {"k": 2, "energy": "0", "tag": "0", "values": [
+                {"inputs": [["X", "x"], ["X", "x"]],
+                 "output": {"space": "Y", "coeffs": {"y": "1"}}},
+                {"inputs": [["X", "x2"], ["X", "x"]],
+                 "output": {"space": "Y", "coeffs": {"y": "1"}}},
+            ]},
+        ],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["check-ainfty", "--file", str(path), "--k-max", "2"], capsys)
+    assert code == 2 and err == (
+        f"error: {path}: relation at the word [('X', 'x'), ('X', 'x')]: "
+        "cannot add elements of spaces 'Y' and 'X'\n")
+    assert "checks passed" not in out
+
+
+def test_check_ainfty_records_the_cutoff_in_normal_form(tmp_path, capsys):
+    path = materialized_ext2(tmp_path)
+    code, out, _ = run(["check-ainfty", "--file", str(path), "--k-max", "1", "--cutoff", "2/2",
+                        "--out", "-"], capsys)
+    assert code == 0 and json.loads(out[out.index("{"):])["parameters"]["cutoff"] == "1"
+
+
 def test_enumerate_strata_json_and_schema(capsys):
     code, out, _ = run(
         ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1",
@@ -729,12 +770,12 @@ def test_deform_check_exterior4_has_no_curved_candidate(capsys):
     ('{"nope": "T"}', "unknown generator 'nope'"),
     ('{"u|dv^du": "T"}', "unknown generator 'u|dv^du'"),
     ('{"u^0|dv": "T"}', "unknown generator 'u^0|dv'"),
-    ('["u|dv"]', "must be a JSON object"),
-    ('{"u|dv": 3}', "must be a string"),
+    ('["u|dv"]', "expected an object, got ['u|dv'] (at --b)"),
+    ('{"u|dv": 3}', "expected a string, got 3 (at --b.u|dv)"),
 ])
 def test_deform_check_rejects_malformed_cochain(b, message, capsys):
     code, _, err = run(["deform-check", "--preset", "interval2", "--b", b], capsys)
-    assert code == 2 and message in err
+    assert code == 2 and message in err and "(at --b" in err and err.count("\n") == 1, err
 
 
 def test_repeated_command_parses_the_same_form_keys(capsys, monkeypatch):
@@ -805,56 +846,69 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["check-dga", "--k-max", "-1"], "--k-max must be >= 0"),
-    (["check-ainfty", "--file", "ext2.json", "--k-max", "-1"], "--k-max must be >= 0"),
-    (["deform-check", "--k-max", "-2"], "--k-max must be >= 0"),
+    (["check-dga", "--k-max", "-1"], "argument --k-max: must be >= 0"),
+    (["check-ainfty", "--file", "ext2.json", "--k-max", "-1"], "argument --k-max: must be >= 0"),
+    (["deform-check", "--k-max", "-2"], "argument --k-max: must be >= 0"),
     # the candidates are enumerated, so there is no count of random ones
     (["deform-check", "--random", "1"], "unrecognized arguments: --random 1"),
-    (["deform-check", "--sample-size", "0"], "--sample-size must be >= 1"),
+    (["deform-check", "--sample-size", "0"], "argument --sample-size: must be >= 1"),
     (["deform-check", "--exhaustive-threshold", "-1"],
-     "--exhaustive-threshold must be >= 0"),
+     "argument --exhaustive-threshold: must be >= 0"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "-1"],
-     "--relations-k-max must be >= 0"),
+     "argument --relations-k-max: must be >= 0"),
     (["prove-signs", "--k-max", "2", "--relations-k-max", "3"],
      "--relations-k-max must be <= --k-max (2)"),
-    (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
-    (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"], "--k must be >= 1"),
-    (["deform-check", "--lam-min", "0"], "--lam-min must be > 0"),
-    (["deform-check", "--lam-min", "-1"], "--lam-min must be > 0"),
-    (["check-ainfty", "--file", "ext2.json", "--cutoff", "0"], "--cutoff must be > 0"),
-    (["check-ainfty", "--file", "ext2.json", "--cutoff", "-1"], "--cutoff must be > 0"),
-    (["check-dga", "--cutoff", "0"], "--cutoff must be > 0"),
+    (["enumerate-strata", "--k", "0", "--energy", "0", "--spectrum", "0"],
+     "argument --k: must be >= 1"),
+    (["enumerate-strata", "--k", "-1", "--energy", "0", "--spectrum", "0"],
+     "argument --k: must be >= 1"),
+    (["deform-check", "--lam-min", "0"], "argument --lam-min: must be > 0"),
+    (["deform-check", "--lam-min", "-1"], "argument --lam-min: must be > 0"),
+    (["check-ainfty", "--file", "ext2.json", "--cutoff", "0"], "argument --cutoff: must be > 0"),
+    (["check-ainfty", "--file", "ext2.json", "--cutoff", "-1"], "argument --cutoff: must be > 0"),
+    (["check-dga", "--cutoff", "0"], "argument --cutoff: must be > 0"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "1", "--relations-cutoff", "0"],
-     "--relations-cutoff must be > 0"),
+     "argument --relations-cutoff: must be > 0"),
     # any cutoff above the energy gives the same strata, so there is no flag
     (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--cutoff", "0"],
      "unrecognized arguments: --cutoff 0"),
     (["enumerate-strata", "--k", "1", "--energy", "-1", "--spectrum", "0"],
-     "--energy must be >= 0"),
+     "argument --energy: must be >= 0"),
     (["enumerate-strata", "--k", "2", "--energy", "0", "--spectrum", "0", "--mus", "0,2"],
-     "--mus entries must be 0 or 1"),
+     "argument --mus: entries must be 0 or 1"),
     (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--dim-out", "-1"],
-     "--dim-out must be >= 0"),
+     "argument --dim-out: must be >= 0"),
     (["enumerate-strata", "--k", "1", "--energy", "0", "--spectrum", "0", "--node-dim", "-1"],
-     "--node-dim must be >= 0"),
-    (["check-dga", "--cutoff", "abc"], "--cutoff: bad rational 'abc'"),
+     "argument --node-dim: must be >= 0"),
+    (["check-dga", "--cutoff", "abc"], "argument --cutoff: bad rational 'abc'"),
     (["enumerate-strata", "--k", "3", "--mus", "0,0,0", "--energy", "1/0",
-      "--spectrum", "0,1/2"], "--energy: bad rational '1/0'"),
+      "--spectrum", "0,1/2"], "argument --energy: bad rational '1/0'"),
     (["enumerate-strata", "--k", "3", "--mus", "0,x", "--energy", "1", "--spectrum", "0,1/2"],
-     "--mus: invalid literal"),
+     "argument --mus: entries must be 0 or 1, got '0,x'"),
     (["enumerate-strata", "--k", "1", "--energy", "1", "--spectrum", "0,x"],
-     "--spectrum: bad rational 'x'"),
+     "argument --spectrum: bad rational 'x'"),
     (["prove-signs", "--k-max", "1", "--relations-k-max", "1", "--relations-spectrum", "0,y"],
-     "--relations-spectrum: bad rational 'y'"),
+     "argument --relations-spectrum: bad rational 'y'"),
     (["check-ainfty", "--file", "ext2.json", "--cutoff", "5"],
      "--cutoff 5 exceeds the structure's cutoff 1"),
     (["deform-check", "--b", "notjson"], "--b: not JSON"),
     (["deform-check", "--b", '{"u|dv": "T+1/0"}'],
-     "--b: coefficient of 'u|dv': denominator must be positive"),
+     "bad coefficient 'T+1/0': denominator must be positive (at offset 5) (at --b.u|dv)"),
     (["deform-check", "--b", '{"1|": "T"}'], "--b: the deforming element must have even"),
     (["deform-check", "--b", '{"u|dv": "1"}'], "--b: every coefficient of b needs valuation"),
     (["enumerate-strata", "--k", "2", "--energy", "1/2", "--spectrum", "0,1"],
      "--energy: parent energy 1/2 is not in the spectrum closure"),
+    (["check-dga", "--k-max", "x"], "argument --k-max: invalid int value: 'x'"),
+    (["anf", "--expr", "a", "--file", "b"], "argument --file: not allowed with argument --expr"),
+    (["anf", "--bind", "j=x"], "argument --bind: expected name=integer, got 'j=x'"),
+    # a zero cochain deforms nothing, so there is nothing to check
+    (["deform-check", "--b", "{}"], "--b: the deforming element is zero"),
+    (["deform-check", "--b", '{"u|dv": "0"}'], "--b: the deforming element is zero"),
+    # every flag is checked on its own, whether or not the command reads it
+    (["prove-signs", "--k-max", "1", "--relations-cutoff", "0"],
+     "argument --relations-cutoff: must be > 0"),
+    # an argv token is echoed with its newline escaped, so the message is one line
+    (["check-dga", "x\ny"], "unrecognized arguments: x\\ny"),
 ], ids=["check-dga-k-max", "check-ainfty-k-max", "deform-check-k-max", "random",
         "sample-size", "exhaustive-threshold", "relations-k-max",
         "relations-k-max-above-k-max", "strata-k-zero",
@@ -864,12 +918,14 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
         "check-dga-cutoff-unparsed", "strata-energy-unparsed", "strata-mus-unparsed",
         "strata-spectrum-unparsed", "relations-spectrum-unparsed",
         "check-ainfty-cutoff-above-structure", "b-not-json", "b-coefficient-unparsed",
-        "b-odd", "b-valuation", "strata-energy-outside-spectrum"])
+        "b-odd", "b-valuation", "strata-energy-outside-spectrum", "check-dga-k-max-unparsed",
+        "anf-expr-and-file", "anf-bind-unparsed", "b-empty", "b-zero",
+        "relations-cutoff-unreplayed", "token-with-newline"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)
-    assert code == 2 and f"error: {flag}" in err, err
+    assert code == 2 and f"error: {flag}" in err and err.count("\n") == 1, err
     assert "checks passed" not in out
 
 
@@ -922,9 +978,9 @@ def test_any_drawn_argv_exits_cleanly(argv):
         argv = [substitute.get(token, token) for token in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
+            code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == 2:  # one line that says what is wrong, and no usage block
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -121,7 +121,8 @@ TRACED_ARGV = [
     ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2",
      "--out", "{report}"],
     ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--out", "{report}"],
-    ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--match"],
+    ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--mus", "0,1,0",
+     "--match"],
     ["nov-eval", "(1+T^(1/2))*(1-T^(1/2))"],
     ["anf", "--expr", "Sum(p=1..j-1, mu_p) + 1", "--bind", "j=3"],
 ]
@@ -147,6 +148,7 @@ NOT_TRACED = {
     "F2Poly.variables": "read only when an equivalence fails, to name the witness's variables",
     "Poly.variables": "read only when Form or SmoothMapModel rejects a coefficient, to name "
                       "the variables that are not interval coordinates",
+    "_Parser.error": "runs only on a rejected argv",
 }
 
 
