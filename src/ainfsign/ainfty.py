@@ -414,44 +414,144 @@ class FilteredAInfty:
     ) -> "RelationReport":
         """Defect of every relation up to arity k_max over basis tuples.
 
-        Exhaustive when the tuple count is at most the threshold, otherwise
-        a seeded random sample; the report lists the sampled arities.  An
-        arity that no splitting reaches has zero defect: its words are
-        counted, not visited.  Stops at the first nonzero defect.
+        An arity of at most ``exhaustive_threshold`` tuples is enumerated
+        from the operations' nonzero entries (see ``_swept_words``), which
+        reaches every word that may be defective; a larger one is a seeded
+        random sample of words, and the report lists the sampled arities.
+        An arity that no splitting reaches has zero defect: its words are
+        counted, not visited.  The swept or sampled words go, in order, to
+        ``relation_defect``, which gives the witness: the report stops at
+        the first nonzero defect and counts the words up to it, in
+        ``itertools.product`` order at an enumerated arity.
         """
         cutoff = self.cutoff if cutoff is None else _rational(cutoff)
         basis = [Element.basis(s, g) for s, g in self.basis_generators()]
         rng = random.Random(seed)
         checked = 0
         sampled: list[int] = []
+        # the sweep's values: inner keys tabulated, outer keys evaluated
+        tables: dict[OpKey, dict] = {}
+        outer_values: dict[tuple, Element] = {}
         for k in range(0, k_max + 1):
-            if not self._splittings(k, cutoff):
-                checked += len(basis) ** k
-                continue
-            if len(basis) ** k <= exhaustive_threshold:
-                words = itertools.product(basis, repeat=k)
+            plan = self._splittings(k, cutoff)
+            count = len(basis) ** k
+            if not plan:
+                words = ()
+            elif count <= exhaustive_threshold:
+                words = self._swept_words(k, plan, basis, cutoff, tables, outer_values)
             else:
                 sampled.append(k)
-                words = (
+                count = sample_size
+                words = enumerate(
                     tuple(rng.choice(basis) for _ in range(k))
                     for _ in range(sample_size)
                 )
-            for word in words:
+            for position, word in words:
                 try:
                     defect = self.relation_defect(word, cutoff)
                 except StructureError as exc:
                     inputs = [(el.space, el._gen) for el in word]
                     raise StructureError(f"relation at the word {inputs}: {exc}") from exc
-                checked += 1
                 if defect.coeffs:
                     inputs = [(el.space, el._gen) for el in word]
                     return RelationReport(
                         passed=False,
-                        checked=checked,
+                        checked=checked + position + 1,
                         witness={"k": k, "inputs": inputs, "defect": str(defect)},
                         sampled_arities=sampled,
                     )
+            checked += count
         return RelationReport(passed=True, checked=checked, witness=None, sampled_arities=sampled)
+
+    def _swept_words(
+        self,
+        k: int,
+        plan: list,
+        basis: list[Element],
+        cutoff: Rational,
+        tables: dict[OpKey, dict],
+        outer_values: dict[tuple, Element],
+    ) -> list[tuple[int, tuple[Element, ...]]]:
+        """(position in ``itertools.product`` order, word) of each arity-k
+        basis word whose defect may be nonzero, in that order: its summed
+        terms (see ``_relation_sums``), truncated at the cutoff, are nonzero,
+        or they fall in two spaces, where ``relation_defect`` raises.  If a
+        lookup raises, every word is kept, so that ``relation_defect`` meets
+        the error at the word where a word-by-word sweep would."""
+        try:
+            sums = self._relation_sums(k, plan, basis, tables, outer_values)
+        except Exception:  # relation_defect meets it again and reports it
+            return list(enumerate(itertools.product(basis, repeat=k)))
+        n = len(basis)
+        out = []
+        for word in sorted(sums):
+            total = sums[word]
+            if len({space for space, _ in total}) > 1 or any(
+                c.truncate(cutoff) for c in total.values()
+            ):
+                position = functools.reduce(lambda p, i: p * n + i, word, 0)
+                out.append((position, tuple([basis[i] for i in word])))
+        return out
+
+    def _relation_sums(
+        self,
+        k: int,
+        plan: list,
+        basis: list[Element],
+        tables: dict[OpKey, dict],
+        outer_values: dict[tuple, Element],
+    ) -> dict[tuple[int, ...], dict[tuple[str, str], NovikovElement]]:
+        """The terms of the arity-k relation, summed from the operations'
+        nonzero entries instead of word by word: word (as basis indices) ->
+        (space, generator) -> coefficient before truncation, for each word
+        that a nonzero inner value reaches.
+
+        Each inner key is tabulated once on every basis tuple of its arity,
+        keeping its nonzero outputs by generator (in ``tables``).  Each
+        outer key is evaluated once, lazily, on (basis prefix, generator of
+        an inner output, basis suffix) (in ``outer_values``).  So exactly
+        the values that ``relation_defect`` looks up on the arity's words
+        are looked up.  Each product, times the factor of its summed energy
+        and its prefix's ``koszul_prefix``, goes to the word it came from."""
+        n = len(basis)
+        spaces = [el.space for el in basis]
+        gens = [el._gen for el in basis]
+        degs, mus = self._word_degrees(basis)
+        sums: dict[tuple[int, ...], dict[tuple[str, str], NovikovElement]] = {}
+        for inner_key, outer in plan:
+            k_inner = inner_key[0]
+            reach = tables.get(inner_key)
+            if reach is None:
+                reach = {}
+                for w in itertools.product(range(n), repeat=k_inner):
+                    value = self.table.lookup(inner_key, tuple([spaces[i] for i in w]),
+                                              tuple([gens[i] for i in w]))
+                    for g, c in value.coeffs.items():
+                        reach.setdefault((value.space, g), []).append((w, c))
+                tables[inner_key] = reach
+            m = k - k_inner
+            for rest in itertools.product(range(n), repeat=m):
+                rs = tuple([spaces[i] for i in rest])
+                rg = tuple([gens[i] for i in rest])
+                rdegs, rmus = [degs[i] for i in rest], [mus[i] for i in rest]
+                signs = [koszul_prefix(rdegs, rmus, a + 1) for a in range(m + 1)]
+                for a, (outer_key, factors), ((space, g), targets) in itertools.product(
+                    range(m + 1), outer, reach.items()
+                ):
+                    point = (outer_key, rs[:a] + (space,) + rs[a:], rg[:a] + (g,) + rg[a:])
+                    value = outer_values.get(point)
+                    if value is None:
+                        value = outer_values[point] = self.table.lookup(*point)
+                    if not value.coeffs:
+                        continue
+                    prefix, suffix, factor = rest[:a], rest[a:], factors[signs[a]]
+                    for w, c in targets:
+                        total = sums.setdefault(prefix + w + suffix, {})
+                        scale = factor * c
+                        for h, v in value.coeffs.items():
+                            slot, term = (value.space, h), v * scale
+                            total[slot] = total[slot] + term if slot in total else term
+        return sums
 
 
 @dataclass

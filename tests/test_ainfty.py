@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfsign import ainfty, geomodel, novikov, structio
 from ainfsign.ainfty import (
@@ -13,6 +14,7 @@ from ainfsign.ainfty import (
     FilteredAInfty,
     HomSpace,
     OperationTable,
+    RelationReport,
     StructureError,
     _parse_form_key,
     check_product_sign_convention,
@@ -614,3 +616,253 @@ def test_structure_file_with_fractional_energies_round_trips(tmp_path):
     path.write_text(text)
     A = structio.load_structure(path)
     assert json.dumps(structio.structure_to_json(A), indent=1) == text
+
+
+# --- the relation sweep -------------------------------------------------------
+
+
+def _basis(A):
+    return [Element.basis(s, g) for s, g in A.basis_generators()]
+
+
+def sweep_agrees(A, k_max):
+    """Compare, on every word up to k_max, the relation terms that the sweep
+    sums from the nonzero entries with ``relation_defect``: where it raises,
+    the terms fall in two spaces, and otherwise they sum to its defect.
+    Returns the number of defective words."""
+    basis, defective = _basis(A), 0
+    for k in range(k_max + 1):
+        sums = A._relation_sums(k, A._splittings(k, A.cutoff), basis, {}, {})
+        for word in itertools.product(range(len(basis)), repeat=k):
+            total = sums.get(word, {})
+            try:
+                defect = A.relation_defect([basis[i] for i in word])
+            except StructureError:
+                assert len({space for space, _ in total}) > 1, word
+                defective += 1
+                continue
+            kept = {slot: c.truncate(A.cutoff) for slot, c in total.items()}
+            kept = {slot: c for slot, c in kept.items() if c}
+            spaces = {space for space, _ in kept}
+            assert len(spaces) <= 1, word
+            swept = Element(spaces.pop() if spaces else "", {g: c for (_, g), c in kept.items()})
+            assert swept == defect, word
+            defective += not defect.is_zero()
+    return defective
+
+
+def word_by_word(A, k_max):
+    """``check_relations`` as a plain loop over ``relation_defect`` on every
+    word of every arity that a splitting reaches."""
+    basis, checked = _basis(A), 0
+    for k in range(k_max + 1):
+        if not A._splittings(k, A.cutoff):
+            checked += len(basis) ** k
+            continue
+        for word in itertools.product(basis, repeat=k):
+            inputs = [(el.space, el._gen) for el in word]
+            try:
+                defect = A.relation_defect(word)
+            except StructureError as exc:
+                raise StructureError(f"relation at the word {inputs}: {exc}") from exc
+            checked += 1
+            if defect.coeffs:
+                witness = {"k": k, "inputs": inputs, "defect": str(defect)}
+                return RelationReport(False, checked, witness, [])
+    return RelationReport(True, checked, None, [])
+
+
+def _outcome(run):
+    try:
+        return run()
+    except StructureError as exc:
+        return str(exc)
+
+
+def assert_reports_like_the_word_loop(A, k_max):
+    everything = len(A.basis_generators()) ** k_max
+    assert _outcome(lambda: A.check_relations(k_max, exhaustive_threshold=everything)) == \
+        _outcome(lambda: word_by_word(A, k_max))
+
+
+INTERVAL2 = geomodel.space(("u", "interval"), ("v", "interval"))
+# the candidates of `deform-check --preset interval2 --lam-min 1`
+INTERVAL2_ODD = [g for g, d in cube_torus_dga(INTERVAL2).basis if d % 2 == 1]
+
+
+def _interval2_deformed(gen, sign_rule=None):
+    A = from_dga(cube_torus_dga(INTERVAL2), cutoff=4, sign_rule=sign_rule)
+    return deform(A, Element("deRham", {gen: T_coeff()}), 1)
+
+
+def _exterior3_d_with_m3():
+    """exterior3-d plus a random sparse m3 at energy 1/2, below a cutoff of
+    2: arity-3 keys are then inner and outer operations at once (k = 5)."""
+    A = from_dga(ce3(), cutoff=2)
+    rng = random.Random(5)
+    gens = [g for g, _ in A.spaces["ext"].basis]
+    values = {}
+    for _ in range(12):
+        inputs = tuple(rng.choice(gens) for _ in range(3))
+        coeff = NovikovElement.monomial(rng.choice([-2, -1, 1, 3]), rng.choice([0, Fraction(1, 2)]))
+        values[(("ext",) * 3, inputs)] = Element("ext", {rng.choice(gens): coeff})
+    table = OperationTable({(3, Fraction(1, 2), "h"): values}, A.table.fallbacks)
+    return FilteredAInfty(A.spaces, table, spectrum_closure([Fraction(1, 2)], 2), 2)
+
+
+def _mixed_space_structure(mixed_first):
+    """m1 on spaces A = {a1, a2, a3} and B = {b}, with a3 -> b, below a
+    cutoff of 1.  The word whose m1 is T*(a2 + a3) has relation terms in A
+    and in B: they truncate to zero, but ``relation_defect`` adds them before
+    it truncates, and raises.  The word whose m1 is itself (a1 or a2) is
+    defective.  ``mixed_first`` puts the mixed word first in word order."""
+    plus = Element("A", {"a2": T_coeff(), "a3": T_coeff()})
+    m1 = {"a1": plus, "a2": Element.basis("A", "a2")} if mixed_first else \
+        {"a1": Element.basis("A", "a1"), "a2": plus}
+    m1["a3"] = Element.basis("B", "b")
+    component = ComponentData("R", 0, 0)
+    spaces = {"A": HomSpace("A", component, (("a1", 0), ("a2", 0), ("a3", 0))),
+              "B": HomSpace("B", component, (("b", 0),))}
+    values = {(1, 0, "m"): {(("A",), (g,)): value for g, value in m1.items()}}
+    return FilteredAInfty(spaces, OperationTable(values), spectrum_closure([], 1), 1)
+
+
+def _vanishing_below_the_cutoff():
+    """m1(x) = T*x below a cutoff of 2: the relation's only term, T^2*x, is
+    truncated."""
+    spaces = {"A": HomSpace("A", ComponentData("R", 0, 0), (("x", 0),))}
+    values = {(1, 0, "m"): {(("A",), ("x",)): Element("A", {"x": T_coeff()})}}
+    return FilteredAInfty(spaces, OperationTable(values), spectrum_closure([], 2), 2)
+
+
+def _raising_fallback():
+    """exterior3-d whose differential raises on e2^e3: every word through
+    that value is an error."""
+    A = from_dga(ce3())
+    d = A.table.fallbacks[(1, 0, "0")]
+
+    def raising(spaces, gens):
+        if gens == ("e2^e3",):
+            raise StructureError("no value")
+        return d(spaces, gens)
+
+    table = OperationTable(fallbacks={**A.table.fallbacks, (1, 0, "0"): raising})
+    return FilteredAInfty(A.spaces, table, A.spectrum, A.cutoff)
+
+
+@pytest.mark.parametrize("make, k_max, defective", [
+    (lambda: from_dga(exterior_dga(4)), 3, False),
+    (lambda: from_dga(ce3()), 4, False),
+    (lambda: from_dga(cube_torus_dga(geomodel.space(("t", "interval"), ("c", "circle")))),
+     3, False),
+    (_wrong_rule_exterior3_d, 3, True),
+    (lambda: from_dga(exterior_dga(4), sign_rule=lambda d1, d2: 0), 3, True),
+    (lambda: _interval2_deformed("u|dv", sign_rule=lambda d1, d2: d2 % 2), 2, True),
+    (_exterior3_d_with_m3, 5, True),
+    (_vanishing_below_the_cutoff, 3, False),
+    (lambda: _mixed_space_structure(True), 1, True),
+    (lambda: _mixed_space_structure(False), 1, True),
+], ids=["exterior4", "exterior3-d", "interval-circle", "exterior3-d-wrong-rule",
+        "exterior4-wrong-rule", "interval2-deformed-wrong-rule", "exterior3-d-m3",
+        "vanishing-below-the-cutoff", "mixed-first", "mixed-last"])
+def test_sweep_defects_equal_relation_defect_on_every_word(make, k_max, defective):
+    """interval-circle's products leave the listed basis, so its outer keys
+    are evaluated on generators that are not basis words."""
+    assert (sweep_agrees(make(), k_max) > 0) == defective
+
+
+@pytest.mark.parametrize("gen", INTERVAL2_ODD)
+def test_sweep_agrees_on_each_interval2_deformation(gen):
+    assert sweep_agrees(_interval2_deformed(gen), 2) == 0
+
+
+@pytest.mark.parametrize("make, k_max", [
+    (_wrong_rule_exterior3_d, 3),
+    (lambda: from_dga(exterior_dga(4), sign_rule=lambda d1, d2: 0), 3),
+    (lambda: _interval2_deformed("u|dv", sign_rule=lambda d1, d2: d2 % 2), 2),
+    (_exterior3_d_with_m3, 5),
+    (lambda: _mixed_space_structure(True), 1),
+    (lambda: _mixed_space_structure(False), 1),
+    (_raising_fallback, 2),
+], ids=["exterior3-d-wrong-rule", "exterior4-wrong-rule", "interval2-deformed-wrong-rule",
+        "exterior3-d-m3", "mixed-first", "mixed-last", "raising-fallback"])
+def test_failing_reports_equal_the_word_loop(make, k_max):
+    assert_reports_like_the_word_loop(make(), k_max)
+
+
+def test_mixed_space_word_raises_only_when_it_comes_first():
+    first, last = _mixed_space_structure(True), _mixed_space_structure(False)
+    with pytest.raises(StructureError, match=r"relation at the word \[\('A', 'a1'\)\]"):
+        first.check_relations(1)
+    report = last.check_relations(1)
+    assert not report.passed and report.witness["inputs"] == [("A", "a1")]
+    assert report.checked == 2  # the empty word, then (a1)
+
+
+@pytest.mark.parametrize("make, k_max", [
+    (lambda: from_dga(ce3()), 3),
+    (lambda: _interval2_deformed("u|dv"), 2),
+    (_vanishing_below_the_cutoff, 2),
+], ids=["exterior3-d", "interval2-deformed", "vanishing-below-the-cutoff"])
+def test_sweep_looks_up_what_the_word_loop_looks_up(monkeypatch, make, k_max):
+    """The sweep evaluates no value, fallbacks included, that the word loop
+    does not, and none fewer; each run gets a fresh structure, so that the
+    fallbacks' caches hide nothing.  Passing, it calls ``relation_defect``
+    on no word."""
+    lookup, relation_defect = OperationTable.lookup, FilteredAInfty.relation_defect
+    seen: list[set] = []
+    defect_calls = []
+
+    def recording(self, key, spaces, gens):
+        seen[-1].add((key, spaces, gens))
+        return lookup(self, key, spaces, gens)
+
+    def counting(self, word, cutoff=None):
+        defect_calls.append(word)
+        return relation_defect(self, word, cutoff)
+
+    monkeypatch.setattr(OperationTable, "lookup", recording)
+    seen.append(set())
+    with monkeypatch.context() as patch:
+        patch.setattr(FilteredAInfty, "relation_defect", counting)
+        assert make().check_relations(k_max).passed
+    assert defect_calls == []
+    seen.append(set())
+    assert word_by_word(make(), k_max).passed
+    assert seen[0] == seen[1] and seen[0]
+
+
+@st.composite
+def stored_structures(draw):
+    """Sparse stored operations of arities 0 to 3 at energies 0, 1/2 and 1
+    on one or two spaces of one or two generators, with outputs in either
+    space."""
+    spaces = {}
+    for name in ("X", "Y")[: draw(st.integers(1, 2))]:
+        component = ComponentData(name, 0, draw(st.integers(0, 1)))
+        basis = tuple((f"{name.lower()}{i}", draw(st.integers(0, 2)))
+                      for i in range(draw(st.integers(1, 2))))
+        spaces[name] = HomSpace(name, component, basis)
+    points = [(s, g) for s, space in spaces.items() for g, _ in space.basis]
+    values: dict = {}
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, 3))
+        energy = draw(st.sampled_from([Fraction(1, 2), 1] if k == 0 else [0, Fraction(1, 2), 1]))
+        inputs = [draw(st.sampled_from(points)) for _ in range(k)]
+        out = draw(st.sampled_from(list(spaces)))
+        gens = draw(st.sets(st.sampled_from([g for g, _ in spaces[out].basis]), min_size=1))
+        coeffs = {g: NovikovElement.monomial(draw(st.sampled_from([-2, -1, 1, 3])),
+                                             draw(st.sampled_from([0, Fraction(1, 2)])))
+                  for g in sorted(gens)}
+        key = (k, energy, draw(st.sampled_from("ab")))
+        tensor = (tuple(s for s, _ in inputs), tuple(g for _, g in inputs))
+        values.setdefault(key, {})[tensor] = Element(out, coeffs)
+    return FilteredAInfty(spaces, OperationTable(values),
+                          spectrum_closure([Fraction(1, 2)], 2), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_structures())
+def test_sweep_agrees_on_random_stored_structures(A):
+    sweep_agrees(A, 3)
+    assert_reports_like_the_word_loop(A, 3)

@@ -121,6 +121,9 @@ TRACED_ARGV = [
     ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2",
      "--out", "{report}"],
     ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--out", "{report}"],
+    # arity 3 has 8000 words, so it is sampled, word by word through relation_defect
+    ["deform-check", "--preset", "interval2", "--k-max", "3", "--exhaustive-threshold", "500",
+     "--sample-size", "5", "--out", "{report}"],
     ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--mus", "0,1,0",
      "--match"],
     ["nov-eval", "(1+T^(1/2))*(1-T^(1/2))"],
