@@ -54,24 +54,17 @@ class Element:
     """A finite Novikov-linear combination of named generators of one hom
     space, canonical when built: zero coefficients are dropped, ``coeffs``
     is a read-only mapping, and the zero element has the empty space name.
-    ``_gen`` is the generator of a basis element (one generator with the
-    shared unit coefficient ``NovikovElement.one()``), else None."""
+    A basis element is one generator with the shared unit coefficient
+    ``NovikovElement.one()``."""
 
     space: str
     coeffs: Mapping[str, NovikovElement] = field(default_factory=dict)
-    _gen: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {g: c for g, c in self.coeffs.items() if c}
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        gen = None
-        if len(coeffs) == 1:
-            ((g, c),) = coeffs.items()
-            if c is NovikovElement.one():
-                gen = g
-        elif not coeffs:
+        if not coeffs:
             object.__setattr__(self, "space", "")
-        object.__setattr__(self, "_gen", gen)
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self.coeffs.items())))
@@ -236,16 +229,16 @@ class FilteredAInfty:
     with ``spaces`` held as a read-only copy.  The splittings of each
     relation arity are planned once per structure and cutoff.
 
-    Every application goes through ``apply_raw`` and every value through
-    ``OperationTable.lookup``.  A basis word, whose inputs are all basis
-    elements (see ``Element``), is one lookup: it is not expanded into
-    Novikov products and its value is not scaled."""
+    Every application goes through ``apply_raw``, which looks up each
+    choice of one generator per input (a basis word is one choice, and its
+    unit coefficients scale nothing), and every value through
+    ``OperationTable.lookup``."""
 
     spaces: Mapping[str, HomSpace]
     table: OperationTable
     spectrum: GappedSpectrum
     cutoff: Rational
-    _plans: dict[tuple[int, int, int], list] = field(
+    _plans: dict[tuple[int, Rational], list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -283,31 +276,20 @@ class FilteredAInfty:
 
     # --- applying operations ---
 
-    def _expand(self, word: Sequence[Element]) -> list[tuple[tuple[str, ...], tuple[str, ...], NovikovElement]]:
-        combos: list[tuple[tuple[str, ...], tuple[str, ...], NovikovElement]] = [
-            ((), (), NovikovElement.one())
-        ]
-        for el in word:
-            nxt = []
-            for spaces, gens, coeff in combos:
-                for g, c in el.coeffs.items():
-                    nxt.append((spaces + (el.space,), gens + (g,), coeff * c))
-            combos = nxt
-        return combos
-
     def apply_raw(self, key: OpKey, word: Sequence[Element]) -> Element:
         """Multilinear application of one stored operation, without its
-        energy factor."""
+        energy factor: the value on each choice of one generator per input,
+        scaled by the chosen coefficients (the shared unit scales nothing)."""
         if key[0] != len(word):
             raise StructureError(f"operation {key} expects {key[0]} inputs, got {len(word)}")
-        gens = tuple([el._gen for el in word])
-        if None not in gens:  # a basis word
-            return self.table.lookup(key, tuple([el.space for el in word]), gens)
+        spaces = tuple([el.space for el in word])
         total = Element.zero()
-        for spaces, gens, coeff in self._expand(word):
+        for gens in itertools.product(*[el.coeffs for el in word]):
             value = self.table.lookup(key, spaces, gens)
-            if not value.is_zero():
-                total = total + value.scale(coeff)
+            if value.coeffs:
+                for el, g in zip(word, gens):
+                    value = value.scale(el.coeffs[g])
+                total = total + value
         return total
 
     def apply_operation(self, k: int, word: Sequence[Element]) -> Element:
@@ -335,17 +317,14 @@ class FilteredAInfty:
         shifted-homogeneous."""
         degs, mus = [], []
         for el in word:
-            gen = el._gen
-            if gen is None:
-                if not el.coeffs:
-                    degs.append(0)
-                    mus.append(0)
-                    continue
-                if len(el.coeffs) > 1:
-                    self.shifted_parity(el)  # homogeneity check
-                gen = next(iter(el.coeffs))
+            if not el.coeffs:
+                degs.append(0)
+                mus.append(0)
+                continue
+            if len(el.coeffs) > 1:
+                self.shifted_parity(el)  # homogeneity check
             space = self.spaces[el.space]
-            degs.append(space.degree_of(gen))
+            degs.append(space.degree_of(next(iter(el.coeffs))))
             mus.append(space.component.maslov_parity)
         return degs, mus
 
@@ -355,9 +334,7 @@ class FilteredAInfty:
         """The splittings of the arity-k relation below the cutoff: each
         inner key that has outer keys, with those outer keys and the factors
         ``T^energy`` and ``-T^energy`` of their summed energy."""
-        # keyed by ints, which hash in C; a Fraction hashes in Python
-        plan_key = (k, cutoff.numerator, cutoff.denominator)
-        plan = self._plans.get(plan_key)
+        plan = self._plans.get((k, cutoff))
         if plan is None:
             plan = []
             for inner_key in self.table.keys():
@@ -373,7 +350,7 @@ class FilteredAInfty:
                         outer.append((outer_key, factors))
                 if outer:
                     plan.append((inner_key, outer))
-            self._plans[plan_key] = plan
+            self._plans[k, cutoff] = plan
         return plan
 
     def relation_defect(self, word: Sequence[Element], cutoff: Rational | None = None) -> Element:
@@ -414,46 +391,47 @@ class FilteredAInfty:
     ) -> "RelationReport":
         """Defect of every relation up to arity k_max over basis tuples.
 
-        An arity of at most ``exhaustive_threshold`` tuples is enumerated
-        from the operations' nonzero entries (see ``_swept_words``), which
-        reaches every word that may be defective; a larger one is a seeded
-        random sample of words, and the report lists the sampled arities.
-        An arity that no splitting reaches has zero defect: its words are
-        counted, not visited.  The swept or sampled words go, in order, to
-        ``relation_defect``, which gives the witness: the report stops at
-        the first nonzero defect and counts the words up to it, in
-        ``itertools.product`` order at an enumerated arity.
+        An arity of at most ``max(exhaustive_threshold, sample_size)``
+        tuples is enumerated from the operations' nonzero entries (see
+        ``_swept_words``), which reaches every word that may be defective; a
+        larger one is a seeded random sample of ``sample_size`` words, drawn
+        with replacement and counted per draw, and the report lists the
+        sampled arities.  An arity that no splitting reaches has zero
+        defect: its words are counted, not visited.  A word is a tuple of
+        indices into ``basis_generators()``; the swept or sampled words go,
+        in order, to ``relation_defect``, which gives the witness: the
+        report stops at the first nonzero defect and counts the words up to
+        it, in ``itertools.product`` order at an enumerated arity.
         """
         cutoff = self.cutoff if cutoff is None else _rational(cutoff)
-        basis = [Element.basis(s, g) for s, g in self.basis_generators()]
+        generators = self.basis_generators()
+        basis = [Element.basis(s, g) for s, g in generators]
+        indices = range(len(generators))
         rng = random.Random(seed)
         checked = 0
         sampled: list[int] = []
-        # the sweep's values: inner keys tabulated, outer keys evaluated
-        tables: dict[OpKey, dict] = {}
-        outer_values: dict[tuple, Element] = {}
+        tables: dict[OpKey, dict] = {}  # the sweep's inner keys, tabulated
         for k in range(0, k_max + 1):
             plan = self._splittings(k, cutoff)
-            count = len(basis) ** k
+            count = len(generators) ** k
             if not plan:
                 words = ()
-            elif count <= exhaustive_threshold:
-                words = self._swept_words(k, plan, basis, cutoff, tables, outer_values)
+            elif count <= max(exhaustive_threshold, sample_size):
+                words = self._swept_words(k, plan, generators, cutoff, tables)
             else:
                 sampled.append(k)
                 count = sample_size
                 words = enumerate(
-                    tuple(rng.choice(basis) for _ in range(k))
+                    tuple([rng.choice(indices) for _ in range(k)])
                     for _ in range(sample_size)
                 )
             for position, word in words:
+                inputs = [generators[i] for i in word]
                 try:
-                    defect = self.relation_defect(word, cutoff)
+                    defect = self.relation_defect([basis[i] for i in word], cutoff)
                 except StructureError as exc:
-                    inputs = [(el.space, el._gen) for el in word]
                     raise StructureError(f"relation at the word {inputs}: {exc}") from exc
                 if defect.coeffs:
-                    inputs = [(el.space, el._gen) for el in word]
                     return RelationReport(
                         passed=False,
                         checked=checked + position + 1,
@@ -467,22 +445,21 @@ class FilteredAInfty:
         self,
         k: int,
         plan: list,
-        basis: list[Element],
+        generators: list[tuple[str, str]],
         cutoff: Rational,
         tables: dict[OpKey, dict],
-        outer_values: dict[tuple, Element],
-    ) -> list[tuple[int, tuple[Element, ...]]]:
+    ) -> list[tuple[int, tuple[int, ...]]]:
         """(position in ``itertools.product`` order, word) of each arity-k
-        basis word whose defect may be nonzero, in that order: its summed
-        terms (see ``_relation_sums``), truncated at the cutoff, are nonzero,
-        or they fall in two spaces, where ``relation_defect`` raises.  If a
+        word whose defect may be nonzero, in that order: its summed terms
+        (see ``_relation_sums``), truncated at the cutoff, are nonzero, or
+        they fall in two spaces, where ``relation_defect`` raises.  If a
         lookup raises, every word is kept, so that ``relation_defect`` meets
         the error at the word where a word-by-word sweep would."""
+        n = len(generators)
         try:
-            sums = self._relation_sums(k, plan, basis, tables, outer_values)
+            sums = self._relation_sums(k, plan, generators, tables)
         except Exception:  # relation_defect meets it again and reports it
-            return list(enumerate(itertools.product(basis, repeat=k)))
-        n = len(basis)
+            return list(enumerate(itertools.product(range(n), repeat=k)))
         out = []
         for word in sorted(sums):
             total = sums[word]
@@ -490,33 +467,34 @@ class FilteredAInfty:
                 c.truncate(cutoff) for c in total.values()
             ):
                 position = functools.reduce(lambda p, i: p * n + i, word, 0)
-                out.append((position, tuple([basis[i] for i in word])))
+                out.append((position, word))
         return out
 
     def _relation_sums(
         self,
         k: int,
         plan: list,
-        basis: list[Element],
+        generators: list[tuple[str, str]],
         tables: dict[OpKey, dict],
-        outer_values: dict[tuple, Element],
     ) -> dict[tuple[int, ...], dict[tuple[str, str], NovikovElement]]:
         """The terms of the arity-k relation, summed from the operations'
-        nonzero entries instead of word by word: word (as basis indices) ->
-        (space, generator) -> coefficient before truncation, for each word
-        that a nonzero inner value reaches.
+        nonzero entries instead of word by word: word (as indices into
+        ``generators``) -> (space, generator) -> coefficient before
+        truncation, for each word that a nonzero inner value reaches.
 
         Each inner key is tabulated once on every basis tuple of its arity,
         keeping its nonzero outputs by generator (in ``tables``).  Each
-        outer key is evaluated once, lazily, on (basis prefix, generator of
-        an inner output, basis suffix) (in ``outer_values``).  So exactly
+        outer key is looked up wherever an inner output reaches: on (basis
+        prefix, generator of an inner output, basis suffix).  So exactly
         the values that ``relation_defect`` looks up on the arity's words
-        are looked up.  Each product, times the factor of its summed energy
-        and its prefix's ``koszul_prefix``, goes to the word it came from."""
-        n = len(basis)
-        spaces = [el.space for el in basis]
-        gens = [el._gen for el in basis]
-        degs, mus = self._word_degrees(basis)
+        are looked up, and the fallbacks' own caches are the only value
+        cache.  Each product, times the factor of its summed energy and its
+        prefix's ``koszul_prefix``, goes to the word it came from."""
+        n = len(generators)
+        spaces = [s for s, _ in generators]
+        gens = [g for _, g in generators]
+        degs = [self.spaces[s].degree_of(g) for s, g in generators]
+        mus = [self.spaces[s].component.maslov_parity for s in spaces]
         sums: dict[tuple[int, ...], dict[tuple[str, str], NovikovElement]] = {}
         for inner_key, outer in plan:
             k_inner = inner_key[0]
@@ -538,10 +516,8 @@ class FilteredAInfty:
                 for a, (outer_key, factors), ((space, g), targets) in itertools.product(
                     range(m + 1), outer, reach.items()
                 ):
-                    point = (outer_key, rs[:a] + (space,) + rs[a:], rg[:a] + (g,) + rg[a:])
-                    value = outer_values.get(point)
-                    if value is None:
-                        value = outer_values[point] = self.table.lookup(*point)
+                    value = self.table.lookup(outer_key, rs[:a] + (space,) + rs[a:],
+                                              rg[:a] + (g,) + rg[a:])
                     if not value.coeffs:
                         continue
                     prefix, suffix, factor = rest[:a], rest[a:], factors[signs[a]]

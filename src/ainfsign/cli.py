@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_positive, default="1",
                    help="recorded in the report; every preset embeds at energy zero, so it "
                    "does not change what is checked")
-    common(p, SAMPLE_SEED_HELP)
+    common(p)
     p.set_defaults(func=cmd_check_dga)
 
     p = sub.add_parser("check-ainfty", help="relations of a structure file")

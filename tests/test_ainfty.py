@@ -526,10 +526,9 @@ def _wrong_rule_exterior3_d():
 @pytest.mark.parametrize("make", [lambda: from_dga(exterior_dga(4)), _deformed_interval2,
                                   _wrong_rule_exterior3_d],
                          ids=["exterior4", "interval2-deformed", "exterior3-d-wrong-rule"])
-def test_basis_words_agree_with_the_expanded_path(make):
-    """A basis word is one lookup; scaling its inputs by rationals forces the
-    general path through Novikov products, and by multilinearity both the
-    operations and the relation defect scale by the product of the scalars."""
+def test_operations_and_defects_are_multilinear_on_basis_words(make):
+    """Scaling a basis word's inputs by rationals scales both the operations
+    and the relation defect by the product of the scalars."""
     A = make()
     rng = random.Random(11)
     gens = A.basis_generators()
@@ -542,8 +541,6 @@ def test_basis_words_agree_with_the_expanded_path(make):
             word = [Element.basis(s, g) for s, g in chosen]
             scaled = [Element(s, {g: NovikovElement.monomial(q, 0)})
                       for (s, g), q in zip(chosen, scalars)]
-            assert all(el._gen is not None for el in word)
-            assert all(el._gen is None for el in scaled)
             factor = NovikovElement.monomial(math.prod(scalars), 0)
             for key in A.table.keys_of_arity(k):
                 value = A.apply_raw(key, word)
@@ -621,18 +618,15 @@ def test_structure_file_with_fractional_energies_round_trips(tmp_path):
 # --- the relation sweep -------------------------------------------------------
 
 
-def _basis(A):
-    return [Element.basis(s, g) for s, g in A.basis_generators()]
-
-
 def sweep_agrees(A, k_max):
     """Compare, on every word up to k_max, the relation terms that the sweep
     sums from the nonzero entries with ``relation_defect``: where it raises,
     the terms fall in two spaces, and otherwise they sum to its defect.
     Returns the number of defective words."""
-    basis, defective = _basis(A), 0
+    generators, defective = A.basis_generators(), 0
+    basis = [Element.basis(s, g) for s, g in generators]
     for k in range(k_max + 1):
-        sums = A._relation_sums(k, A._splittings(k, A.cutoff), basis, {}, {})
+        sums = A._relation_sums(k, A._splittings(k, A.cutoff), generators, {})
         for word in itertools.product(range(len(basis)), repeat=k):
             total = sums.get(word, {})
             try:
@@ -654,15 +648,15 @@ def sweep_agrees(A, k_max):
 def word_by_word(A, k_max):
     """``check_relations`` as a plain loop over ``relation_defect`` on every
     word of every arity that a splitting reaches."""
-    basis, checked = _basis(A), 0
+    generators, checked = A.basis_generators(), 0
     for k in range(k_max + 1):
         if not A._splittings(k, A.cutoff):
-            checked += len(basis) ** k
+            checked += len(generators) ** k
             continue
-        for word in itertools.product(basis, repeat=k):
-            inputs = [(el.space, el._gen) for el in word]
+        for word in itertools.product(generators, repeat=k):
+            inputs = list(word)
             try:
-                defect = A.relation_defect(word)
+                defect = A.relation_defect([Element.basis(s, g) for s, g in inputs])
             except StructureError as exc:
                 raise StructureError(f"relation at the word {inputs}: {exc}") from exc
             checked += 1
@@ -788,6 +782,26 @@ def test_sweep_agrees_on_each_interval2_deformation(gen):
         "exterior3-d-m3", "mixed-first", "mixed-last", "raising-fallback"])
 def test_failing_reports_equal_the_word_loop(make, k_max):
     assert_reports_like_the_word_loop(make(), k_max)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_words_are_seeded_choices_of_the_generators(seed):
+    """exterior3-d with the wrong rule, arity 2 sampled (64 words, more than
+    the threshold 8 and the sample 10): the words are drawn input by input
+    with ``random.Random(seed).choice`` over ``basis_generators()``, after
+    the 1 + 8 enumerated words of arities 0 and 1."""
+    A = _wrong_rule_exterior3_d()
+    generators = A.basis_generators()
+    rng, checked, witness = random.Random(seed), 1 + 8, None
+    for _ in range(10):
+        inputs = [rng.choice(generators) for _ in range(2)]
+        checked += 1
+        defect = A.relation_defect([Element.basis(s, g) for s, g in inputs])
+        if defect.coeffs:
+            witness = {"k": 2, "inputs": inputs, "defect": str(defect)}
+            break
+    report = A.check_relations(2, seed=seed, exhaustive_threshold=8, sample_size=10)
+    assert report == RelationReport(witness is None, checked, witness, [2])
 
 
 def test_mixed_space_word_raises_only_when_it_comes_first():

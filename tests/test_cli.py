@@ -425,10 +425,11 @@ def test_readme_report_bytes_unchanged(name, tmp_path, capsys):
 # Calls of each entry point of the relation sweep during
 # `check-dga --preset exterior3-d --k-max 3`.  The sweep goes over the
 # operations' nonzero entries, so a passing run calls neither
-# `relation_defect` nor `apply_raw`; its lookups are 144 for the sweep (each
-# inner value once, each reached outer value once) and 64 for the
-# product-sign check.  A change in the work done shows here.
-SWEEP_CALLS = {"relation_defect": 0, "apply_raw": 0, "lookup": 208}
+# `relation_defect` nor `apply_raw`; its lookups are 259 for the sweep (72
+# tabulating each inner value once, and 187 outer ones, one wherever an inner
+# output reaches) and 64 for the product-sign check.  A change in the work
+# done shows here.
+SWEEP_CALLS = {"relation_defect": 0, "apply_raw": 0, "lookup": 323}
 
 
 def test_relation_sweep_work_is_pinned(tmp_path, capsys, monkeypatch):
@@ -733,6 +734,41 @@ def test_deform_check_explicit_cochain_is_the_only_candidate(capsys):
     assert code == 0
     assert [c["id"] for c in report["checks"]] == ["deform:explicit", "curved-instance-present"]
     assert report["checks"][-1]["detail"] == {"curved": 1, "total": 1}
+
+
+@pytest.mark.parametrize("sample_size, checked, sampled", [
+    ("1000", 421, []), ("400", 421, []), ("399", 420, [2])])
+def test_deform_check_enumerates_an_arity_no_larger_than_the_sample(
+        sample_size, checked, sampled, capsys):
+    """A sample draws with replacement and counts each draw, so an arity of
+    at most --sample-size words is enumerated: 1 + 20 + 400 words to arity
+    2, not 1,000 draws at each arity."""
+    code, report = deform_report(
+        ["--preset", "interval2", "--k-max", "2", "--exhaustive-threshold", "0",
+         "--sample-size", sample_size], capsys)
+    assert code == 0
+    deforms = [c["detail"] for c in report["checks"] if c["id"].startswith("deform:")]
+    assert len(deforms) == 10
+    assert all((d["tuples_checked"], d["sampled_arities"]) == (checked, sampled)
+               for d in deforms)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_check_dga_report_does_not_depend_on_the_seed(preset, capsys):
+    """The presets store only m1 and m2, so no splitting reaches arity 4 or
+    more, and arity 3 has at most 20**3 = 8,000 words, within the
+    exhaustive threshold: check-dga never samples, and --seed is only
+    recorded."""
+    reports = []
+    for seed in (1, 99):
+        code, out, _ = run(["check-dga", "--preset", preset, "--k-max", "5",
+                            "--seed", str(seed), "--out", "-"], capsys)
+        assert code == 0
+        report = json.loads(out[out.index("{"):])
+        assert report["parameters"].pop("seed") == seed
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"][0]["detail"]["sampled_arities"] == []
 
 
 @pytest.mark.parametrize("seed", range(10))
