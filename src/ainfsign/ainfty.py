@@ -55,7 +55,9 @@ class Element:
     space, canonical when built: zero coefficients are dropped, ``coeffs``
     is a read-only mapping, and the zero element has the empty space name.
     A basis element is one generator with the shared unit coefficient
-    ``NovikovElement.one()``."""
+    ``NovikovElement.one()``.  Results that are canonical by construction
+    (basis elements, sums, scales, truncations) go through the trusted
+    ``Element._of``."""
 
     space: str
     coeffs: Mapping[str, NovikovElement] = field(default_factory=dict)
@@ -70,12 +72,23 @@ class Element:
         return hash((self.space, frozenset(self.coeffs.items())))
 
     @staticmethod
+    def _of(space: str, coeffs: dict[str, NovikovElement]) -> "Element":
+        """Trusted constructor: adopts ``coeffs``, a dict built at the call
+        with no zero coefficient, which no caller keeps."""
+        if not coeffs:
+            return _ZERO_ELEMENT
+        element = object.__new__(Element)
+        object.__setattr__(element, "space", space)
+        object.__setattr__(element, "coeffs", MappingProxyType(coeffs))
+        return element
+
+    @staticmethod
     def zero() -> "Element":
         return _ZERO_ELEMENT
 
     @staticmethod
     def basis(space: str, gen: str) -> "Element":
-        return Element(space, {gen: NovikovElement.one()})
+        return Element._of(space, {gen: NovikovElement.one()})
 
     def normalized(self) -> "Element":
         """The element itself, since elements are canonical when built; kept
@@ -96,20 +109,29 @@ class Element:
             )
         coeffs = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            coeffs[g] = coeffs[g] + c if g in coeffs else c
-        return Element(self.space, coeffs)
+            if g not in coeffs:
+                coeffs[g] = c
+            elif total := coeffs[g] + c:
+                coeffs[g] = total
+            else:
+                del coeffs[g]
+        return Element._of(self.space, coeffs)
 
     def scale(self, factor: NovikovElement) -> "Element":
         if factor is NovikovElement.one():
             return self
-        return Element(self.space, {g: c * factor for g, c in self.coeffs.items()})
+        if not factor:
+            return _ZERO_ELEMENT
+        # a product of nonzero Novikov elements is nonzero
+        return Element._of(self.space, {g: c * factor for g, c in self.coeffs.items()})
 
     def shift(self, delta: Rational) -> "Element":
         """Multiply every coefficient by T^delta; all exponents must stay >= 0."""
         return Element(self.space, {g: c.shift(delta) for g, c in self.coeffs.items()})
 
     def truncate(self, cutoff: Rational) -> "Element":
-        return Element(self.space, {g: c.truncate(cutoff) for g, c in self.coeffs.items()})
+        return Element._of(self.space, {g: t for g, c in self.coeffs.items()
+                                        if (t := c.truncate(cutoff))})
 
     def valuation(self):
         return min(
@@ -577,7 +599,7 @@ class DGAModel:
 
 
 def _as_element(space: str, combo: Mapping[str, Rational]) -> Element:
-    return Element(space, {g: NovikovElement.monomial(c, 0) for g, c in combo.items()})
+    return Element._of(space, {g: NovikovElement.monomial(c, 0) for g, c in combo.items() if c})
 
 
 def exterior_dga(

@@ -7,6 +7,11 @@ variable.  Exit codes: 0 all checks pass, 1 a verification failed (the
 report carries a witness), 2 usage or input errors.  Identical inputs and
 seed produce byte-identical reports; per-check timings are recorded only
 under ``--timing`` so they never break reproducibility.
+
+Every subcommand is one row of ``COMMANDS``: its name, help, the function
+adding its flags and its handler.  ``main`` builds the parser of the
+invoked subcommand alone, and the full parser only when the first
+argument names no subcommand, so a command pays for its own flags only.
 """
 
 from __future__ import annotations
@@ -415,20 +420,13 @@ SAMPLE_SEED_HELP = ("picks the relation words sampled at each arity with more ba
                     "than the exhaustive threshold")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ainfsign",
-        description="exact verification toolkit for filtered A-infinity sign conventions",
-    )
-    parser.add_argument("--version", action="version", version=f"ainfsign {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, seed_help="seed recorded in the report"):
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--out", help="report file ('-' for stdout)")
+    p.add_argument("--timing", action="store_true", help="record per-check runtimes")
 
-    def common(p, seed_help="seed recorded in the report"):
-        p.add_argument("--seed", type=int, default=0, help=seed_help)
-        p.add_argument("--out", help="report file ('-' for stdout)")
-        p.add_argument("--timing", action="store_true", help="record per-check runtimes")
 
-    p = sub.add_parser("prove-signs", help="prove the sign identities symbolically")
+def _prove_signs_flags(p):
     p.add_argument("--k-max", type=_count(1), required=True)
     most = prover.TRUTH_TABLE_K_MAX
     p.add_argument("--truth-table-k-max", default=0,
@@ -437,36 +435,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also replay the relation cancellation up to this arity")
     p.add_argument("--relations-spectrum", type=_rationals, default="0,1")
     p.add_argument("--relations-cutoff", type=_positive, default="4")
-    common(p)
-    p.set_defaults(func=cmd_prove_signs)
+    _common(p)
 
-    p = sub.add_parser("verify-geomodel", help="randomized exact push-pull calculus checks")
+
+def _verify_geomodel_flags(p):
     # --pushpull-trials 0 skips the mock suite; every other count must let
     # the checkers draw at least one instance.
     p.add_argument("--trials", type=_count(1), default=500)
     p.add_argument("--max-coords", type=_count(1), default=4)
     p.add_argument("--max-poly-deg", type=_count(0), default=3)
     p.add_argument("--pushpull-trials", type=_count(0), default=100)
-    common(p)
-    p.set_defaults(func=cmd_verify_geomodel)
+    _common(p)
 
-    p = sub.add_parser("check-dga", help="relations of a built-in algebra embedding")
+
+def _check_dga_flags(p):
     p.add_argument("--preset", default=list(PRESETS)[0], choices=list(PRESETS))
     p.add_argument("--k-max", type=_count(0), default=4)
     p.add_argument("--cutoff", type=_positive, default="1",
                    help="recorded in the report; every preset embeds at energy zero, so it "
                    "does not change what is checked")
-    common(p)
-    p.set_defaults(func=cmd_check_dga)
+    _common(p)
 
-    p = sub.add_parser("check-ainfty", help="relations of a structure file")
+
+def _check_ainfty_flags(p):
     p.add_argument("--file", required=True)
     p.add_argument("--k-max", type=_count(0), default=3)
     p.add_argument("--cutoff", type=_positive)
-    common(p, SAMPLE_SEED_HELP)
-    p.set_defaults(func=cmd_check_ainfty)
+    _common(p, SAMPLE_SEED_HELP)
 
-    p = sub.add_parser("deform-check", help="bounding-cochain deformations keep the relations")
+
+def _deform_check_flags(p):
     p.add_argument("--preset", default=list(PRESETS)[-1], choices=list(PRESETS))
     p.add_argument("--b", help='explicit element as JSON {"gen": "novikov expr", ...}; '
                    "checked in place of T^lam_min * g for each odd-degree generator g")
@@ -474,10 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_count(0), default=3)
     p.add_argument("--exhaustive-threshold", type=_count(0), default=500)
     p.add_argument("--sample-size", type=_count(1), default=200)
-    common(p, SAMPLE_SEED_HELP)
-    p.set_defaults(func=cmd_deform_check)
+    _common(p, SAMPLE_SEED_HELP)
 
-    p = sub.add_parser("enumerate-strata", help="codimension-1 boundary strata with signs")
+
+def _enumerate_strata_flags(p):
     p.add_argument("--k", type=_count(1), required=True)
     p.add_argument("--energy", type=_nonnegative, required=True)
     p.add_argument("--spectrum", type=_rationals, required=True,
@@ -490,26 +488,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-mu", type=int, default=0, choices=[0, 1])
     p.add_argument("--match", action="store_true",
                    help="also match strata against composition terms")
-    p.set_defaults(func=cmd_enumerate_strata)
 
-    p = sub.add_parser("nov-eval", help="evaluate a Novikov ring expression")
+
+def _nov_eval_flags(p):
     p.add_argument("expr")
-    p.set_defaults(func=cmd_nov_eval)
 
-    p = sub.add_parser("anf", help="normalize a sign expression over GF(2)")
+
+def _anf_flags(p):
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--expr")
     source.add_argument("--file")
     p.add_argument("--bind", type=_binding, action="append",
                    help="name=integer binding, repeatable")
-    p.set_defaults(func=cmd_anf)
 
+
+# Each subcommand: (name, help, the function adding its flags, handler).
+COMMANDS = (
+    ("prove-signs", "prove the sign identities symbolically", _prove_signs_flags,
+     cmd_prove_signs),
+    ("verify-geomodel", "randomized exact push-pull calculus checks", _verify_geomodel_flags,
+     cmd_verify_geomodel),
+    ("check-dga", "relations of a built-in algebra embedding", _check_dga_flags,
+     cmd_check_dga),
+    ("check-ainfty", "relations of a structure file", _check_ainfty_flags, cmd_check_ainfty),
+    ("deform-check", "bounding-cochain deformations keep the relations", _deform_check_flags,
+     cmd_deform_check),
+    ("enumerate-strata", "codimension-1 boundary strata with signs", _enumerate_strata_flags,
+     cmd_enumerate_strata),
+    ("nov-eval", "evaluate a Novikov ring expression", _nov_eval_flags, cmd_nov_eval),
+    ("anf", "normalize a sign expression over GF(2)", _anf_flags, cmd_anf),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the subcommand named ``command``, or of every
+    subcommand when ``command`` names none.  A subcommand parses alike in
+    both: its usage, help, defaults and errors do not depend on the others."""
+    parser = _Parser(
+        prog="ainfsign",
+        description="exact verification toolkit for filtered A-infinity sign conventions",
+    )
+    parser.add_argument("--version", action="version", version=f"ainfsign {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = [c for c in COMMANDS if c[0] == command] or COMMANDS
+    for name, help_text, add_flags, handler in chosen:
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unreadable input file
         message = str(exc).replace("\n", "\\n")  # argparse echoes argv tokens as given

@@ -361,9 +361,11 @@ class _Scanner:
         num = self.integer()
         if self.peek() == "/":
             self.pos += 1
+            self.skip_ws()
+            start = self.pos
             den = self.integer()
             if den <= 0:
-                raise NovikovParseError("denominator must be positive", self.pos)
+                raise NovikovParseError("denominator must be positive", start)
             return Fraction(num, den)
         return num
 
@@ -413,6 +415,8 @@ def _parse_factor(sc: _Scanner) -> NovikovElement:
         sc.pos += 1
         if sc.peek() == "^":
             sc.pos += 1
+            sc.skip_ws()
+            start = sc.pos
             if sc.peek() == "(":
                 sc.pos += 1
                 exponent = sc.rational()
@@ -420,7 +424,7 @@ def _parse_factor(sc: _Scanner) -> NovikovElement:
             else:
                 exponent = sc.integer()
             if exponent < 0:
-                raise NovikovParseError("negative exponent", sc.pos)
+                raise NovikovParseError("negative exponent", start)
             return NovikovElement.monomial(1, exponent)
         return T
     if ch.isdigit() or ch == "-":

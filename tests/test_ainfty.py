@@ -24,6 +24,7 @@ from ainfsign.ainfty import (
     from_dga,
     validate_degree_parity,
 )
+from ainfsign.cli import PRESETS
 from ainfsign.novikov import NovikovElement, spectrum_closure
 from ainfsign.signs import koszul_prefix
 from ainfsign.strata import ComponentData
@@ -342,6 +343,57 @@ def test_element_is_canonical_when_built():
     x = Element.basis("ext", "e1")
     assert x + x.scale(NovikovElement.monomial(-1, 0)) == Element.zero()
     assert x.normalized() is x
+
+
+def assert_canonical(v: Element):
+    assert v == Element(v.space, dict(v.coeffs))
+    with pytest.raises(TypeError):
+        v.coeffs["new"] = NovikovElement.one()
+    assert all(v.coeffs.values())
+    assert (v.space == "") == (not v.coeffs)
+
+
+NOVIKOV = st.lists(st.tuples(st.sampled_from([0, Fraction(1, 2), 1, 2]),
+                             st.sampled_from([-2, -1, 1, Fraction(1, 2)])),
+                   max_size=3).map(NovikovElement.from_terms)
+ELEMENTS = st.dictionaries(st.sampled_from(["a", "b", "c"]), NOVIKOV,
+                           max_size=3).map(lambda coeffs: Element("V", coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=ELEMENTS, y=ELEMENTS, factor=NOVIKOV, cutoff=st.sampled_from([0, Fraction(1, 2), 1, 3]),
+       gen=st.sampled_from(["a", "b"]))
+def test_trusted_results_equal_validated_construction(x, y, factor, cutoff, gen):
+    """Sums, scales, truncations and basis elements skip the validating
+    constructor; each equals what that constructor builds from the same
+    coefficients, and is canonical."""
+    zero = NovikovElement.zero()
+    results = [
+        (x + y, Element("V", {g: x.coeffs.get(g, zero) + y.coeffs.get(g, zero)
+                              for g in x.coeffs.keys() | y.coeffs.keys()})),
+        (x.scale(factor), Element("V", {g: c * factor for g, c in x.coeffs.items()})),
+        (x.truncate(cutoff), Element("V", {g: c.truncate(cutoff) for g, c in x.coeffs.items()})),
+        (Element.basis("V", gen), Element("V", {gen: NovikovElement.one()})),
+    ]
+    for trusted, validated in results:
+        assert trusted == validated
+        assert_canonical(trusted)
+    assert x.scale(zero) is Element.zero()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_embedded_operation_values_are_canonical(preset):
+    """Every m1 and m2 value of each preset's embedding, which the
+    fallbacks build with the trusted constructor."""
+    A = from_dga(PRESETS[preset](), 1)
+    (space,) = A.spaces.values()
+    gens = [g for g, _ in space.basis]
+    values = [A.table.lookup((1, 0, "0"), (space.name,), (g,)) for g in gens]
+    values += [A.table.lookup((2, 0, "0"), (space.name,) * 2, pair)
+               for pair in itertools.product(gens, repeat=2)]
+    assert any(v.coeffs for v in values) and any(not v.coeffs for v in values)
+    for v in values:
+        assert_canonical(v)
 
 
 def test_deform_leaves_the_parent_untouched():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -17,7 +18,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfsign import ainfty, prover, signs, structio
+from ainfsign import ainfty, cli, prover, signs, structio
 from ainfsign.ainfty import Element, FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import PRESETS, main
 from ainfsign.geomodel import CheckResult, checks
@@ -931,7 +932,7 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
      "--cutoff 5 exceeds the structure's cutoff 1"),
     (["deform-check", "--b", "notjson"], "--b: not JSON"),
     (["deform-check", "--b", '{"u|dv": "T+1/0"}'],
-     "bad coefficient 'T+1/0': denominator must be positive (at offset 5) (at --b.u|dv)"),
+     "bad coefficient 'T+1/0': denominator must be positive (at offset 4) (at --b.u|dv)"),
     (["deform-check", "--b", '{"1|": "T"}'], "--b: the deforming element must have even"),
     (["deform-check", "--b", '{"u|dv": "1"}'], "--b: every coefficient of b needs valuation"),
     (["enumerate-strata", "--k", "2", "--energy", "1/2", "--spectrum", "0,1"],
@@ -1022,3 +1023,122 @@ def test_any_drawn_argv_exits_cleanly(argv):
     if code == 2:  # one line that says what is wrong, and no usage block
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+
+
+def parsed(parser, argv):
+    """(namespace, exit code or error message, stdout) of one parse."""
+    out, args, code = io.StringIO(), None, None
+    with contextlib.redirect_stdout(out):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help and --version print and exit
+            code = exc.code
+        except cli.UsageError as exc:
+            code = str(exc)
+    return args, code, out.getvalue()
+
+
+README_ARGV = [argv for argv, _ in README_REPORTS.values()] + [
+    ["check-ainfty", "--file", "structure.json", "--k-max", "3"],
+    ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--match"],
+    ["nov-eval", "(1+T^(1/2))*(1-T^(1/2))"],
+    ["anf", "--expr", "Sum(p=1..j-1, mu_p)", "--bind", "j=3"],
+]
+
+
+def test_readme_argv_cover_every_command():
+    assert {argv[0] for argv in README_ARGV} == {name for name, *_ in cli.COMMANDS}
+
+
+@pytest.mark.parametrize("argv", README_ARGV + [[name, "--help"] for name, *_ in cli.COMMANDS],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_one_command_parser_equals_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = parsed(cli.build_parser(argv[0]), argv)
+    assert alone == parsed(cli.build_parser(), argv)
+    namespace, code, out = alone
+    assert namespace is not None or code == 0 and out.startswith(f"usage: ainfsign {argv[0]}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=drawn_argv())
+def test_one_command_parser_parses_any_drawn_argv_alike(argv):
+    assert parsed(cli.build_parser(argv[0]), argv) == parsed(cli.build_parser(), argv), argv
+
+
+# The top-level outputs, as the full parser has always given them (at 80
+# columns); main builds that parser whenever argv does not start with a
+# command name.
+CHOICES = ("'prove-signs', 'verify-geomodel', 'check-dga', 'check-ainfty', 'deform-check', "
+           "'enumerate-strata', 'nov-eval', 'anf'")
+TOP_LEVEL_HELP = """\
+usage: ainfsign [-h] [--version]
+                {prove-signs,verify-geomodel,check-dga,check-ainfty,deform-check,enumerate-strata,nov-eval,anf}
+                ...
+
+exact verification toolkit for filtered A-infinity sign conventions
+
+positional arguments:
+  {prove-signs,verify-geomodel,check-dga,check-ainfty,deform-check,enumerate-strata,nov-eval,anf}
+    prove-signs         prove the sign identities symbolically
+    verify-geomodel     randomized exact push-pull calculus checks
+    check-dga           relations of a built-in algebra embedding
+    check-ainfty        relations of a structure file
+    deform-check        bounding-cochain deformations keep the relations
+    enumerate-strata    codimension-1 boundary strata with signs
+    nov-eval            evaluate a Novikov ring expression
+    anf                 normalize a sign expression over GF(2)
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+TOP_LEVEL = [
+    (["--help"], 0, TOP_LEVEL_HELP, ""),
+    (["--version"], 0, f"ainfsign {cli.__version__}\n", ""),
+    ([], 2, "", "error: the following arguments are required: command\n"),
+    (["bogus"], 2, "",
+     f"error: argument command: invalid choice: 'bogus' (choose from {CHOICES})\n"),
+    (["--seed", "1", "check-dga"], 2, "",
+     f"error: argument command: invalid choice: '1' (choose from {CHOICES})\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", TOP_LEVEL, ids=lambda v: str(v))
+def test_top_level_outputs_are_unchanged(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ainfsign", "nov-eval", "1/2*T"])
+    assert run(None, capsys) == (0, "1/2*T\n", "")
+
+
+@pytest.mark.parametrize("argv, subparsers", [
+    (["check-dga", "--k-max", "1", "--out", os.devnull], 1),
+    (["nov-eval", "T"], 1),
+    (["--help"], 8),
+    (["bogus"], 8),
+])
+def test_main_builds_only_the_invoked_subparser(argv, subparsers, capsys, monkeypatch):
+    calls = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for _ in range(2):  # a second run builds its parser again
+        calls.clear()
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert len(calls) == subparsers

@@ -270,6 +270,19 @@ def test_parse_error_positions():
         novikov.parse("1 + T)")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("1/0*T", "denominator must be positive", 2),
+    ("1/ -2", "denominator must be positive", 3),
+    ("T^(1/0)", "denominator must be positive", 5),
+    ("T^-1", "negative exponent", 2),
+    ("T^(-1/2)", "negative exponent", 2),
+])
+def test_parse_error_points_at_the_start_of_the_bad_token(text, message, position):
+    with pytest.raises(NovikovParseError, match=message) as err:
+        novikov.parse(text)
+    assert err.value.position == position
+
+
 # --- ring properties (hypothesis) ---
 
 
