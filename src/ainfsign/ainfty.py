@@ -249,7 +249,7 @@ class OperationTable:
 class FilteredAInfty:
     """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
     with ``spaces`` held as a read-only copy.  The splittings of each
-    relation arity are planned once per structure and cutoff.
+    relation arity are planned once per structure.
 
     Every application goes through ``apply_raw``, which looks up each
     choice of one generator per input (a basis word is one choice, and its
@@ -260,7 +260,7 @@ class FilteredAInfty:
     table: OperationTable
     spectrum: GappedSpectrum
     cutoff: Rational
-    _plans: dict[tuple[int, Rational], list] = field(
+    _plans: dict[int, list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -351,12 +351,12 @@ class FilteredAInfty:
         return degs, mus
 
     def _splittings(
-        self, k: int, cutoff: Rational
+        self, k: int
     ) -> list[tuple[OpKey, list[tuple[OpKey, tuple[NovikovElement, NovikovElement]]]]]:
         """The splittings of the arity-k relation below the cutoff: each
         inner key that has outer keys, with those outer keys and the factors
         ``T^energy`` and ``-T^energy`` of their summed energy."""
-        plan = self._plans.get((k, cutoff))
+        plan = self._plans.get(k)
         if plan is None:
             plan = []
             for inner_key in self.table.keys():
@@ -366,21 +366,20 @@ class FilteredAInfty:
                 outer = []
                 for outer_key in self.table.keys_of_arity(k + 1 - k_inner):
                     energy = e_inner + outer_key[1]
-                    if energy < cutoff:
+                    if energy < self.cutoff:
                         factors = (NovikovElement.monomial(1, energy),
                                    NovikovElement.monomial(-1, energy))
                         outer.append((outer_key, factors))
                 if outer:
                     plan.append((inner_key, outer))
-            self._plans[k, cutoff] = plan
+            self._plans[k] = plan
         return plan
 
-    def relation_defect(self, word: Sequence[Element], cutoff: Rational | None = None) -> Element:
+    def relation_defect(self, word: Sequence[Element]) -> Element:
         """The double sum over splittings of outer-after-inner applications,
         with Koszul signs and all energy decompositions below the cutoff."""
-        cutoff = self.cutoff if cutoff is None else _rational(cutoff)
         k = len(word)
-        plan = self._splittings(k, cutoff)
+        plan = self._splittings(k)
         if not plan:
             return Element.zero()
         degs, mus = self._word_degrees(word)
@@ -401,17 +400,17 @@ class FilteredAInfty:
                     value = self.apply_raw(outer_key, new_word)
                     if value.coeffs:
                         total = total + value.scale(factors[sign])
-        return total.truncate(cutoff) if total.coeffs else total
+        return total.truncate(self.cutoff) if total.coeffs else total
 
     def check_relations(
         self,
         k_max: int,
-        cutoff: Rational | None = None,
         seed: int = 0,
         exhaustive_threshold: int = 10_000,
         sample_size: int = 1_000,
     ) -> "RelationReport":
-        """Defect of every relation up to arity k_max over basis tuples.
+        """Defect of every relation up to arity k_max over basis tuples,
+        modulo ``T^cutoff`` at the structure's own cutoff.
 
         An arity of at most ``max(exhaustive_threshold, sample_size)``
         tuples is enumerated from the operations' nonzero entries (see
@@ -425,7 +424,6 @@ class FilteredAInfty:
         report stops at the first nonzero defect and counts the words up to
         it, in ``itertools.product`` order at an enumerated arity.
         """
-        cutoff = self.cutoff if cutoff is None else _rational(cutoff)
         generators = self.basis_generators()
         basis = [Element.basis(s, g) for s, g in generators]
         indices = range(len(generators))
@@ -434,12 +432,12 @@ class FilteredAInfty:
         sampled: list[int] = []
         tables: dict[OpKey, dict] = {}  # the sweep's inner keys, tabulated
         for k in range(0, k_max + 1):
-            plan = self._splittings(k, cutoff)
+            plan = self._splittings(k)
             count = len(generators) ** k
             if not plan:
                 words = ()
             elif count <= max(exhaustive_threshold, sample_size):
-                words = self._swept_words(k, plan, generators, cutoff, tables)
+                words = self._swept_words(k, plan, generators, tables)
             else:
                 sampled.append(k)
                 count = sample_size
@@ -450,7 +448,7 @@ class FilteredAInfty:
             for position, word in words:
                 inputs = [generators[i] for i in word]
                 try:
-                    defect = self.relation_defect([basis[i] for i in word], cutoff)
+                    defect = self.relation_defect([basis[i] for i in word])
                 except StructureError as exc:
                     raise StructureError(f"relation at the word {inputs}: {exc}") from exc
                 if defect.coeffs:
@@ -468,7 +466,6 @@ class FilteredAInfty:
         k: int,
         plan: list,
         generators: list[tuple[str, str]],
-        cutoff: Rational,
         tables: dict[OpKey, dict],
     ) -> list[tuple[int, tuple[int, ...]]]:
         """(position in ``itertools.product`` order, word) of each arity-k
@@ -486,7 +483,7 @@ class FilteredAInfty:
         for word in sorted(sums):
             total = sums[word]
             if len({space for space, _ in total}) > 1 or any(
-                c.truncate(cutoff) for c in total.values()
+                c.truncate(self.cutoff) for c in total.values()
             ):
                 position = functools.reduce(lambda p, i: p * n + i, word, 0)
                 out.append((position, word))

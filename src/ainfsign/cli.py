@@ -27,6 +27,7 @@ from pathlib import Path
 from . import __version__, f2poly, novikov, prover, structio
 from .ainfty import (
     Element,
+    FilteredAInfty,
     StructureError,
     check_product_sign_convention,
     cube_torus_dga,
@@ -90,8 +91,8 @@ _nonnegative = _checked(_rational, lambda q: q >= 0, "must be >= 0")
 
 
 def _rationals(text: str) -> list[Fraction]:
-    """Comma-separated rationals; empty entries are skipped."""
-    return [_rational(part) for part in text.split(",") if part.strip()]
+    """Comma-separated rationals, each >= 0; empty entries are skipped."""
+    return [_nonnegative(part) for part in text.split(",") if part.strip()]
 
 
 def _parities(text: str) -> list[int]:
@@ -102,8 +103,11 @@ def _parities(text: str) -> list[int]:
 
 
 def _binding(text: str) -> tuple[str, int]:
+    """``name=integer``, the name read as one token by the sign DSL's tokenizer."""
     name, _, value = text.partition("=")
     try:
+        if f2poly._Tokens(name).peek()[:2] != ("name", name):
+            raise ValueError(name)  # a binding of no name binds nothing
         return name, int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected name=integer, got {text!r}") from None
@@ -291,13 +295,15 @@ def cmd_check_ainfty(args) -> int:
         A = structio.load_structure(args.file)
     except ValueError as exc:  # not UTF-8 text, not JSON, or not a structure
         raise UsageError(f"{args.file}: {exc}") from exc
-    if args.cutoff is not None and args.cutoff > A.cutoff:
+    cutoff = A.cutoff if args.cutoff is None else args.cutoff
+    if cutoff > A.cutoff:
         # apply_operation truncates at the structure's cutoff, so relations
         # above it would be checked against truncated operations.
-        raise UsageError(f"--cutoff {args.cutoff} exceeds the structure's cutoff {A.cutoff}")
+        raise UsageError(f"--cutoff {cutoff} exceeds the structure's cutoff {A.cutoff}")
+    A = FilteredAInfty(A.spaces, A.table, A.spectrum, cutoff)  # checked modulo T^cutoff
     report = Report(
         "check-ainfty",
-        {"file": str(args.file), "k_max": args.k_max, "cutoff": str(args.cutoff or A.cutoff),
+        {"file": str(args.file), "k_max": args.k_max, "cutoff": str(A.cutoff),
          "seed": args.seed},
         args.timing,
     )
@@ -309,7 +315,7 @@ def cmd_check_ainfty(args) -> int:
                detail={"values_checked": stored})
     started = time.perf_counter()
     try:
-        rel = A.check_relations(args.k_max, cutoff=args.cutoff, seed=args.seed)
+        rel = A.check_relations(args.k_max, seed=args.seed)
     except StructureError as exc:  # say, relation terms in different hom spaces
         raise UsageError(f"{args.file}: {exc}") from exc
     report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
@@ -422,7 +428,8 @@ SAMPLE_SEED_HELP = ("picks the relation words sampled at each arity with more ba
 
 def _common(p, seed_help="seed recorded in the report"):
     p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--out", help="report file ('-' for stdout)")
+    p.add_argument("--out", type=_checked(str, bool, "must not be empty"),
+                   help="report file ('-' for stdout)")
     p.add_argument("--timing", action="store_true", help="record per-check runtimes")
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -253,37 +253,45 @@ T = NovikovElement.monomial(1, 1)
 
 @dataclass(frozen=True)
 class GappedSpectrum:
-    """A finite additively closed set of energies below a cutoff.
+    """A finite additively closed set of energies below a cutoff, built from
+    its generators and cutoff alone.
 
-    ``closure`` holds every sum of generators (with repetition) that stays
-    strictly below ``cutoff``, always including 0, in increasing order; the
-    constructor rejects any other closure, and a cutoff or generator that is
-    not positive.
+    ``generators`` are kept sorted and each once, and ``closure`` is derived
+    from them: every sum of generators (with repetition) that stays strictly
+    below ``cutoff``, always including 0, in increasing order.  A cutoff or
+    generator that is not positive is rejected.
     """
 
     generators: tuple[Rational, ...]
     cutoff: Rational
-    closure: tuple[Rational, ...]
+    closure: tuple[Rational, ...] = field(init=False)
     _members: frozenset[Rational] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        cutoff = _rational(self.cutoff)
+        if cutoff <= 0:
+            raise ValueError("cutoff must be positive")
+        generators = tuple(sorted({_rational(g) for g in self.generators}))
+        for g in generators:
+            if g <= 0:
+                raise ValueError(f"generators must be positive, got {g}")
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            base = frontier.pop()
+            for g in generators:
+                e = _rational(base + g)
+                if e < cutoff and e not in reached:
+                    reached.add(e)
+                    frontier.append(e)
         set_ = object.__setattr__
-        set_(self, "generators", tuple(map(_rational, self.generators)))
-        set_(self, "cutoff", _rational(self.cutoff))
-        set_(self, "closure", tuple(map(_rational, self.closure)))
-        expected = _closure_below(self.generators, self.cutoff)
-        if self.closure != expected:
-            got, want, gens = (", ".join(map(str, xs)) for xs in (self.closure, expected, self.generators))
-            raise ValueError(
-                f"closure ({got}) is not ({want}), the additive closure of ({gens}) below {self.cutoff}"
-            )
-        set_(self, "_members", frozenset(self.closure))
+        set_(self, "generators", generators)
+        set_(self, "cutoff", cutoff)
+        set_(self, "closure", tuple(sorted(reached)))
+        set_(self, "_members", frozenset(reached))
 
     def __contains__(self, energy: Rational) -> bool:
         return _rational(energy) in self._members
-
-    def levels(self) -> Iterator[Rational]:
-        return iter(self.closure)
 
     def splits(self, energy: Rational) -> list[tuple[Rational, Rational]]:
         """All ordered pairs (e1, e2) in the closure with e1 + e2 == energy."""
@@ -294,33 +302,9 @@ class GappedSpectrum:
 def spectrum_closure(
     generators: Iterable[Rational], cutoff: Rational
 ) -> GappedSpectrum:
-    """Close a finite set of positive energies under addition below cutoff."""
-    e_max = _rational(cutoff)
-    if e_max <= 0:
-        raise ValueError("cutoff must be positive")
-    gens = tuple(sorted({_rational(g) for g in generators}))
-    return GappedSpectrum(gens, e_max, _closure_below(gens, e_max))
-
-
-def _closure_below(generators: tuple[Rational, ...], cutoff: Rational) -> tuple[Rational, ...]:
-    """Every sum of generators (with repetition) strictly below ``cutoff``,
-    0 included, in increasing order; ``ValueError`` unless the cutoff and
-    every generator are positive."""
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    for g in generators:
-        if g <= 0:
-            raise ValueError(f"generators must be positive, got {g}")
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        base = frontier.pop()
-        for g in generators:
-            e = base + g
-            if e < cutoff and e not in reached:
-                reached.add(e)
-                frontier.append(e)
-    return tuple(sorted(reached))
+    """The spectrum that a finite set of positive energies generates below
+    ``cutoff``: ``GappedSpectrum`` on any iterable of generators."""
+    return GappedSpectrum(tuple(generators), cutoff)
 
 
 # --- parser -----------------------------------------------------------------

@@ -337,7 +337,7 @@ def prove_relation_cancellation(
     # (j, k_inner) of a boundary one
     decided: dict = {}
     reports = []
-    for energy in spectrum.levels():
+    for energy in spectrum.closure:
         started = time.perf_counter()
         report = CancellationReport(k=k, energy=energy)
         # at k = 1 and energy 0 the differential squares to zero

@@ -184,7 +184,7 @@ def enumerate_strata(
             k_outer = parent.k + 1 - k_inner
             if j > k_outer:
                 continue
-            for e_inner in spectrum.levels():
+            for e_inner in spectrum.closure:
                 e_outer = parent.b.energy - e_inner
                 if e_outer < 0 or e_outer not in spectrum:
                     continue

@@ -244,7 +244,7 @@ def test_criterion_10_strata_bookkeeping():
     components = [ComponentData("A", 1, 0), ComponentData("B", 0, 1)]
     strata_total = 0
     for k in range(1, 6):
-        for energy in spectrum.levels():
+        for energy in spectrum.closure:
             parent = ModuliDescriptor(
                 k, BClass(energy, "B"), components[0],
                 tuple(components[i % 2] for i in range(k)),

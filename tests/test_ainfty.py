@@ -678,7 +678,7 @@ def sweep_agrees(A, k_max):
     generators, defective = A.basis_generators(), 0
     basis = [Element.basis(s, g) for s, g in generators]
     for k in range(k_max + 1):
-        sums = A._relation_sums(k, A._splittings(k, A.cutoff), generators, {})
+        sums = A._relation_sums(k, A._splittings(k), generators, {})
         for word in itertools.product(range(len(basis)), repeat=k):
             total = sums.get(word, {})
             try:
@@ -702,7 +702,7 @@ def word_by_word(A, k_max):
     word of every arity that a splitting reaches."""
     generators, checked = A.basis_generators(), 0
     for k in range(k_max + 1):
-        if not A._splittings(k, A.cutoff):
+        if not A._splittings(k):
             checked += len(generators) ** k
             continue
         for word in itertools.product(generators, repeat=k):
@@ -883,9 +883,9 @@ def test_sweep_looks_up_what_the_word_loop_looks_up(monkeypatch, make, k_max):
         seen[-1].add((key, spaces, gens))
         return lookup(self, key, spaces, gens)
 
-    def counting(self, word, cutoff=None):
+    def counting(self, word):
         defect_calls.append(word)
-        return relation_defect(self, word, cutoff)
+        return relation_defect(self, word)
 
     monkeypatch.setattr(OperationTable, "lookup", recording)
     seen.append(set())

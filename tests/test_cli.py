@@ -276,7 +276,7 @@ def test_prove_signs_timing_charges_each_obligation(tmp_path, capsys, monkeypatc
     spectrum = spectrum_closure([1], 2)
     for k in (1, 2):
         splittings = {payload[0] if kind == prover.PUSH_D else (payload[0], payload[3])
-                      for energy in spectrum.levels() if k > 1 or energy
+                      for energy in spectrum.closure if k > 1 or energy
                       for kind, payload in prover.expand_relation(k, energy, spectrum)}
         charged = [c["runtime_s"] for check_id, c in relations.items()
                    if check_id.startswith(f"relation-cancellation:k={k}:")]
@@ -701,6 +701,37 @@ def test_check_ainfty_records_the_cutoff_in_normal_form(tmp_path, capsys):
     assert code == 0 and json.loads(out[out.index("{"):])["parameters"]["cutoff"] == "1"
 
 
+@pytest.mark.parametrize("cutoff, code, checked, witness", [
+    (None, 1, 2, "(T^2)*x"),
+    ("2", 0, 7, None),
+    ("5/2", 1, 2, "(T^2)*x"),
+], ids=["own-cutoff", "below-the-square", "above-the-square"])
+def test_check_ainfty_cutoff_checks_relations_modulo_that_power(cutoff, code, checked, witness,
+                                                                 tmp_path, capsys):
+    """m1 sends x to T*y and y to T*x, so m1(m1(x)) = T^2*x: the relations fail
+    at the file's cutoff 3 and at 5/2, and hold modulo T^2."""
+    data = {
+        "version": 1, "cutoff": "3", "spectrum_generators": ["1/2"],
+        "components": [{"name": "R", "dimension": 0, "maslov_parity": 0}],
+        "spaces": [{"name": "H", "component": "R",
+                    "basis": [{"gen": "x", "degree": 0}, {"gen": "y", "degree": 1}]}],
+        "operations": [{"k": 1, "energy": "1", "tag": "0", "values": [
+            {"inputs": [["H", "x"]], "output": {"space": "H", "coeffs": {"y": "1"}}},
+            {"inputs": [["H", "y"]], "output": {"space": "H", "coeffs": {"x": "1"}}},
+        ]}],
+    }
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    flags = [] if cutoff is None else ["--cutoff", cutoff]
+    got, out, _ = run(["check-ainfty", "--file", str(path), "--k-max", "2", *flags,
+                       "--out", "-"], capsys)
+    report = json.loads(out[out.index("{"):])
+    relations = report["checks"][-1]
+    assert got == code and report["parameters"]["cutoff"] == (cutoff or "3")
+    assert relations["detail"]["tuples_checked"] == checked
+    assert (relations["witness"] or {}).get("defect") == witness
+
+
 def test_enumerate_strata_json_and_schema(capsys):
     code, out, _ = run(
         ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1",
@@ -940,6 +971,16 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
     (["check-dga", "--k-max", "x"], "argument --k-max: invalid int value: 'x'"),
     (["anf", "--expr", "a", "--file", "b"], "argument --file: not allowed with argument --expr"),
     (["anf", "--bind", "j=x"], "argument --bind: expected name=integer, got 'j=x'"),
+    # a binding of no name would bind nothing
+    (["anf", "--expr", "x", "--bind", "=1"], "argument --bind: expected name=integer, got '=1'"),
+    (["anf", "--expr", "x", "--bind", "1x=1"],
+     "argument --bind: expected name=integer, got '1x=1'"),
+    # an energy below 0 is wrong whether or not the spectrum would reach it
+    (["prove-signs", "--k-max", "1", "--relations-spectrum", "-1"],
+     "argument --relations-spectrum: must be >= 0"),
+    (["enumerate-strata", "--k", "1", "--energy", "1", "--spectrum", "1,-1"],
+     "argument --spectrum: must be >= 0"),
+    (["check-dga", "--k-max", "1", "--out", ""], "argument --out: must not be empty"),
     # a zero cochain deforms nothing, so there is nothing to check
     (["deform-check", "--b", "{}"], "--b: the deforming element is zero"),
     (["deform-check", "--b", '{"u|dv": "0"}'], "--b: the deforming element is zero"),
@@ -958,7 +999,9 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
         "strata-spectrum-unparsed", "relations-spectrum-unparsed",
         "check-ainfty-cutoff-above-structure", "b-not-json", "b-coefficient-unparsed",
         "b-odd", "b-valuation", "strata-energy-outside-spectrum", "check-dga-k-max-unparsed",
-        "anf-expr-and-file", "anf-bind-unparsed", "b-empty", "b-zero",
+        "anf-expr-and-file", "anf-bind-unparsed", "anf-bind-empty-name",
+        "anf-bind-digit-first", "relations-spectrum-negative", "strata-spectrum-negative",
+        "out-empty", "b-empty", "b-zero",
         "relations-cutoff-unreplayed", "token-with-newline"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):
     materialized_ext2(tmp_path)

@@ -124,7 +124,7 @@ def test_boundary_payloads_are_the_composition_terms(generators, cutoff):
     spectrum = spectrum_closure(generators, cutoff)
     comp = ComponentData("c", 0, 0)
     for k in range(1, 7):
-        for energy in spectrum.levels():
+        for energy in spectrum.closure:
             parent = ModuliDescriptor(k, BClass(energy), comp, (comp,) * k)
             expected = Counter(t[:-1] for t in composition_terms(parent, spectrum, [comp]))
             symbols = expand_relation(k, energy, spectrum)

@@ -121,6 +121,9 @@ TRACED_ARGV = [
     ["deform-check", "--preset", "interval2", "--b", '{"u^3|dv": "T"}', "--k-max", "2",
      "--out", "{report}"],
     ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--out", "{report}"],
+    # a cutoff below the file's re-bases the structure there
+    ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--cutoff", "1/2",
+     "--out", "{report}"],
     # arity 3 has 8000 words, so it is sampled, word by word through relation_defect
     ["deform-check", "--preset", "interval2", "--k-max", "3", "--exhaustive-threshold", "500",
      "--sample-size", "5", "--out", "{report}"],

@@ -93,7 +93,7 @@ def test_k3_zero_energy_count():
 
 def test_exclusion_rule():
     spectrum = spectrum_closure([Fraction(1, 2)], 2)
-    for energy in spectrum.levels():
+    for energy in spectrum.closure:
         for s in enumerate_strata(parent_of(3, energy), spectrum, [R, NODE]):
             assert not (s.outer.k == 1 and s.outer.b.energy == 0)
             assert not (s.inner.k == 1 and s.inner.b.energy == 0)
