@@ -1,9 +1,9 @@
 """Concrete filtered A-infinity structures over the truncated Novikov ring:
 the data model (components, hom spaces, sparse operation tables), the
-relation-defect checker (which inserts each inner operation as a
-coderivation, with its Koszul prefix sign), and two certified
-constructions -- the differential-graded-algebra embedding and the
-bounding-cochain deformation.
+relation checker (which inserts each inner operation as a coderivation,
+with its Koszul prefix sign, and sums each word's terms on index words),
+and two certified constructions -- the differential-graded-algebra
+embedding and the bounding-cochain deformation.
 
 Operations are stored per (arity, energy, tag) as values on basis tuples;
 a table entry may instead carry a fallback callable, which is how the
@@ -251,9 +251,10 @@ class FilteredAInfty:
     with ``spaces`` held as a read-only copy.  The splittings of each
     relation arity are planned once per structure.
 
-    Every application goes through ``apply_raw``, which looks up each
-    choice of one generator per input (a basis word is one choice, and its
-    unit coefficients scale nothing), and every value through
+    Every application to elements goes through ``apply_raw``, which looks
+    up each choice of one generator per input (a basis word is one choice,
+    and its unit coefficients scale nothing).  The relation checker works
+    on index words instead, and every value goes through
     ``OperationTable.lookup``."""
 
     spaces: Mapping[str, HomSpace]
@@ -333,23 +334,6 @@ class FilteredAInfty:
 
     # --- relations ---
 
-    def _word_degrees(self, word: Sequence[Element]) -> tuple[list[int], list[int]]:
-        """Degrees and Maslov parities of the inputs (0 for a zero input),
-        after checking that each input of several generators is
-        shifted-homogeneous."""
-        degs, mus = [], []
-        for el in word:
-            if not el.coeffs:
-                degs.append(0)
-                mus.append(0)
-                continue
-            if len(el.coeffs) > 1:
-                self.shifted_parity(el)  # homogeneity check
-            space = self.spaces[el.space]
-            degs.append(space.degree_of(next(iter(el.coeffs))))
-            mus.append(space.component.maslov_parity)
-        return degs, mus
-
     def _splittings(
         self, k: int
     ) -> list[tuple[OpKey, list[tuple[OpKey, tuple[NovikovElement, NovikovElement]]]]]:
@@ -375,33 +359,6 @@ class FilteredAInfty:
             self._plans[k] = plan
         return plan
 
-    def relation_defect(self, word: Sequence[Element]) -> Element:
-        """The double sum over splittings of outer-after-inner applications,
-        with Koszul signs and all energy decompositions below the cutoff."""
-        k = len(word)
-        plan = self._splittings(k)
-        if not plan:
-            return Element.zero()
-        degs, mus = self._word_degrees(word)
-        total = Element.zero()
-        for inner_key, outer in plan:
-            # The inner insertion does not depend on the outer operation;
-            # only the slots where it does not vanish are kept, with their
-            # Koszul signs.
-            k_inner = inner_key[0]
-            inserted = []
-            for j in range(1, k + 2 - k_inner):
-                inner = self.apply_raw(inner_key, word[j - 1 : j - 1 + k_inner])
-                if inner.coeffs:
-                    inserted.append((koszul_prefix(degs, mus, j),
-                                     [*word[: j - 1], inner, *word[j - 1 + k_inner :]]))
-            for outer_key, factors in outer:
-                for sign, new_word in inserted:
-                    value = self.apply_raw(outer_key, new_word)
-                    if value.coeffs:
-                        total = total + value.scale(factors[sign])
-        return total.truncate(self.cutoff) if total.coeffs else total
-
     def check_relations(
         self,
         k_max: int,
@@ -412,82 +369,106 @@ class FilteredAInfty:
         """Defect of every relation up to arity k_max over basis tuples,
         modulo ``T^cutoff`` at the structure's own cutoff.
 
-        An arity of at most ``max(exhaustive_threshold, sample_size)``
-        tuples is enumerated from the operations' nonzero entries (see
-        ``_swept_words``), which reaches every word that may be defective; a
-        larger one is a seeded random sample of ``sample_size`` words, drawn
-        with replacement and counted per draw, and the report lists the
-        sampled arities.  An arity that no splitting reaches has zero
-        defect: its words are counted, not visited.  A word is a tuple of
-        indices into ``basis_generators()``; the swept or sampled words go,
-        in order, to ``relation_defect``, which gives the witness: the
-        report stops at the first nonzero defect and counts the words up to
-        it, in ``itertools.product`` order at an enumerated arity.
+        A word is a tuple of indices into ``basis_generators()``, and its
+        relation is summed as ``{(space, generator): coefficient}`` before
+        truncation.  An arity of at most ``max(exhaustive_threshold,
+        sample_size)`` tuples is swept from the operations' nonzero entries
+        (``_relation_sums``), which reaches every word that may be
+        defective; a larger one is a seeded random sample of
+        ``sample_size`` words, drawn with replacement and counted per draw,
+        and the report lists the sampled arities.  A drawn word, and every
+        word of a swept arity where a lookup raises, is summed alone
+        (``_word_sums``), so the error names the word where it is met.  An
+        arity that no splitting reaches has zero defect: its words are
+        counted, not visited.  A word whose terms fall in two spaces is an
+        error; otherwise the report stops at the first word whose truncated
+        sum is nonzero, the witness, and counts the words up to it, in
+        ``itertools.product`` order at a swept arity.
         """
         generators = self.basis_generators()
-        basis = [Element.basis(s, g) for s, g in generators]
-        indices = range(len(generators))
+        n = len(generators)
+        indices = range(n)
         rng = random.Random(seed)
         checked = 0
         sampled: list[int] = []
         tables: dict[OpKey, dict] = {}  # the sweep's inner keys, tabulated
         for k in range(0, k_max + 1):
             plan = self._splittings(k)
-            count = len(generators) ** k
+            count = n ** k
+            sums: dict = {}  # the terms of the swept words
             if not plan:
                 words = ()
             elif count <= max(exhaustive_threshold, sample_size):
-                words = self._swept_words(k, plan, generators, tables)
+                try:
+                    sums = self._relation_sums(k, plan, generators, tables)
+                    words = sorted(sums)
+                except Exception:  # _word_sums meets it again, at its word
+                    words = itertools.product(indices, repeat=k)
             else:
                 sampled.append(k)
                 count = sample_size
-                words = enumerate(
-                    tuple([rng.choice(indices) for _ in range(k)])
-                    for _ in range(sample_size)
-                )
-            for position, word in words:
-                inputs = [generators[i] for i in word]
+                words = (tuple([rng.choice(indices) for _ in range(k)])
+                         for _ in range(sample_size))
+            for position, word in enumerate(words):
                 try:
-                    defect = self.relation_defect([basis[i] for i in word])
+                    total = sums.get(word)
+                    if total is None:
+                        total = self._word_sums(word, plan, generators)
+                    spaces = {space for space, _ in total}
+                    if len(spaces) > 1:
+                        raise StructureError(
+                            "terms in spaces " + " and ".join(map(repr, sorted(spaces))))
                 except StructureError as exc:
+                    inputs = [generators[i] for i in word]
                     raise StructureError(f"relation at the word {inputs}: {exc}") from exc
-                if defect.coeffs:
+                if any(c.truncate(self.cutoff) for c in total.values()):
+                    defect = Element._of(spaces.pop(), {
+                        g: t for (_, g), c in total.items() if (t := c.truncate(self.cutoff))})
+                    if sums:  # the word's position in itertools.product order
+                        position = functools.reduce(lambda p, i: p * n + i, word, 0)
                     return RelationReport(
                         passed=False,
                         checked=checked + position + 1,
-                        witness={"k": k, "inputs": inputs, "defect": str(defect)},
+                        witness={"k": k, "inputs": [generators[i] for i in word],
+                                 "defect": str(defect)},
                         sampled_arities=sampled,
                     )
             checked += count
         return RelationReport(passed=True, checked=checked, witness=None, sampled_arities=sampled)
 
-    def _swept_words(
+    def _word_sums(
         self,
-        k: int,
+        word: tuple[int, ...],
         plan: list,
         generators: list[tuple[str, str]],
-        tables: dict[OpKey, dict],
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """(position in ``itertools.product`` order, word) of each arity-k
-        word whose defect may be nonzero, in that order: its summed terms
-        (see ``_relation_sums``), truncated at the cutoff, are nonzero, or
-        they fall in two spaces, where ``relation_defect`` raises.  If a
-        lookup raises, every word is kept, so that ``relation_defect`` meets
-        the error at the word where a word-by-word sweep would."""
-        n = len(generators)
-        try:
-            sums = self._relation_sums(k, plan, generators, tables)
-        except Exception:  # relation_defect meets it again and reports it
-            return list(enumerate(itertools.product(range(n), repeat=k)))
-        out = []
-        for word in sorted(sums):
-            total = sums[word]
-            if len({space for space, _ in total}) > 1 or any(
-                c.truncate(self.cutoff) for c in total.values()
-            ):
-                position = functools.reduce(lambda p, i: p * n + i, word, 0)
-                out.append((position, word))
-        return out
+    ) -> dict[tuple[str, str], NovikovElement]:
+        """The terms of the relation at one word (indices into
+        ``generators``), summed as ``_relation_sums`` sums them: each inner
+        value is looked up on the word's blocks, and each outer value
+        wherever a nonzero inner output lands, so exactly the values that
+        the sweep looks up for this word."""
+        spaces = tuple([generators[i][0] for i in word])
+        gens = tuple([generators[i][1] for i in word])
+        degs = [self.spaces[s].degree_of(g) for s, g in zip(spaces, gens)]
+        mus = [self.spaces[s].component.maslov_parity for s in spaces]
+        total: dict[tuple[str, str], NovikovElement] = {}
+        for inner_key, outer in plan:
+            k_inner = inner_key[0]
+            for a in range(len(word) + 1 - k_inner):
+                b = a + k_inner
+                inner = self.table.lookup(inner_key, spaces[a:b], gens[a:b])
+                if not inner.coeffs:
+                    continue
+                sign = koszul_prefix(degs, mus, a + 1)
+                for (outer_key, factors), (g, c) in itertools.product(outer,
+                                                                     inner.coeffs.items()):
+                    value = self.table.lookup(outer_key, spaces[:a] + (inner.space,) + spaces[b:],
+                                              gens[:a] + (g,) + gens[b:])
+                    scale = factors[sign] * c
+                    for h, v in value.coeffs.items():
+                        slot, term = (value.space, h), v * scale
+                        total[slot] = total[slot] + term if slot in total else term
+        return total
 
     def _relation_sums(
         self,
@@ -505,8 +486,8 @@ class FilteredAInfty:
         keeping its nonzero outputs by generator (in ``tables``).  Each
         outer key is looked up wherever an inner output reaches: on (basis
         prefix, generator of an inner output, basis suffix).  So exactly
-        the values that ``relation_defect`` looks up on the arity's words
-        are looked up, and the fallbacks' own caches are the only value
+        the values that ``_word_sums`` looks up on the arity's words are
+        looked up, and the fallbacks' own caches are the only value
         cache.  Each product, times the factor of its summed energy and its
         prefix's ``koszul_prefix``, goes to the word it came from."""
         n = len(generators)

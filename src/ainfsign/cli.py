@@ -43,6 +43,7 @@ from .strata import (
     ComponentData,
     ModuliDescriptor,
     codim1_parity_consistent,
+    composition_terms,
     enumerate_strata,
     match_composition_terms,
 )
@@ -206,6 +207,7 @@ def cmd_prove_signs(args) -> int:
             "truth_table_k_max": args.truth_table_k_max,
             "relations_k_max": args.relations_k_max,
             "relations_spectrum": ",".join(map(str, args.relations_spectrum)),
+            "relations_cutoff": str(args.relations_cutoff),
             "seed": args.seed,
             "assumptions": [
                 "boundary-sign formula applied verbatim to inner arity 0 "
@@ -328,7 +330,8 @@ def cmd_deform_check(args) -> int:
     report = Report(
         "deform-check",
         {"preset": args.preset, "lam_min": str(args.lam_min), "b": args.b,
-         "k_max": args.k_max, "seed": args.seed},
+         "k_max": args.k_max, "exhaustive_threshold": args.exhaustive_threshold,
+         "sample_size": args.sample_size, "seed": args.seed},
         args.timing,
     )
     if args.b is not None:
@@ -389,7 +392,7 @@ def cmd_enumerate_strata(args) -> int:
         "strata": [s.to_json() for s in strata],
     }
     if args.match:
-        match = match_composition_terms(parent, spectrum, [node])
+        match = match_composition_terms(strata, composition_terms(parent, spectrum, [node]))
         payload["matching"] = {
             "perfect": match.perfect,
             "matched": len(match.matched),
@@ -413,9 +416,14 @@ def cmd_nov_eval(args) -> int:
 
 
 def cmd_anf(args) -> int:
+    bindings: dict[str, int] = {}
+    for name, value in args.bind or []:
+        if name in bindings:
+            raise UsageError(f"--bind: repeated name {name!r}")
+        bindings[name] = value
     try:
         text = args.expr if args.file is None else Path(args.file).read_text().strip()
-        poly = f2poly.to_anf(f2poly.parse_sign_expr(text), dict(args.bind or []))
+        poly = f2poly.to_anf(f2poly.parse_sign_expr(text), bindings)
     except ValueError as exc:  # not UTF-8 text, or not a sign expression
         raise UsageError(f"{args.file or '--expr'}: {exc}") from exc
     _emit(f"{poly}\n")

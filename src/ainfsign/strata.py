@@ -267,14 +267,12 @@ def composition_terms(
 
 
 def match_composition_terms(
-    parent: ModuliDescriptor,
-    spectrum: GappedSpectrum,
-    node_components: Sequence[ComponentData],
+    strata: Sequence[BoundaryStratum], terms: Sequence[tuple]
 ) -> MatchReport:
-    """Match stratum indices against composition-term indices as multisets."""
-    strata = enumerate_strata(parent, spectrum, node_components)
+    """Match the indices of ``strata`` (from ``enumerate_strata``) against
+    composition-term indices (from ``composition_terms``) as multisets."""
     stratum_index = Counter(s.index() for s in strata)
-    term_index = Counter(composition_terms(parent, spectrum, node_components))
+    term_index = Counter(terms)
     matched = sorted((stratum_index & term_index).elements())
     return MatchReport(
         matched=matched,

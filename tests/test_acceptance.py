@@ -39,6 +39,7 @@ from ainfsign.strata import (
     ComponentData,
     ModuliDescriptor,
     codim1_parity_consistent,
+    composition_terms,
     enumerate_strata,
     match_composition_terms,
 )
@@ -249,9 +250,10 @@ def test_criterion_10_strata_bookkeeping():
                 k, BClass(energy, "B"), components[0],
                 tuple(components[i % 2] for i in range(k)),
             )
-            match = match_composition_terms(parent, spectrum, components)
-            assert match.perfect, (k, energy, match.unmatched_strata, match.unmatched_terms)
             strata = enumerate_strata(parent, spectrum, components)
+            match = match_composition_terms(
+                strata, composition_terms(parent, spectrum, components))
+            assert match.perfect, (k, energy, match.unmatched_strata, match.unmatched_terms)
             assert all(codim1_parity_consistent(s) for s in strata)
             strata_total += len(strata)
     report("criterion-10 strata bookkeeping", strata_total > 0, started,

@@ -96,13 +96,22 @@ def test_zero_energy_curvature_must_vanish():
 
 
 def test_coderivation_insert_signs():
-    """The Koszul prefix sign that ``relation_defect`` gives the inner
-    operation inserted at slot j."""
-    A = from_dga(exterior_dga(2))
-    x1 = Element.basis("ext", "e1")  # degree 1, shifted parity 0
-    x2 = Element.basis("ext", "e1^e2")  # degree 2, shifted parity 1
-    assert koszul_prefix(*A._word_degrees([x1, x2]), 1) == 0
-    assert koszul_prefix(*A._word_degrees([x2, x1]), 2) == 1  # moving past shifted degree 1
+    """The Koszul prefix sign that the relation gives the inner operation
+    inserted at slot j: m1(y) = z, and m2 sends (x, z) and (z, x) to w.
+    Before y, x of shifted degree 1 flips the term; y, of shifted degree
+    0, does not."""
+    component = ComponentData("S", 0, 0)
+    space = HomSpace("S", component, (("x", 2), ("y", 1), ("z", 2), ("w", 2)))
+    w = Element.basis("S", "w")
+    values = {(1, 0, "m"): {(("S",), ("y",)): Element.basis("S", "z")},
+              (2, 0, "m"): {(("S", "S"), ("x", "z")): w, (("S", "S"), ("z", "x")): w}}
+    A = FilteredAInfty({"S": space}, OperationTable(values), spectrum_closure([], 1), 1)
+    generators = A.basis_generators()
+    x, y = generators.index(("S", "x")), generators.index(("S", "y"))
+    one = NovikovElement.one()
+    for word, coeff in (((x, y), -one), ((y, x), one)):
+        assert A._word_sums(word, A._splittings(2), generators) == {("S", "w"): coeff}
+        assert bar_relation(A, [generators[i] for i in word]) == {("S", "w"): coeff}
 
 
 def test_differential_insertion_sign_matches_shifted_prefix():
@@ -110,15 +119,20 @@ def test_differential_insertion_sign_matches_shifted_prefix():
     the shifted degrees before the slot, computed here by hand."""
     dga = ce3()
     A = from_dga(dga)
+    generators = A.basis_generators()
     rng = random.Random(17)
-    gens = [g for g, _ in dga.basis]
     for _ in range(50):
-        word = [Element.basis("ext", rng.choice(gens)) for _ in range(rng.randrange(1, 4))]
-        for j in range(1, len(word) + 1):
-            by_hand = sum(
-                dga.degree_of(next(iter(el.coeffs))) - 1 for el in word[: j - 1]
-            ) % 2
-            assert koszul_prefix(*A._word_degrees(word), j) == by_hand
+        word = tuple(rng.randrange(len(generators)) for _ in range(rng.randrange(1, 4)))
+        k = len(word)
+        basis = [Element.basis(*generators[i]) for i in word]
+        by_hand = Element.zero()
+        for j in range(1, k + 1):
+            sign = sum(dga.degree_of(generators[i][1]) - 1 for i in word[: j - 1]) % 2
+            inserted = [*basis[: j - 1], A.apply_operation(1, basis[j - 1 : j]), *basis[j:]]
+            by_hand += A.apply_operation(k, inserted).scale(NovikovElement.monomial((-1) ** sign, 0))
+        differential = [(inner, outer) for inner, outer in A._splittings(k) if inner[0] == 1]
+        sums = A._word_sums(word, differential, generators)
+        assert Element("ext", {g: c for (_, g), c in sums.items()}) == by_hand, word
 
 
 def test_dga_embedding_relations_exterior():
@@ -140,9 +154,12 @@ def test_dga_embedding_relations_interval_circle():
 def test_worked_k2_defect_vanishes():
     sp = geomodel.space(("t", "interval"), ("c", "circle"))
     A = from_dga(cube_torus_dga(sp), cutoff=1)
-    x = Element.basis("deRham", "t|")      # the coordinate function
-    y = Element.basis("deRham", "1|dt")    # its differential
-    assert A.relation_defect([x, y]).is_zero()
+    generators = A.basis_generators()
+    x = ("deRham", "t|")      # the coordinate function
+    y = ("deRham", "1|dt")    # its differential
+    word = (generators.index(x), generators.index(y))
+    assert not truncated(A, A._word_sums(word, A._splittings(2), generators))
+    assert not truncated(A, bar_relation(A, [x, y]))
 
 
 def test_sign_rule_oracle_pins_the_convention():
@@ -431,12 +448,12 @@ def test_deformations_share_their_parent_values():
 
 
 def test_homogeneity_is_checked_for_inputs_of_several_generators():
-    A = from_dga(ce3())
-    mixed = Element("ext", {"e1": T_coeff(e=0), "e1^e2": T_coeff(e=0)})
+    A = from_dga(ce3(), cutoff=2)
+    mixed = Element("ext", {"e1": T_coeff(), "e1^e2": T_coeff()})
     with pytest.raises(StructureError, match="not shifted-homogeneous"):
-        A.relation_defect([mixed])
-    sum_ = Element("ext", {"e1": T_coeff(e=0), "e2": T_coeff(e=0)})
-    assert A.relation_defect([sum_]).is_zero()
+        deform(A, mixed, 1)
+    sum_ = Element("ext", {"e1": T_coeff(), "e2": T_coeff()})
+    assert A.shifted_parity(sum_) == 0
 
 
 def test_deform_energy_filtration():
@@ -580,7 +597,8 @@ def _wrong_rule_exterior3_d():
                          ids=["exterior4", "interval2-deformed", "exterior3-d-wrong-rule"])
 def test_operations_and_defects_are_multilinear_on_basis_words(make):
     """Scaling a basis word's inputs by rationals scales both the operations
-    and the relation defect by the product of the scalars."""
+    and the relation defect by the product of the scalars: pi_1 D^2 on the
+    scaled word is that product times the word's summed relation."""
     A = make()
     rng = random.Random(11)
     gens = A.basis_generators()
@@ -598,9 +616,11 @@ def test_operations_and_defects_are_multilinear_on_basis_words(make):
                 value = A.apply_raw(key, word)
                 assert A.apply_raw(key, scaled) == value.scale(factor)
                 nonzero_values += not value.is_zero()
-            defect = A.relation_defect(word)
-            assert A.relation_defect(scaled) == defect.scale(factor)
-            nonzero_defects += not defect.is_zero()
+            indices = tuple(gens.index(x) for x in chosen)
+            defect = truncated(A, A._word_sums(indices, A._splittings(k), gens))
+            assert truncated(A, bar_relation(A, chosen, factor)) == \
+                {slot: c * factor for slot, c in defect.items()}
+            nonzero_defects += bool(defect)
     assert nonzero_values > 0
     # the corrupted structure compares nonzero defects, the others zero ones
     assert (nonzero_defects > 0) == (make is _wrong_rule_exterior3_d)
@@ -667,54 +687,114 @@ def test_structure_file_with_fractional_energies_round_trips(tmp_path):
     assert json.dumps(structio.structure_to_json(A), indent=1) == text
 
 
-# --- the relation sweep -------------------------------------------------------
+# --- the relation sweep and the bar construction ------------------------------
 
 
-def sweep_agrees(A, k_max):
-    """Compare, on every word up to k_max, the relation terms that the sweep
-    sums from the nonzero entries with ``relation_defect``: where it raises,
-    the terms fall in two spaces, and otherwise they sum to its defect.
-    Returns the number of defective words."""
-    generators, defective = A.basis_generators(), 0
-    basis = [Element.basis(s, g) for s, g in generators]
-    for k in range(k_max + 1):
-        sums = A._relation_sums(k, A._splittings(k), generators, {})
-        for word in itertools.product(range(len(basis)), repeat=k):
-            total = sums.get(word, {})
-            try:
-                defect = A.relation_defect([basis[i] for i in word])
-            except StructureError:
-                assert len({space for space, _ in total}) > 1, word
-                defective += 1
+def bar_d(A, tensor, length=None):
+    """The coderivation D of the bar construction on ``tensor``, a map
+    (word, energy) -> coefficient, where a word is a tuple of (space,
+    generator) and the energy is the sum of the keys applied so far.  Each
+    stored key of energy below the cutoff is applied at every position a of
+    every word, signed by the parity of degree + mu - 1 summed over the
+    inputs before a, each read from its ``HomSpace``.  With ``length``,
+    only the output words of that length are formed.  Every term lands on
+    its target, also where the sum there cancels."""
+    out = {}
+    for (word, energy), c in tensor.items():
+        for key in A.table.keys():
+            k, e, _ = key
+            if e >= A.cutoff or length is not None and len(word) + 1 - k != length:
                 continue
-            kept = {slot: c.truncate(A.cutoff) for slot, c in total.items()}
-            kept = {slot: c for slot, c in kept.items() if c}
-            spaces = {space for space, _ in kept}
-            assert len(spaces) <= 1, word
-            swept = Element(spaces.pop() if spaces else "", {g: c for (_, g), c in kept.items()})
-            assert swept == defect, word
-            defective += not defect.is_zero()
+            coeff = c
+            for a in range(len(word) + 1 - k):
+                if a:
+                    space, gen = A.spaces[word[a - 1][0]], word[a - 1][1]
+                    if (space.degree_of(gen) + space.component.maslov_parity - 1) % 2:
+                        coeff = -coeff
+                block = word[a : a + k]
+                value = A.table.lookup(key, tuple(s for s, _ in block),
+                                       tuple(g for _, g in block))
+                for h, v in value.coeffs.items():
+                    target = (word[:a] + ((value.space, h),) + word[a + k :], energy + e)
+                    term = v * coeff
+                    out[target] = out[target] + term if target in out else term
+    return out
+
+
+def bar_relation(A, word, coeff=NovikovElement.one()):
+    """pi_1 D^2 on ``coeff`` times ``word``, a list of (space, generator):
+    (space, generator) -> coefficient, summed over the terms whose energy is
+    below the cutoff, before truncation."""
+    twice = bar_d(A, bar_d(A, {(tuple(word), 0): coeff}), length=1)
+    out = {}
+    for ((slot,), energy), c in twice.items():
+        if energy < A.cutoff:
+            term = c * NovikovElement.monomial(1, energy)
+            out[slot] = out[slot] + term if slot in out else term
+    return out
+
+
+def truncated(A, sums):
+    """The nonzero part of summed relation terms below the cutoff."""
+    return {slot: t for slot, c in sums.items() if (t := c.truncate(A.cutoff))}
+
+
+def compare_with_bar(A, k_max):
+    """Compare, on every word up to k_max, the relation terms that the sweep
+    sums from the nonzero entries (unless a lookup raises there) and that
+    ``_word_sums`` sums for the word alone with pi_1 D^2: the same targets,
+    so the same spaces, and the same values once truncated.  Returns the
+    words where they differ, and the number of defective words: those whose
+    terms fall in two spaces or do not vanish once truncated."""
+    generators, differ, defective = A.basis_generators(), [], 0
+    for k in range(k_max + 1):
+        plan = A._splittings(k)
+        try:
+            swept = A._relation_sums(k, plan, generators, {})
+        except Exception:
+            swept = None
+        for word in itertools.product(range(len(generators)), repeat=k):
+            bar = bar_relation(A, [generators[i] for i in word])
+            expected = (bar.keys(), truncated(A, bar))
+            summed = [A._word_sums(word, plan, generators)]
+            if swept is not None:
+                summed.append(swept.get(word, {}))
+            if any((sums.keys(), truncated(A, sums)) != expected for sums in summed):
+                differ.append(word)
+            defective += len({space for space, _ in bar}) > 1 or bool(expected[1])
+    return differ, defective
+
+
+def bar_agrees(A, k_max):
+    """The number of defective words up to k_max, after asserting that the
+    summed relation terms equal pi_1 D^2 on every word."""
+    differ, defective = compare_with_bar(A, k_max)
+    assert differ == [], differ[:5]
     return defective
 
 
 def word_by_word(A, k_max):
-    """``check_relations`` as a plain loop over ``relation_defect`` on every
-    word of every arity that a splitting reaches."""
+    """``check_relations`` as a plain loop over pi_1 D^2 on every word of
+    every arity: a word whose terms fall in two spaces is an error, and the
+    first word that does not vanish once truncated is the witness."""
     generators, checked = A.basis_generators(), 0
     for k in range(k_max + 1):
-        if not A._splittings(k):
-            checked += len(generators) ** k
-            continue
         for word in itertools.product(generators, repeat=k):
             inputs = list(word)
             try:
-                defect = A.relation_defect([Element.basis(s, g) for s, g in inputs])
+                terms = bar_relation(A, inputs)
             except StructureError as exc:
                 raise StructureError(f"relation at the word {inputs}: {exc}") from exc
+            spaces = sorted({space for space, _ in terms})
+            if len(spaces) > 1:
+                raise StructureError(f"relation at the word {inputs}: terms in spaces "
+                                     + " and ".join(map(repr, spaces)))
             checked += 1
-            if defect.coeffs:
-                witness = {"k": k, "inputs": inputs, "defect": str(defect)}
-                return RelationReport(False, checked, witness, [])
+            defect = truncated(A, terms)
+            if defect:
+                value = Element(spaces[0], {g: c for (_, g), c in defect.items()})
+                return RelationReport(False, checked, {"k": k, "inputs": inputs,
+                                                       "defect": str(value)}, [])
     return RelationReport(True, checked, None, [])
 
 
@@ -759,8 +839,8 @@ def _exterior3_d_with_m3():
 def _mixed_space_structure(mixed_first):
     """m1 on spaces A = {a1, a2, a3} and B = {b}, with a3 -> b, below a
     cutoff of 1.  The word whose m1 is T*(a2 + a3) has relation terms in A
-    and in B: they truncate to zero, but ``relation_defect`` adds them before
-    it truncates, and raises.  The word whose m1 is itself (a1 or a2) is
+    and in B: they truncate to zero, but every term counts before
+    truncation, so the word raises.  The word whose m1 is itself (a1 or a2) is
     defective.  ``mixed_first`` puts the mixed word first in word order."""
     plus = Element("A", {"a2": T_coeff(), "a3": T_coeff()})
     m1 = {"a1": plus, "a2": Element.basis("A", "a2")} if mixed_first else \
@@ -812,14 +892,34 @@ def _raising_fallback():
         "exterior4-wrong-rule", "interval2-deformed-wrong-rule", "exterior3-d-m3",
         "vanishing-below-the-cutoff", "mixed-first", "mixed-last"])
 def test_sweep_defects_equal_relation_defect_on_every_word(make, k_max, defective):
-    """interval-circle's products leave the listed basis, so its outer keys
-    are evaluated on generators that are not basis words."""
-    assert (sweep_agrees(make(), k_max) > 0) == defective
+    """The relation defect of every word, summed by the sweep and by
+    ``_word_sums``, is pi_1 D^2 on the bar construction.  interval-circle's
+    products leave the listed basis, so its outer keys are evaluated on
+    generators that are not basis words."""
+    assert (bar_agrees(make(), k_max) > 0) == defective
 
 
 @pytest.mark.parametrize("gen", INTERVAL2_ODD)
 def test_sweep_agrees_on_each_interval2_deformation(gen):
-    assert sweep_agrees(_interval2_deformed(gen), 2) == 0
+    assert bar_agrees(_interval2_deformed(gen), 2) == 0
+
+
+@pytest.mark.parametrize("mutant", ["plan-skips-inner-arity-3", "koszul-flipped-at-slot-3"])
+def test_sweep_mutants_fail_against_the_bar_route(monkeypatch, mutant):
+    """A fault that the sweep and ``_word_sums`` share, so that no
+    comparison of the two can see it, makes both differ from pi_1 D^2 on
+    exterior3-d with a stored m3, at k = 4: a splitting plan without the
+    inner keys of arity 3 or more, and ``koszul_prefix`` flipped at slot 3
+    or more."""
+    if mutant == "plan-skips-inner-arity-3":
+        splittings = FilteredAInfty._splittings
+        monkeypatch.setattr(FilteredAInfty, "_splittings", lambda self, k: [
+            (inner, outer) for inner, outer in splittings(self, k) if inner[0] < 3])
+    else:
+        monkeypatch.setattr(ainfty, "koszul_prefix",
+                            lambda degs, mus, j: koszul_prefix(degs, mus, j) ^ (j >= 3))
+    differ, _ = compare_with_bar(_exterior3_d_with_m3(), 4)
+    assert differ
 
 
 @pytest.mark.parametrize("make, k_max", [
@@ -848,9 +948,10 @@ def test_sampled_words_are_seeded_choices_of_the_generators(seed):
     for _ in range(10):
         inputs = [rng.choice(generators) for _ in range(2)]
         checked += 1
-        defect = A.relation_defect([Element.basis(s, g) for s, g in inputs])
-        if defect.coeffs:
-            witness = {"k": 2, "inputs": inputs, "defect": str(defect)}
+        defect = truncated(A, bar_relation(A, inputs))
+        if defect:
+            value = Element("ext", {g: c for (_, g), c in defect.items()})
+            witness = {"k": 2, "inputs": inputs, "defect": str(value)}
             break
     report = A.check_relations(2, seed=seed, exhaustive_threshold=8, sample_size=10)
     assert report == RelationReport(witness is None, checked, witness, [2])
@@ -871,30 +972,35 @@ def test_mixed_space_word_raises_only_when_it_comes_first():
     (_vanishing_below_the_cutoff, 2),
 ], ids=["exterior3-d", "interval2-deformed", "vanishing-below-the-cutoff"])
 def test_sweep_looks_up_what_the_word_loop_looks_up(monkeypatch, make, k_max):
-    """The sweep evaluates no value, fallbacks included, that the word loop
-    does not, and none fewer; each run gets a fresh structure, so that the
-    fallbacks' caches hide nothing.  Passing, it calls ``relation_defect``
-    on no word."""
-    lookup, relation_defect = OperationTable.lookup, FilteredAInfty.relation_defect
+    """The sweep evaluates no value, fallbacks included, that ``_word_sums``
+    on every word of a reached arity does not, and none fewer; each run gets
+    a fresh structure, so that the fallbacks' caches hide nothing.
+    Passing, it calls ``_word_sums`` on no word."""
+    lookup, word_sums = OperationTable.lookup, FilteredAInfty._word_sums
     seen: list[set] = []
-    defect_calls = []
+    word_calls = []
 
     def recording(self, key, spaces, gens):
         seen[-1].add((key, spaces, gens))
         return lookup(self, key, spaces, gens)
 
-    def counting(self, word):
-        defect_calls.append(word)
-        return relation_defect(self, word)
+    def counting(self, word, plan, generators):
+        word_calls.append(word)
+        return word_sums(self, word, plan, generators)
 
     monkeypatch.setattr(OperationTable, "lookup", recording)
     seen.append(set())
     with monkeypatch.context() as patch:
-        patch.setattr(FilteredAInfty, "relation_defect", counting)
+        patch.setattr(FilteredAInfty, "_word_sums", counting)
         assert make().check_relations(k_max).passed
-    assert defect_calls == []
+    assert word_calls == []
     seen.append(set())
-    assert word_by_word(make(), k_max).passed
+    A = make()
+    generators = A.basis_generators()
+    for k in range(k_max + 1):
+        if plan := A._splittings(k):
+            for word in itertools.product(range(len(generators)), repeat=k):
+                assert not truncated(A, A._word_sums(word, plan, generators))
     assert seen[0] == seen[1] and seen[0]
 
 
@@ -930,5 +1036,5 @@ def stored_structures(draw):
 @settings(max_examples=60, deadline=None)
 @given(stored_structures())
 def test_sweep_agrees_on_random_stored_structures(A):
-    sweep_agrees(A, 3)
+    bar_agrees(A, 3)
     assert_reports_like_the_word_loop(A, 3)

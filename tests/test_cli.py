@@ -325,9 +325,11 @@ def test_prove_signs_timing_is_unrounded(tmp_path, capsys, monkeypatch):
     assert sum(runtimes) == clock[0]
 
 
-# SHA-256 of the report as written before the relation replay took its
-# boundary payloads from enumerate_strata and its witnesses in closed form.
-PROVE_SIGNS_K4_SHA256 = "52ce98e6294863cbf2883f6317f11ae07498ad48cf82005bf5f4bdaa1efdd22f"
+# SHA-256 of the report as written since its parameters record
+# --relations-cutoff; apart from that field it is the report written before
+# the relation replay took its boundary payloads from enumerate_strata and
+# its witnesses in closed form.
+PROVE_SIGNS_K4_SHA256 = "05f7a6fb16e3e34d028b466d92fe8a721dd16d9c2b7139b8ecd9aa703c9437cb"
 
 
 def test_prove_signs_report_bytes_unchanged(tmp_path, capsys):
@@ -360,10 +362,11 @@ def test_check_dga_interval_circle(capsys):
 
 
 # SHA-256 of each relation report as written since product-sign-convention
-# and degree-parity report how much they checked.
+# and degree-parity report how much they checked, and since deform-check's
+# parameters record --exhaustive-threshold and --sample-size.
 RELATION_REPORTS_SHA256 = {
     "check-dga": "654b594eb6c21c0dbabf40fa5eb55da5049dc3faef5ac559a95c30c2e7ac2bb0",
-    "deform-check": "c7c807fd70b506e322d0236c7b92c5f988f78f41e49880cfa539148dd565b933",
+    "deform-check": "f9866af3e29f1c2a593209c13f5e55e289d83c039678b2724b59dcc1b3cccc66",
     "check-ainfty": "2084d8e7fa31444444c0445decec7a6577bcfaa43e856690d73a7fea9f2856de",
 }
 
@@ -385,14 +388,15 @@ def test_relation_report_bytes_unchanged(argv, tmp_path, capsys, monkeypatch):
 
 # The report commands of the README's "Command line" section, each with the
 # SHA-256 of its report as written since deform-check enumerates its
-# cochains, and since check-dga counts the words of an arity that no
-# splitting reaches without sampling them and reports how many products it
-# compared; a change to any report byte shows here.
+# cochains, since check-dga counts the words of an arity that no splitting
+# reaches without sampling them and reports how many products it compared,
+# and since prove-signs and deform-check record every flag that decides
+# their checks; a change to any report byte shows here.
 README_REPORTS = {
     "prove-signs": (
         ["prove-signs", "--k-max", "7", "--truth-table-k-max", "7", "--relations-k-max", "5",
          "--relations-spectrum", "0,1/2", "--relations-cutoff", "2"],
-        "8ece4a51005761ca2949e0bf855f97950ac791aee1c550d8598a945e7082235a",
+        "9421ca646bc20e9ebf9827603743f35336039bb017384fec2f3bdcbab59605fd",
     ),
     "verify-geomodel": (
         ["verify-geomodel", "--trials", "500", "--seed", "1", "--max-coords", "4",
@@ -409,7 +413,7 @@ README_REPORTS = {
     ),
     "deform-check": (
         ["deform-check", "--preset", "interval2", "--lam-min", "1"],
-        "64a395a6379bafea911c523031357ec40e26eb660a4b43d21281757444831749",
+        "0591ce029688043dc24d3a4509721da5f01404235fb94c9c9047f8805fd0c667",
     ),
 }
 
@@ -425,12 +429,12 @@ def test_readme_report_bytes_unchanged(name, tmp_path, capsys):
 
 # Calls of each entry point of the relation sweep during
 # `check-dga --preset exterior3-d --k-max 3`.  The sweep goes over the
-# operations' nonzero entries, so a passing run calls neither
-# `relation_defect` nor `apply_raw`; its lookups are 259 for the sweep (72
-# tabulating each inner value once, and 187 outer ones, one wherever an inner
-# output reaches) and 64 for the product-sign check.  A change in the work
-# done shows here.
-SWEEP_CALLS = {"relation_defect": 0, "apply_raw": 0, "lookup": 323}
+# operations' nonzero entries, so a passing run calls neither `_word_sums`
+# nor `apply_raw`; its lookups are 259 for the sweep (72 tabulating each
+# inner value once, and 187 outer ones, one wherever an inner output
+# reaches) and 64 for the product-sign check.  A change in the work done
+# shows here.
+SWEEP_CALLS = {"_word_sums": 0, "apply_raw": 0, "lookup": 323}
 
 
 def test_relation_sweep_work_is_pinned(tmp_path, capsys, monkeypatch):
@@ -446,7 +450,7 @@ def test_relation_sweep_work_is_pinned(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(FilteredAInfty, "relation_defect")
+    counting(FilteredAInfty, "_word_sums")
     counting(FilteredAInfty, "apply_raw")
     counting(OperationTable, "lookup")
     argv = ["check-dga", "--preset", "exterior3-d", "--k-max", "3"]
@@ -663,7 +667,8 @@ def test_relation_failure_exits_one(tmp_path, capsys):
 def test_relation_terms_in_different_spaces_exit_two(tmp_path, capsys):
     """m1 sends x and y into X, and m2 sends (x, x) and (x2, x) into Y, so the
     arity-2 relation at (x, x) adds m1(m2(x, x)) in X to m2(m1(x), x) in Y:
-    the file is at fault, and the message names it and the word."""
+    the file is at fault, and the message names it, the word and the two
+    spaces, in sorted order."""
     data = {
         "version": 1, "cutoff": "1", "spectrum_generators": [],
         "components": [{"name": "R", "dimension": 0, "maslov_parity": 0}],
@@ -690,7 +695,7 @@ def test_relation_terms_in_different_spaces_exit_two(tmp_path, capsys):
     code, out, err = run(["check-ainfty", "--file", str(path), "--k-max", "2"], capsys)
     assert code == 2 and err == (
         f"error: {path}: relation at the word [('X', 'x'), ('X', 'x')]: "
-        "cannot add elements of spaces 'Y' and 'X'\n")
+        "terms in spaces 'X' and 'Y'\n")
     assert "checks passed" not in out
 
 
@@ -747,6 +752,26 @@ def test_enumerate_strata_json_and_schema(capsys):
     assert all(s["sign"] in (0, 1) for s in payload["strata"])
 
 
+def test_enumerate_strata_match_uses_the_listed_strata(capsys, monkeypatch):
+    """`--match` enumerates the strata once, and matches the strata it
+    lists: one dropped from the enumeration is an unmatched term."""
+    calls, enumerate_strata = [], cli.enumerate_strata
+
+    def dropping(*args):
+        calls.append(args)
+        return enumerate_strata(*args)[1:]
+
+    monkeypatch.setattr(cli, "enumerate_strata", dropping)
+    code, out, _ = run(
+        ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--match"],
+        capsys,
+    )
+    payload = json.loads(out)
+    assert len(calls) == 1 and code == 1
+    assert payload["matching"]["unmatched_strata"] == []
+    assert len(payload["matching"]["unmatched_terms"]) == 1
+
+
 def test_enumerate_strata_bad_energy(capsys):
     code, _, err = run(
         ["enumerate-strata", "--k", "2", "--energy", "1/3", "--spectrum", "0,1/2"],
@@ -758,6 +783,21 @@ def test_enumerate_strata_bad_energy(capsys):
 def deform_report(argv, capsys) -> tuple[int, dict]:
     code, out, _ = run(["deform-check", *argv, "--out", "-"], capsys)
     return code, json.loads(out[out.index("{"):])
+
+
+def test_reports_record_the_flags_that_decide_their_checks(capsys):
+    """prove-signs records --relations-cutoff, which bounds the replayed
+    energy levels, and deform-check the threshold and sample size, which
+    decide what it samples."""
+    code, out, _ = run(["prove-signs", "--k-max", "1", "--relations-k-max", "1",
+                        "--relations-cutoff", "6/4", "--out", "-"], capsys)
+    assert code == 0 and json.loads(out[out.index("{"):])["parameters"]["relations_cutoff"] == "3/2"
+    code, report = deform_report(["--b", '{"u|dv": "T"}', "--k-max", "2",
+                                  "--exhaustive-threshold", "50", "--sample-size", "30"], capsys)
+    assert code == 0
+    assert report["checks"][0]["detail"]["sampled_arities"] == [2]
+    assert {key: report["parameters"][key] for key in ("exhaustive_threshold", "sample_size")} \
+        == {"exhaustive_threshold": 50, "sample_size": 30}
 
 
 def test_deform_check_explicit_cochain_is_the_only_candidate(capsys):
@@ -975,6 +1015,8 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
     (["anf", "--expr", "x", "--bind", "=1"], "argument --bind: expected name=integer, got '=1'"),
     (["anf", "--expr", "x", "--bind", "1x=1"],
      "argument --bind: expected name=integer, got '1x=1'"),
+    # of two bindings of one name neither may win silently
+    (["anf", "--expr", "x", "--bind", "x=1", "--bind", "x=0"], "--bind: repeated name 'x'"),
     # an energy below 0 is wrong whether or not the spectrum would reach it
     (["prove-signs", "--k-max", "1", "--relations-spectrum", "-1"],
      "argument --relations-spectrum: must be >= 0"),
@@ -1000,7 +1042,7 @@ def test_unreadable_input_files_exit_two(tmp_path, capsys):
         "check-ainfty-cutoff-above-structure", "b-not-json", "b-coefficient-unparsed",
         "b-odd", "b-valuation", "strata-energy-outside-spectrum", "check-dga-k-max-unparsed",
         "anf-expr-and-file", "anf-bind-unparsed", "anf-bind-empty-name",
-        "anf-bind-digit-first", "relations-spectrum-negative", "strata-spectrum-negative",
+        "anf-bind-digit-first", "anf-bind-repeated", "relations-spectrum-negative", "strata-spectrum-negative",
         "out-empty", "b-empty", "b-zero",
         "relations-cutoff-unreplayed", "token-with-newline"])
 def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch):

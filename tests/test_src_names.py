@@ -124,7 +124,7 @@ TRACED_ARGV = [
     # a cutoff below the file's re-bases the structure there
     ["check-ainfty", "--file", "{structure}", "--k-max", "2", "--cutoff", "1/2",
      "--out", "{report}"],
-    # arity 3 has 8000 words, so it is sampled, word by word through relation_defect
+    # arity 3 has 8000 words, so it is sampled, word by word through _word_sums
     ["deform-check", "--preset", "interval2", "--k-max", "3", "--exhaustive-threshold", "500",
      "--sample-size", "5", "--out", "{report}"],
     ["enumerate-strata", "--k", "3", "--energy", "1", "--spectrum", "0,1/2,1", "--mus", "0,1,0",

@@ -156,17 +156,17 @@ def test_codim1_parity_consistency():
 
 def test_matching_perfect_small():
     spectrum = spectrum_closure([Fraction(1, 2)], 2)
-    report = match_composition_terms(parent_of(2, 0), spectrum, [R])
-    assert report.perfect
-    report = match_composition_terms(parent_of(3, 1), spectrum, [R, NODE])
-    assert report.perfect and len(report.matched) > 0
+    for parent, nodes in ((parent_of(2, 0), [R]), (parent_of(3, 1), [R, NODE])):
+        report = match_composition_terms(enumerate_strata(parent, spectrum, nodes),
+                                         composition_terms(parent, spectrum, nodes))
+        assert report.perfect and len(report.matched) > 0
 
 
-def test_matching_detects_dropped_stratum(monkeypatch):
+def test_matching_detects_dropped_stratum():
     spectrum = spectrum_closure([Fraction(1, 2)], 2)
-    monkeypatch.setattr("ainfsign.strata.enumerate_strata",
-                        lambda *args: enumerate_strata(*args)[1:])
-    report = match_composition_terms(parent_of(3, 1), spectrum, [R])
+    parent = parent_of(3, 1)
+    report = match_composition_terms(enumerate_strata(parent, spectrum, [R])[1:],
+                                     composition_terms(parent, spectrum, [R]))
     assert not report.perfect
     assert len(report.unmatched_terms) == 1
 
