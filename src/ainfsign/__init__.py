@@ -3,6 +3,7 @@ filtered A-infinity operations.
 
 Subpackages and modules:
 
+- ``frozen``   -- the base class of the immutable value types
 - ``novikov``  -- exact truncated Novikov-ring arithmetic and gapped spectra
 - ``f2poly``   -- GF(2) algebraic-normal-form engine and sign-expression DSL
 - ``signs``    -- parity formulas: operation, boundary, composition signs

@@ -26,11 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from . import geomodel
+from .frozen import Frozen
 from .novikov import (
     GappedSpectrum,
     NovikovElement,
@@ -49,24 +49,27 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """A finite Novikov-linear combination of named generators of one hom
     space, canonical when built: zero coefficients are dropped, ``coeffs``
     is a read-only mapping, and the zero element has the empty space name.
     A basis element is one generator with the shared unit coefficient
     ``NovikovElement.one()``.  Results that are canonical by construction
     (basis elements, sums, scales, truncations) go through the trusted
-    ``Element._of``."""
+    ``Element._of``.  Equality and hash are those of the space and the
+    coefficients."""
 
-    space: str
-    coeffs: Mapping[str, NovikovElement] = field(default_factory=dict)
+    __slots__ = ("space", "coeffs")
 
-    def __post_init__(self):
-        coeffs = {g: c for g, c in self.coeffs.items() if c}
+    def __init__(self, space: str, coeffs: Mapping[str, NovikovElement] | None = None):
+        coeffs = {g: c for g, c in coeffs.items() if c} if coeffs else {}
+        object.__setattr__(self, "space", space if coeffs else "")
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        if not coeffs:
-            object.__setattr__(self, "space", "")
+
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.space == other.space and self.coeffs == other.coeffs
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self.coeffs.items())))
@@ -149,8 +152,7 @@ class Element:
 _ZERO_ELEMENT = Element("", {})
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(Frozen):
     """A hom-space summand attached to one intersection component.
 
     ``basis`` lists the sampled generators with their degrees, each once; a
@@ -158,17 +160,19 @@ class HomSpace:
     fallback operations (exact-model monomials).
     """
 
-    name: str
-    component: ComponentData
-    basis: tuple[tuple[str, int], ...]
-    degree_fn: Callable[[str], int] | None = None
-    _degrees: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "component", "basis", "degree_fn", "_degrees")
 
-    def __post_init__(self):
-        degrees = dict(self.basis)
-        if len(degrees) != len(self.basis):
-            raise StructureError(f"space {self.name!r} lists a generator twice")
-        object.__setattr__(self, "_degrees", degrees)
+    def __init__(self, name: str, component: ComponentData, basis: tuple[tuple[str, int], ...],
+                 degree_fn: Callable[[str], int] | None = None):
+        degrees = dict(basis)
+        if len(degrees) != len(basis):
+            raise StructureError(f"space {name!r} lists a generator twice")
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "component", component)
+        set_(self, "basis", basis)
+        set_(self, "degree_fn", degree_fn)
+        set_(self, "_degrees", degrees)
 
     def degree_of(self, gen: str) -> int:
         degree = self._degrees.get(gen)
@@ -190,8 +194,7 @@ def _normal_key(key: OpKey) -> OpKey:
     return k, _rational(energy), tag
 
 
-@dataclass(frozen=True)
-class OperationTable:
+class OperationTable(Frozen):
     """Sparse multilinear operation data keyed by (arity, energy, tag).
 
     Frozen when built: ``values``, each ``values[key]`` and ``fallbacks``
@@ -206,26 +209,25 @@ class OperationTable:
     ``functools.cache``).
     """
 
-    values: Mapping[OpKey, Mapping[TensorKey, Element]] = field(default_factory=dict)
-    fallbacks: Mapping[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element]] = field(
-        default_factory=dict
-    )
-    _keys: tuple[OpKey, ...] = field(init=False, repr=False, compare=False)
-    _by_arity: dict[int, tuple[OpKey, ...]] = field(init=False, repr=False, compare=False)
-    _slots: dict[OpKey, tuple] = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "fallbacks", "_keys", "_by_arity", "_slots")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        values: Mapping[OpKey, Mapping[TensorKey, Element]] | None = None,
+        fallbacks: Mapping[OpKey, Callable[[tuple[str, ...], tuple[str, ...]], Element]]
+        | None = None,
+    ):
         values = {_normal_key(key): MappingProxyType(dict(entry))
-                  for key, entry in self.values.items()}
-        fallbacks = {_normal_key(key): fallback for key, fallback in self.fallbacks.items()}
-        object.__setattr__(self, "values", MappingProxyType(values))
-        object.__setattr__(self, "fallbacks", MappingProxyType(fallbacks))
+                  for key, entry in (values or {}).items()}
+        fallbacks = {_normal_key(key): fallback for key, fallback in (fallbacks or {}).items()}
         keys = tuple(sorted(values.keys() | fallbacks.keys()))
-        object.__setattr__(self, "_keys", keys)
         by_arity = itertools.groupby(keys, key=lambda key: key[0])
-        object.__setattr__(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
-        slots = {key: (values.get(key), fallbacks.get(key)) for key in keys}
-        object.__setattr__(self, "_slots", slots)
+        set_ = object.__setattr__
+        set_(self, "values", MappingProxyType(values))
+        set_(self, "fallbacks", MappingProxyType(fallbacks))
+        set_(self, "_keys", keys)
+        set_(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
+        set_(self, "_slots", {key: (values.get(key), fallbacks.get(key)) for key in keys})
 
     def keys(self) -> tuple[OpKey, ...]:
         return self._keys
@@ -245,8 +247,7 @@ class OperationTable:
         return max((k for k, _, _ in self._keys), default=0)
 
 
-@dataclass(frozen=True)
-class FilteredAInfty:
+class FilteredAInfty(Frozen):
     """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
     with ``spaces`` held as a read-only copy.  The splittings of each
     relation arity are planned once per structure.
@@ -257,24 +258,23 @@ class FilteredAInfty:
     on index words instead, and every value goes through
     ``OperationTable.lookup``."""
 
-    spaces: Mapping[str, HomSpace]
-    table: OperationTable
-    spectrum: GappedSpectrum
-    cutoff: Rational
-    _plans: dict[int, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("spaces", "table", "spectrum", "cutoff", "_plans")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spaces", MappingProxyType(dict(self.spaces)))
-        object.__setattr__(self, "cutoff", _rational(self.cutoff))
-        for key in self.table.keys():
+    def __init__(self, spaces: Mapping[str, HomSpace], table: OperationTable,
+                 spectrum: GappedSpectrum, cutoff: Rational):
+        set_ = object.__setattr__
+        set_(self, "spaces", MappingProxyType(dict(spaces)))
+        set_(self, "table", table)
+        set_(self, "spectrum", spectrum)
+        set_(self, "cutoff", _rational(cutoff))
+        set_(self, "_plans", {})
+        for key in table.keys():
             k, energy, tag = key
             if k == 0 and energy == 0 and any(
-                not value.is_zero() for value in self.table.values.get(key, {}).values()
+                not value.is_zero() for value in table.values.get(key, {}).values()
             ):
                 raise StructureError("the zero-energy curvature operation must vanish")
-            if energy not in self.spectrum:
+            if energy not in spectrum:
                 raise StructureError(
                     f"operation energy {energy} is outside the spectrum closure"
                 )
@@ -530,12 +530,19 @@ class FilteredAInfty:
         return sums
 
 
-@dataclass
 class RelationReport:
-    passed: bool
-    checked: int
-    witness: dict | None
-    sampled_arities: list[int]
+    def __init__(self, passed: bool, checked: int, witness: dict | None,
+                 sampled_arities: list[int]):
+        self.passed = passed
+        self.checked = checked
+        self.witness = witness
+        self.sampled_arities = sampled_arities
+
+    def __eq__(self, other):
+        if other.__class__ is RelationReport:
+            return (self.passed, self.checked, self.witness, self.sampled_arities) == (
+                other.passed, other.checked, other.witness, other.sampled_arities)
+        return NotImplemented
 
 
 def validate_degree_parity(A: FilteredAInfty) -> list[dict]:
@@ -561,19 +568,25 @@ def validate_degree_parity(A: FilteredAInfty) -> list[dict]:
 # --- differential graded algebra models ---------------------------------------
 
 
-@dataclass(frozen=True)
-class DGAModel:
+class DGAModel(Frozen):
     """A graded-commutative differential algebra with exact arithmetic,
     presented on string-keyed monomial generators.  ``degree_of`` decides
     what a generator is: it raises ``KeyError`` or ``ValueError`` on any
     other key."""
 
-    space_name: str
-    component: ComponentData
-    basis: tuple[tuple[str, int], ...]
-    degree_of: Callable[[str], int]
-    differential: Callable[[str], dict[str, Rational]]
-    product: Callable[[str, str], dict[str, Rational]]
+    __slots__ = ("space_name", "component", "basis", "degree_of", "differential", "product")
+
+    def __init__(self, space_name: str, component: ComponentData,
+                 basis: tuple[tuple[str, int], ...], degree_of: Callable[[str], int],
+                 differential: Callable[[str], dict[str, Rational]],
+                 product: Callable[[str, str], dict[str, Rational]]):
+        set_ = object.__setattr__
+        set_(self, "space_name", space_name)
+        set_(self, "component", component)
+        set_(self, "basis", basis)
+        set_(self, "degree_of", degree_of)
+        set_(self, "differential", differential)
+        set_(self, "product", product)
 
 
 def _as_element(space: str, combo: Mapping[str, Rational]) -> Element:

@@ -22,7 +22,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__, f2poly, novikov, prover, structio
 from .ainfty import (
@@ -51,6 +50,11 @@ from .strata import (
 
 class UsageError(Exception):
     pass
+
+
+# The message for input whose nesting exceeds the recursive readers' depth:
+# the JSON decoder and the element and sign-expression parsers.
+TOO_DEEP = "nested too deeply to read"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,11 +161,12 @@ class Report:
         target = out
         try:
             if target is None and os.environ.get("AINFSIGN_REPORT_DIR"):
-                directory = Path(os.environ["AINFSIGN_REPORT_DIR"])
-                directory.mkdir(parents=True, exist_ok=True)
-                target = str(directory / f"{self.command}.json")
+                directory = os.environ["AINFSIGN_REPORT_DIR"]
+                os.makedirs(directory, exist_ok=True)
+                target = os.path.join(directory, f"{self.command}.json")
             if target and target != "-":
-                Path(target).write_text(payload)
+                with open(target, "w") as fh:
+                    fh.write(payload)
         except OSError as exc:
             source = "--out" if out is not None else "AINFSIGN_REPORT_DIR"
             raise UsageError(f"{source}: cannot write the report: {exc}") from exc
@@ -297,6 +302,8 @@ def cmd_check_ainfty(args) -> int:
         A = structio.load_structure(args.file)
     except ValueError as exc:  # not UTF-8 text, not JSON, or not a structure
         raise UsageError(f"{args.file}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{args.file}: {TOO_DEEP}") from exc
     cutoff = A.cutoff if args.cutoff is None else args.cutoff
     if cutoff > A.cutoff:
         # apply_operation truncates at the structure's cutoff, so relations
@@ -341,6 +348,8 @@ def cmd_deform_check(args) -> int:
             raise UsageError(f"--b: not JSON: {exc}") from exc
         except structio.FormatError as exc:
             raise UsageError(str(exc)) from exc
+        except RecursionError as exc:
+            raise UsageError(f"--b: {TOO_DEEP}") from exc
         if b.is_zero():
             raise UsageError("--b: the deforming element is zero, so nothing is deformed")
         candidates = [("explicit", b)]
@@ -411,6 +420,8 @@ def cmd_nov_eval(args) -> int:
         value = novikov.parse(args.expr)
     except novikov.NovikovParseError as exc:
         raise UsageError(f"{args.expr!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{args.expr!r}: {TOO_DEEP}") from exc
     _emit(f"{value}\n")
     return 0
 
@@ -422,10 +433,16 @@ def cmd_anf(args) -> int:
             raise UsageError(f"--bind: repeated name {name!r}")
         bindings[name] = value
     try:
-        text = args.expr if args.file is None else Path(args.file).read_text().strip()
+        if args.file is None:
+            text = args.expr
+        else:
+            with open(args.file) as fh:
+                text = fh.read().strip()
         poly = f2poly.to_anf(f2poly.parse_sign_expr(text), bindings)
     except ValueError as exc:  # not UTF-8 text, or not a sign expression
         raise UsageError(f"{args.file or '--expr'}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{args.file or '--expr'}: {TOO_DEEP}") from exc
     _emit(f"{poly}\n")
     return 0
 

@@ -25,11 +25,11 @@ because ``eval_int`` subtracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from collections.abc import Mapping
+
+from .frozen import Frozen
 
 Monomial = frozenset
-ScalarOrPoly = Union[int, "F2Poly"]
 
 _ONE = frozenset([frozenset()])  # the monomial set of the constant 1
 
@@ -152,40 +152,66 @@ def anf_equivalent(p: F2Poly, q: F2Poly) -> tuple[bool, dict | None]:
     return False, {n: int(n in ones) for n in sorted(diff.variables())}
 
 
+ScalarOrPoly = int | F2Poly
+
+
 # --- sign-expression DSL -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node(Frozen):
+    """A syntax-tree node; equality is that of its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all([getattr(self, n) == getattr(other, n) for n in self.__slots__])
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "SignExpr"
+class Name(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-' or '*'
-    left: "SignExpr"
-    right: "SignExpr"
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: SignExpr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class IndexedSum:
-    var: str
-    lower: "SignExpr"
-    upper: "SignExpr"
-    body: "SignExpr"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: SignExpr, right: SignExpr):  # op: '+', '-' or '*'
+        set_ = object.__setattr__
+        set_(self, "op", op)
+        set_(self, "left", left)
+        set_(self, "right", right)
 
 
-SignExpr = Union[IntLit, Name, Neg, BinOp, IndexedSum]
+class IndexedSum(_Node):
+    __slots__ = ("var", "lower", "upper", "body")
+
+    def __init__(self, var: str, lower: SignExpr, upper: SignExpr, body: SignExpr):
+        set_ = object.__setattr__
+        set_(self, "var", var)
+        set_(self, "lower", lower)
+        set_(self, "upper", upper)
+        set_(self, "body", body)
+
+
+SignExpr = IntLit | Name | Neg | BinOp | IndexedSum
 
 
 class SignExprError(ValueError):

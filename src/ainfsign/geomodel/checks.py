@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import signs
@@ -56,14 +55,15 @@ from .core import (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    trials: int
-    failures: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    # Wall time of the check, set by run_all_checks; not part of the report.
-    elapsed_s: float = field(default=0.0, repr=False, compare=False)
+    def __init__(self, name: str, trials: int, failures: list | None = None,
+                 stats: dict | None = None, elapsed_s: float = 0.0):
+        self.name = name
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.stats = {} if stats is None else stats
+        # Wall time of the check, set by run_all_checks; not part of the report.
+        self.elapsed_s = elapsed_s
 
     @property
     def passed(self) -> bool:
@@ -544,13 +544,14 @@ def derived_node_parity(inner: CorrespondenceModel, inner_mus: tuple[int, ...]) 
     return (inner.ev_out.reldim + inner.k + sum(inner_mus)) % 2
 
 
-@dataclass
 class PushPullReport:
-    nested_vs_glued: bool
-    insertion_vs_composite: bool
-    reordered_vs_nested: bool
-    nontrivial: bool
-    detail: dict = field(default_factory=dict)
+    def __init__(self, nested_vs_glued: bool, insertion_vs_composite: bool,
+                 reordered_vs_nested: bool, nontrivial: bool, detail: dict | None = None):
+        self.nested_vs_glued = nested_vs_glued
+        self.insertion_vs_composite = insertion_vs_composite
+        self.reordered_vs_nested = reordered_vs_nested
+        self.nontrivial = nontrivial
+        self.detail = {} if detail is None else detail
 
     @property
     def passed(self) -> bool:

@@ -39,7 +39,8 @@ monomial dict per output wedge (``_mul_into``, ``_subst_into``), so each
 result coefficient is built once.
 
 Models: ``CubeTorusSpace``, ``ProjectionMap``, ``SmoothMapModel`` and
-``CorrespondenceModel`` are slotted frozen dataclasses; each of the first
+``CorrespondenceModel`` are slotted frozen classes (``frozen.Frozen``)
+with value equality; each of the first
 three is built in one ``__init__`` that validates and derives its tables
 (a space its names, order, kinds and intervals; a projection each base
 coordinate's target and each source coordinate's bundle rank; a smooth map
@@ -70,13 +71,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
 
-from ..novikov import _rational, exact_rational
-
-Rational = Union[int, Fraction]
+from ..frozen import Frozen
+from ..novikov import Rational, _rational, exact_rational
 
 INTERVAL = "interval"
 CIRCLE = "circle"
@@ -166,17 +165,13 @@ def _subst_into(out: dict, terms: Mapping, replacements: Mapping[str, "Poly"], s
     return out
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CubeTorusSpace:
+class CubeTorusSpace(Frozen):
     """An ordered product of unit intervals and circles; equality and hash
-    are those of ``coords``, checked after identity."""
+    are those of ``coords``, checked after identity.  ``coords`` holds
+    (name, INTERVAL | CIRCLE) pairs; the other fields are derived from it
+    once, when the space is built."""
 
-    coords: tuple[tuple[str, str], ...]  # (name, INTERVAL | CIRCLE)
-    # Derived from coords once, when the space is built; not part of equality.
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _kinds: dict[str, str] = field(init=False, repr=False, compare=False)
-    _intervals: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("coords", "_names", "_order", "_kinds", "_intervals")
 
     def __init__(self, coords: tuple[tuple[str, str], ...]):
         names = [n for n, _ in coords]
@@ -196,6 +191,12 @@ class CubeTorusSpace:
 
     def __eq__(self, other) -> bool:
         return self is other or other.__class__ is CubeTorusSpace and self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"CubeTorusSpace(coords={self.coords!r})"
 
     @property
     def dimension(self) -> int:
@@ -542,24 +543,21 @@ CircleAssignment = tuple[str, str, int]  # ("circle", source name, +1/-1)
 ConstCircle = tuple[str]  # ("const-circle",)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class SmoothMapModel:
+class SmoothMapModel(Frozen):
     """A map between cube-torus spaces given coordinatewise.
 
     Interval target coordinates are assigned polynomials in the source's
     interval coordinates (declared to land in [0, 1]; checked at the corner
     and midpoint lattice).  Circle target coordinates are assigned a source
     circle coordinate with an orientation sign, or are constant.
+    ``assignments`` holds (target coord, assignment) pairs; derived from
+    them once, when the map is built, are ``_table``, the assignment of
+    each target coordinate, and ``_subs``, the polynomial of each interval
+    one (what pullback and composition substitute).  Equality is that of
+    source, target and assignments.
     """
 
-    source: CubeTorusSpace
-    target: CubeTorusSpace
-    assignments: tuple[tuple[str, tuple], ...]  # (target coord, assignment)
-    # Derived from the assignments once, when the map is built: the
-    # assignment of each target coordinate, and the polynomial of each
-    # interval one (what pullback and composition substitute).
-    _table: dict[str, tuple] = field(init=False, repr=False, compare=False)
-    _subs: dict[str, Poly] = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "assignments", "_table", "_subs")
 
     def __init__(self, source: CubeTorusSpace, target: CubeTorusSpace,
                  assignments: tuple[tuple[str, tuple], ...]):
@@ -610,6 +608,16 @@ class SmoothMapModel:
         set_(smap, "_table", table)
         set_(smap, "_subs", {n: a[1] for n, a in table.items() if a[0] == "poly"})
         return smap
+
+    def __eq__(self, other):
+        if other.__class__ is SmoothMapModel:
+            return (self.source, self.target, self.assignments) == (
+                other.source, other.target, other.assignments)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"SmoothMapModel(source={self.source!r}, target={self.target!r}, "
+                f"assignments={self.assignments!r})")
 
 
 def _check_unit_range(poly: Poly, name: str):
@@ -682,26 +690,22 @@ def compose_smooth(outer: SmoothMapModel, inner: SmoothMapModel) -> SmoothMapMod
     return SmoothMapModel._of(inner.source, outer.target, table)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ProjectionMap:
+class ProjectionMap(Frozen):
     """A coordinate projection, oriented base-first fiber-last.
 
     ``injection`` embeds target coordinates into source coordinates
-    (type-preserving); ``fiber`` lists the remaining source coordinates in
-    the order that orients the fiber.  Plain constructions use source order;
-    composites carry the induced order (outer fiber first).
+    (type-preserving), as (target coord, source coord) pairs; ``fiber``
+    lists the remaining source coordinates in the order that orients the
+    fiber.  Plain constructions use source order; composites carry the
+    induced order (outer fiber first).  Derived once, when the projection
+    is built, are ``_to_target``, the target coordinate of each base
+    coordinate, and ``_rank``, the bundle rank of each source coordinate
+    (a base coordinate its target's position, a fiber coordinate the base
+    dimension plus its position in the fiber order).  Equality is that of
+    source, target, injection and fiber.
     """
 
-    source: CubeTorusSpace
-    target: CubeTorusSpace
-    injection: tuple[tuple[str, str], ...]  # (target coord, source coord)
-    fiber: tuple[str, ...]
-    # Derived once, when the projection is built: the target coordinate of
-    # each base coordinate, and the bundle rank of each source coordinate
-    # (a base coordinate its target's position, a fiber coordinate the base
-    # dimension plus its position in the fiber order).
-    _to_target: dict[str, str] = field(init=False, repr=False, compare=False)
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "injection", "fiber", "_to_target", "_rank")
 
     def __init__(self, source: CubeTorusSpace, target: CubeTorusSpace,
                  injection: tuple[tuple[str, str], ...], fiber: tuple[str, ...]):
@@ -734,6 +738,16 @@ class ProjectionMap:
         set_(self, "fiber", fiber)
         set_(self, "_to_target", to_target)
         set_(self, "_rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is ProjectionMap:
+            return (self.source, self.target, self.injection, self.fiber) == (
+                other.source, other.target, other.injection, other.fiber)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"ProjectionMap(source={self.source!r}, target={self.target!r}, "
+                f"injection={self.injection!r}, fiber={self.fiber!r})")
 
     @property
     def reldim(self) -> int:
@@ -965,25 +979,37 @@ def boundary_pushforward(p: ProjectionMap, form: Form) -> Form:
 # --- correspondences ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CorrespondenceModel:
+class CorrespondenceModel(Frozen):
     """A span with one output projection and k input legs, acting on k forms
     by pull-push: pull each input back along its leg, wedge them in leg
     order, integrate along the fibers of ``ev_out``.  A correspondence of
     forms is the case k = 1; a mock moduli space with k inputs is the
-    general case."""
+    general case.  Equality is that of the three fields."""
 
-    space: CubeTorusSpace
-    ev_out: ProjectionMap
-    ev_in: tuple[SmoothMapModel, ...]
+    __slots__ = ("space", "ev_out", "ev_in")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ev_in", tuple(self.ev_in))
-        if self.ev_out.source != self.space:
+    def __init__(self, space: CubeTorusSpace, ev_out: ProjectionMap,
+                 ev_in: Iterable[SmoothMapModel]):
+        ev_in = tuple(ev_in)
+        if ev_out.source != space:
             raise ValueError("output leg must start on the correspondence space")
-        for leg in self.ev_in:
-            if leg.source != self.space:
+        for leg in ev_in:
+            if leg.source != space:
                 raise ValueError("input legs must start on the correspondence space")
+        set_ = object.__setattr__
+        set_(self, "space", space)
+        set_(self, "ev_out", ev_out)
+        set_(self, "ev_in", ev_in)
+
+    def __eq__(self, other):
+        if other.__class__ is CorrespondenceModel:
+            return (self.space, self.ev_out, self.ev_in) == (
+                other.space, other.ev_out, other.ev_in)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"CorrespondenceModel(space={self.space!r}, ev_out={self.ev_out!r}, "
+                f"ev_in={self.ev_in!r})")
 
     @property
     def k(self) -> int:

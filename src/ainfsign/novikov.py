@@ -43,11 +43,12 @@ exponent 1 (``T`` rather than ``1*T^1``), writes integer exponents as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-Rational = Union[int, Fraction]
+from .frozen import Frozen
+
+Rational = int | Fraction
 
 INFINITY = math.inf
 
@@ -77,21 +78,20 @@ def _rational(x: Rational) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class NovikovElement:
+class NovikovElement(Frozen):
     """A finite sum of monomials ``coeff * T^exponent`` in canonical form.
 
     ``terms`` is a tuple of ``(exponent, coefficient)`` pairs with strictly
     increasing non-negative exponents and nonzero coefficients.  The public
     constructor validates them and stores each number in normal form;
     results the class computes itself from canonical operands are built by
-    the trusted :meth:`_of`.
+    the trusted :meth:`_of`.  Equality and hash are those of ``terms``.
     """
 
-    terms: tuple[tuple[Rational, Rational], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((_rational(e), _rational(c)) for e, c in self.terms)
+    def __init__(self, terms: tuple[tuple[Rational, Rational], ...]):
+        terms = tuple((_rational(e), _rational(c)) for e, c in terms)
         object.__setattr__(self, "terms", terms)
         last = None
         for exponent, coefficient in terms:
@@ -109,6 +109,14 @@ class NovikovElement:
         element = object.__new__(NovikovElement)
         object.__setattr__(element, "terms", terms)
         return element
+
+    def __eq__(self, other):
+        if other.__class__ is NovikovElement:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def zero() -> "NovikovElement":
@@ -251,27 +259,24 @@ _ONE = NovikovElement(((0, 1),))  # before any monomial()
 T = NovikovElement.monomial(1, 1)
 
 
-@dataclass(frozen=True)
-class GappedSpectrum:
+class GappedSpectrum(Frozen):
     """A finite additively closed set of energies below a cutoff, built from
     its generators and cutoff alone.
 
     ``generators`` are kept sorted and each once, and ``closure`` is derived
     from them: every sum of generators (with repetition) that stays strictly
     below ``cutoff``, always including 0, in increasing order.  A cutoff or
-    generator that is not positive is rejected.
+    generator that is not positive is rejected.  Equality is that of
+    the generators and the cutoff, which decide the closure.
     """
 
-    generators: tuple[Rational, ...]
-    cutoff: Rational
-    closure: tuple[Rational, ...] = field(init=False)
-    _members: frozenset[Rational] = field(init=False, repr=False, compare=False)
+    __slots__ = ("generators", "cutoff", "closure", "_members")
 
-    def __post_init__(self):
-        cutoff = _rational(self.cutoff)
+    def __init__(self, generators: tuple[Rational, ...], cutoff: Rational):
+        cutoff = _rational(cutoff)
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        generators = tuple(sorted({_rational(g) for g in self.generators}))
+        generators = tuple(sorted({_rational(g) for g in generators}))
         for g in generators:
             if g <= 0:
                 raise ValueError(f"generators must be positive, got {g}")
@@ -289,6 +294,11 @@ class GappedSpectrum:
         set_(self, "cutoff", cutoff)
         set_(self, "closure", tuple(sorted(reached)))
         set_(self, "_members", frozenset(reached))
+
+    def __eq__(self, other):
+        if other.__class__ is GappedSpectrum:
+            return (self.generators, self.cutoff) == (other.generators, other.cutoff)
+        return NotImplemented
 
     def __contains__(self, energy: Rational) -> bool:
         return _rational(energy) in self._members

@@ -31,9 +31,8 @@ from :func:`ainfsign.strata.enumerate_strata`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from . import signs
 from .f2poly import F2Poly, anf_equivalent
@@ -73,13 +72,14 @@ def symbolic_context(k: int, j: int, k_inner: int) -> SignContext:
     return _context(k, j, k_inner, [F2Poly.var(name) for name in _parity_names(k)])
 
 
-@dataclass
 class ProofReport:
-    instance: dict
-    status: str  # "proved" | "refuted"
-    witness: dict | None = None
-    # wall time of the proof, set by prove_all; never part of the report JSON
-    elapsed_s: float = field(default=0.0, compare=False)
+    def __init__(self, instance: dict, status: str, witness: dict | None = None,
+                 elapsed_s: float = 0.0):
+        self.instance = instance
+        self.status = status  # "proved" | "refuted"
+        self.witness = witness
+        # wall time of the proof, set by prove_all; never part of the report JSON
+        self.elapsed_s = elapsed_s
 
     @property
     def proved(self) -> bool:
@@ -287,14 +287,23 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
 # --- formal replay of the relation cancellation -------------------------------
 
 
-@dataclass
 class CancellationReport:
-    k: int
-    energy: Fraction
-    pairs: list[tuple] = field(default_factory=list)
-    residual: list[dict] = field(default_factory=list)
-    # wall time of this level; never part of the report JSON
-    elapsed_s: float = field(default=0.0, compare=False)
+    """Equality is that of everything but ``elapsed_s``."""
+
+    def __init__(self, k: int, energy: Fraction, pairs: list[tuple] | None = None,
+                 residual: list[dict] | None = None, elapsed_s: float = 0.0):
+        self.k = k
+        self.energy = energy
+        self.pairs = [] if pairs is None else pairs
+        self.residual = [] if residual is None else residual
+        # wall time of this level; never part of the report JSON
+        self.elapsed_s = elapsed_s
+
+    def __eq__(self, other):
+        if other.__class__ is CancellationReport:
+            return (self.k, self.energy, self.pairs, self.residual) == (
+                other.k, other.energy, other.pairs, other.residual)
+        return NotImplemented
 
     @property
     def cancels(self) -> bool:

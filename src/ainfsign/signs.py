@@ -23,12 +23,12 @@ output component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .f2poly import F2Poly
+from .frozen import Frozen
 
-Parity = Union[int, F2Poly]
+Parity = int | F2Poly
 
 
 def _par(x: Parity) -> Parity:
@@ -94,39 +94,39 @@ def stokes_sign(dim_parity: Parity, degs: Sequence[Parity]) -> Parity:
     return _par(dim_parity + _total(list(degs)))
 
 
-@dataclass(frozen=True)
-class SignContext:
+class SignContext(Frozen):
     """Everything a boundary splitting's sign formulas consume.
 
     ``degs``/``mus`` may hold integers or symbolic GF(2) polynomials; the
     arity data ``k``, ``j``, ``k_outer``, ``k_inner`` are always concrete.
     """
 
-    k: int
-    j: int
-    k_outer: int
-    k_inner: int
-    degs: tuple = ()
-    mus: tuple = ()
-    mu_node: Parity = 0
-    mu_out: Parity = 0
-    dim_out: Parity = 0
+    __slots__ = ("k", "j", "k_outer", "k_inner", "degs", "mus", "mu_node", "mu_out", "dim_out")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.k_outer + self.k_inner != self.k + 1:
-            raise ValueError(
-                f"k_outer + k_inner = {self.k_outer}+{self.k_inner} != k+1 = {self.k + 1}"
-            )
-        if self.k_inner < 0 or self.k_outer < 1:
+    def __init__(self, k: int, j: int, k_outer: int, k_inner: int, degs: tuple = (),
+                 mus: tuple = (), mu_node: Parity = 0, mu_out: Parity = 0, dim_out: Parity = 0):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if k_outer + k_inner != k + 1:
+            raise ValueError(f"k_outer + k_inner = {k_outer}+{k_inner} != k+1 = {k + 1}")
+        if k_inner < 0 or k_outer < 1:
             raise ValueError("arities must satisfy k_inner >= 0, k_outer >= 1")
-        if not 1 <= self.j <= self.k_outer:
-            raise ValueError(f"slot j={self.j} outside 1..{self.k_outer}")
-        if self.degs and len(self.degs) != self.k:
-            raise ValueError(f"expected {self.k} degrees, got {len(self.degs)}")
-        if self.mus and len(self.mus) != self.k:
-            raise ValueError(f"expected {self.k} parities, got {len(self.mus)}")
+        if not 1 <= j <= k_outer:
+            raise ValueError(f"slot j={j} outside 1..{k_outer}")
+        if degs and len(degs) != k:
+            raise ValueError(f"expected {k} degrees, got {len(degs)}")
+        if mus and len(mus) != k:
+            raise ValueError(f"expected {k} parities, got {len(mus)}")
+        set_ = object.__setattr__
+        set_(self, "k", k)
+        set_(self, "j", j)
+        set_(self, "k_outer", k_outer)
+        set_(self, "k_inner", k_inner)
+        set_(self, "degs", degs)
+        set_(self, "mus", mus)
+        set_(self, "mu_node", mu_node)
+        set_(self, "mu_out", mu_out)
+        set_(self, "dim_out", dim_out)
 
     # Input slices relative to the splitting (1-based slot arithmetic).
     def prefix_mus(self) -> tuple:

@@ -12,60 +12,80 @@ by definition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import signs
+from .frozen import Frozen
 from .novikov import GappedSpectrum, Rational, _rational
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(Frozen):
     """A clean-intersection component: its dimension and Maslov parity.  Its
     orientation twist is taken to be trivialized; the sign formulas assume it."""
 
-    name: str
-    dimension: int
-    maslov_parity: int
+    __slots__ = ("name", "dimension", "maslov_parity")
 
-    def __post_init__(self):
-        if self.dimension < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.dimension}")
-        if self.maslov_parity not in (0, 1):
-            raise ValueError(f"maslov_parity must be 0 or 1, got {self.maslov_parity}")
+    def __init__(self, name: str, dimension: int, maslov_parity: int):
+        if dimension < 0:
+            raise ValueError(f"dimension must be >= 0, got {dimension}")
+        if maslov_parity not in (0, 1):
+            raise ValueError(f"maslov_parity must be 0 or 1, got {maslov_parity}")
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "dimension", dimension)
+        set_(self, "maslov_parity", maslov_parity)
+
+    def __eq__(self, other):
+        if other.__class__ is ComponentData:
+            return (self.name, self.dimension, self.maslov_parity) == (
+                other.name, other.dimension, other.maslov_parity)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class BClass:
+class BClass(Frozen):
     """A curve class surrogate: an energy plus an opaque tag, so distinct
     classes of equal energy can coexist."""
 
-    energy: Rational
-    tag: str = ""
+    __slots__ = ("energy", "tag")
 
-    def __post_init__(self):
-        object.__setattr__(self, "energy", _rational(self.energy))
-        if self.energy < 0:
-            raise ValueError(f"energy must be >= 0, got {self.energy}")
+    def __init__(self, energy: Rational, tag: str = ""):
+        energy = _rational(energy)
+        if energy < 0:
+            raise ValueError(f"energy must be >= 0, got {energy}")
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "tag", tag)
+
+    def __eq__(self, other):
+        if other.__class__ is BClass:
+            return (self.energy, self.tag) == (other.energy, other.tag)
+        return NotImplemented
 
     def is_differential_slot(self, k: int) -> bool:
         return k == 1 and self.energy == 0
 
 
-@dataclass(frozen=True)
-class ModuliDescriptor:
+class ModuliDescriptor(Frozen):
     """k-input moduli datum: arity, class, output component, input components."""
 
-    k: int
-    b: BClass
-    output: ComponentData
-    inputs: tuple[ComponentData, ...]
+    __slots__ = ("k", "b", "output", "inputs")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if len(self.inputs) != self.k:
-            raise ValueError(f"expected {self.k} input components, got {len(self.inputs)}")
+    def __init__(self, k: int, b: BClass, output: ComponentData,
+                 inputs: tuple[ComponentData, ...]):
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if len(inputs) != k:
+            raise ValueError(f"expected {k} input components, got {len(inputs)}")
+        set_ = object.__setattr__
+        set_(self, "k", k)
+        set_(self, "b", b)
+        set_(self, "output", output)
+        set_(self, "inputs", inputs)
+
+    def __eq__(self, other):
+        if other.__class__ is ModuliDescriptor:
+            return (self.k, self.b, self.output, self.inputs) == (
+                other.k, other.b, other.output, other.inputs)
+        return NotImplemented
 
     def dim_parity(self) -> int:
         return signs.moduli_dim_parity(
@@ -85,26 +105,28 @@ class ModuliDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class BoundaryStratum:
+class BoundaryStratum(Frozen):
     """One codimension-1 splitting: outer factor, inner factor glued in at
     slot j through the node component, and its orientation parity."""
 
-    j: int
-    outer: ModuliDescriptor
-    inner: ModuliDescriptor
-    node: ComponentData
-    sign: int
+    __slots__ = ("j", "outer", "inner", "node", "sign")
 
-    def __post_init__(self):
-        if not 1 <= self.j <= self.outer.k:
-            raise ValueError(f"slot {self.j} outside 1..{self.outer.k}")
-        if self.inner.output != self.node or self.outer.inputs[self.j - 1] != self.node:
+    def __init__(self, j: int, outer: ModuliDescriptor, inner: ModuliDescriptor,
+                 node: ComponentData, sign: int):
+        if not 1 <= j <= outer.k:
+            raise ValueError(f"slot {j} outside 1..{outer.k}")
+        if inner.output != node or outer.inputs[j - 1] != node:
             raise ValueError("node component must join inner output to outer slot j")
-        if self.outer.b.is_differential_slot(self.outer.k):
+        if outer.b.is_differential_slot(outer.k):
             raise ValueError("outer factor is the reserved differential pair")
-        if self.inner.b.is_differential_slot(self.inner.k):
+        if inner.b.is_differential_slot(inner.k):
             raise ValueError("inner factor is the reserved differential pair")
+        set_ = object.__setattr__
+        set_(self, "j", j)
+        set_(self, "outer", outer)
+        set_(self, "inner", inner)
+        set_(self, "node", node)
+        set_(self, "sign", sign)
 
     def parent(self) -> ModuliDescriptor:
         """The unsplit descriptor, rebuilt from the stratum's own data."""
@@ -231,13 +253,14 @@ def codim1_parity_consistent(stratum: BoundaryStratum) -> bool:
     return fiber_product_parity == (stratum.parent().dim_parity() - 1) % 2
 
 
-@dataclass
 class MatchReport:
     """Outcome of matching strata against composition double-sum terms."""
 
-    matched: list[tuple]
-    unmatched_strata: list[tuple]
-    unmatched_terms: list[tuple]
+    def __init__(self, matched: list[tuple], unmatched_strata: list[tuple],
+                 unmatched_terms: list[tuple]):
+        self.matched = matched
+        self.unmatched_strata = unmatched_strata
+        self.unmatched_terms = unmatched_terms
 
     @property
     def perfect(self) -> bool:

@@ -10,9 +10,8 @@ floating point.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from pathlib import Path
-from typing import Any
 
 from . import novikov
 from .ainfty import (Element, FilteredAInfty, HomSpace, OperationTable, OpKey, StructureError,
@@ -34,21 +33,21 @@ class FormatError(ValueError):
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
-def _expect(value: Any, kind: type, path: str) -> Any:
+def _expect(value: object, kind: type, path: str) -> object:
     """``value`` itself when it is of the JSON kind ``kind``."""
     if not isinstance(value, kind):
         raise FormatError(f"expected {_KINDS[kind]}, got {value!r:.40}", path)
     return value
 
 
-def _integer(value: Any, path: str) -> int:
+def _integer(value: object, path: str) -> int:
     """``value`` itself when it is a JSON integer; true and false are not."""
     if type(value) is not int:
         raise FormatError(f"expected an integer, got {value!r:.40}", path)
     return value
 
 
-def _fraction(value: Any, path: str) -> Fraction:
+def _fraction(value: object, path: str) -> Fraction:
     """The rational a JSON string spells; a JSON number is refused, so that
     no float is read."""
     text = _expect(value, str, path)
@@ -58,20 +57,20 @@ def _fraction(value: Any, path: str) -> Fraction:
         raise FormatError(f"bad rational {value!r}: {exc}", path) from exc
 
 
-def _positive(value: Any, what: str, path: str) -> Fraction:
+def _positive(value: object, what: str, path: str) -> Fraction:
     q = _fraction(value, path)
     if q <= 0:
         raise FormatError(f"{what} must be positive, got {q}", path)
     return q
 
 
-def _named(names: dict, name: Any, what: str, path: str):
+def _named(names: dict, name: object, what: str, path: str):
     if not isinstance(name, str) or name not in names:
         raise FormatError(f"unknown {what} {name!r}", path)
     return names[name]
 
 
-def _unique(names: dict, value: Any, what: str, path: str) -> str:
+def _unique(names: dict, value: object, what: str, path: str) -> str:
     """``value`` itself when it is a string that ``names`` does not hold yet."""
     name = _expect(value, str, path)
     if name in names:
@@ -86,7 +85,7 @@ def _generator(space: HomSpace, gen: str, path: str) -> None:
         raise FormatError(f"unknown generator {gen!r} of space {space.name!r}", path) from None
 
 
-def _novikov(value: Any, path: str) -> novikov.NovikovElement:
+def _novikov(value: object, path: str) -> novikov.NovikovElement:
     text = _expect(value, str, path)
     try:
         return novikov.parse(text)
@@ -94,7 +93,7 @@ def _novikov(value: Any, path: str) -> novikov.NovikovElement:
         raise FormatError(f"bad coefficient {value!r}: {exc}", path) from exc
 
 
-def element_from_json(space: HomSpace, data: Any, path: str) -> Element:
+def element_from_json(space: HomSpace, data: object, path: str) -> Element:
     """The element of ``space`` whose coefficient of each generator ``data`` maps to."""
     coeffs = {}
     for gen, c in _expect(data, dict, path).items():
@@ -104,13 +103,14 @@ def element_from_json(space: HomSpace, data: Any, path: str) -> Element:
     return Element(space.name, coeffs)
 
 
-def load_structure(source: str | Path) -> FilteredAInfty:
-    text = Path(source).read_text()
+def load_structure(source: str | os.PathLike) -> FilteredAInfty:
+    with open(source) as fh:
+        text = fh.read()
     data = json.loads(text)  # JSONDecodeError carries line and column
     return structure_from_json(data)
 
 
-def structure_from_json(data: Any) -> FilteredAInfty:
+def structure_from_json(data: object) -> FilteredAInfty:
     """Build a structure from parsed JSON; every problem with the data
     raises :class:`FormatError` with the JSON path where it was found."""
     data = _expect(data, dict, "$")

@@ -436,7 +436,9 @@ def test_deformations_share_their_parent_values():
         calls.append((k1, k2))
         return dga.product(k1, k2)
 
-    A = from_dga(dataclasses.replace(dga, product=product), cutoff=4)
+    swapped = ainfty.DGAModel(dga.space_name, dga.component, dga.basis, dga.degree_of,
+                              dga.differential, product)
+    A = from_dga(swapped, cutoff=4)
     D = deform(A, Element("deRham", {"u|dv": T_coeff()}), 1)
     assert D.check_relations(2).passed
     assert A.check_relations(2).passed

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import functools
 import hashlib
@@ -1051,6 +1052,39 @@ def test_out_of_range_counts_exit_two(argv, flag, tmp_path, capsys, monkeypatch)
     code, out, err = run(argv, capsys)
     assert code == 2 and f"error: {flag}" in err and err.count("\n") == 1, err
     assert "checks passed" not in out
+
+
+# Input nested deeper than a recursive reader goes: the JSON decoder, or the
+# element and sign-expression parsers.
+@pytest.mark.parametrize("argv, source", [
+    (["anf", "--expr", "(" * 400 + "x" + ")" * 400], "--expr"),
+    (["anf", "--file", "minus.txt"], "minus.txt"),
+    (["nov-eval", "(" * 2000 + "T" + ")" * 2000], "'(((("),
+    (["check-ainfty", "--file", "nested.json"], "nested.json"),
+    (["deform-check", "--preset", "interval2", "--b", "[" * 20_000], "--b"),
+], ids=["anf-expr-parentheses", "anf-file-minus-signs", "nov-eval-parentheses",
+        "check-ainfty-nested-json", "deform-check-b-nested-json"])
+def test_deeply_nested_input_exits_two(argv, source, tmp_path, capsys, monkeypatch):
+    (tmp_path / "minus.txt").write_text("-" * 5_000 + "x")
+    (tmp_path / "nested.json").write_text("[" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and err.startswith(f"error: {source}") and err.count("\n") == 1, err[:200]
+    assert err.endswith(": nested too deeply to read\n") and not out
+
+
+def test_cli_import_loads_only_what_the_commands_use():
+    """Start-up pays for no module that no command needs: importing the
+    command line loads neither ``dataclasses`` nor ``typing``, ``pathlib``
+    or ``inspect``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import ainfsign.cli, sys; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "ainfsign.cli" in loaded
+    assert not loaded & {"dataclasses", "typing", "pathlib", "inspect"}, sorted(loaded)
 
 
 def test_check_ainfty_cutoff_up_to_the_structure_cutoff_accepted(tmp_path, capsys):

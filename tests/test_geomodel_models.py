@@ -270,13 +270,16 @@ def test_models_are_slotted_and_frozen():
         assert not hasattr(model, "__dict__"), type(model)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, field, ())
-    # replace() rebuilds through the validating constructor, tables and all.
-    for model in (sp, proj, leg):
-        rebuilt = dataclasses.replace(model)
-        assert rebuilt == model and rebuilt is not model
-    assert dataclasses.replace(proj, fiber=("t",))._rank == proj._rank
+    # The public constructors rebuild a model from its fields through
+    # validation, tables and all.
+    rebuilt = (CubeTorusSpace(sp.coords),
+               ProjectionMap(proj.source, proj.target, proj.injection, proj.fiber),
+               SmoothMapModel(leg.source, leg.target, leg.assignments))
+    for model, again in zip((sp, proj, leg), rebuilt):
+        assert again == model and again is not model
+    assert ProjectionMap(proj.source, proj.target, proj.injection, ("t",))._rank == proj._rank
     with pytest.raises(ValueError, match="unknown coordinate kind 'disk'"):
-        dataclasses.replace(sp, coords=(("t", "disk"),))
+        CubeTorusSpace((("t", "disk"),))
 
 
 # --- integral values are ints ----------------------------------------------------
