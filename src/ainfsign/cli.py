@@ -57,8 +57,31 @@ class UsageError(Exception):
 TOO_DEEP = "nested too deeply to read"
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at its own width, ``shutil.get_terminal_size()``
+    columns less 2, found without importing ``shutil`` (and with it ``bz2``,
+    ``lzma`` and ``zlib``): ``COLUMNS`` if a positive integer, else stdout's
+    terminal width, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+        if sys.version_info >= (3, 11):  # before 3.11 a zero-width terminal stays 0
+            columns = columns or 80
+    return argparse.HelpFormatter(prog, width=columns - 2)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Rejections raise :class:`UsageError`, which ``main`` reports."""
+    """Rejections raise :class:`UsageError`, which ``main`` reports.  Help
+    text comes from :func:`_help_formatter`; subparsers share this class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_help_formatter, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

@@ -1087,6 +1087,115 @@ def test_cli_import_loads_only_what_the_commands_use():
     assert not loaded & {"dataclasses", "typing", "pathlib", "inspect"}, sorted(loaded)
 
 
+# Run in a fresh interpreter with the argv lists, as Python literals, in
+# sys.argv[1]: prints each run's exit code, then the modules then loaded.
+COMMANDS_THEN_MODULES = """\
+import ast, contextlib, io, sys
+from ainfsign import cli
+codes = []
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:  # --help and --version print and exit
+            codes.append(exc.code)
+print(codes)
+print(sorted(sys.modules))
+"""
+
+
+def test_commands_load_no_compression_modules(tmp_path):
+    """argparse sizes help text by ``shutil.get_terminal_size``, and
+    ``shutil`` loads ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``; the command
+    line sizes it without them, whether a command runs, prints help or its
+    version, or is rejected.  A fresh interpreter, since pytest loads
+    ``shutil`` itself."""
+    argvs = [["nov-eval", "T"], ["check-dga", "--k-max", "1", "--out", str(tmp_path / "r.json")],
+             ["prove-signs", "--k-max", "1"], ["check-dga", "--k-max", "-1"],
+             ["--help"], ["--version"], ["check-dga", "--help"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("AINFSIGN_REPORT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COMMANDS_THEN_MODULES, repr(argvs)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    codes, loaded = map(ast.literal_eval, proc.stdout.splitlines())
+    assert codes == [0, 0, 0, 2, 0, 0, 0]
+    assert not set(loaded) & {"shutil", "bz2", "lzma", "zlib", "fnmatch"}, loaded
+
+
+# Run in a fresh interpreter: the help formatter's width, argparse's own
+# width, and the argv whose stdout differs between cli.main and a reference
+# parser built with argparse's own formatter (top-level help, --version and
+# every subcommand's help), as JSON on stderr, so stdout may be a terminal.
+HELP_AS_ARGPARSE_PRINTS_IT = """\
+import argparse, contextlib, io, json, sys
+from ainfsign import cli
+
+def printed(parse, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            parse(argv)
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+formatter, cli._help_formatter = cli._help_formatter, argparse.HelpFormatter
+reference = cli.build_parser()
+cli._help_formatter = formatter
+argvs = [["--help"], ["--version"]] + [[name, "--help"] for name, *_ in cli.COMMANDS]
+print(json.dumps({
+    "width": cli._help_formatter("ainfsign")._width,
+    "argparse_width": argparse.HelpFormatter("ainfsign")._width,
+    "differ": [argv for argv in argvs
+               if printed(cli.main, argv) != printed(reference.parse_args, argv)],
+}), file=sys.stderr)
+"""
+
+
+def help_as_argparse_prints_it(columns, stdout) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("COLUMNS", None)
+    if columns is not None:
+        env["COLUMNS"] = columns
+    proc = subprocess.run([sys.executable, "-S", "-c", HELP_AS_ARGPARSE_PRINTS_IT],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60, check=True)
+    return json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("columns, width", [
+    (None, 78), ("0", 78), ("50", 48), ("120", 118), ("abc", 78), ("-3", 78),
+])
+def test_help_is_sized_as_argparse_sizes_it(columns, width):
+    """Help and version bytes are argparse's at every ``COLUMNS``, on an
+    output that is not a terminal."""
+    assert help_as_argparse_prints_it(columns, subprocess.DEVNULL) == {
+        "width": width, "argparse_width": width, "differ": []}
+
+
+@pytest.mark.skipif(not hasattr(os, "openpty"), reason="no pseudo-terminals here")
+@pytest.mark.parametrize("columns, width", [
+    (100, 98), (0, 78 if sys.version_info >= (3, 11) else -2),
+])
+def test_help_on_a_terminal_is_sized_as_argparse_sizes_it(columns, width):
+    """With ``COLUMNS`` unset, the terminal's width, and argparse's
+    fallback on a terminal that reports none."""
+    import fcntl
+    import struct
+    import termios
+
+    primary, secondary = os.openpty()
+    try:
+        fcntl.ioctl(secondary, termios.TIOCSWINSZ, struct.pack("HHHH", 24, columns, 0, 0))
+        result = help_as_argparse_prints_it(None, secondary)
+    finally:
+        os.close(primary)
+        os.close(secondary)
+    assert result == {"width": width, "argparse_width": width, "differ": []}
+
+
 def test_check_ainfty_cutoff_up_to_the_structure_cutoff_accepted(tmp_path, capsys):
     path = materialized_ext2(tmp_path)
     out = tmp_path / "report.json"
