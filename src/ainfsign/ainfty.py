@@ -46,7 +46,13 @@ TensorKey = tuple[tuple[str, ...], tuple[str, ...]]  # (space names, generator n
 
 
 class StructureError(ValueError):
-    pass
+    """A structure breaks a rule.  Where ``FilteredAInfty`` names the
+    operation at fault, ``where`` is ``(key, None)``, or ``(key, input
+    word)`` when one value of it is."""
+
+    def __init__(self, message: str, where: tuple | None = None):
+        super().__init__(message)
+        self.where = where
 
 
 class Element(Frozen):
@@ -63,13 +69,7 @@ class Element(Frozen):
 
     def __init__(self, space: str, coeffs: Mapping[str, NovikovElement] | None = None):
         coeffs = {g: c for g, c in coeffs.items() if c} if coeffs else {}
-        object.__setattr__(self, "space", space if coeffs else "")
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-
-    def __eq__(self, other):
-        if other.__class__ is Element:
-            return self.space == other.space and self.coeffs == other.coeffs
-        return NotImplemented
+        Frozen.__init__(self, space if coeffs else "", MappingProxyType(coeffs))
 
     def __hash__(self) -> int:
         return hash((self.space, frozenset(self.coeffs.items())))
@@ -81,8 +81,7 @@ class Element(Frozen):
         if not coeffs:
             return _ZERO_ELEMENT
         element = object.__new__(Element)
-        object.__setattr__(element, "space", space)
-        object.__setattr__(element, "coeffs", MappingProxyType(coeffs))
+        Frozen.__init__(element, space, MappingProxyType(coeffs))
         return element
 
     @staticmethod
@@ -167,12 +166,7 @@ class HomSpace(Frozen):
         degrees = dict(basis)
         if len(degrees) != len(basis):
             raise StructureError(f"space {name!r} lists a generator twice")
-        set_ = object.__setattr__
-        set_(self, "name", name)
-        set_(self, "component", component)
-        set_(self, "basis", basis)
-        set_(self, "degree_fn", degree_fn)
-        set_(self, "_degrees", degrees)
+        Frozen.__init__(self, name, component, basis, degree_fn, degrees)
 
     def degree_of(self, gen: str) -> int:
         degree = self._degrees.get(gen)
@@ -222,12 +216,9 @@ class OperationTable(Frozen):
         fallbacks = {_normal_key(key): fallback for key, fallback in (fallbacks or {}).items()}
         keys = tuple(sorted(values.keys() | fallbacks.keys()))
         by_arity = itertools.groupby(keys, key=lambda key: key[0])
-        set_ = object.__setattr__
-        set_(self, "values", MappingProxyType(values))
-        set_(self, "fallbacks", MappingProxyType(fallbacks))
-        set_(self, "_keys", keys)
-        set_(self, "_by_arity", {k: tuple(group) for k, group in by_arity})
-        set_(self, "_slots", {key: (values.get(key), fallbacks.get(key)) for key in keys})
+        Frozen.__init__(self, MappingProxyType(values), MappingProxyType(fallbacks), keys,
+                        {k: tuple(group) for k, group in by_arity},
+                        {key: (values.get(key), fallbacks.get(key)) for key in keys})
 
     def keys(self) -> tuple[OpKey, ...]:
         return self._keys
@@ -262,21 +253,18 @@ class FilteredAInfty(Frozen):
 
     def __init__(self, spaces: Mapping[str, HomSpace], table: OperationTable,
                  spectrum: GappedSpectrum, cutoff: Rational):
-        set_ = object.__setattr__
-        set_(self, "spaces", MappingProxyType(dict(spaces)))
-        set_(self, "table", table)
-        set_(self, "spectrum", spectrum)
-        set_(self, "cutoff", _rational(cutoff))
-        set_(self, "_plans", {})
+        Frozen.__init__(self, MappingProxyType(dict(spaces)), table, spectrum,
+                        _rational(cutoff), {})
         for key in table.keys():
             k, energy, tag = key
-            if k == 0 and energy == 0 and any(
-                not value.is_zero() for value in table.values.get(key, {}).values()
-            ):
-                raise StructureError("the zero-energy curvature operation must vanish")
+            if k == 0 and energy == 0:
+                for word, value in table.values.get(key, {}).items():
+                    if not value.is_zero():
+                        raise StructureError("the zero-energy curvature operation must vanish",
+                                             (key, word))
             if energy not in spectrum:
                 raise StructureError(
-                    f"operation energy {energy} is outside the spectrum closure"
+                    f"operation energy {energy} is outside the spectrum closure", (key, None)
                 )
 
     # --- degree bookkeeping ---
@@ -580,13 +568,7 @@ class DGAModel(Frozen):
                  basis: tuple[tuple[str, int], ...], degree_of: Callable[[str], int],
                  differential: Callable[[str], dict[str, Rational]],
                  product: Callable[[str, str], dict[str, Rational]]):
-        set_ = object.__setattr__
-        set_(self, "space_name", space_name)
-        set_(self, "component", component)
-        set_(self, "basis", basis)
-        set_(self, "degree_of", degree_of)
-        set_(self, "differential", differential)
-        set_(self, "product", product)
+        Frozen.__init__(self, space_name, component, basis, degree_of, differential, product)
 
 
 def _as_element(space: str, combo: Mapping[str, Rational]) -> Element:

@@ -159,56 +159,30 @@ ScalarOrPoly = int | F2Poly
 
 
 class _Node(Frozen):
-    """A syntax-tree node; equality is that of its fields."""
+    """A syntax-tree node: ``Frozen`` sets, compares, hashes and prints its
+    fields."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all([getattr(self, n) == getattr(other, n) for n in self.__slots__])
-        return NotImplemented
 
 
 class IntLit(_Node):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
 
 class Name(_Node):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class Neg(_Node):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: SignExpr):
-        object.__setattr__(self, "operand", operand)
-
 
 class BinOp(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: SignExpr, right: SignExpr):  # op: '+', '-' or '*'
-        set_ = object.__setattr__
-        set_(self, "op", op)
-        set_(self, "left", left)
-        set_(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op: '+', '-' or '*'
 
 
 class IndexedSum(_Node):
     __slots__ = ("var", "lower", "upper", "body")
-
-    def __init__(self, var: str, lower: SignExpr, upper: SignExpr, body: SignExpr):
-        set_ = object.__setattr__
-        set_(self, "var", var)
-        set_(self, "lower", lower)
-        set_(self, "upper", upper)
-        set_(self, "body", body)
 
 
 SignExpr = IntLit | Name | Neg | BinOp | IndexedSum

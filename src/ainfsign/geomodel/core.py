@@ -39,12 +39,13 @@ monomial dict per output wedge (``_mul_into``, ``_subst_into``), so each
 result coefficient is built once.
 
 Models: ``CubeTorusSpace``, ``ProjectionMap``, ``SmoothMapModel`` and
-``CorrespondenceModel`` are slotted frozen classes (``frozen.Frozen``)
-with value equality; each of the first
-three is built in one ``__init__`` that validates and derives its tables
-(a space its names, order, kinds and intervals; a projection each base
-coordinate's target and each source coordinate's bundle rank; a smooth map
-its assignment table and interval polynomials), which the kernels read.
+``CorrespondenceModel`` are ``frozen.Frozen`` classes: their equality, hash
+and repr are those of their fields, and the derived tables (the slots named
+with a leading ``_``) are never compared.  Each of the first three is built
+in one ``__init__`` that validates and derives its tables (a space its
+names, order, kinds and intervals; a projection each base coordinate's
+target and each source coordinate's bundle rank; a smooth map its
+assignment table and interval polynomials), which the kernels read.
 ``smooth_map``, ``projection`` and the public constructors validate every
 assignment, including the unit-range check.  Derived spaces and
 projections use the public constructors too; derived smooth maps
@@ -182,21 +183,8 @@ class CubeTorusSpace(Frozen):
         for kind in kinds.values():
             if kind != INTERVAL and kind != CIRCLE:
                 raise ValueError(f"unknown coordinate kind {kind!r}")
-        set_ = object.__setattr__
-        set_(self, "coords", coords)
-        set_(self, "_names", tuple(names))
-        set_(self, "_order", order)
-        set_(self, "_kinds", kinds)
-        set_(self, "_intervals", tuple([n for n, kind in coords if kind == INTERVAL]))
-
-    def __eq__(self, other) -> bool:
-        return self is other or other.__class__ is CubeTorusSpace and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
-    def __repr__(self) -> str:
-        return f"CubeTorusSpace(coords={self.coords!r})"
+        Frozen.__init__(self, coords, tuple(names), order, kinds,
+                        tuple([n for n, kind in coords if kind == INTERVAL]))
 
     @property
     def dimension(self) -> int:
@@ -587,12 +575,7 @@ class SmoothMapModel(Frozen):
                     raise ValueError("circle orientation sign must be +1 or -1")
             elif assignment[0] != "const-circle":
                 raise ValueError(f"bad assignment for circle coordinate {name!r}")
-        set_ = object.__setattr__
-        set_(self, "source", source)
-        set_(self, "target", target)
-        set_(self, "assignments", assignments)
-        set_(self, "_table", table)
-        set_(self, "_subs", subs)
+        Frozen.__init__(self, source, target, assignments, table, subs)
 
     @staticmethod
     def _of(
@@ -601,23 +584,9 @@ class SmoothMapModel(Frozen):
         """Trusted constructor for maps this module derives from valid maps:
         it sets the fields, derives the tables and checks nothing."""
         smap = object.__new__(SmoothMapModel)
-        set_ = object.__setattr__
-        set_(smap, "source", source)
-        set_(smap, "target", target)
-        set_(smap, "assignments", tuple(sorted(table.items())))
-        set_(smap, "_table", table)
-        set_(smap, "_subs", {n: a[1] for n, a in table.items() if a[0] == "poly"})
+        Frozen.__init__(smap, source, target, tuple(sorted(table.items())), table,
+                        {n: a[1] for n, a in table.items() if a[0] == "poly"})
         return smap
-
-    def __eq__(self, other):
-        if other.__class__ is SmoothMapModel:
-            return (self.source, self.target, self.assignments) == (
-                other.source, other.target, other.assignments)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"SmoothMapModel(source={self.source!r}, target={self.target!r}, "
-                f"assignments={self.assignments!r})")
 
 
 def _check_unit_range(poly: Poly, name: str):
@@ -731,23 +700,7 @@ class ProjectionMap(Frozen):
         # lists no base coordinate and misses none.
         if len(rank) != len(table) + len(fiber) or rank.keys() != source_kinds.keys():
             raise ValueError("fiber must list exactly the non-base source coordinates")
-        set_ = object.__setattr__
-        set_(self, "source", source)
-        set_(self, "target", target)
-        set_(self, "injection", injection)
-        set_(self, "fiber", fiber)
-        set_(self, "_to_target", to_target)
-        set_(self, "_rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is ProjectionMap:
-            return (self.source, self.target, self.injection, self.fiber) == (
-                other.source, other.target, other.injection, other.fiber)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"ProjectionMap(source={self.source!r}, target={self.target!r}, "
-                f"injection={self.injection!r}, fiber={self.fiber!r})")
+        Frozen.__init__(self, source, target, injection, fiber, to_target, rank)
 
     @property
     def reldim(self) -> int:
@@ -996,20 +949,7 @@ class CorrespondenceModel(Frozen):
         for leg in ev_in:
             if leg.source != space:
                 raise ValueError("input legs must start on the correspondence space")
-        set_ = object.__setattr__
-        set_(self, "space", space)
-        set_(self, "ev_out", ev_out)
-        set_(self, "ev_in", ev_in)
-
-    def __eq__(self, other):
-        if other.__class__ is CorrespondenceModel:
-            return (self.space, self.ev_out, self.ev_in) == (
-                other.space, other.ev_out, other.ev_in)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"CorrespondenceModel(space={self.space!r}, ev_out={self.ev_out!r}, "
-                f"ev_in={self.ev_in!r})")
+        Frozen.__init__(self, space, ev_out, ev_in)
 
     @property
     def k(self) -> int:

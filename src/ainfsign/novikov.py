@@ -92,7 +92,6 @@ class NovikovElement(Frozen):
 
     def __init__(self, terms: tuple[tuple[Rational, Rational], ...]):
         terms = tuple((_rational(e), _rational(c)) for e, c in terms)
-        object.__setattr__(self, "terms", terms)
         last = None
         for exponent, coefficient in terms:
             if exponent < 0:
@@ -102,21 +101,14 @@ class NovikovElement(Frozen):
             if last is not None and exponent <= last:
                 raise ValueError("exponents not strictly increasing")
             last = exponent
+        Frozen.__init__(self, terms)
 
     @staticmethod
     def _of(terms: tuple[tuple[Rational, Rational], ...]) -> "NovikovElement":
         """Trusted constructor for canonical terms this class computed."""
         element = object.__new__(NovikovElement)
-        object.__setattr__(element, "terms", terms)
+        Frozen.__init__(element, terms)
         return element
-
-    def __eq__(self, other):
-        if other.__class__ is NovikovElement:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     @staticmethod
     def zero() -> "NovikovElement":
@@ -289,16 +281,7 @@ class GappedSpectrum(Frozen):
                 if e < cutoff and e not in reached:
                     reached.add(e)
                     frontier.append(e)
-        set_ = object.__setattr__
-        set_(self, "generators", generators)
-        set_(self, "cutoff", cutoff)
-        set_(self, "closure", tuple(sorted(reached)))
-        set_(self, "_members", frozenset(reached))
-
-    def __eq__(self, other):
-        if other.__class__ is GappedSpectrum:
-            return (self.generators, self.cutoff) == (other.generators, other.cutoff)
-        return NotImplemented
+        Frozen.__init__(self, generators, cutoff, tuple(sorted(reached)), frozenset(reached))
 
     def __contains__(self, energy: Rational) -> bool:
         return _rational(energy) in self._members

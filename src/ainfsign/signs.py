@@ -117,16 +117,7 @@ class SignContext(Frozen):
             raise ValueError(f"expected {k} degrees, got {len(degs)}")
         if mus and len(mus) != k:
             raise ValueError(f"expected {k} parities, got {len(mus)}")
-        set_ = object.__setattr__
-        set_(self, "k", k)
-        set_(self, "j", j)
-        set_(self, "k_outer", k_outer)
-        set_(self, "k_inner", k_inner)
-        set_(self, "degs", degs)
-        set_(self, "mus", mus)
-        set_(self, "mu_node", mu_node)
-        set_(self, "mu_out", mu_out)
-        set_(self, "dim_out", dim_out)
+        Frozen.__init__(self, k, j, k_outer, k_inner, degs, mus, mu_node, mu_out, dim_out)
 
     # Input slices relative to the splitting (1-based slot arithmetic).
     def prefix_mus(self) -> tuple:

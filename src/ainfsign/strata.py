@@ -30,16 +30,7 @@ class ComponentData(Frozen):
             raise ValueError(f"dimension must be >= 0, got {dimension}")
         if maslov_parity not in (0, 1):
             raise ValueError(f"maslov_parity must be 0 or 1, got {maslov_parity}")
-        set_ = object.__setattr__
-        set_(self, "name", name)
-        set_(self, "dimension", dimension)
-        set_(self, "maslov_parity", maslov_parity)
-
-    def __eq__(self, other):
-        if other.__class__ is ComponentData:
-            return (self.name, self.dimension, self.maslov_parity) == (
-                other.name, other.dimension, other.maslov_parity)
-        return NotImplemented
+        Frozen.__init__(self, name, dimension, maslov_parity)
 
 
 class BClass(Frozen):
@@ -52,13 +43,7 @@ class BClass(Frozen):
         energy = _rational(energy)
         if energy < 0:
             raise ValueError(f"energy must be >= 0, got {energy}")
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "tag", tag)
-
-    def __eq__(self, other):
-        if other.__class__ is BClass:
-            return (self.energy, self.tag) == (other.energy, other.tag)
-        return NotImplemented
+        Frozen.__init__(self, energy, tag)
 
     def is_differential_slot(self, k: int) -> bool:
         return k == 1 and self.energy == 0
@@ -75,17 +60,7 @@ class ModuliDescriptor(Frozen):
             raise ValueError(f"k must be >= 0, got {k}")
         if len(inputs) != k:
             raise ValueError(f"expected {k} input components, got {len(inputs)}")
-        set_ = object.__setattr__
-        set_(self, "k", k)
-        set_(self, "b", b)
-        set_(self, "output", output)
-        set_(self, "inputs", inputs)
-
-    def __eq__(self, other):
-        if other.__class__ is ModuliDescriptor:
-            return (self.k, self.b, self.output, self.inputs) == (
-                other.k, other.b, other.output, other.inputs)
-        return NotImplemented
+        Frozen.__init__(self, k, b, output, inputs)
 
     def dim_parity(self) -> int:
         return signs.moduli_dim_parity(
@@ -121,12 +96,7 @@ class BoundaryStratum(Frozen):
             raise ValueError("outer factor is the reserved differential pair")
         if inner.b.is_differential_slot(inner.k):
             raise ValueError("inner factor is the reserved differential pair")
-        set_ = object.__setattr__
-        set_(self, "j", j)
-        set_(self, "outer", outer)
-        set_(self, "inner", inner)
-        set_(self, "node", node)
-        set_(self, "sign", sign)
+        Frozen.__init__(self, j, outer, inner, node, sign)
 
     def parent(self) -> ModuliDescriptor:
         """The unsplit descriptor, rebuilt from the stratum's own data."""

@@ -155,6 +155,7 @@ def structure_from_json(data: object) -> FilteredAInfty:
     spectrum = spectrum_closure(generators, cutoff)
 
     values: dict[OpKey, dict[TensorKey, Element]] = {}
+    where: dict[tuple, str] = {}  # (key, None) or (key, input word) -> its path
     for i, op in enumerate(_expect(data.get("operations", []), list, "$.operations")):
         path = f"$.operations[{i}]"
         op = _expect(op, dict, path)
@@ -163,6 +164,7 @@ def structure_from_json(data: object) -> FilteredAInfty:
             raise FormatError(f"arity must be nonnegative, got {k}", f"{path}.k")
         key = (k, _fraction(op.get("energy"), f"{path}.energy"), _expect(op.get("tag", ""), str, f"{path}.tag"))
         entry = values.setdefault(key, {})
+        where.setdefault((key, None), f"{path}.energy")
         for m, val in enumerate(_expect(op.get("values", []), list, f"{path}.values")):
             vpath = f"{path}.values[{m}]"
             val = _expect(val, dict, vpath)
@@ -190,11 +192,12 @@ def structure_from_json(data: object) -> FilteredAInfty:
                 raise FormatError(f"repeated inputs {json.dumps(inputs)} of operation "
                                   f"(k={k}, energy={key[1]}, tag={key[2]!r})", f"{vpath}.inputs")
             entry[tkey] = output
+            where[key, tkey] = vpath
     try:
         return FilteredAInfty(spaces=spaces, table=OperationTable(values=values),
                               spectrum=spectrum, cutoff=cutoff)
     except StructureError as exc:
-        raise FormatError(str(exc), "$") from exc
+        raise FormatError(str(exc), where.get(exc.where, "$")) from exc
 
 
 def structure_to_json(A: FilteredAInfty) -> dict:

@@ -591,13 +591,18 @@ def ext2_with(path, value):
      "$.operations[1].values[0].output.coeffs.1"),
     (("operations", 1, "tag"), 0, "expected a string, got 0", "$.operations[1].tag"),
     (("operations", 1, "tag"), ["0"], "expected a string, got ['0']", "$.operations[1].tag"),
+    (("operations", 1, "energy"), "1/2", "operation energy 1/2 is outside the spectrum closure",
+     "$.operations[1].energy"),
+    (("operations", 1), {"k": 0, "energy": "0", "tag": "0", "values": [
+        {"inputs": [], "output": {"space": "ext", "coeffs": {"1": "1"}}}]},
+     "the zero-energy curvature operation must vanish", "$.operations[1].values[0]"),
 ], ids=["top-level", "spaces", "basis", "values", "spectrum-generators", "space-entry",
         "operation-value", "output", "coeffs", "cutoff", "negative-generator", "negative-arity",
         "twist-not-trivialized", "repeated-component", "repeated-space", "repeated-generator",
         "repeated-inputs", "float-degree", "string-degree", "float-arity", "float-dimension",
         "bool-maslov-parity", "maslov-parity-two", "negative-dimension", "number-cutoff",
         "number-generator", "float-energy", "int-energy", "number-coefficient", "number-tag",
-        "list-tag"])
+        "list-tag", "energy-outside-spectrum", "nonzero-curvature"])
 def test_check_ainfty_malformed_shape_exits_two(path, value, message, at, tmp_path, capsys):
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(ext2_with(path, value)))

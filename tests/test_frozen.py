@@ -1,6 +1,8 @@
 """The immutable value types: one instance of each class that the README
 lists as immutable refuses assignment and deletion of a public field with
-``FrozenInstanceError`` and keeps the field's value."""
+``FrozenInstanceError`` and keeps the field's value, and ``Frozen`` alone
+sets, compares, hashes and prints its fields (the slots without a leading
+underscore), as the README states."""
 
 import dataclasses
 import importlib
@@ -41,6 +43,8 @@ from ainfsign.strata import (
 C = ComponentData("c", 0, 0)
 SP = space(("t", "interval"), ("th", "circle"))
 PROJ = projection(SP, space(("th", "circle")), {"th": "th"})
+DGA = exterior_dga(2)
+A = from_dga(DGA, cutoff=1)
 
 
 def _stratum():
@@ -48,7 +52,8 @@ def _stratum():
     return enumerate_strata(parent, GappedSpectrum((1,), 2), [C])[0]
 
 
-# class -> (a builder of one instance, a public field)
+# class -> (a builder of one instance, a public field); each call builds a
+# new instance with the same field values
 IMMUTABLE = {
     NovikovElement: (lambda: NovikovElement(((0, 1), (1, 2))), "terms"),
     GappedSpectrum: (lambda: GappedSpectrum((1,), 3), "closure"),
@@ -58,19 +63,20 @@ IMMUTABLE = {
     f2poly.Neg: (lambda: f2poly.Neg(f2poly.Name("x")), "operand"),
     f2poly.BinOp: (lambda: f2poly.BinOp("+", f2poly.Name("x"), f2poly.IntLit(1)), "left"),
     f2poly.IndexedSum: (lambda: f2poly.parse_sign_expr("Sum(p=1..3, mu_p)"), "body"),
-    ComponentData: (lambda: C, "dimension"),
+    ComponentData: (lambda: ComponentData("c", 0, 0), "dimension"),
     BClass: (lambda: BClass(1, "t"), "energy"),
     ModuliDescriptor: (lambda: ModuliDescriptor(1, BClass(1), C, (C,)), "inputs"),
     BoundaryStratum: (_stratum, "inner"),
-    CubeTorusSpace: (lambda: SP, "coords"),
+    CubeTorusSpace: (lambda: space(("t", "interval"), ("th", "circle")), "coords"),
     SmoothMapModel: (PROJ.as_smooth, "assignments"),
-    ProjectionMap: (lambda: PROJ, "fiber"),
+    ProjectionMap: (lambda: projection(SP, space(("th", "circle")), {"th": "th"}), "fiber"),
     CorrespondenceModel: (lambda: CorrespondenceModel(SP, PROJ, (PROJ.as_smooth(),)), "ev_in"),
     Element: (lambda: Element.basis("ext", "e1"), "coeffs"),
     HomSpace: (lambda: HomSpace("ext", C, (("1", 0), ("e1", 1))), "basis"),
     OperationTable: (lambda: OperationTable(values={(1, 0, "t"): {}}), "values"),
-    FilteredAInfty: (lambda: from_dga(exterior_dga(2), cutoff=1), "table"),
-    DGAModel: (lambda: exterior_dga(2), "product"),
+    FilteredAInfty: (lambda: FilteredAInfty(A.spaces, A.table, A.spectrum, A.cutoff), "table"),
+    DGAModel: (lambda: DGAModel(DGA.space_name, DGA.component, DGA.basis, DGA.degree_of,
+                                DGA.differential, DGA.product), "product"),
 }
 
 
@@ -99,3 +105,63 @@ def test_the_table_covers_every_frozen_class():
         importlib.import_module(module.name)
     frozen = {cls for cls in _subclasses(Frozen) if cls.__slots__}  # a class with fields
     assert frozen == set(IMMUTABLE)
+
+
+# classes with a field that cannot be hashed (a mappingproxy)
+UNHASHABLE = {OperationTable, FilteredAInfty}
+
+
+def _fields(cls):
+    return [name for name in cls.__slots__ if not name.startswith("_")]
+
+
+def _with(obj, name, value):
+    """A copy of ``obj`` with the slot ``name`` set to ``value``."""
+    copy = object.__new__(obj.__class__)
+    for slot in obj.__slots__:
+        object.__setattr__(copy, slot, value if slot == name else getattr(obj, slot))
+    return copy
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_a_rebuild_is_equal_and_hashes_alike(cls):
+    build, _ = IMMUTABLE[cls]
+    obj, rebuilt = build(), build()
+    assert rebuilt is not obj and rebuilt == obj and not rebuilt != obj
+    assert obj.__eq__(object()) is NotImplemented
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+    else:
+        assert hash(rebuilt) == hash(obj)
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_each_field_is_compared_and_no_derived_slot_is(cls):
+    obj = IMMUTABLE[cls][0]()
+    for name in cls.__slots__:
+        changed = _with(obj, name, object())
+        if name.startswith("_"):
+            assert changed == obj, name
+            if cls not in UNHASHABLE:
+                assert hash(changed) == hash(obj), name
+        else:
+            assert changed != obj and obj != changed, name
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_repr_is_the_field_text(cls):
+    obj = IMMUTABLE[cls][0]()
+    if cls is NovikovElement:  # prints its parse text
+        assert repr(obj) == "NovikovElement.parse('1 + 2*T')"
+        return
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in _fields(cls))
+    assert repr(obj) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_frozen_init_rejects_a_wrong_count(cls):
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} has {n} slots, got {count}$"):
+            Frozen.__init__(object.__new__(cls), *range(count))

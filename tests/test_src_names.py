@@ -15,6 +15,10 @@ is a use of every ``scale``.  So the call-trace guard runs the command lines
 of ``TRACED_ARGV`` in-process under ``sys.setprofile`` and requires every
 function and method of ``src/`` to be entered, or to be listed, with the
 reason, in ``ALLOWED`` or ``NOT_TRACED``.
+
+The same trace guards route independence: the two sides of an independent
+pair may share only the ``src/`` functions listed, with the reason, for
+that pair.
 """
 
 import ast
@@ -22,9 +26,18 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from ainfsign import cli
+from ainfsign.novikov import GappedSpectrum
+from ainfsign.strata import (
+    BClass,
+    ComponentData,
+    ModuliDescriptor,
+    composition_terms,
+    enumerate_strata,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ainfsign"
@@ -158,12 +171,8 @@ NOT_TRACED = {
 }
 
 
-def entered_functions(tmp_path) -> set[tuple[str, int, str]]:
-    """(resolved file, first line, name) of every code object entered while
-    the command lines of ``TRACED_ARGV`` run; each must exit 0.  The first
-    line of a decorated function is its first decorator's."""
-    files = {"{structure}": tmp_path / "structure.json", "{report}": tmp_path / "report.json"}
-    files["{structure}"].write_text(json.dumps(STRUCTURE))
+def traced(call):
+    """``call()``'s result and the code objects entered while it runs."""
     codes = set()
 
     def hook(frame, event, arg):
@@ -171,14 +180,26 @@ def entered_functions(tmp_path) -> set[tuple[str, int, str]]:
             codes.add(frame.f_code)
 
     previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, codes
+
+
+def entered_functions(tmp_path) -> set[tuple[str, int, str]]:
+    """(resolved file, first line, name) of every code object entered while
+    the command lines of ``TRACED_ARGV`` run; each must exit 0.  The first
+    line of a decorated function is its first decorator's."""
+    files = {"{structure}": tmp_path / "structure.json", "{report}": tmp_path / "report.json"}
+    files["{structure}"].write_text(json.dumps(STRUCTURE))
+    codes = set()
     for argv in TRACED_ARGV:
         argv = [str(files.get(a, a)) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
-            sys.setprofile(hook)
-            try:
-                code = cli.main(argv)
-            finally:
-                sys.setprofile(previous)
+            code, entered = traced(lambda: cli.main(argv))
+        codes |= entered
         assert code == 0, argv
     resolved = {c.co_filename: str(Path(c.co_filename).resolve()) for c in codes}
     return {(resolved[c.co_filename], c.co_firstlineno, c.co_name) for c in codes}
@@ -196,3 +217,36 @@ def test_every_src_function_is_entered_by_the_commands(tmp_path, monkeypatch):
     missing = untraced - set(ALLOWED) - set(NOT_TRACED)
     assert not missing, "no traced command enters these: " + ", ".join(sorted(missing))
     assert set(NOT_TRACED) <= untraced, set(NOT_TRACED) - untraced
+
+
+# module.function -> why both the stratum walk (``enumerate_strata``) and the
+# composition double sum (``composition_terms``) may enter it
+SHARED_BY_STRATA_ROUTES = {
+    "novikov._rational": "the normal form of an energy, in which both sides read the "
+                         "parent's energy and the spectrum; it decides no index",
+}
+
+
+def _src_names(codes) -> set[str]:
+    """``module.function`` of each code object of ``src/`` among ``codes``."""
+    names = set()
+    for code in codes:
+        path = Path(code.co_filename).resolve()
+        if SRC in path.parents:
+            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+            names.add(f"{module}.{code.co_name}")
+    return names
+
+
+def test_stratum_walk_and_composition_terms_share_only_the_allowlist():
+    """The two routes of the boundary-stratum index set enter one set of
+    ``src/`` code objects each; they may share only the listed functions.
+    Each side's own ``sorted`` key (``lambda c: c.name``) is its own code
+    object, so it is not shared."""
+    a, b = ComponentData("a", 2, 0), ComponentData("b", 1, 1)
+    parent = ModuliDescriptor(4, BClass(1), a, (a, b, a, b))
+    spectrum = GappedSpectrum((Fraction(1, 2),), 2)
+    strata, walked = traced(lambda: enumerate_strata(parent, spectrum, [a, b]))
+    terms, summed = traced(lambda: composition_terms(parent, spectrum, [a, b]))
+    assert len(strata) == len(terms) == 80
+    assert _src_names(walked & summed) == set(SHARED_BY_STRATA_ROUTES)
