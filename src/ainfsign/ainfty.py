@@ -415,14 +415,13 @@ class FilteredAInfty(Frozen):
                     if sums:  # the word's position in itertools.product order
                         position = functools.reduce(lambda p, i: p * n + i, word, 0)
                     return RelationReport(
-                        passed=False,
-                        checked=checked + position + 1,
-                        witness={"k": k, "inputs": [generators[i] for i in word],
-                                 "defect": str(defect)},
-                        sampled_arities=sampled,
+                        False,
+                        checked + position + 1,
+                        {"k": k, "inputs": [generators[i] for i in word], "defect": str(defect)},
+                        sampled,
                     )
             checked += count
-        return RelationReport(passed=True, checked=checked, witness=None, sampled_arities=sampled)
+        return RelationReport(True, checked, None, sampled)
 
     def _word_sums(
         self,
@@ -518,19 +517,11 @@ class FilteredAInfty(Frozen):
         return sums
 
 
-class RelationReport:
-    def __init__(self, passed: bool, checked: int, witness: dict | None,
-                 sampled_arities: list[int]):
-        self.passed = passed
-        self.checked = checked
-        self.witness = witness
-        self.sampled_arities = sampled_arities
+class RelationReport(Frozen):
+    """The relation sweep's outcome: the words checked, the first defective
+    one (``None`` when ``passed``) and the arities that were sampled."""
 
-    def __eq__(self, other):
-        if other.__class__ is RelationReport:
-            return (self.passed, self.checked, self.witness, self.sampled_arities) == (
-                other.passed, other.checked, other.witness, other.sampled_arities)
-        return NotImplemented
+    __slots__ = ("passed", "checked", "witness", "sampled_arities")
 
 
 def validate_degree_parity(A: FilteredAInfty) -> list[dict]:

@@ -247,7 +247,7 @@ def cmd_prove_signs(args) -> int:
     for rep in prover.prove_all(args.k_max, args.truth_table_k_max):
         inst = rep.instance
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
-        report.add(check_id, rep.proved, rep.elapsed_s, witness=rep.witness)
+        report.add(check_id, rep.proved, rep._elapsed_s, witness=rep.witness)
     if args.relations_k_max:
         spectrum = _spectrum("--relations-spectrum", args.relations_spectrum, args.relations_cutoff)
         for k in range(1, args.relations_k_max + 1):
@@ -255,7 +255,7 @@ def cmd_prove_signs(args) -> int:
                 report.add(
                     f"relation-cancellation:k={k}:energy={crep.energy}",
                     crep.cancels,
-                    crep.elapsed_s,
+                    crep._elapsed_s,
                     detail={"pairs": len(crep.pairs), "residual": crep.residual},
                 )
     return report.finish(args.out)
@@ -275,11 +275,8 @@ def cmd_verify_geomodel(args) -> int:
     )
     for result in run_all_checks(args.trials, args.seed, args.max_coords, args.max_poly_deg,
                                  args.pushpull_trials):
-        report.add(
-            result.name, result.passed, result.elapsed_s,
-            witness=result.failures[0] if result.failures else None,
-            detail=result.stats,
-        )
+        report.add(result.name, result.passed, result._elapsed_s, witness=result.witness,
+                   detail=result.stats)
     return report.finish(args.out)
 
 

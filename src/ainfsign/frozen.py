@@ -2,7 +2,8 @@
 
 A ``Frozen`` subclass lists its slots in ``__slots__``.  Its fields are the
 slots whose names do not start with ``_``; a slot that does holds a value
-derived from the fields.  ``Frozen`` alone handles the fields:
+derived from the fields, or the wall time a result took.  ``Frozen`` alone
+handles the fields:
 
 - ``Frozen.__init__(self, *values)`` sets every slot, in ``__slots__``
   order, and raises ``TypeError`` on a wrong count.  A subclass that
@@ -13,11 +14,19 @@ derived from the fields.  ``Frozen`` alone handles the fields:
 - The hash is that of the tuple of field values, so a class with an
   unhashable field (a ``mappingproxy``) raises ``TypeError`` on ``hash``.
 - The repr is ``Class(field=value!r, ...)``.
+- ``copy`` and ``pickle`` rebuild an instance from every slot value
+  through ``Frozen.__init__``.
 
 An instance refuses assignment and deletion of any attribute with
 ``dataclasses.FrozenInstanceError``.  ``dataclasses`` is imported only when
 a change is refused, so importing ``ainfsign`` never loads it.
 """
+
+
+def _rebuild(cls, values):
+    obj = object.__new__(cls)
+    Frozen.__init__(obj, *values)
+    return obj
 
 
 class Frozen:
@@ -51,6 +60,9 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, tuple([getattr(self, name) for name in self.__slots__]))
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError

@@ -27,6 +27,7 @@ import time
 from fractions import Fraction
 
 from .. import signs
+from ..frozen import Frozen
 from ..novikov import _rational
 from .core import (
     CIRCLE,
@@ -55,19 +56,15 @@ from .core import (
 )
 
 
-class CheckResult:
-    def __init__(self, name: str, trials: int, failures: list | None = None,
-                 stats: dict | None = None, elapsed_s: float = 0.0):
-        self.name = name
-        self.trials = trials
-        self.failures = [] if failures is None else failures
-        self.stats = {} if stats is None else stats
-        # Wall time of the check, set by run_all_checks; not part of the report.
-        self.elapsed_s = elapsed_s
+class CheckResult(Frozen):
+    """One checker's run: its counts, the first failing trial's witness
+    (``None`` when it passed) and its wall time, kept out of the report."""
+
+    __slots__ = ("name", "stats", "witness", "_elapsed_s")
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.witness is None
 
 
 # --- instance generators -------------------------------------------------------
@@ -341,19 +338,21 @@ def _trial_loop(name: str, trials: int, seed: int, trial, **counts) -> CheckResu
     stream and one ``NameSource``.  A trial returns whether its compared
     sides were nonzero, and ``None`` if its identity holds or else its
     witness; the first witness, numbered by its trial, fails the check.
-    ``stats`` counts the trials run, the nontrivial ones, then ``counts``."""
+    ``stats`` counts the trials run, the nontrivial ones, then ``counts``;
+    the result carries the loop's wall time."""
+    started = time.perf_counter()
     rng = random.Random(seed)
     fresh = NameSource()
     stats = {"trials": 0, "nontrivial": 0, **counts}
-    result = CheckResult(name, trials, stats=stats)
+    failure = None
     for i in range(trials):
         nontrivial, witness = trial(rng, fresh, stats)
         stats["trials"] += 1
         stats["nontrivial"] += nontrivial
         if witness is not None:
-            result.failures.append({"trial": i, **witness})
+            failure = {"trial": i, **witness}
             break
-    return result
+    return CheckResult(name, stats, failure, time.perf_counter() - started)
 
 
 def _compare(lhs: Form, rhs: Form, **inputs) -> tuple[bool, dict | None]:
@@ -508,17 +507,11 @@ def run_all_checks(
     trials: int, seed: int, max_coords: int = 4, max_poly_deg: int = 3, pushpull_trials: int = 0
 ) -> list[CheckResult]:
     """Run every checker, then ``verify_pushpull`` on ``pushpull_trials``
-    trials unless that is 0, recording each one's wall time in ``elapsed_s``."""
-    runs = [(check, (trials, seed + offset, max_coords, max_poly_deg))
-            for offset, check in enumerate(ALL_CHECKS)]
+    trials unless that is 0."""
+    results = [check(trials, seed + offset, max_coords, max_poly_deg)
+               for offset, check in enumerate(ALL_CHECKS)]
     if pushpull_trials:
-        runs.append((verify_pushpull, (pushpull_trials, seed)))
-    results = []
-    for check, args in runs:
-        started = time.perf_counter()
-        result = check(*args)
-        result.elapsed_s = time.perf_counter() - started
-        results.append(result)
+        results.append(verify_pushpull(pushpull_trials, seed))
     return results
 
 
@@ -544,14 +537,12 @@ def derived_node_parity(inner: CorrespondenceModel, inner_mus: tuple[int, ...]) 
     return (inner.ev_out.reldim + inner.k + sum(inner_mus)) % 2
 
 
-class PushPullReport:
-    def __init__(self, nested_vs_glued: bool, insertion_vs_composite: bool,
-                 reordered_vs_nested: bool, nontrivial: bool, detail: dict | None = None):
-        self.nested_vs_glued = nested_vs_glued
-        self.insertion_vs_composite = insertion_vs_composite
-        self.reordered_vs_nested = reordered_vs_nested
-        self.nontrivial = nontrivial
-        self.detail = {} if detail is None else detail
+class PushPullReport(Frozen):
+    """The three comparisons of one mock instance, whether its nested form
+    is nonzero, and the instance's signs."""
+
+    __slots__ = ("nested_vs_glued", "insertion_vs_composite", "reordered_vs_nested",
+                 "nontrivial", "detail")
 
     @property
     def passed(self) -> bool:
@@ -625,12 +616,9 @@ def check_pushpull_identities(
     ok_reordered = reordered == nested.scale((-1) ** move)
 
     return PushPullReport(
-        nested_vs_glued=ok_glued,
-        insertion_vs_composite=ok_insert,
-        reordered_vs_nested=ok_reordered,
-        nontrivial=not nested.is_zero(),
-        detail={"j": j, "k": k, "k_inner": k_inner, "mu_node": mu_node,
-                "reorder_sign": reorder, "nested": str(nested)},
+        ok_glued, ok_insert, ok_reordered, not nested.is_zero(),
+        {"j": j, "k": k, "k_inner": k_inner, "mu_node": mu_node,
+         "reorder_sign": reorder, "nested": str(nested)},
     )
 
 

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from . import signs
 from .f2poly import F2Poly, anf_equivalent
+from .frozen import Frozen
 from .novikov import GappedSpectrum
 from .signs import SignContext
 from .strata import BClass, ComponentData, ModuliDescriptor, enumerate_strata
@@ -72,23 +73,17 @@ def symbolic_context(k: int, j: int, k_inner: int) -> SignContext:
     return _context(k, j, k_inner, [F2Poly.var(name) for name in _parity_names(k)])
 
 
-class ProofReport:
-    def __init__(self, instance: dict, status: str, witness: dict | None = None,
-                 elapsed_s: float = 0.0):
-        self.instance = instance
-        self.status = status  # "proved" | "refuted"
-        self.witness = witness
-        # wall time of the proof, set by prove_all; never part of the report JSON
-        self.elapsed_s = elapsed_s
+class ProofReport(Frozen):
+    """One proof obligation: the witness is ``None`` when it is proved; the
+    wall time of the proof is never part of the report JSON."""
 
-    @property
-    def proved(self) -> bool:
-        return self.status == "proved"
+    __slots__ = ("instance", "proved", "witness", "_elapsed_s")
 
 
-def _prove_zero(poly: F2Poly, instance: dict) -> ProofReport:
+def _prove_zero(poly: F2Poly, instance: dict, started: float) -> ProofReport:
+    """Whether ``poly`` is zero, timed from ``started``."""
     ok, witness = anf_equivalent(poly, F2Poly.zero())
-    return ProofReport(instance, "proved" if ok else "refuted", witness)
+    return ProofReport(instance, ok, witness, time.perf_counter() - started)
 
 
 class _Column:
@@ -206,14 +201,14 @@ def prove_identity(
         raise ValueError(f"only the master identity has a truth table, not {identity!r}")
     if truth_table and k > TRUTH_TABLE_K_MAX:
         raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
+    started = time.perf_counter()
     report = _prove_zero(
         IDENTITIES[identity](symbolic_context(k, j, k_inner)),
-        {"identity": identity, "k": k, "j": j, "k_inner": k_inner},
+        {"identity": identity, "k": k, "j": j, "k_inner": k_inner}, started,
     )
     if truth_table and report.proved:
         bad = _truth_table_master(k, j, k_inner)
-        if bad is not None:
-            return ProofReport(report.instance, "refuted", bad)
+        return ProofReport(report.instance, bad is None, bad, time.perf_counter() - started)
     return report
 
 
@@ -248,7 +243,9 @@ def prove_differential_insertion(k: int, j: int) -> ProofReport:
     """Inserting the differential at slot j: Koszul prefix plus the operation
     sign at the bumped degree equals the Leibniz prefix plus the operation
     sign plus one."""
-    return _prove_zero(_insertion_sum(k, j), {"identity": "differential-insertion", "k": k, "j": j})
+    started = time.perf_counter()
+    return _prove_zero(_insertion_sum(k, j), {"identity": "differential-insertion", "k": k, "j": j},
+                       started)
 
 
 def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
@@ -259,51 +256,32 @@ def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
                 yield k, j, k_inner
 
 
-def _timed(prove, *args, **kwargs):
-    started = time.perf_counter()
-    report = prove(*args, **kwargs)
-    report.elapsed_s = time.perf_counter() - started
-    return report
-
-
 def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     """Every identity of ``IDENTITIES`` for every instance up to k_max, the
     master identity with a truth table for k <= truth_table_k_max, then the
     differential-insertion congruence; each report carries its own proof
-    time in ``elapsed_s``."""
+    time."""
     reports = []
     for k, j, k_inner in instances(k_max):
         for identity in IDENTITIES:
-            reports.append(_timed(
-                prove_identity, identity, k, j, k_inner,
+            reports.append(prove_identity(
+                identity, k, j, k_inner,
                 truth_table=identity == "master" and k <= truth_table_k_max,
             ))
     for k in range(1, k_max + 1):
         for j in range(1, k + 1):
-            reports.append(_timed(prove_differential_insertion, k, j))
+            reports.append(prove_differential_insertion(k, j))
     return reports
 
 
 # --- formal replay of the relation cancellation -------------------------------
 
 
-class CancellationReport:
-    """Equality is that of everything but ``elapsed_s``."""
+class CancellationReport(Frozen):
+    """One energy level: the symbols whose routes cancel and the residual
+    ones; the level's wall time is never part of the report JSON."""
 
-    def __init__(self, k: int, energy: Fraction, pairs: list[tuple] | None = None,
-                 residual: list[dict] | None = None, elapsed_s: float = 0.0):
-        self.k = k
-        self.energy = energy
-        self.pairs = [] if pairs is None else pairs
-        self.residual = [] if residual is None else residual
-        # wall time of this level; never part of the report JSON
-        self.elapsed_s = elapsed_s
-
-    def __eq__(self, other):
-        if other.__class__ is CancellationReport:
-            return (self.k, self.energy, self.pairs, self.residual) == (
-                other.k, other.energy, other.pairs, other.residual)
-        return NotImplemented
+    __slots__ = ("k", "energy", "pairs", "residual", "_elapsed_s")
 
     @property
     def cancels(self) -> bool:
@@ -339,8 +317,8 @@ def prove_relation_cancellation(
 
     ``mutate`` flips the sign of one route of the given (kind, payload)
     symbol, which is then decided on its own; used to confirm single-sign
-    corruption is caught and named.  Each level carries its own time in
-    ``elapsed_s``, which includes the splittings first decided there.
+    corruption is caught and named.  Each level carries its own time, which
+    includes the splittings first decided there.
     """
     # splitting -> (sum, ok, witness): the slot j of an interior symbol, or
     # (j, k_inner) of a boundary one
@@ -348,7 +326,7 @@ def prove_relation_cancellation(
     reports = []
     for energy in spectrum.closure:
         started = time.perf_counter()
-        report = CancellationReport(k=k, energy=energy)
+        pairs, residual = [], []
         # at k = 1 and energy 0 the differential squares to zero
         for symbol in expand_relation(k, energy, spectrum) if k > 1 or energy else ():
             kind, payload = symbol
@@ -360,10 +338,10 @@ def prove_relation_cancellation(
             if symbol == mutate:
                 ok, witness = anf_equivalent(total + 1, F2Poly.zero())
             if ok:
-                report.pairs.append(symbol)
+                pairs.append(symbol)
             else:
-                report.residual.append({"term": symbol, "reason": "routes do not cancel",
-                                        "witness": witness})
-        report.elapsed_s = time.perf_counter() - started
-        reports.append(report)
+                residual.append({"term": symbol, "reason": "routes do not cancel",
+                                 "witness": witness})
+        reports.append(CancellationReport(k, energy, pairs, residual,
+                                          time.perf_counter() - started))
     return reports

@@ -223,14 +223,10 @@ def codim1_parity_consistent(stratum: BoundaryStratum) -> bool:
     return fiber_product_parity == (stratum.parent().dim_parity() - 1) % 2
 
 
-class MatchReport:
+class MatchReport(Frozen):
     """Outcome of matching strata against composition double-sum terms."""
 
-    def __init__(self, matched: list[tuple], unmatched_strata: list[tuple],
-                 unmatched_terms: list[tuple]):
-        self.matched = matched
-        self.unmatched_strata = unmatched_strata
-        self.unmatched_terms = unmatched_terms
+    __slots__ = ("matched", "unmatched_strata", "unmatched_terms")
 
     @property
     def perfect(self) -> bool:
@@ -266,9 +262,8 @@ def match_composition_terms(
     composition-term indices (from ``composition_terms``) as multisets."""
     stratum_index = Counter(s.index() for s in strata)
     term_index = Counter(terms)
-    matched = sorted((stratum_index & term_index).elements())
     return MatchReport(
-        matched=matched,
-        unmatched_strata=sorted((stratum_index - term_index).elements()),
-        unmatched_terms=sorted((term_index - stratum_index).elements()),
+        sorted((stratum_index & term_index).elements()),
+        sorted((stratum_index - term_index).elements()),
+        sorted((term_index - stratum_index).elements()),
     )

@@ -124,8 +124,8 @@ def test_criterion_5_pushpull_calculus():
         verify_composition(trials, seed=106),
     ]
     for result in results:
-        assert result.passed, (result.name, result.failures)
-        assert result.trials == trials
+        assert result.passed, (result.name, result.witness)
+        assert result.stats["trials"] == trials
     stokes = results[3].stats["with_boundary"]
     corr_stokes = results[4].stats["with_boundary"]
     report(
@@ -187,8 +187,8 @@ def test_criterion_7_curved_deformations():
 def test_criterion_8_nested_vs_glued_pushpull():
     started = time.perf_counter()
     result = verify_pushpull(trials=100, seed=800)
-    assert result.passed, result.failures
-    assert result.trials == 100
+    assert result.passed, result.witness
+    assert result.stats["trials"] == 100
     rng = random.Random(801)
     detected = attempts = 0
     while detected < 1 and attempts < 500:

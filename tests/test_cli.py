@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from ainfsign import ainfty, cli, prover, signs, structio
 from ainfsign.ainfty import Element, FilteredAInfty, OperationTable, exterior_dga, from_dga
 from ainfsign.cli import PRESETS, main
-from ainfsign.geomodel import CheckResult, checks
+from ainfsign.geomodel import checks
 from ainfsign.novikov import NovikovElement, spectrum_closure
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "ainfsign" / "schemas"
@@ -194,9 +194,12 @@ def test_verify_geomodel_timing_charges_each_checker(tmp_path, capsys, monkeypat
     clock = [0.0]
 
     def checker(index):
+        def trial(rng, fresh, stats):
+            clock[0] += index + 1  # each checker's trial spends its own span of time
+            return False, None
+
         def check(trials, seed, *sizes):
-            clock[0] += index + 1  # each checker spends its own span of time
-            return CheckResult(f"check-{index}", trials)
+            return checks._trial_loop(f"check-{index}", trials, seed, trial)
         return check
 
     monkeypatch.setattr(time, "perf_counter", lambda: clock[0])

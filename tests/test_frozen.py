@@ -1,12 +1,15 @@
-"""The immutable value types: one instance of each class that the README
-lists as immutable refuses assignment and deletion of a public field with
-``FrozenInstanceError`` and keeps the field's value, and ``Frozen`` alone
-sets, compares, hashes and prints its fields (the slots without a leading
-underscore), as the README states."""
+"""The immutable value types and result records: one instance of each class
+that the README lists as immutable refuses assignment and deletion of a
+public field with ``FrozenInstanceError`` and keeps the field's value, and
+``Frozen`` alone sets, compares, hashes, prints and copies its fields (the
+slots without a leading underscore), as the README states."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
+import random
 
 import pytest
 
@@ -18,26 +21,40 @@ from ainfsign.ainfty import (
     FilteredAInfty,
     HomSpace,
     OperationTable,
+    RelationReport,
     exterior_dga,
     from_dga,
 )
 from ainfsign.frozen import Frozen
 from ainfsign.geomodel import (
+    CheckResult,
     CorrespondenceModel,
     CubeTorusSpace,
     ProjectionMap,
+    PushPullReport,
     SmoothMapModel,
+    check_pushpull_identities,
     projection,
+    random_mock_instance,
     space,
+    verify_defining_property,
 )
 from ainfsign.novikov import GappedSpectrum, NovikovElement
+from ainfsign.prover import (
+    CancellationReport,
+    ProofReport,
+    prove_differential_insertion,
+    prove_relation_cancellation,
+)
 from ainfsign.signs import SignContext
 from ainfsign.strata import (
     BClass,
     BoundaryStratum,
     ComponentData,
+    MatchReport,
     ModuliDescriptor,
     enumerate_strata,
+    match_composition_terms,
 )
 
 C = ComponentData("c", 0, 0)
@@ -53,7 +70,8 @@ def _stratum():
 
 
 # class -> (a builder of one instance, a public field); each call builds a
-# new instance with the same field values
+# new instance with the same field values.  A result record is built by the
+# code that produces it, so two builds differ in the wall time it took.
 IMMUTABLE = {
     NovikovElement: (lambda: NovikovElement(((0, 1), (1, 2))), "terms"),
     GappedSpectrum: (lambda: GappedSpectrum((1,), 3), "closure"),
@@ -77,6 +95,14 @@ IMMUTABLE = {
     FilteredAInfty: (lambda: FilteredAInfty(A.spaces, A.table, A.spectrum, A.cutoff), "table"),
     DGAModel: (lambda: DGAModel(DGA.space_name, DGA.component, DGA.basis, DGA.degree_of,
                                 DGA.differential, DGA.product), "product"),
+    RelationReport: (lambda: A.check_relations(2), "checked"),
+    MatchReport: (lambda: match_composition_terms([_stratum()], []), "unmatched_strata"),
+    PushPullReport: (lambda: check_pushpull_identities(*random_mock_instance(random.Random(3))),
+                     "nontrivial"),
+    CheckResult: (lambda: verify_defining_property(3, 1, 2, 1), "stats"),
+    ProofReport: (lambda: prove_differential_insertion(2, 1), "proved"),
+    CancellationReport: (lambda: prove_relation_cancellation(2, GappedSpectrum((1,), 2))[1],
+                         "residual"),
 }
 
 
@@ -107,8 +133,9 @@ def test_the_table_covers_every_frozen_class():
     assert frozen == set(IMMUTABLE)
 
 
-# classes with a field that cannot be hashed (a mappingproxy)
-UNHASHABLE = {OperationTable, FilteredAInfty}
+# classes with a field that cannot be hashed (a mappingproxy, a list or a dict)
+UNHASHABLE = {OperationTable, FilteredAInfty, RelationReport, MatchReport, PushPullReport,
+              CheckResult, ProofReport, CancellationReport}
 
 
 def _fields(cls):
@@ -165,3 +192,29 @@ def test_frozen_init_rejects_a_wrong_count(cls):
     for count in (n - 1, n + 1):
         with pytest.raises(TypeError, match=f"^{cls.__name__} has {n} slots, got {count}$"):
             Frozen.__init__(object.__new__(cls), *range(count))
+
+
+# classes with a read-only mapping field, which neither a deep copy nor a
+# pickle can copy
+MAPPINGPROXY = {Element, OperationTable, FilteredAInfty}
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_copy_deepcopy_and_pickle_rebuild_every_slot(cls):
+    obj = IMMUTABLE[cls][0]()
+    deep = (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    clones = [copy.copy(obj)]
+    if cls in MAPPINGPROXY:
+        for clone in deep:
+            with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
+                clone(obj)
+    elif cls is DGAModel:  # its preset's functions are local: shared by a deep copy
+        clones.append(copy.deepcopy(obj))
+        with pytest.raises(AttributeError, match="Can't pickle local object"):
+            pickle.dumps(obj)
+    else:
+        clones += [clone(obj) for clone in deep]
+    for rebuilt in clones:
+        assert rebuilt.__class__ is cls and rebuilt is not obj and rebuilt == obj
+        assert [getattr(rebuilt, name) for name in cls.__slots__] == \
+            [getattr(obj, name) for name in cls.__slots__]

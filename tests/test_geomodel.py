@@ -356,7 +356,7 @@ def test_fiber_product_rejects_bad_slots():
 
 def test_composition_formula_randomized():
     result = verify_composition(trials=150, seed=21)
-    assert result.passed, result.failures
+    assert result.passed, result.witness
     assert result.stats["odd_degree_inputs"] > 20
     assert result.stats["nontrivial"] >= 135, result.stats
 
@@ -373,14 +373,14 @@ def test_run_all_checks_runs_pushpull_last_on_request(monkeypatch):
     results = run_all_checks(2, 4, 3, 2, pushpull_trials=3)
     assert len(results) == 8 and results[-1].name == "mock-pushpull"
     alone = verify_pushpull(3, 4)
-    assert results[-1].failures == alone.failures and results[-1].failures
+    assert results[-1].witness == alone.witness and results[-1].witness
     assert results[-1].stats == alone.stats
-    assert results[-1].failures != verify_pushpull(3, 11).failures
+    assert results[-1].witness != verify_pushpull(3, 11).witness
 
 
 def test_all_identities_randomized():
     for result in run_all_checks(trials=120, seed=17):
-        assert result.passed, (result.name, result.failures)
+        assert result.passed, (result.name, result.witness)
         # Every checker counts the trials it ran and the nontrivial ones first.
         trials, nontrivial = list(result.stats.items())[:2]
         assert trials == ("trials", 120), result.stats
@@ -454,7 +454,7 @@ def test_mock_output_degree_matches_parity_contract():
 
 def test_pushpull_identity_suite():
     result = verify_pushpull(trials=60, seed=13)
-    assert result.passed, result.failures
+    assert result.passed, result.witness
     assert result.stats == {"trials": 60, "nontrivial": 60}
 
 
@@ -465,10 +465,10 @@ def test_pushpull_reports_first_failure_of_flipped_reorder_sign(monkeypatch):
     reorder = signs.pushpull_reorder_sign
     monkeypatch.setattr(signs, "pushpull_reorder_sign", lambda ctx: (reorder(ctx) + 1) % 2)
     result = verify_pushpull(30, 1)
-    assert json.dumps(result.failures) == json.dumps([{
+    assert json.dumps(result.witness) == json.dumps({
         "trial": 0, "j": 1, "k": 3, "k_inner": 3, "mu_node": 1, "reorder_sign": 1,
         "nested": "29/9",
-    }])
+    })
     assert result.stats == {"trials": 1, "nontrivial": 1}
 
 
@@ -612,41 +612,41 @@ def _negated(kernel):
 CORRUPTED_CHECKERS = {
     "verify_projection_formula": (
         "pullback", _odd_source_pullback,
-        [{"trial": 0, "theta": "(3*b2 + -3/2*b2^2) + -1*db2", "beta": "2*x1^2",
-          "lhs": "(-6*b2^3 + 3*b2^4) + 2*b2^2*db2", "rhs": "(6*b2^3 + -3*b2^4) + -2*b2^2*db2"}],
+        {"trial": 0, "theta": "(3*b2 + -3/2*b2^2) + -1*db2", "beta": "2*x1^2",
+          "lhs": "(-6*b2^3 + 3*b2^4) + 2*b2^2*db2", "rhs": "(6*b2^3 + -3*b2^4) + -2*b2^2*db2"},
         {"trials": 1, "nontrivial": 1},
     ),
     "verify_functoriality": (
         "pullback", _odd_source_pullback,
-        [{"trial": 0, "beta": "(1 + 1/2*x1^2)*dx1", "theta": "(-3 + 2*b2^2)",
+        {"trial": 0, "beta": "(1 + 1/2*x1^2)*dx1", "theta": "(-3 + 2*b2^2)",
           "composite": "(1 + 1/2*c3^2)*dc3", "staged": "(1 + 1/2*c3^2)*dc3",
-          "iterated_lhs": "(3 + -1/2*c3^2 + -1*c3^4)*dc3", "iterated_rhs": "(-3 + 1/2*c3^2 + c3^4)*dc3"}],
+          "iterated_lhs": "(3 + -1/2*c3^2 + -1*c3^4)*dc3", "iterated_rhs": "(-3 + 1/2*c3^2 + c3^4)*dc3"},
         {"trials": 1, "nontrivial": 1},
     ),
     "verify_base_change": (
         "pullback", _odd_source_pullback,
-        [{"trial": 2, "beta": "2*dx11", "lhs": "2", "rhs": "-2"}],
+        {"trial": 2, "beta": "2*dx11", "lhs": "2", "rhs": "-2"},
         {"trials": 3, "nontrivial": 3},
     ),
     "verify_stokes": (
         "boundary_pushforward", _negated(boundary_pushforward),
-        [{"trial": 0, "beta": "(-1 + 1/2*x1)", "lhs": "0", "rhs": "1"}],
+        {"trial": 0, "beta": "(-1 + 1/2*x1)", "lhs": "0", "rhs": "1"},
         {"trials": 1, "nontrivial": 1, "with_boundary": 1},
     ),
     "verify_corr_stokes": (
         "boundary_pushforward", _negated(boundary_pushforward),
-        [{"trial": 18, "xi": "(-2 + 3*m79^2)*dm78 + -1/2*dm79", "lhs": "0", "rhs": "6"}],
+        {"trial": 18, "xi": "(-2 + 3*m79^2)*dm78 + -1/2*dm79", "lhs": "0", "rhs": "6"},
         {"trials": 19, "nontrivial": 1, "with_boundary": 13},
     ),
     "verify_composition": (
         "apply_correspondence", _negated(apply_correspondence),
-        [{"trial": 0, "xi": "6*di8^di9^di10", "lhs": "-6", "rhs": "6"}],
+        {"trial": 0, "xi": "6*di8^di9^di10", "lhs": "-6", "rhs": "6"},
         {"trials": 1, "nontrivial": 1, "odd_degree_inputs": 1},
     ),
     "verify_defining_property": (
         "pullback", _odd_source_pullback,
-        [{"trial": 0, "theta": "2*b2^2", "beta": "(3*x1 + -3/2*x1^2) + -1*dx1",
-          "base_integral": "-2/3", "total_integral": "2/3"}],
+        {"trial": 0, "theta": "2*b2^2", "beta": "(3*x1 + -3/2*x1^2) + -1*dx1",
+          "base_integral": "-2/3", "total_integral": "2/3"},
         {"trials": 1, "nontrivial": 1},
     ),
 }
@@ -654,11 +654,11 @@ CORRUPTED_CHECKERS = {
 
 @pytest.mark.parametrize("checker", list(CORRUPTED_CHECKERS))
 def test_checker_reports_first_failure_of_corrupted_kernel(checker, monkeypatch):
-    kernel, corrupted, failures, stats = CORRUPTED_CHECKERS[checker]
+    kernel, corrupted, witness, stats = CORRUPTED_CHECKERS[checker]
     monkeypatch.setattr(checks, kernel, corrupted)
     result = getattr(checks, checker)(30, 1, 3, 2)
     assert not result.passed
-    assert json.dumps(result.failures) == json.dumps(failures)
+    assert json.dumps(result.witness) == json.dumps(witness)
     assert json.dumps(result.stats) == json.dumps(stats)
 
 

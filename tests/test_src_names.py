@@ -19,17 +19,25 @@ reason, in ``ALLOWED`` or ``NOT_TRACED``.
 The same trace guards route independence: the two sides of an independent
 pair may share only the ``src/`` functions listed, with the reason, for
 that pair.
+
+A result record is built once: every assignment in ``src/`` to an attribute
+of an object other than ``self`` is listed, with the reason, in
+``ATTRIBUTE_ASSIGNMENTS``.
 """
 
 import ast
 import contextlib
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from test_ainfty import _exterior3_d_with_m3, bar_relation, truncated
+
 from ainfsign import cli
+from ainfsign.ainfty import FilteredAInfty, OperationTable
 from ainfsign.novikov import GappedSpectrum
 from ainfsign.strata import (
     BClass,
@@ -168,6 +176,7 @@ NOT_TRACED = {
     "Poly.variables": "read only when Form or SmoothMapModel rejects a coefficient, to name "
                       "the variables that are not interval coordinates",
     "_Parser.error": "runs only on a rejected argv",
+    "_rebuild": "rebuilds a Frozen value for copy and pickle; no command copies a value",
 }
 
 
@@ -250,3 +259,123 @@ def test_stratum_walk_and_composition_terms_share_only_the_allowlist():
     terms, summed = traced(lambda: composition_terms(parent, spectrum, [a, b]))
     assert len(strata) == len(terms) == 80
     assert _src_names(walked & summed) == set(SHARED_BY_STRATA_ROUTES)
+
+
+# module.function -> why both the relation sweep (``_relation_sums``, then
+# ``_word_sums`` on every word) and pi_1 D^2 on the bar construction may
+# enter it
+SHARED_BY_RELATION_ROUTES = {
+    "ainfty.lookup": "OperationTable.lookup: the stored values that both routes sum",
+    "ainfty.degree_of": "HomSpace.degree_of: an input's degree, from which each route "
+                        "computes its own Koszul sign",
+    "ainfty.zero": "Element.zero: the value of a word that no operation stores",
+    "novikov.__add__": "NovikovElement.__add__: both routes add up coefficients",
+    "novikov.__mul__": "NovikovElement.__mul__: both routes scale a value by the "
+                       "energy factor and the sign",
+    "novikov.<genexpr>": "the generator expression inside NovikovElement.__mul__",
+    "novikov._of": "NovikovElement._of: the trusted constructor of a sum or product",
+    "frozen.__init__": "Frozen.__init__: sets the slots of each coefficient built",
+}
+
+
+def _stored_only(A):
+    """``A`` with each fallback's values on the basis words stored, and no
+    fallback, so that no value is computed on either side of a trace."""
+    values = {key: dict(entry) for key, entry in A.table.values.items()}
+    for key, fallback in A.table.fallbacks.items():
+        entry = values.setdefault(key, {})
+        for word in itertools.product(A.basis_generators(), repeat=key[0]):
+            spaces, gens = tuple([s for s, _ in word]), tuple([g for _, g in word])
+            value = fallback(spaces, gens)
+            if not value.is_zero():
+                entry[(spaces, gens)] = value
+    return FilteredAInfty(A.spaces, OperationTable(values), A.spectrum, A.cutoff)
+
+
+def test_relation_sweep_and_bar_route_share_only_the_allowlist():
+    """On exterior3-d with a stored m3, at k = 3, the relation sweep and the
+    bar route agree on every word and share only the listed functions; the
+    Koszul signs of ``ainfsign.signs`` are entered by the sweep alone."""
+    A = _stored_only(_exterior3_d_with_m3())
+    assert not A.table.fallbacks
+    generators, plan = A.basis_generators(), A._splittings(3)
+    words = list(itertools.product(range(len(generators)), repeat=3))
+    (swept, summed), sweep = traced(lambda: (
+        A._relation_sums(3, plan, generators, {}),
+        [A._word_sums(word, plan, generators) for word in words]))
+    bars, bar = traced(lambda: [bar_relation(A, [generators[i] for i in word]) for word in words])
+    assert len(words) == 512 and sum(bool(truncated(A, sums)) for sums in bars) == 15
+    for word, sums, bar_sums in zip(words, summed, bars):
+        assert truncated(A, sums) == truncated(A, swept.get(word, {})) == truncated(A, bar_sums)
+    assert _src_names(sweep & bar) == set(SHARED_BY_RELATION_ROUTES)
+    assert "signs.koszul_prefix" in _src_names(sweep)
+    assert not any(name.startswith("signs.") for name in _src_names(bar))
+
+
+# (module, enclosing function, target) -> why the assignment sets an
+# attribute of an object other than ``self``
+ATTRIBUTE_ASSIGNMENTS = {
+    ("cli", "_checked", "convert.__name__"): "names an argparse type after its parser, "
+                                            "for argparse's error message",
+    ("frozen", "Frozen.__init_subclass__", "cls._fields"): "a Frozen subclass's field "
+                                                           "names, set once as it is made",
+    ("frozen", "Frozen.__init_subclass__", "cls._setters"): "a Frozen subclass's slot "
+                                                            "setters, set once as it is made",
+    ("geomodel.core", "Poly._of", "poly.terms"): "the trusted constructor fills the "
+                                                 "instance it has just made",
+    ("geomodel.core", "Form._of", "form.space"): "the trusted constructor fills the "
+                                                 "instance it has just made",
+    ("geomodel.core", "Form._of", "form.terms"): "the trusted constructor fills the "
+                                                 "instance it has just made",
+    ("novikov", "_parse_expr", "sc.pos"): "advances the parser's scanner",
+    ("novikov", "_parse_term", "sc.pos"): "advances the parser's scanner",
+    ("novikov", "_parse_factor", "sc.pos"): "advances the parser's scanner",
+}
+
+
+def _assigned(node):
+    """The innermost targets of an assignment statement, unpacked."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        pending = [node.target]
+    else:
+        return
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending += target.elts
+        elif isinstance(target, ast.Starred):
+            pending.append(target.value)
+        else:
+            yield target
+
+
+def attribute_assignments() -> dict[tuple[str, str, str], list[int]]:
+    """(module, enclosing function, target text) -> lines of every
+    assignment in ``src/`` whose target is an attribute of an object other
+    than ``self``."""
+    found: dict = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            for target in _assigned(child):
+                if isinstance(target, ast.Attribute) and not (
+                        isinstance(target.value, ast.Name) and target.value.id == "self"):
+                    key = (module, ".".join(scope), ast.unparse(target))
+                    found.setdefault(key, []).append(child.lineno)
+            visit(child, module, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), module, [])
+    return found
+
+
+def test_no_code_sets_an_attribute_of_another_object_but_the_allowlist():
+    found = attribute_assignments()
+    assert set(found) == set(ATTRIBUTE_ASSIGNMENTS), {
+        key: lines for key, lines in found.items() if key not in ATTRIBUTE_ASSIGNMENTS}
