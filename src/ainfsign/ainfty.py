@@ -240,8 +240,8 @@ class OperationTable(Frozen):
 
 class FilteredAInfty(Frozen):
     """Spaces, an operation table, an energy spectrum and a cutoff; frozen,
-    with ``spaces`` held as a read-only copy.  The splittings of each
-    relation arity are planned once per structure.
+    with ``spaces`` held as a read-only copy.  The splittings of a relation
+    arity are planned when ``check_relations`` reaches that arity.
 
     Every application to elements goes through ``apply_raw``, which looks
     up each choice of one generator per input (a basis word is one choice,
@@ -249,12 +249,12 @@ class FilteredAInfty(Frozen):
     on index words instead, and every value goes through
     ``OperationTable.lookup``."""
 
-    __slots__ = ("spaces", "table", "spectrum", "cutoff", "_plans")
+    __slots__ = ("spaces", "table", "spectrum", "cutoff")
 
     def __init__(self, spaces: Mapping[str, HomSpace], table: OperationTable,
                  spectrum: GappedSpectrum, cutoff: Rational):
         Frozen.__init__(self, MappingProxyType(dict(spaces)), table, spectrum,
-                        _rational(cutoff), {})
+                        _rational(cutoff))
         for key in table.keys():
             k, energy, tag = key
             if k == 0 and energy == 0:
@@ -328,23 +328,20 @@ class FilteredAInfty(Frozen):
         """The splittings of the arity-k relation below the cutoff: each
         inner key that has outer keys, with those outer keys and the factors
         ``T^energy`` and ``-T^energy`` of their summed energy."""
-        plan = self._plans.get(k)
-        if plan is None:
-            plan = []
-            for inner_key in self.table.keys():
-                k_inner, e_inner, _ = inner_key
-                if k_inner > k:
-                    break  # keys are sorted by arity
-                outer = []
-                for outer_key in self.table.keys_of_arity(k + 1 - k_inner):
-                    energy = e_inner + outer_key[1]
-                    if energy < self.cutoff:
-                        factors = (NovikovElement.monomial(1, energy),
-                                   NovikovElement.monomial(-1, energy))
-                        outer.append((outer_key, factors))
-                if outer:
-                    plan.append((inner_key, outer))
-            self._plans[k] = plan
+        plan = []
+        for inner_key in self.table.keys():
+            k_inner, e_inner, _ = inner_key
+            if k_inner > k:
+                break  # keys are sorted by arity
+            outer = []
+            for outer_key in self.table.keys_of_arity(k + 1 - k_inner):
+                energy = e_inner + outer_key[1]
+                if energy < self.cutoff:
+                    factors = (NovikovElement.monomial(1, energy),
+                               NovikovElement.monomial(-1, energy))
+                    outer.append((outer_key, factors))
+            if outer:
+                plan.append((inner_key, outer))
         return plan
 
     def check_relations(

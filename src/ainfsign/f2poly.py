@@ -346,12 +346,14 @@ def _elaborate(
     if isinstance(expr, IndexedSum):
         lo = _int_bound(expr.lower, bindings, env)
         hi = _int_bound(expr.upper, bindings, env)
-        total = F2Poly.zero()
+        # XOR the terms' monomials into one set: adding F2Polys term by term
+        # would rebuild the growing sum at every step
+        total: set = set()
         for value in range(lo, hi + 1):
             inner = dict(env)
             inner[expr.var] = value
-            total = total + _elaborate(expr.body, bindings, inner)
-        return total
+            total.symmetric_difference_update(_elaborate(expr.body, bindings, inner).monomials)
+        return F2Poly(frozenset(total))
     raise TypeError(f"not a sign expression: {expr!r}")
 
 

@@ -127,8 +127,7 @@ def _subst_into(out: dict, terms: Mapping, replacements: Mapping[str, "Poly"], s
     """Accumulate ``sign`` (+1 or -1) times the polynomial with ``terms``,
     the replacements substituted, into ``out``; return ``out``.  A one-term
     replacement is folded into coefficient and exponents; only replacements
-    of several terms are multiplied out, each power once per call."""
-    powers: dict[tuple[str, int], Mapping] = {}
+    of several terms are multiplied out."""
     for mono, c in terms.items():
         if sign < 0:
             c = -c
@@ -145,12 +144,9 @@ def _subst_into(out: dict, terms: Mapping, replacements: Mapping[str, "Poly"], s
                 for w, q in m:
                     exps[w] = exps.get(w, 0) + q * p
             else:
-                power = powers.get((v, p))
-                if power is None:
-                    power = base.terms
-                    for _ in range(p - 1):
-                        power = _mul_into({}, power, base.terms)
-                    powers[v, p] = power
+                power = base.terms
+                for _ in range(p - 1):
+                    power = _mul_into({}, power, base.terms)
                 spread.append(power)
         key = tuple(sorted(exps.items()))
         if spread:
@@ -754,14 +750,11 @@ def pullback(f: SmoothMapModel, form: Form) -> Form:
     table = f._table
     subs = f._subs
     order = f.source._order
-    pulled: dict[str, list] = {}  # pairs of each target 1-form, made once
     out: dict[tuple[str, ...], dict[Monomial, Rational]] = {}
     for wedgekey, poly in form.terms.items():
         factors = []
         for letter in wedgekey:
-            pairs = pulled.get(letter)
-            if pairs is None:
-                pairs = pulled[letter] = _pull_letter(f.source, table[letter])
+            pairs = _pull_letter(f.source, table[letter])
             if not pairs:
                 break  # the term pulls back to zero
             factors.append(pairs)
@@ -818,16 +811,15 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
     Each source letter has one bundle rank, which the projection derived
     when it was built: a base letter its target coordinate's position, a
     fiber letter the base dimension plus its position in the fiber order.
-    A term survives when its wedge holds every
-    fiber letter; its Koszul sign is the inversion parity of its ranks, and
-    one pass over each monomial of its coefficient divides out the powers of
+    A term survives when its wedge holds every fiber letter; its Koszul
+    sign is the inversion parity of its ranks (``_merge_sign``), and one
+    pass over each monomial of its coefficient divides out the powers of
     the interval fiber variables (the integral over [0, 1]; a circle fiber
     has measure 1 and never occurs in a coefficient) and renames the base
     variables to their target coordinates."""
     if form.space != p.source:
         raise ValueError("form does not live on the projection's source")
-    target_names = p.target._names
-    n_base = len(target_names)
+    n_base = len(p.target._names)
     n_fiber = len(p.fiber)
     to_target = p._to_target
     rank = p._rank
@@ -836,17 +828,12 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
         n = len(wedgekey)
         if n < n_fiber:
             continue
-        ranks = [rank[x] for x in wedgekey]
-        ordered = sorted(ranks)
-        # The top n_fiber ranks are the fiber's exactly when the wedge holds
-        # every fiber letter.
-        if n_fiber and ordered[n - n_fiber] != n_base:
+        sign, letters = _merge_sign(wedgekey, rank)
+        # Sorted by rank, the top n_fiber letters are the fiber's exactly
+        # when the wedge holds every fiber letter.
+        if n_fiber and rank[letters[n - n_fiber]] != n_base:
             continue
-        odd = 0
-        for i, r in enumerate(ranks):
-            for later in ranks[i + 1:]:
-                odd ^= r > later
-        target_wedge = tuple([target_names[r] for r in ordered[: n - n_fiber]])
+        target_wedge = tuple([to_target[x] for x in letters[: n - n_fiber]])
         coeffs = out.setdefault(target_wedge, {})
         for mono, c in poly.terms.items():
             key = []
@@ -863,7 +850,7 @@ def pushforward(p: ProjectionMap, form: Form) -> Form:
                 key.sort()
             key = tuple(key)
             prev = coeffs.get(key)
-            if odd:
+            if sign < 0:
                 c = -c
             coeffs[key] = c if prev is None else _rational(prev + c)
     return Form._of(p.target, {w: Poly._of(coeffs) for w, coeffs in out.items()})

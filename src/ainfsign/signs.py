@@ -59,8 +59,7 @@ def operation_sign(degs: Sequence[Parity], mus: Sequence[Parity]) -> Parity:
     prefix: Parity = 0
     for i, d in enumerate(degs, start=1):
         acc = acc + (i + prefix) * (d - 1)
-        if i <= len(mus):
-            prefix = prefix + mus[i - 1]
+        prefix = prefix + mus[i - 1]
     return _par(acc)
 
 

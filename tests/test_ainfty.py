@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -723,17 +725,23 @@ def bar_d(A, tensor, length=None):
     return out
 
 
-def bar_relation(A, word, coeff=NovikovElement.one()):
-    """pi_1 D^2 on ``coeff`` times ``word``, a list of (space, generator):
-    (space, generator) -> coefficient, summed over the terms whose energy is
-    below the cutoff, before truncation."""
-    twice = bar_d(A, bar_d(A, {(tuple(word), 0): coeff}), length=1)
+def below_cutoff(A, tensor):
+    """A tensor of words of length 1 as (space, generator) -> coefficient:
+    each term times T^energy, summed over the terms whose energy is below
+    the cutoff, before truncation."""
     out = {}
-    for ((slot,), energy), c in twice.items():
+    for ((slot,), energy), c in tensor.items():
         if energy < A.cutoff:
             term = c * NovikovElement.monomial(1, energy)
             out[slot] = out[slot] + term if slot in out else term
     return out
+
+
+def bar_relation(A, word, coeff=NovikovElement.one()):
+    """pi_1 D^2 on ``coeff`` times ``word``, a list of (space, generator):
+    (space, generator) -> coefficient, summed over the terms whose energy is
+    below the cutoff, before truncation."""
+    return below_cutoff(A, bar_d(A, bar_d(A, {(tuple(word), 0): coeff}), length=1))
 
 
 def truncated(A, sums):
@@ -904,6 +912,90 @@ def test_sweep_defects_equal_relation_defect_on_every_word(make, k_max, defectiv
 @pytest.mark.parametrize("gen", INTERVAL2_ODD)
 def test_sweep_agrees_on_each_interval2_deformation(gen):
     assert bar_agrees(_interval2_deformed(gen), 2) == 0
+
+
+def bar_deformed(A, b, word):
+    """pi_1 D(e^b x_1 e^b ... x_k e^b) on the parent ``A``, for ``word`` =
+    x_1 ... x_k, a list of (space, generator), and e^b = 1 + b + b b + ...:
+    (space, generator) -> coefficient, summed over the terms whose energy
+    is below the cutoff, before truncation.  Each copy of b is expanded
+    into its generators, with their coefficients.  A word longer than the
+    parent's largest arity has no arity-1 image under D, so the copies of b
+    stop there."""
+    tensor = {}
+    for length in range(len(word), A.table.max_arity() + 1):
+        for places in itertools.combinations(range(length), len(word)):
+            slots = [[((b.space, g), c) for g, c in b.coeffs.items()]] * length
+            for place, x in zip(places, word):
+                slots[place] = [(x, NovikovElement.one())]
+            for choice in itertools.product(*slots):
+                key = (tuple([x for x, _ in choice]), 0)
+                coeff = functools.reduce(operator.mul, [c for _, c in choice],
+                                         NovikovElement.one())
+                tensor[key] = tensor[key] + coeff if key in tensor else coeff
+    return below_cutoff(A, bar_d(A, tensor, length=1))
+
+
+def operation_terms(A, word):
+    """The arity-k operation of ``A`` on ``word``, a list of k (space,
+    generator): (space, generator) -> the sum of T^energy times each
+    key's value, over the arity-k keys below the cutoff, before
+    truncation."""
+    spaces, gens = tuple([s for s, _ in word]), tuple([g for _, g in word])
+    out = {}
+    for key in A.table.keys_of_arity(len(word)):
+        if key[1] < A.cutoff:
+            value = A.table.lookup(key, spaces, gens)
+            for h, v in value.coeffs.items():
+                slot, term = (value.space, h), v * NovikovElement.monomial(1, key[1])
+                out[slot] = out[slot] + term if slot in out else term
+    return out
+
+
+def deformation_differs_from_the_bar_route(gen, k_max=2):
+    """The basis words of arity <= k_max on which the operations of
+    deform(A, T*gen, 1) differ from pi_1 D(e^b x_1 e^b ... x_k e^b) on the
+    parent A, the interval2 preset below a cutoff of 4, once truncated."""
+    A = from_dga(cube_torus_dga(INTERVAL2), cutoff=4)
+    b = Element("deRham", {gen: T_coeff()})
+    D = deform(A, b, 1)
+    generators = A.basis_generators()
+    return [word for k in range(k_max + 1) for word in itertools.product(generators, repeat=k)
+            if truncated(D, operation_terms(D, word)) != truncated(A, bar_deformed(A, b, word))]
+
+
+# the deformations of `deform-check --preset interval2 --lam-min 1`, and the
+# one of `--b '{"u^3|dv": "T"}'`, whose generator is beyond the listed basis
+INTERVAL2_DEFORMATIONS = INTERVAL2_ODD + ["u^3|dv"]
+
+
+@pytest.mark.parametrize("gen", INTERVAL2_DEFORMATIONS)
+def test_deformed_operations_are_the_bar_route_on_the_parent(gen):
+    """m^b_k(x) = pi_1 D(e^b x_1 e^b ... x_k e^b): each operation of the
+    deformation, on every basis word of arity <= 2, is the parent's
+    coderivation on the word with every insertion of b, computed without
+    ``deform``, ``apply_operation`` or a fallback of the deformation."""
+    assert deformation_differs_from_the_bar_route(gen) == []
+
+
+@pytest.mark.parametrize("mutant, caught", [("shift-by-(n-1)lam", 5), ("skip-a-composition", 11)])
+def test_deform_mutants_fail_against_the_bar_route(monkeypatch, mutant, caught):
+    """On interval2 the two insertions of b into m2 cancel by graded
+    commutativity, so a deformation adds only its curvature T*db, nonzero
+    for 4 of the README's 10 and for u^3|dv.  A deformation whose
+    n-insertion piece is shifted down by (n-1)*lam instead of n*lam differs
+    from the bar route there; one that leaves out a placement of the
+    copies of b differs for all 11."""
+    if mutant == "shift-by-(n-1)lam":
+        shift = Element.shift
+        monkeypatch.setattr(Element, "shift", lambda self, delta: shift(self, delta + 1))
+    else:  # every placement but the one with all copies of b last
+        monkeypatch.setattr(ainfty, "_compositions", lambda total, slots: [
+            split for split in itertools.product(range(total + 1), repeat=slots)
+            if sum(split) == total][1:])
+    differ = [gen for gen in INTERVAL2_DEFORMATIONS
+              if deformation_differs_from_the_bar_route(gen, k_max=1)]
+    assert len(differ) == caught, differ
 
 
 @pytest.mark.parametrize("mutant", ["plan-skips-inner-arity-3", "koszul-flipped-at-slot-3"])

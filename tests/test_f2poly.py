@@ -206,3 +206,23 @@ def test_int_operands_act_as_their_parity():
             assert isinstance(got, F2Poly) and got.monomials == want.monomials
     x = F2Poly.var("x")
     assert (x + True).monomials == (x + 1).monomials and (x * False).is_zero()
+
+
+def test_a_long_sum_builds_one_polynomial_per_term(monkeypatch):
+    """``Sum`` XORs its terms' monomials into one set: a sum of n terms
+    builds each term's polynomial and then the sum, not a partial sum per
+    term, whose rebuilding made elaboration quadratic in n."""
+    built = 0
+    init = F2Poly.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(F2Poly, "__init__", counting)
+    total = to_anf(parse_sign_expr("Sum(p=1..20000, x_p)"))
+    assert built == 20_001
+    assert total.monomials == {frozenset([f"x_{p}"]) for p in range(1, 20_001)}
+    # a monomial met twice cancels: x_1 from every term, and x_1 + x_1 at p = 1
+    assert to_anf(parse_sign_expr("Sum(p=1..3, x_p + x_1)")) == to_anf(parse_sign_expr("x_2 + x_3"))

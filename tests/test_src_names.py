@@ -22,7 +22,8 @@ that pair.
 
 A result record is built once: every assignment in ``src/`` to an attribute
 of an object other than ``self`` is listed, with the reason, in
-``ATTRIBUTE_ASSIGNMENTS``.
+``ATTRIBUTE_ASSIGNMENTS``, and no method of a ``Frozen`` class but
+``__init__`` changes a container held in one of its slots.
 """
 
 import ast
@@ -36,9 +37,11 @@ from pathlib import Path
 
 from test_ainfty import _exterior3_d_with_m3, bar_relation, truncated
 
-from ainfsign import cli
+from ainfsign import cli, prover, signs
 from ainfsign.ainfty import FilteredAInfty, OperationTable
+from ainfsign.f2poly import F2Poly, anf_equivalent
 from ainfsign.novikov import GappedSpectrum
+from ainfsign.prover import symbolic_context
 from ainfsign.strata import (
     BClass,
     ComponentData,
@@ -312,6 +315,47 @@ def test_relation_sweep_and_bar_route_share_only_the_allowlist():
     assert not any(name.startswith("signs.") for name in _src_names(bar))
 
 
+# module.function -> why both the truth table of the master identity
+# (``prover._truth_table_master``) and its ANF proof (``master_sum`` on
+# symbolic parities, decided by ``anf_equivalent``) may enter it
+MASTER_SUM_FORMULA = "a sign formula of the master sum, the formula under test"
+SIGN_CONTEXT = "a method of SignContext, whose parity inputs the formulas read"
+SHARED_BY_PROOF_ROUTES = {
+    "signs.master_sum": MASTER_SUM_FORMULA,
+    "signs.boundary_sign": MASTER_SUM_FORMULA,
+    "signs.composition_sign": MASTER_SUM_FORMULA,
+    "signs.operation_sign": MASTER_SUM_FORMULA,
+    "signs.stokes_sign": MASTER_SUM_FORMULA,
+    "signs.moduli_dim_parity": MASTER_SUM_FORMULA,
+    "signs.parent_dim_parity": MASTER_SUM_FORMULA,
+    "signs._par": "the formulas' reduction of an int mod 2; it returns a column or a "
+                  "polynomial as it is",
+    "signs._total": "the formulas' sum of several parities",
+    "signs.__init__": SIGN_CONTEXT,
+    "signs.prefix_mus": SIGN_CONTEXT,
+    "signs.inner_mus": SIGN_CONTEXT,
+    "signs.suffix_mus": SIGN_CONTEXT,
+    "signs.node_defect": SIGN_CONTEXT,
+    "prover._context": "builds the SignContext from the 2k+3 parity inputs, columns on "
+                       "one side and variables on the other",
+    "frozen.__init__": "Frozen.__init__: sets the slots of the SignContext",
+}
+
+
+def test_truth_table_and_anf_proof_share_only_the_allowlist():
+    """At k = 4, j = 2, k_inner = 2 the truth table finds no odd assignment
+    and the ANF proof finds the master sum zero; they share only the
+    formula and its context, and the truth table enters no ``f2poly``
+    code."""
+    bad, table = traced(lambda: prover._truth_table_master(4, 2, 2))
+    (proved, witness), anf = traced(lambda: anf_equivalent(
+        signs.master_sum(symbolic_context(4, 2, 2)), F2Poly.zero()))
+    assert bad is None and proved and witness is None
+    assert _src_names(table & anf) == set(SHARED_BY_PROOF_ROUTES)
+    assert "f2poly.anf_equivalent" in _src_names(anf)
+    assert not any(name.startswith("f2poly.") for name in _src_names(table))
+
+
 # (module, enclosing function, target) -> why the assignment sets an
 # attribute of an object other than ``self``
 ATTRIBUTE_ASSIGNMENTS = {
@@ -379,3 +423,91 @@ def test_no_code_sets_an_attribute_of_another_object_but_the_allowlist():
     found = attribute_assignments()
     assert set(found) == set(ATTRIBUTE_ASSIGNMENTS), {
         key: lines for key, lines in found.items() if key not in ATTRIBUTE_ASSIGNMENTS}
+
+
+# methods that change a list, dict or set in place
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+            "setdefault", "add", "discard", "sort", "reverse", "difference_update",
+            "intersection_update", "symmetric_difference_update", "__setitem__",
+            "__delitem__"}
+
+
+def _frozen_classes():
+    """(module, class node, slot names) of every ``Frozen`` subclass in
+    ``src/``, with the slots it inherits from a ``Frozen`` base."""
+    classes = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (module, node)
+    slots = {"Frozen": set()}
+    while True:
+        added = False
+        for name, (_, node) in classes.items():
+            bases = [ast.unparse(base).split(".")[-1] for base in node.bases]
+            if name in slots or not any(base in slots for base in bases):
+                continue
+            own = set()
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__":
+                    own = set(ast.literal_eval(stmt.value))
+            slots[name] = own.union(*[slots.get(base, set()) for base in bases])
+            added = True
+        if not added:
+            break
+    return [(classes[name][0], classes[name][1], names) for name, names in slots.items()
+            if name != "Frozen"]
+
+
+def container_changes() -> dict[tuple[str, str], list[str]]:
+    """(module, Class.method) -> the code, in a method of a ``Frozen``
+    class other than ``__init__``, that assigns into, deletes from, or calls
+    a mutating method on a container held in a slot of ``self`` (directly,
+    through a local name bound to it, or through an item of it)."""
+    found: dict = {}
+    for module, cls, slots in _frozen_classes():
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            aliases = set()
+            for node in ast.walk(method):  # local names bound to a slot
+                if (isinstance(node, (ast.Assign, ast.NamedExpr)) and
+                        _held(node.value, slots, set())):
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target]):
+                        if isinstance(target, ast.Name):
+                            aliases.add(target.id)
+            changes = []
+            for node in ast.walk(method):
+                if isinstance(node, ast.Delete):
+                    targets = node.targets
+                else:
+                    targets = list(_assigned(node))
+                changed = [target.value for target in targets
+                           if isinstance(target, ast.Subscript)]
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in MUTATORS):
+                    changed.append(node.func.value)
+                if any(_held(value, slots, aliases) for value in changed):
+                    changes.append(ast.unparse(node))
+            if changes:
+                found[(module, f"{cls.name}.{method.name}")] = changes
+    return found
+
+
+def _held(node, slots, aliases) -> bool:
+    """Whether ``node`` is a slot of ``self``, a name bound to one, or an
+    item of either."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return (isinstance(node, ast.Attribute) and node.attr in slots
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def test_no_frozen_method_but_init_changes_a_container_in_a_slot():
+    """A ``Frozen`` object is built once: its ``__init__`` fills its slots,
+    and no other method changes what they hold."""
+    assert container_changes() == {}
