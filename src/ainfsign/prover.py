@@ -7,7 +7,8 @@ and slots are concrete integers.  Each proof normalizes a combination of
 sign formulas to algebraic normal form and demands the zero polynomial; a
 failure report carries the minimal witness assignment instead of raising.
 The identities of each (k, j, k_inner) instance are one table,
-``IDENTITIES``, which ``prove_all`` runs in order through ``prove_identity``.
+``IDENTITIES``, which ``prove_all`` runs in order through ``prove_identity``
+on one context per instance, built on one set of variables per arity.
 
 The master identity can also be cross-checked by an exhaustive truth table
 over all 2^(2k+3) parity assignments, a route independent of the ANF engine.
@@ -21,7 +22,8 @@ with plain integers before it is reported.
 The formal replay of the relations checks that the two routes reaching
 each payload symbol (an interior differential insertion per slot, or a
 boundary stratum) cancel: terms with sign exponents p and q cancel exactly
-when the cancellation sum p + q + 1 normalizes to zero.  A symbol's sum
+when the cancellation sum p + q + 1 normalizes to zero; a boundary
+stratum's routes are the Stokes rewrite and the composition.  A symbol's sum
 depends only on its splitting, so each splitting's sum is decided once per
 arity and an energy level only picks which symbols occur; an interior sum is
 the one ``prove_differential_insertion`` proves.  The boundary payloads come
@@ -68,9 +70,9 @@ def _context(k: int, j: int, k_inner: int, vals: Sequence) -> SignContext:
     )
 
 
-def symbolic_context(k: int, j: int, k_inner: int) -> SignContext:
-    """SignContext with fresh GF(2) variables for all parity inputs."""
-    return _context(k, j, k_inner, [F2Poly.var(name) for name in _parity_names(k)])
+def _parity_variables(k: int) -> tuple:
+    """A GF(2) variable for each name of :func:`_parity_names`."""
+    return tuple([F2Poly.var(name) for name in _parity_names(k)])
 
 
 class ProofReport(Frozen):
@@ -191,19 +193,23 @@ IDENTITIES = {
 
 
 def prove_identity(
-    identity: str, k: int, j: int, k_inner: int, truth_table: bool = False
+    identity: str, ctx: SignContext, truth_table: bool = False, started: float | None = None
 ) -> ProofReport:
-    """Prove that the sum ``IDENTITIES[identity]`` vanishes at this instance.
-    The master identity can also be cross-checked by an exhaustive truth
-    table over all 2^(2k+3) parity assignments (k <= TRUTH_TABLE_K_MAX); a
-    column cannot hold another identity's symbolic node dimension."""
+    """Prove that the sum ``IDENTITIES[identity]`` vanishes on the symbolic
+    context of an instance.  The master identity can also be cross-checked
+    by an exhaustive truth table over all 2^(2k+3) parity assignments (k <=
+    TRUTH_TABLE_K_MAX), on columns of its own; a column cannot hold another
+    identity's symbolic node dimension.  The proof time counts from the
+    ``time.perf_counter()`` reading ``started``, by default this call."""
+    k, j, k_inner = ctx.k, ctx.j, ctx.k_inner
     if truth_table and identity != "master":
         raise ValueError(f"only the master identity has a truth table, not {identity!r}")
     if truth_table and k > TRUTH_TABLE_K_MAX:
         raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
-    started = time.perf_counter()
+    if started is None:
+        started = time.perf_counter()
     report = _prove_zero(
-        IDENTITIES[identity](symbolic_context(k, j, k_inner)),
+        IDENTITIES[identity](ctx),
         {"identity": identity, "k": k, "j": j, "k_inner": k_inner}, started,
     )
     if truth_table and report.proved:
@@ -212,13 +218,13 @@ def prove_identity(
     return report
 
 
-def _insertion_sum(k: int, j: int) -> F2Poly:
+def _insertion_sum(k: int, j: int, variables: Sequence) -> F2Poly:
     """Cancellation sum of the differential inserted at slot j of the
     arity-k operation (the splitting with inner arity 1): the Leibniz route,
     the operation sign plus the degrees before the slot, plus the
     coderivation route, the Koszul prefix plus the operation sign at the
     bumped degree, plus one."""
-    ctx = symbolic_context(k, j, 1)
+    ctx = _context(k, j, 1, variables)
     degs, mus = ctx.degs, ctx.mus
     bumped = degs[: j - 1] + (degs[j - 1] + 1,) + degs[j:]
     leibniz = signs.operation_sign(degs, mus) + sum(degs[: j - 1], F2Poly.zero())
@@ -226,26 +232,35 @@ def _insertion_sum(k: int, j: int) -> F2Poly:
     return leibniz + coderivation + 1
 
 
-def _boundary_sum(k: int, j: int, k_inner: int) -> F2Poly:
-    """Cancellation sum of a boundary stratum of splitting (j, k_inner): the
-    Stokes route, operation + Stokes + boundary signs, plus the composition
-    route, coderivation + reorder signs, plus one."""
-    ctx = symbolic_context(k, j, k_inner)
-    stokes = (
+def _stokes_rewrite_route(ctx: SignContext) -> F2Poly:
+    """A boundary stratum's sign exponent by the Stokes rewrite of the
+    differential after the push-pull: operation + Stokes + boundary signs."""
+    return (
         signs.operation_sign(ctx.degs, ctx.mus)
         + signs.stokes_sign(signs.parent_dim_parity(ctx), ctx.degs)
         + signs.boundary_sign(ctx)
     )
-    return stokes + signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx) + 1
 
 
-def prove_differential_insertion(k: int, j: int) -> ProofReport:
+def _composition_route(ctx: SignContext) -> F2Poly:
+    """A boundary stratum's sign exponent by composition: coderivation + reorder signs."""
+    return signs.coderivation_sign(ctx) + signs.pushpull_reorder_sign(ctx)
+
+
+def _boundary_sum(k: int, j: int, k_inner: int, variables: Sequence) -> F2Poly:
+    """Cancellation sum of a boundary stratum of splitting (j, k_inner): its
+    two routes plus one."""
+    ctx = _context(k, j, k_inner, variables)
+    return _stokes_rewrite_route(ctx) + _composition_route(ctx) + 1
+
+
+def prove_differential_insertion(k: int, j: int, variables: Sequence) -> ProofReport:
     """Inserting the differential at slot j: Koszul prefix plus the operation
     sign at the bumped degree equals the Leibniz prefix plus the operation
     sign plus one."""
     started = time.perf_counter()
-    return _prove_zero(_insertion_sum(k, j), {"identity": "differential-insertion", "k": k, "j": j},
-                       started)
+    return _prove_zero(_insertion_sum(k, j, variables),
+                       {"identity": "differential-insertion", "k": k, "j": j}, started)
 
 
 def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
@@ -259,18 +274,24 @@ def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
 def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     """Every identity of ``IDENTITIES`` for every instance up to k_max, the
     master identity with a truth table for k <= truth_table_k_max, then the
-    differential-insertion congruence; each report carries its own proof
-    time."""
-    reports = []
+    differential-insertion congruence.  Each report carries its own proof
+    time; the first identity of an instance also carries building the
+    context its identities share, and the first of an arity the variables."""
+    reports, variables = [], {}
+    started = time.perf_counter()
     for k, j, k_inner in instances(k_max):
+        if k not in variables:
+            variables[k] = _parity_variables(k)
+        ctx = _context(k, j, k_inner, variables[k])
         for identity in IDENTITIES:
             reports.append(prove_identity(
-                identity, k, j, k_inner,
-                truth_table=identity == "master" and k <= truth_table_k_max,
+                identity, ctx, truth_table=identity == "master" and k <= truth_table_k_max,
+                started=started,
             ))
-    for k in range(1, k_max + 1):
+            started = time.perf_counter()
+    for k, arity_variables in variables.items():
         for j in range(1, k + 1):
-            reports.append(prove_differential_insertion(k, j))
+            reports.append(prove_differential_insertion(k, j, arity_variables))
     return reports
 
 
@@ -318,21 +339,24 @@ def prove_relation_cancellation(
     ``mutate`` flips the sign of one route of the given (kind, payload)
     symbol, which is then decided on its own; used to confirm single-sign
     corruption is caught and named.  Each level carries its own time, which
-    includes the splittings first decided there.
+    includes the splittings first decided there and, at the first level,
+    the arity's variables.
     """
     # splitting -> (sum, ok, witness): the slot j of an interior symbol, or
     # (j, k_inner) of a boundary one
     decided: dict = {}
     reports = []
+    started = time.perf_counter()
+    variables = _parity_variables(k)
     for energy in spectrum.closure:
-        started = time.perf_counter()
         pairs, residual = [], []
         # at k = 1 and energy 0 the differential squares to zero
         for symbol in expand_relation(k, energy, spectrum) if k > 1 or energy else ():
             kind, payload = symbol
             key = payload[0] if kind == PUSH_D else (payload[0], payload[3])
             if key not in decided:
-                total = _insertion_sum(k, key) if kind == PUSH_D else _boundary_sum(k, *key)
+                total = (_insertion_sum(k, key, variables) if kind == PUSH_D
+                         else _boundary_sum(k, *key, variables))
                 decided[key] = (total, *anf_equivalent(total, F2Poly.zero()))
             total, ok, witness = decided[key]
             if symbol == mutate:
@@ -344,4 +368,5 @@ def prove_relation_cancellation(
                                  "witness": witness})
         reports.append(CancellationReport(k, energy, pairs, residual,
                                           time.perf_counter() - started))
+        started = time.perf_counter()
     return reports

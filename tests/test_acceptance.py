@@ -45,6 +45,7 @@ from ainfsign.strata import (
 )
 
 from test_novikov import random_element
+from test_prover import symbolic_context
 
 
 def report(criterion: str, passed: bool, started: float, detail: str = ""):
@@ -61,7 +62,7 @@ def test_criterion_1_master_sign_identity():
     started = time.perf_counter()
     checked = 0
     for k, j, k_inner in prover.instances(7):
-        rep = prover.prove_identity("master", k, j, k_inner, truth_table=True)
+        rep = prover.prove_identity("master", symbolic_context(k, j, k_inner), truth_table=True)
         assert rep.proved, rep
         checked += 1
     report("criterion-1 master sign identity", checked == 119, started,
@@ -72,8 +73,9 @@ def test_criterion_2_proof_decompositions():
     started = time.perf_counter()
     checked = 0
     for k, j, k_inner in prover.instances(6):
-        assert prover.prove_identity("boundary-decomposition", k, j, k_inner).proved
-        assert prover.prove_identity("composition-decomposition", k, j, k_inner).proved
+        ctx = symbolic_context(k, j, k_inner)
+        assert prover.prove_identity("boundary-decomposition", ctx).proved
+        assert prover.prove_identity("composition-decomposition", ctx).proved
         checked += 1
     report("criterion-2 proof decompositions", checked == 83, started,
            f"{checked} instances, both decompositions")
@@ -84,7 +86,7 @@ def test_criterion_3_differential_insertion_congruence():
     checked = 0
     for k in range(1, 7):
         for j in range(1, k + 1):
-            assert prover.prove_differential_insertion(k, j).proved
+            assert prover.prove_differential_insertion(k, j, prover._parity_variables(k)).proved
             checked += 1
     report("criterion-3 differential insertion congruence", checked == 21, started,
            f"{checked} (k, j) instances")

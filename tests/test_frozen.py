@@ -43,6 +43,7 @@ from ainfsign.novikov import GappedSpectrum, NovikovElement
 from ainfsign.prover import (
     CancellationReport,
     ProofReport,
+    _parity_variables,
     prove_differential_insertion,
     prove_relation_cancellation,
 )
@@ -100,7 +101,7 @@ IMMUTABLE = {
     PushPullReport: (lambda: check_pushpull_identities(*random_mock_instance(random.Random(3))),
                      "nontrivial"),
     CheckResult: (lambda: verify_defining_property(3, 1, 2, 1), "stats"),
-    ProofReport: (lambda: prove_differential_insertion(2, 1), "proved"),
+    ProofReport: (lambda: prove_differential_insertion(2, 1, _parity_variables(2)), "proved"),
     CancellationReport: (lambda: prove_relation_cancellation(2, GappedSpectrum((1,), 2))[1],
                          "residual"),
 }

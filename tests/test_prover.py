@@ -16,14 +16,18 @@ from ainfsign.prover import (
     prove_differential_insertion,
     prove_identity,
     prove_relation_cancellation,
-    symbolic_context,
 )
 from ainfsign.strata import BClass, ComponentData, ModuliDescriptor, composition_terms
 
 
+def symbolic_context(k, j, k_inner):
+    """A SignContext on fresh GF(2) variables for all 2k+3 parity inputs."""
+    return prover._context(k, j, k_inner, prover._parity_variables(k))
+
+
 def test_master_identity_sample_instances():
     for k, j, k_inner in [(1, 1, 1), (2, 1, 2), (3, 2, 0), (4, 2, 3), (5, 5, 1)]:
-        rep = prove_identity("master", k, j, k_inner, truth_table=(k <= 3))
+        rep = prove_identity("master", symbolic_context(k, j, k_inner), truth_table=(k <= 3))
         assert rep.proved, rep.witness
 
 
@@ -52,7 +56,7 @@ def test_mutated_boundary_sign_refuted_with_witness():
 def test_decompositions_sample_instances():
     for k, j, k_inner in [(3, 2, 2), (4, 1, 0), (5, 3, 2)]:
         for identity in ("boundary-decomposition", "composition-decomposition", "reorder-collapse"):
-            assert prove_identity(identity, k, j, k_inner).proved, identity
+            assert prove_identity(identity, symbolic_context(k, j, k_inner)).proved, identity
 
 
 def test_perturbed_shuffle_piece_refuted():
@@ -71,10 +75,10 @@ def test_perturbed_shuffle_piece_refuted():
 
 
 def test_differential_insertion_instances():
-    assert prove_differential_insertion(1, 1).proved
-    assert prove_differential_insertion(3, 2).proved
+    assert prove_differential_insertion(1, 1, prover._parity_variables(1)).proved
+    assert prove_differential_insertion(3, 2, prover._parity_variables(3)).proved
     with pytest.raises(ValueError):
-        prove_differential_insertion(2, 3)
+        prove_differential_insertion(2, 3, prover._parity_variables(2))
 
 
 def test_instance_enumeration_counts():
@@ -175,8 +179,8 @@ def test_each_splitting_is_decided_once_per_arity(monkeypatch):
         decided.append(p)
         return anf_equivalent(p, q)
 
-    def recording_sum(k, j):
-        interior_sums.append(insertion_sum(k, j))
+    def recording_sum(k, j, variables):
+        interior_sums.append(insertion_sum(k, j, variables))
         return interior_sums[-1]
 
     monkeypatch.setattr(prover, "anf_equivalent", counting_anf)
@@ -190,6 +194,83 @@ def test_each_splitting_is_decided_once_per_arity(monkeypatch):
     assert symbols == 528
     assert len(decided) == 70
     assert sum(any(p is q for q in interior_sums) for p in decided) == len(interior_sums) == 15
+
+
+def _recorded_builds(monkeypatch):
+    """The names of the F2Poly variables and the SignContexts that the
+    prover builds from here on, in order."""
+    names, contexts = [], []
+    var, context = F2Poly.var, prover.SignContext
+
+    def recording_var(name):
+        names.append(name)
+        return var(name)
+
+    def recording_context(*args, **kwargs):
+        contexts.append(context(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(F2Poly, "var", staticmethod(recording_var))
+    monkeypatch.setattr(prover, "SignContext", recording_context)
+    return names, contexts
+
+
+def test_each_arity_builds_its_variables_once_and_each_instance_one_context(monkeypatch):
+    """Pinned work.  ``prove_all(4)`` builds the 2k+3 variables of each
+    arity once (32) and one symbolic context per instance, which its four
+    identities share (34), plus one per differential insertion (10); the
+    truth tables build one column context per instance of k <= 3 (19).  The
+    replay at k = 3 builds the arity's 9 variables and one context per
+    splitting: 3 interior and 10 boundary."""
+    names, contexts = _recorded_builds(monkeypatch)
+    assert all(r.proved for r in prove_all(4, truth_table_k_max=3))
+    assert names == [name for k in range(1, 5) for name in prover._parity_names(k)]
+    assert len(names) == 32
+    symbolic = [c for c in contexts if isinstance(c.mu_out, F2Poly)]
+    columns = [c for c in contexts if isinstance(c.mu_out, prover._Column)]
+    assert (len(contexts), len(symbolic), len(columns)) == (63, 44, 19)
+    insertions = [(k, j, 1) for k in range(1, 5) for j in range(1, k + 1)]
+    assert Counter((c.k, c.j, c.k_inner) for c in symbolic) == (
+        Counter(instances(4)) + Counter(insertions))
+    assert [(c.k, c.j, c.k_inner) for c in columns] == list(instances(3))
+    for k in range(1, 5):
+        arity = [c for c in symbolic if c.k == k]
+        assert all(c.degs == arity[0].degs and c.mu_out is arity[0].mu_out for c in arity)
+
+    names.clear()
+    contexts.clear()
+    reports = prove_relation_cancellation(3, spectrum_closure([Fraction(1, 2)], 2))
+    assert all(r.cancels for r in reports)
+    assert names == prover._parity_names(3)
+    splittings = {(p[0], p[3]) for r in reports for kind, p in r.pairs if kind == BDRY}
+    assert (len(contexts), len(splittings)) == (13, 10)
+    assert Counter((c.j, c.k_inner) for c in contexts) == (
+        Counter(splittings) + Counter((j, 1) for j in (1, 2, 3)))
+
+
+@pytest.mark.parametrize("boundary_sign", ["real", "flipped", "wrong"])
+def test_shared_contexts_change_no_verdict_and_no_witness(monkeypatch, boundary_sign):
+    """Every identity report of ``prove_all`` through k = 6 equals
+    ``prove_identity`` on a fresh context per identity, with the real
+    boundary sign and with two wrong ones, so no identity's state reaches
+    the next one's."""
+    if boundary_sign == "flipped":
+        monkeypatch.setattr(signs, "boundary_sign", lambda ctx: _REAL_BOUNDARY_SIGN(ctx) + 1)
+    elif boundary_sign == "wrong":
+        monkeypatch.setattr(signs, "boundary_sign", wrong_boundary_sign)
+    fresh = [
+        prove_identity(identity, symbolic_context(k, j, k_inner),
+                       truth_table=identity == "master" and k <= 3)
+        for k, j, k_inner in instances(6) for identity in IDENTITIES
+    ]
+    shared = prove_all(6, truth_table_k_max=3)
+    assert len(fresh) == 4 * 83
+    assert shared[: len(fresh)] == fresh
+    refuted = [r for r in fresh if not r.proved]
+    assert bool(refuted) == (boundary_sign != "real")
+    assert all(r.witness is not None for r in refuted)
+    if boundary_sign == "wrong":
+        assert any(r.witness for r in refuted)
 
 
 def test_mutated_boundary_symbol_is_named_at_its_level_only():
@@ -284,8 +365,9 @@ def test_truth_table_columns_equal_integer_oracle(monkeypatch, mutated):
 def test_truth_table_alone_refutes_mutated_boundary_sign(monkeypatch):
     monkeypatch.setattr(prover, "anf_equivalent", lambda p, q: (True, None))
     monkeypatch.setattr(signs, "boundary_sign", wrong_boundary_sign)
-    assert prove_identity("master", 3, 1, 1).proved  # the stubbed ANF route proves it
-    rep = prove_identity("master", 3, 1, 1, truth_table=True)
+    ctx = symbolic_context(3, 1, 1)
+    assert prove_identity("master", ctx).proved  # the stubbed ANF route proves it
+    rep = prove_identity("master", ctx, truth_table=True)
     assert not rep.proved
     assert rep.witness == integer_oracle(3, 1, 1)[1]
 
@@ -305,9 +387,10 @@ def test_truth_table_column_refuses_other_routes():
 
 def test_truth_table_arity_is_bounded():
     with pytest.raises(ValueError, match="truth tables stop at k=10"):
-        prove_identity("master", prover.TRUTH_TABLE_K_MAX + 1, 1, 0, truth_table=True)
+        prove_identity("master", symbolic_context(prover.TRUTH_TABLE_K_MAX + 1, 1, 0),
+                       truth_table=True)
     with pytest.raises(ValueError, match="only the master identity"):
-        prove_identity("boundary-decomposition", 2, 1, 1, truth_table=True)
+        prove_identity("boundary-decomposition", symbolic_context(2, 1, 1), truth_table=True)
 
 
 def test_symbolic_proofs_build_no_constant_polynomials(monkeypatch):

@@ -36,12 +36,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from test_ainfty import _exterior3_d_with_m3, bar_relation, truncated
+from test_prover import symbolic_context
 
 from ainfsign import cli, prover, signs
 from ainfsign.ainfty import FilteredAInfty, OperationTable
 from ainfsign.f2poly import F2Poly, anf_equivalent
 from ainfsign.novikov import GappedSpectrum
-from ainfsign.prover import symbolic_context
 from ainfsign.strata import (
     BClass,
     ComponentData,
@@ -354,6 +354,40 @@ def test_truth_table_and_anf_proof_share_only_the_allowlist():
     assert _src_names(table & anf) == set(SHARED_BY_PROOF_ROUTES)
     assert "f2poly.anf_equivalent" in _src_names(anf)
     assert not any(name.startswith("f2poly.") for name in _src_names(table))
+
+
+# module.function -> why both routes of a boundary stratum in the relation
+# replay, the Stokes rewrite (``prover._stokes_rewrite_route``) and the
+# composition (``prover._composition_route``), may enter it
+F2_ARITHMETIC = "GF(2) arithmetic on the symbolic parities, in which both sums are written"
+SHARED_BY_REPLAY_ROUTES = {
+    "signs.operation_sign": "the operation sign, of the parent tuple on the Stokes side and "
+                            "of the outer and inner tuples in coderivation_sign; a formula "
+                            "under test",
+    "signs._par": "the formulas' reduction of an int mod 2; it returns a polynomial as it is",
+    "signs._total": "the formulas' sum of several parities",
+    "signs.prefix_mus": SIGN_CONTEXT,
+    "signs.inner_mus": SIGN_CONTEXT,
+    "signs.suffix_mus": SIGN_CONTEXT,
+    "signs.node_defect": SIGN_CONTEXT,
+    "f2poly.__add__": F2_ARITHMETIC,
+    "f2poly.__mul__": F2_ARITHMETIC,
+    "f2poly.__init__": "F2Poly.__init__: the constructor of each sum and product",
+}
+
+
+def test_stokes_rewrite_and_composition_routes_share_only_the_allowlist():
+    """At k = 4, j = 2, k_inner = 2 the two routes of a boundary stratum
+    cancel, and on one context they share only the listed functions: the
+    boundary, Stokes and dimension signs are entered by the Stokes rewrite
+    alone, the coderivation and reorder signs by the composition alone."""
+    ctx = symbolic_context(4, 2, 2)
+    stokes, rewritten = traced(lambda: prover._stokes_rewrite_route(ctx))
+    composition, composed = traced(lambda: prover._composition_route(ctx))
+    assert (stokes + composition + 1).is_zero()
+    assert _src_names(rewritten & composed) == set(SHARED_BY_REPLAY_ROUTES)
+    assert {"signs.boundary_sign", "signs.stokes_sign"} <= _src_names(rewritten)
+    assert {"signs.coderivation_sign", "signs.pushpull_reorder_sign"} <= _src_names(composed)
 
 
 # (module, enclosing function, target) -> why the assignment sets an
