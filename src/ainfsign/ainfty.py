@@ -412,13 +412,12 @@ class FilteredAInfty(Frozen):
                     if sums:  # the word's position in itertools.product order
                         position = functools.reduce(lambda p, i: p * n + i, word, 0)
                     return RelationReport(
-                        False,
                         checked + position + 1,
                         {"k": k, "inputs": [generators[i] for i in word], "defect": str(defect)},
                         sampled,
                     )
             checked += count
-        return RelationReport(True, checked, None, sampled)
+        return RelationReport(checked, None, sampled)
 
     def _word_sums(
         self,
@@ -516,9 +515,13 @@ class FilteredAInfty(Frozen):
 
 class RelationReport(Frozen):
     """The relation sweep's outcome: the words checked, the first defective
-    one (``None`` when ``passed``) and the arities that were sampled."""
+    one (``None`` when none is) and the arities that were sampled."""
 
-    __slots__ = ("passed", "checked", "witness", "sampled_arities")
+    __slots__ = ("checked", "witness", "sampled_arities")
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def validate_degree_parity(A: FilteredAInfty) -> list[dict]:

@@ -27,6 +27,7 @@ from . import __version__, f2poly, novikov, prover, structio
 from .ainfty import (
     Element,
     FilteredAInfty,
+    RelationReport,
     StructureError,
     check_product_sign_convention,
     cube_torus_dga,
@@ -297,6 +298,15 @@ def _preset_structure(preset: str, cutoff: Fraction):
     return dga, from_dga(dga, cutoff)
 
 
+def _add_relations(report: Report, check_id: str, rel: RelationReport, started: float,
+                   **detail) -> None:
+    """Add the relation sweep ``rel`` as one check, timed from ``started``;
+    ``detail`` leads the check's detail, before the sweep's counts."""
+    report.add(check_id, rel.passed, time.perf_counter() - started, witness=rel.witness,
+               detail={**detail, "tuples_checked": rel.checked,
+                       "sampled_arities": rel.sampled_arities})
+
+
 def cmd_check_dga(args) -> int:
     dga, A = _preset_structure(args.preset, args.cutoff)
     report = Report(
@@ -306,9 +316,7 @@ def cmd_check_dga(args) -> int:
         args.timing,
     )
     started = time.perf_counter()
-    rel = A.check_relations(args.k_max, seed=args.seed)
-    report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
-               detail={"tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities})
+    _add_relations(report, "relations", A.check_relations(args.k_max, seed=args.seed), started)
     started = time.perf_counter()
     violations = check_product_sign_convention(A, dga)
     report.add("product-sign-convention", not violations, time.perf_counter() - started,
@@ -347,8 +355,7 @@ def cmd_check_ainfty(args) -> int:
         rel = A.check_relations(args.k_max, seed=args.seed)
     except StructureError as exc:  # say, relation terms in different hom spaces
         raise UsageError(f"{args.file}: {exc}") from exc
-    report.add("relations", rel.passed, time.perf_counter() - started, witness=rel.witness,
-               detail={"tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities})
+    _add_relations(report, "relations", rel, started)
     return report.finish(args.out)
 
 
@@ -391,11 +398,8 @@ def cmd_deform_check(args) -> int:
                                 sample_size=args.sample_size)
         curvature = D.curvature()
         curved += not curvature.is_zero()
-        report.add(
-            f"deform:{label}", rel.passed, time.perf_counter() - started, witness=rel.witness,
-            detail={"b": str(b), "curvature": str(curvature),
-                    "tuples_checked": rel.checked, "sampled_arities": rel.sampled_arities},
-        )
+        _add_relations(report, f"deform:{label}", rel, started,
+                       b=str(b), curvature=str(curvature))
     started = time.perf_counter()
     report.add("curved-instance-present", curved > 0, time.perf_counter() - started,
                detail={"curved": curved, "total": len(candidates)})
@@ -411,7 +415,7 @@ def cmd_enumerate_strata(args) -> int:
     if len(mus) != args.k:
         raise UsageError(f"--mus needs {args.k} entries")
     inputs = tuple(ComponentData(f"in{i}", 0, mu) for i, mu in enumerate(mus, start=1))
-    parent = ModuliDescriptor(args.k, BClass(args.energy, args.tag), out_comp, inputs)
+    parent = ModuliDescriptor(BClass(args.energy, args.tag), out_comp, inputs)
     try:
         strata = enumerate_strata(parent, spectrum, [node])
     except ValueError as exc:  # the parent energy is outside the spectrum closure

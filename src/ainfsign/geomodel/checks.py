@@ -327,7 +327,7 @@ def _random_span(
     legs = [_coordinate_leg(rng, fresh, sp, cs, reversing) for cs in assigned]
     if node is not None:
         legs.insert(node_slot, projection(sp, node, node_copies).as_smooth())
-    return CorrespondenceModel(sp, ev_out, tuple(legs))
+    return CorrespondenceModel(ev_out, legs)
 
 
 # --- identity checkers ---------------------------------------------------------
@@ -577,11 +577,7 @@ def check_pushpull_identities(
     degs = tuple(x.degree() for x in xis)
     inner_mus = mus[j - 1 : j - 1 + k_inner]
     mu_node = derived_node_parity(inner, inner_mus)
-    ctx = signs.SignContext(
-        k=k, j=j, k_outer=outer.k, k_inner=k_inner,
-        degs=degs, mus=mus, mu_node=mu_node,
-        mu_out=0, dim_out=outer.ev_out.target.dimension,
-    )
+    ctx = signs.SignContext(j, k_inner, degs, mus, mu_node, 0, outer.ev_out.target.dimension)
 
     # nested route: inner push-pull fed through the outer slot-j leg
     inner_raw = apply_correspondence(inner, xis[j - 1 : j - 1 + k_inner])

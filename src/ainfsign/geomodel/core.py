@@ -924,19 +924,17 @@ class CorrespondenceModel(Frozen):
     by pull-push: pull each input back along its leg, wedge them in leg
     order, integrate along the fibers of ``ev_out``.  A correspondence of
     forms is the case k = 1; a mock moduli space with k inputs is the
-    general case.  Equality is that of the three fields."""
+    general case.  The correspondence space ``space`` is the source of
+    ``ev_out``.  Equality is that of the three fields."""
 
     __slots__ = ("space", "ev_out", "ev_in")
 
-    def __init__(self, space: CubeTorusSpace, ev_out: ProjectionMap,
-                 ev_in: Iterable[SmoothMapModel]):
+    def __init__(self, ev_out: ProjectionMap, ev_in: Iterable[SmoothMapModel]):
         ev_in = tuple(ev_in)
-        if ev_out.source != space:
-            raise ValueError("output leg must start on the correspondence space")
         for leg in ev_in:
-            if leg.source != space:
+            if leg.source != ev_out.source:
                 raise ValueError("input legs must start on the correspondence space")
-        Frozen.__init__(self, space, ev_out, ev_in)
+        Frozen.__init__(self, ev_out.source, ev_out, ev_in)
 
     @property
     def k(self) -> int:
@@ -975,7 +973,7 @@ def fiber_product(
         + [compose_smooth(leg, to_inner) for leg in inner.ev_in]
         + [compose_smooth(leg, via_outer) for leg in outer.ev_in[j:]]
     )
-    return CorrespondenceModel(glued, compose_projection(outer.ev_out, to_outer), tuple(legs))
+    return CorrespondenceModel(compose_projection(outer.ev_out, to_outer), legs)
 
 
 def pullback_bundle(

@@ -63,11 +63,8 @@ def _parity_names(k: int) -> list[str]:
 def _context(k: int, j: int, k_inner: int, vals: Sequence) -> SignContext:
     """SignContext taking its parity inputs from ``vals`` in
     :func:`_parity_names` order."""
-    return SignContext(
-        k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
-        degs=tuple(vals[:k]), mus=tuple(vals[k : 2 * k]),
-        mu_node=vals[2 * k], mu_out=vals[2 * k + 1], dim_out=vals[2 * k + 2],
-    )
+    return SignContext(j, k_inner, tuple(vals[:k]), tuple(vals[k : 2 * k]),
+                       vals[2 * k], vals[2 * k + 1], vals[2 * k + 2])
 
 
 def _parity_variables(k: int) -> tuple:
@@ -79,13 +76,17 @@ class ProofReport(Frozen):
     """One proof obligation: the witness is ``None`` when it is proved; the
     wall time of the proof is never part of the report JSON."""
 
-    __slots__ = ("instance", "proved", "witness", "_elapsed_s")
+    __slots__ = ("instance", "witness", "_elapsed_s")
+
+    @property
+    def proved(self) -> bool:
+        return self.witness is None
 
 
 def _prove_zero(poly: F2Poly, instance: dict, started: float) -> ProofReport:
     """Whether ``poly`` is zero, timed from ``started``."""
-    ok, witness = anf_equivalent(poly, F2Poly.zero())
-    return ProofReport(instance, ok, witness, time.perf_counter() - started)
+    return ProofReport(instance, anf_equivalent(poly, F2Poly.zero())[1],
+                       time.perf_counter() - started)
 
 
 class _Column:
@@ -214,7 +215,7 @@ def prove_identity(
     )
     if truth_table and report.proved:
         bad = _truth_table_master(k, j, k_inner)
-        return ProofReport(report.instance, bad is None, bad, time.perf_counter() - started)
+        return ProofReport(report.instance, bad, time.perf_counter() - started)
     return report
 
 
@@ -324,7 +325,7 @@ def expand_relation(k: int, energy: Fraction, spectrum: GappedSpectrum) -> list[
     one per stratum of ``enumerate_strata``, its payload the stratum index
     without the node name, reached by the Stokes and composition routes.
     """
-    parent = ModuliDescriptor(k, BClass(energy), _REPLAY_COMPONENT, (_REPLAY_COMPONENT,) * k)
+    parent = ModuliDescriptor(BClass(energy), _REPLAY_COMPONENT, (_REPLAY_COMPONENT,) * k)
     strata = enumerate_strata(parent, spectrum, [_REPLAY_COMPONENT])
     return sorted([(PUSH_D, (j,)) for j in range(1, k + 1)]
                   + [(BDRY, stratum.index()[:-1]) for stratum in strata])

@@ -94,7 +94,8 @@ def stokes_sign(dim_parity: Parity, degs: Sequence[Parity]) -> Parity:
 
 
 class SignContext(Frozen):
-    """Everything a boundary splitting's sign formulas consume.
+    """Everything a boundary splitting's sign formulas consume; the arities
+    ``k = len(degs)`` and ``k_outer = k + 1 - k_inner`` are set from the rest.
 
     ``degs``/``mus`` may hold integers or symbolic GF(2) polynomials; the
     arity data ``k``, ``j``, ``k_outer``, ``k_inner`` are always concrete.
@@ -102,20 +103,18 @@ class SignContext(Frozen):
 
     __slots__ = ("k", "j", "k_outer", "k_inner", "degs", "mus", "mu_node", "mu_out", "dim_out")
 
-    def __init__(self, k: int, j: int, k_outer: int, k_inner: int, degs: tuple = (),
-                 mus: tuple = (), mu_node: Parity = 0, mu_out: Parity = 0, dim_out: Parity = 0):
+    def __init__(self, j: int, k_inner: int, degs: tuple, mus: tuple,
+                 mu_node: Parity, mu_out: Parity, dim_out: Parity):
+        k = len(degs)
+        k_outer = k + 1 - k_inner
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if k_outer + k_inner != k + 1:
-            raise ValueError(f"k_outer + k_inner = {k_outer}+{k_inner} != k+1 = {k + 1}")
+        if len(mus) != k:
+            raise ValueError(f"expected {k} parities, got {len(mus)}")
         if k_inner < 0 or k_outer < 1:
             raise ValueError("arities must satisfy k_inner >= 0, k_outer >= 1")
         if not 1 <= j <= k_outer:
             raise ValueError(f"slot j={j} outside 1..{k_outer}")
-        if degs and len(degs) != k:
-            raise ValueError(f"expected {k} degrees, got {len(degs)}")
-        if mus and len(mus) != k:
-            raise ValueError(f"expected {k} parities, got {len(mus)}")
         Frozen.__init__(self, k, j, k_outer, k_inner, degs, mus, mu_node, mu_out, dim_out)
 
     # Input slices relative to the splitting (1-based slot arithmetic).
@@ -179,7 +178,7 @@ def composition_sign(ctx: SignContext) -> Parity:
 # --- proof decomposition of the boundary sign --------------------------------
 
 
-def local_system_swap_sign(ctx: SignContext, dim_node: Parity = 0) -> Parity:
+def local_system_swap_sign(ctx: SignContext, dim_node: Parity) -> Parity:
     """Weighted sign of exchanging the leading twist factors with the inner
     correspondence's relative orientation; the node dimension cancels."""
     inner_moduli = moduli_dim_parity(
@@ -190,7 +189,7 @@ def local_system_swap_sign(ctx: SignContext, dim_node: Parity = 0) -> Parity:
     )
 
 
-def marked_point_shuffle_sign(ctx: SignContext, dim_node: Parity = 0) -> Parity:
+def marked_point_shuffle_sign(ctx: SignContext, dim_node: Parity) -> Parity:
     """Sign of regrouping marked-point factors around the splitting: the
     marked-point block swap plus the relative-dimension crossing."""
     inner_moduli = moduli_dim_parity(

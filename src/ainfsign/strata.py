@@ -1,7 +1,7 @@
 """Combinatorics of moduli descriptors and their codimension-1 boundary
 strata: enumeration of splittings (slot, outer arity, outer energy, inner
-arity, inner energy, node component) with their orientation parities, and
-the matching against the terms of the composition double-sum.
+arity, inner energy, node component), their orientation parities, and the
+matching against the terms of the composition double-sum.
 
 The reserved pair (arity 1, energy 0) is the differential; it is never
 enumerated as a stratum factor.  Inner factors of arity 0 and energy 0 are
@@ -50,17 +50,13 @@ class BClass(Frozen):
 
 
 class ModuliDescriptor(Frozen):
-    """k-input moduli datum: arity, class, output component, input components."""
+    """k-input moduli datum: class, output component, input components, and
+    the arity ``k = len(inputs)``."""
 
     __slots__ = ("k", "b", "output", "inputs")
 
-    def __init__(self, k: int, b: BClass, output: ComponentData,
-                 inputs: tuple[ComponentData, ...]):
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if len(inputs) != k:
-            raise ValueError(f"expected {k} input components, got {len(inputs)}")
-        Frozen.__init__(self, k, b, output, inputs)
+    def __init__(self, b: BClass, output: ComponentData, inputs: tuple[ComponentData, ...]):
+        Frozen.__init__(self, len(inputs), b, output, inputs)
 
     def dim_parity(self) -> int:
         return signs.moduli_dim_parity(
@@ -82,31 +78,40 @@ class ModuliDescriptor(Frozen):
 
 class BoundaryStratum(Frozen):
     """One codimension-1 splitting: outer factor, inner factor glued in at
-    slot j through the node component, and its orientation parity."""
+    slot j through the node component (its output), and its orientation
+    parity, computed when read."""
 
-    __slots__ = ("j", "outer", "inner", "node", "sign")
+    __slots__ = ("j", "outer", "inner", "node")
 
-    def __init__(self, j: int, outer: ModuliDescriptor, inner: ModuliDescriptor,
-                 node: ComponentData, sign: int):
+    def __init__(self, j: int, outer: ModuliDescriptor, inner: ModuliDescriptor):
         if not 1 <= j <= outer.k:
             raise ValueError(f"slot {j} outside 1..{outer.k}")
-        if inner.output != node or outer.inputs[j - 1] != node:
+        if outer.inputs[j - 1] != inner.output:
             raise ValueError("node component must join inner output to outer slot j")
         if outer.b.is_differential_slot(outer.k):
             raise ValueError("outer factor is the reserved differential pair")
         if inner.b.is_differential_slot(inner.k):
             raise ValueError("inner factor is the reserved differential pair")
-        Frozen.__init__(self, j, outer, inner, node, sign)
+        Frozen.__init__(self, j, outer, inner, inner.output)
 
     def parent(self) -> ModuliDescriptor:
         """The unsplit descriptor, rebuilt from the stratum's own data."""
         return ModuliDescriptor(
-            k=self.outer.k + self.inner.k - 1,
-            b=BClass(self.outer.b.energy + self.inner.b.energy, "parent"),
-            output=self.outer.output,
-            inputs=(self.outer.inputs[: self.j - 1] + self.inner.inputs
-                    + self.outer.inputs[self.j :]),
+            BClass(self.outer.b.energy + self.inner.b.energy, "parent"),
+            self.outer.output,
+            self.outer.inputs[: self.j - 1] + self.inner.inputs + self.outer.inputs[self.j :],
         )
+
+    @property
+    def sign(self) -> int:
+        """Orientation parity relative to the parent's boundary, from the
+        splitting data alone (input degrees play no part)."""
+        parent = self.parent()
+        return signs.boundary_sign(signs.SignContext(
+            self.j, self.inner.k, (0,) * parent.k,
+            tuple([c.maslov_parity for c in parent.inputs]),
+            self.node.maslov_parity, parent.output.maslov_parity, parent.output.dimension,
+        ))
 
     @property
     def vanishes(self) -> bool:
@@ -132,28 +137,6 @@ class BoundaryStratum(Frozen):
             "sign": self.sign,
             "vanishes": self.vanishes,
         }
-
-
-def stratum_context(
-    parent: ModuliDescriptor, j: int, k_inner: int, node: ComponentData
-) -> signs.SignContext:
-    return signs.SignContext(
-        k=parent.k,
-        j=j,
-        k_outer=parent.k + 1 - k_inner,
-        k_inner=k_inner,
-        degs=tuple(0 for _ in range(parent.k)),
-        mus=tuple(c.maslov_parity for c in parent.inputs),
-        mu_node=node.maslov_parity,
-        mu_out=parent.output.maslov_parity,
-        dim_out=parent.output.dimension,
-    )
-
-
-def stratum_sign(stratum: BoundaryStratum) -> int:
-    """Orientation parity of a stratum, recomputed from its own data."""
-    ctx = stratum_context(stratum.parent(), stratum.j, stratum.inner.k, stratum.node)
-    return signs.boundary_sign(ctx)
 
 
 def enumerate_strata(
@@ -185,30 +168,17 @@ def enumerate_strata(
                 if k_inner == 1 and e_inner == 0:
                     continue
                 for node in nodes:
-                    ctx = stratum_context(parent, j, k_inner, node)
                     outer = ModuliDescriptor(
-                        k=k_outer,
-                        b=BClass(e_outer, f"{parent.b.tag}'"),
-                        output=parent.output,
-                        inputs=parent.inputs[: j - 1]
-                        + (node,)
-                        + parent.inputs[j - 1 + k_inner :],
+                        BClass(e_outer, f"{parent.b.tag}'"),
+                        parent.output,
+                        parent.inputs[: j - 1] + (node,) + parent.inputs[j - 1 + k_inner :],
                     )
                     inner = ModuliDescriptor(
-                        k=k_inner,
-                        b=BClass(e_inner, f"{parent.b.tag}''"),
-                        output=node,
-                        inputs=parent.inputs[j - 1 : j - 1 + k_inner],
+                        BClass(e_inner, f"{parent.b.tag}''"),
+                        node,
+                        parent.inputs[j - 1 : j - 1 + k_inner],
                     )
-                    out.append(
-                        BoundaryStratum(
-                            j=j,
-                            outer=outer,
-                            inner=inner,
-                            node=node,
-                            sign=signs.boundary_sign(ctx),
-                        )
-                    )
+                    out.append(BoundaryStratum(j, outer, inner))
     return out
 
 

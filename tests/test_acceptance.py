@@ -249,8 +249,7 @@ def test_criterion_10_strata_bookkeeping():
     for k in range(1, 6):
         for energy in spectrum.closure:
             parent = ModuliDescriptor(
-                k, BClass(energy, "B"), components[0],
-                tuple(components[i % 2] for i in range(k)),
+                BClass(energy, "B"), components[0], tuple(components[i % 2] for i in range(k)),
             )
             strata = enumerate_strata(parent, spectrum, components)
             match = match_composition_terms(

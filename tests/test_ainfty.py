@@ -216,7 +216,7 @@ def test_flip_against_mock_route():
     sp = geomodel.space(("t", "interval"), ("c", "circle"))
     dga = cube_torus_dga(sp)
     ident = geomodel.projection(sp, sp, {"t": "t", "c": "c"})
-    mock = geomodel.CorrespondenceModel(sp, ident, (ident.as_smooth(), ident.as_smooth()))
+    mock = geomodel.CorrespondenceModel(ident, (ident.as_smooth(), ident.as_smooth()))
     pairs = list(itertools.product([g for g, _ in dga.basis], repeat=2))
 
     def mock_value(g1, g2):
@@ -803,9 +803,9 @@ def word_by_word(A, k_max):
             defect = truncated(A, terms)
             if defect:
                 value = Element(spaces[0], {g: c for (_, g), c in defect.items()})
-                return RelationReport(False, checked, {"k": k, "inputs": inputs,
-                                                       "defect": str(value)}, [])
-    return RelationReport(True, checked, None, [])
+                return RelationReport(checked, {"k": k, "inputs": inputs,
+                                                "defect": str(value)}, [])
+    return RelationReport(checked, None, [])
 
 
 def _outcome(run):
@@ -1048,7 +1048,7 @@ def test_sampled_words_are_seeded_choices_of_the_generators(seed):
             witness = {"k": 2, "inputs": inputs, "defect": str(value)}
             break
     report = A.check_relations(2, seed=seed, exhaustive_threshold=8, sample_size=10)
-    assert report == RelationReport(witness is None, checked, witness, [2])
+    assert report == RelationReport(checked, witness, [2])
 
 
 def test_mixed_space_word_raises_only_when_it_comes_first():

@@ -761,6 +761,25 @@ def test_enumerate_strata_json_and_schema(capsys):
     assert all(s["sign"] in (0, 1) for s in payload["strata"])
 
 
+# enumerate-strata argv -> SHA-256 of its standard output, which lists every
+# stratum's sign: the README command, and one with odd Maslov parities on
+# the inputs, the output and the node, in the form of the proofs benchmark.
+ENUMERATE_STRATA_STDOUT_SHA256 = {
+    "--k 3 --energy 1 --spectrum 0,1/2,1 --match":
+        "e324522f6f166bf08f7ae22a2df5cff3f8ef903a06f7d88de142e82f64f3a35e",
+    "--k 6 --energy 1 --spectrum 0,1/2 --mus 0,1,1,0,1,0 --mu-out 1 --dim-out 3 "
+    "--node-mu 1 --node-dim 2 --match":
+        "8a72e7510436efa3e2917cddfe0b07398c96e001732f428ddcb16ffd11bb3d7c",
+}
+
+
+@pytest.mark.parametrize("argv", ENUMERATE_STRATA_STDOUT_SHA256)
+def test_enumerate_strata_stdout_bytes_unchanged(argv, capsys):
+    code, out, _ = run(["enumerate-strata", *argv.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_STRATA_STDOUT_SHA256[argv]
+
+
 def test_enumerate_strata_match_uses_the_listed_strata(capsys, monkeypatch):
     """`--match` enumerates the strata once, and matches the strata it
     lists: one dropped from the enumeration is an unmatched term."""

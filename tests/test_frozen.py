@@ -66,7 +66,7 @@ A = from_dga(DGA, cutoff=1)
 
 
 def _stratum():
-    parent = ModuliDescriptor(2, BClass(1), C, (C, C))
+    parent = ModuliDescriptor(BClass(1), C, (C, C))
     return enumerate_strata(parent, GappedSpectrum((1,), 2), [C])[0]
 
 
@@ -76,7 +76,7 @@ def _stratum():
 IMMUTABLE = {
     NovikovElement: (lambda: NovikovElement(((0, 1), (1, 2))), "terms"),
     GappedSpectrum: (lambda: GappedSpectrum((1,), 3), "closure"),
-    SignContext: (lambda: SignContext(2, 1, 2, 1, degs=(0, 1), mus=(1, 0)), "mus"),
+    SignContext: (lambda: SignContext(1, 1, (0, 1), (1, 0), 0, 0, 0), "mus"),
     f2poly.IntLit: (lambda: f2poly.IntLit(1), "value"),
     f2poly.Name: (lambda: f2poly.Name("x"), "name"),
     f2poly.Neg: (lambda: f2poly.Neg(f2poly.Name("x")), "operand"),
@@ -84,12 +84,12 @@ IMMUTABLE = {
     f2poly.IndexedSum: (lambda: f2poly.parse_sign_expr("Sum(p=1..3, mu_p)"), "body"),
     ComponentData: (lambda: ComponentData("c", 0, 0), "dimension"),
     BClass: (lambda: BClass(1, "t"), "energy"),
-    ModuliDescriptor: (lambda: ModuliDescriptor(1, BClass(1), C, (C,)), "inputs"),
+    ModuliDescriptor: (lambda: ModuliDescriptor(BClass(1), C, (C,)), "inputs"),
     BoundaryStratum: (_stratum, "inner"),
     CubeTorusSpace: (lambda: space(("t", "interval"), ("th", "circle")), "coords"),
     SmoothMapModel: (PROJ.as_smooth, "assignments"),
     ProjectionMap: (lambda: projection(SP, space(("th", "circle")), {"th": "th"}), "fiber"),
-    CorrespondenceModel: (lambda: CorrespondenceModel(SP, PROJ, (PROJ.as_smooth(),)), "ev_in"),
+    CorrespondenceModel: (lambda: CorrespondenceModel(PROJ, (PROJ.as_smooth(),)), "ev_in"),
     Element: (lambda: Element.basis("ext", "e1"), "coeffs"),
     HomSpace: (lambda: HomSpace("ext", C, (("1", 0), ("e1", 1))), "basis"),
     OperationTable: (lambda: OperationTable(values={(1, 0, "t"): {}}), "values"),
@@ -101,7 +101,7 @@ IMMUTABLE = {
     PushPullReport: (lambda: check_pushpull_identities(*random_mock_instance(random.Random(3))),
                      "nontrivial"),
     CheckResult: (lambda: verify_defining_property(3, 1, 2, 1), "stats"),
-    ProofReport: (lambda: prove_differential_insertion(2, 1, _parity_variables(2)), "proved"),
+    ProofReport: (lambda: prove_differential_insertion(2, 1, _parity_variables(2)), "instance"),
     CancellationReport: (lambda: prove_relation_cancellation(2, GappedSpectrum((1,), 2))[1],
                          "residual"),
 }
@@ -193,6 +193,27 @@ def test_frozen_init_rejects_a_wrong_count(cls):
     for count in (n - 1, n + 1):
         with pytest.raises(TypeError, match=f"^{cls.__name__} has {n} slots, got {count}$"):
             Frozen.__init__(object.__new__(cls), *range(count))
+
+
+# result record -> (its verdict, the field of evidence it is read from, a
+# value of that field that passes, one that fails)
+VERDICTS = {
+    RelationReport: ("passed", "witness", None, {"k": 1}),
+    CheckResult: ("passed", "witness", None, {"trial": 0}),
+    PushPullReport: ("passed", "nested_vs_glued", True, False),
+    ProofReport: ("proved", "witness", None, {}),
+    MatchReport: ("perfect", "unmatched_strata", [], [(1,)]),
+    CancellationReport: ("cancels", "residual", [], [{"term": None}]),
+}
+
+
+@pytest.mark.parametrize("cls", VERDICTS, ids=lambda cls: cls.__name__)
+def test_a_verdict_is_read_from_the_evidence_not_stored(cls):
+    verdict, evidence, passing, failing = VERDICTS[cls]
+    assert verdict not in cls.__slots__ and isinstance(getattr(cls, verdict), property)
+    obj = IMMUTABLE[cls][0]()
+    assert getattr(_with(obj, evidence, passing), verdict) is True
+    assert getattr(_with(obj, evidence, failing), verdict) is False
 
 
 # classes with a read-only mapping field, which neither a deep copy nor a

@@ -264,7 +264,7 @@ def test_models_are_slotted_and_frozen():
     sp = space(("t", "interval"), ("th", "circle"))
     proj = projection(sp, space(("th", "circle")), {"th": "th"})
     leg = proj.as_smooth()
-    corr = CorrespondenceModel(sp, proj, (leg,))
+    corr = CorrespondenceModel(proj, (leg,))
     for model, field in ((sp, "coords"), (proj, "fiber"), (leg, "assignments"), (corr, "ev_in")):
         assert "__slots__" in type(model).__dict__, type(model)
         assert not hasattr(model, "__dict__"), type(model)

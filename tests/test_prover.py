@@ -17,7 +17,13 @@ from ainfsign.prover import (
     prove_identity,
     prove_relation_cancellation,
 )
-from ainfsign.strata import BClass, ComponentData, ModuliDescriptor, composition_terms
+from ainfsign.strata import (
+    BClass,
+    ComponentData,
+    ModuliDescriptor,
+    composition_terms,
+    enumerate_strata,
+)
 
 
 def symbolic_context(k, j, k_inner):
@@ -129,7 +135,7 @@ def test_boundary_payloads_are_the_composition_terms(generators, cutoff):
     comp = ComponentData("c", 0, 0)
     for k in range(1, 7):
         for energy in spectrum.closure:
-            parent = ModuliDescriptor(k, BClass(energy), comp, (comp,) * k)
+            parent = ModuliDescriptor(BClass(energy), comp, (comp,) * k)
             expected = Counter(t[:-1] for t in composition_terms(parent, spectrum, [comp]))
             symbols = expand_relation(k, energy, spectrum)
             got = Counter(payload for kind, payload in symbols if kind == BDRY)
@@ -248,6 +254,30 @@ def test_each_arity_builds_its_variables_once_and_each_instance_one_context(monk
         Counter(splittings) + Counter((j, 1) for j in (1, 2, 3)))
 
 
+def test_only_the_prover_builds_sign_contexts(monkeypatch):
+    """Every SignContext built, under any name, is counted.  Enumerating
+    strata builds none: a stratum's sign is computed when it is read.  So
+    the replay at k = 3 builds only the contexts of the splittings it
+    decides: 3 interior and 10 boundary."""
+    built, init = [], signs.SignContext.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        built.append((self.j, self.k_inner))
+
+    monkeypatch.setattr(signs.SignContext, "__init__", counting_init)
+    spectrum = spectrum_closure([Fraction(1, 2)], 2)
+    comp = ComponentData("c", 0, 0)
+    for energy in spectrum.closure:
+        assert enumerate_strata(ModuliDescriptor(BClass(energy), comp, (comp,) * 3), spectrum,
+                                [comp])
+    assert built == []
+    reports = prove_relation_cancellation(3, spectrum)
+    splittings = {(p[0], p[3]) for r in reports for kind, p in r.pairs if kind == BDRY}
+    assert len(splittings) == 10
+    assert Counter(built) == Counter(splittings) + Counter((j, 1) for j in (1, 2, 3))
+
+
 @pytest.mark.parametrize("boundary_sign", ["real", "flipped", "wrong"])
 def test_shared_contexts_change_no_verdict_and_no_witness(monkeypatch, boundary_sign):
     """Every identity report of ``prove_all`` through k = 6 equals
@@ -324,11 +354,8 @@ def integer_oracle(k, j, k_inner):
     bits, first = 0, None
     for b in range(1 << n):
         vals = [(b >> i) & 1 for i in range(n)]
-        ctx = signs.SignContext(
-            k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
-            degs=tuple(vals[:k]), mus=tuple(vals[k:2 * k]),
-            mu_node=vals[2 * k], mu_out=vals[2 * k + 1], dim_out=vals[2 * k + 2],
-        )
+        ctx = signs.SignContext(j, k_inner, tuple(vals[:k]), tuple(vals[k:2 * k]),
+                                vals[2 * k], vals[2 * k + 1], vals[2 * k + 2])
         if signs.master_sum(ctx) != 0:
             bits |= 1 << b
             if first is None:

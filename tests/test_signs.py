@@ -9,11 +9,8 @@ from ainfsign.signs import SignContext
 
 
 def ctx(k, j, k_inner, degs=None, mus=None, mu_node=0, mu_out=0, dim_out=0):
-    return SignContext(
-        k=k, j=j, k_outer=k + 1 - k_inner, k_inner=k_inner,
-        degs=tuple(degs or [0] * k), mus=tuple(mus or [0] * k),
-        mu_node=mu_node, mu_out=mu_out, dim_out=dim_out,
-    )
+    return SignContext(j, k_inner, tuple(degs or [0] * k), tuple(mus or [0] * k),
+                       mu_node, mu_out, dim_out)
 
 
 def test_shifted_degree():
@@ -45,8 +42,8 @@ def test_composition_sign_values():
 
 def test_decomposition_piece_values():
     c = ctx(2, 1, 2)
-    assert signs.local_system_swap_sign(c) == 0
-    assert signs.marked_point_shuffle_sign(c) == 0
+    assert signs.local_system_swap_sign(c, 0) == 0
+    assert signs.marked_point_shuffle_sign(c, 0) == 0
     assert signs.outer_moduli_dim_parity(c) == 1
 
 
@@ -84,13 +81,21 @@ def test_koszul_prefix():
         signs.koszul_prefix([1], [0], 3)
 
 
+def test_context_derives_its_arities():
+    c = SignContext(2, 3, (0, 1, 0, 1), (1, 0, 0, 1), 0, 0, 0)
+    assert (c.k, c.k_outer) == (4, 2)
+
+
 def test_context_validation():
-    with pytest.raises(ValueError):
-        SignContext(k=2, j=3, k_outer=2, k_inner=1)
-    with pytest.raises(ValueError):
-        SignContext(k=2, j=1, k_outer=2, k_inner=2)
-    with pytest.raises(ValueError):
-        SignContext(k=2, j=1, k_outer=2, k_inner=1, degs=(1,))
+    for j, k_inner, degs, mus in [
+        (3, 1, (0, 0), (0, 0)),  # slot past the outer arity
+        (1, 3, (0, 0), (0, 0)),  # inner arity leaves no outer input
+        (1, -1, (0, 0), (0, 0)),
+        (1, 1, (1,), (0, 0)),  # fewer degrees than parities
+        (1, 0, (), ()),  # no inputs
+    ]:
+        with pytest.raises(ValueError):
+            SignContext(j, k_inner, degs, mus, 0, 0, 0)
 
 
 def _all_parity_contexts(k, j, k_inner, with_degs=False):
@@ -195,10 +200,7 @@ def test_formulas_run_on_gf2_polynomials():
     """The same formulas accept symbolic parity variables and produce
     canonical polynomials; spot-check one known identity."""
     var = F2Poly.var
-    c = SignContext(
-        k=2, j=1, k_outer=1, k_inner=2,
-        degs=(var("d1"), var("d2")), mus=(var("m1"), var("m2")),
-        mu_node=var("ma"), mu_out=var("m0"), dim_out=var("r0"),
-    )
+    c = SignContext(1, 2, (var("d1"), var("d2")), (var("m1"), var("m2")),
+                    var("ma"), var("m0"), var("r0"))
     ok, _ = anf_equivalent(signs.master_sum(c), F2Poly.zero())
     assert ok

@@ -56,8 +56,6 @@ BENCH = ROOT / "perfbench"
 
 # name -> why it stays although nothing in src/ or perfbench/ uses it
 ALLOWED = {
-    "stratum_sign": "the independent recomputation of a stratum's boundary sign that "
-                    "test_stratum_sign_recomputation_agrees compares against",
     "F2Poly.evaluate": "evaluation of a normal form at one assignment, by which the "
                        "tests of test_f2poly and test_prover confirm that a witness "
                        "refutes and that elaboration agrees with integer evaluation",
@@ -256,7 +254,7 @@ def test_stratum_walk_and_composition_terms_share_only_the_allowlist():
     Each side's own ``sorted`` key (``lambda c: c.name``) is its own code
     object, so it is not shared."""
     a, b = ComponentData("a", 2, 0), ComponentData("b", 1, 1)
-    parent = ModuliDescriptor(4, BClass(1), a, (a, b, a, b))
+    parent = ModuliDescriptor(BClass(1), a, (a, b, a, b))
     spectrum = GappedSpectrum((Fraction(1, 2),), 2)
     strata, walked = traced(lambda: enumerate_strata(parent, spectrum, [a, b]))
     terms, summed = traced(lambda: composition_terms(parent, spectrum, [a, b]))

@@ -15,7 +15,6 @@ from ainfsign.strata import (
     composition_terms,
     enumerate_strata,
     match_composition_terms,
-    stratum_sign,
 )
 
 R = ComponentData("R", 1, 0)
@@ -23,7 +22,7 @@ NODE = ComponentData("N", 0, 1)
 
 
 def parent_of(k, energy, inputs=None, out=R, tag="B"):
-    return ModuliDescriptor(k, BClass(Fraction(energy), tag), out, tuple(inputs or [R] * k))
+    return ModuliDescriptor(BClass(Fraction(energy), tag), out, tuple(inputs or [R] * k))
 
 
 def brute_force_indices(parent, spectrum, nodes):
@@ -117,24 +116,21 @@ def test_energy_outside_spectrum_rejected():
         enumerate_strata(parent_of(2, Fraction(1, 3)), spectrum, [R])
 
 
-def test_stratum_sign_recomputation_agrees():
-    spectrum = spectrum_closure([Fraction(1, 2)], 2)
-    parent = parent_of(3, 1, inputs=[R, NODE, R], out=NODE)
-    for s in enumerate_strata(parent, spectrum, [R, NODE]):
-        assert stratum_sign(s) == s.sign
-
-
 def test_sign_matches_direct_context():
-    spectrum = spectrum_closure([], 1)
-    parent = parent_of(2, 0)
-    strata = enumerate_strata(parent, spectrum, [R])
-    for s in strata:
-        c = signs.SignContext(
-            k=2, j=s.j, k_outer=s.outer.k, k_inner=s.inner.k,
-            degs=(0, 0), mus=(0, 0),
-            mu_node=s.node.maslov_parity, mu_out=R.maslov_parity, dim_out=R.dimension,
-        )
-        assert s.sign == signs.boundary_sign(c)
+    """Each stratum's sign is the boundary sign of a context built here from
+    the enumerated parent, not from the stratum's rebuilt one."""
+    cases = [
+        (parent_of(2, 0), spectrum_closure([], 1), [R]),
+        # mixed Maslov parities on the inputs, the output and the nodes
+        (parent_of(3, 1, inputs=[R, NODE, R], out=NODE),
+         spectrum_closure([Fraction(1, 2)], 2), [R, NODE]),
+    ]
+    for parent, spectrum, nodes in cases:
+        mus = tuple(c.maslov_parity for c in parent.inputs)
+        for s in enumerate_strata(parent, spectrum, nodes):
+            c = signs.SignContext(s.j, s.inner.k, (0,) * parent.k, mus, s.node.maslov_parity,
+                                  parent.output.maslov_parity, parent.output.dimension)
+            assert s.sign == signs.boundary_sign(c)
 
 
 def test_codim1_parity_consistency():
@@ -147,7 +143,7 @@ def test_codim1_parity_consistency():
         k = rng.randrange(1, 5)
         spectrum = spectrum_closure([Fraction(1, 2)], 2)
         parent = ModuliDescriptor(
-            k, BClass(rng.choice(list(spectrum.closure)), "B"),
+            BClass(rng.choice(list(spectrum.closure)), "B"),
             rng.choice(components), tuple(rng.choice(components) for _ in range(k)),
         )
         for s in enumerate_strata(parent, spectrum, components[:2]):
@@ -183,18 +179,17 @@ def test_composition_terms_independent_order():
 
 
 def test_stratum_invariant_validation():
-    inner = ModuliDescriptor(1, BClass(1, "i"), NODE, (R,))
-    outer = ModuliDescriptor(2, BClass(0, "o"), R, (NODE, R))
-    s = BoundaryStratum(j=1, outer=outer, inner=inner, node=NODE, sign=0)
-    assert s.parent() == ModuliDescriptor(2, BClass(1, "parent"), R, (R, R))
+    inner = ModuliDescriptor(BClass(1, "i"), NODE, (R,))
+    outer = ModuliDescriptor(BClass(0, "o"), R, (NODE, R))
+    s = BoundaryStratum(1, outer, inner)
+    assert s.node == NODE and outer.k == 2
+    assert s.parent() == ModuliDescriptor(BClass(1, "parent"), R, (R, R))
+    with pytest.raises(ValueError):  # slot 2 holds R, not the node
+        BoundaryStratum(2, outer, inner)
+    with pytest.raises(ValueError):  # slot outside the outer arity
+        BoundaryStratum(3, outer, inner)
     with pytest.raises(ValueError):
-        BoundaryStratum(j=2, outer=outer, inner=inner, node=NODE, sign=0)
-    with pytest.raises(ValueError):
-        BoundaryStratum(
-            j=1,
-            outer=ModuliDescriptor(1, BClass(0, "o"), R, (NODE,)),
-            inner=inner, node=NODE, sign=0,
-        )
+        BoundaryStratum(1, ModuliDescriptor(BClass(0, "o"), R, (NODE,)), inner)
 
 
 def test_descriptor_json_round_trip_fields():
