@@ -553,6 +553,26 @@ class PushPullReport(Frozen):
         )
 
 
+def _nested_pushpull(outer: CorrespondenceModel, inner: CorrespondenceModel, j: int,
+                     xis: tuple[Form, ...]) -> Form:
+    """The nested route: the inner push-pull fed through the outer slot-j leg."""
+    inner_raw = apply_correspondence(inner, xis[j - 1 : j - 1 + inner.k])
+    return apply_correspondence(outer, xis[: j - 1] + (inner_raw,) + xis[j - 1 + inner.k :])
+
+
+def _glued_pushpull(outer: CorrespondenceModel, inner: CorrespondenceModel, j: int,
+                    xis: tuple[Form, ...]) -> tuple[Form, Form]:
+    """The glued route: the inputs pulled back once along the glued legs and
+    pushed forward, wedged in leg order and, for the block-reorder route,
+    regrouped (prefix, suffix, inner block)."""
+    glued = fiber_product(outer, inner, j)
+    pulled = [pullback(leg, xi) for leg, xi in zip(glued.ev_in, xis)]
+    end = j - 1 + inner.k
+    regrouped = pulled[: j - 1] + pulled[end:] + pulled[j - 1 : end]
+    return (pushforward(glued.ev_out, wedge_all(glued.space, pulled)),
+            pushforward(glued.ev_out, wedge_all(glued.space, regrouped)))
+
+
 def check_pushpull_identities(
     outer: CorrespondenceModel,
     inner: CorrespondenceModel,
@@ -579,15 +599,8 @@ def check_pushpull_identities(
     mu_node = derived_node_parity(inner, inner_mus)
     ctx = signs.SignContext(j, k_inner, degs, mus, mu_node, 0, outer.ev_out.target.dimension)
 
-    # nested route: inner push-pull fed through the outer slot-j leg
-    inner_raw = apply_correspondence(inner, xis[j - 1 : j - 1 + k_inner])
-    nested = apply_correspondence(outer, xis[: j - 1] + (inner_raw,) + xis[j - 1 + k_inner :])
-
-    # glued route: the inputs pulled back once along the glued legs, wedged
-    # in leg order here and regrouped for the block-reorder route below
-    glued_mock = fiber_product(outer, inner, j)
-    pulled = [pullback(leg, xi) for leg, xi in zip(glued_mock.ev_in, xis)]
-    glued = pushforward(glued_mock.ev_out, wedge_all(glued_mock.space, pulled))
+    nested = _nested_pushpull(outer, inner, j, xis)
+    glued, reordered = _glued_pushpull(outer, inner, j, xis)
 
     reorder = (signs.pushpull_reorder_sign(ctx) + mutate_reorder_sign) % 2
     ok_glued = nested == glued.scale((-1) ** reorder)
@@ -601,13 +614,7 @@ def check_pushpull_identities(
     insertion = signs.coderivation_sign(ctx)
     ok_insert = composite == nested.scale((-1) ** insertion)
 
-    # block-reorder route: inputs regrouped (prefix, suffix, inner block)
-    reordered_factors = (
-        pulled[: j - 1] + pulled[j - 1 + k_inner :] + pulled[j - 1 : j - 1 + k_inner]
-    )
-    reordered = pushforward(
-        glued_mock.ev_out, wedge_all(glued_mock.space, reordered_factors)
-    )
+    # block-reorder route: the regrouped glued form
     move = signs.nested_move_sign(ctx)
     ok_reordered = reordered == nested.scale((-1) ** move)
 

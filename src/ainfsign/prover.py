@@ -7,8 +7,10 @@ and slots are concrete integers.  Each proof normalizes a combination of
 sign formulas to algebraic normal form and demands the zero polynomial; a
 failure report carries the minimal witness assignment instead of raising.
 The identities of each (k, j, k_inner) instance are one table,
-``IDENTITIES``, which ``prove_all`` runs in order through ``prove_identity``
-on one context per instance, built on one set of variables per arity.
+``IDENTITIES``, each a tuple of named terms of :mod:`ainfsign.signs`.
+``prove_all`` proves them in order on one context per instance, built on
+one set of variables per arity, and evaluates each term once per instance
+into a dict from which every identity that lists it is summed.
 
 The master identity can also be cross-checked by an exhaustive truth table
 over all 2^(2k+3) parity assignments, a route independent of the ANF engine.
@@ -165,43 +167,58 @@ def _truth_table_master(k: int, j: int, k_inner: int) -> dict | None:
 
 _NODE_DIM = F2Poly.var("ra")
 
-# Each identity as the sum of sign formulas that must vanish, in report order.
+# Each identity as the names of the terms of :mod:`ainfsign.signs` whose sum
+# must vanish, in report order.  A term is looked up by name when it is
+# evaluated, so a replaced formula reaches every identity that lists it.
 IDENTITIES = {
-    # boundary + composition + operation + 1 + Stokes
-    "master": lambda ctx: signs.master_sum(ctx),
+    # the master congruence, as signs lists its terms
+    "master": signs.MASTER_TERMS,
     # the boundary sign is the sum of its three proof pieces; the symbolic
     # node dimension ra must cancel
-    "boundary-decomposition": lambda ctx: (
-        signs.boundary_sign(ctx)
-        + signs.local_system_swap_sign(ctx, _NODE_DIM)
-        + signs.marked_point_shuffle_sign(ctx, _NODE_DIM)
-        + signs.outer_moduli_dim_parity(ctx)
-    ),
+    "boundary-decomposition": ("boundary_sign", "local_system_swap_sign",
+                               "marked_point_shuffle_sign", "outer_moduli_dim_parity"),
     # the composition sign is the Koszul-insertion piece plus the reorder piece
-    "composition-decomposition": lambda ctx: (
-        signs.composition_sign(ctx)
-        + signs.coderivation_sign(ctx)
-        + signs.pushpull_reorder_sign(ctx)
-    ),
+    "composition-decomposition": ("composition_sign", "coderivation_sign",
+                                  "pushpull_reorder_sign"),
     # nested-move + block-swap is the net reorder sign (their common factor
     # cancels mod 2)
-    "reorder-collapse": lambda ctx: (
-        signs.nested_move_sign(ctx)
-        + signs.block_swap_sign(ctx)
-        + signs.pushpull_reorder_sign(ctx)
-    ),
+    "reorder-collapse": ("nested_move_sign", "block_swap_sign", "pushpull_reorder_sign"),
 }
+
+# the terms that also read the node dimension, which they get as ra
+_NODE_DIM_TERMS = {"local_system_swap_sign", "marked_point_shuffle_sign"}
+
+
+def _identity_sum(identity: str, ctx: SignContext, values: dict) -> F2Poly:
+    """The sum of the terms of ``IDENTITIES[identity]`` on ``ctx``, each
+    taken from ``values`` (term name -> value on ``ctx``), into which a term
+    not yet there is evaluated."""
+    total = F2Poly.zero()
+    for name in IDENTITIES[identity]:
+        if name not in values:
+            term = getattr(signs, name)
+            values[name] = term(ctx, _NODE_DIM) if name in _NODE_DIM_TERMS else term(ctx)
+        total = total + values[name]
+    return total
 
 
 def prove_identity(
     identity: str, ctx: SignContext, truth_table: bool = False, started: float | None = None
 ) -> ProofReport:
-    """Prove that the sum ``IDENTITIES[identity]`` vanishes on the symbolic
-    context of an instance.  The master identity can also be cross-checked
-    by an exhaustive truth table over all 2^(2k+3) parity assignments (k <=
-    TRUTH_TABLE_K_MAX), on columns of its own; a column cannot hold another
-    identity's symbolic node dimension.  The proof time counts from the
-    ``time.perf_counter()`` reading ``started``, by default this call."""
+    """Prove that the sum of the terms ``IDENTITIES[identity]`` vanishes on
+    the symbolic context of an instance.  The master identity can also be
+    cross-checked by an exhaustive truth table over all 2^(2k+3) parity
+    assignments (k <= TRUTH_TABLE_K_MAX), on columns of its own; a column
+    cannot hold another identity's symbolic node dimension.  The proof time
+    counts from the ``time.perf_counter()`` reading ``started``, by default
+    this call."""
+    return _prove(identity, ctx, {}, truth_table, started)
+
+
+def _prove(identity: str, ctx: SignContext, values: dict, truth_table: bool,
+           started: float | None) -> ProofReport:
+    """``prove_identity``, taking the terms already evaluated on ``ctx``
+    from ``values`` and adding those it evaluates."""
     k, j, k_inner = ctx.k, ctx.j, ctx.k_inner
     if truth_table and identity != "master":
         raise ValueError(f"only the master identity has a truth table, not {identity!r}")
@@ -210,7 +227,7 @@ def prove_identity(
     if started is None:
         started = time.perf_counter()
     report = _prove_zero(
-        IDENTITIES[identity](ctx),
+        _identity_sum(identity, ctx, values),
         {"identity": identity, "k": k, "j": j, "k_inner": k_inner}, started,
     )
     if truth_table and report.proved:
@@ -236,11 +253,8 @@ def _insertion_sum(k: int, j: int, variables: Sequence) -> F2Poly:
 def _stokes_rewrite_route(ctx: SignContext) -> F2Poly:
     """A boundary stratum's sign exponent by the Stokes rewrite of the
     differential after the push-pull: operation + Stokes + boundary signs."""
-    return (
-        signs.operation_sign(ctx.degs, ctx.mus)
-        + signs.stokes_sign(signs.parent_dim_parity(ctx), ctx.degs)
-        + signs.boundary_sign(ctx)
-    )
+    return (signs.parent_operation_sign(ctx) + signs.parent_stokes_sign(ctx)
+            + signs.boundary_sign(ctx))
 
 
 def _composition_route(ctx: SignContext) -> F2Poly:
@@ -275,20 +289,20 @@ def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
 def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     """Every identity of ``IDENTITIES`` for every instance up to k_max, the
     master identity with a truth table for k <= truth_table_k_max, then the
-    differential-insertion congruence.  Each report carries its own proof
-    time; the first identity of an instance also carries building the
-    context its identities share, and the first of an arity the variables."""
+    differential-insertion congruence.  An instance's identities share one
+    context and one dict of term values, so each term is evaluated once
+    per instance.  Each report carries its own proof time; the first
+    identity of an instance also carries building the context, the first
+    of an arity the variables, and the first that lists a term its value."""
     reports, variables = [], {}
     started = time.perf_counter()
     for k, j, k_inner in instances(k_max):
         if k not in variables:
             variables[k] = _parity_variables(k)
-        ctx = _context(k, j, k_inner, variables[k])
+        ctx, values = _context(k, j, k_inner, variables[k]), {}
         for identity in IDENTITIES:
-            reports.append(prove_identity(
-                identity, ctx, truth_table=identity == "master" and k <= truth_table_k_max,
-                started=started,
-            ))
+            reports.append(_prove(identity, ctx, values,
+                                  identity == "master" and k <= truth_table_k_max, started))
             started = time.perf_counter()
     for k, arity_variables in variables.items():
         for j in range(1, k + 1):

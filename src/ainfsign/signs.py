@@ -1,7 +1,8 @@
 """Parity evaluation of every sign quantity in the Bott-Morse filtered
 A-infinity convention: the operation sign, the boundary-orientation sign and
 its proof decomposition, the composition sign and its decomposition, the
-Stokes boundary sign, Koszul prefixes, and moduli dimension parities.
+Stokes boundary sign, Koszul prefixes, and moduli dimension parities.  The
+master congruence is the sum of the terms named once in ``MASTER_TERMS``.
 
 Every function reduces mod 2 internally and accepts arbitrary integers; the
 same formulas also run verbatim on :class:`~ainfsign.f2poly.F2Poly` values,
@@ -249,14 +250,28 @@ def parent_dim_parity(ctx: SignContext) -> Parity:
     return moduli_dim_parity(ctx.dim_out, ctx.mu_out, ctx.mus, ctx.k)
 
 
+def parent_operation_sign(ctx: SignContext) -> Parity:
+    """Operation sign of the unsplit k-input tuple."""
+    return operation_sign(ctx.degs, ctx.mus)
+
+
+def parent_stokes_sign(ctx: SignContext) -> Parity:
+    """Stokes boundary sign of the unsplit k-input moduli space."""
+    return stokes_sign(parent_dim_parity(ctx), ctx.degs)
+
+
+def minus_sign(ctx: SignContext) -> int:
+    """The master congruence's constant term: the sign exponent of -1."""
+    return 1
+
+
+# The terms of the master congruence, by name: boundary sign + composition
+# sign + operation sign + 1 + Stokes sign vanishes mod 2.
+MASTER_TERMS = ("boundary_sign", "composition_sign", "parent_operation_sign", "minus_sign",
+                "parent_stokes_sign")
+
+
 def master_sum(ctx: SignContext) -> Parity:
-    """The master congruence combination: boundary sign + composition sign
-    + operation sign + 1 + Stokes sign.  Identically zero."""
-    nu = stokes_sign(parent_dim_parity(ctx), ctx.degs)
-    return _par(
-        boundary_sign(ctx)
-        + composition_sign(ctx)
-        + operation_sign(ctx.degs, ctx.mus)
-        + 1
-        + nu
-    )
+    """The sum of the ``MASTER_TERMS``, each looked up by name when it is
+    evaluated.  Identically zero."""
+    return _par(_total([globals()[name](ctx) for name in MASTER_TERMS]))

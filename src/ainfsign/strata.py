@@ -145,13 +145,21 @@ def enumerate_strata(
     node_components: Sequence[ComponentData],
 ) -> list[BoundaryStratum]:
     """All codimension-1 strata of the parent descriptor, in deterministic
-    order (slot, then inner arity, then inner energy, then node name)."""
+    order (slot, then inner arity, then inner energy, then node name).  The
+    parent's energy splits, each with its outer and inner class, are found
+    once, in closure order, and shared by every slot and inner arity."""
     if parent.b.energy not in spectrum:
         raise ValueError(
             f"parent energy {parent.b.energy} is not in the spectrum closure"
         )
     if parent.k < 1:
         raise ValueError("strata are enumerated for parents with k >= 1")
+    splits = []
+    for e_inner in spectrum.closure:
+        e_outer = parent.b.energy - e_inner
+        if e_outer >= 0 and e_outer in spectrum:
+            splits.append((BClass(e_outer, f"{parent.b.tag}'"),
+                           BClass(e_inner, f"{parent.b.tag}''")))
     out: list[BoundaryStratum] = []
     nodes = sorted(node_components, key=lambda c: c.name)
     for j in range(1, parent.k + 2):
@@ -159,25 +167,13 @@ def enumerate_strata(
             k_outer = parent.k + 1 - k_inner
             if j > k_outer:
                 continue
-            for e_inner in spectrum.closure:
-                e_outer = parent.b.energy - e_inner
-                if e_outer < 0 or e_outer not in spectrum:
-                    continue
-                if k_outer == 1 and e_outer == 0:
-                    continue
-                if k_inner == 1 and e_inner == 0:
+            for b_outer, b_inner in splits:
+                if k_outer == 1 and b_outer.energy == 0 or k_inner == 1 and b_inner.energy == 0:
                     continue
                 for node in nodes:
-                    outer = ModuliDescriptor(
-                        BClass(e_outer, f"{parent.b.tag}'"),
-                        parent.output,
-                        parent.inputs[: j - 1] + (node,) + parent.inputs[j - 1 + k_inner :],
-                    )
-                    inner = ModuliDescriptor(
-                        BClass(e_inner, f"{parent.b.tag}''"),
-                        node,
-                        parent.inputs[j - 1 : j - 1 + k_inner],
-                    )
+                    outer = ModuliDescriptor(b_outer, parent.output, parent.inputs[: j - 1]
+                                             + (node,) + parent.inputs[j - 1 + k_inner :])
+                    inner = ModuliDescriptor(b_inner, node, parent.inputs[j - 1 : j - 1 + k_inner])
                     out.append(BoundaryStratum(j, outer, inner))
     return out
 

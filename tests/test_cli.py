@@ -346,6 +346,30 @@ def test_prove_signs_report_bytes_unchanged(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PROVE_SIGNS_K4_SHA256
 
 
+# SHA-256 of the report and of the standard output (without the line that
+# names the report file) of prove-signs at the flags the proofs benchmark
+# measures: identities through k = 8, truth tables through k = 5 and the
+# relation replay through k = 5 on {0, 1/2} below 2.
+PROVE_SIGNS_K8_SHA256 = {
+    "report": "f620387b7f6ade09e4459d72c7a3bb3ab75e2bbb91997ff2a725284ce5c80242",
+    "stdout": "5f1ebff06666cac8219ad13df2fa9f9c57cc3da48fc189e45e63d6b07fdf5eae",
+}
+
+
+def test_prove_signs_benchmark_flags_bytes_unchanged(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, _ = run(
+        ["prove-signs", "--k-max", "8", "--truth-table-k-max", "5", "--relations-k-max", "5",
+         "--relations-spectrum", "0,1/2", "--relations-cutoff", "2", "--seed", "1",
+         "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert stdout.endswith(f"report written to {out}\n")
+    listed = stdout[: -len(f"report written to {out}\n")]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROVE_SIGNS_K8_SHA256["report"]
+    assert hashlib.sha256(listed.encode()).hexdigest() == PROVE_SIGNS_K8_SHA256["stdout"]
+
+
 @pytest.mark.parametrize("value", ["-1", "11"])
 def test_prove_signs_rejects_truth_table_arity(capsys, value):
     code, _, err = run(["prove-signs", "--k-max", "1", "--truth-table-k-max", value], capsys)
@@ -762,11 +786,18 @@ def test_enumerate_strata_json_and_schema(capsys):
 
 
 # enumerate-strata argv -> SHA-256 of its standard output, which lists every
-# stratum's sign: the README command, and one with odd Maslov parities on
-# the inputs, the output and the node, in the form of the proofs benchmark.
+# stratum's sign: the README command, and three with mixed Maslov parities
+# on the inputs, the output and the node, in the form of the proofs
+# benchmark, at its energy and spectrum and at k = 4, 5 and 6.
 ENUMERATE_STRATA_STDOUT_SHA256 = {
     "--k 3 --energy 1 --spectrum 0,1/2,1 --match":
         "e324522f6f166bf08f7ae22a2df5cff3f8ef903a06f7d88de142e82f64f3a35e",
+    "--k 4 --energy 1 --spectrum 0,1/2 --mus 1,0,1,1 --mu-out 0 --dim-out 1 "
+    "--node-mu 1 --node-dim 3 --match":
+        "e33124ce45ed96456480c5cbcf4a00f2711b53a2a43bc623b053e862359c9d3f",
+    "--k 5 --energy 1 --spectrum 0,1/2 --mus 0,1,1,0,1 --mu-out 1 --dim-out 2 "
+    "--node-mu 0 --node-dim 1 --match":
+        "9969e2a9db1db90b727745ea3e3952dd1abc68cdc48e37af7237b2841af81a6d",
     "--k 6 --energy 1 --spectrum 0,1/2 --mus 0,1,1,0,1,0 --mu-out 1 --dim-out 3 "
     "--node-mu 1 --node-dim 2 --match":
         "8a72e7510436efa3e2917cddfe0b07398c96e001732f428ddcb16ffd11bb3d7c",

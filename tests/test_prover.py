@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfsign import prover, signs
+from ainfsign import prover, signs, strata
 from ainfsign.f2poly import F2Poly, anf_equivalent
 from ainfsign.novikov import spectrum_closure
 from ainfsign.prover import (
@@ -276,6 +276,64 @@ def test_only_the_prover_builds_sign_contexts(monkeypatch):
     splittings = {(p[0], p[3]) for r in reports for kind, p in r.pairs if kind == BDRY}
     assert len(splittings) == 10
     assert Counter(built) == Counter(splittings) + Counter((j, 1) for j in (1, 2, 3))
+
+
+def _term_names():
+    """Every term name that an identity lists, in first-listed order."""
+    return list(dict.fromkeys(name for terms in IDENTITIES.values() for name in terms))
+
+
+def test_each_term_is_evaluated_once_per_instance_and_each_split_once_per_walk(monkeypatch):
+    """Pinned work.  ``prove_all(4)`` evaluates each term that
+    ``IDENTITIES`` lists once per instance (34), however many identities
+    list it: ``boundary_sign`` 34 times, not 68.  One ``enumerate_strata``
+    of the benchmark's k = 6, energy 1 parent on {0, 1/2} builds an outer
+    and an inner ``BClass`` for each of its 3 energy splits (6), not two
+    for each of its 77 strata (154)."""
+    calls = Counter()
+    for name in _term_names():
+        def counting(ctx, *args, name=name, term=getattr(signs, name)):
+            calls[name, ctx.k, ctx.j, ctx.k_inner] += 1
+            return term(ctx, *args)
+
+        monkeypatch.setattr(signs, name, counting)
+    assert all(r.proved for r in prove_all(4, truth_table_k_max=0))
+    assert len(_term_names()) == 12 and set(calls.values()) == {1}
+    assert Counter(name for name, *_ in calls) == {name: 34 for name in _term_names()}
+    assert len(list(instances(4))) == 34
+
+    comp = ComponentData("c", 0, 0)
+    parent = ModuliDescriptor(BClass(1), comp, (comp,) * 6)
+    built = []
+
+    def counting_class(*args):
+        built.append(BClass(*args))
+        return built[-1]
+
+    monkeypatch.setattr(strata, "BClass", counting_class)
+    walked = enumerate_strata(parent, spectrum_closure([Fraction(1, 2)], 2), [comp])
+    assert (len(walked), len(built)) == (77, 6)
+    assert [b.energy for b in built] == [1, 0, Fraction(1, 2), Fraction(1, 2), 0, 1]
+
+
+@pytest.mark.parametrize("name", _term_names())
+def test_a_flipped_term_refutes_exactly_the_identities_that_list_it(monkeypatch, name):
+    """A term is looked up by name when it is evaluated, so a formula
+    replaced in ``signs`` reaches every identity that lists it: with the
+    term plus one, exactly those identities fail, at every instance, and
+    when a master term is flipped the truth table refutes the master sum
+    too."""
+    term = getattr(signs, name)
+    monkeypatch.setattr(signs, name, lambda *args: term(*args) + 1)
+    reports = prove_all(4, truth_table_k_max=2)
+    listing = {identity for identity, terms in IDENTITIES.items() if name in terms}
+    assert listing
+    for report in reports:
+        expected = report.instance["identity"] in listing
+        assert report.proved != expected, (name, report.instance)
+    for k, j, k_inner in instances(2):
+        refuted = prover._truth_table_master(k, j, k_inner) is not None
+        assert refuted == (name in signs.MASTER_TERMS), (name, k, j, k_inner)
 
 
 @pytest.mark.parametrize("boundary_sign", ["real", "flipped", "wrong"])

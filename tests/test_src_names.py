@@ -31,6 +31,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from test_prover import symbolic_context
 
 from ainfsign import cli, prover, signs
 from ainfsign.ainfty import FilteredAInfty, OperationTable
-from ainfsign.f2poly import F2Poly, anf_equivalent
+from ainfsign.geomodel import checks
 from ainfsign.novikov import GappedSpectrum
 from ainfsign.strata import (
     BClass,
@@ -59,6 +60,9 @@ ALLOWED = {
     "F2Poly.evaluate": "evaluation of a normal form at one assignment, by which the "
                        "tests of test_f2poly and test_prover confirm that a witness "
                        "refutes and that elaboration agrees with integer evaluation",
+    "prove_identity": "one identity proved on its own context with a fresh dict of term "
+                      "values, against which test_prover checks that prove_all's shared "
+                      "dicts change no verdict and no witness",
 }
 
 
@@ -314,18 +318,21 @@ def test_relation_sweep_and_bar_route_share_only_the_allowlist():
 
 
 # module.function -> why both the truth table of the master identity
-# (``prover._truth_table_master``) and its ANF proof (``master_sum`` on
-# symbolic parities, decided by ``anf_equivalent``) may enter it
+# (``prover._truth_table_master``, on ``master_sum``) and its ANF proof
+# (``prover.prove_identity``, which sums the same ``signs.MASTER_TERMS`` on
+# symbolic parities and decides the sum by ``anf_equivalent``) may enter it
 MASTER_SUM_FORMULA = "a sign formula of the master sum, the formula under test"
 SIGN_CONTEXT = "a method of SignContext, whose parity inputs the formulas read"
 SHARED_BY_PROOF_ROUTES = {
-    "signs.master_sum": MASTER_SUM_FORMULA,
     "signs.boundary_sign": MASTER_SUM_FORMULA,
     "signs.composition_sign": MASTER_SUM_FORMULA,
     "signs.operation_sign": MASTER_SUM_FORMULA,
     "signs.stokes_sign": MASTER_SUM_FORMULA,
     "signs.moduli_dim_parity": MASTER_SUM_FORMULA,
     "signs.parent_dim_parity": MASTER_SUM_FORMULA,
+    "signs.parent_operation_sign": MASTER_SUM_FORMULA,
+    "signs.parent_stokes_sign": MASTER_SUM_FORMULA,
+    "signs.minus_sign": MASTER_SUM_FORMULA,
     "signs._par": "the formulas' reduction of an int mod 2; it returns a column or a "
                   "polynomial as it is",
     "signs._total": "the formulas' sum of several parities",
@@ -343,14 +350,15 @@ SHARED_BY_PROOF_ROUTES = {
 def test_truth_table_and_anf_proof_share_only_the_allowlist():
     """At k = 4, j = 2, k_inner = 2 the truth table finds no odd assignment
     and the ANF proof finds the master sum zero; they share only the
-    formula and its context, and the truth table enters no ``f2poly``
+    formulas of the master sum and their context.  Only the truth table
+    sums the terms through ``master_sum``, and it enters no ``f2poly``
     code."""
     bad, table = traced(lambda: prover._truth_table_master(4, 2, 2))
-    (proved, witness), anf = traced(lambda: anf_equivalent(
-        signs.master_sum(symbolic_context(4, 2, 2)), F2Poly.zero()))
-    assert bad is None and proved and witness is None
+    report, anf = traced(lambda: prover.prove_identity("master", symbolic_context(4, 2, 2)))
+    assert bad is None and report.proved
     assert _src_names(table & anf) == set(SHARED_BY_PROOF_ROUTES)
     assert "f2poly.anf_equivalent" in _src_names(anf)
+    assert "signs.master_sum" in _src_names(table)
     assert not any(name.startswith("f2poly.") for name in _src_names(table))
 
 
@@ -386,6 +394,57 @@ def test_stokes_rewrite_and_composition_routes_share_only_the_allowlist():
     assert _src_names(rewritten & composed) == set(SHARED_BY_REPLAY_ROUTES)
     assert {"signs.boundary_sign", "signs.stokes_sign"} <= _src_names(rewritten)
     assert {"signs.coderivation_sign", "signs.pushpull_reorder_sign"} <= _src_names(composed)
+
+
+# module.function -> why both push-pull routes of a mock splitting, nested
+# (``geomodel.checks._nested_pushpull``: the inner push-pull fed into the
+# outer) and glued (``geomodel.checks._glued_pushpull``: one push-pull over
+# the fiber product), may enter it
+CALCULUS = "a kernel of the form calculus, in which both routes are written"
+SHARED_BY_PUSHPULL_ROUTES = {
+    "geomodel.core.pullback": CALCULUS,
+    "geomodel.core.pushforward": CALCULUS,
+    "geomodel.core.wedge": CALCULUS,
+    "geomodel.core.wedge_all": "the wedge of a route's pulled-back inputs, in leg order",
+    "geomodel.core._pull_letter": "the pullback of one 1-form letter, inside pullback",
+    "geomodel.core._merge_sign": "the Koszul sign of sorting letters, inside pullback, "
+                                 "wedge and pushforward",
+    "geomodel.core._subst_into": "the substitution of a coefficient, inside pullback",
+    "geomodel.core._mul_into": "the product of two coefficients, inside wedge",
+    "geomodel.core._divide": "an exact division of a coefficient, inside pushforward's "
+                             "fiber integral",
+    "geomodel.core.partial": "Poly.partial, by which pushforward integrates a fiber "
+                             "variable out",
+    "geomodel.core._of": "Poly._of and Form._of: the trusted constructors of each result",
+    "geomodel.core._same_space": "Form._same_space: wedge's check that both factors live "
+                                "on one space",
+    "geomodel.core.k": "CorrespondenceModel.k: the arity of a span",
+    "geomodel.core.<listcomp>": "a list built inside the calculus kernels",
+    "geomodel.core.<dictcomp>": "a dict built inside the calculus kernels",
+    "novikov.exact_rational": "the rule for an exact coefficient, which the calculus "
+                              "kernels check",
+    "novikov._rational": "the normal form of an exact coefficient",
+    "frozen.__eq__": "Frozen.__eq__: the comparison of two spaces, by which each kernel "
+                     "checks where a form lives",
+}
+
+
+def test_nested_and_glued_pushpull_share_only_the_allowlist():
+    """On a nontrivial mock splitting with a prefix, an inner block of three
+    and a suffix (outer arity 3, slot 2), the nested and the glued routes
+    agree up to the reorder sign and share only the form calculus; only the
+    nested route applies a correspondence, and only the glued one builds
+    the fiber product."""
+    outer, inner, j, xis, mus = checks.random_mock_instance(random.Random(38))
+    assert (outer.k, inner.k, j) == (3, 3, 2)
+    report = checks.check_pushpull_identities(outer, inner, j, xis, mus)
+    assert report.passed and report.nontrivial
+    nested, nesting = traced(lambda: checks._nested_pushpull(outer, inner, j, xis))
+    (glued, reordered), gluing = traced(lambda: checks._glued_pushpull(outer, inner, j, xis))
+    assert nested == glued.scale((-1) ** report.detail["reorder_sign"]) and not nested.is_zero()
+    assert _src_names(nesting & gluing) == set(SHARED_BY_PUSHPULL_ROUTES)
+    assert "geomodel.core.apply_correspondence" in _src_names(nesting)
+    assert "geomodel.core.fiber_product" in _src_names(gluing)
 
 
 # (module, enclosing function, target) -> why the assignment sets an
