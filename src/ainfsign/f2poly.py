@@ -3,10 +3,16 @@ expression DSL for mod-2 sign formulas.
 
 An :class:`F2Poly` is a canonical XOR-set of monomials; each monomial is a
 set of variable names (the empty monomial is the constant 1, the empty set
-of monomials is 0).  Idempotence ``x*x = x`` is built into the
-representation, which is sound here because every variable denotes an
-integer parity and ``n*n = n mod 2``.  Equivalence names a minimal
-counterexample in closed form, for any number of variables.
+of monomials is 0).  It is stored as one ``int``: bit n says whether the
+monomial at position n of its :class:`Ring` occurs, so a sum is one XOR and
+a product ORs the monomials' variable masks.  Polynomials built together
+share a ring, which they alone hold (a constant may have none); when two
+rings meet, the polynomial of the smaller is re-encoded into the larger.
+No ring is global, so bit positions never depend on earlier, unrelated
+work.  Idempotence ``x*x = x`` is built into the representation, which is
+sound here because every variable denotes an integer parity and
+``n*n = n mod 2``.  Equivalence names a minimal counterexample in closed
+form, for any number of variables.
 
 DSL grammar (also in ``docs/sign_expr.ebnf``)::
 
@@ -29,18 +35,69 @@ from collections.abc import Mapping
 
 from .frozen import Frozen
 
-Monomial = frozenset
-
 _ONE = frozenset([frozenset()])  # the monomial set of the constant 1
+
+
+class Ring:
+    """Bit positions shared by polynomials built together: variable v (in
+    order of first use) is bit v of a monomial's mask, and the constant 1
+    (mask 0) has position 0.  Positions are only appended."""
+
+    __slots__ = ("variables", "masks", "positions")
+
+    def __init__(self):
+        self.variables: dict[str, int] = {}  # name -> its number
+        self.masks = [0]  # position -> monomial mask
+        # key -> position, the key being the mask below 2^61 and the mask
+        # plus its bit length above: an int hashes to itself mod 2^61 - 1, so
+        # the masks of variables past the 61st alone would share 61 hashes
+        self.positions = {0: 0}
+
+    def encode(self, monomials) -> int:
+        """The bits of the sum of ``monomials``, appending what is new."""
+        variables, out = self.variables, 0
+        for names in monomials:
+            mask = 0
+            for name in names:
+                mask |= 1 << variables.setdefault(name, len(variables))
+            out ^= 1 << self.position(mask)
+        return out
+
+    def position(self, mask: int) -> int:
+        """The position of the monomial ``mask``, appended if it is new."""
+        key = mask + mask.bit_length() if mask >> 61 else mask
+        found = self.positions.get(key)
+        if found is None:
+            found = self.positions[key] = len(self.masks)
+            self.masks.append(mask)
+        return found
+
+
+def _picked(bits: int, items: list) -> list:
+    """The items at the positions of the set bits of ``bits``, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(items[low.bit_length() - 1])
+        bits ^= low
+    return out
 
 
 class F2Poly:
     """Multivariate polynomial over GF(2) in algebraic normal form."""
 
-    __slots__ = ("monomials",)
+    __slots__ = ("ring", "bits")
 
-    def __init__(self, monomials: frozenset = frozenset()):
-        self.monomials = monomials
+    def __init__(self, monomials: frozenset = frozenset(), ring: Ring | None = None,
+                 bits: int | None = None):
+        """The sum of ``monomials`` (sets of variable names) in ``ring``, or
+        the sum that ``bits`` already encodes in it."""
+        if bits is None:
+            if ring is None and any(monomials):
+                ring = Ring()
+            bits = len(monomials) if ring is None else ring.encode(monomials)
+        self.ring = ring
+        self.bits = bits
 
     @staticmethod
     def zero() -> "F2Poly":
@@ -55,25 +112,44 @@ class F2Poly:
         return F2Poly.one() if n % 2 else F2Poly.zero()
 
     @staticmethod
-    def var(name: str) -> "F2Poly":
-        return F2Poly(frozenset([frozenset([name])]))
+    def var(name: str, ring: Ring | None = None) -> "F2Poly":
+        return F2Poly(frozenset([frozenset([name])]), ring)
+
+    @property
+    def monomials(self) -> frozenset:
+        """The monomials, each the frozenset of its variables' names."""
+        if self.ring is None:
+            return _ONE if self.bits else frozenset()
+        names = list(self.ring.variables)
+        return frozenset([frozenset(_picked(mask, names))
+                          for mask in _picked(self.bits, self.ring.masks)])
 
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.bits
 
     def variables(self) -> frozenset:
-        out = set()
-        for m in self.monomials:
-            out.update(m)
-        return frozenset(out)
+        return frozenset().union(*self.monomials)
+
+    def _aligned(self, other: "F2Poly") -> tuple:
+        """(ring, own bits, other's bits) for operands of different rings:
+        the polynomial of the smaller ring is re-encoded into the larger."""
+        ring, theirs = self.ring, other.ring
+        if theirs is None:
+            return ring, self.bits, other.bits
+        if ring is None or len(ring.masks) < len(theirs.masks):
+            return theirs, theirs.encode(self.monomials), other.bits
+        return ring, self.bits, ring.encode(other.monomials)
 
     def __add__(self, other: ScalarOrPoly) -> "F2Poly":
+        if isinstance(other, F2Poly):
+            if other.ring is self.ring:
+                return F2Poly((), self.ring, self.bits ^ other.bits)
+            ring, mine, theirs = self._aligned(other)
+            return F2Poly((), ring, mine ^ theirs)
         if isinstance(other, int):
             # an odd integer toggles the constant monomial
-            return F2Poly(self.monomials ^ _ONE) if other & 1 else self
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        return F2Poly(self.monomials ^ other.monomials)
+            return F2Poly((), self.ring, self.bits ^ 1) if other & 1 else self
+        return NotImplemented
 
     __radd__ = __add__
     __sub__ = __add__
@@ -84,26 +160,31 @@ class F2Poly:
 
     def __mul__(self, other: ScalarOrPoly) -> "F2Poly":
         if isinstance(other, int):
-            return self if other & 1 else F2Poly()
+            return self if other & 1 else F2Poly((), self.ring, 0)
         if not isinstance(other, F2Poly):
             return NotImplemented
-        acc = set()
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                m = m1 | m2
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return F2Poly(frozenset(acc))
+        ring, mine, theirs = ((self.ring, self.bits, other.bits) if self.ring is other.ring
+                              else self._aligned(other))
+        if ring is None:  # two constants
+            return F2Poly((), None, mine & theirs)
+        positions, right = ring.positions, _picked(theirs, ring.masks)
+        out = 0
+        for left in _picked(mine, ring.masks):
+            for mask in right:
+                mask |= left  # x*x = x
+                key = mask + mask.bit_length() if mask >> 61 else mask  # as in position
+                out ^= 1 << (positions[key] if key in positions else ring.position(mask))
+        return F2Poly((), ring, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = F2Poly.const(other)
+            return self.bits == other & 1
         if not isinstance(other, F2Poly):
             return NotImplemented
+        if self.ring is other.ring:
+            return self.bits == other.bits
         return self.monomials == other.monomials
 
     def __hash__(self) -> int:
@@ -124,7 +205,7 @@ class F2Poly:
         return total
 
     def __str__(self) -> str:
-        if not self.monomials:
+        if not self.bits:
             return "0"
         keys = sorted(self.monomials, key=lambda m: (len(m), tuple(sorted(m))))
         return " + ".join("1" if not m else "*".join(sorted(m)) for m in keys)

@@ -9,8 +9,11 @@ failure report carries the minimal witness assignment instead of raising.
 The identities of each (k, j, k_inner) instance are one table,
 ``IDENTITIES``, each a tuple of named terms of :mod:`ainfsign.signs`.
 ``prove_all`` proves them in order on one context per instance, built on
-one set of variables per arity, and evaluates each term once per instance
-into a dict from which every identity that lists it is summed.
+one set of variables per arity, all in one GF(2) ring with the node
+dimension ``ra``, and evaluates each term once per instance into a dict
+from which every identity that lists it is summed; a term of
+``signs.UNSPLIT_TERMS`` reads only the unsplit tuple, so it is evaluated
+once per arity.
 
 The master identity can also be cross-checked by an exhaustive truth table
 over all 2^(2k+3) parity assignments, a route independent of the ANF engine.
@@ -39,7 +42,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from . import signs
-from .f2poly import F2Poly, anf_equivalent
+from .f2poly import F2Poly, Ring, anf_equivalent
 from .frozen import Frozen
 from .novikov import GappedSpectrum
 from .signs import SignContext
@@ -70,8 +73,10 @@ def _context(k: int, j: int, k_inner: int, vals: Sequence) -> SignContext:
 
 
 def _parity_variables(k: int) -> tuple:
-    """A GF(2) variable for each name of :func:`_parity_names`."""
-    return tuple([F2Poly.var(name) for name in _parity_names(k)])
+    """A GF(2) variable for each name of :func:`_parity_names`, then the
+    node dimension ``ra``, all in one new ring."""
+    ring = Ring()
+    return tuple([F2Poly.var(name, ring) for name in [*_parity_names(k), "ra"]])
 
 
 class ProofReport(Frozen):
@@ -165,8 +170,6 @@ def _truth_table_master(k: int, j: int, k_inner: int) -> dict | None:
     return dict(zip(_parity_names(k), vals))
 
 
-_NODE_DIM = F2Poly.var("ra")
-
 # Each identity as the names of the terms of :mod:`ainfsign.signs` whose sum
 # must vanish, in report order.  A term is looked up by name when it is
 # evaluated, so a replaced formula reaches every identity that lists it.
@@ -189,7 +192,7 @@ IDENTITIES = {
 _NODE_DIM_TERMS = {"local_system_swap_sign", "marked_point_shuffle_sign"}
 
 
-def _identity_sum(identity: str, ctx: SignContext, values: dict) -> F2Poly:
+def _identity_sum(identity: str, ctx: SignContext, values: dict, node_dim: F2Poly) -> F2Poly:
     """The sum of the terms of ``IDENTITIES[identity]`` on ``ctx``, each
     taken from ``values`` (term name -> value on ``ctx``), into which a term
     not yet there is evaluated."""
@@ -197,7 +200,7 @@ def _identity_sum(identity: str, ctx: SignContext, values: dict) -> F2Poly:
     for name in IDENTITIES[identity]:
         if name not in values:
             term = getattr(signs, name)
-            values[name] = term(ctx, _NODE_DIM) if name in _NODE_DIM_TERMS else term(ctx)
+            values[name] = term(ctx, node_dim) if name in _NODE_DIM_TERMS else term(ctx)
         total = total + values[name]
     return total
 
@@ -212,13 +215,14 @@ def prove_identity(
     cannot hold another identity's symbolic node dimension.  The proof time
     counts from the ``time.perf_counter()`` reading ``started``, by default
     this call."""
-    return _prove(identity, ctx, {}, truth_table, started)
+    return _prove(identity, ctx, {}, F2Poly.var("ra"), truth_table, started)
 
 
-def _prove(identity: str, ctx: SignContext, values: dict, truth_table: bool,
-           started: float | None) -> ProofReport:
+def _prove(identity: str, ctx: SignContext, values: dict, node_dim: F2Poly,
+           truth_table: bool, started: float | None) -> ProofReport:
     """``prove_identity``, taking the terms already evaluated on ``ctx``
-    from ``values`` and adding those it evaluates."""
+    from ``values`` and adding those it evaluates, with the node dimension
+    ``node_dim``."""
     k, j, k_inner = ctx.k, ctx.j, ctx.k_inner
     if truth_table and identity != "master":
         raise ValueError(f"only the master identity has a truth table, not {identity!r}")
@@ -227,7 +231,7 @@ def _prove(identity: str, ctx: SignContext, values: dict, truth_table: bool,
     if started is None:
         started = time.perf_counter()
     report = _prove_zero(
-        _identity_sum(identity, ctx, values),
+        _identity_sum(identity, ctx, values, node_dim),
         {"identity": identity, "k": k, "j": j, "k_inner": k_inner}, started,
     )
     if truth_table and report.proved:
@@ -291,17 +295,22 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     master identity with a truth table for k <= truth_table_k_max, then the
     differential-insertion congruence.  An instance's identities share one
     context and one dict of term values, so each term is evaluated once
-    per instance.  Each report carries its own proof time; the first
-    identity of an instance also carries building the context, the first
-    of an arity the variables, and the first that lists a term its value."""
-    reports, variables = [], {}
+    per instance, and a term of ``signs.UNSPLIT_TERMS`` once per arity.
+    Each report carries its own proof time; the first identity of an
+    instance also carries building the context, the first of an arity the
+    variables and the unsplit terms, and the first that lists a term its
+    value."""
+    reports, variables, unsplit = [], {}, {}
     started = time.perf_counter()
     for k, j, k_inner in instances(k_max):
         if k not in variables:
             variables[k] = _parity_variables(k)
-        ctx, values = _context(k, j, k_inner, variables[k]), {}
+        ctx = _context(k, j, k_inner, variables[k])
+        if k not in unsplit:
+            unsplit[k] = {name: getattr(signs, name)(ctx) for name in signs.UNSPLIT_TERMS}
+        values = dict(unsplit[k])
         for identity in IDENTITIES:
-            reports.append(_prove(identity, ctx, values,
+            reports.append(_prove(identity, ctx, values, variables[k][-1],
                                   identity == "master" and k <= truth_table_k_max, started))
             started = time.perf_counter()
     for k, arity_variables in variables.items():

@@ -271,6 +271,11 @@ MASTER_TERMS = ("boundary_sign", "composition_sign", "parent_operation_sign", "m
                 "parent_stokes_sign")
 
 
+# The terms that read only the unsplit k-input tuple, never the splitting:
+# one value serves every (j, k_inner) of an arity.
+UNSPLIT_TERMS = ("parent_operation_sign", "parent_stokes_sign")
+
+
 def master_sum(ctx: SignContext) -> Parity:
     """The sum of the ``MASTER_TERMS``, each looked up by name when it is
     evaluated.  Identically zero."""

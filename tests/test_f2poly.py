@@ -9,6 +9,7 @@ from ainfsign.f2poly import (
     IndexedSum,
     IntLit,
     Name,
+    Ring,
     SignExprError,
     anf_equivalent,
     eval_int,
@@ -226,3 +227,88 @@ def test_a_long_sum_builds_one_polynomial_per_term(monkeypatch):
     assert total.monomials == {frozenset([f"x_{p}"]) for p in range(1, 20_001)}
     # a monomial met twice cancels: x_1 from every term, and x_1 + x_1 at p = 1
     assert to_anf(parse_sign_expr("Sum(p=1..3, x_p + x_1)")) == to_anf(parse_sign_expr("x_2 + x_3"))
+
+
+# --- reference model: the monomial sets that the bitsets encode -------------
+
+
+def _ref_mul(p, q):
+    out = set()
+    for a in p:
+        for b in q:
+            out ^= {a | b}
+    return frozenset(out)
+
+
+def _ref_str(monomials):
+    if not monomials:
+        return "0"
+    keys = sorted(monomials, key=lambda m: (len(m), tuple(sorted(m))))
+    return " + ".join("1" if not m else "*".join(sorted(m)) for m in keys)
+
+
+def _ref_evaluate(monomials, assignment):
+    return sum(all(assignment[v] for v in m) for m in monomials) % 2
+
+
+def _draw(rng, rings, pool, names):
+    """A random polynomial and its monomial set: in one of ``rings``, in a
+    new ring, a constant without a ring, or an earlier result."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        n = rng.randrange(-3, 4)
+        poly = rng.choice([F2Poly.const(n), F2Poly.one() if n % 2 else F2Poly.zero()])
+        return poly, frozenset([frozenset()]) if n % 2 else frozenset()
+    if kind == 4 and pool:
+        return rng.choice(pool)
+    monomials = frozenset(frozenset(rng.sample(names, rng.randrange(4)))
+                          for _ in range(rng.randrange(6)))
+    ring = rng.choice(rings) if kind < 3 else None
+    return (F2Poly(monomials) if ring is None else F2Poly(monomials, ring)), monomials
+
+
+def test_bitsets_agree_with_the_monomial_set_model():
+    """Every operation on polynomials drawn from two rings, from new rings
+    and ring-less constants agrees with frozenset-of-frozenset arithmetic;
+    equal polynomials of different rings compare equal and hash alike, and
+    a ring that grows leaves its earlier polynomials as they were."""
+    rng = random.Random(43)
+    names = ["a", "b", "c", "d", "e"]
+    rings, pool = [Ring(), Ring()], []
+    for _ in range(1500):
+        (p, pm), (q, qm) = _draw(rng, rings, pool, names), _draw(rng, rings, pool, names)
+        n = rng.randrange(-3, 4)
+        const = frozenset([frozenset()]) if n % 2 else frozenset()
+        results = [(p + q, pm ^ qm), (p - q, pm ^ qm), (p * q, _ref_mul(pm, qm)),
+                   (p + n, pm ^ const), (n + p, pm ^ const), (p - n, pm ^ const),
+                   (n - p, pm ^ const), (p * n, _ref_mul(pm, const)),
+                   (n * p, _ref_mul(pm, const)), (-p, pm)]
+        for got, want in results:
+            assert isinstance(got, F2Poly) and got.monomials == want, (p, q, n)
+        assert (p.monomials, q.monomials) == (pm, qm)
+        assert (p == q) == (pm == qm) and (p != q) == (pm != qm)
+        assert (p == n) == (pm == const)
+        if pm == qm:
+            assert hash(p) == hash(q)
+        for twin in (F2Poly(pm), F2Poly(pm, rings[0]), F2Poly(pm, rings[1])):
+            assert twin == p and hash(twin) == hash(p) and twin.monomials == pm
+        assert str(p) == _ref_str(pm) and repr(p) == f"<F2Poly {_ref_str(pm)}>"
+        assert p.variables() == frozenset().union(*pm)
+        assert p.is_zero() == (not pm)
+        assignment = {v: rng.randrange(2) for v in names}
+        assert p.evaluate(assignment) == _ref_evaluate(pm, assignment)
+        assert _items(anf_equivalent(p, q)) == _items(search_witness(p, q))
+        pool.append(rng.choice(results))
+    assert all(len(ring.masks) > 1 for ring in rings)
+
+
+def test_equal_polynomials_of_different_rings_are_one_value():
+    x, y = F2Poly.var("x"), F2Poly.var("y")
+    ring = Ring()
+    F2Poly.var("z", ring) * F2Poly.var("w", ring)
+    rx, ry = F2Poly.var("y", ring) * F2Poly.var("x", ring), F2Poly.var("y", ring)
+    assert (x * y).bits != rx.bits
+    assert x.ring is not rx.ring
+    assert x * y == rx and hash(x * y) == hash(rx) and len({x * y, rx, ry, y}) == 2
+    assert (x * y + rx).is_zero() and str(x * y + ry) == str(rx + y) == "y + x*y"
+    assert F2Poly.zero() == F2Poly(frozenset(), ring) == 0 and F2Poly.one() == 1

@@ -1,10 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ainfsign import prover, signs, strata
-from ainfsign.f2poly import F2Poly, anf_equivalent
+from ainfsign.f2poly import F2Poly, Ring, anf_equivalent, parse_sign_expr, to_anf
 from ainfsign.novikov import spectrum_closure
 from ainfsign.prover import (
     BDRY,
@@ -203,14 +208,15 @@ def test_each_splitting_is_decided_once_per_arity(monkeypatch):
 
 
 def _recorded_builds(monkeypatch):
-    """The names of the F2Poly variables and the SignContexts that the
-    prover builds from here on, in order."""
+    """The names of the F2Poly variables, each with the ring it is built
+    in, and the SignContexts that the prover builds from here on, in
+    order."""
     names, contexts = [], []
     var, context = F2Poly.var, prover.SignContext
 
-    def recording_var(name):
-        names.append(name)
-        return var(name)
+    def recording_var(name, ring=None):
+        names.append((name, ring))
+        return var(name, ring)
 
     def recording_context(*args, **kwargs):
         contexts.append(context(*args, **kwargs))
@@ -222,16 +228,20 @@ def _recorded_builds(monkeypatch):
 
 
 def test_each_arity_builds_its_variables_once_and_each_instance_one_context(monkeypatch):
-    """Pinned work.  ``prove_all(4)`` builds the 2k+3 variables of each
-    arity once (32) and one symbolic context per instance, which its four
-    identities share (34), plus one per differential insertion (10); the
-    truth tables build one column context per instance of k <= 3 (19).  The
-    replay at k = 3 builds the arity's 9 variables and one context per
-    splitting: 3 interior and 10 boundary."""
+    """Pinned work.  ``prove_all(4)`` builds the 2k+3 parity variables and
+    the node dimension ``ra`` of each arity once, in one ring per arity
+    (36), and one symbolic context per instance, which its four identities
+    share (34), plus one per differential insertion (10); the truth tables
+    build one column context per instance of k <= 3 (19).  The replay at
+    k = 3 builds the arity's 10 variables and one context per splitting:
+    3 interior and 10 boundary."""
     names, contexts = _recorded_builds(monkeypatch)
     assert all(r.proved for r in prove_all(4, truth_table_k_max=3))
-    assert names == [name for k in range(1, 5) for name in prover._parity_names(k)]
-    assert len(names) == 32
+    assert [name for name, _ in names] == [
+        name for k in range(1, 5) for name in [*prover._parity_names(k), "ra"]]
+    assert len(names) == 36
+    rings = [ring for _, ring in names]
+    assert None not in rings and len({id(ring) for ring in rings}) == 4
     symbolic = [c for c in contexts if isinstance(c.mu_out, F2Poly)]
     columns = [c for c in contexts if isinstance(c.mu_out, prover._Column)]
     assert (len(contexts), len(symbolic), len(columns)) == (63, 44, 19)
@@ -247,7 +257,7 @@ def test_each_arity_builds_its_variables_once_and_each_instance_one_context(monk
     contexts.clear()
     reports = prove_relation_cancellation(3, spectrum_closure([Fraction(1, 2)], 2))
     assert all(r.cancels for r in reports)
-    assert names == prover._parity_names(3)
+    assert [name for name, _ in names] == [*prover._parity_names(3), "ra"]
     splittings = {(p[0], p[3]) for r in reports for kind, p in r.pairs if kind == BDRY}
     assert (len(contexts), len(splittings)) == (13, 10)
     assert Counter((c.j, c.k_inner) for c in contexts) == (
@@ -278,6 +288,82 @@ def test_only_the_prover_builds_sign_contexts(monkeypatch):
     assert Counter(built) == Counter(splittings) + Counter((j, 1) for j in (1, 2, 3))
 
 
+def _prove_all_footprint():
+    """``prove_all(4, truth_table_k_max=2)``'s reports as JSON data, the
+    number of polynomials it builds, and the (variables, monomials) size of
+    the ring of each of its arities when it returns."""
+    built, rings = [], []
+    init, parity_variables = F2Poly.__init__, prover._parity_variables
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def recording_variables(k):
+        variables = parity_variables(k)
+        rings.append(variables[0].ring)
+        return variables
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F2Poly, "__init__", counting_init)
+        patch.setattr(prover, "_parity_variables", recording_variables)
+        reports = prove_all(4, truth_table_k_max=2)
+    return ([[r.instance, r.witness] for r in reports], len(built),
+            [[len(ring.variables), len(ring.masks)] for ring in rings])
+
+
+def test_prove_all_does_the_same_work_after_a_long_elaboration():
+    """After a 20,000-term ``Sum``, ``prove_all`` gives the same reports,
+    builds as many polynomials and leaves rings of the same sizes as in a
+    process that ran nothing before it: no ring is shared between the two.
+    No module of ``ainfsign`` holds a ring, or a polynomial with a
+    variable, in a global."""
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import json, test_prover; "
+         "print(json.dumps(test_prover._prove_all_footprint()))"],
+        capture_output=True, text=True, check=True, cwd=Path(__file__).parent,
+        env={**os.environ,
+             "PYTHONPATH": f"{Path(prover.__file__).parents[1]}:{Path(__file__).parent}"})
+    assert len(to_anf(parse_sign_expr("Sum(p=1..20000, x_p)")).monomials) == 20_000
+    after = json.loads(json.dumps(_prove_all_footprint()))
+    assert after == json.loads(fresh.stdout)
+    reports, built, sizes = after
+    assert len(reports) == 4 * 34 + 10 and all(witness is None for _, witness in reports)
+    assert built > 1000 and [variables for variables, _ in sizes] == [6, 8, 10, 12]
+    assert all(monomials > variables + 1 for variables, monomials in sizes)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "ainfsign":
+            continue
+        for key, value in vars(module).items():
+            held = [value, *(value.values() if isinstance(value, dict) else
+                             value if isinstance(value, (tuple, list, set, frozenset)) else ())]
+            assert not any(isinstance(v, Ring) or isinstance(v, F2Poly) and v.variables()
+                           for v in held), (name, key)
+
+
+def _varying_instances(term, k_max):
+    """The (k, j, k_inner) at which ``term`` on a fresh symbolic context
+    differs from its value at the first instance of the arity."""
+    first, varying = {}, []
+    for k, j, k_inner in instances(k_max):
+        value = term(symbolic_context(k, j, k_inner))
+        if first.setdefault(k, value) != value:
+            varying.append((k, j, k_inner))
+    return varying
+
+
+def test_unsplit_terms_are_one_value_per_arity():
+    """``prove_all`` evaluates a term of ``signs.UNSPLIT_TERMS`` once per
+    arity, which is sound only if it is the same polynomial at every
+    (j, k_inner): each instance here has variables in a ring of its own.  A
+    term that reads the slot is caught."""
+    assert signs.UNSPLIT_TERMS and set(signs.UNSPLIT_TERMS) <= set(signs.MASTER_TERMS)
+    for name in signs.UNSPLIT_TERMS:
+        assert _varying_instances(getattr(signs, name), 6) == [], name
+    reading_the_slot = _varying_instances(lambda ctx: signs.parent_stokes_sign(ctx) + ctx.j, 6)
+    assert reading_the_slot == [(k, j, k_inner) for k, j, k_inner in instances(6) if j % 2 == 0]
+
+
 def _term_names():
     """Every term name that an identity lists, in first-listed order."""
     return list(dict.fromkeys(name for terms in IDENTITIES.values() for name in terms))
@@ -286,7 +372,9 @@ def _term_names():
 def test_each_term_is_evaluated_once_per_instance_and_each_split_once_per_walk(monkeypatch):
     """Pinned work.  ``prove_all(4)`` evaluates each term that
     ``IDENTITIES`` lists once per instance (34), however many identities
-    list it: ``boundary_sign`` 34 times, not 68.  One ``enumerate_strata``
+    list it: ``boundary_sign`` 34 times, not 68.  A term of
+    ``signs.UNSPLIT_TERMS`` is evaluated once per arity (4), not once per
+    instance (34).  One ``enumerate_strata``
     of the benchmark's k = 6, energy 1 parent on {0, 1/2} builds an outer
     and an inner ``BClass`` for each of its 3 energy splits (6), not two
     for each of its 77 strata (154)."""
@@ -299,7 +387,11 @@ def test_each_term_is_evaluated_once_per_instance_and_each_split_once_per_walk(m
         monkeypatch.setattr(signs, name, counting)
     assert all(r.proved for r in prove_all(4, truth_table_k_max=0))
     assert len(_term_names()) == 12 and set(calls.values()) == {1}
-    assert Counter(name for name, *_ in calls) == {name: 34 for name in _term_names()}
+    assert Counter(name for name, *_ in calls) == {
+        name: 4 if name in signs.UNSPLIT_TERMS else 34 for name in _term_names()}
+    assert set(signs.UNSPLIT_TERMS) == {"parent_operation_sign", "parent_stokes_sign"}
+    assert [(k, j, k_inner) for name, k, j, k_inner in calls if name in signs.UNSPLIT_TERMS] == [
+        (k, 1, 0) for k in range(1, 5) for _ in signs.UNSPLIT_TERMS]
     assert len(list(instances(4))) == 34
 
     comp = ComponentData("c", 0, 0)

@@ -379,6 +379,9 @@ SHARED_BY_REPLAY_ROUTES = {
     "f2poly.__add__": F2_ARITHMETIC,
     "f2poly.__mul__": F2_ARITHMETIC,
     "f2poly.__init__": "F2Poly.__init__: the constructor of each sum and product",
+    "f2poly._picked": "the monomial masks of each factor of a product, read off its bits",
+    "f2poly.position": "Ring.position: appends a product's monomial that is new to the "
+                       "ring of the context, which both routes share",
 }
 
 
