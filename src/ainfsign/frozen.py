@@ -9,6 +9,10 @@ handles the fields:
   order, and raises ``TypeError`` on a wrong count.  A subclass that
   checks its input or derives slots keeps its own ``__init__`` and ends it
   with this call; a trusted constructor calls it on ``object.__new__``.
+- A class built on a hot path may instead call each setter of
+  ``cls._setters`` once, in ``__slots__`` order: that builds the instance
+  ``Frozen.__init__`` builds, without its argument tuple and count check.
+  Only the four ``geomodel.core`` models do so.
 - Two instances are equal when they are one object, or of one class with
   equal fields; a derived slot is never compared.
 - The hash is that of the tuple of field values, so a class with an

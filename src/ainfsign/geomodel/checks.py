@@ -11,11 +11,12 @@ trials run and of trials whose compared sides were nonzero, and each checker
 supplies only the draw and comparison of one trial.
 Instance generators keep interval-coordinate assignments inside [0, 1] by
 construction and build canonical terms, which they pass to the public,
-validating constructors.  They count with ``rng._randbelow(n)``, whose
+validating constructors.  Generators and checkers draw one way: they count
+with ``rng._randbelow(n)`` (the draws of ``rng.randrange(n)``), whose
 rejection loop over ``rng.getrandbits`` ``random_form``,
-``_draw_coefficients`` and ``_shuffle`` inline (``_shuffle`` makes the
-swaps of ``rng.shuffle``).  Each
-checker, and each ``random_mock_instance`` call, numbers its coordinate
+``_draw_coefficients`` and ``_shuffle`` inline, permute with ``_shuffle``
+(the swaps of ``rng.shuffle``) and toss weighted coins with ``rng.random()``.
+Each checker, and each ``random_mock_instance`` call, numbers its coordinate
 names from its own ``NameSource``, so a witness does not depend on what ran
 before it.
 """
@@ -382,7 +383,7 @@ def verify_functoriality(trials: int, seed: int, max_coords: int = 4, max_poly_d
         p = random_bundle(rng, max_coords, fresh)
         names = p.target.names()
         keep = [n for n in names if rng.random() < 0.7]
-        rng.shuffle(keep)
+        _shuffle(rng.getrandbits, keep)
         q_target = CubeTorusSpace(tuple((fresh("c"), p.target.kind(n)) for n in keep))
         q = projection(p.target, q_target, {t[0]: s for t, s in zip(q_target.coords, keep)})
         qp = compose_projection(q, p)
@@ -431,7 +432,7 @@ def verify_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg: int
     """d p_! beta == p_! d beta + (-1)^(dim source + deg beta) * boundary term."""
     def trial(rng, fresh, stats):
         p = random_bundle(rng, max_coords, fresh, min_fiber=1)
-        deg = rng.randrange(0, p.source.dimension + 1)
+        deg = rng._randbelow(p.source.dimension + 1)
         beta = random_form(rng, p.source, max_poly_deg, degree=deg)
         return _stokes_trial(p, beta, exterior_derivative(beta), deg, stats, beta=beta)
     return _trial_loop("stokes", trials, seed, trial, with_boundary=0)
@@ -445,7 +446,7 @@ def verify_corr_stokes(trials: int, seed: int, max_coords: int = 4, max_poly_deg
         f1 = random_bundle(rng, max_coords, fresh, min_fiber=1)
         target2 = random_space(rng, 2, fresh, prefix="m")
         f2 = random_smooth_map(rng, f1.source, target2)
-        deg = rng.randrange(0, target2.dimension + 1)
+        deg = rng._randbelow(target2.dimension + 1)
         xi = random_form(rng, target2, max_poly_deg, degree=deg)
         pulled, d_pulled = pullback(f2, xi), pullback(f2, exterior_derivative(xi))
         return _stokes_trial(f1, pulled, d_pulled, deg, stats, xi=xi)

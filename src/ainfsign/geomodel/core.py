@@ -30,7 +30,8 @@ order, without repeats), and ``Poly(terms)`` rejects a monomial that is not
 a tuple of (name, power >= 1) pairs strictly increasing by name, drops zero
 coefficients, stores each as ``novikov._rational`` does and, like
 ``Poly.const``, ``Poly.scale`` and ``Form.scale``, rejects a coefficient
-that is not an ``int`` or a ``Fraction`` (``novikov.exact_rational``).
+that is not an ``int`` or a ``Fraction`` (``novikov.exact_rational``); each
+checks a term in one pass, and takes an ``int`` coefficient as it is.
 Results computed here use the trusted ``Form._of`` and ``Poly._of``, which
 adopt the dict they are handed (copying it only to drop a zero) and check
 nothing; no kernel hands them a dict an input holds.  ``wedge``,
@@ -41,11 +42,14 @@ result coefficient is built once.
 Models: ``CubeTorusSpace``, ``ProjectionMap``, ``SmoothMapModel`` and
 ``CorrespondenceModel`` are ``frozen.Frozen`` classes: their equality, hash
 and repr are those of their fields, and the derived tables (the slots named
-with a leading ``_``) are never compared.  Each of the first three is built
-in one ``__init__`` that validates and derives its tables (a space its
-names, order, kinds and intervals; a projection each base coordinate's
-target and each source coordinate's bundle rank; a smooth map its
-assignment table and interval polynomials), which the kernels read.
+with a leading ``_``) are never compared.  Each is built in one
+``__init__`` that validates its input and derives its tables in one loop
+over it (a space its names, order, kinds and intervals; a projection each
+base coordinate's target and each source coordinate's bundle rank; a
+smooth map its assignment table and interval polynomials), which the
+kernels read; of several faults it raises the one that one pass per
+check would meet first.  It then stores each slot with its setter from
+``cls._setters`` (see ``frozen``), not through ``Frozen.__init__``.
 ``smooth_map``, ``projection`` and the public constructors validate every
 assignment, including the unit-range check.  Derived spaces and
 projections use the public constructors too; derived smooth maps
@@ -171,16 +175,27 @@ class CubeTorusSpace(Frozen):
     __slots__ = ("coords", "_names", "_order", "_kinds", "_intervals")
 
     def __init__(self, coords: tuple[tuple[str, str], ...]):
-        names = [n for n, _ in coords]
-        order = {n: i for i, n in enumerate(names)}
-        if len(order) != len(names):
-            raise ValueError(f"duplicate coordinate names in {names}")
-        kinds = dict(coords)
-        for kind in kinds.values():
-            if kind != INTERVAL and kind != CIRCLE:
-                raise ValueError(f"unknown coordinate kind {kind!r}")
-        Frozen.__init__(self, coords, tuple(names), order, kinds,
-                        tuple([n for n, kind in coords if kind == INTERVAL]))
+        order = {}
+        kinds = {}
+        intervals = []
+        unknown = []  # the kinds neither INTERVAL nor CIRCLE, raised after a repeated name
+        for i, (name, kind) in enumerate(coords):
+            order[name] = i
+            kinds[name] = kind
+            if kind == INTERVAL:
+                intervals.append(name)
+            elif kind != CIRCLE:
+                unknown.append(kind)
+        if len(order) != len(coords):
+            raise ValueError(f"duplicate coordinate names in {[n for n, _ in coords]}")
+        if unknown:
+            raise ValueError(f"unknown coordinate kind {unknown[0]!r}")
+        set_coords, set_names, set_order, set_kinds, set_intervals = self._setters
+        set_coords(self, coords)
+        set_names(self, tuple(order))
+        set_order(self, order)
+        set_kinds(self, kinds)
+        set_intervals(self, tuple(intervals))
 
     @property
     def dimension(self) -> int:
@@ -208,23 +223,6 @@ def space(*coords: tuple[str, str]) -> CubeTorusSpace:
 Monomial = tuple[tuple[str, int], ...]  # sorted variable/power pairs
 
 
-def _is_monomial(mono) -> bool:
-    """Whether ``mono`` is a tuple of (str, int >= 1) pairs strictly
-    increasing by name."""
-    if mono.__class__ is not tuple:
-        return False
-    prev = None
-    for pair in mono:
-        if pair.__class__ is not tuple or len(pair) != 2:
-            return False
-        name, power = pair
-        if not (name.__class__ is str and power.__class__ is int and power >= 1
-                and (prev is None or prev < name)):
-            return False
-        prev = name
-    return True
-
-
 class Poly:
     """Polynomial with rational coefficients in named variables; each
     coefficient is an ``int`` or a ``Fraction``."""
@@ -234,14 +232,23 @@ class Poly:
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         clean: dict[Monomial, Rational] = {}
         for mono, c in (terms or {}).items():
-            if not _is_monomial(mono):
+            # (str, int >= 1) pairs strictly increasing by name; a non-tuple fails
+            prev = None
+            for pair in mono if mono.__class__ is tuple else (None,):
+                if pair.__class__ is tuple and len(pair) == 2:
+                    name, power = pair
+                    if (name.__class__ is str and power.__class__ is int and power >= 1
+                            and (prev is None or prev < name)):
+                        prev = name
+                        continue
                 raise ValueError(f"monomial {mono!r} is not (name, power >= 1) pairs sorted by name")
-            try:
-                c = _rational(c)
-            except ValueError:
-                raise ValueError(
-                    f"coefficient {c!r} of monomial {mono} is not an int or a Fraction"
-                ) from None
+            if c.__class__ is not int:
+                try:
+                    c = _rational(c)
+                except ValueError:
+                    raise ValueError(
+                        f"coefficient {c!r} of monomial {mono} is not an int or a Fraction"
+                    ) from None
             if c:
                 clean[mono] = c
         self.terms = clean
@@ -556,12 +563,7 @@ class SmoothMapModel(Frozen):
                 if assignment[0] != "poly":
                     raise ValueError(f"interval coordinate {name!r} needs a polynomial")
                 poly: Poly = assignment[1]
-                for mono in poly.terms:
-                    for v, _ in mono:
-                        if source_kinds.get(v) != INTERVAL:
-                            unknown = poly.variables() - set(source._intervals)
-                            raise ValueError(f"assignment for {name!r} uses {sorted(unknown)}")
-                _check_unit_range(poly, name)
+                _check_unit_range(poly, name, source_kinds)
                 subs[name] = poly
             elif assignment[0] == "circle":
                 _, src, sign = assignment
@@ -571,7 +573,12 @@ class SmoothMapModel(Frozen):
                     raise ValueError("circle orientation sign must be +1 or -1")
             elif assignment[0] != "const-circle":
                 raise ValueError(f"bad assignment for circle coordinate {name!r}")
-        Frozen.__init__(self, source, target, assignments, table, subs)
+        set_source, set_target, set_assignments, set_table, set_subs = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_assignments(self, assignments)
+        set_table(self, table)
+        set_subs(self, subs)
 
     @staticmethod
     def _of(
@@ -579,15 +586,24 @@ class SmoothMapModel(Frozen):
     ) -> "SmoothMapModel":
         """Trusted constructor for maps this module derives from valid maps:
         it sets the fields, derives the tables and checks nothing."""
+        subs = {}
+        for name, assignment in table.items():
+            if assignment[0] == "poly":
+                subs[name] = assignment[1]
         smap = object.__new__(SmoothMapModel)
-        Frozen.__init__(smap, source, target, tuple(sorted(table.items())), table,
-                        {n: a[1] for n, a in table.items() if a[0] == "poly"})
+        set_source, set_target, set_assignments, set_table, set_subs = SmoothMapModel._setters
+        set_source(smap, source)
+        set_target(smap, target)
+        set_assignments(smap, tuple(sorted(table.items())))
+        set_table(smap, table)
+        set_subs(smap, subs)
         return smap
 
 
-def _check_unit_range(poly: Poly, name: str):
-    """Check 0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars, over
-    the variables the polynomial uses (3**len(vars) points).
+def _check_unit_range(poly: Poly, name: str, kinds: Mapping[str, str]):
+    """Check that ``poly`` uses only interval coordinates of ``kinds``, then
+    0 <= poly <= 1 exactly on the lattice {0, 1/2, 1}^vars, over the
+    variables the polynomial uses (3**len(vars) points).
 
     At x = a/2 with a in {0, 1, 2}, poly times D * 2**K is an integer, where
     D is the lcm of the coefficient denominators and K the largest total
@@ -604,6 +620,10 @@ def _check_unit_range(poly: Poly, name: str):
             degree += p
         if degree > top:
             top = degree
+    for v in used:
+        if kinds.get(v) != INTERVAL:
+            unknown = sorted([v for v in used if kinds.get(v) != INTERVAL])
+            raise ValueError(f"assignment for {name!r} uses {unknown}")
     vars_ = sorted(used)
     index = {v: i for i, v in enumerate(vars_)}
     # Each term as (c * D, exponents): its scaled value at a point is that
@@ -678,25 +698,34 @@ class ProjectionMap(Frozen):
         target_kinds = target._kinds
         if table.keys() != target_kinds.keys():
             raise ValueError("injection must cover exactly the target coordinates")
-        to_target = {s: t for t, s in table.items()}
+        source_kinds = source._kinds
+        target_order = target._order
+        to_target = {}
+        rank = {}
+        bad = None  # the error of the first pair that leaves the source or changes kind
+        for tname, sname in table.items():
+            to_target[sname] = tname
+            rank[sname] = target_order[tname]
+            if source_kinds.get(sname) != target_kinds[tname] and bad is None:
+                bad = (KeyError(f"no source coordinate {sname!r}") if sname not in source_kinds
+                       else ValueError(f"injection {tname!r}->{sname!r} changes coordinate kind"))
         if len(to_target) != len(table):
             raise ValueError("injection is not injective")
-        source_kinds = source._kinds
-        for tname, sname in table.items():
-            kind = source_kinds.get(sname)
-            if kind is None:
-                raise KeyError(f"no source coordinate {sname!r}")
-            if kind != target_kinds[tname]:
-                raise ValueError(f"injection {tname!r}->{sname!r} changes coordinate kind")
-        target_order = target._order
-        rank = {s: target_order[t] for s, t in to_target.items()}
+        if bad is not None:
+            raise bad
         for i, v in enumerate(fiber, len(rank)):
             rank[v] = i
         # The ranks cover the source exactly when the fiber repeats no name,
         # lists no base coordinate and misses none.
         if len(rank) != len(table) + len(fiber) or rank.keys() != source_kinds.keys():
             raise ValueError("fiber must list exactly the non-base source coordinates")
-        Frozen.__init__(self, source, target, injection, fiber, to_target, rank)
+        set_source, set_target, set_injection, set_fiber, set_to_target, set_rank = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_injection(self, injection)
+        set_fiber(self, fiber)
+        set_to_target(self, to_target)
+        set_rank(self, rank)
 
     @property
     def reldim(self) -> int:
@@ -934,7 +963,10 @@ class CorrespondenceModel(Frozen):
         for leg in ev_in:
             if leg.source != ev_out.source:
                 raise ValueError("input legs must start on the correspondence space")
-        Frozen.__init__(self, ev_out.source, ev_out, ev_in)
+        set_space, set_ev_out, set_ev_in = self._setters
+        set_space(self, ev_out.source)
+        set_ev_out(self, ev_out)
+        set_ev_in(self, ev_in)
 
     @property
     def k(self) -> int:

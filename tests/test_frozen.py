@@ -240,3 +240,42 @@ def test_copy_deepcopy_and_pickle_rebuild_every_slot(cls):
         assert rebuilt.__class__ is cls and rebuilt is not obj and rebuilt == obj
         assert [getattr(rebuilt, name) for name in cls.__slots__] == \
             [getattr(obj, name) for name in cls.__slots__]
+
+
+# constructor -> a builder of one instance, for each constructor that stores
+# every slot from ``cls._setters`` instead of calling ``Frozen.__init__``
+DIRECT_STORES = {
+    "CubeTorusSpace": IMMUTABLE[CubeTorusSpace][0],
+    "ProjectionMap": IMMUTABLE[ProjectionMap][0],
+    "SmoothMapModel": lambda: SmoothMapModel(SP, PROJ.target, PROJ.as_smooth().assignments),
+    "SmoothMapModel._of": PROJ.as_smooth,
+    "CorrespondenceModel": IMMUTABLE[CorrespondenceModel][0],
+}
+
+
+@pytest.mark.parametrize("constructor", DIRECT_STORES)
+def test_direct_slot_stores_build_what_frozen_init_builds(constructor):
+    """An instance whose constructor stored its slots directly compares,
+    hashes, prints, copies, pickles and refuses changes exactly like one
+    that ``Frozen.__init__`` built from the same slot values."""
+    stored = DIRECT_STORES[constructor]()
+    cls = stored.__class__
+    values = [getattr(stored, name) for name in cls.__slots__]  # every slot is set
+    built = object.__new__(cls)
+    Frozen.__init__(built, *values)
+    assert stored == built and built == stored and not stored != built
+    assert hash(stored) == hash(built) and repr(stored) == repr(built)
+    for obj in (stored, built):
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            rebuilt = clone(obj)
+            assert rebuilt.__class__ is cls and rebuilt == stored
+            assert [getattr(rebuilt, name) for name in cls.__slots__] == values
+        for name in cls.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+        assert [getattr(obj, name) for name in cls.__slots__] == values
+        assert not hasattr(obj, "__dict__")

@@ -969,9 +969,13 @@ def test_kernel_results_pass_public_validation(monkeypatch):
 
 
 def _public_copy(m):
-    """The map rebuilt through its public constructor, which validates it."""
+    """The model rebuilt through its public constructor, which validates it."""
+    if isinstance(m, CubeTorusSpace):
+        return CubeTorusSpace(m.coords)
     if isinstance(m, ProjectionMap):
         return ProjectionMap(m.source, m.target, m.injection, m.fiber)
+    if isinstance(m, CorrespondenceModel):
+        return CorrespondenceModel(m.ev_out, m.ev_in)
     return SmoothMapModel(m.source, m.target, m.assignments)
 
 
@@ -1019,23 +1023,13 @@ def _expected_pullback_bundle(p, f, pulled):
     return p_bar, smooth_map(pulled, p.source, table)
 
 
-def _assert_space_tables(sp):
-    """A space the kernel derived without validating it holds the tables the
-    public constructor derives."""
-    public = CubeTorusSpace(sp.coords)
-    assert sp == public
-    for name in ("_names", "_order", "_kinds", "_intervals"):
-        assert getattr(sp, name) == getattr(public, name), name
-
-
 def _assert_derived(got, expected):
-    """A map the kernel derived without validating it passes the public
-    constructor, which derives the same tables from it."""
+    """A model the kernel derived passes the public constructor, which
+    derives the same slots from it, tables and all."""
     public = _public_copy(got)
     assert public == got
     assert got == expected
-    tables = ("_to_target", "_rank") if isinstance(got, ProjectionMap) else ("_table", "_subs")
-    for name in tables:
+    for name in type(got).__slots__:
         assert getattr(got, name) == getattr(public, name), name
 
 
@@ -1045,7 +1039,8 @@ def _assert_glued(outer, inner, j):
     output leg and the input legs composed through it."""
     glued = fiber_product(outer, inner, j)
     to_outer, to_inner = _expected_pullback_bundle(inner.ev_out, outer.ev_in[j - 1], glued.space)
-    _assert_derived(glued.ev_out, _expected_composite_projection(outer.ev_out, to_outer))
+    expected_out = _expected_composite_projection(outer.ev_out, to_outer)
+    _assert_derived(glued.ev_out, expected_out)
     via_outer = _expected_as_smooth(to_outer)
     expected_legs = (
         [_expected_composite_map(leg, via_outer) for leg in outer.ev_in[: j - 1]]
@@ -1055,6 +1050,7 @@ def _assert_glued(outer, inner, j):
     assert len(glued.ev_in) == len(expected_legs)
     for leg, expected in zip(glued.ev_in, expected_legs):
         _assert_derived(leg, expected)
+    _assert_derived(glued, CorrespondenceModel(expected_out, expected_legs))
 
 
 def _boundary_by_face_maps(p, beta):
@@ -1184,8 +1180,10 @@ def test_derived_maps_pass_public_validation():
 
         f = random_smooth_map(rng, random_space(rng, 3, fresh, prefix="s"), p.target)
         pulled, p_bar, f_tilde = pullback_bundle(p, f)
-        _assert_space_tables(pulled)
         expected_bar, expected_tilde = _expected_pullback_bundle(p, f, pulled)
+        fresh_names = pulled.names()[f.source.dimension:]
+        _assert_derived(pulled, CubeTorusSpace(
+            f.source.coords + tuple(zip(fresh_names, [p.source.kind(n) for n in p.fiber]))))
         _assert_derived(p_bar, expected_bar)
         _assert_derived(f_tilde, expected_tilde)
 

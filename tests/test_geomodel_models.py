@@ -100,6 +100,9 @@ REJECTIONS = [
      ValueError, "duplicate coordinate names in ['a', 'a']"),
     ("space-unknown-kind", lambda: CubeTorusSpace((("a", "interval"), ("b", "disk"))),
      ValueError, "unknown coordinate kind 'disk'"),
+    ("space-duplicate-after-unknown-kind",
+     lambda: CubeTorusSpace((("a", "disk"), ("b", "interval"), ("b", "circle"))),
+     ValueError, "duplicate coordinate names in ['a', 'b', 'b']"),
     # ProjectionMap
     ("projection-misses-target",
      lambda: _projection({"p": "a"}, ("b", "c")),
@@ -117,6 +120,16 @@ REJECTIONS = [
     ("projection-changes-kind",
      lambda: _projection({"p": "a", "q": "b"}, ("c",)),
      ValueError, "injection 'q'->'b' changes coordinate kind"),
+    ("projection-not-injective-after-kind-change",
+     lambda: _projection({"p": "c", "q": "c"}, ("a", "b")),
+     ValueError, "injection is not injective"),
+    ("projection-kind-change-after-not-injective",
+     lambda: ProjectionMap(I2C, space(("p", "interval"), ("q", "circle"), ("r", "interval")),
+                           (("p", "a"), ("r", "a"), ("q", "b")), ("c",)),
+     ValueError, "injection is not injective"),
+    ("projection-misses-target-names-unknown",
+     lambda: _projection({"p": "a", "z": "c"}, ("b",)),
+     ValueError, "injection must cover exactly the target coordinates"),
     ("projection-fiber-repeats",
      lambda: _projection({"p": "a", "q": "c"}, ("b", "b")),
      ValueError, "fiber must list exactly the non-base source coordinates"),
@@ -274,12 +287,51 @@ def test_models_are_slotted_and_frozen():
     # validation, tables and all.
     rebuilt = (CubeTorusSpace(sp.coords),
                ProjectionMap(proj.source, proj.target, proj.injection, proj.fiber),
-               SmoothMapModel(leg.source, leg.target, leg.assignments))
-    for model, again in zip((sp, proj, leg), rebuilt):
+               SmoothMapModel(leg.source, leg.target, leg.assignments),
+               CorrespondenceModel(corr.ev_out, corr.ev_in))
+    for model, again in zip((sp, proj, leg, corr), rebuilt):
         assert again == model and again is not model
+        for name in type(model).__slots__:  # the derived slots too
+            assert getattr(again, name) == getattr(model, name), name
     assert ProjectionMap(proj.source, proj.target, proj.injection, ("t",))._rank == proj._rank
     with pytest.raises(ValueError, match="unknown coordinate kind 'disk'"):
         CubeTorusSpace((("t", "disk"),))
+
+
+# constructor -> how many times run_all_checks(200, 3, 4, 3, 20) calls it;
+# recorded before the constructors were made one-pass
+VALIDATED_WORK = {
+    "CubeTorusSpace.__init__": 4699,
+    "ProjectionMap.__init__": 3041,
+    "SmoothMapModel.__init__": 658,
+    "Poly.__init__": 2649,
+    "Form.__init__": 2058,
+    "SmoothMapModel._of": 1718,
+    "Poly._of": 8453,
+    "Form._of": 9207,
+}
+
+
+def test_the_checks_validate_a_recorded_number_of_models(monkeypatch):
+    """The public, validating constructions and the trusted ones of one run
+    of every checker: a change that drops a validation, adds one or moves
+    one to a trusted constructor changes a count."""
+    counts = dict.fromkeys(VALIDATED_WORK, 0)
+
+    def count(cls, name):
+        key = f"{cls.__name__}.{name}"
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, staticmethod(counted) if name == "_of" else counted)
+
+    for key in VALIDATED_WORK:
+        cls, name = key.split(".")
+        count(getattr(checks, cls), name)
+    assert all(r.passed for r in checks.run_all_checks(200, 3, 4, 3, 20))
+    assert counts == VALIDATED_WORK
 
 
 # --- integral values are ints ----------------------------------------------------
