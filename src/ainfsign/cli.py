@@ -158,12 +158,19 @@ class Report:
         self.parameters = parameters
         self.timing = timing
         self.checks: list[dict] = []
+        self._done_s = time.perf_counter()
 
-    def add(self, check_id: str, passed: bool, runtime_s: float, **extra):
+    def add(self, check_id: str, passed: bool, done_s: float | None = None, **extra):
+        """Add a check decided at the ``time.perf_counter()`` reading
+        ``done_s``, by default now; its ``runtime_s`` runs from the previous
+        check's ``done_s``, or from this report's start."""
+        if done_s is None:
+            done_s = time.perf_counter()
         record: dict = {"id": check_id, "status": "pass" if passed else "fail"}
         record.update(extra)
         if self.timing:
-            record["runtime_s"] = runtime_s
+            record["runtime_s"] = done_s - self._done_s
+        self._done_s = done_s
         self.checks.append(record)
 
     @property
@@ -248,7 +255,7 @@ def cmd_prove_signs(args) -> int:
     for rep in prover.prove_all(args.k_max, args.truth_table_k_max):
         inst = rep.instance
         check_id = ":".join(f"{key}={inst[key]}" for key in sorted(inst))
-        report.add(check_id, rep.proved, rep._elapsed_s, witness=rep.witness)
+        report.add(check_id, rep.proved, rep._done_s, witness=rep.witness)
     if args.relations_k_max:
         spectrum = _spectrum("--relations-spectrum", args.relations_spectrum, args.relations_cutoff)
         for k in range(1, args.relations_k_max + 1):
@@ -256,7 +263,7 @@ def cmd_prove_signs(args) -> int:
                 report.add(
                     f"relation-cancellation:k={k}:energy={crep.energy}",
                     crep.cancels,
-                    crep._elapsed_s,
+                    crep._done_s,
                     detail={"pairs": len(crep.pairs), "residual": crep.residual},
                 )
     return report.finish(args.out)
@@ -276,7 +283,7 @@ def cmd_verify_geomodel(args) -> int:
     )
     for result in run_all_checks(args.trials, args.seed, args.max_coords, args.max_poly_deg,
                                  args.pushpull_trials):
-        report.add(result.name, result.passed, result._elapsed_s, witness=result.witness,
+        report.add(result.name, result.passed, result._done_s, witness=result.witness,
                    detail=result.stats)
     return report.finish(args.out)
 
@@ -298,11 +305,10 @@ def _preset_structure(preset: str, cutoff: Fraction):
     return dga, from_dga(dga, cutoff)
 
 
-def _add_relations(report: Report, check_id: str, rel: RelationReport, started: float,
-                   **detail) -> None:
-    """Add the relation sweep ``rel`` as one check, timed from ``started``;
-    ``detail`` leads the check's detail, before the sweep's counts."""
-    report.add(check_id, rel.passed, time.perf_counter() - started, witness=rel.witness,
+def _add_relations(report: Report, check_id: str, rel: RelationReport, **detail) -> None:
+    """Add the relation sweep ``rel`` as one check, decided now; ``detail``
+    leads the check's detail, before the sweep's counts."""
+    report.add(check_id, rel.passed, witness=rel.witness,
                detail={**detail, "tuples_checked": rel.checked,
                        "sampled_arities": rel.sampled_arities})
 
@@ -315,11 +321,9 @@ def cmd_check_dga(args) -> int:
          "seed": args.seed},
         args.timing,
     )
-    started = time.perf_counter()
-    _add_relations(report, "relations", A.check_relations(args.k_max, seed=args.seed), started)
-    started = time.perf_counter()
+    _add_relations(report, "relations", A.check_relations(args.k_max, seed=args.seed))
     violations = check_product_sign_convention(A, dga)
-    report.add("product-sign-convention", not violations, time.perf_counter() - started,
+    report.add("product-sign-convention", not violations,
                witness=violations[0] if violations else None,
                detail={"pairs_checked": len(A.spaces[dga.space_name].basis) ** 2})
     return report.finish(args.out)
@@ -344,18 +348,16 @@ def cmd_check_ainfty(args) -> int:
          "seed": args.seed},
         args.timing,
     )
-    started = time.perf_counter()
     violations = validate_degree_parity(A)
     stored = sum(not v.is_zero() for entry in A.table.values.values() for v in entry.values())
-    report.add("degree-parity", not violations, time.perf_counter() - started,
+    report.add("degree-parity", not violations,
                witness=violations[0] if violations else None,
                detail={"values_checked": stored})
-    started = time.perf_counter()
     try:
         rel = A.check_relations(args.k_max, seed=args.seed)
     except StructureError as exc:  # say, relation terms in different hom spaces
         raise UsageError(f"{args.file}: {exc}") from exc
-    _add_relations(report, "relations", rel, started)
+    _add_relations(report, "relations", rel)
     return report.finish(args.out)
 
 
@@ -388,7 +390,6 @@ def cmd_deform_check(args) -> int:
                       for g, d in A.spaces[dga.space_name].basis if d % 2 == 1]
     curved = 0
     for label, b in candidates:
-        started = time.perf_counter()
         try:
             D = deform(A, b, args.lam_min)
         except StructureError as exc:  # only --b can be odd or of valuation below lam_min
@@ -398,10 +399,8 @@ def cmd_deform_check(args) -> int:
                                 sample_size=args.sample_size)
         curvature = D.curvature()
         curved += not curvature.is_zero()
-        _add_relations(report, f"deform:{label}", rel, started,
-                       b=str(b), curvature=str(curvature))
-    started = time.perf_counter()
-    report.add("curved-instance-present", curved > 0, time.perf_counter() - started,
+        _add_relations(report, f"deform:{label}", rel, b=str(b), curvature=str(curvature))
+    report.add("curved-instance-present", curved > 0,
                detail={"curved": curved, "total": len(candidates)})
     return report.finish(args.out)
 

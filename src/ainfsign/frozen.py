@@ -2,7 +2,7 @@
 
 A ``Frozen`` subclass lists its slots in ``__slots__``.  Its fields are the
 slots whose names do not start with ``_``; a slot that does holds a value
-derived from the fields, or the wall time a result took.  ``Frozen`` alone
+derived from the fields, or the time a result finished.  ``Frozen`` alone
 handles the fields:
 
 - ``Frozen.__init__(self, *values)`` sets every slot, in ``__slots__``

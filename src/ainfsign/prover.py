@@ -80,20 +80,19 @@ def _parity_variables(k: int) -> tuple:
 
 
 class ProofReport(Frozen):
-    """One proof obligation: the witness is ``None`` when it is proved; the
-    wall time of the proof is never part of the report JSON."""
+    """One proof obligation: the witness is ``None`` when it is proved, and
+    ``_done_s`` is the ``time.perf_counter()`` reading when it was decided."""
 
-    __slots__ = ("instance", "witness", "_elapsed_s")
+    __slots__ = ("instance", "witness", "_done_s")
 
     @property
     def proved(self) -> bool:
         return self.witness is None
 
 
-def _prove_zero(poly: F2Poly, instance: dict, started: float) -> ProofReport:
-    """Whether ``poly`` is zero, timed from ``started``."""
-    return ProofReport(instance, anf_equivalent(poly, F2Poly.zero())[1],
-                       time.perf_counter() - started)
+def _prove_zero(poly: F2Poly, instance: dict) -> ProofReport:
+    """Whether ``poly`` is zero."""
+    return ProofReport(instance, anf_equivalent(poly, F2Poly.zero())[1], time.perf_counter())
 
 
 class _Column:
@@ -205,21 +204,17 @@ def _identity_sum(identity: str, ctx: SignContext, values: dict, node_dim: F2Pol
     return total
 
 
-def prove_identity(
-    identity: str, ctx: SignContext, truth_table: bool = False, started: float | None = None
-) -> ProofReport:
+def prove_identity(identity: str, ctx: SignContext, truth_table: bool = False) -> ProofReport:
     """Prove that the sum of the terms ``IDENTITIES[identity]`` vanishes on
     the symbolic context of an instance.  The master identity can also be
     cross-checked by an exhaustive truth table over all 2^(2k+3) parity
     assignments (k <= TRUTH_TABLE_K_MAX), on columns of its own; a column
-    cannot hold another identity's symbolic node dimension.  The proof time
-    counts from the ``time.perf_counter()`` reading ``started``, by default
-    this call."""
-    return _prove(identity, ctx, {}, F2Poly.var("ra"), truth_table, started)
+    cannot hold another identity's symbolic node dimension."""
+    return _prove(identity, ctx, {}, F2Poly.var("ra"), truth_table)
 
 
 def _prove(identity: str, ctx: SignContext, values: dict, node_dim: F2Poly,
-           truth_table: bool, started: float | None) -> ProofReport:
+           truth_table: bool) -> ProofReport:
     """``prove_identity``, taking the terms already evaluated on ``ctx``
     from ``values`` and adding those it evaluates, with the node dimension
     ``node_dim``."""
@@ -228,15 +223,13 @@ def _prove(identity: str, ctx: SignContext, values: dict, node_dim: F2Poly,
         raise ValueError(f"only the master identity has a truth table, not {identity!r}")
     if truth_table and k > TRUTH_TABLE_K_MAX:
         raise ValueError(f"truth tables stop at k={TRUTH_TABLE_K_MAX}, got k={k}")
-    if started is None:
-        started = time.perf_counter()
     report = _prove_zero(
         _identity_sum(identity, ctx, values, node_dim),
-        {"identity": identity, "k": k, "j": j, "k_inner": k_inner}, started,
+        {"identity": identity, "k": k, "j": j, "k_inner": k_inner},
     )
     if truth_table and report.proved:
         bad = _truth_table_master(k, j, k_inner)
-        return ProofReport(report.instance, bad, time.perf_counter() - started)
+        return ProofReport(report.instance, bad, time.perf_counter())
     return report
 
 
@@ -277,9 +270,8 @@ def prove_differential_insertion(k: int, j: int, variables: Sequence) -> ProofRe
     """Inserting the differential at slot j: Koszul prefix plus the operation
     sign at the bumped degree equals the Leibniz prefix plus the operation
     sign plus one."""
-    started = time.perf_counter()
     return _prove_zero(_insertion_sum(k, j, variables),
-                       {"identity": "differential-insertion", "k": k, "j": j}, started)
+                       {"identity": "differential-insertion", "k": k, "j": j})
 
 
 def instances(k_max: int) -> Iterable[tuple[int, int, int]]:
@@ -295,13 +287,8 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
     master identity with a truth table for k <= truth_table_k_max, then the
     differential-insertion congruence.  An instance's identities share one
     context and one dict of term values, so each term is evaluated once
-    per instance, and a term of ``signs.UNSPLIT_TERMS`` once per arity.
-    Each report carries its own proof time; the first identity of an
-    instance also carries building the context, the first of an arity the
-    variables and the unsplit terms, and the first that lists a term its
-    value."""
+    per instance, and a term of ``signs.UNSPLIT_TERMS`` once per arity."""
     reports, variables, unsplit = [], {}, {}
-    started = time.perf_counter()
     for k, j, k_inner in instances(k_max):
         if k not in variables:
             variables[k] = _parity_variables(k)
@@ -311,8 +298,7 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
         values = dict(unsplit[k])
         for identity in IDENTITIES:
             reports.append(_prove(identity, ctx, values, variables[k][-1],
-                                  identity == "master" and k <= truth_table_k_max, started))
-            started = time.perf_counter()
+                                  identity == "master" and k <= truth_table_k_max))
     for k, arity_variables in variables.items():
         for j in range(1, k + 1):
             reports.append(prove_differential_insertion(k, j, arity_variables))
@@ -324,9 +310,10 @@ def prove_all(k_max: int, truth_table_k_max: int = 0) -> list[ProofReport]:
 
 class CancellationReport(Frozen):
     """One energy level: the symbols whose routes cancel and the residual
-    ones; the level's wall time is never part of the report JSON."""
+    ones, and ``_done_s``, the ``time.perf_counter()`` reading when the
+    level was decided."""
 
-    __slots__ = ("k", "energy", "pairs", "residual", "_elapsed_s")
+    __slots__ = ("k", "energy", "pairs", "residual", "_done_s")
 
     @property
     def cancels(self) -> bool:
@@ -362,15 +349,12 @@ def prove_relation_cancellation(
 
     ``mutate`` flips the sign of one route of the given (kind, payload)
     symbol, which is then decided on its own; used to confirm single-sign
-    corruption is caught and named.  Each level carries its own time, which
-    includes the splittings first decided there and, at the first level,
-    the arity's variables.
+    corruption is caught and named.
     """
     # splitting -> (sum, ok, witness): the slot j of an interior symbol, or
     # (j, k_inner) of a boundary one
     decided: dict = {}
     reports = []
-    started = time.perf_counter()
     variables = _parity_variables(k)
     for energy in spectrum.closure:
         pairs, residual = [], []
@@ -390,7 +374,5 @@ def prove_relation_cancellation(
             else:
                 residual.append({"term": symbol, "reason": "routes do not cancel",
                                  "witness": witness})
-        reports.append(CancellationReport(k, energy, pairs, residual,
-                                          time.perf_counter() - started))
-        started = time.perf_counter()
+        reports.append(CancellationReport(k, energy, pairs, residual, time.perf_counter()))
     return reports

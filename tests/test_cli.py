@@ -329,6 +329,89 @@ def test_prove_signs_timing_is_unrounded(tmp_path, capsys, monkeypatch):
     assert sum(runtimes) == clock[0]
 
 
+def _advancing(monkeypatch, clock, owner, name, step):
+    """Make ``owner.name`` advance the fake ``clock`` by ``step`` each call."""
+    original = getattr(owner, name)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        clock[0] += step
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+# Each case makes what its command calls advance the fake clock, and returns
+# the argv, the advance made before the report starts and each check's
+# expected runtime_s.
+def _prove_signs_accounting(advance, tmp_path):
+    # one second per ANF decision, and 64 for building the replay spectrum,
+    # which falls between the last proof and the first replayed level
+    advance(prover, "anf_equivalent", 1)
+    advance(cli, "_spectrum", 64)
+    spectrum = spectrum_closure([1], 2)
+    splittings = {payload[0] if kind == prover.PUSH_D else (payload[0], payload[3])
+                  for kind, payload in prover.expand_relation(1, Fraction(1), spectrum)}
+    argv = ["prove-signs", "--k-max", "2", "--relations-k-max", "1",
+            "--relations-spectrum", "0,1", "--relations-cutoff", "2"]
+    # the replay of arity 1 decides nothing at energy 0
+    return argv, 0, [1] * 39 + [64, len(splittings)]
+
+
+def _verify_geomodel_accounting(advance, tmp_path):
+    advance(checks, "_trial_loop", 1)  # each checker's run of its trials
+    argv = ["verify-geomodel", "--trials", "1", "--pushpull-trials", "1"]
+    return argv, 0, [1] * 8
+
+
+def _check_dga_accounting(advance, tmp_path):
+    advance(cli, "_preset_structure", 1)  # before the report, so charged nowhere
+    advance(FilteredAInfty, "check_relations", 2)
+    advance(cli, "check_product_sign_convention", 4)
+    return ["check-dga", "--preset", "exterior3-d", "--k-max", "2"], 1, [2, 4]
+
+
+def _check_ainfty_accounting(advance, tmp_path):
+    path = materialized_ext2(tmp_path)
+    advance(structio, "load_structure", 1)  # before the report, so charged nowhere
+    advance(cli, "validate_degree_parity", 2)
+    advance(FilteredAInfty, "check_relations", 4)
+    return ["check-ainfty", "--file", str(path), "--k-max", "2"], 1, [2, 4]
+
+
+def _deform_check_accounting(advance, tmp_path):
+    advance(cli, "_preset_structure", 1)  # before the report, so charged nowhere
+    # reading --b falls between the report's start and the first deformation
+    advance(structio, "element_from_json", 2)
+    advance(cli, "deform", 4)
+    advance(FilteredAInfty, "check_relations", 8)
+    argv = ["deform-check", "--preset", "interval2", "--b", '{"u|dv": "-3/2*T"}',
+            "--lam-min", "1", "--k-max", "2"]
+    # the CLI decides curved-instance-present from counts it already has
+    return argv, 1, [2 + 4 + 8, 0]
+
+
+@pytest.mark.parametrize("accounting", [
+    _prove_signs_accounting, _verify_geomodel_accounting, _check_dga_accounting,
+    _check_ainfty_accounting, _deform_check_accounting,
+], ids=lambda f: f.__name__.strip("_").removesuffix("_accounting").replace("_", "-"))
+def test_timing_charges_every_moment_to_one_check(accounting, tmp_path, capsys, monkeypatch):
+    """Under a fake clock that advances inside each check's work and in the
+    glue between checks, each check's runtime_s is the clock's advance since
+    the previous check finished, and the runtimes add up to the advance
+    since the report began; what happens before it is charged nowhere."""
+    clock = [0.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    argv, uncharged, expected = accounting(
+        functools.partial(_advancing, monkeypatch, clock), tmp_path)
+    out = tmp_path / "report.json"
+    code, _, _ = run(argv + ["--timing", "--out", str(out)], capsys)
+    assert code == 0
+    runtimes = [c["runtime_s"] for c in json.loads(out.read_text())["checks"]]
+    assert runtimes == expected
+    assert sum(runtimes) == clock[0] - uncharged
+
+
 # SHA-256 of the report as written since its parameters record
 # --relations-cutoff; apart from that field it is the report written before
 # the relation replay took its boundary payloads from enumerate_strata and

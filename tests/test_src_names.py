@@ -24,6 +24,10 @@ A result record is built once: every assignment in ``src/`` to an attribute
 of an object other than ``self`` is listed, with the reason, in
 ``ATTRIBUTE_ASSIGNMENTS``, and no method of a ``Frozen`` class but
 ``__init__`` changes a container held in one of its slots.
+
+``--timing`` has one stopwatch: no function of ``src/`` takes a ``started``
+reading, and nothing subtracts from ``time.perf_counter()``, so only
+``cli.Report.add`` turns clock readings into a check's ``runtime_s``.
 """
 
 import ast
@@ -605,3 +609,29 @@ def test_no_frozen_method_but_init_changes_a_container_in_a_slot():
     """A ``Frozen`` object is built once: its ``__init__`` fills its slots,
     and no other method changes what they hold."""
     assert container_changes() == {}
+
+
+def elapsed_time_code() -> list[str]:
+    """``module:line: code`` of every function in ``src/`` that takes a
+    ``started`` parameter, and of every subtraction from a
+    ``time.perf_counter()`` call."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "started" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    found.append(f"{module}:{node.lineno}: {getattr(node, 'name', 'lambda')}")
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                  and isinstance(node.left, ast.Call)
+                  and ast.unparse(node.left.func) in {"time.perf_counter", "perf_counter"}):
+                found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_report_turns_clock_readings_into_runtimes():
+    """A result records the ``time.perf_counter()`` reading when it was
+    done, and ``cli.Report.add`` alone charges each check the time since
+    the previous one; no stopwatch starts anywhere else."""
+    assert elapsed_time_code() == []
